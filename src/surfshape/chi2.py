@@ -1,63 +1,5 @@
-"""Chi-square quantiles via regularized incomplete gamma inversion.
-
-Self-contained (series + continued fraction, then bracketed Newton) so model
-thresholds do not depend on statistical tables or external quantile routines.
-"""
+"""Chi-square quantiles for the control model's component-space threshold."""
 from __future__ import annotations
-
-import math
-
-_MAX_ITER = 300
-_EPS = 1e-15
-
-
-def regularized_gamma_p(a: float, x: float) -> float:
-    """Lower regularized incomplete gamma P(a, x) for a > 0, x >= 0."""
-    if a <= 0:
-        raise ValueError("a must be positive")
-    if x < 0:
-        raise ValueError("x must be non-negative")
-    if x == 0:
-        return 0.0
-    if x < a + 1.0:
-        return _gamma_p_series(a, x)
-    return 1.0 - _gamma_q_continued_fraction(a, x)
-
-
-def _gamma_p_series(a: float, x: float) -> float:
-    term = 1.0 / a
-    total = term
-    ap = a
-    for _ in range(_MAX_ITER):
-        ap += 1.0
-        term *= x / ap
-        total += term
-        if abs(term) < abs(total) * _EPS:
-            break
-    return total * math.exp(-x + a * math.log(x) - math.lgamma(a))
-
-
-def _gamma_q_continued_fraction(a: float, x: float) -> float:
-    tiny = 1e-300
-    b = x + 1.0 - a
-    c = 1.0 / tiny
-    d = 1.0 / b
-    h = d
-    for i in range(1, _MAX_ITER + 1):
-        an = -i * (i - a)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
-        c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _EPS:
-            break
-    return h * math.exp(-x + a * math.log(x) - math.lgamma(a))
 
 
 def chi_square_quantile(df: int, prob: float) -> float:
@@ -66,27 +8,6 @@ def chi_square_quantile(df: int, prob: float) -> float:
         raise ValueError("df must be at least 1")
     if not 0 < prob < 1:
         raise ValueError("prob must be strictly between 0 and 1")
-    a = df / 2.0
+    from scipy.special import gammaincinv
 
-    lo, hi = 0.0, float(df)
-    while regularized_gamma_p(a, hi / 2.0) < prob:
-        lo = hi
-        hi *= 2.0
-
-    x = 0.5 * (lo + hi)
-    for _ in range(200):
-        p = regularized_gamma_p(a, x / 2.0)
-        if p > prob:
-            hi = x
-        else:
-            lo = x
-        # density of chi2 at x; Newton step inside the bracket, bisection otherwise
-        log_pdf = -x / 2.0 + (a - 1.0) * math.log(x) - a * math.log(2.0) - math.lgamma(a)
-        pdf = math.exp(log_pdf)
-        step = (p - prob) / pdf if pdf > 0 else 0.0
-        candidate = x - step
-        x_next = candidate if lo < candidate < hi else 0.5 * (lo + hi)
-        if abs(x_next - x) <= 1e-14 * max(x, 1.0):
-            return x_next
-        x = x_next
-    return x
+    return float(2.0 * gammaincinv(df / 2.0, prob))

@@ -11,7 +11,6 @@ Exit codes: 0 success, 2 validation error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from contextlib import contextmanager
@@ -34,6 +33,8 @@ from .io import (
     read_regions,
     read_weight_overrides,
     save_model,
+    write_csv,
+    write_json,
     write_labels,
     write_mesh,
     write_painted_mesh,
@@ -95,25 +96,25 @@ def _parse_bool(text: str) -> bool:
     raise ValidationFailure(f"expected a boolean, got {text!r}")
 
 
-def merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser, config: dict[str, str]) -> None:
-    """Fill options not given on the command line from the config file."""
+def merge_config(parser: argparse.ArgumentParser, config: dict[str, str]) -> None:
+    """Make config-file values the subcommand's defaults, so flags given on the command line win."""
     actions = {a.dest: a for a in parser._actions if a.dest not in ("help", "config")}
     unknown = set(config) - set(actions)
     if unknown:
         raise ValidationFailure(f"unknown config keys: {', '.join(sorted(unknown))}")
+    defaults = {}
     for key, text in config.items():
         action = actions[key]
-        if getattr(args, key) != action.default:
-            continue  # command line wins
         if isinstance(action, (argparse._StoreTrueAction, argparse._StoreFalseAction)):
-            setattr(args, key, _parse_bool(text))
+            defaults[key] = _parse_bool(text)
         elif action.type is not None:
             try:
-                setattr(args, key, action.type(text))
+                defaults[key] = action.type(text)
             except ValueError as err:
                 raise ValidationFailure(f"config key {key}: {err}") from None
         else:
-            setattr(args, key, text)
+            defaults[key] = text
+    parser.set_defaults(**defaults)
 
 
 def require(args: argparse.Namespace, *names: str) -> None:
@@ -151,23 +152,7 @@ def write_manifest(out: Path, command: str, args: argparse.Namespace) -> None:
         "options": options,
         "seed": options.get("seed"),
     }
-    with open(out / "manifest.json", "w", encoding="ascii", newline="\n") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=2)
-        fh.write("\n")
-
-
-def _json_dump(doc, path) -> None:
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=2, default=_json_default)
-        fh.write("\n")
-
-
-def _json_default(value):
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    if isinstance(value, (np.floating, np.integer, np.bool_)):
-        return value.item()
-    raise TypeError(f"cannot serialize {type(value).__name__}")
+    write_json(doc, out / "manifest.json")
 
 
 def _load_cohort(args) -> tuple[list[str], ShapeSample]:
@@ -227,17 +212,12 @@ def cmd_register(args) -> None:
     for name, verts in zip(names, result.aligned):
         write_mesh(sample.meshes[0].with_vertices(verts), aligned_dir / name)
     write_mesh(sample.meshes[0].with_vertices(result.mean), out / "mean.obj")
-    with open(out / "transforms.csv", "w", encoding="ascii", newline="\n") as fh:
-        fh.write("filename,scale," + ",".join(f"r{i}{j}" for i in range(3) for j in range(3)) + ",tx,ty,tz\n")
-        for name, t in zip(names, result.transforms):
-            cells = [f"{t.scale:.17g}"]
-            cells += [f"{v:.17g}" for v in t.rotation.ravel()]
-            cells += [f"{v:.17g}" for v in t.translation]
-            fh.write(name + "," + ",".join(cells) + "\n")
-    with open(out / "objective.csv", "w", encoding="ascii", newline="\n") as fh:
-        fh.write("iteration,objective\n")
-        for i, value in enumerate(result.objective_trace, start=1):
-            fh.write(f"{i},{value:.17g}\n")
+    write_csv(
+        out / "transforms.csv",
+        ["filename", "scale", *(f"r{i}{j}" for i in range(3) for j in range(3)), "tx", "ty", "tz"],
+        ((name, t.scale, *t.rotation.ravel(), *t.translation) for name, t in zip(names, result.transforms)),
+    )
+    write_csv(out / "objective.csv", ("iteration", "objective"), enumerate(result.objective_trace, start=1))
     write_manifest(out, "register", args)
     print(f"registered {len(names)} shapes in {result.iterations} iterations (converged={result.converged})")
 
@@ -255,10 +235,8 @@ def cmd_pca(args) -> None:
     save_model(model, out / "model.json")
     write_mesh(sample.meshes[0].with_vertices(gpa.mean), out / "mean.obj")
     score_rows = scores_from_tangent(model, tangent)
-    with open(out / "scores.csv", "w", encoding="ascii", newline="\n") as fh:
-        fh.write("filename," + ",".join(f"pc{k + 1}" for k in range(model.n_components)) + "\n")
-        for name, row in zip(names, score_rows):
-            fh.write(name + "," + ",".join(f"{v:.17g}" for v in row) + "\n")
+    header = ["filename", *(f"pc{k + 1}" for k in range(model.n_components))]
+    write_csv(out / "scores.csv", header, ((name, *row) for name, row in zip(names, score_rows)))
     write_manifest(out, "pca", args)
     print(f"fitted {model.n_components} components explaining {model.explained[-1]:.1%} of variance")
 
@@ -275,7 +253,7 @@ def cmd_tour(args) -> None:
     tour = grand_tour(model, p=p, n_stops=args.stops, seed=args.seed, frames_per_leg=args.frames_per_leg)
     for i, frame in enumerate(tour.frames):
         write_mesh(topology.with_vertices(frame), out / f"tour_{i:04d}.obj")
-    _json_dump(
+    write_json(
         {
             "n_frames": int(tour.frames.shape[0]),
             "stop_indices": tour.stop_indices,
@@ -310,7 +288,7 @@ def cmd_compare(args) -> None:
         threads=_threads(),
     )
     quartiles = report.permuted_quartiles()
-    _json_dump(
+    write_json(
         {
             "groups": list(report.group_names),
             "mode": report.mode,
@@ -328,12 +306,11 @@ def cmd_compare(args) -> None:
         },
         out / "report.json",
     )
-    with open(out / "report.csv", "w", encoding="ascii", newline="\n") as fh:
-        fh.write("component,statistic,p_value,significant\n")
-        fh.write(f"global,{report.global_stat:.17g},{report.global_p:.17g},\n")
-        for i in range(report.n_components):
-            flag = "true" if (i + 1) in report.significant else "false"
-            fh.write(f"{i + 1},{report.component_stats[i]:.17g},{report.component_p[i]:.17g},{flag}\n")
+    rows = [("global", report.global_stat, report.global_p, "")]
+    for i in range(report.n_components):
+        flag = "true" if (i + 1) in report.significant else "false"
+        rows.append((i + 1, report.component_stats[i], report.component_p[i], flag))
+    write_csv(out / "report.csv", ("component", "statistic", "p_value", "significant"), rows)
     write_manifest(out, "compare", args)
     print(
         f"global statistic {report.global_stat:.4g} (p={report.global_p:.4g}); "
@@ -353,7 +330,7 @@ def cmd_split_affine(args) -> None:
         for name, verts in zip(names, stack):
             write_mesh(sample.meshes[0].with_vertices(verts), directory / name)
     write_mesh(sample.meshes[0].with_vertices(gpa.mean), out / "mean.obj")
-    _json_dump({"filenames": names, "coefficients": alphas}, out / "coefficients.json")
+    write_json({"filenames": names, "coefficients": alphas}, out / "coefficients.json")
     write_manifest(out, "split-affine", args)
     print(f"split {len(names)} shapes into affine and non-affine parts")
 
@@ -381,10 +358,7 @@ def cmd_asymmetry(args) -> None:
         cmap = ColorMap("sequential", lo=0.0, hi=hi if hi > 0 else 1.0)
         write_painted_mesh(mesh, field, cmap, out / f"{Path(name).stem}_asymmetry.ply")
         write_mesh(mesh.with_vertices(report.matched_reflection), out / f"{Path(name).stem}_reflection.obj")
-    with open(out / "asymmetry.csv", "w", encoding="ascii", newline="\n") as fh:
-        fh.write("filename,region,score_mm\n")
-        for name, region, score in rows:
-            fh.write(f"{name},{region},{score:.17g}\n")
+    write_csv(out / "asymmetry.csv", ("filename", "region", "score_mm"), rows)
     write_manifest(out, "asymmetry", args)
     print(f"scored {len(names)} shapes")
 
@@ -399,15 +373,15 @@ def cmd_assess(args) -> None:
         post = read_mesh(args.post)
         pairing = read_pairing(args.pairing, pre.n_vertices)
         regions = read_regions(args.regions, pre.n_vertices) if args.regions else {}
+        if args.controls is not None:
+            controls = ShapeSample(tuple(load_mesh_directory(args.controls)[1]), pairing=pairing)
+        else:
+            model = load_model(args.model)
     if args.controls is not None:
-        _, control_meshes = load_mesh_directory(args.controls)
-        controls = ShapeSample(tuple(control_meshes), pairing=pairing)
         model = fit_control_model(controls, variance_threshold=args.variance or 0.80, regions=regions)
         save_model(model, out / "control_model.json")
-    else:
-        model = load_model(args.model)
     assessment = integrated_assessment(model, pre, post, pairing, regions)
-    _json_dump(assessment.document, out / "assessment.json")
+    write_json(assessment.document, out / "assessment.json")
     for name, artifact in sorted(assessment.artifacts.items()):
         if artifact.field is None:
             write_mesh(artifact.mesh, out / f"{name}.obj")
@@ -434,7 +408,7 @@ def cmd_warp(args) -> None:
     field = fit_tps(source.vertices, target.vertices, ridge=args.ridge)
     warped = template.with_vertices(apply_warp(field, template.vertices))
     write_mesh(warped, out / "warped.obj")
-    _json_dump(
+    write_json(
         {
             "bending_energy": field.bending_energy,
             "bending_energy_by_coordinate": field.bending_energy_by_coordinate,
@@ -486,7 +460,7 @@ def cmd_simulate(args) -> None:
     write_regions(truth.base_mesh.regions or {}, out / "regions.csv")
     if sample.labels is not None:
         write_labels(dict(zip(names, sample.labels)), out / "labels.csv")
-    _json_dump(
+    write_json(
         {
             "spectrum": truth.spectrum,
             "modes": truth.modes,
@@ -512,10 +486,7 @@ def cmd_diff(args) -> None:
         base = read_mesh(args.base)
         other = read_mesh(args.other)
     field = shape_difference_field(base, other, args.mode)
-    with open(out / "difference.csv", "w", encoding="ascii", newline="\n") as fh:
-        fh.write("vertex_index,value_mm\n")
-        for i, value in enumerate(field):
-            fh.write(f"{i},{value:.17g}\n")
+    write_csv(out / "difference.csv", ("vertex_index", "value_mm"), enumerate(field))
     span = float(np.abs(field).max())
     lo = args.lo if args.lo is not None else -(span or 1.0)
     hi = args.hi if args.hi is not None else (span or 1.0)
@@ -631,8 +602,8 @@ def main(argv=None) -> int:
         return 2
     try:
         if args.config is not None:
-            subparser = _find_subparser(parser, args.command)
-            merge_config(args, subparser, parse_config_file(args.config))
+            merge_config(_find_subparser(parser, args.command), parse_config_file(args.config))
+            args = parser.parse_args(argv)
         args.handler(args)
         return 0
     except ValidationFailure as err:

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .mesh import AreaWeights
-from .registration import vec, vec_inverse
+from .registration import tangent_coordinates, vec_inverse
 
 
 @dataclass(frozen=True)
@@ -144,19 +144,14 @@ def fit_fpca(
     )
 
 
-def scores(model: FpcaModel, shape: np.ndarray) -> np.ndarray:
-    """Component scores of a shape registered to the model mean: <vec(shape - mean), e_k>_A."""
-    shape = np.asarray(shape, dtype=float)
-    if shape.shape != model.mean.shape:
-        raise ValueError(f"shape {shape.shape} does not match model mean {model.mean.shape}")
-    t = vec(shape - model.mean)
-    return model.eigenfunctions @ (model.weights.stacked * t)
-
-
-def scores_matrix(model: FpcaModel, shapes: np.ndarray) -> np.ndarray:
-    """Scores for a stack of (n, J, 3) shapes, one row per shape."""
+def scores(model: FpcaModel, shapes: np.ndarray) -> np.ndarray:
+    """Component scores <vec(shape - mean), e_k>_A of a (J, 3) shape registered to the
+    model mean, or one row per shape for an (n, J, 3) stack."""
     shapes = np.asarray(shapes, dtype=float)
-    return np.stack([scores(model, s) for s in shapes])
+    if shapes.ndim not in (2, 3) or shapes.shape[-2:] != model.mean.shape:
+        raise ValueError(f"shape {shapes.shape} does not match model mean {model.mean.shape}")
+    rows = scores_from_tangent(model, tangent_coordinates(shapes, model.mean))
+    return rows[0] if shapes.ndim == 2 else rows
 
 
 def scores_from_tangent(model: FpcaModel, tangent: np.ndarray) -> np.ndarray:

@@ -277,8 +277,9 @@ def permutation_test(
 
 def _pca_scores(coords: np.ndarray, p: int) -> np.ndarray:
     """Scores on the first p label-blind principal components of reduced coordinates."""
-    _, s, vt = np.linalg.svd(coords - coords.mean(axis=0), full_matrices=False)
-    return (coords - coords.mean(axis=0)) @ vt[:p].T
+    centred = coords - coords.mean(axis=0)
+    vt = np.linalg.svd(centred, full_matrices=False)[2]
+    return centred @ vt[:p].T
 
 
 def align_component_signs(

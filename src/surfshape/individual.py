@@ -111,6 +111,37 @@ def reflect_relabel(shape: np.ndarray, pairing: BilateralPairing) -> np.ndarray:
     return reflected[pairing.pair]
 
 
+def _match_mirror(
+    mesh: SurfaceMesh, pairing: BilateralPairing, weights: AreaWeights, allow_scaling: bool
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Match the relabelled mirror image onto ``mesh`` under ``weights``.
+
+    Returns the matched reflection, the squared per-vertex distances to it and
+    the area weights of the surface halfway between the two.
+    """
+    x = mesh.vertices
+    mirrored = reflect_relabel(x, pairing)
+    # the configuration is already reflected, so leave the orthogonal part free
+    matched = weighted_opa(mirrored, x, weights, allow_scaling=allow_scaling, allow_reflection=True).fitted
+    halfway = vertex_areas(mesh.with_vertices(0.5 * (x + matched))).weights
+    return matched, np.einsum("jk,jk->j", x - matched, x - matched), halfway
+
+
+def _region_rms(sq: np.ndarray, areas: np.ndarray, region: np.ndarray | None = None) -> float:
+    """Area-weighted RMS of per-vertex distances over ``region`` (all vertices when None)."""
+    if region is not None:
+        region = np.asarray(region, dtype=np.intp)
+        if region.size == 0:
+            raise ValueError("region is empty")
+        if region.min() < 0 or region.max() >= sq.size:
+            raise ValueError("region references a vertex outside the mesh")
+        sq, areas = sq[region], areas[region]
+    denom = areas.sum()
+    if denom <= 0:
+        raise ValueError("region has zero surface area")
+    return float(np.sqrt(areas @ sq / denom))
+
+
 def asymmetry_score(
     mesh: SurfaceMesh,
     pairing: BilateralPairing,
@@ -127,29 +158,8 @@ def asymmetry_score(
 
     Returns (score, matched reflection, per-vertex distance field).
     """
-    x = mesh.vertices
-    mirrored = reflect_relabel(x, pairing)
-    target_weights = vertex_areas(mesh)
-    # the configuration is already reflected, so leave the orthogonal part free
-    fit = weighted_opa(mirrored, x, target_weights, allow_scaling=allow_scaling, allow_reflection=True)
-    matched = fit.fitted
-    halfway = mesh.with_vertices(0.5 * (x + matched))
-    a = vertex_areas(halfway).weights
-    sq = np.einsum("jk,jk->j", x - matched, x - matched)
-    if region is not None:
-        region = np.asarray(region, dtype=np.intp)
-        if region.size == 0:
-            raise ValueError("region is empty")
-        if region.min() < 0 or region.max() >= mesh.n_vertices:
-            raise ValueError("region references a vertex outside the mesh")
-        a_sel, sq_sel = a[region], sq[region]
-    else:
-        a_sel, sq_sel = a, sq
-    denom = a_sel.sum()
-    if denom <= 0:
-        raise ValueError("region has zero surface area")
-    score = float(np.sqrt(a_sel @ sq_sel / denom))
-    return score, matched, np.sqrt(sq)
+    matched, sq, halfway = _match_mirror(mesh, pairing, vertex_areas(mesh), allow_scaling)
+    return _region_rms(sq, halfway, region), matched, np.sqrt(sq)
 
 
 def empirical_percentile(value: float, reference: np.ndarray) -> float:
@@ -179,13 +189,20 @@ def asymmetry_report(
     """
     if regions is None:
         regions = mesh.regions or {}
-    global_score, matched, field = asymmetry_score(mesh, pairing, allow_scaling=allow_scaling)
+    areas = vertex_areas(mesh)
+    matched, sq, halfway = _match_mirror(mesh, pairing, areas, allow_scaling)
+    global_score = _region_rms(sq, halfway)
     region_scores: dict[str, float] = {}
     for name, idx in regions.items():
         if register_per_region:
-            region_scores[name] = _region_registered_score(mesh, pairing, idx, allow_scaling)
+            region_w = np.zeros_like(areas.weights)
+            region_w[idx] = areas.weights[idx]
+            _, region_sq, region_halfway = _match_mirror(
+                mesh, pairing, AreaWeights.from_weights(region_w), allow_scaling
+            )
+            region_scores[name] = _region_rms(region_sq, region_halfway, idx)
         else:
-            region_scores[name], _, _ = _restricted_score(mesh, matched, idx)
+            region_scores[name] = _region_rms(sq, halfway, idx)
     percentiles = None
     if control_scores is not None:
         percentiles = {}
@@ -198,40 +215,9 @@ def asymmetry_report(
         global_score=global_score,
         region_scores=region_scores,
         matched_reflection=matched,
-        per_vertex_distance=field,
+        per_vertex_distance=np.sqrt(sq),
         control_percentiles=percentiles,
     )
-
-
-def _restricted_score(mesh: SurfaceMesh, matched: np.ndarray, region) -> tuple[float, np.ndarray, np.ndarray]:
-    x = mesh.vertices
-    halfway = mesh.with_vertices(0.5 * (x + matched))
-    a = vertex_areas(halfway).weights
-    region = np.asarray(region, dtype=np.intp)
-    sq = np.einsum("jk,jk->j", x - matched, x - matched)
-    denom = a[region].sum()
-    if denom <= 0:
-        raise ValueError("region has zero surface area")
-    return float(np.sqrt(a[region] @ sq[region] / denom)), matched, np.sqrt(sq)
-
-
-def _region_registered_score(mesh, pairing, region, allow_scaling) -> float:
-    region = np.asarray(region, dtype=np.intp)
-    x = mesh.vertices
-    mirrored = reflect_relabel(x, pairing)
-    full_weights = vertex_areas(mesh).weights
-    w = np.zeros_like(full_weights)
-    w[region] = full_weights[region]
-    fit = weighted_opa(
-        mirrored, x, AreaWeights.from_weights(w), allow_scaling=allow_scaling, allow_reflection=True
-    )
-    halfway = mesh.with_vertices(0.5 * (x + fit.fitted))
-    a = vertex_areas(halfway).weights
-    sq = np.einsum("jk,jk->j", x - fit.fitted, x - fit.fitted)
-    denom = a[region].sum()
-    if denom <= 0:
-        raise ValueError("region has zero surface area")
-    return float(np.sqrt(a[region] @ sq[region] / denom))
 
 
 def _residual_lengths(tangent_rows: np.ndarray, model: FpcaModel, score_rows: np.ndarray) -> np.ndarray:

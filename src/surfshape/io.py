@@ -111,6 +111,9 @@ def read_mesh(path) -> SurfaceMesh:
     if not faces:
         raise ValueError(f"{path}: no faces")
     v = np.asarray(vertices)
+    finite = np.isfinite(v).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"{path}: vertex {int(np.flatnonzero(~finite)[0]) + 1} has a non-finite coordinate")
     t = np.asarray(faces, dtype=np.intp)
     if t.max() >= v.shape[0]:
         raise ValueError(f"{path}: face references vertex {int(t.max()) + 1} but only {v.shape[0]} exist")
@@ -240,9 +243,23 @@ def save_model(model: FpcaModel | ControlModel, path) -> None:
         doc = {"schema_version": SCHEMA_VERSION, "kind": "fpca", **_fpca_payload(model)}
     else:
         raise TypeError(f"cannot serialize {type(model).__name__}")
+    write_json(doc, path)
+
+
+def write_json(doc, path) -> None:
+    """Write a JSON document with sorted keys and two-space indent; numpy arrays
+    and scalars are written as plain lists and numbers."""
     with open(path, "w", encoding="ascii", newline="\n") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=2)
+        json.dump(doc, fh, sort_keys=True, indent=2, default=_json_default)
         fh.write("\n")
+
+
+def _json_default(value):
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, (np.floating, np.integer, np.bool_)):
+        return value.item()
+    raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
 def load_model(path) -> FpcaModel | ControlModel:
@@ -279,6 +296,14 @@ def load_model(path) -> FpcaModel | ControlModel:
     raise ValueError(f"{path}: unknown model kind {kind!r}")
 
 
+def write_csv(path, header, rows) -> None:
+    """Write a CSV table: floats as %.17g (exact round trip), every other cell with str()."""
+    with open(path, "w", encoding="ascii", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(f"{c:.17g}" if isinstance(c, float) else str(c) for c in row) + "\n")
+
+
 def _read_csv_rows(path, expected_columns: int):
     with open(path, "r", encoding="ascii", newline="") as fh:
         for lineno, row in enumerate(csv.reader(fh), start=1):
@@ -306,11 +331,8 @@ def read_regions(path, n_vertices: int) -> dict[str, np.ndarray]:
 
 
 def write_regions(regions: dict[str, np.ndarray], path) -> None:
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("vertex_index,region_name\n")
-        for name in sorted(regions):
-            for idx in np.asarray(regions[name], dtype=np.intp):
-                fh.write(f"{int(idx)},{name}\n")
+    rows = ((int(idx), name) for name in sorted(regions) for idx in np.asarray(regions[name], dtype=np.intp))
+    write_csv(path, ("vertex_index", "region_name"), rows)
 
 
 def read_pairing(path, n_vertices: int, plane_normal=(1.0, 0.0, 0.0)) -> BilateralPairing:
@@ -338,10 +360,7 @@ def read_pairing(path, n_vertices: int, plane_normal=(1.0, 0.0, 0.0)) -> Bilater
 
 
 def write_pairing(pairing: BilateralPairing, path) -> None:
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("index,mirror_index\n")
-        for a, b in enumerate(pairing.pair):
-            fh.write(f"{a},{int(b)}\n")
+    write_csv(path, ("index", "mirror_index"), enumerate(pairing.pair.tolist()))
 
 
 def read_weight_overrides(path, n_vertices: int) -> dict[int, float]:
@@ -380,10 +399,7 @@ def read_labels(path) -> dict[str, str]:
 
 
 def write_labels(labels: dict[str, str], path) -> None:
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("filename,label\n")
-        for name in sorted(labels):
-            fh.write(f"{name},{labels[name]}\n")
+    write_csv(path, ("filename", "label"), ((name, labels[name]) for name in sorted(labels)))
 
 
 def load_mesh_directory(directory) -> tuple[list[str], list[SurfaceMesh]]:

@@ -74,11 +74,6 @@ class GpaResult:
     converged: bool
 
 
-def apply_similarity(shape: np.ndarray, transform: SimilarityTransform) -> np.ndarray:
-    """Apply a similarity transform to a (J, 3) shape."""
-    return transform.apply(shape)
-
-
 def _check_pair(source: np.ndarray, target: np.ndarray, weights: AreaWeights) -> None:
     if source.shape != target.shape or source.ndim != 2 or source.shape[1] != 3:
         raise ValueError(f"shapes must both be (J, 3); got {source.shape} and {target.shape}")
@@ -141,12 +136,6 @@ def weighted_opa(
     return OpaFit(transform, fitted, rss)
 
 
-def _surface_area(vertices: np.ndarray, triangles: np.ndarray) -> float:
-    tri = vertices[triangles]
-    cross = np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0])
-    return float(0.5 * np.linalg.norm(cross, axis=1).sum())
-
-
 def weighted_gpa(
     sample: ShapeSample,
     max_iter: int = 100,
@@ -179,10 +168,13 @@ def weighted_gpa(
     triangles = sample.meshes[0].triangles
     shapes = sample.vertex_array()
 
+    def surface_area(vertices: np.ndarray) -> float:
+        return triangle_areas(SurfaceMesh(vertices, triangles)).sum()
+
     mean = shapes[0].copy()
     init_weights = vertex_areas(sample.meshes[0], weight_overrides)
     mean -= init_weights.weights @ mean / init_weights.total_area
-    initial_area = _surface_area(mean, triangles)
+    initial_area = surface_area(mean)
     target_area = 1.0 if size_constraint == "unit_area" else initial_area
     mean *= np.sqrt(target_area / initial_area)
 
@@ -208,12 +200,12 @@ def weighted_gpa(
         # centroid offset geometrically across iterations
         new_weights = vertex_areas(sample.meshes[0].with_vertices(mean), weight_overrides)
         mean -= new_weights.weights @ mean / new_weights.total_area
-        mean *= np.sqrt(target_area / _surface_area(mean, triangles))
+        mean *= np.sqrt(target_area / surface_area(mean))
 
     # Final common rescale: keeps mean == average(aligned) exactly while
     # restoring the size constraint that the last averaging perturbed.
     aligned = np.stack([f.fitted for f in fits])
-    factor = float(np.sqrt(target_area / _surface_area(aligned.mean(axis=0), triangles)))
+    factor = float(np.sqrt(target_area / surface_area(aligned.mean(axis=0))))
     aligned *= factor
     mean = aligned.mean(axis=0)
     transforms = tuple(f.transform.rescaled(factor) for f in fits)

@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist, pdist
 
 from .mesh import SurfaceMesh
 
@@ -39,6 +38,8 @@ def fit_tps(source: np.ndarray, target: np.ndarray, ridge: float = 0.0) -> WarpF
     ``ridge`` adds a diagonal term to the kernel block for ill-conditioned
     inputs, trading exact interpolation for stability (default 0: exact).
     """
+    from scipy.spatial.distance import cdist, pdist
+
     x = np.asarray(source, dtype=float)
     y = np.asarray(target, dtype=float)
     if x.ndim != 2 or x.shape[1] != 3 or x.shape != y.shape:
@@ -80,6 +81,8 @@ def fit_tps(source: np.ndarray, target: np.ndarray, ridge: float = 0.0) -> WarpF
 
 def apply_warp(field: WarpField, points: np.ndarray) -> np.ndarray:
     """Evaluate the warp rowwise: y(x) = sum_j phi(||x - x_j||) beta1_j + (1, x) beta2."""
+    from scipy.spatial.distance import cdist
+
     pts = np.asarray(points, dtype=float)
     squeeze = pts.ndim == 1
     pts = np.atleast_2d(pts)

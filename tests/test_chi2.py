@@ -1,24 +1,7 @@
-import numpy as np
 import pytest
 from scipy import special, stats
 
-from surfshape.chi2 import chi_square_quantile, regularized_gamma_p
-
-
-class TestRegularizedGamma:
-    @pytest.mark.parametrize("a", [0.5, 1.0, 2.5, 7.0, 15.0])
-    def test_matches_scipy_incomplete_gamma(self, a):
-        xs = np.linspace(0.01, 60.0, 200)
-        ours = np.array([regularized_gamma_p(a, x) for x in xs])
-        np.testing.assert_allclose(ours, special.gammainc(a, xs), atol=1e-12)
-
-    def test_boundaries(self):
-        assert regularized_gamma_p(3.0, 0.0) == 0.0
-        assert regularized_gamma_p(3.0, 1e6) == pytest.approx(1.0, abs=1e-12)
-        with pytest.raises(ValueError):
-            regularized_gamma_p(0.0, 1.0)
-        with pytest.raises(ValueError):
-            regularized_gamma_p(1.0, -1.0)
+from surfshape.chi2 import chi_square_quantile
 
 
 class TestChiSquareQuantile:

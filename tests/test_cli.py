@@ -249,6 +249,11 @@ class TestConfigFile:
         report2 = json.loads((out2 / "report.json").read_text())
         assert report2["n_components"] == 2
 
+        # a flag equal to its parser default still beats the config file
+        out3 = tmp_path / "override_default"
+        assert run("compare", "--config", config, "--out", out3, "--n-perm", "500") == 0
+        assert json.loads((out3 / "report.json").read_text())["n_perm"] == 500
+
     def test_unknown_config_key_is_validation_error(self, cohort, tmp_path):
         config = tmp_path / "bad.cfg"
         config.write_text("mesh-folder = /nope\n")
@@ -286,6 +291,21 @@ class TestExitCodes:
         mesh_dir.mkdir()
         (mesh_dir / "bad.obj").write_text("v 0 0\n")
         assert run("register", "--meshes", mesh_dir, "--out", tmp_path / "o") == 2
+
+    @pytest.mark.parametrize("command", ["diff", "assess"])
+    def test_non_finite_coordinate_is_validation_error(self, cohort, tmp_path, capsys, command):
+        bad = tmp_path / "controls" / "bad.obj"
+        bad.parent.mkdir()
+        lines = (cohort / "meshes" / "shape_000.obj").read_text().splitlines(keepends=True)
+        bad.write_text("".join(["v nan 0 0\n", *lines[1:]]))
+        shape = cohort / "meshes" / "shape_001.obj"
+        if command == "diff":
+            argv = ("diff", bad, shape)
+        else:
+            argv = ("assess", "--controls", bad.parent, "--pre", shape, "--post", shape,
+                    "--pairing", cohort / "pairing.csv")
+        assert run(*argv, "--out", tmp_path / "o") == 2
+        assert f"{bad}: vertex 1 has a non-finite coordinate" in capsys.readouterr().err
 
     def test_numerical_failure_is_exit_3(self, tmp_path):
         mesh_dir = tmp_path / "meshes"

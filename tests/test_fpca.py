@@ -128,7 +128,7 @@ class TestScoresAndReconstruct:
         gpa = ss.weighted_gpa(sample)
         tangent = ss.tangent_coordinates(gpa.aligned, gpa.mean)
         model = ss.fit_fpca(tangent, gpa.mean_weights, k=5, mean_shape=gpa.mean)
-        rows = ss.scores_matrix(model, gpa.aligned)
+        rows = ss.scores(model, gpa.aligned)
         np.testing.assert_allclose(rows.var(axis=0, ddof=1), model.eigenvalues, rtol=1e-8)
 
     def test_full_rank_round_trip_reproduces_training_shape(self):

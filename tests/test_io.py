@@ -16,6 +16,7 @@ from surfshape.io import (
     read_pairing,
     read_regions,
     save_model,
+    write_csv,
     write_labels,
     write_mesh,
     write_painted_mesh,
@@ -94,6 +95,13 @@ class TestObjErrors:
         path = tmp_path / "oob.obj"
         path.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 9\n")
         with pytest.raises(ValueError, match="face references vertex 9"):
+            read_mesh(path)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_coordinate_names_file_and_vertex(self, tmp_path, value):
+        path = tmp_path / "nonfinite.obj"
+        path.write_text(f"v 0 0 0\nv 1 {value} 0\nv 0 1 0\nf 1 2 3\n")
+        with pytest.raises(ValueError, match="nonfinite.obj: vertex 2 has a non-finite coordinate"):
             read_mesh(path)
 
 
@@ -282,6 +290,37 @@ class TestSidecarFiles:
         dup.write_text("a.obj,A\na.obj,B\n")
         with pytest.raises(ValueError, match="duplicate"):
             read_labels(dup)
+
+
+class TestCsvGoldenText:
+    def test_floats_ints_and_empty_cells(self, tmp_path):
+        path = tmp_path / "table.csv"
+        rows = [
+            ("global", np.float64(-0.1), 1.0 / 3.0, ""),
+            (2, -2.5, np.float64(1e-300), "true"),
+        ]
+        write_csv(path, ("component", "statistic", "p_value", "significant"), rows)
+        assert path.read_text() == (
+            "component,statistic,p_value,significant\n"
+            "global,-0.10000000000000001,0.33333333333333331,\n"
+            "2,-2.5,1e-300,true\n"
+        )
+
+    def test_floats_round_trip_exactly(self, tmp_path):
+        values = np.random.default_rng(3).standard_normal(50) * 10.0 ** np.arange(-25, 25)
+        path = tmp_path / "values.csv"
+        write_csv(path, ("i", "value"), enumerate(values))
+        lines = path.read_text().splitlines()[1:]
+        assert [float(line.split(",")[1]) for line in lines] == values.tolist()
+        assert [int(line.split(",")[0]) for line in lines] == list(range(50))
+
+    def test_sidecar_writers(self, tmp_path):
+        write_regions({"nose": np.array([5, 2]), "chin": [np.intp(1)]}, tmp_path / "regions.csv")
+        assert (tmp_path / "regions.csv").read_text() == "vertex_index,region_name\n1,chin\n5,nose\n2,nose\n"
+        write_pairing(ss.BilateralPairing(np.array([2, 1, 0])), tmp_path / "pairing.csv")
+        assert (tmp_path / "pairing.csv").read_text() == "index,mirror_index\n0,2\n1,1\n2,0\n"
+        write_labels({"b.obj": "B", "a.obj": "A"}, tmp_path / "labels.csv")
+        assert (tmp_path / "labels.csv").read_text() == "filename,label\na.obj,A\nb.obj,B\n"
 
 
 class TestMeshDirectory:

@@ -152,18 +152,18 @@ class TestApplySimilarity:
     def test_identity_leaves_shape(self):
         rng = np.random.default_rng(2)
         shape = rng.normal(size=(6, 3))
-        np.testing.assert_array_equal(ss.apply_similarity(shape, ss.SimilarityTransform.identity()), shape)
+        np.testing.assert_array_equal(ss.SimilarityTransform.identity().apply(shape), shape)
 
     def test_pure_translation(self):
         shape = np.zeros((4, 3))
         t = ss.SimilarityTransform(1.0, np.eye(3), np.array([1.0, 0, 0]))
-        np.testing.assert_array_equal(ss.apply_similarity(shape, t)[:, 0], np.ones(4))
+        np.testing.assert_array_equal(t.apply(shape)[:, 0], np.ones(4))
 
     def test_inverse_round_trip(self):
         rng = np.random.default_rng(4)
         shape = rng.normal(size=(9, 3))
         t = ss.SimilarityTransform(1.7, random_rotation(rng), rng.normal(size=3))
-        back = ss.apply_similarity(ss.apply_similarity(shape, t), t.inverse())
+        back = t.inverse().apply(t.apply(shape))
         np.testing.assert_allclose(back, shape, atol=1e-10)
 
 
@@ -272,7 +272,7 @@ class TestWeightedGpa:
         sample, _ = ss.synth_cohort(config)
         result = ss.weighted_gpa(sample)
         for mesh, transform, aligned in zip(sample.meshes, result.transforms, result.aligned):
-            np.testing.assert_allclose(ss.apply_similarity(mesh.vertices, transform), aligned, atol=1e-10)
+            np.testing.assert_allclose(transform.apply(mesh.vertices), aligned, atol=1e-10)
 
 
 class TestTangentCoordinates:
