@@ -20,9 +20,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .fpca import fit_fpca, grand_tour, scores_from_tangent
+from .fpca import FpcaModel, fit_fpca, grand_tour, scores_from_tangent
 from .groupcompare import affine_nonaffine_split, permutation_test
-from .individual import asymmetry_report, fit_control_model, integrated_assessment
+from .individual import ControlModel, asymmetry_report, fit_control_model, integrated_assessment
 from .io import (
     ColorMap,
     load_mesh_directory,
@@ -41,7 +41,7 @@ from .io import (
     write_pairing,
     write_regions,
 )
-from .mesh import ShapeSample, SurfaceMesh, shape_difference_field
+from .mesh import ShapeSample, SurfaceMesh, correspondence_problem, shape_difference_field
 from .registration import tangent_coordinates, weighted_gpa
 from .synth import SynthConfig, synth_cohort
 from .warp import fit_tps, apply_warp
@@ -246,6 +246,8 @@ def cmd_tour(args) -> None:
         out = _out_dir(args)
         require(args, "model", "topology")
         model = load_model(args.model)
+        if not isinstance(model, FpcaModel):
+            raise ValidationFailure(f"{args.model}: not a component model")
         topology = read_mesh(args.topology)
         if topology.n_vertices != model.mean.shape[0]:
             raise ValidationFailure("topology mesh does not match the model's vertex count")
@@ -371,14 +373,23 @@ def cmd_assess(args) -> None:
             raise ValidationFailure("give exactly one of --controls or --model")
         pre = read_mesh(args.pre)
         post = read_mesh(args.post)
-        pairing = read_pairing(args.pairing, pre.n_vertices)
-        regions = read_regions(args.regions, pre.n_vertices) if args.regions else {}
         if args.controls is not None:
-            controls = ShapeSample(tuple(load_mesh_directory(args.controls)[1]), pairing=pairing)
+            controls = load_mesh_directory(args.controls)[1]
+            reference, what = controls[0], f"control cohort {args.controls}"
         else:
             model = load_model(args.model)
+            if not isinstance(model, ControlModel):
+                raise ValidationFailure(f"{args.model}: not a control model")
+            reference, what = model.mean_mesh(), f"control model {args.model}"
+        for path, mesh in ((args.pre, pre), (args.post, post)):
+            problem = correspondence_problem(mesh, reference, what)
+            if problem:
+                raise ValidationFailure(f"{path}: {problem}")
+        pairing = read_pairing(args.pairing, pre.n_vertices)
+        regions = read_regions(args.regions, pre.n_vertices) if args.regions else {}
     if args.controls is not None:
-        model = fit_control_model(controls, variance_threshold=args.variance or 0.80, regions=regions)
+        sample = ShapeSample(tuple(controls), pairing=pairing)
+        model = fit_control_model(sample, variance_threshold=args.variance or 0.80, regions=regions)
         save_model(model, out / "control_model.json")
     assessment = integrated_assessment(model, pre, post, pairing, regions)
     write_json(assessment.document, out / "assessment.json")
@@ -485,6 +496,9 @@ def cmd_diff(args) -> None:
         out = _out_dir(args)
         base = read_mesh(args.base)
         other = read_mesh(args.other)
+        problem = correspondence_problem(other, base, str(args.base))
+        if problem:
+            raise ValidationFailure(f"{args.other}: {problem}")
     field = shape_difference_field(base, other, args.mode)
     write_csv(out / "difference.csv", ("vertex_index", "value_mm"), enumerate(field))
     span = float(np.abs(field).max())

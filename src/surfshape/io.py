@@ -9,15 +9,21 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass
+from io import StringIO
 from pathlib import Path
 
 import numpy as np
 
 from .fpca import FpcaModel
 from .individual import ControlModel
-from .mesh import AreaWeights, BilateralPairing, SurfaceMesh
+from .mesh import AreaWeights, BilateralPairing, SurfaceMesh, correspondence_problem
 
 SCHEMA_VERSION = 1
+_MAX_INDEX = int(np.iinfo(np.intp).max)  # largest OBJ face index an index array can hold
+# bytes an f block in the writer's shape holds; anything else (a '.', an 'e')
+# is left to the line scan, since some numpy versions parse "2.9" as int 2
+_FACE_BYTES = np.zeros(256, dtype=bool)
+_FACE_BYTES[list(b"f0123456789+- \n")] = True
 
 # diverging palette endpoints (low / neutral / high), and the sequential pair
 DIVERGING_LOW = (59, 76, 192)
@@ -78,59 +84,117 @@ class ColorMap:
 def read_mesh(path) -> SurfaceMesh:
     """Read a triangulated OBJ (v/f records only; other record types are skipped).
 
+    A file made only of ``v x y z`` lines followed by ``f a b c`` lines, single
+    spaces apart (what :func:`write_mesh` emits), is converted with one numpy
+    pass per block. Any other text goes through the line-by-line scan, which
+    accepts every file the reader supports and names the line of the first
+    error; both paths give the same arrays.
+
     Isolated vertices are rejected: they would silently get zero area weight.
     """
-    vertices: list[list[float]] = []
-    faces: list[list[int]] = []
-    with open(path, "r", encoding="ascii") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if parts[0] == "v":
-                if len(parts) != 4:
-                    raise ValueError(f"{path}: line {lineno}: vertex needs 3 coordinates")
-                try:
-                    vertices.append([float(p) for p in parts[1:]])
-                except ValueError:
-                    raise ValueError(f"{path}: line {lineno}: malformed vertex coordinate") from None
-            elif parts[0] == "f":
-                refs = parts[1:]
-                if len(refs) != 3:
-                    raise ValueError(f"{path}: line {lineno}: non-triangular face")
-                try:
-                    idx = [int(r.split("/")[0]) for r in refs]
-                except ValueError:
-                    raise ValueError(f"{path}: line {lineno}: malformed face index") from None
-                if any(i < 1 for i in idx):
-                    raise ValueError(f"{path}: line {lineno}: face indices must be positive")
-                faces.append([i - 1 for i in idx])
-    if not vertices:
+    with open(path, "rb") as fh:
+        data = fh.read()
+    arrays = _parse_plain_obj(data)
+    v, t = arrays if arrays is not None else _scan_obj(data, path)
+    if not v.shape[0]:
         raise ValueError(f"{path}: no vertices")
-    if not faces:
+    if not t.shape[0]:
         raise ValueError(f"{path}: no faces")
-    v = np.asarray(vertices)
     finite = np.isfinite(v).all(axis=1)
     if not finite.all():
         raise ValueError(f"{path}: vertex {int(np.flatnonzero(~finite)[0]) + 1} has a non-finite coordinate")
-    t = np.asarray(faces, dtype=np.intp)
     if t.max() >= v.shape[0]:
         raise ValueError(f"{path}: face references vertex {int(t.max()) + 1} but only {v.shape[0]} exist")
     used = np.zeros(v.shape[0], dtype=bool)
     used[t.ravel()] = True
     if not used.all():
         raise ValueError(f"{path}: vertex {int(np.flatnonzero(~used)[0])} appears in no triangle")
-    return SurfaceMesh(v, t)
+    try:
+        return SurfaceMesh(v, t)
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from None
+
+
+def _parse_plain_obj(data: bytes) -> tuple[np.ndarray, np.ndarray] | None:
+    """(vertices, 0-based triangles) of an OBJ made only of ``v x y z`` lines
+    followed by ``f a b c`` lines, single spaces apart, with positive integer
+    face indices; None for any other text, which is left to :func:`_scan_obj`."""
+    if not data.endswith(b"\n"):
+        data += b"\n"
+    text = np.frombuffer(data, dtype=np.uint8)
+    ends = np.flatnonzero(text == ord("\n"))
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    space = text == ord(" ")
+    # each line: a one-letter keyword, a space, three spaces in all; doubled or
+    # trailing spaces leave fewer than four tokens, which loadtxt rejects below
+    if (
+        (ends == starts).any()  # blank line
+        or ((text < ord(" ")) & (text != ord("\n"))).any()  # tab, CR and other control bytes
+        or (text > ord("~")).any()  # non-ASCII
+        or not space[starts + 1].all()
+        or (np.add.reduceat(space, starts, dtype=np.intp) != 3).any()
+    ):
+        return None
+    n_vertices = int((text[starts] == ord("v")).sum())
+    # n_vertices v lines, and every line after the first n_vertices is an f line
+    if not 0 < n_vertices < starts.size or not (text[starts[n_vertices:]] == ord("f")).all():
+        return None
+    split = int(starts[n_vertices])
+    if not _FACE_BYTES[text[split:]].all():
+        return None
+    body = data.decode("ascii")
+    try:
+        v = np.loadtxt(StringIO(body[:split]), usecols=(1, 2, 3), comments=None, ndmin=2)
+        t = np.loadtxt(StringIO(body[split:]), dtype=np.intp, usecols=(1, 2, 3), comments=None, ndmin=2)
+    except ValueError:  # a token that is not a number, or an index beyond intp
+        return None
+    if t.min() < 1:
+        return None
+    return v, t - 1
+
+
+def _scan_obj(data: bytes, path) -> tuple[np.ndarray, np.ndarray]:
+    """(vertices, 0-based triangles) of any OBJ text, line by line; the first
+    malformed line raises ValueError naming the file and the line."""
+    vertices: list[list[float]] = []
+    faces: list[list[int]] = []
+    # newline=None splits at LF, CRLF and lone CR, as a text-mode file does
+    for lineno, raw in enumerate(StringIO(data.decode("latin-1"), newline=None), start=1):
+        if not raw.isascii():
+            raise ValueError(f"{path}: line {lineno}: non-ASCII byte")
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        if parts[0] == "v":
+            if len(parts) != 4:
+                raise ValueError(f"{path}: line {lineno}: vertex needs 3 coordinates")
+            try:
+                vertices.append([float(p) for p in parts[1:]])
+            except ValueError:
+                raise ValueError(f"{path}: line {lineno}: malformed vertex coordinate") from None
+        elif parts[0] == "f":
+            refs = parts[1:]
+            if len(refs) != 3:
+                raise ValueError(f"{path}: line {lineno}: non-triangular face")
+            try:
+                idx = [int(r.split("/")[0]) for r in refs]
+            except ValueError:
+                raise ValueError(f"{path}: line {lineno}: malformed face index") from None
+            if any(i < 1 for i in idx):
+                raise ValueError(f"{path}: line {lineno}: face indices must be positive")
+            if any(i > _MAX_INDEX for i in idx):
+                raise ValueError(f"{path}: line {lineno}: face index {max(idx)} is out of range")
+            faces.append([i - 1 for i in idx])
+    return np.array(vertices, dtype=float).reshape(-1, 3), np.array(faces, dtype=np.intp).reshape(-1, 3)
 
 
 def write_mesh(mesh: SurfaceMesh, path) -> None:
     """Write the OBJ subset emitted by this tool (9 significant digits)."""
+    body = ("v %.9g %.9g %.9g\n" * mesh.n_vertices) % tuple(mesh.vertices.ravel().tolist())
+    body += ("f %d %d %d\n" * mesh.n_triangles) % tuple((mesh.triangles + 1).ravel().tolist())
     with open(path, "w", encoding="ascii", newline="\n") as fh:
-        for x, y, z in mesh.vertices:
-            fh.write(f"v {x:.9g} {y:.9g} {z:.9g}\n")
-        for a, b, c in mesh.triangles:
-            fh.write(f"f {a + 1} {b + 1} {c + 1}\n")
+        fh.write(body)
 
 
 def write_painted_mesh(mesh: SurfaceMesh, field: np.ndarray, cmap: ColorMap, path) -> int:
@@ -143,18 +207,21 @@ def write_painted_mesh(mesh: SurfaceMesh, field: np.ndarray, cmap: ColorMap, pat
     if field.shape != (mesh.n_vertices,):
         raise ValueError(f"field length {field.shape} does not match {mesh.n_vertices} vertices")
     colors, clamped = cmap.rgb(field)
+    header = (
+        "ply\nformat ascii 1.0\n"
+        f"comment clamped {clamped}\n"
+        f"element vertex {mesh.n_vertices}\n"
+        "property float x\nproperty float y\nproperty float z\n"
+        "property uchar red\nproperty uchar green\nproperty uchar blue\n"
+        f"element face {mesh.n_triangles}\n"
+        "property list uchar int vertex_indices\nend_header\n"
+    )
+    # uint8 colours are exact as floats, and %d prints them as integers
+    rows = np.hstack([mesh.vertices, colors]).ravel().tolist()
+    body = ("%.9g %.9g %.9g %d %d %d\n" * mesh.n_vertices) % tuple(rows)
+    body += ("3 %d %d %d\n" * mesh.n_triangles) % tuple(mesh.triangles.ravel().tolist())
     with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("ply\nformat ascii 1.0\n")
-        fh.write(f"comment clamped {clamped}\n")
-        fh.write(f"element vertex {mesh.n_vertices}\n")
-        fh.write("property float x\nproperty float y\nproperty float z\n")
-        fh.write("property uchar red\nproperty uchar green\nproperty uchar blue\n")
-        fh.write(f"element face {mesh.n_triangles}\n")
-        fh.write("property list uchar int vertex_indices\nend_header\n")
-        for (x, y, z), (r, g, b) in zip(mesh.vertices, colors):
-            fh.write(f"{x:.9g} {y:.9g} {z:.9g} {r} {g} {b}\n")
-        for a, b, c in mesh.triangles:
-            fh.write(f"3 {a} {b} {c}\n")
+        fh.write(header + body)
     return clamped
 
 
@@ -403,9 +470,15 @@ def write_labels(labels: dict[str, str], path) -> None:
 
 
 def load_mesh_directory(directory) -> tuple[list[str], list[SurfaceMesh]]:
-    """Load all .obj meshes in a directory, lexicographic filename order."""
+    """Load all .obj meshes in a directory, lexicographic filename order; every
+    mesh must share the first one's vertex count and triangulation."""
     directory = Path(directory)
     names = sorted(p.name for p in directory.glob("*.obj"))
     if not names:
         raise ValueError(f"{directory}: no .obj meshes found")
-    return names, [read_mesh(directory / name) for name in names]
+    meshes = [read_mesh(directory / name) for name in names]
+    for name, mesh in zip(names, meshes):
+        problem = correspondence_problem(mesh, meshes[0], names[0])
+        if problem:
+            raise ValueError(f"{directory / name}: {problem}")
+    return names, meshes

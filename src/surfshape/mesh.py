@@ -208,10 +208,8 @@ def vertex_areas(mesh: SurfaceMesh, overrides: Mapping[int, float] | None = None
     areas = triangle_areas(mesh)
     if not (areas > 0).any():
         raise ValueError("zero-area surface")
-    w = np.zeros(mesh.n_vertices)
-    share = areas / 3.0
-    for c in range(3):
-        np.add.at(w, mesh.triangles[:, c], share)
+    # corner by corner, each vertex sums its shares in triangle order
+    w = np.bincount(mesh.triangles.T.ravel(), weights=np.tile(areas / 3.0, 3), minlength=mesh.n_vertices)
     if overrides:
         for j, value in overrides.items():
             if not 0 <= j < mesh.n_vertices:
@@ -233,11 +231,11 @@ def vertex_normals(mesh: SurfaceMesh) -> np.ndarray:
     tri = mesh.vertices[mesh.triangles]
     # cross product = 2 * area * unit normal, which is exactly the area weighting
     cross = np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0])
-    normals = np.zeros_like(mesh.vertices)
-    incident = np.zeros(mesh.n_vertices, dtype=np.intp)
-    for c in range(3):
-        np.add.at(normals, mesh.triangles[:, c], cross)
-        np.add.at(incident, mesh.triangles[:, c], 1)
+    corners = mesh.triangles.T.ravel()
+    normals = np.column_stack(
+        [np.bincount(corners, weights=np.tile(cross[:, k], 3), minlength=mesh.n_vertices) for k in range(3)]
+    )
+    incident = np.bincount(corners, minlength=mesh.n_vertices)
     if (incident == 0).any():
         raise ValueError(f"vertex {int(np.flatnonzero(incident == 0)[0])} has no incident triangle")
     lengths = np.linalg.norm(normals, axis=1)
@@ -246,16 +244,26 @@ def vertex_normals(mesh: SurfaceMesh) -> np.ndarray:
     return normals / lengths[:, None]
 
 
+def correspondence_problem(mesh: SurfaceMesh, reference: SurfaceMesh, reference_name: str) -> str | None:
+    """Why ``mesh`` is not in correspondence with ``reference`` (called
+    ``reference_name`` in the text), or None when both share the vertex count
+    and the triangle list."""
+    if mesh.n_vertices != reference.n_vertices:
+        return f"vertex count {mesh.n_vertices} != {reference.n_vertices} of {reference_name}"
+    if not np.array_equal(mesh.triangles, reference.triangles):
+        return f"triangle list differs from {reference_name}"
+    return None
+
+
 def validate_correspondence(sample: ShapeSample) -> CorrespondenceReport:
     """Check that every shape shares the first shape's vertex count and triangulation
     and carries finite coordinates."""
     problems: list[str] = []
     ref = sample.meshes[0]
     for i, mesh in enumerate(sample.meshes):
-        if mesh.n_vertices != ref.n_vertices:
-            problems.append(f"shape {i}: vertex count {mesh.n_vertices} != {ref.n_vertices}")
-        elif not np.array_equal(mesh.triangles, ref.triangles):
-            problems.append(f"shape {i}: triangle list differs from shape 0")
+        problem = correspondence_problem(mesh, ref, "shape 0")
+        if problem:
+            problems.append(f"shape {i}: {problem}")
         bad = ~np.isfinite(mesh.vertices)
         if bad.any():
             j = int(np.flatnonzero(bad.any(axis=1))[0])
@@ -272,8 +280,9 @@ def shape_difference_field(base: SurfaceMesh, other: SurfaceMesh, mode: Differen
     """
     if mode not in _DIFFERENCE_MODES:
         raise ValueError(f"unknown difference mode {mode!r}; expected one of {_DIFFERENCE_MODES}")
-    if other.n_vertices != base.n_vertices or not np.array_equal(other.triangles, base.triangles):
-        raise ValueError("meshes are not in correspondence")
+    problem = correspondence_problem(other, base, "the base mesh")
+    if problem:
+        raise ValueError(f"meshes are not in correspondence: {problem}")
     delta = other.vertices - base.vertices
     if mode in ("x", "y", "z"):
         return delta[:, ("x", "y", "z").index(mode)].copy()

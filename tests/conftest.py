@@ -5,6 +5,15 @@ import numpy as np
 
 import surfshape as ss
 
+try:
+    from hypothesis import settings
+except ImportError:  # property suites skip themselves without hypothesis
+    pass
+else:
+    # reproducible and bounded: the same examples on every run, no example database
+    settings.register_profile("surfshape", derandomize=True, deadline=None, max_examples=150, database=None)
+    settings.load_profile("surfshape")
+
 
 def random_rotation(rng: np.random.Generator) -> np.ndarray:
     """Uniform-ish random rotation via QR of a Gaussian matrix, det +1."""

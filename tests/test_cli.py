@@ -6,7 +6,7 @@ import pytest
 
 import surfshape as ss
 from surfshape.cli import main
-from surfshape.io import read_mesh, write_mesh
+from surfshape.io import load_mesh_directory, read_mesh, save_model, write_mesh
 
 
 def run(*argv):
@@ -198,6 +198,70 @@ class TestAssess:
             "--out", tmp_path / "x",
         )
         assert code == 2
+
+
+class TestMismatchedMeshes:
+    """A mesh that does not match the control model, the cohort or the other
+    mesh is a validation error naming that file, not a numerical failure."""
+
+    @pytest.fixture()
+    def finer(self, tmp_path):
+        path = tmp_path / "finer.obj"
+        write_mesh(ss.synth_base_mesh(ss.SynthConfig(resolution=3))[0], path)
+        return path
+
+    def assess(self, cohort, tmp_path, source, pre, post=None):
+        post = post or cohort / "meshes" / "shape_001.obj"
+        return run(
+            "assess", *source, "--pre", pre, "--post", post, "--pairing", cohort / "pairing.csv",
+            "--out", tmp_path / "out",
+        )
+
+    def test_case_against_model(self, cohort, tmp_path, finer, capsys):
+        meshes = load_mesh_directory(cohort / "meshes")[1]
+        model_path = tmp_path / "control_model.json"
+        save_model(ss.fit_control_model(ss.ShapeSample(tuple(meshes[:6]))), model_path)
+        capsys.readouterr()
+        assert self.assess(cohort, tmp_path, ("--model", model_path), finer) == 2
+        assert f"{finer}: vertex count 258 != 66 of control model {model_path}" in capsys.readouterr().err
+        shape = cohort / "meshes" / "shape_000.obj"
+        assert self.assess(cohort, tmp_path, ("--model", model_path), shape, post=finer) == 2
+        assert f"{finer}: vertex count 258 != 66" in capsys.readouterr().err
+
+    def test_case_against_controls(self, cohort, tmp_path, finer, capsys):
+        assert self.assess(cohort, tmp_path, ("--controls", cohort / "meshes"), finer) == 2
+        assert f"{finer}: vertex count 258 != 66 of control cohort {cohort / 'meshes'}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["assess", "register"])
+    def test_cohort_member_with_other_triangulation(self, cohort, tmp_path, capsys, command):
+        controls = tmp_path / "controls"
+        controls.mkdir()
+        for name in ("shape_000.obj", "shape_001.obj", "shape_002.obj", "shape_003.obj", "shape_004.obj"):
+            (controls / name).write_bytes((cohort / "meshes" / name).read_bytes())
+        odd = read_mesh(controls / "shape_003.obj")
+        write_mesh(ss.SurfaceMesh(odd.vertices, odd.triangles[:, [1, 2, 0]][::-1]), controls / "shape_003.obj")
+        if command == "assess":
+            assert self.assess(cohort, tmp_path, ("--controls", controls), cohort / "meshes" / "shape_000.obj") == 2
+        else:
+            assert run("register", "--meshes", controls, "--out", tmp_path / "out") == 2
+        assert f"{controls / 'shape_003.obj'}: triangle list differs from shape_000.obj" in capsys.readouterr().err
+
+    def test_diff_of_different_meshes(self, cohort, tmp_path, finer, capsys):
+        shape = cohort / "meshes" / "shape_000.obj"
+        assert run("diff", shape, finer, "--out", tmp_path / "out") == 2
+        assert f"{finer}: vertex count 258 != 66 of {shape}" in capsys.readouterr().err
+
+    def test_model_of_the_wrong_kind(self, cohort, tmp_path, capsys):
+        pca = tmp_path / "pca"
+        assert run("pca", "--meshes", cohort / "meshes", "--components", "2", "--out", pca) == 0
+        shape = cohort / "meshes" / "shape_000.obj"
+        capsys.readouterr()
+        assert self.assess(cohort, tmp_path, ("--model", pca / "model.json"), shape) == 2
+        assert f"{pca / 'model.json'}: not a control model" in capsys.readouterr().err
+        control = tmp_path / "control_model.json"
+        save_model(ss.fit_control_model(ss.ShapeSample(tuple(load_mesh_directory(cohort / "meshes")[1][:6]))), control)
+        assert run("tour", "--model", control, "--topology", shape, "--out", tmp_path / "tour") == 2
+        assert f"{control}: not a component model" in capsys.readouterr().err
 
 
 class TestWarpCommand:

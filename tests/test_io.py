@@ -1,4 +1,5 @@
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -60,6 +61,27 @@ class TestObjRoundTrip:
         assert back.n_triangles == 1
 
 
+    def test_crlf_comments_and_other_records_accepted(self, mesh, tmp_path):
+        plain, messy = tmp_path / "plain.obj", tmp_path / "messy.obj"
+        write_mesh(mesh, plain)
+        lines = plain.read_text().splitlines()
+        messy_lines = ["# exported", "o shape", ""]
+        for line in lines:
+            messy_lines.append(line.replace(" ", "  ") if line.startswith("v") else line)
+            if line.startswith("v"):
+                messy_lines.append("vn 0 0 1")
+        messy.write_bytes("\r\n".join(messy_lines).encode("ascii"))
+        a, b = read_mesh(plain), read_mesh(messy)
+        np.testing.assert_array_equal(a.vertices, b.vertices)
+        np.testing.assert_array_equal(a.triangles, b.triangles)
+
+    def test_missing_final_newline(self, tmp_path):
+        path = tmp_path / "open.obj"
+        path.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3")
+        back = read_mesh(path)
+        np.testing.assert_array_equal(back.triangles, [[0, 1, 2]])
+
+
 class TestObjErrors:
     def test_quad_face_names_line(self, tmp_path):
         path = tmp_path / "quad.obj"
@@ -95,6 +117,44 @@ class TestObjErrors:
         path = tmp_path / "oob.obj"
         path.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 9\n")
         with pytest.raises(ValueError, match="face references vertex 9"):
+            read_mesh(path)
+
+    def test_non_ascii_byte_names_file_and_line(self, tmp_path):
+        path = tmp_path / "latin.obj"
+        path.write_bytes(b"v 0 0 0\r\nv 1 0 0\nv 0 1 \xe9\nf 1 2 3\n")
+        with pytest.raises(ValueError, match="latin.obj: line 3: non-ASCII byte"):
+            read_mesh(path)
+
+    def test_index_beyond_index_type_names_line(self, tmp_path):
+        path = tmp_path / "huge.obj"
+        path.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 99999999999999999999\n")
+        with pytest.raises(ValueError, match="huge.obj: line 4: face index 99999999999999999999 is out of range"):
+            read_mesh(path)
+
+    @pytest.mark.parametrize("token", ["1.0", "2.9", "1e0", "1e400"])
+    def test_non_integer_face_index_names_line(self, tmp_path, token):
+        path = tmp_path / "float.obj"
+        path.write_text(f"v 0 0 0\nv 1 0 0\nv 0 1 0\nv 1 1 0\nf {token} 2 3\nf 2 4 3\n")
+        with pytest.raises(ValueError, match="float.obj: line 5: malformed face index"):
+            read_mesh(path)
+
+    def test_non_integer_face_index_rejected_by_a_lenient_loadtxt(self, tmp_path):
+        # some numpy versions parse "2.9" as the int 2, with only a DeprecationWarning
+        original = np.loadtxt
+
+        def lenient(fname, dtype=float, **kwargs):
+            return original(fname, **kwargs).astype(dtype)
+
+        path = tmp_path / "float.obj"
+        path.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\nv 1 1 0\nf 1 2 3\nf 2.9 4 3\n")
+        with mock.patch.object(np, "loadtxt", lenient):
+            with pytest.raises(ValueError, match="float.obj: line 6: malformed face index"):
+                read_mesh(path)
+
+    def test_repeated_face_vertex_names_file(self, tmp_path):
+        path = tmp_path / "degenerate.obj"
+        path.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\nf 1 1 2\n")
+        with pytest.raises(ValueError, match="degenerate.obj: triangle 1 repeats a vertex index"):
             read_mesh(path)
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
@@ -172,6 +232,70 @@ class TestPaintedMesh:
         write_painted_mesh(mesh, field, cmap, a)
         write_painted_mesh(mesh, field, cmap, b)
         assert a.read_bytes() == b.read_bytes()
+
+
+# 9-digit edge cases: signed zero, the smallest subnormal, a large power of
+# ten, rounding up to a new digit, and a sum that is not its shortest repr
+GOLDEN_VERTICES = np.array(
+    [[-0.0, 5e-324, 1e22], [99999999.95, 0.1 + 0.2, 1.0], [0.0, 1.0, -2.5], [1e-5, 123456789.0, -1e-7]]
+)
+GOLDEN_TRIANGLES = np.array([[0, 1, 2], [0, 2, 3]])
+GOLDEN_COORDINATES = (
+    "-0 4.94065646e-324 1e+22",
+    "100000000 0.3 1",
+    "0 1 -2.5",
+    "1e-05 123456789 -1e-07",
+)
+PLY_HEADER = (
+    "ply\nformat ascii 1.0\ncomment clamped {clamped}\nelement vertex 4\n"
+    "property float x\nproperty float y\nproperty float z\n"
+    "property uchar red\nproperty uchar green\nproperty uchar blue\n"
+    "element face 2\nproperty list uchar int vertex_indices\nend_header\n"
+)
+
+
+class FixedColours:
+    """Stands in for a ColorMap to put the uint8 extremes 0 and 255 in the file."""
+
+    def rgb(self, values):
+        return np.array([[0, 0, 0], [255, 255, 255], [0, 128, 255], [7, 0, 255]], dtype=np.uint8), 2
+
+
+class TestMeshWriterGoldenText:
+    def test_obj_bytes(self, tmp_path):
+        path = tmp_path / "golden.obj"
+        write_mesh(ss.SurfaceMesh(GOLDEN_VERTICES, GOLDEN_TRIANGLES), path)
+        expected = "".join(f"v {c}\n" for c in GOLDEN_COORDINATES) + "f 1 2 3\nf 1 3 4\n"
+        assert path.read_bytes() == expected.encode("ascii")
+
+    def test_ply_bytes_with_colour_extremes(self, tmp_path):
+        path = tmp_path / "golden.ply"
+        clamped = write_painted_mesh(
+            ss.SurfaceMesh(GOLDEN_VERTICES, GOLDEN_TRIANGLES), np.zeros(4), FixedColours(), path
+        )
+        assert clamped == 2
+        colours = ("0 0 0", "255 255 255", "0 128 255", "7 0 255")
+        body = "".join(f"{c} {rgb}\n" for c, rgb in zip(GOLDEN_COORDINATES, colours))
+        expected = PLY_HEADER.format(clamped=2) + body + "3 0 1 2\n3 0 2 3\n"
+        assert path.read_bytes() == expected.encode("ascii")
+
+    def test_ply_bytes_diverging_map(self, tmp_path):
+        path = tmp_path / "diverging.ply"
+        field = np.array([-2.0, -0.5, 0.0, 3.0])
+        mesh = ss.SurfaceMesh(GOLDEN_VERTICES, GOLDEN_TRIANGLES)
+        assert write_painted_mesh(mesh, field, ColorMap("diverging", lo=-1.0, hi=1.0), path) == 2
+        colours = ("59 76 192", "140 148 206", "221 221 221", "180 4 38")
+        body = "".join(f"{c} {rgb}\n" for c, rgb in zip(GOLDEN_COORDINATES, colours))
+        assert path.read_text() == PLY_HEADER.format(clamped=2) + body + "3 0 1 2\n3 0 2 3\n"
+
+    def test_obj_matches_per_value_formatting(self, tmp_path):
+        vertices = np.random.default_rng(5).standard_normal((200, 3)) * 10.0 ** np.arange(-20, 20, 0.2)[:, None]
+        triangles = np.column_stack([np.arange(198), np.arange(1, 199), np.arange(2, 200)])
+        path = tmp_path / "random.obj"
+        write_mesh(ss.SurfaceMesh(vertices, triangles), path)
+        expected = "".join(f"v {x:.9g} {y:.9g} {z:.9g}\n" for x, y, z in vertices.tolist())
+        expected += "".join(f"f {a + 1} {b + 1} {c + 1}\n" for a, b, c in triangles.tolist())
+        assert path.read_text() == expected
 
 
 def fitted_models():
@@ -333,4 +457,13 @@ class TestMeshDirectory:
 
     def test_empty_directory(self, tmp_path):
         with pytest.raises(ValueError, match="no .obj meshes"):
+            load_mesh_directory(tmp_path)
+
+    def test_mesh_that_does_not_match_the_first_is_named(self, mesh, tmp_path):
+        write_mesh(mesh, tmp_path / "a.obj")
+        write_mesh(ss.SurfaceMesh(mesh.vertices, mesh.triangles[:, ::-1]), tmp_path / "b.obj")
+        with pytest.raises(ValueError, match="b.obj: triangle list differs from a.obj"):
+            load_mesh_directory(tmp_path)
+        write_mesh(bumpy_mesh(np.random.default_rng(1), resolution=3), tmp_path / "b.obj")
+        with pytest.raises(ValueError, match=f"b.obj: vertex count 258 != {mesh.n_vertices} of a.obj"):
             load_mesh_directory(tmp_path)

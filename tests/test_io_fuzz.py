@@ -1,0 +1,176 @@
+"""Property tests for the OBJ reader.
+
+The reader converts plain files (``v`` lines then ``f`` lines, single spaces)
+in numpy and scans everything else line by line. The differential test runs
+each generated file through both routes and requires the same arrays or the
+same error text.
+"""
+from unittest import mock
+
+import numpy as np
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+import surfshape.io as sio  # noqa: E402
+from surfshape.io import read_mesh, write_mesh  # noqa: E402
+from conftest import bumpy_mesh  # noqa: E402
+
+
+@pytest.fixture(scope="module")
+def scratch(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "case.obj"
+
+
+def outcome(path):
+    """Vertices, triangles and dtypes of the mesh, or the error text."""
+    try:
+        mesh = read_mesh(path)
+    except ValueError as err:
+        return str(err)
+    return mesh.vertices.tobytes(), mesh.triangles.tobytes(), mesh.vertices.dtype, mesh.triangles.dtype
+
+
+def outcome_by_scan(path):
+    with mock.patch.object(sio, "_parse_plain_obj", lambda data: None):
+        return outcome(path)
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+coordinate = st.one_of(
+    finite.map(repr),
+    finite.map(lambda x: f"{x:.9g}"),
+    st.integers(-5, 5).map(str),
+    st.sampled_from(["nan", "inf", "-inf", "-0", "+1.5", "1e400", "1_0", "1e", "x", "--1", "0x1", "1,5"]),
+)
+good_vertex = st.tuples(finite, finite, finite).map(lambda c: "v " + " ".join(f"{x:.9g}" for x in c))
+harmless = st.sampled_from(["", "   ", "# comment", "#", "vn 0 0 1", "vt 0.5 0.5", "o part", "g", "s off"])
+gap = st.sampled_from([" ", "  ", "\t", "\r", "\x0b", " \x0c"])
+
+
+def face_ref(n_vertices):
+    index = st.integers(-1, n_vertices + 2).map(str)
+    return st.one_of(
+        index,
+        index,
+        index,
+        index.map(lambda i: f"{i}/{i}/{i}"),
+        index.map(lambda i: f"{i}//7"),
+        st.sampled_from(["+2", "02", "1.0", "a", "1_1", "99999999999999999999"]),
+    )
+
+
+@st.composite
+def obj_text(draw):
+    """OBJ-like bytes: a valid triangle fan, then up to three edits (a harmless
+    record inserted, an odd or bad v/f record inserted, a line dropped, a
+    line's spacing changed), laid out with any spacing and line ends, v and f
+    lines possibly interleaved."""
+    n_vertices = draw(st.integers(3, 8))
+    lines = [draw(good_vertex) for _ in range(n_vertices)]
+    lines += [f"f 1 {j} {j + 1}" for j in range(2, n_vertices)]
+    for _ in range(draw(st.integers(0, 3))):
+        edit = draw(st.sampled_from(["insert", "vertex", "face", "drop", "respace"]))
+        at = draw(st.integers(0, len(lines)))
+        if edit == "insert":
+            lines.insert(at, draw(harmless))
+        elif edit == "vertex":
+            lines.insert(at, "v " + " ".join(draw(st.lists(coordinate, min_size=2, max_size=4))))
+        elif edit == "face":
+            lines.insert(at, "f " + " ".join(draw(st.lists(face_ref(n_vertices), min_size=2, max_size=4))))
+        elif at < len(lines):
+            tokens = lines.pop(at).split(" ")
+            if edit == "respace":
+                gaps = draw(st.lists(gap, min_size=len(tokens), max_size=len(tokens)))
+                lines.insert(at, "".join(t + g for t, g in zip(tokens, gaps)).rstrip(" ") or "v")
+    if draw(st.booleans()):
+        lines = draw(st.permutations(lines))
+    separator = draw(st.sampled_from([" ", " ", " ", "  ", "\t"]))
+    lines = [separator.join(line.split(" ")) for line in lines]
+    eol = draw(st.sampled_from(["\n", "\n", "\r\n", "\r"]))
+    text = eol.join(lines) + draw(st.sampled_from([eol, ""]))
+    return text.encode("ascii")
+
+
+# faults that only the checks after parsing catch, and faults the line scan must locate
+AFTER_PARSE = (None, "nan", "1e400", "range", "isolated", "repeat")
+LINE_LEVEL = (
+    "zero", "negative", "float", "exponent", "token", "underscore", "slash", "quad", "five", "tab", "record", "swap",
+    "latin",
+)
+
+
+@st.composite
+def plain_obj(draw, fault):
+    """A file in the shape write_mesh emits, 9-digit coordinates and a triangle
+    fan, with the given fault (None for none)."""
+    n_vertices = draw(st.integers(3, 9))
+    lines = [draw(good_vertex) for _ in range(n_vertices)]
+    faces = [["1", str(j), str(j + 1)] for j in range(2, n_vertices)]
+    at = draw(st.integers(0, n_vertices - 3))
+    vertex_line = {
+        "nan": "v 0 nan 1",
+        "1e400": "v 0 1e400 1",
+        "token": "v 0 x 1",
+        "underscore": "v 1_0 0 0",
+        "five": "v 0 0 0 1",
+        "tab": "v 0 0 0\t1",
+        "latin": "v 0 1\xe9 1",
+    }
+    face_token = {"range": (2, str(n_vertices + 1)), "repeat": (1, "1"), "zero": (0, "0"),
+                  "negative": (1, "-2"), "float": (1, f"{at + 2}.0"),
+                  "exponent": (0, "1e0"), "slash": (2, f"{at + 3}/1/1"), "quad": (2, f"{at + 3} 1")}
+    if fault in vertex_line:
+        lines[at] = vertex_line[fault]
+    elif fault in face_token:
+        column, token = face_token[fault]
+        faces[at][column] = token
+    elif fault == "isolated":
+        lines.append("v 1 2 3")
+    elif fault == "record":
+        lines.insert(at, "vn 0 0 1")
+    lines += ["f " + " ".join(face) for face in faces]
+    if fault == "swap":  # an f line among the v lines, a v line among the f lines
+        lines[n_vertices - 1], lines[n_vertices] = lines[n_vertices], "v 1 2 3"
+    return ("\n".join(lines) + draw(st.sampled_from(["\n", ""]))).encode("latin-1")
+
+
+@given(data=obj_text())
+def test_fast_path_and_line_scan_agree(data, scratch):
+    scratch.write_bytes(data)
+    result = outcome(scratch)
+    assert result == outcome_by_scan(scratch)
+    if isinstance(result, str):
+        assert result.startswith(f"{scratch}: ")
+
+
+@pytest.mark.parametrize("fault", AFTER_PARSE + LINE_LEVEL)
+@settings(max_examples=15)
+@given(data=st.data())
+def test_plain_files_take_the_fast_path(fault, data, scratch):
+    case = data.draw(plain_obj(fault))
+    assert (sio._parse_plain_obj(case) is not None) == (fault in AFTER_PARSE)
+    scratch.write_bytes(case)
+    assert outcome(scratch) == outcome_by_scan(scratch)
+
+
+@given(data=st.binary(max_size=300))
+def test_any_bytes_parse_or_name_the_file(data, scratch):
+    scratch.write_bytes(data)
+    try:
+        read_mesh(scratch)
+    except ValueError as err:
+        assert str(err).startswith(f"{scratch}: ")
+
+
+@given(prefix=st.binary(max_size=40), cut=st.integers(0, 400))
+def test_damaged_writer_output_parses_or_names_the_file(prefix, cut, scratch):
+    mesh = bumpy_mesh(np.random.default_rng(1), resolution=2)
+    write_mesh(mesh, scratch)
+    text = scratch.read_bytes()
+    scratch.write_bytes(text[:cut] + prefix + text[cut:])
+    try:
+        read_mesh(scratch)
+    except ValueError as err:
+        assert str(err).startswith(f"{scratch}: ")

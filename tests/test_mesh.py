@@ -82,6 +82,39 @@ class TestVertexNormals:
             ss.vertex_normals(mesh)
 
 
+class TestAccumulationMatchesAddAt:
+    """vertex_areas/vertex_normals sum corner contributions with bincount; the
+    sums must equal np.add.at's bit for bit (same per-vertex order)."""
+
+    @staticmethod
+    def scrambled_mesh():
+        rng = np.random.default_rng(11)
+        mesh = bumpy_mesh(rng, resolution=3, amplitude=0.2)
+        # shuffled triangles and widely spread magnitudes make summation order matter
+        order = rng.permutation(mesh.n_triangles)
+        scale = 10.0 ** rng.uniform(-3, 3, (mesh.n_vertices, 1))
+        return ss.SurfaceMesh(mesh.vertices * scale, mesh.triangles[order])
+
+    def test_vertex_areas_bitwise(self):
+        mesh = self.scrambled_mesh()
+        expected = np.zeros(mesh.n_vertices)
+        for c in range(3):
+            np.add.at(expected, mesh.triangles[:, c], ss.triangle_areas(mesh) / 3.0)
+        weights = ss.vertex_areas(mesh)
+        assert weights.weights.tobytes() == expected.tobytes()
+        assert weights.total_area == float(expected.sum())
+
+    def test_vertex_normals_bitwise(self):
+        mesh = self.scrambled_mesh()
+        tri = mesh.vertices[mesh.triangles]
+        cross = np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0])
+        summed = np.zeros_like(mesh.vertices)
+        for c in range(3):
+            np.add.at(summed, mesh.triangles[:, c], cross)
+        expected = summed / np.linalg.norm(summed, axis=1)[:, None]
+        assert ss.vertex_normals(mesh).tobytes() == expected.tobytes()
+
+
 class TestValidateCorrespondence:
     def test_matching_sample_is_ok(self):
         mesh = sphere_mesh()
