@@ -276,6 +276,12 @@ def cmd_compare(args) -> None:
         names, sample = _load_cohort(args)
         if sample.labels is None:
             raise ValidationFailure("compare needs a labels file")
+        if args.p < 1:
+            raise ValidationFailure(f"--p must be at least 1, got {args.p}")
+        if sample.n_shapes < args.p + 2:
+            raise ValidationFailure(f"--p {args.p} needs at least {args.p + 2} shapes, got {sample.n_shapes}")
+        if args.n_perm < 1:
+            raise ValidationFailure(f"--n-perm must be at least 1, got {args.n_perm}")
     gpa = _run_gpa(sample, args)
     tangent = tangent_coordinates(gpa.aligned, gpa.mean)
     report = permutation_test(

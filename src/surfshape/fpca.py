@@ -3,6 +3,13 @@
 The weighted problem is reduced to ordinary PCA by the isometry that scales
 every coordinate slot of vertex j by sqrt(a_j); eigenfunctions come back
 orthonormal under <u, v>_A = sum_j a_j u_j . v_j.
+
+A cohort has far fewer shapes n than coordinates 3J, so the spectrum comes
+from the n x n Gram matrix of the centred, scaled rows (the method of
+snapshots) rather than from an SVD of the n x 3J matrix. The rank counts
+Gram eigenvalues above 1e-12 of the largest, i.e. singular values above 1e-6
+of the largest: Gram eigenvalues are only accurate to about eps times the
+largest, and a tighter rule would count the null direction left by centring.
 """
 from __future__ import annotations
 
@@ -36,10 +43,16 @@ class FpcaModel:
         lam = np.asarray(self.eigenvalues, dtype=float)
         if (lam < 0).any() or (np.diff(lam) > 0).any():
             raise ValueError("eigenvalues must be non-negative and non-increasing")
+        j = self.weights.weights.size
+        mean = np.asarray(self.mean, dtype=float)
+        if mean.shape != (j, 3):
+            raise ValueError(f"mean must be ({j}, 3) for {j} vertex weights, got {mean.shape}")
         e = np.asarray(self.eigenfunctions, dtype=float)
-        if e.ndim != 2 or e.shape[0] != lam.size:
-            raise ValueError("eigenfunctions must be (K, 3J) with one row per eigenvalue")
-        object.__setattr__(self, "mean", np.asarray(self.mean, dtype=float))
+        if e.shape != (lam.size, 3 * j):
+            raise ValueError(
+                f"eigenfunctions must be ({lam.size}, {3 * j}): one row of 3J entries per eigenvalue, got {e.shape}"
+            )
+        object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "eigenfunctions", e)
         object.__setattr__(self, "eigenvalues", lam)
         object.__setattr__(self, "explained", np.asarray(self.explained, dtype=float))
@@ -66,6 +79,18 @@ def _stacked_weights(weights: AreaWeights, n_entries: int) -> np.ndarray:
     return w
 
 
+def _gram_spectrum(centred: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """Left singular vectors ``u`` (columns), squared singular values ``lam``
+    (descending, rounding negatives clipped to 0) and numerical rank of an
+    (n, m) matrix, from the eigendecomposition of its n x n Gram matrix.
+
+    The rank counts ``lam > lam[0] * 1e-12``.
+    """
+    lam, u = np.linalg.eigh(centred @ centred.T)
+    lam = np.maximum(lam[::-1], 0.0)
+    return u[:, ::-1], lam, int(np.count_nonzero(lam > lam[0] * 1e-12))
+
+
 def fit_fpca(
     tangent: np.ndarray,
     weights: AreaWeights,
@@ -79,6 +104,11 @@ def fit_fpca(
     keeps the smallest K whose cumulative explained variance reaches it.
     ``mean_shape`` is the (J, 3) shape the tangent coordinates deviate from;
     it becomes the model mean used by scores/reconstruct.
+
+    The spectrum comes from the n x n Gram matrix of the centred, area-scaled
+    rows; the rank counts its eigenvalues above 1e-12 of the largest (singular
+    values above 1e-6 of the largest). Only the returned eigenfunctions are
+    mapped back to 3J coordinates.
     """
     tangent = np.asarray(tangent, dtype=float)
     if tangent.ndim != 2:
@@ -100,10 +130,9 @@ def fit_fpca(
         raise ValueError(f"mean_shape must be ({m // 3}, 3)")
 
     scaled = (tangent - tangent.mean(axis=0)) * sqrt_w
-    _, singular, vt = np.linalg.svd(scaled, full_matrices=False)
-    eigenvalues = singular**2 / (n - 1)
-    total_variance = float(eigenvalues.sum())
-    rank = int(np.count_nonzero(singular > singular[0] * 1e-12)) if singular.size and singular[0] > 0 else 0
+    u, lam, rank = _gram_spectrum(scaled)
+    eigenvalues = lam / (n - 1)
+    total_variance = float(np.vdot(scaled, scaled)) / (n - 1)
 
     warnings: list[str] = []
     if isinstance(k, (bool,)) or not isinstance(k, (int, float, np.integer, np.floating)):
@@ -124,7 +153,7 @@ def fit_fpca(
     if keep == 0:
         raise ValueError("no variance in the sample")
 
-    eigenfunctions = vt[:keep] * inv_sqrt_w
+    eigenfunctions = (u[:, :keep].T @ scaled) / np.sqrt(lam[:keep])[:, None] * inv_sqrt_w
     # deterministic sign: the largest-magnitude entry of each eigenfunction is positive
     flip = np.take_along_axis(
         eigenfunctions, np.argmax(np.abs(eigenfunctions), axis=1)[:, None], axis=1

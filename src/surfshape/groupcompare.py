@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .fpca import FpcaModel
+from .fpca import FpcaModel, _gram_spectrum
 from .mesh import AreaWeights
 from .registration import vec_inverse
 
@@ -197,6 +197,10 @@ def permutation_test(
     labels over the resulting scores; ``group_shape_space`` re-extracts the
     leading eigenvectors of the pooled within-group covariance for every
     permutation. Empirical p-values use (1 + exceedances) / (1 + n_perm).
+
+    The data are first reduced to n x rank coordinates through the n x n Gram
+    matrix of the centred rows; the rank counts its eigenvalues above 1e-12 of
+    the largest (singular values above 1e-6 of the largest).
     """
     if mode not in PERMUTATION_MODES:
         raise ValueError(f"mode must be one of {PERMUTATION_MODES}")
@@ -228,10 +232,10 @@ def permutation_test(
 
     centered = data - data.mean(axis=0)
     # all group mean differences and within-group covariances live in the span
-    # of the centered rows; reduce once so per-permutation work is O(n^2)
-    u, s, _ = np.linalg.svd(centered, full_matrices=False)
-    rank = int(np.count_nonzero(s > s[0] * 1e-12)) if s.size and s[0] > 0 else 0
-    coords = u[:, :rank] * s[:rank]
+    # of the centered rows; reduce once so per-permutation work is O(n^2).
+    # Both statistics see coords only through coords @ coords.T, the Gram matrix.
+    u, lam, rank = _gram_spectrum(centered)
+    coords = u[:, :rank] * np.sqrt(lam[:rank])
 
     if mode == "tangent_pca":
         if rank < p:

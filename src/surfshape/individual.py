@@ -64,6 +64,19 @@ class ControlModel:
     control_asymmetry: dict[str, np.ndarray] | None = None
     warnings: tuple[str, ...] = ()
 
+    def __post_init__(self):
+        if self.p != self.fpca.n_components:
+            raise ValueError(f"p = {self.p} but the component model has {self.fpca.n_components} components")
+        j = self.fpca.mean.shape[0]
+        if np.shape(self.nu) != (j,):
+            raise ValueError(f"nu must have {j} entries, one per vertex, got shape {np.shape(self.nu)}")
+        if np.ndim(self.control_d) != 1 or np.shape(self.control_d) != np.shape(self.control_r):
+            raise ValueError(
+                f"control_d {np.shape(self.control_d)} and control_r {np.shape(self.control_r)} "
+                "must be equal-length vectors"
+            )
+        self.mean_mesh()  # the triangles must index the mean's vertices
+
     def mean_mesh(self) -> SurfaceMesh:
         return SurfaceMesh(self.fpca.mean, self.triangles)
 

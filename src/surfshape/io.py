@@ -264,21 +264,32 @@ _CONTROL_FIELDS = (
 )
 
 
-def _require(payload: dict, fields, path) -> None:
+def _require(payload: dict, fields) -> None:
     for name in fields:
         if name not in payload:
-            raise ValueError(f"{path}: missing field {name!r}")
+            raise ValueError(f"missing field {name!r}")
 
 
-def _fpca_from_payload(payload: dict, path) -> FpcaModel:
-    _require(payload, _FPCA_FIELDS, path)
-    weights = AreaWeights(np.asarray(payload["weights"], dtype=float), float(payload["weights_total_area"]))
+def _array(payload: dict, name: str, dtype=float) -> np.ndarray:
+    try:
+        array = np.asarray(payload[name], dtype=dtype)
+    except (TypeError, ValueError):
+        raise ValueError(f"field {name!r} is not a rectangular numeric array") from None
+    # json turns null into nan under a float dtype
+    if not np.isfinite(array).all():
+        raise ValueError(f"field {name!r} holds a null or non-finite value")
+    return array
+
+
+def _fpca_from_payload(payload: dict) -> FpcaModel:
+    _require(payload, _FPCA_FIELDS)
+    weights = AreaWeights(_array(payload, "weights"), float(payload["weights_total_area"]))
     return FpcaModel(
-        mean=np.asarray(payload["mean"], dtype=float),
+        mean=_array(payload, "mean"),
         weights=weights,
-        eigenfunctions=np.asarray(payload["eigenfunctions"], dtype=float),
-        eigenvalues=np.asarray(payload["eigenvalues"], dtype=float),
-        explained=np.asarray(payload["explained"], dtype=float),
+        eigenfunctions=_array(payload, "eigenfunctions"),
+        eigenvalues=_array(payload, "eigenvalues"),
+        explained=_array(payload, "explained"),
         n_samples=int(payload["n_samples"]),
         total_variance=float(payload["total_variance"]),
         warnings=tuple(payload["warnings"]),
@@ -330,37 +341,49 @@ def _json_default(value):
 
 
 def load_model(path) -> FpcaModel | ControlModel:
-    """Load a model written by :func:`save_model`, validating schema and invariants."""
+    """Load a model written by :func:`save_model`, validating schema and invariants.
+
+    Array lengths must agree with the vertex count J = len(weights), and the
+    triangles must index the mean's vertices. Every error starts with the
+    file name.
+    """
     try:
         with open(path, "r", encoding="ascii") as fh:
             doc = json.load(fh)
     except json.JSONDecodeError as err:
         raise ValueError(f"{path}: truncated or malformed model file: {err}") from None
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: not a model: the file holds a JSON {type(doc).__name__}, not an object")
+    try:
+        return _model_from_doc(doc)
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from None
+
+
+def _model_from_doc(doc: dict) -> FpcaModel | ControlModel:
     if doc.get("schema_version") != SCHEMA_VERSION:
-        raise ValueError(
-            f"{path}: schema version {doc.get('schema_version')!r} is not supported (expected {SCHEMA_VERSION})"
-        )
+        raise ValueError(f"schema version {doc.get('schema_version')!r} is not supported (expected {SCHEMA_VERSION})")
     kind = doc.get("kind")
     if kind == "fpca":
-        return _fpca_from_payload(doc, path)
+        return _fpca_from_payload(doc)
     if kind == "control":
-        _require(doc, _CONTROL_FIELDS, path)
+        _require(doc, _CONTROL_FIELDS)
         asym = doc["control_asymmetry"]
         return ControlModel(
-            fpca=_fpca_from_payload(doc["fpca"], path),
+            fpca=_fpca_from_payload(doc["fpca"]),
             p=int(doc["p"]),
             chi2_threshold=float(doc["chi2_threshold"]),
-            nu=np.asarray(doc["nu"], dtype=float),
+            nu=_array(doc, "nu"),
             q95=float(doc["q95"]),
-            control_d=np.asarray(doc["control_d"], dtype=float),
-            control_r=np.asarray(doc["control_r"], dtype=float),
-            triangles=np.asarray(doc["triangles"], dtype=np.intp),
+            control_d=_array(doc, "control_d"),
+            control_r=_array(doc, "control_r"),
+            triangles=_array(doc, "triangles", np.intp),
             control_asymmetry=(
                 None if asym is None else {k: np.asarray(v, dtype=float) for k, v in asym.items()}
             ),
             warnings=tuple(doc["warnings"]),
         )
-    raise ValueError(f"{path}: unknown model kind {kind!r}")
+    raise ValueError(f"unknown model kind {kind!r}")
 
 
 def write_csv(path, header, rows) -> None:

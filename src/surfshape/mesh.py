@@ -5,6 +5,7 @@ shape in a sample, and all shapes in a sample share one triangulation.
 """
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
@@ -74,8 +75,17 @@ class SurfaceMesh:
         return self.triangles.shape[0]
 
     def with_vertices(self, vertices) -> "SurfaceMesh":
-        """Same topology and regions, new coordinates."""
-        return SurfaceMesh(_as_vertices(vertices), self.triangles, self.regions)
+        """Same topology and regions, new coordinates.
+
+        Only the new vertex array is checked; the triangles and regions were
+        validated when this mesh was built and are shared, not re-checked.
+        """
+        v = _as_vertices(vertices)
+        if v.shape[0] != self.n_vertices:
+            raise ValueError(f"expected {self.n_vertices} vertices, got {v.shape[0]}")
+        mesh = copy.copy(self)
+        object.__setattr__(mesh, "vertices", v)
+        return mesh
 
 
 @dataclass(frozen=True)

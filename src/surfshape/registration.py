@@ -11,7 +11,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .mesh import AreaWeights, ShapeSample, SurfaceMesh, triangle_areas, validate_correspondence, vertex_areas
+from .mesh import AreaWeights, ShapeSample, triangle_areas, validate_correspondence, vertex_areas
 
 SIZE_CONSTRAINTS = ("unit_area", "initial_mean_area")
 
@@ -165,11 +165,10 @@ def weighted_gpa(
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
 
-    triangles = sample.meshes[0].triangles
     shapes = sample.vertex_array()
 
     def surface_area(vertices: np.ndarray) -> float:
-        return triangle_areas(SurfaceMesh(vertices, triangles)).sum()
+        return triangle_areas(sample.meshes[0].with_vertices(vertices)).sum()
 
     mean = shapes[0].copy()
     init_weights = vertex_areas(sample.meshes[0], weight_overrides)

@@ -346,6 +346,87 @@ class TestThreadsEnv:
         assert code == 2
 
 
+class TestCompareOptions:
+    """Option values the cohort cannot support are validation errors (exit 2)."""
+
+    @pytest.mark.parametrize(
+        "options, message",
+        [
+            (("--p", "50"), "--p 50 needs at least 52 shapes, got 16"),
+            (("--p", "15"), "--p 15 needs at least 17 shapes, got 16"),
+            (("--p", "0"), "--p must be at least 1, got 0"),
+            (("--p", "2", "--n-perm", "0"), "--n-perm must be at least 1, got 0"),
+        ],
+    )
+    def test_bad_option_is_exit_2(self, cohort, tmp_path, capsys, options, message):
+        code = run(
+            "compare", "--meshes", cohort / "meshes", "--labels", cohort / "labels.csv", *options,
+            "--out", tmp_path / "cmp",
+        )
+        assert code == 2
+        assert f"error: validation: {message}" in capsys.readouterr().err
+
+
+class TestTamperedModel:
+    """A model file whose arrays disagree in length, or whose triangles are
+    broken, is refused at load (exit 2) with the file named."""
+
+    @pytest.fixture(scope="class")
+    def models(self, cohort, tmp_path_factory):
+        root = tmp_path_factory.mktemp("models")
+        meshes = load_mesh_directory(cohort / "meshes")[1]
+        save_model(ss.fit_control_model(ss.ShapeSample(tuple(meshes[:6]))), root / "control.json")
+        assert run("pca", "--meshes", cohort / "meshes", "--components", "2", "--out", root / "pca") == 0
+        return root
+
+    def tamper(self, source, target, edit):
+        doc = json.loads(source.read_text())
+        edit(doc)
+        target.write_text(json.dumps(doc))
+        return target
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda d: d.update(p=9), "p = 9 but the component model has 2 components"),
+            (lambda d: d.update(nu=d["nu"][:5]), "nu must have 66 entries, one per vertex, got shape (5,)"),
+            (lambda d: d.update(control_r=d["control_r"][:-1]), "control_d (6,) and control_r (5,)"),
+            (lambda d: d["triangles"][0].__setitem__(1, d["triangles"][0][0]), "triangle 0 repeats a vertex index"),
+            (lambda d: d["triangles"][3].__setitem__(2, 66), "triangle index out of range"),
+            (lambda d: d["fpca"].update(mean=d["fpca"]["mean"][:-1]), "mean must be (66, 3) for 66 vertex weights"),
+            (
+                lambda d: d["fpca"].update(eigenfunctions=[row[:-3] for row in d["fpca"]["eigenfunctions"]]),
+                "eigenfunctions must be (2, 198): one row of 3J entries per eigenvalue, got (2, 195)",
+            ),
+            (
+                lambda d: d["fpca"]["eigenfunctions"][0].pop(),
+                "field 'eigenfunctions' is not a rectangular numeric array",
+            ),
+            (lambda d: d["nu"].__setitem__(0, None), "field 'nu' holds a null or non-finite value"),
+            (lambda d: d["fpca"]["weights"].__setitem__(2, None), "field 'weights' holds a null or non-finite value"),
+        ],
+    )
+    def test_control_model_for_assess(self, cohort, tmp_path, capsys, models, edit, message):
+        model = self.tamper(models / "control.json", tmp_path / "control_model.json", edit)
+        shape = cohort / "meshes" / "shape_000.obj"
+        capsys.readouterr()
+        code = run(
+            "assess", "--model", model, "--pre", shape, "--post", shape, "--pairing", cohort / "pairing.csv",
+            "--out", tmp_path / "out",
+        )
+        assert code == 2
+        assert f"error: validation: {model}: {message}" in capsys.readouterr().err
+
+    def test_component_model_for_tour(self, cohort, tmp_path, capsys, models):
+        model = self.tamper(
+            models / "pca" / "model.json", tmp_path / "model.json", lambda d: d.update(weights=d["weights"][:-1])
+        )
+        capsys.readouterr()
+        code = run("tour", "--model", model, "--topology", cohort / "base.obj", "--out", tmp_path / "out")
+        assert code == 2
+        assert f"error: validation: {model}: mean must be (65, 3) for 65 vertex weights" in capsys.readouterr().err
+
+
 class TestExitCodes:
     def test_missing_required_option(self, tmp_path):
         assert run("register", "--out", tmp_path / "o") == 2

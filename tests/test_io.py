@@ -370,6 +370,12 @@ class TestModelSerialization:
         with pytest.raises(ValueError, match="truncated or malformed"):
             load_model(path)
 
+    def test_json_that_is_not_an_object(self, tmp_path):
+        path = tmp_path / "list.json"
+        path.write_text("[1, 2]")
+        with pytest.raises(ValueError, match=f"^{path}: not a model: the file holds a JSON list"):
+            load_model(path)
+
     def test_unknown_kind(self, tmp_path):
         path = tmp_path / "weird.json"
         path.write_text(json.dumps({"schema_version": 1, "kind": "mystery"}))

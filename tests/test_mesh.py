@@ -197,6 +197,26 @@ class TestMeshValidation:
             ss.SurfaceMesh(np.eye(3), [[0, 1, 2]], regions={"nose": np.array([4])})
 
 
+class TestWithVertices:
+    def test_same_as_a_freshly_validated_mesh(self):
+        mesh = ss.SurfaceMesh(np.eye(4)[:, :3], [[0, 1, 2], [0, 2, 3]], regions={"a": [3, 1, 1]})
+        vertices = np.arange(12.0).reshape(4, 3)
+        moved = mesh.with_vertices(vertices)
+        fresh = ss.SurfaceMesh(vertices, mesh.triangles, mesh.regions)
+        assert moved.vertices.dtype == fresh.vertices.dtype
+        assert np.array_equal(moved.vertices, fresh.vertices)
+        assert moved.triangles is mesh.triangles
+        assert moved.regions.keys() == fresh.regions.keys()
+        assert np.array_equal(moved.regions["a"], fresh.regions["a"])
+        assert np.array_equal(mesh.vertices, np.eye(4)[:, :3])  # the original is untouched
+
+    @pytest.mark.parametrize("shape", [(3, 3), (5, 3), (4, 2), (12,)])
+    def test_wrong_vertex_array_refused(self, shape):
+        mesh = ss.SurfaceMesh(np.eye(4)[:, :3], [[0, 1, 2], [0, 2, 3]])
+        with pytest.raises(ValueError, match="vertices"):
+            mesh.with_vertices(np.zeros(shape))
+
+
 class TestBilateralPairing:
     def test_involution_enforced(self):
         with pytest.raises(ValueError, match="involution"):
