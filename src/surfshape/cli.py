@@ -44,7 +44,7 @@ from .io import (
 from .mesh import ShapeSample, SurfaceMesh, correspondence_problem, shape_difference_field
 from .registration import tangent_coordinates, weighted_gpa
 from .synth import SynthConfig, synth_cohort
-from .warp import fit_tps, apply_warp
+from .warp import apply_warp, check_tps_size, fit_tps
 
 THREADS_ENV = "SURFSHAPE_THREADS"
 
@@ -422,6 +422,10 @@ def cmd_warp(args) -> None:
         template = read_mesh(args.template)
         if source.n_vertices != target.n_vertices:
             raise ValidationFailure("source and target must have the same vertex count")
+        try:
+            check_tps_size(source.n_vertices)
+        except ValueError as err:
+            raise ValidationFailure(f"{args.source}: {err}") from None
     field = fit_tps(source.vertices, target.vertices, ridge=args.ridge)
     warped = template.with_vertices(apply_warp(field, template.vertices))
     write_mesh(warped, out / "warped.obj")

@@ -67,6 +67,17 @@ class ControlModel:
     def __post_init__(self):
         if self.p != self.fpca.n_components:
             raise ValueError(f"p = {self.p} but the component model has {self.fpca.n_components} components")
+        if self.p < 1:
+            raise ValueError("a control model needs at least one component")
+        # Wilson-Hilferty approximation of the 95% quantile: 2.5% off at p = 1,
+        # under 1% for p >= 2, and no scipy import
+        h = 2.0 / (9.0 * self.p)
+        approx = self.p * (1.0 - h + 1.6448536269514722 * np.sqrt(h)) ** 3
+        if not abs(self.chi2_threshold / approx - 1.0) <= 0.05:
+            raise ValueError(
+                f"chi2_threshold {self.chi2_threshold!r} is not the 95% chi-square quantile "
+                f"for p = {self.p} (about {approx:.4g})"
+            )
         j = self.fpca.mean.shape[0]
         if np.shape(self.nu) != (j,):
             raise ValueError(f"nu must have {j} entries, one per vertex, got shape {np.shape(self.nu)}")

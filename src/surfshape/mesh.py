@@ -198,10 +198,20 @@ class CorrespondenceReport:
 
 
 def triangle_areas(mesh: SurfaceMesh) -> np.ndarray:
-    """Per-triangle areas (half cross-product norm)."""
-    tri = mesh.vertices[mesh.triangles]
-    cross = np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0])
-    return 0.5 * np.linalg.norm(cross, axis=1)
+    """Per-triangle areas (half cross-product norm).
+
+    Gathers coordinate columns and writes the cross product out: the same
+    operations, in the same order, as ``0.5 * norm(np.cross(b - a, c - a))``.
+    """
+    x, y, z = mesh.vertices.T
+    i, j, k = mesh.triangles.T
+    x0, y0, z0 = x[i], y[i], z[i]
+    ux, uy, uz = x[j] - x0, y[j] - y0, z[j] - z0
+    vx, vy, vz = x[k] - x0, y[k] - y0, z[k] - z0
+    cx = uy * vz - uz * vy
+    cy = uz * vx - ux * vz
+    cz = ux * vy - uy * vx
+    return 0.5 * np.sqrt(cx * cx + cy * cy + cz * cz)
 
 
 def vertex_areas(mesh: SurfaceMesh, overrides: Mapping[int, float] | None = None) -> AreaWeights:

@@ -81,6 +81,59 @@ def _check_pair(source: np.ndarray, target: np.ndarray, weights: AreaWeights) ->
         raise ValueError("weight vector length does not match the shapes")
 
 
+def _target(y: np.ndarray, a: np.ndarray) -> tuple:
+    """The target side of a weighted OPA for a (3, J) target ``y``, computed
+    once for every shape fitted onto it: (y, a, sum of a, weighted centroid,
+    a * centred y)."""
+    total = a.sum()
+    if total <= 0:
+        raise ValueError("weights sum to zero")
+    centroid = y @ a / total
+    return y, a, total, centroid, (y - centroid[:, None]) * a
+
+
+def _opa(
+    x: np.ndarray, target: tuple, allow_scaling: bool, allow_reflection: bool, out: np.ndarray | None = None
+) -> tuple[SimilarityTransform, np.ndarray, float]:
+    """Weighted OPA of a (3, J) source onto a target prepared by :func:`_target`.
+
+    Coordinate-major arrays keep every pass over the shape a run over J.
+    Returns the transform, the fitted source as (3, J) (written to ``out``
+    when given) and the weighted residual sum of squares.
+    """
+    y, a, total, centroid_y, weighted_yc = target
+    if np.array_equal(x, y):
+        # the optimum is the exact identity; the SVD route would leave rounding noise
+        fitted = np.empty_like(y) if out is None else out
+        fitted[...] = y
+        return SimilarityTransform.identity(), fitted, 0.0
+
+    centroid_x = x @ a / total
+    xc = x - centroid_x[:, None]
+    cross_cov = xc @ weighted_yc.T  # X^T A Y, 3x3
+    u, s, vt = np.linalg.svd(cross_cov)
+    if s[0] <= 0 or s[1] <= s[0] * 1e-12:
+        raise ValueError("degenerate configuration: points are collinear or coincident")
+    signs = np.ones(3)
+    if not allow_reflection and np.linalg.det(u @ vt) < 0:
+        signs[2] = -1.0
+    rotation = (u * signs) @ vt
+
+    if allow_scaling:
+        scale = float(signs @ s) / float(np.einsum("j,kj,kj->", a, xc, xc))
+        if scale <= 0:
+            raise ValueError("degenerate configuration: non-positive scale")
+    else:
+        scale = 1.0
+
+    translation = centroid_y - scale * centroid_x @ rotation
+    fitted = np.matmul(scale * rotation.T, x, out=out)
+    fitted += translation[:, None]
+    residual = y - fitted
+    rss = float(np.einsum("j,kj,kj->", a, residual, residual))
+    return SimilarityTransform(scale, rotation, translation), fitted, rss
+
+
 def weighted_opa(
     source: np.ndarray,
     target: np.ndarray,
@@ -100,40 +153,13 @@ def weighted_opa(
     source = np.asarray(source, dtype=float)
     target = np.asarray(target, dtype=float)
     _check_pair(source, target, weights)
-    a = weights.weights
-    total = a.sum()
-    if total <= 0:
-        raise ValueError("weights sum to zero")
-    if np.array_equal(source, target):
-        # the optimum is the exact identity; the SVD route would leave rounding noise
-        return OpaFit(SimilarityTransform.identity(), target.copy(), 0.0)
-
-    centroid_x = a @ source / total
-    centroid_y = a @ target / total
-    xc = source - centroid_x
-    yc = target - centroid_y
-
-    cross_cov = xc.T @ (a[:, None] * yc)  # X^T A Y, 3x3
-    u, s, vt = np.linalg.svd(cross_cov)
-    if s[0] <= 0 or s[1] <= s[0] * 1e-12:
-        raise ValueError("degenerate configuration: points are collinear or coincident")
-    signs = np.ones(3)
-    if not allow_reflection and np.linalg.det(u @ vt) < 0:
-        signs[2] = -1.0
-    rotation = (u * signs) @ vt
-
-    if allow_scaling:
-        scale = float(signs @ s) / float(np.einsum("j,jk,jk->", a, xc, xc))
-        if scale <= 0:
-            raise ValueError("degenerate configuration: non-positive scale")
-    else:
-        scale = 1.0
-
-    translation = centroid_y - scale * centroid_x @ rotation
-    transform = SimilarityTransform(scale, rotation, translation)
-    fitted = transform.apply(source)
-    rss = float(np.einsum("j,jk,jk->", a, target - fitted, target - fitted))
-    return OpaFit(transform, fitted, rss)
+    transform, fitted, rss = _opa(
+        np.ascontiguousarray(source.T),
+        _target(np.ascontiguousarray(target.T), weights.weights),
+        allow_scaling,
+        allow_reflection,
+    )
+    return OpaFit(transform, fitted.T, rss)
 
 
 def weighted_gpa(
@@ -154,6 +180,9 @@ def weighted_gpa(
     mean, successive trace entries evaluate slightly different criteria; on
     noisy cohorts the trace can wobble a few orders above machine precision
     even though the state converges to an order-independent fixed point.
+
+    The returned ``mean`` (J, 3) and ``aligned`` (n, J, 3) are transposed
+    views of coordinate-major arrays.
     """
     if size_constraint not in SIZE_CONSTRAINTS:
         raise ValueError(f"size_constraint must be one of {SIZE_CONSTRAINTS}")
@@ -165,55 +194,65 @@ def weighted_gpa(
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
 
-    shapes = sample.vertex_array()
+    # the cohort and the mean are coordinate-major: shapes[i] is a contiguous
+    # (3, J) block (np.stack of the transposed views would keep their strides)
+    reference = sample.meshes[0]
+    shapes = np.empty((sample.n_shapes, 3, sample.n_vertices))
+    for shape, mesh in zip(shapes, sample.meshes):
+        shape[...] = mesh.vertices.T
 
-    def surface_area(vertices: np.ndarray) -> float:
-        return triangle_areas(sample.meshes[0].with_vertices(vertices)).sum()
+    def surface_area(mean: np.ndarray) -> float:
+        return triangle_areas(reference.with_vertices(mean.T)).sum()
+
+    def mean_weights(mean: np.ndarray) -> AreaWeights:
+        return vertex_areas(reference.with_vertices(mean.T), weight_overrides)
 
     mean = shapes[0].copy()
-    init_weights = vertex_areas(sample.meshes[0], weight_overrides)
-    mean -= init_weights.weights @ mean / init_weights.total_area
+    init_weights = vertex_areas(reference, weight_overrides)
+    mean -= (mean @ init_weights.weights / init_weights.total_area)[:, None]
     initial_area = surface_area(mean)
     target_area = 1.0 if size_constraint == "unit_area" else initial_area
     mean *= np.sqrt(target_area / initial_area)
 
+    aligned = np.empty_like(shapes)
+    transforms: list[SimilarityTransform] = []
     trace: list[float] = []
-    fits: list[OpaFit] = []
     converged = False
     previous = np.inf
     for _ in range(max_iter):
-        mean_mesh = sample.meshes[0].with_vertices(mean)
-        weights = vertex_areas(mean_mesh, weight_overrides)
-        fits = [weighted_opa(x, mean, weights, allow_scaling=allow_scaling) for x in shapes]
-        objective = float(sum(f.rss for f in fits))
+        weights = mean_weights(mean)
+        target = _target(mean, weights.weights)
+        transforms = []
+        objective = 0.0
+        for x, out in zip(shapes, aligned):
+            transform, _, rss = _opa(x, target, allow_scaling, False, out=out)
+            transforms.append(transform)
+            objective += rss
         trace.append(objective)
-        noise_floor = 1e-24 * len(shapes) * float(np.einsum("j,jk,jk->", weights.weights, mean, mean))
+        noise_floor = 1e-24 * len(shapes) * float(np.einsum("j,kj,kj->", weights.weights, mean, mean))
         if objective <= noise_floor or (
             np.isfinite(previous) and abs(previous - objective) <= tol * max(previous, np.finfo(float).tiny)
         ):
             converged = True
             break
         previous = objective
-        mean = np.mean([f.fitted for f in fits], axis=0)
+        mean = aligned.mean(axis=0)
         # re-anchor translation: the rescale below would otherwise compound any
         # centroid offset geometrically across iterations
-        new_weights = vertex_areas(sample.meshes[0].with_vertices(mean), weight_overrides)
-        mean -= new_weights.weights @ mean / new_weights.total_area
+        new_weights = mean_weights(mean)
+        mean -= (mean @ new_weights.weights / new_weights.total_area)[:, None]
         mean *= np.sqrt(target_area / surface_area(mean))
 
     # Final common rescale: keeps mean == average(aligned) exactly while
     # restoring the size constraint that the last averaging perturbed.
-    aligned = np.stack([f.fitted for f in fits])
     factor = float(np.sqrt(target_area / surface_area(aligned.mean(axis=0))))
     aligned *= factor
     mean = aligned.mean(axis=0)
-    transforms = tuple(f.transform.rescaled(factor) for f in fits)
-    mean_weights = vertex_areas(sample.meshes[0].with_vertices(mean), weight_overrides)
     return GpaResult(
-        mean=mean,
-        aligned=aligned,
-        transforms=transforms,
-        mean_weights=mean_weights,
+        mean=mean.T,
+        aligned=aligned.transpose(0, 2, 1),
+        transforms=tuple(t.rescaled(factor) for t in transforms),
+        mean_weights=mean_weights(mean),
         iterations=len(trace),
         objective_trace=np.asarray(trace),
         converged=converged,

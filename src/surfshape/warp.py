@@ -13,6 +13,10 @@ import numpy as np
 
 from .mesh import SurfaceMesh
 
+# The dense (J+4)^2 system, the distance matrix, the kernel built from it and
+# the LU copy in the solver take about 4 * 8 * (J+4)^2 bytes: 2 GiB is J = 8,188.
+TPS_MEMORY_LIMIT = 2 * 1024**3
+
 
 def radial_basis(z: np.ndarray) -> np.ndarray:
     """Optimal 3D interpolation kernel phi(z) = -z / (8 pi)."""
@@ -31,12 +35,24 @@ class WarpField:
     bending_energy_by_coordinate: np.ndarray
 
 
+def check_tps_size(n_points: int) -> None:
+    """Refuse a warp with ``n_points`` control points whose dense system would
+    need more than ``TPS_MEMORY_LIMIT`` bytes, before anything is allocated."""
+    estimate = 4 * 8 * (n_points + 4) ** 2
+    if estimate > TPS_MEMORY_LIMIT:
+        raise ValueError(
+            f"a warp with J = {n_points} control points needs about {estimate:,} bytes for its dense "
+            f"system, above the limit of {TPS_MEMORY_LIMIT:,} bytes ({TPS_MEMORY_LIMIT / 2**30:g} GiB)"
+        )
+
+
 def fit_tps(source: np.ndarray, target: np.ndarray, ridge: float = 0.0) -> WarpField:
     """Fit the warp carrying ``source`` points exactly onto ``target`` points.
 
     Solves the extended (J+4) x (J+4) system with the affine block Q = (1 X).
     ``ridge`` adds a diagonal term to the kernel block for ill-conditioned
     inputs, trading exact interpolation for stability (default 0: exact).
+    Raises ``ValueError`` above ``TPS_MEMORY_LIMIT`` (see :func:`check_tps_size`).
     """
     from scipy.spatial.distance import cdist, pdist
 
@@ -47,6 +63,7 @@ def fit_tps(source: np.ndarray, target: np.ndarray, ridge: float = 0.0) -> WarpF
     j = x.shape[0]
     if j < 5:
         raise ValueError("need at least 5 control points")
+    check_tps_size(j)
     if pdist(x).min() < 1e-9:
         raise ValueError("duplicate source points make the kernel matrix singular")
 

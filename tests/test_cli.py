@@ -278,6 +278,20 @@ class TestWarpCommand:
         doc = json.loads((out / "warp.json").read_text())
         assert doc["bending_energy"] >= 0
 
+    def test_oversized_warp_refused_in_validation(self, cohort, tmp_path, capsys, monkeypatch):
+        import surfshape.warp
+
+        # a limit just below what the 66-point source needs stands in for a huge mesh
+        monkeypatch.setattr(surfshape.warp, "TPS_MEMORY_LIMIT", 4 * 8 * 70**2 - 1)
+        source = cohort / "base.obj"
+        capsys.readouterr()
+        code = run(
+            "warp", "--source", source, "--target", cohort / "meshes" / "shape_000.obj",
+            "--template", source, "--out", tmp_path / "warp",
+        )
+        assert code == 2
+        assert f"error: validation: {source}: a warp with J = 66 control points" in capsys.readouterr().err
+
 
 class TestDiff:
     def test_field_matches_library_exactly(self, cohort, tmp_path):
@@ -404,6 +418,10 @@ class TestTamperedModel:
             ),
             (lambda d: d["nu"].__setitem__(0, None), "field 'nu' holds a null or non-finite value"),
             (lambda d: d["fpca"]["weights"].__setitem__(2, None), "field 'weights' holds a null or non-finite value"),
+            (
+                lambda d: d.update(chi2_threshold=0.5),
+                "chi2_threshold 0.5 is not the 95% chi-square quantile for p = 2 (about 5.937)",
+            ),
         ],
     )
     def test_control_model_for_assess(self, cohort, tmp_path, capsys, models, edit, message):

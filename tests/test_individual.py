@@ -230,6 +230,36 @@ class TestFitControlModel:
             ss.fit_control_model(controls)
 
 
+def control_model_with_threshold(p, threshold):
+    mesh, _ = sphere_with_pairing()
+    j = mesh.n_vertices
+    fpca = ss.FpcaModel(
+        mesh.vertices, ss.vertex_areas(mesh), np.zeros((p, 3 * j)), np.ones(p), np.linspace(0.5, 0.9, p), 10, 1.0
+    )
+    return ss.ControlModel(fpca, p, threshold, np.ones(j), 1.0, np.ones(3), np.ones(3), mesh.triangles)
+
+
+class TestChi2ThresholdCheck:
+    """ControlModel refuses a chi2_threshold more than 5% away from the
+    Wilson-Hilferty approximation of the 95% quantile (2.5% off at p = 1)."""
+
+    @pytest.mark.parametrize("p", range(1, 41))
+    def test_true_quantile_accepted(self, p):
+        threshold = 2.0 * special.gammaincinv(p / 2.0, 0.95)
+        assert control_model_with_threshold(p, threshold).chi2_threshold == threshold
+
+    @pytest.mark.parametrize("p", [1, 2, 5, 30])
+    @pytest.mark.parametrize("factor", [0.92, 1.08, 0.0, np.nan])
+    def test_wrong_threshold_refused(self, p, factor):
+        threshold = factor * 2.0 * special.gammaincinv(p / 2.0, 0.95)
+        with pytest.raises(ValueError, match=f"is not the 95% chi-square quantile for p = {p}"):
+            control_model_with_threshold(p, threshold)
+
+    def test_no_components_refused(self):
+        with pytest.raises(ValueError, match="at least one component"):
+            control_model_with_threshold(0, 1.0)
+
+
 @pytest.fixture(scope="module")
 def model():
     controls, _ = control_sample(n=45, seed=11)

@@ -95,6 +95,16 @@ class TestAccumulationMatchesAddAt:
         scale = 10.0 ** rng.uniform(-3, 3, (mesh.n_vertices, 1))
         return ss.SurfaceMesh(mesh.vertices * scale, mesh.triangles[order])
 
+    def test_triangle_areas_bitwise(self):
+        # column gathers and a written-out cross product against np.cross + norm,
+        # on row-major vertices and on a transposed view of coordinate-major ones
+        mesh = self.scrambled_mesh()
+        tri = mesh.vertices[mesh.triangles]
+        expected = 0.5 * np.linalg.norm(np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0]), axis=1)
+        assert ss.triangle_areas(mesh).tobytes() == expected.tobytes()
+        view = mesh.with_vertices(np.ascontiguousarray(mesh.vertices.T).T)
+        assert ss.triangle_areas(view).tobytes() == expected.tobytes()
+
     def test_vertex_areas_bitwise(self):
         mesh = self.scrambled_mesh()
         expected = np.zeros(mesh.n_vertices)

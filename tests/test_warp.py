@@ -183,3 +183,23 @@ class TestWarpTemplate:
         assert set(warped.regions) == set(template.regions)
         for name in template.regions:
             np.testing.assert_array_equal(warped.regions[name], template.regions[name])
+
+
+class TestSizeLimit:
+    """fit_tps refuses a system above TPS_MEMORY_LIMIT before building it."""
+
+    def test_limit_is_two_gib_at_j_8188(self):
+        from surfshape.warp import TPS_MEMORY_LIMIT, check_tps_size
+
+        assert TPS_MEMORY_LIMIT == 2 * 1024**3
+        check_tps_size(8188)  # 4 * 8 * 8192^2 bytes is exactly the limit
+        with pytest.raises(ValueError, match="J = 8189 control points needs about 2,148,007,968 bytes"):
+            check_tps_size(8189)
+
+    def test_fit_refuses_before_allocating(self):
+        # 8,189 points would need a 537 MB distance matrix alone; the refusal
+        # has to come first (pdist, cdist and the system are never built)
+        x = random_points(3, n=8189)
+        with pytest.raises(ValueError, match=r"above the limit of 2,147,483,648 bytes \(2 GiB\)"):
+            ss.fit_tps(x, x)
+
