@@ -11,7 +11,6 @@ Exit codes: 0 success, 2 validation error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from contextlib import contextmanager
 from datetime import datetime, timezone
@@ -46,9 +45,6 @@ from .registration import tangent_coordinates, weighted_gpa
 from .synth import SynthConfig, synth_cohort
 from .warp import apply_warp, check_tps_size, fit_tps
 
-THREADS_ENV = "SURFSHAPE_THREADS"
-
-
 class ValidationFailure(Exception):
     """Bad inputs or options; maps to exit code 2."""
 
@@ -62,14 +58,6 @@ def validation_phase():
         raise
     except Exception as err:
         raise ValidationFailure(str(err)) from err
-
-
-def _threads() -> int:
-    raw = os.environ.get(THREADS_ENV, "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise ValidationFailure(f"{THREADS_ENV} must be an integer, got {raw!r}") from None
 
 
 def parse_config_file(path) -> dict[str, str]:
@@ -293,7 +281,6 @@ def cmd_compare(args) -> None:
         seed=args.seed,
         mode=args.mode,
         bonferroni_alpha=args.bonferroni,
-        threads=_threads(),
     )
     quartiles = report.permuted_quartiles()
     write_json(

@@ -7,7 +7,6 @@ every permutation (the group-shape-space variant).
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -18,7 +17,9 @@ from .registration import vec_inverse
 
 PERMUTATION_MODES = ("tangent_pca", "group_shape_space")
 
-_CHUNK = 128  # permutations per evaluation batch
+_CHUNK = 128  # permutations per evaluation batch: bounds the memory of one pass
+_NEWTON_STEPS = 100
+_EPS = np.finfo(float).eps
 
 COMPONENT_P_VALUE_CAVEAT = (
     "per-component p-values are calibrated against the null hypothesis that "
@@ -123,61 +124,108 @@ def _group_masks(labels) -> tuple[np.ndarray, tuple[str, str]]:
     return mask_a, (str(names[0]), str(names[1]))
 
 
-def _batched_stats(scores: np.ndarray, masks_a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """sqrt(T2/p) and |t_l| for every row of group-a membership masks."""
-    n, p = scores.shape
+def _mean_differences(coords: np.ndarray, masks_a: np.ndarray) -> np.ndarray:
+    """mean_a - mean_b over ``coords`` for every mask row. Both means come from one
+    gather and sum over ascending member indices, with no BLAS call, so a repeated
+    split reads the same bits in any batch and a swapped one reads exactly -d."""
     na = int(masks_a[0].sum())
-    nb = n - na
-    inv_sizes = 1.0 / na + 1.0 / nb
-    total_sum = scores.sum(axis=0)
-    total_scatter = scores.T @ scores
+    members = coords[np.argsort(~masks_a, axis=1, kind="stable")]
+    return members[:, :na].sum(axis=1) / na - members[:, na:].sum(axis=1) / (coords.shape[0] - na)
 
-    sums_a = masks_a.astype(float) @ scores
-    means_a = sums_a / na
-    means_b = (total_sum - sums_a) / nb
-    diffs = means_a - means_b
 
-    outer_a = np.einsum("ri,rj->rij", means_a, means_a)
-    outer_b = np.einsum("ri,rj->rij", means_b, means_b)
-    scatter = total_scatter - na * outer_a - nb * outer_b
-    cov = scatter / (n - 2)
-    try:
-        solved = np.linalg.solve(cov, diffs[..., None])[..., 0]
-    except np.linalg.LinAlgError:
-        raise ValueError("pooled covariance singular; reduce p") from None
-    t2 = np.einsum("ri,ri->r", diffs, solved) / inv_sizes
-
-    pooled_sd = np.sqrt(np.einsum("rii->ri", cov))
-    if (pooled_sd <= 0).any():
+def _tangent_pca_stats(lam: np.ndarray, d: np.ndarray, rho: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """sqrt(T2/p) and |t_l| on the label-blind PCA scores, whose pooled scatter is
+    diag(lam) - rho d d^T; Sherman-Morrison inverts it in closed form."""
+    d2 = d * d
+    var = lam - rho * d2
+    if (var <= 1e-12 * lam).any():
         raise ValueError("a component has zero pooled variance")
-    t_abs = np.abs(diffs / (pooled_sd * np.sqrt(inv_sizes)))
-    return np.sqrt(t2 / p), t_abs
+    s = (d2 / lam).sum(axis=1)
+    det_ratio = 1.0 - rho * s  # det(pooled scatter) / det(diag(lam))
+    if (det_ratio <= 1e-12).any():
+        raise ValueError("pooled covariance singular; reduce p")
+    t2 = (n - 2) * rho * s / det_ratio
+    return np.sqrt(t2 / d.shape[1]), np.abs(d) * np.sqrt((n - 2) * rho / var)
 
 
-def _within_group_eigen_stats(
-    coords: np.ndarray, masks_a: np.ndarray, p: int
+def _group_shape_space_stats(
+    lam: np.ndarray, d: np.ndarray, rho: float, n: int, p: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Group-shape-space statistics: eigenbasis of the pooled within-group covariance
-    recomputed per permutation (per mask row)."""
-    n = coords.shape[0]
-    na = int(masks_a[0].sum())
-    nb = n - na
-    inv_sizes = 1.0 / na + 1.0 / nb
-    globals_out = np.empty(masks_a.shape[0])
-    comps_out = np.empty((masks_a.shape[0], p))
-    for r, mask in enumerate(masks_a):
-        mean_a = coords[mask].mean(axis=0)
-        mean_b = coords[~mask].mean(axis=0)
-        within = coords - np.where(mask[:, None], mean_a, mean_b)
-        singular_vals, vt = np.linalg.svd(within, full_matrices=False)[1:]
-        lam = singular_vals**2 / (n - 2)
-        if lam.size < p or lam[p - 1] <= lam[0] * 1e-12:
-            raise ValueError(f"pooled within-group covariance has rank below p={p}")
-        proj = (mean_a - mean_b) @ vt[:p].T
-        t = proj / np.sqrt(lam[:p] * inv_sizes)
-        comps_out[r] = np.abs(t)
-        globals_out[r] = np.sqrt(float(t @ t) / p)
-    return globals_out, comps_out
+    """sqrt(T2/p) and |t_k| in the eigenbasis of each row's pooled within-group
+    scatter W = diag(lam) - rho d d^T (lam descending, all positive).
+
+    W's eigenvalues solve the secular equation 1 - rho sum_i d_i^2/(lam_i - mu) = 0,
+    one root below each pole, and |d^T v| = 1 / (rho sqrt(sum_i d_i^2/(lam_i - mu)^2)).
+    A pole with no weight (d_i = 0, or all but one of a run of equal lam) is itself
+    an eigenvalue with d^T v = 0. Each root is measured from its nearer pole, so
+    lam_i - mu is never formed by cancellation, and found by Newton's method on
+    g(tau) = -tau * f(tau), which is convex between the poles, from the far side of
+    the root, inside a bisection bracket. The candidate eigenvalue of index i is at
+    most lam[i] and the p-th eigenvalue is at least lam[p] (interlacing), so only
+    the candidates of indices 0..p are evaluated.
+    """
+    rows, r = d.shape
+    if r < p:
+        raise ValueError(f"pooled within-group covariance has rank below p={p}")
+    w = d * d
+    starts = np.flatnonzero(np.r_[True, lam[1:] != lam[:-1]])
+    ends = np.r_[starts[1:], r] - 1
+    w_run = np.zeros_like(w)
+    w_run[:, ends] = np.add.reduceat(w, starts, axis=1)  # one pole per run of equal lam
+    active = w_run > 0
+
+    k = min(p + 1, r)
+    index = np.where(active, np.arange(r), r)
+    below = np.minimum.accumulate(index[:, ::-1], axis=1)[:, ::-1]
+    next_pole = np.c_[below[:, 1:], np.full(rows, r)][:, :k]
+    last_pole = np.where(active, np.arange(r), 0).max(axis=1)
+    floor = lam[last_pole] - rho * w_run.sum(axis=1)  # f(floor) >= 0 below the last pole
+    lower = np.where(next_pole < r, lam[np.minimum(next_pole, r - 1)], floor[:, None])
+    upper = lam[:k]
+    live = active[:, :k]
+    wk = w_run[:, None, :]
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        half = 0.5 * (lower - upper)
+        f_mid = 1.0 - rho * (wk / ((lam - upper[:, None]) - half[..., None])).sum(axis=-1)
+        from_upper = (f_mid >= 0) | (next_pole == r)
+        origin = np.where(from_upper, upper, lower)
+        # start on the far side of the root, where g > 0; tau = sign * s, s = |tau|
+        sign = np.where(from_upper, -1.0, 1.0)
+        s_hi = np.where(from_upper & (f_mid < 0), upper - lower, np.abs(half))
+        s_lo = np.zeros_like(s_hi)
+        delta = lam - origin[..., None]
+        off = delta != 0
+        w_origin = np.where(off, 0.0, wk).sum(axis=-1)
+        s = s_hi.copy()
+        done = ~live
+        for _ in range(_NEWTON_STEPS):
+            tau = sign * s
+            gap = delta - tau[..., None]
+            g = -tau * (1.0 - rho * np.where(off, wk / gap, 0.0).sum(axis=-1)) - rho * w_origin
+            dg = -1.0 + rho * np.where(off, wk * delta / (gap * gap), 0.0).sum(axis=-1)
+            far = g > 0
+            s_hi = np.where(far, s, s_hi)
+            s_lo = np.where(far, s_lo, s)
+            step = s - sign * g / dg
+            keep = (step == s) | ((step > s_lo) & (step <= s_hi))
+            new = np.where(keep, step, 0.5 * (s_lo + s_hi))
+            converged = (np.abs(new - s) <= 2 * _EPS * s) | (s_hi - s_lo <= 2 * _EPS * s_hi)
+            s = np.where(done, s, new)
+            done |= converged
+            if done.all():
+                break
+        tau = sign * s
+        mu = np.where(live, origin + tau, upper)
+        spread = (wk / (delta - tau[..., None]) ** 2).sum(axis=-1)
+        proj = np.where(live, 1.0 / (rho * np.sqrt(spread)), 0.0)
+
+    order = np.argsort(-mu, axis=1, kind="stable")[:, :p]
+    mu = np.take_along_axis(mu, order, axis=1)
+    if (mu[:, p - 1] <= 1e-12 * mu[:, 0]).any():
+        raise ValueError(f"pooled within-group covariance has rank below p={p}")
+    t = np.take_along_axis(proj, order, axis=1) * np.sqrt((n - 2) * rho / mu)
+    return np.sqrt((t * t).sum(axis=1) / p), t
 
 
 def permutation_test(
@@ -200,7 +248,16 @@ def permutation_test(
 
     The data are first reduced to n x rank coordinates through the n x n Gram
     matrix of the centred rows; the rank counts its eigenvalues above 1e-12 of
-    the largest (singular values above 1e-6 of the largest).
+    the largest (singular values above 1e-6 of the largest). Their columns are
+    orthogonal with squared norms lam, so every labelling's pooled within-group
+    scatter is diag(lam) - rho d d^T (d the group-mean difference, rho =
+    n_a n_b / n), and both statistics are closed-form in (lam, rho, d). The
+    group-shape-space rank check (p-th within-group eigenvalue above 1e-12 of
+    the first) applies to every permutation. A repeated or swapped split reads
+    exactly the observed statistics.
+
+    ``threads`` is ignored. It will be removed by the benchmark change that drops
+    it from ``perfbench/statsworker.py``.
     """
     if mode not in PERMUTATION_MODES:
         raise ValueError(f"mode must be one of {PERMUTATION_MODES}")
@@ -230,30 +287,24 @@ def permutation_test(
     for r in range(n_perm):
         perm_masks[r, rng.permutation(n)[:na]] = True
 
-    centered = data - data.mean(axis=0)
-    # all group mean differences and within-group covariances live in the span
-    # of the centered rows; reduce once so per-permutation work is O(n^2).
-    # Both statistics see coords only through coords @ coords.T, the Gram matrix.
-    u, lam, rank = _gram_spectrum(centered)
-    coords = u[:, :rank] * np.sqrt(lam[:rank])
+    # all group mean differences and within-group scatters live in the span of
+    # the centred rows; reduce once so per-permutation work is O(n * rank)
+    u, lam, rank = _gram_spectrum(data - data.mean(axis=0))
+    lam = lam[:rank]
+    coords = u[:, :rank] * np.sqrt(lam)
+    rho = na * (n - na) / n
 
     if mode == "tangent_pca":
         if rank < p:
             raise ValueError(f"data rank {rank} is below p={p}")
-        scores = _pca_scores(coords, p)
-        stats = lambda masks: _batched_stats(scores, masks)  # noqa: E731
+        # the first p coordinates are the label-blind PCA scores, up to sign
+        coords, lam = coords[:, :p], lam[:p]
+        stats = lambda masks: _tangent_pca_stats(lam, _mean_differences(coords, masks), rho, n)  # noqa: E731
     else:
-        stats = lambda masks: _within_group_eigen_stats(coords, masks, p)  # noqa: E731
+        stats = lambda masks: _group_shape_space_stats(lam, _mean_differences(coords, masks), rho, n, p)  # noqa: E731
 
     observed_global, observed_comps = (x[0] for x in stats(mask_a[None, :]))
-    # fixed-size chunks keep BLAS batch shapes (and therefore rounding) identical
-    # however many threads evaluate them; reduction stays in permutation order
-    chunks = [perm_masks[i : i + _CHUNK] for i in range(0, n_perm, _CHUNK)]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(stats, chunks))
-    else:
-        parts = [stats(c) for c in chunks]
+    parts = [stats(perm_masks[i : i + _CHUNK]) for i in range(0, n_perm, _CHUNK)]
     permuted_global = np.concatenate([g for g, _ in parts])
     permuted_comps = np.concatenate([c for _, c in parts])
 
@@ -277,13 +328,6 @@ def permutation_test(
         permuted_global=permuted_global,
         permuted_components=permuted_comps,
     )
-
-
-def _pca_scores(coords: np.ndarray, p: int) -> np.ndarray:
-    """Scores on the first p label-blind principal components of reduced coordinates."""
-    centred = coords - coords.mean(axis=0)
-    vt = np.linalg.svd(centred, full_matrices=False)[2]
-    return centred @ vt[:p].T
 
 
 def align_component_signs(

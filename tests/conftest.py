@@ -58,3 +58,12 @@ def principal_angles(weights: ss.AreaWeights, basis_a: np.ndarray, basis_b: np.n
     qb, _ = np.linalg.qr((basis_b * sw).T)
     cosines = np.linalg.svd(qa.T @ qb, compute_uv=False)
     return np.arccos(np.clip(cosines, -1.0, 1.0))
+
+
+def drawn_masks(seed, n: int, na: int, n_perm: int) -> np.ndarray:
+    """The group-a masks permutation_test draws for ``seed``."""
+    rng = np.random.default_rng(seed)
+    masks = np.zeros((n_perm, n), dtype=bool)
+    for r in range(n_perm):
+        masks[r, rng.permutation(n)[:na]] = True
+    return masks

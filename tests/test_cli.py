@@ -338,28 +338,6 @@ class TestConfigFile:
         assert run("compare", "--config", config, "--out", tmp_path / "o") == 2
 
 
-class TestThreadsEnv:
-    def test_thread_count_does_not_change_report(self, cohort, tmp_path, monkeypatch):
-        outs = []
-        for threads, name in (("1", "t1"), ("4", "t4")):
-            monkeypatch.setenv("SURFSHAPE_THREADS", threads)
-            out = tmp_path / name
-            assert run(
-                "compare", "--meshes", cohort / "meshes", "--labels", cohort / "labels.csv",
-                "--p", "2", "--n-perm", "64", "--seed", "2", "--out", out,
-            ) == 0
-            outs.append((out / "report.json").read_bytes())
-        assert outs[0] == outs[1]
-
-    def test_invalid_thread_count_is_validation_error(self, cohort, tmp_path, monkeypatch):
-        monkeypatch.setenv("SURFSHAPE_THREADS", "lots")
-        code = run(
-            "compare", "--meshes", cohort / "meshes", "--labels", cohort / "labels.csv",
-            "--p", "2", "--out", tmp_path / "o",
-        )
-        assert code == 2
-
-
 class TestCompareOptions:
     """Option values the cohort cannot support are validation errors (exit 2)."""
 

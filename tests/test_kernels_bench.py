@@ -1,4 +1,5 @@
-"""Micro-benchmarks of the geometry and registration kernels at J = 16,386.
+"""Micro-benchmarks of the geometry and registration kernels at J = 16,386, and
+of the closed-form permutation statistics at n = 60.
 
 Under the plain test run each case times a single round, so the suite stays
 fast. For timings, run
@@ -13,6 +14,7 @@ import pytest
 pytest.importorskip("pytest_benchmark")
 
 import surfshape as ss
+from surfshape.groupcompare import PERMUTATION_MODES
 
 BENCH_ROUNDS = 7
 
@@ -57,3 +59,14 @@ def test_weighted_opa(timed, cohort):
 def test_weighted_gpa(timed, cohort):
     result = timed(ss.weighted_gpa, cohort)
     assert result.converged
+
+
+@pytest.mark.parametrize("mode", PERMUTATION_MODES)
+def test_permutation_statistics(timed, mode):
+    """1,000 permutations of 60 shapes already reduced to 59 coordinates, so the
+    Gram reduction is negligible and the per-permutation statistics dominate."""
+    rng = np.random.default_rng(2)
+    coords = rng.standard_normal((60, 59)) * np.linspace(1.0, 0.05, 59)
+    labels = np.repeat(["A", "B"], 30)
+    report = timed(ss.permutation_test, coords, labels, p=3, n_perm=1000, seed=1, mode=mode)
+    assert report.permuted_global.shape == (1000,)

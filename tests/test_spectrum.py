@@ -6,18 +6,90 @@ eigenvalue must agree with the squared singular value to 1e-13 * lambda_0
 (about 450 eps), which for components with lambda_k >= 1e-6 lambda_0 bounds
 the relative error by 1e-7. Eigenfunctions must agree to principal angles
 below 1e-6 rad.
+
+The closed-form permutation statistics are checked against the per-permutation
+SVD and batched-solve routes they replaced, kept here verbatim as oracles.
+Tolerances, fixed beforehand: the global statistic to rtol 1e-12, each
+component |t| within 1e-12 of the row's largest |t|, and identical
+exceedance counts and p-values.
 """
+import itertools
+
 import numpy as np
 import pytest
 
 import surfshape as ss
-from conftest import principal_angles, sphere_mesh, weighted_a_norm
+from conftest import drawn_masks, principal_angles, sphere_mesh, weighted_a_norm
 from surfshape.fpca import _gram_spectrum
-from surfshape.groupcompare import PERMUTATION_MODES, _batched_stats, _pca_scores, _within_group_eigen_stats
+from surfshape.groupcompare import PERMUTATION_MODES, _group_shape_space_stats, _mean_differences
 
 EIGEN_RTOL = 1e-7
 EIGEN_ATOL = 1e-13  # times lambda_0
 ANGLE_TOL = 1e-6
+
+
+def _batched_stats(scores: np.ndarray, masks_a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """sqrt(T2/p) and |t_l| for every row of group-a membership masks."""
+    n, p = scores.shape
+    na = int(masks_a[0].sum())
+    nb = n - na
+    inv_sizes = 1.0 / na + 1.0 / nb
+    total_sum = scores.sum(axis=0)
+    total_scatter = scores.T @ scores
+
+    sums_a = masks_a.astype(float) @ scores
+    means_a = sums_a / na
+    means_b = (total_sum - sums_a) / nb
+    diffs = means_a - means_b
+
+    outer_a = np.einsum("ri,rj->rij", means_a, means_a)
+    outer_b = np.einsum("ri,rj->rij", means_b, means_b)
+    scatter = total_scatter - na * outer_a - nb * outer_b
+    cov = scatter / (n - 2)
+    try:
+        solved = np.linalg.solve(cov, diffs[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        raise ValueError("pooled covariance singular; reduce p") from None
+    t2 = np.einsum("ri,ri->r", diffs, solved) / inv_sizes
+
+    pooled_sd = np.sqrt(np.einsum("rii->ri", cov))
+    if (pooled_sd <= 0).any():
+        raise ValueError("a component has zero pooled variance")
+    t_abs = np.abs(diffs / (pooled_sd * np.sqrt(inv_sizes)))
+    return np.sqrt(t2 / p), t_abs
+
+
+def _within_group_eigen_stats(
+    coords: np.ndarray, masks_a: np.ndarray, p: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Group-shape-space statistics: eigenbasis of the pooled within-group covariance
+    recomputed per permutation (per mask row)."""
+    n = coords.shape[0]
+    na = int(masks_a[0].sum())
+    nb = n - na
+    inv_sizes = 1.0 / na + 1.0 / nb
+    globals_out = np.empty(masks_a.shape[0])
+    comps_out = np.empty((masks_a.shape[0], p))
+    for r, mask in enumerate(masks_a):
+        mean_a = coords[mask].mean(axis=0)
+        mean_b = coords[~mask].mean(axis=0)
+        within = coords - np.where(mask[:, None], mean_a, mean_b)
+        singular_vals, vt = np.linalg.svd(within, full_matrices=False)[1:]
+        lam = singular_vals**2 / (n - 2)
+        if lam.size < p or lam[p - 1] <= lam[0] * 1e-12:
+            raise ValueError(f"pooled within-group covariance has rank below p={p}")
+        proj = (mean_a - mean_b) @ vt[:p].T
+        t = proj / np.sqrt(lam[:p] * inv_sizes)
+        comps_out[r] = np.abs(t)
+        globals_out[r] = np.sqrt(float(t @ t) / p)
+    return globals_out, comps_out
+
+
+def _pca_scores(coords: np.ndarray, p: int) -> np.ndarray:
+    """Scores on the first p label-blind principal components of reduced coordinates."""
+    centred = coords - coords.mean(axis=0)
+    vt = np.linalg.svd(centred, full_matrices=False)[2]
+    return centred @ vt[:p].T
 
 
 def svd_spectrum(centred):
@@ -204,3 +276,206 @@ def test_fpca_spectrum_invariant_to_cohort_order():
     assert shuffled.total_variance == pytest.approx(base.total_variance, rel=1e-12)
     # the sign rule makes the eigenfunctions themselves, not only their spans, agree
     np.testing.assert_allclose(shuffled.eigenfunctions, base.eigenfunctions, atol=1e-8)
+
+
+def reduced_coords(tangent, weights):
+    """permutation_test's reduced coordinates: the Gram route on the scaled, centred rows."""
+    data = tangent if weights is None else tangent * np.sqrt(weights.stacked)
+    u, lam, rank = _gram_spectrum(data - data.mean(axis=0))
+    return u[:, :rank] * np.sqrt(lam[:rank])
+
+
+def oracle_stats(coords, masks, p, mode):
+    """The replaced routes, one labelling at a time. In tangent_pca mode a mask is
+    first made canonical (group a holds row 0 when the groups have equal sizes),
+    so that the oracle, like the closed form, reads a swapped split exactly as the
+    original one."""
+    if mode == "group_shape_space":
+        return _within_group_eigen_stats(coords, masks, p)
+    scores = _pca_scores(coords, p)
+    if 2 * masks[0].sum() == masks.shape[1]:
+        masks = np.where(masks[:, :1], masks, ~masks)
+    rows = [_batched_stats(scores, mask[None]) for mask in masks]
+    return np.concatenate([g for g, _ in rows]), np.concatenate([c for _, c in rows])
+
+
+def assert_stats_match(got, want):
+    """Globals to rtol 1e-12, components within 1e-12 of their row's largest |t|.
+    A statistic that is zero in exact arithmetic (equal group means, or no weight
+    on any leading eigenvector) reads as rounding noise in the oracle, so both
+    bounds have a floor of 1e-12 times the largest value of the run."""
+    (got_g, got_c), (want_g, want_c) = got, want
+    np.testing.assert_allclose(got_g, want_g, rtol=1e-12, atol=1e-12 * want_g.max())
+    scale = np.maximum(want_c.max(axis=1, keepdims=True), want_c.max())
+    assert (np.abs(got_c - want_c) <= 1e-12 * scale).all(), np.abs(got_c - want_c).max()
+
+
+def halves(n):
+    return np.array(["a"] * (n // 2) + ["b"] * (n - n // 2))
+
+
+class TestClosedFormAgainstOracle:
+    """permutation_test against the per-permutation SVD and batched-solve routes."""
+
+    def compare(self, tangent, weights, p, mode, n_perm=199, seed=3):
+        n = tangent.shape[0]
+        labels = halves(n)
+        report = ss.permutation_test(tangent, labels, p=p, weights=weights, n_perm=n_perm, seed=seed, mode=mode)
+        masks = np.vstack([labels == "a", drawn_masks(seed, n, n // 2, n_perm)])
+        want_g, want_c = oracle_stats(reduced_coords(tangent, weights), masks, p, mode)
+        got_g = np.r_[report.global_stat, report.permuted_global]
+        got_c = np.vstack([report.component_stats, report.permuted_components])
+        assert_stats_match((got_g, got_c), (want_g, want_c))
+        if np.unique(tangent, axis=0).shape[0] < n:
+            # distinct splits of repeated shapes can be the same split; both routes
+            # read such ties only to rounding, so count them as ties
+            exceed = lambda x: (x[1:] >= x[0] * (1 - 1e-12)).sum(axis=0)  # noqa: E731
+        else:
+            exceed = lambda x: (x[1:] >= x[0]).sum(axis=0)  # noqa: E731
+            assert report.global_p == (1 + exceed(want_g)) / (1 + n_perm)
+            np.testing.assert_array_equal(report.component_p, (1 + exceed(want_c)) / (1 + n_perm))
+        assert exceed(got_g) == exceed(want_g)
+        np.testing.assert_array_equal(exceed(got_c), exceed(want_c))
+
+    @pytest.mark.parametrize("mode", PERMUTATION_MODES)
+    def test_every_case(self, case, mode):
+        tangent, weights, _ = case
+        rank = _gram_spectrum((tangent - tangent.mean(axis=0)) * np.sqrt(weights.stacked))[2]
+        self.compare(tangent, weights, min(3, rank), mode)
+
+    @pytest.mark.parametrize("mode", PERMUTATION_MODES)
+    def test_p_equal_to_rank(self, mode):
+        tangent, weights, _ = CASES["spread-low-rank"]()
+        self.compare(tangent, weights, 6, mode)
+
+    @pytest.mark.parametrize("mode", PERMUTATION_MODES)
+    def test_unequal_group_sizes(self, mode):
+        tangent, weights, _ = CASES["spread-2-decades"]()
+        labels = np.array(["a"] * 7 + ["b"] * 13)
+        report = ss.permutation_test(tangent, labels, p=3, weights=weights, n_perm=99, seed=5, mode=mode)
+        masks = np.vstack([labels == "a", drawn_masks(5, 20, 7, 99)])
+        want = oracle_stats(reduced_coords(tangent, weights), masks, 3, mode)
+        got = (np.r_[report.global_stat, report.permuted_global],
+               np.vstack([report.component_stats, report.permuted_components]))
+        assert_stats_match(got, want)
+
+
+def hadamard_coords(scales):
+    """8 points whose 7 coordinate columns are centred, orthogonal +-scale patterns
+    with squared norms 8 * scale**2, all exact in binary."""
+    h = np.ones((1, 1))
+    for _ in range(3):
+        h = np.block([[h, h], [h, -h]])
+    return h[:, 1:] * scales
+
+
+def all_splits(n, na):
+    masks = np.zeros((0, n), dtype=bool)
+    for members in itertools.combinations(range(n), na):
+        row = np.zeros(n, dtype=bool)
+        row[list(members)] = True
+        masks = np.vstack([masks, row])
+    return masks
+
+
+class TestDeflation:
+    """Poles with no weight: exact zeros in d, and exactly repeated eigenvalues."""
+
+    scales = np.array([2.0, 2.0, 1.0, 1.0, 1.0, 0.5, 0.5])
+
+    def test_repeated_top_eigenvalue_leaves_no_weight_on_the_first_eigenvector(self):
+        """lam_1 = lam_2: for every split one eigenvector of W stays at lam_1 with
+        d^T v = 0, so p = 1 reads exactly 0 (the oracle reads rounding noise)."""
+        coords = hadamard_coords(self.scales)
+        masks = all_splits(8, 4)
+        g, c = _group_shape_space_stats(8.0 * self.scales**2, _mean_differences(coords, masks), 2.0, 8, 1)
+        assert not g.any() and not c.any()
+        want_g, _ = _within_group_eigen_stats(coords, masks, 1)
+        assert want_g.max() < 1e-14
+
+    @pytest.mark.parametrize("p", [2, 3, 4, 5, 6])
+    def test_exact_design_matches_oracle(self, p):
+        coords = hadamard_coords(self.scales)
+        lam = 8.0 * self.scales**2
+        masks = all_splits(8, 4)
+        d = _mean_differences(coords, masks)
+        assert (d == 0).any(axis=1).all()  # every split has exact zeros in d
+        got = _group_shape_space_stats(lam, d, 2.0, 8, p)
+        assert_stats_match(got, _within_group_eigen_stats(coords, masks, p))
+
+    def test_zero_difference_reads_zero(self):
+        lam = np.array([4.0, 2.0, 1.0])
+        g, c = _group_shape_space_stats(lam, np.zeros((2, 3)), 2.5, 10, 2)
+        assert not g.any() and not c.any()
+
+    @pytest.mark.parametrize("p", [2, 4, 6])
+    def test_cohort_with_repeated_eigenvalues(self, p):
+        """The exact design lifted into 300 dimensions: the Gram eigenvalues repeat up
+        to rounding, and the statistics must not depend on the basis chosen inside
+        each repeated eigenspace."""
+        coords = hadamard_coords(self.scales)
+        basis = np.linalg.qr(np.random.default_rng(12).standard_normal((300, 7)))[0]
+        tangent = coords @ basis.T
+        labels = halves(8)
+        report = ss.permutation_test(tangent, labels, p=p, n_perm=69, seed=9, mode="group_shape_space")
+        masks = np.vstack([labels == "a", drawn_masks(9, 8, 4, 69)])
+        got = (np.r_[report.global_stat, report.permuted_global],
+               np.vstack([report.component_stats, report.permuted_components]))
+        assert_stats_match(got, _within_group_eigen_stats(reduced_coords(tangent, None), masks, p))
+        exact = _group_shape_space_stats(8.0 * self.scales**2, _mean_differences(coords, masks), 2.0, 8, p)
+        assert_stats_match(got, exact)
+
+
+class TestRankAndSingularity:
+    def test_rank_below_p(self):
+        tangent, weights, _ = CASES["spread-low-rank"]()
+        labels = halves(tangent.shape[0])
+        with pytest.raises(ValueError, match="within-group covariance has rank below p=7"):
+            ss.permutation_test(tangent, labels, p=7, weights=weights, n_perm=9, mode="group_shape_space")
+        with pytest.raises(ValueError, match="data rank 6 is below p=7"):
+            ss.permutation_test(tangent, labels, p=7, weights=weights, n_perm=9, mode="tangent_pca")
+
+    def indicator_cohort(self, noise):
+        """Two coordinates; the second is the group indicator plus ``noise`` times a
+        random vector. The second within-group eigenvalue is then about
+        1.6 * noise**2 of the first: 1.6e-15 at noise 1e-7, 1.6e-11 at 1e-5."""
+        rng = np.random.default_rng(14)
+        labels = halves(10)
+        indicator = np.where(labels == "a", 1.0, -1.0)
+        x = rng.standard_normal(10)
+        x -= x.mean()
+        x -= (x @ indicator) / 10.0 * indicator
+        second = indicator + noise * rng.standard_normal(10)
+        basis = np.linalg.qr(rng.standard_normal((40, 2)))[0]
+        return np.column_stack([3.0 * x, second]) @ basis.T, labels
+
+    @pytest.mark.parametrize("noise", [0.0, 1e-7])
+    def test_within_group_rank_below_p(self, noise):
+        tangent, labels = self.indicator_cohort(noise)
+        ss.permutation_test(tangent, labels, p=1, n_perm=9, mode="group_shape_space")
+        with pytest.raises(ValueError, match="within-group covariance has rank below p=2"):
+            ss.permutation_test(tangent, labels, p=2, n_perm=9, mode="group_shape_space")
+
+    @pytest.mark.parametrize("noise", [0.0, 1e-7])
+    def test_zero_pooled_variance(self, noise):
+        tangent, labels = self.indicator_cohort(noise)
+        with pytest.raises(ValueError, match="zero pooled variance"):
+            ss.permutation_test(tangent, labels, p=2, n_perm=9, mode="tangent_pca")
+
+    @pytest.mark.parametrize("mode", PERMUTATION_MODES)
+    def test_small_within_group_variance_above_the_rules_passes(self, mode):
+        tangent, labels = self.indicator_cohort(1e-5)
+        assert ss.permutation_test(tangent, labels, p=2, n_perm=9, mode=mode).global_stat > 1e4
+
+    def test_singular_pooled_covariance(self):
+        """Within-group spread along one oblique direction only: no component has zero
+        pooled variance, but the 2 x 2 pooled covariance is singular."""
+        rng = np.random.default_rng(15)
+        labels = halves(10)
+        along = rng.standard_normal(10)
+        for group in "ab":
+            along[labels == group] -= along[labels == group].mean()
+        plane = np.outer(along, [1.0, 0.0]) + np.outer(np.where(labels == "a", 1.0, -1.0), [0.6, 0.8])
+        tangent = plane @ np.linalg.qr(rng.standard_normal((30, 2)))[0].T
+        with pytest.raises(ValueError, match="pooled covariance singular; reduce p"):
+            ss.permutation_test(tangent, labels, p=2, n_perm=9, mode="tangent_pca")
