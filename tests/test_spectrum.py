@@ -314,17 +314,25 @@ def halves(n):
     return np.array(["a"] * (n // 2) + ["b"] * (n - n // 2))
 
 
+def run_permutation_test(tangent, weights, labels, p, mode, n_perm, seed):
+    """permutation_test's report, its statistics with the observed row first, and
+    the group-a masks of those rows."""
+    report = ss.permutation_test(tangent, labels, p=p, weights=weights, n_perm=n_perm, seed=seed, mode=mode)
+    observed = labels == "a"
+    masks = np.vstack([observed, drawn_masks(seed, labels.size, int(observed.sum()), n_perm)])
+    got = (np.r_[report.global_stat, report.permuted_global],
+           np.vstack([report.component_stats, report.permuted_components]))
+    return report, got, masks
+
+
 class TestClosedFormAgainstOracle:
     """permutation_test against the per-permutation SVD and batched-solve routes."""
 
-    def compare(self, tangent, weights, p, mode, n_perm=199, seed=3):
+    def compare(self, tangent, weights, p, mode, labels=None, n_perm=199, seed=3):
         n = tangent.shape[0]
-        labels = halves(n)
-        report = ss.permutation_test(tangent, labels, p=p, weights=weights, n_perm=n_perm, seed=seed, mode=mode)
-        masks = np.vstack([labels == "a", drawn_masks(seed, n, n // 2, n_perm)])
+        labels = halves(n) if labels is None else labels
+        report, (got_g, got_c), masks = run_permutation_test(tangent, weights, labels, p, mode, n_perm, seed)
         want_g, want_c = oracle_stats(reduced_coords(tangent, weights), masks, p, mode)
-        got_g = np.r_[report.global_stat, report.permuted_global]
-        got_c = np.vstack([report.component_stats, report.permuted_components])
         assert_stats_match((got_g, got_c), (want_g, want_c))
         if np.unique(tangent, axis=0).shape[0] < n:
             # distinct splits of repeated shapes can be the same split; both routes
@@ -351,13 +359,7 @@ class TestClosedFormAgainstOracle:
     @pytest.mark.parametrize("mode", PERMUTATION_MODES)
     def test_unequal_group_sizes(self, mode):
         tangent, weights, _ = CASES["spread-2-decades"]()
-        labels = np.array(["a"] * 7 + ["b"] * 13)
-        report = ss.permutation_test(tangent, labels, p=3, weights=weights, n_perm=99, seed=5, mode=mode)
-        masks = np.vstack([labels == "a", drawn_masks(5, 20, 7, 99)])
-        want = oracle_stats(reduced_coords(tangent, weights), masks, 3, mode)
-        got = (np.r_[report.global_stat, report.permuted_global],
-               np.vstack([report.component_stats, report.permuted_components]))
-        assert_stats_match(got, want)
+        self.compare(tangent, weights, 3, mode, labels=np.array(["a"] * 7 + ["b"] * 13))
 
 
 def hadamard_coords(scales):
@@ -416,11 +418,7 @@ class TestDeflation:
         coords = hadamard_coords(self.scales)
         basis = np.linalg.qr(np.random.default_rng(12).standard_normal((300, 7)))[0]
         tangent = coords @ basis.T
-        labels = halves(8)
-        report = ss.permutation_test(tangent, labels, p=p, n_perm=69, seed=9, mode="group_shape_space")
-        masks = np.vstack([labels == "a", drawn_masks(9, 8, 4, 69)])
-        got = (np.r_[report.global_stat, report.permuted_global],
-               np.vstack([report.component_stats, report.permuted_components]))
+        _, got, masks = run_permutation_test(tangent, None, halves(8), p, "group_shape_space", 69, 9)
         assert_stats_match(got, _within_group_eigen_stats(reduced_coords(tangent, None), masks, p))
         exact = _group_shape_space_stats(8.0 * self.scales**2, _mean_differences(coords, masks), 2.0, 8, p)
         assert_stats_match(got, exact)
