@@ -93,7 +93,12 @@ def read_mesh(path) -> SurfaceMesh:
     Isolated vertices are rejected: they would silently get zero area weight.
     """
     with open(path, "rb") as fh:
-        data = fh.read()
+        return _mesh_from_obj(fh.read(), path)[0]
+
+
+def _mesh_from_obj(data: bytes, path) -> tuple[SurfaceMesh, bool]:
+    """The mesh :func:`read_mesh` gives for the bytes ``data`` of ``path``, and
+    whether :func:`_parse_plain_obj` parsed them."""
     arrays = _parse_plain_obj(data)
     v, t = arrays if arrays is not None else _scan_obj(data, path)
     if not v.shape[0]:
@@ -110,7 +115,7 @@ def read_mesh(path) -> SurfaceMesh:
     if not used.all():
         raise ValueError(f"{path}: vertex {int(np.flatnonzero(~used)[0])} appears in no triangle")
     try:
-        return SurfaceMesh(v, t)
+        return SurfaceMesh(v, t), arrays is not None
     except ValueError as err:
         raise ValueError(f"{path}: {err}") from None
 
@@ -119,38 +124,68 @@ def _parse_plain_obj(data: bytes) -> tuple[np.ndarray, np.ndarray] | None:
     """(vertices, 0-based triangles) of an OBJ made only of ``v x y z`` lines
     followed by ``f a b c`` lines, single spaces apart, with positive integer
     face indices; None for any other text, which is left to :func:`_scan_obj`."""
+    vertex_block, face_block = _plain_blocks(data)
+    v = _parse_plain_vertices(vertex_block)
+    t = None if v is None else _parse_plain_faces(face_block)
+    return None if t is None else (v, t)
+
+
+def _plain_blocks(data: bytes) -> tuple[bytes, bytes]:
+    """``data`` with a final newline, cut where its first ``f`` line after the
+    first line starts: the vertex block and the face block of a plain OBJ."""
     if not data.endswith(b"\n"):
         data += b"\n"
-    text = np.frombuffer(data, dtype=np.uint8)
+    split = data.find(b"\nf") + 1
+    return data[:split], data[split:]
+
+
+def _plain_lines(block: bytes, keyword: str) -> np.ndarray | None:
+    """The bytes of a newline-terminated block whose every line is ``keyword``
+    and three tokens, single spaces apart, in printable ASCII; None otherwise."""
+    if not block.endswith(b"\n"):
+        return None
+    text = np.frombuffer(block, dtype=np.uint8)
     ends = np.flatnonzero(text == ord("\n"))
     starts = np.concatenate(([0], ends[:-1] + 1))
     space = text == ord(" ")
-    # each line: a one-letter keyword, a space, three spaces in all; doubled or
-    # trailing spaces leave fewer than four tokens, which loadtxt rejects below
+    # each line: the keyword, a space, three spaces in all; doubled or trailing
+    # spaces leave fewer than four tokens, which loadtxt rejects
     if (
         (ends == starts).any()  # blank line
         or ((text < ord(" ")) & (text != ord("\n"))).any()  # tab, CR and other control bytes
         or (text > ord("~")).any()  # non-ASCII
+        or not (text[starts] == ord(keyword)).all()
         or not space[starts + 1].all()
         or (np.add.reduceat(space, starts, dtype=np.intp) != 3).any()
     ):
         return None
-    n_vertices = int((text[starts] == ord("v")).sum())
-    # n_vertices v lines, and every line after the first n_vertices is an f line
-    if not 0 < n_vertices < starts.size or not (text[starts[n_vertices:]] == ord("f")).all():
+    return text
+
+
+def _parse_plain_vertices(block: bytes) -> np.ndarray | None:
+    """(J, 3) coordinates of a newline-terminated block of plain ``v x y z``
+    lines; None for any other text."""
+    if _plain_lines(block, "v") is None:
         return None
-    split = int(starts[n_vertices])
-    if not _FACE_BYTES[text[split:]].all():
-        return None
-    body = data.decode("ascii")
     try:
-        v = np.loadtxt(StringIO(body[:split]), usecols=(1, 2, 3), comments=None, ndmin=2)
-        t = np.loadtxt(StringIO(body[split:]), dtype=np.intp, usecols=(1, 2, 3), comments=None, ndmin=2)
-    except ValueError:  # a token that is not a number, or an index beyond intp
+        return np.loadtxt(StringIO(block.decode("ascii")), usecols=(1, 2, 3), comments=None, ndmin=2)
+    except ValueError:  # a token that is not a number
+        return None
+
+
+def _parse_plain_faces(block: bytes) -> np.ndarray | None:
+    """0-based (T, 3) triangles of a newline-terminated block of plain
+    ``f a b c`` lines with positive integer indices; None for any other text."""
+    text = _plain_lines(block, "f")
+    if text is None or not _FACE_BYTES[text].all():
+        return None
+    try:
+        t = np.loadtxt(StringIO(block.decode("ascii")), dtype=np.intp, usecols=(1, 2, 3), comments=None, ndmin=2)
+    except ValueError:  # a token that is not an integer, or an index beyond intp
         return None
     if t.min() < 1:
         return None
-    return v, t - 1
+    return t - 1
 
 
 def _scan_obj(data: bytes, path) -> tuple[np.ndarray, np.ndarray]:
@@ -395,13 +430,21 @@ def write_csv(path, header, rows) -> None:
 
 
 def _read_csv_rows(path, expected_columns: int):
-    with open(path, "r", encoding="ascii", newline="") as fh:
-        for lineno, row in enumerate(csv.reader(fh), start=1):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != expected_columns:
-                raise ValueError(f"{path}: line {lineno}: expected {expected_columns} columns")
-            yield lineno, [cell.strip() for cell in row]
+    # latin-1 decodes every byte, so a non-ASCII one is named with its line here
+    # instead of failing in the decoder, which names neither
+    lineno = 0
+    with open(path, "r", encoding="latin-1", newline="") as fh:
+        try:
+            for lineno, row in enumerate(csv.reader(fh), start=1):
+                if not all(cell.isascii() for cell in row):
+                    raise ValueError(f"{path}: line {lineno}: non-ASCII byte")
+                if not row or (len(row) == 1 and not row[0].strip()):
+                    continue
+                if len(row) != expected_columns:
+                    raise ValueError(f"{path}: line {lineno}: expected {expected_columns} columns")
+                yield lineno, [cell.strip() for cell in row]
+        except csv.Error as err:  # e.g. a field beyond the csv module's size limit
+            raise ValueError(f"{path}: line {lineno + 1}: {err}") from None
 
 
 def read_regions(path, n_vertices: int) -> dict[str, np.ndarray]:
@@ -470,6 +513,8 @@ def read_weight_overrides(path, n_vertices: int) -> dict[int, float]:
             raise ValueError(f"{path}: line {lineno}: expected integer index and numeric weight") from None
         if not 0 <= idx < n_vertices:
             raise ValueError(f"{path}: line {lineno}: vertex {idx} outside [0, {n_vertices})")
+        if not np.isfinite(weight):
+            raise ValueError(f"{path}: line {lineno}: weight must be finite")
         if weight < 0:
             raise ValueError(f"{path}: line {lineno}: weight must be non-negative")
         overrides[idx] = weight
@@ -494,14 +539,33 @@ def write_labels(labels: dict[str, str], path) -> None:
 
 def load_mesh_directory(directory) -> tuple[list[str], list[SurfaceMesh]]:
     """Load all .obj meshes in a directory, lexicographic filename order; every
-    mesh must share the first one's vertex count and triangulation."""
+    mesh must share the first one's vertex count and triangulation.
+
+    When the first file is plain (see :func:`read_mesh`), a later file made
+    of plain ``v`` lines and then exactly the first file's face block (with
+    a final newline) has only its vertex block parsed, and its mesh shares
+    the first mesh's triangle array: callers must not mutate ``triangles``.
+    The arrays and every error text are the ones :func:`read_mesh` and the
+    correspondence check give.
+    """
     directory = Path(directory)
     names = sorted(p.name for p in directory.glob("*.obj"))
     if not names:
         raise ValueError(f"{directory}: no .obj meshes found")
-    meshes = [read_mesh(directory / name) for name in names]
-    for name, mesh in zip(names, meshes):
-        problem = correspondence_problem(mesh, meshes[0], names[0])
+    paths = [directory / name for name in names]
+    data = paths[0].read_bytes()
+    first, plain = _mesh_from_obj(data, paths[0])
+    faces = _plain_blocks(data)[1] if plain else None
+    meshes = [first]
+    for path in paths[1:]:
+        data = path.read_bytes()
+        v = _parse_plain_vertices(data[: len(data) - len(faces)]) if faces and data.endswith(faces) else None
+        if v is not None and v.shape[0] == first.n_vertices and np.isfinite(v).all():
+            meshes.append(first.with_vertices(v))
+        else:  # read in full, so that a fault is named as read_mesh names it
+            meshes.append(_mesh_from_obj(data, path)[0])
+    for path, mesh in zip(paths, meshes):
+        problem = correspondence_problem(mesh, first, names[0])
         if problem:
-            raise ValueError(f"{directory / name}: {problem}")
+            raise ValueError(f"{path}: {problem}")
     return names, meshes

@@ -24,6 +24,22 @@ def random_rotation(rng: np.random.Generator) -> np.ndarray:
     return q
 
 
+def similarity_cohort(seed):
+    """A synthetic two-group cohort, and the same cohort with a different random
+    similarity (rotation, scale, translation) applied to each shape."""
+    config = ss.SynthConfig(
+        resolution=2, group_sizes=(9, 9), group_shift_component=1, group_shift_sd=1.5, noise_sd=0.01, seed=seed
+    )
+    sample, _ = ss.synth_cohort(config)
+    rng = np.random.default_rng(seed + 1000)
+    moved = []
+    for mesh in sample.meshes:
+        scale = np.exp(rng.uniform(-0.5, 0.5))
+        shift = rng.uniform(-3.0, 3.0, 3)
+        moved.append(mesh.with_vertices(scale * mesh.vertices @ random_rotation(rng).T + shift))
+    return sample, ss.ShapeSample(tuple(moved), labels=sample.labels)
+
+
 def sphere_mesh(resolution: int = 2) -> ss.SurfaceMesh:
     mesh, _ = ss.synth_base_mesh(ss.SynthConfig(resolution=resolution))
     return mesh

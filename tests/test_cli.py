@@ -448,6 +448,22 @@ class TestExitCodes:
         assert run(*argv, "--out", tmp_path / "o") == 2
         assert f"{bad}: vertex 1 has a non-finite coordinate" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("weight", ["nan", "inf"])
+    def test_non_finite_weight_override_is_validation_error(self, cohort, tmp_path, capsys, weight):
+        overrides = tmp_path / "weights.csv"
+        overrides.write_text(f"vertex_index,weight\n0,{weight}\n")
+        argv = ("register", "--meshes", cohort / "meshes", "--weight-overrides", overrides, "--out", tmp_path / "o")
+        assert run(*argv) == 2
+        assert f"{overrides}: line 2: weight must be finite" in capsys.readouterr().err
+
+    def test_non_ascii_label_is_validation_error(self, cohort, tmp_path, capsys):
+        labels = tmp_path / "labels.csv"
+        labels.write_bytes((cohort / "labels.csv").read_bytes() + "caf\u00e9.obj,A\n".encode("utf-8"))
+        n_lines = len(labels.read_bytes().splitlines())
+        argv = ("compare", "--meshes", cohort / "meshes", "--labels", labels, "--p", "2", "--n-perm", "9", "--out", tmp_path / "o")
+        assert run(*argv) == 2
+        assert f"{labels}: line {n_lines}: non-ASCII byte" in capsys.readouterr().err
+
     def test_numerical_failure_is_exit_3(self, tmp_path):
         mesh_dir = tmp_path / "meshes"
         mesh_dir.mkdir()

@@ -1,0 +1,84 @@
+"""Property tests for the CSV sidecar readers.
+
+Any bytes either parse or raise a ValueError whose text starts with the file
+path. What parses keeps each reader's contract: ASCII text, vertex indices in
+range, finite non-negative weights, a pairing that is an involution.
+"""
+import math
+
+import numpy as np
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, strategies as st  # noqa: E402
+
+from surfshape.io import read_labels, read_pairing, read_regions, read_weight_overrides  # noqa: E402
+
+N_VERTICES = 6
+
+
+@pytest.fixture(scope="module")
+def scratch(tmp_path_factory):
+    return tmp_path_factory.mktemp("csv_fuzz") / "sidecar.csv"
+
+
+def check_labels(labels):
+    assert all(name.isascii() and label.isascii() for name, label in labels.items())
+
+
+def check_regions(regions):
+    for name, idx in regions.items():
+        assert name.isascii() and idx.dtype == np.intp
+        assert ((0 <= idx) & (idx < N_VERTICES)).all() and (np.diff(idx) > 0).all()
+
+
+def check_pairing(pairing):
+    pair = pairing.pair
+    assert ((0 <= pair) & (pair < N_VERTICES)).all()
+    np.testing.assert_array_equal(pair[pair], np.arange(N_VERTICES))
+
+
+def check_weights(overrides):
+    for idx, weight in overrides.items():
+        assert 0 <= idx < N_VERTICES
+        assert math.isfinite(weight) and weight >= 0
+
+
+READERS = {
+    "labels": (read_labels, check_labels),
+    "regions": (lambda path: read_regions(path, N_VERTICES), check_regions),
+    "pairing": (lambda path: read_pairing(path, N_VERTICES), check_pairing),
+    "weights": (lambda path: read_weight_overrides(path, N_VERTICES), check_weights),
+}
+
+cell = st.one_of(
+    st.integers(-2, N_VERTICES + 1).map(str),
+    st.floats().map(repr),
+    st.sampled_from([
+        "nan", "inf", "-inf", "NaN", "Infinity", "1e400", "1_0", "-0", "+1", "0x1", "0.5", "", " ", "a.obj", "A",
+        "café.obj", "−" "1", " ", "٣", '"1"', '"a,b"', '"', "filename", "index", "vertex_index",
+    ]),
+)
+header = st.sampled_from(["", "filename,label", "vertex_index,region_name", "index,mirror_index", "vertex_index,weight"])
+
+
+@st.composite
+def csv_text(draw):
+    """Sidecar-like bytes: an optional header, then rows of one to three cells
+    drawn from numbers, names and troublesome tokens, any line ends, UTF-8."""
+    lines = [draw(header)] + [",".join(row) for row in draw(st.lists(st.lists(cell, min_size=1, max_size=3), max_size=6))]
+    eol = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return (eol.join(lines) + draw(st.sampled_from([eol, ""]))).encode("utf-8")
+
+
+@pytest.mark.parametrize("kind", sorted(READERS))
+@given(data=st.one_of(csv_text(), st.binary(max_size=200)))
+def test_parse_or_name_the_file(kind, data, scratch):
+    reader, check = READERS[kind]
+    scratch.write_bytes(data)
+    try:
+        result = reader(scratch)
+    except ValueError as err:
+        assert str(err).startswith(f"{scratch}: ")
+    else:
+        check(result)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import surfshape as ss
-from conftest import principal_angles, sphere_mesh, weighted_a_norm
+from conftest import principal_angles, similarity_cohort, sphere_mesh, weighted_a_norm
 
 
 def unweighted_pca_oracle(tangent):
@@ -98,6 +98,26 @@ class TestFitFpca:
         assert np.array_equal(a.eigenfunctions, b.eigenfunctions)
         for row in a.eigenfunctions:
             assert row[np.argmax(np.abs(row))] > 0
+
+    @pytest.mark.parametrize("seed", [31, 32])
+    def test_similarity_of_each_shape_changes_no_spectrum(self, seed):
+        """GPA removes a different similarity on each shape; only the frame, which
+        follows shape 0, turns with it, so the whole spectrum is unchanged and each
+        eigenfunction is the same field up to that rotation and its sign."""
+        fits = []
+        for sample in similarity_cohort(seed):
+            gpa = ss.weighted_gpa(sample)
+            tangent = ss.tangent_coordinates(gpa.aligned, gpa.mean)
+            fits.append((gpa.mean, ss.fit_fpca(tangent, gpa.mean_weights, k=sample.n_shapes - 1, mean_shape=gpa.mean)))
+        (base_mean, base), (moved_mean, moved) = fits
+        assert moved.eigenvalues.size == base.eigenvalues.size == 17
+        np.testing.assert_allclose(moved.eigenvalues, base.eigenvalues, rtol=1e-9)
+        u, _, vt = np.linalg.svd(moved_mean.T @ base_mean)
+        rotation = u @ vt  # moved_mean @ rotation is base_mean
+        for want, got in zip(base.eigenfunctions, moved.eigenfunctions):
+            got = ss.vec(ss.vec_inverse(got) @ rotation)
+            got *= np.sign(want @ got)
+            assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max()
 
     def test_input_validation(self):
         mesh = sphere_mesh()

@@ -16,6 +16,7 @@ from surfshape.io import (
     read_mesh,
     read_pairing,
     read_regions,
+    read_weight_overrides,
     save_model,
     write_csv,
     write_labels,
@@ -420,6 +421,37 @@ class TestSidecarFiles:
         dup.write_text("a.obj,A\na.obj,B\n")
         with pytest.raises(ValueError, match="duplicate"):
             read_labels(dup)
+
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf", "1e400"])
+    def test_weight_overrides_must_be_finite(self, tmp_path, token):
+        path = tmp_path / "weights.csv"
+        path.write_text(f"vertex_index,weight\n1,0.5\n0,{token}\n")
+        with pytest.raises(ValueError, match=f"^{path}: line 3: weight must be finite$"):
+            read_weight_overrides(path, 3)
+        path.write_text("vertex_index,weight\n1,0.5\n0,0\n")
+        assert read_weight_overrides(path, 3) == {1: 0.5, 0: 0.0}
+
+    @pytest.mark.parametrize(
+        "reader, text",
+        [
+            (read_labels, "filename,label\na.obj,A\ncaf\xe9.obj,B\n"),
+            (lambda path: read_regions(path, 3), "0,nose\n1,nose\n2,ch\xeen\n"),
+            (lambda path: read_pairing(path, 3), "index,mirror_index\n0,2\n1,\xa01\n"),
+            (lambda path: read_weight_overrides(path, 3), "vertex_index,weight\n0,1\n1,\u22121\n"),
+        ],
+        ids=["labels", "regions", "pairing", "weights"],
+    )
+    def test_non_ascii_byte_is_named_with_its_line(self, tmp_path, reader, text):
+        path = tmp_path / "sidecar.csv"
+        path.write_bytes(text.encode("utf-8"))
+        with pytest.raises(ValueError, match=f"^{path}: line 3: non-ASCII byte$"):
+            reader(path)
+
+    def test_oversized_field_is_named_with_its_line(self, tmp_path):
+        path = tmp_path / "labels.csv"
+        path.write_text("a.obj,A\n" + "b" * 200_000 + ".obj,B\n")
+        with pytest.raises(ValueError, match=f"^{path}: line 2: field larger than field limit"):
+            read_labels(path)
 
 
 class TestCsvGoldenText:

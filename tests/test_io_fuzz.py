@@ -3,7 +3,9 @@
 The reader converts plain files (``v`` lines then ``f`` lines, single spaces)
 in numpy and scans everything else line by line. The differential test runs
 each generated file through both routes and requires the same arrays or the
-same error text.
+same error text. A second one compares load_mesh_directory, which parses a
+face block identical to the first file's only once, with read_mesh on every
+file followed by the correspondence check.
 """
 from unittest import mock
 
@@ -13,8 +15,10 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+import surfshape as ss  # noqa: E402
 import surfshape.io as sio  # noqa: E402
-from surfshape.io import read_mesh, write_mesh  # noqa: E402
+from surfshape.io import load_mesh_directory, read_mesh, write_mesh  # noqa: E402
+from surfshape.mesh import correspondence_problem  # noqa: E402
 from conftest import bumpy_mesh  # noqa: E402
 
 
@@ -23,13 +27,17 @@ def scratch(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz") / "case.obj"
 
 
+def arrays(mesh):
+    return mesh.vertices.tobytes(), mesh.triangles.tobytes(), mesh.vertices.dtype, mesh.triangles.dtype
+
+
 def outcome(path):
     """Vertices, triangles and dtypes of the mesh, or the error text."""
     try:
         mesh = read_mesh(path)
     except ValueError as err:
         return str(err)
-    return mesh.vertices.tobytes(), mesh.triangles.tobytes(), mesh.vertices.dtype, mesh.triangles.dtype
+    return arrays(mesh)
 
 
 def outcome_by_scan(path):
@@ -174,3 +182,147 @@ def test_damaged_writer_output_parses_or_names_the_file(prefix, cut, scratch):
         read_mesh(scratch)
     except ValueError as err:
         assert str(err).startswith(f"{scratch}: ")
+
+
+@pytest.fixture(scope="module")
+def cohort_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("cohort")
+
+
+def directory_by_read_mesh(directory):
+    """The arrays of every mesh, or the error text: read_mesh on each file in
+    name order, then each mesh checked against the first."""
+    names = sorted(p.name for p in directory.glob("*.obj"))
+    try:
+        meshes = [read_mesh(directory / name) for name in names]
+        for name, mesh in zip(names, meshes):
+            problem = correspondence_problem(mesh, meshes[0], names[0])
+            if problem:
+                raise ValueError(f"{directory / name}: {problem}")
+    except ValueError as err:
+        return str(err)
+    return [arrays(mesh) for mesh in meshes]
+
+
+def interleaved(obj: bytes) -> bytes:
+    """Writer output with its last vertex line moved after the first face
+    line: an OBJ that only the line scan reads."""
+    vertex_block, face_block = obj.split(b"\nf", 1)
+    *vertex_lines, last = vertex_block.split(b"\n")
+    return b"\n".join(vertex_lines) + b"\nf" + face_block.replace(b"\n", b"\n" + last + b"\n", 1)
+
+
+@st.composite
+def fan_obj(draw):
+    """A triangle fan with drawn coordinates."""
+    n_vertices = draw(st.integers(3, 8))
+    vertices = draw(st.lists(st.tuples(finite, finite, finite), min_size=n_vertices, max_size=n_vertices))
+    fan = [[0, j, j + 1] for j in range(1, n_vertices - 1)]
+    return ss.SurfaceMesh(np.array(vertices), np.array(fan))
+
+
+@st.composite
+def later_file(draw, first: bytes):
+    """A second cohort file built from the first: new coordinates before the
+    same face block, a changed face block, a vertex line more or fewer, a
+    damaged vertex block, no line end before the faces, a truncated copy, or
+    any OBJ-like text; returned with the kind of edit."""
+    split = first.index(b"\nf") + 1
+    faces = first[split:]
+    lines = [draw(good_vertex) for _ in range(first[:split].count(b"\n"))]
+    kind = draw(st.sampled_from(["same", "same", "faces", "count", "vertices", "joined", "truncate", "other"]))
+    if kind == "faces":
+        face_lines = faces.decode("ascii").splitlines()
+        at = draw(st.integers(0, len(face_lines) - 1))
+        refs = draw(st.lists(face_ref(len(lines)), min_size=2, max_size=4))
+        face_lines[at] = draw(st.sampled_from(["f " + " ".join(refs), face_lines[at][::-1].strip(), ""]))
+        faces = ("\n".join(face_lines) + "\n").encode("ascii")
+    elif kind == "count":
+        if draw(st.booleans()):
+            lines.append(draw(good_vertex))
+        else:
+            lines.pop()
+    elif kind == "vertices":
+        at = draw(st.integers(0, len(lines) - 1))
+        damaged = [
+            "v " + " ".join(draw(st.lists(coordinate, min_size=2, max_size=4))),
+            lines[at].replace(" ", draw(gap)),
+            "v 0 1\xe9 1",
+            "v 0 nan 1",
+            "v 1e400 0 1",
+            "f 1 2 3",
+            "# comment",
+            "",
+        ]
+        lines[at] = draw(st.sampled_from(damaged))
+    data = "".join(line + "\n" for line in lines).encode("latin-1") + faces
+    if kind == "joined":  # the last vertex line runs into the first face line
+        data = data.replace(b"\nf", b"f", 1)
+    elif kind == "truncate":
+        data = data[: draw(st.integers(0, len(data)))]
+    elif kind == "other":
+        data = draw(obj_text())
+    if draw(st.sampled_from([False, False, False, True])) and data.endswith(b"\n"):
+        data = data[:-1]
+    return kind, data
+
+
+@settings(max_examples=300)
+@given(data=st.data())
+def test_shared_faces_give_what_read_mesh_gives(data, cohort_dir):
+    for old in cohort_dir.glob("*.obj"):
+        old.unlink()
+    write_mesh(data.draw(fan_obj()), cohort_dir / "a.obj")
+    first = (cohort_dir / "a.obj").read_bytes()
+    edit = data.draw(st.sampled_from(["none", "none", "no final newline", "interleaved"]))
+    if edit == "no final newline":
+        first = first[:-1]
+    elif edit == "interleaved":
+        first = interleaved(first)
+    (cohort_dir / "a.obj").write_bytes(first)
+    kind, later = data.draw(later_file(first))
+    (cohort_dir / "b.obj").write_bytes(later)
+    try:
+        meshes = load_mesh_directory(cohort_dir)[1]
+    except ValueError as err:
+        assert str(err) == directory_by_read_mesh(cohort_dir)
+        assert kind != "same"
+        return
+    assert [arrays(mesh) for mesh in meshes] == directory_by_read_mesh(cohort_dir)
+    if kind == "same":
+        assert (meshes[1].triangles is meshes[0].triangles) == (edit != "interleaved" and later.endswith(b"\n"))
+
+
+@pytest.mark.parametrize(
+    "fault", ["nan", "1e400", "vertex more", "vertex fewer", "joined", "first interleaved", "none"]
+)
+def test_later_file_behind_the_first_face_block(fault, cohort_dir):
+    """A later file ending in the first file's face block: a fault is reported
+    as read_mesh and the correspondence check report it, and without one the
+    later mesh shares the first mesh's triangle array."""
+    for old in cohort_dir.glob("*.obj"):
+        old.unlink()
+    write_mesh(bumpy_mesh(np.random.default_rng(3), resolution=2), cohort_dir / "a.obj")
+    first = (cohort_dir / "a.obj").read_bytes()
+    lines = first.split(b"\nf", 1)[0].split(b"\n")
+    if fault == "first interleaved":
+        first = interleaved(first)
+        (cohort_dir / "a.obj").write_bytes(first)
+    face_block = first.split(b"\nf", 1)[1]
+    if fault in ("nan", "1e400"):
+        lines[1] = b"v 0 " + fault.encode() + b" 1"
+    elif fault == "vertex more":
+        lines.append(b"v 1 2 3")
+    elif fault == "vertex fewer":
+        lines.pop()
+    later = b"\n".join(lines) + (b"f" if fault == "joined" else b"\nf") + face_block
+    (cohort_dir / "b.obj").write_bytes(later)
+    expected = directory_by_read_mesh(cohort_dir)
+    assert isinstance(expected, list) == (fault == "none")
+    try:
+        meshes = load_mesh_directory(cohort_dir)[1]
+    except ValueError as err:
+        assert str(err) == expected
+        return
+    assert [arrays(mesh) for mesh in meshes] == expected
+    assert meshes[1].triangles is meshes[0].triangles

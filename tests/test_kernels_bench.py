@@ -1,5 +1,5 @@
-"""Micro-benchmarks of the geometry and registration kernels at J = 16,386, and
-of the closed-form permutation statistics at n = 60.
+"""Micro-benchmarks of the OBJ reader, the geometry and the registration kernels
+at J = 16,386, and of the closed-form permutation statistics at n = 60.
 
 Under the plain test run each case times a single round, so the suite stays
 fast. For timings, run
@@ -15,6 +15,7 @@ pytest.importorskip("pytest_benchmark")
 
 import surfshape as ss
 from surfshape.groupcompare import PERMUTATION_MODES
+from surfshape.io import load_mesh_directory, read_mesh, write_mesh
 
 BENCH_ROUNDS = 7
 
@@ -30,6 +31,14 @@ def cohort():
     return sample
 
 
+@pytest.fixture(scope="module")
+def obj_directory(cohort, tmp_path_factory):
+    directory = tmp_path_factory.mktemp("objs")
+    for i, mesh in enumerate(cohort.meshes):
+        write_mesh(mesh, directory / f"shape_{i:02d}.obj")
+    return directory
+
+
 @pytest.fixture
 def timed(benchmark, request):
     rounds = BENCH_ROUNDS if request.config.getoption("benchmark_only") else 1
@@ -38,6 +47,17 @@ def timed(benchmark, request):
         return benchmark.pedantic(fn, args=args, kwargs=kwargs, rounds=rounds, iterations=1)
 
     return run
+
+
+def test_read_mesh(timed, obj_directory):
+    mesh = timed(read_mesh, obj_directory / "shape_00.obj")
+    assert mesh.n_vertices == 16386
+
+
+def test_load_mesh_directory(timed, obj_directory):
+    """Ten files that share one face block: the later nine parse only their vertices."""
+    names, meshes = timed(load_mesh_directory, obj_directory)
+    assert len(names) == 10 and all(mesh.triangles is meshes[0].triangles for mesh in meshes)
 
 
 def test_triangle_areas(timed, cohort):

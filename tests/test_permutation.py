@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import surfshape as ss
-from conftest import drawn_masks, random_rotation
+from conftest import drawn_masks, similarity_cohort
 from surfshape.groupcompare import PERMUTATION_MODES
 
 
@@ -32,20 +32,6 @@ def test_repeated_and_swapped_splits_read_the_observed_statistics(mode):
         want_p = (1 + (report.permuted_global >= report.global_stat).sum()) / (1 + n_perm)
         assert report.global_p == want_p
     assert ties > 300  # about 2/70 of 12,000 draws
-
-
-def similarity_cohort(seed):
-    config = ss.SynthConfig(
-        resolution=2, group_sizes=(9, 9), group_shift_component=1, group_shift_sd=1.5, noise_sd=0.01, seed=seed
-    )
-    sample, _ = ss.synth_cohort(config)
-    rng = np.random.default_rng(seed + 1000)
-    moved = []
-    for mesh in sample.meshes:
-        scale = np.exp(rng.uniform(-0.5, 0.5))
-        shift = rng.uniform(-3.0, 3.0, 3)
-        moved.append(mesh.with_vertices(scale * mesh.vertices @ random_rotation(rng).T + shift))
-    return sample, ss.ShapeSample(tuple(moved), labels=sample.labels)
 
 
 @pytest.mark.parametrize("mode", PERMUTATION_MODES)
