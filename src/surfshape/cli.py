@@ -219,9 +219,11 @@ def cmd_pca(args) -> None:
         k = args.components if args.components is not None else (args.variance or 0.80)
     gpa = _run_gpa(sample, args)
     tangent = tangent_coordinates(gpa.aligned, gpa.mean)
-    model = fit_fpca(tangent, gpa.mean_weights, k=k, mean_shape=gpa.mean)
+    topology, mean, mean_weights = sample.meshes[0], gpa.mean, gpa.mean_weights
+    del sample, gpa  # release the cohort and the aligned stack before the fit
+    model = fit_fpca(tangent, mean_weights, k=k, mean_shape=mean)
     save_model(model, out / "model.json")
-    write_mesh(sample.meshes[0].with_vertices(gpa.mean), out / "mean.obj")
+    write_mesh(topology.with_vertices(mean), out / "mean.obj")
     score_rows = scores_from_tangent(model, tangent)
     header = ["filename", *(f"pc{k + 1}" for k in range(model.n_components))]
     write_csv(out / "scores.csv", header, ((name, *row) for name, row in zip(names, score_rows)))
@@ -272,11 +274,13 @@ def cmd_compare(args) -> None:
             raise ValidationFailure(f"--n-perm must be at least 1, got {args.n_perm}")
     gpa = _run_gpa(sample, args)
     tangent = tangent_coordinates(gpa.aligned, gpa.mean)
+    labels, mean_weights = sample.labels, gpa.mean_weights
+    del sample, gpa  # release the cohort and the aligned stack before the test
     report = permutation_test(
         tangent,
-        sample.labels,
+        labels,
         p=args.p,
-        weights=gpa.mean_weights,
+        weights=mean_weights,
         n_perm=args.n_perm,
         seed=args.seed,
         mode=args.mode,

@@ -129,7 +129,8 @@ def fit_fpca(
     if mean_shape.shape != (m // 3, 3):
         raise ValueError(f"mean_shape must be ({m // 3}, 3)")
 
-    scaled = (tangent - tangent.mean(axis=0)) * sqrt_w
+    scaled = tangent - tangent.mean(axis=0)
+    scaled *= sqrt_w
     u, lam, rank = _gram_spectrum(scaled)
     eigenvalues = lam / (n - 1)
     total_variance = float(np.vdot(scaled, scaled)) / (n - 1)

@@ -278,8 +278,9 @@ def permutation_test(
         if w.size != tangent.shape[1]:
             raise ValueError("weights do not match tangent dimension")
         data = tangent * np.sqrt(w)
+        data -= data.mean(axis=0)
     else:
-        data = tangent
+        data = tangent - tangent.mean(axis=0)
 
     rng = np.random.default_rng(seed)
     na = int(mask_a.sum())
@@ -289,7 +290,7 @@ def permutation_test(
 
     # all group mean differences and within-group scatters live in the span of
     # the centred rows; reduce once so per-permutation work is O(n * rank)
-    u, lam, rank = _gram_spectrum(data - data.mean(axis=0))
+    u, lam, rank = _gram_spectrum(data)
     lam = lam[:rank]
     coords = u[:, :rank] * np.sqrt(lam)
     rho = na * (n - na) / n

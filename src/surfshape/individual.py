@@ -245,11 +245,18 @@ def asymmetry_report(
 
 
 def _residual_lengths(tangent_rows: np.ndarray, model: FpcaModel, score_rows: np.ndarray) -> np.ndarray:
-    """Per-vertex Euclidean lengths of the residual after removing the component fit."""
-    residual = tangent_rows - score_rows @ model.eigenfunctions
-    n, m = residual.shape
-    per_vertex = residual.reshape(n, 3, m // 3).transpose(0, 2, 1)
-    return np.linalg.norm(per_vertex, axis=2)
+    """Per-vertex Euclidean lengths of the residual after removing the component fit.
+
+    One (n, 3J) buffer holds the fit, then the residual, then its squares; the
+    coordinate blocks are summed as (x^2 + y^2) + z^2, np.linalg.norm's order.
+    """
+    residual = score_rows @ model.eigenfunctions
+    np.subtract(tangent_rows, residual, out=residual)
+    residual *= residual
+    j = residual.shape[1] // 3
+    lengths = residual[:, :j] + residual[:, j : 2 * j]
+    lengths += residual[:, 2 * j :]
+    return np.sqrt(lengths, out=lengths)
 
 
 def sanitize_residual_sds(nu: np.ndarray, tiny: float) -> tuple[np.ndarray, tuple[str, ...]]:
@@ -291,7 +298,9 @@ def fit_control_model(
         raise ValueError("need at least 5 control shapes")
     gpa = weighted_gpa(controls, max_iter=max_iter, tol=tol)
     tangent = tangent_coordinates(gpa.aligned, gpa.mean)
-    model = fit_fpca(tangent, gpa.mean_weights, k=variance_threshold, mean_shape=gpa.mean)
+    mean, mean_weights = gpa.mean, gpa.mean_weights
+    del gpa  # the aligned stack is not needed past the tangent rows
+    model = fit_fpca(tangent, mean_weights, k=variance_threshold, mean_shape=mean)
     p = model.n_components
     threshold = chi_square_quantile(p, 0.95)
 

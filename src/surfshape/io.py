@@ -205,7 +205,7 @@ def _scan_obj(data: bytes, path) -> tuple[np.ndarray, np.ndarray]:
             if len(parts) != 4:
                 raise ValueError(f"{path}: line {lineno}: vertex needs 3 coordinates")
             try:
-                vertices.append([float(p) for p in parts[1:]])
+                vertices.append([_number(float, p) for p in parts[1:]])
             except ValueError:
                 raise ValueError(f"{path}: line {lineno}: malformed vertex coordinate") from None
         elif parts[0] == "f":
@@ -213,7 +213,7 @@ def _scan_obj(data: bytes, path) -> tuple[np.ndarray, np.ndarray]:
             if len(refs) != 3:
                 raise ValueError(f"{path}: line {lineno}: non-triangular face")
             try:
-                idx = [int(r.split("/")[0]) for r in refs]
+                idx = [_number(int, r.split("/")[0]) for r in refs]
             except ValueError:
                 raise ValueError(f"{path}: line {lineno}: malformed face index") from None
             if any(i < 1 for i in idx):
@@ -262,12 +262,12 @@ def write_painted_mesh(mesh: SurfaceMesh, field: np.ndarray, cmap: ColorMap, pat
 
 def _fpca_payload(model: FpcaModel) -> dict:
     return {
-        "mean": model.mean.tolist(),
-        "weights": model.weights.weights.tolist(),
+        "mean": model.mean,
+        "weights": model.weights.weights,
         "weights_total_area": model.weights.total_area,
-        "eigenfunctions": model.eigenfunctions.tolist(),
-        "eigenvalues": model.eigenvalues.tolist(),
-        "explained": model.explained.tolist(),
+        "eigenfunctions": model.eigenfunctions,
+        "eigenvalues": model.eigenvalues,
+        "explained": model.explained,
         "n_samples": model.n_samples,
         "total_variance": model.total_variance,
         "warnings": list(model.warnings),
@@ -340,16 +340,12 @@ def save_model(model: FpcaModel | ControlModel, path) -> None:
             "fpca": _fpca_payload(model.fpca),
             "p": model.p,
             "chi2_threshold": model.chi2_threshold,
-            "nu": model.nu.tolist(),
+            "nu": model.nu,
             "q95": model.q95,
-            "control_d": model.control_d.tolist(),
-            "control_r": model.control_r.tolist(),
-            "triangles": np.asarray(model.triangles).tolist(),
-            "control_asymmetry": (
-                None
-                if model.control_asymmetry is None
-                else {k: v.tolist() for k, v in sorted(model.control_asymmetry.items())}
-            ),
+            "control_d": model.control_d,
+            "control_r": model.control_r,
+            "triangles": np.asarray(model.triangles),
+            "control_asymmetry": model.control_asymmetry,
             "warnings": list(model.warnings),
         }
     elif isinstance(model, FpcaModel):
@@ -361,10 +357,32 @@ def save_model(model: FpcaModel | ControlModel, path) -> None:
 
 def write_json(doc, path) -> None:
     """Write a JSON document with sorted keys and two-space indent; numpy arrays
-    and scalars are written as plain lists and numbers."""
+    and scalars are written as plain lists and numbers. The bytes are those of
+    ``json.dump(doc, sort_keys=True, indent=2)`` plus a final newline."""
     with open(path, "w", encoding="ascii", newline="\n") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=2, default=_json_default)
-        fh.write("\n")
+        fh.write(_json_text(doc, "") + "\n")
+
+
+def _json_text(value, pad: str) -> str:
+    """``value`` as json.dump writes it at indentation ``pad``. A dict with string
+    keys is laid out here, and a non-empty finite int or float array is formatted
+    by one template of ``%d`` or ``%r`` (float repr, as json writes floats)."""
+    if isinstance(value, dict) and value and all(isinstance(key, str) for key in value):
+        inner = pad + "  "
+        items = (f"{inner}{json.dumps(key)}: {_json_text(value[key], inner)}" for key in sorted(value))
+        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
+    if (
+        isinstance(value, np.ndarray)
+        and value.ndim
+        and value.size
+        and (value.dtype.kind in "iu" or (value.dtype.kind == "f" and np.isfinite(value).all()))
+    ):
+        template = "%d" if value.dtype.kind in "iu" else "%r"
+        for depth in reversed(range(value.ndim)):
+            indent = pad + "  " * depth
+            template = "[\n" + ",\n".join([indent + "  " + template] * value.shape[depth]) + "\n" + indent + "]"
+        return template % tuple(value.ravel().tolist())
+    return json.dumps(value, indent=2, sort_keys=True, default=_json_default).replace("\n", "\n" + pad)
 
 
 def _json_default(value):
@@ -430,12 +448,16 @@ def write_csv(path, header, rows) -> None:
 
 
 def _read_csv_rows(path, expected_columns: int):
+    """(line, stripped cells) of every non-blank row, numbered by the line the
+    row starts on (a quoted cell may span lines)."""
     # latin-1 decodes every byte, so a non-ASCII one is named with its line here
     # instead of failing in the decoder, which names neither
-    lineno = 0
+    start = 1
     with open(path, "r", encoding="latin-1", newline="") as fh:
+        reader = csv.reader(fh)
         try:
-            for lineno, row in enumerate(csv.reader(fh), start=1):
+            for row in reader:
+                lineno, start = start, reader.line_num + 1
                 if not all(cell.isascii() for cell in row):
                     raise ValueError(f"{path}: line {lineno}: non-ASCII byte")
                 if not row or (len(row) == 1 and not row[0].strip()):
@@ -444,7 +466,15 @@ def _read_csv_rows(path, expected_columns: int):
                     raise ValueError(f"{path}: line {lineno}: expected {expected_columns} columns")
                 yield lineno, [cell.strip() for cell in row]
         except csv.Error as err:  # e.g. a field beyond the csv module's size limit
-            raise ValueError(f"{path}: line {lineno + 1}: {err}") from None
+            raise ValueError(f"{path}: line {start}: {err}") from None
+
+
+def _number(kind, text: str):
+    """``kind(text)`` for ``int`` or ``float``, refusing the underscores that
+    Python's number syntax allows between digits."""
+    if "_" in text:
+        raise ValueError(f"invalid number {text!r}")
+    return kind(text)
 
 
 def read_regions(path, n_vertices: int) -> dict[str, np.ndarray]:
@@ -454,7 +484,7 @@ def read_regions(path, n_vertices: int) -> dict[str, np.ndarray]:
         if lineno == 1 and idx_text == "vertex_index":
             continue
         try:
-            idx = int(idx_text)
+            idx = _number(int, idx_text)
         except ValueError:
             raise ValueError(f"{path}: line {lineno}: vertex index {idx_text!r} is not an integer") from None
         if not 0 <= idx < n_vertices:
@@ -479,7 +509,7 @@ def read_pairing(path, n_vertices: int, plane_normal=(1.0, 0.0, 0.0)) -> Bilater
         if lineno == 1 and a_text == "index":
             continue
         try:
-            a, b = int(a_text), int(b_text)
+            a, b = _number(int, a_text), _number(int, b_text)
         except ValueError:
             raise ValueError(f"{path}: line {lineno}: indices must be integers") from None
         for value in (a, b):
@@ -507,8 +537,8 @@ def read_weight_overrides(path, n_vertices: int) -> dict[int, float]:
         if lineno == 1 and idx_text == "vertex_index":
             continue
         try:
-            idx = int(idx_text)
-            weight = float(weight_text)
+            idx = _number(int, idx_text)
+            weight = _number(float, weight_text)
         except ValueError:
             raise ValueError(f"{path}: line {lineno}: expected integer index and numeric weight") from None
         if not 0 <= idx < n_vertices:

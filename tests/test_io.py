@@ -158,6 +158,20 @@ class TestObjErrors:
         with pytest.raises(ValueError, match="degenerate.obj: triangle 1 repeats a vertex index"):
             read_mesh(path)
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("v 0 0 0\nv 1_0 0 0\nv 0 1 0\nf 1 2 3\n", "line 2: malformed vertex coordinate"),
+            ("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\nf 1_0 2 3\n", "line 5: malformed face index"),
+        ],
+        ids=["vertex", "face"],
+    )
+    def test_underscore_in_a_number_names_line(self, tmp_path, text, message):
+        path = tmp_path / "underscore.obj"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"underscore.obj: {message}$"):
+            read_mesh(path)
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_coordinate_names_file_and_vertex(self, tmp_path, value):
         path = tmp_path / "nonfinite.obj"
@@ -446,6 +460,45 @@ class TestSidecarFiles:
         path.write_bytes(text.encode("utf-8"))
         with pytest.raises(ValueError, match=f"^{path}: line 3: non-ASCII byte$"):
             reader(path)
+
+    @pytest.mark.parametrize(
+        "reader, text, line, message",
+        [
+            (read_labels, 'filename,label\na.obj,"A\nB"\nb.obj,x\nb.obj,y\n', 5, "duplicate filename 'b.obj'"),
+            (lambda path: read_regions(path, 3), 'vertex_index,region_name\n0,"a\nb"\n1,c\nx,d\n', 5,
+             "vertex index 'x' is not an integer"),
+            (lambda path: read_pairing(path, 3), 'index,mirror_index\n"0\n",0\n1,1\n2,9\n', 5,
+             "vertex 9 outside [0, 3)"),
+            (lambda path: read_weight_overrides(path, 3), 'vertex_index,weight\n"0\n",1\n1,1\n2,-1\n', 5,
+             "weight must be non-negative"),
+            (read_labels, 'filename,label\na.obj,"A\nB"\n' + "b" * 200_000 + ".obj,B\n", 4,
+             "field larger than field limit (131072)"),
+        ],
+        ids=["labels", "regions", "pairing", "weights", "oversized-field"],
+    )
+    def test_rows_are_numbered_by_the_line_they_start_on(self, tmp_path, reader, text, line, message):
+        path = tmp_path / "sidecar.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError) as caught:
+            reader(path)
+        assert str(caught.value) == f"{path}: line {line}: {message}"
+
+    @pytest.mark.parametrize(
+        "reader, text, message",
+        [
+            (lambda path: read_regions(path, 20), "1_0,b\n", "vertex index '1_0' is not an integer"),
+            (lambda path: read_pairing(path, 20), "0,1_0\n", "indices must be integers"),
+            (lambda path: read_weight_overrides(path, 20), "1,0_5\n", "expected integer index and numeric weight"),
+            (lambda path: read_weight_overrides(path, 20), "1_0,1\n", "expected integer index and numeric weight"),
+        ],
+        ids=["regions", "pairing", "weight", "weight-index"],
+    )
+    def test_underscore_in_a_number_is_refused(self, tmp_path, reader, text, message):
+        path = tmp_path / "sidecar.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError) as caught:
+            reader(path)
+        assert str(caught.value) == f"{path}: line 1: {message}"
 
     def test_oversized_field_is_named_with_its_line(self, tmp_path):
         path = tmp_path / "labels.csv"

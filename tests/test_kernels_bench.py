@@ -1,5 +1,5 @@
-"""Micro-benchmarks of the OBJ reader, the geometry and the registration kernels
-at J = 16,386, and of the closed-form permutation statistics at n = 60.
+"""Micro-benchmarks of the OBJ reader, the model writer, the geometry and the
+registration kernels at J = 16,386, and of the permutation test at n = 60.
 
 Under the plain test run each case times a single round, so the suite stays
 fast. For timings, run
@@ -15,7 +15,7 @@ pytest.importorskip("pytest_benchmark")
 
 import surfshape as ss
 from surfshape.groupcompare import PERMUTATION_MODES
-from surfshape.io import load_mesh_directory, read_mesh, write_mesh
+from surfshape.io import load_mesh_directory, read_mesh, save_model, write_mesh
 
 BENCH_ROUNDS = 7
 
@@ -90,3 +90,22 @@ def test_permutation_statistics(timed, mode):
     labels = np.repeat(["A", "B"], 30)
     report = timed(ss.permutation_test, coords, labels, p=3, n_perm=1000, seed=1, mode=mode)
     assert report.permuted_global.shape == (1000,)
+
+
+def test_save_model(timed, cohort, tmp_path):
+    """A control model of the ten shapes: mean, weights, eigenfunctions and triangles."""
+    model = ss.fit_control_model(cohort)
+    path = tmp_path / "control_model.json"
+    timed(save_model, model, path)
+    assert path.stat().st_size > 2**20
+
+
+def test_permutation_test(timed, cohort):
+    """The area-weighted test of compare-sized data: 60 rows of 3J tangent
+    coordinates, 500 permutations."""
+    rng = np.random.default_rng(3)
+    tangent = rng.standard_normal((60, 3 * cohort.n_vertices)) * np.linspace(1.0, 0.1, 60)[:, None]
+    labels = np.repeat(["A", "B"], 30)
+    weights = ss.vertex_areas(cohort.meshes[0])
+    report = timed(ss.permutation_test, tangent, labels, p=3, weights=weights, n_perm=500, seed=1)
+    assert report.permuted_global.shape == (500,)

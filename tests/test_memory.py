@@ -1,0 +1,63 @@
+"""Memory guards for the cohort statistics.
+
+Each statistic works on one (n, 3J) copy of its tangent rows. tracemalloc
+(which sees numpy's buffers) measures the peak a call allocates, in units of
+the input stack; the call must also leave its ``tangent`` argument unchanged.
+"""
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from surfshape.fpca import fit_fpca
+from surfshape.groupcompare import PERMUTATION_MODES, permutation_test
+from surfshape.individual import _residual_lengths
+from surfshape.mesh import AreaWeights
+
+N_SHAPES, N_VERTICES = 40, 20_000
+
+
+@pytest.fixture(scope="module")
+def tangent():
+    rng = np.random.default_rng(8)
+    return rng.standard_normal((N_SHAPES, 3 * N_VERTICES)) * np.linspace(2.0, 0.1, N_SHAPES)[:, None]
+
+
+@pytest.fixture(scope="module")
+def weights():
+    return AreaWeights.from_weights(np.random.default_rng(9).uniform(0.5, 1.5, N_VERTICES))
+
+
+def peak_stacks(tangent, fn, *args, **kwargs):
+    """The peak memory ``fn(tangent, ...)`` allocates, in stacks of ``tangent``'s
+    size, after checking that the call leaves ``tangent`` as it was."""
+    before = tangent.copy()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn(tangent, *args, **kwargs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(tangent, before), "the call wrote into its tangent argument"
+    return (peak - base) / tangent.nbytes
+
+
+@pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "weighted"])
+@pytest.mark.parametrize("mode", PERMUTATION_MODES)
+def test_permutation_test_holds_one_copy(tangent, weights, mode, weighted):
+    labels = np.repeat(["A", "B"], N_SHAPES // 2)
+    stacks = peak_stacks(
+        tangent, permutation_test, labels, p=2, weights=weights if weighted else None, n_perm=50, seed=1, mode=mode
+    )
+    assert stacks <= 1.3
+
+
+def test_fit_fpca_holds_one_copy(tangent, weights):
+    assert peak_stacks(tangent, fit_fpca, weights, k=2) <= 1.3
+
+
+def test_residual_lengths_hold_one_copy(tangent, weights):
+    model = fit_fpca(tangent, weights, k=2)
+    score_rows = tangent @ (model.eigenfunctions * weights.stacked).T
+    assert peak_stacks(tangent, _residual_lengths, model, score_rows) <= 1.4
