@@ -18,6 +18,9 @@ from .registration import vec_inverse
 PERMUTATION_MODES = ("tangent_pca", "group_shape_space")
 
 _CHUNK = 128  # permutations per evaluation batch: bounds the memory of one pass
+# a permuted statistic within this factor below the observed one is a tie: two
+# labellings that are the same split of the shapes differ only in rounding
+_TIE = 1 - 1e-12
 _NEWTON_STEPS = 100
 _EPS = np.finfo(float).eps
 
@@ -244,7 +247,8 @@ def permutation_test(
     ``tangent_pca`` fixes components by a label-blind weighted PCA and permutes
     labels over the resulting scores; ``group_shape_space`` re-extracts the
     leading eigenvectors of the pooled within-group covariance for every
-    permutation. Empirical p-values use (1 + exceedances) / (1 + n_perm).
+    permutation. Empirical p-values use (1 + exceedances) / (1 + n_perm),
+    counting a permuted statistic of at least (1 - 1e-12) times the observed.
 
     The data are first reduced to n x rank coordinates through the n x n Gram
     matrix of the centred rows; the rank counts its eigenvalues above 1e-12 of
@@ -309,8 +313,8 @@ def permutation_test(
     permuted_global = np.concatenate([g for g, _ in parts])
     permuted_comps = np.concatenate([c for _, c in parts])
 
-    global_p = float((1 + (permuted_global >= observed_global).sum()) / (1 + n_perm))
-    component_p = (1 + (permuted_comps >= observed_comps).sum(axis=0)) / (1 + n_perm)
+    global_p = float((1 + (permuted_global >= observed_global * _TIE).sum()) / (1 + n_perm))
+    component_p = (1 + (permuted_comps >= observed_comps * _TIE).sum(axis=0)) / (1 + n_perm)
     alpha = 0.05 / p if bonferroni_alpha is None else float(bonferroni_alpha)
     significant = tuple(int(i + 1) for i in np.flatnonzero(component_p < alpha))
 

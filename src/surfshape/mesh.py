@@ -15,6 +15,8 @@ DifferenceMode = str  # one of "x", "y", "z", "normal", "signed_euclidean"
 
 _DIFFERENCE_MODES = ("x", "y", "z", "normal", "signed_euclidean")
 
+_AREA_BLOCK = 8_192  # triangles per block of triangle_areas
+
 
 def _as_vertices(vertices) -> np.ndarray:
     v = np.asarray(vertices, dtype=float)
@@ -202,16 +204,22 @@ def triangle_areas(mesh: SurfaceMesh) -> np.ndarray:
 
     Gathers coordinate columns and writes the cross product out: the same
     operations, in the same order, as ``0.5 * norm(np.cross(b - a, c - a))``.
+    Works through the triangles in blocks, so its temporaries stay at a
+    fixed size however large the mesh.
     """
     x, y, z = mesh.vertices.T
-    i, j, k = mesh.triangles.T
-    x0, y0, z0 = x[i], y[i], z[i]
-    ux, uy, uz = x[j] - x0, y[j] - y0, z[j] - z0
-    vx, vy, vz = x[k] - x0, y[k] - y0, z[k] - z0
-    cx = uy * vz - uz * vy
-    cy = uz * vx - ux * vz
-    cz = ux * vy - uy * vx
-    return 0.5 * np.sqrt(cx * cx + cy * cy + cz * cz)
+    areas = np.empty(mesh.n_triangles)
+    for start in range(0, mesh.n_triangles, _AREA_BLOCK):
+        block = slice(start, start + _AREA_BLOCK)
+        i, j, k = mesh.triangles[block].T
+        x0, y0, z0 = x[i], y[i], z[i]
+        ux, uy, uz = x[j] - x0, y[j] - y0, z[j] - z0
+        vx, vy, vz = x[k] - x0, y[k] - y0, z[k] - z0
+        cx = uy * vz - uz * vy
+        cy = uz * vx - ux * vz
+        cz = ux * vy - uy * vx
+        areas[block] = 0.5 * np.sqrt(cx * cx + cy * cy + cz * cz)
+    return areas
 
 
 def vertex_areas(mesh: SurfaceMesh, overrides: Mapping[int, float] | None = None) -> AreaWeights:
@@ -223,9 +231,15 @@ def vertex_areas(mesh: SurfaceMesh, overrides: Mapping[int, float] | None = None
     Raises
     ------
     ValueError
-        If every triangle has zero area.
+        If every triangle has zero area, or an override is negative, not
+        finite or names a vertex outside the mesh.
     """
-    areas = triangle_areas(mesh)
+    return _area_weights(mesh, triangle_areas(mesh), overrides)
+
+
+def _area_weights(mesh: SurfaceMesh, areas: np.ndarray, overrides: Mapping[int, float] | None) -> AreaWeights:
+    """:func:`vertex_areas` of ``mesh``'s triangulation for the given
+    per-triangle ``areas``, for a caller that holds them already."""
     if not (areas > 0).any():
         raise ValueError("zero-area surface")
     # corner by corner, each vertex sums its shares in triangle order
@@ -234,6 +248,8 @@ def vertex_areas(mesh: SurfaceMesh, overrides: Mapping[int, float] | None = None
         for j, value in overrides.items():
             if not 0 <= j < mesh.n_vertices:
                 raise ValueError(f"weight override references vertex {j} outside [0, {mesh.n_vertices})")
+            if not np.isfinite(value):
+                raise ValueError(f"weight override for vertex {j} is not finite")
             if value < 0:
                 raise ValueError(f"weight override for vertex {j} is negative")
             w[j] = value
@@ -303,7 +319,9 @@ def shape_difference_field(base: SurfaceMesh, other: SurfaceMesh, mode: Differen
     problem = correspondence_problem(other, base, "the base mesh")
     if problem:
         raise ValueError(f"meshes are not in correspondence: {problem}")
-    delta = other.vertices - base.vertices
+    # C order whatever the inputs' layout: the reductions below round by layout,
+    # and a mesh built on a transposed view (a GPA result) must read as its copy
+    delta = np.subtract(other.vertices, base.vertices, order="C")
     if mode in ("x", "y", "z"):
         return delta[:, ("x", "y", "z").index(mode)].copy()
     projection = np.einsum("jk,jk->j", delta, vertex_normals(base))

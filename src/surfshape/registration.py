@@ -11,7 +11,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .mesh import AreaWeights, ShapeSample, triangle_areas, validate_correspondence, vertex_areas
+from .mesh import AreaWeights, ShapeSample, _area_weights, triangle_areas, validate_correspondence, vertex_areas
 
 SIZE_CONSTRAINTS = ("unit_area", "initial_mean_area")
 
@@ -50,10 +50,6 @@ class SimilarityTransform:
         inv_scale = 1.0 / self.scale
         return SimilarityTransform(inv_scale, self.rotation.T, -inv_scale * self.translation @ self.rotation.T)
 
-    def rescaled(self, factor: float) -> "SimilarityTransform":
-        """The transform followed by a uniform scaling about the origin."""
-        return SimilarityTransform(self.scale * factor, self.rotation, self.translation * factor)
-
 
 class OpaFit(NamedTuple):
     transform: SimilarityTransform
@@ -81,57 +77,76 @@ def _check_pair(source: np.ndarray, target: np.ndarray, weights: AreaWeights) ->
         raise ValueError("weight vector length does not match the shapes")
 
 
-def _target(y: np.ndarray, a: np.ndarray) -> tuple:
-    """The target side of a weighted OPA for a (3, J) target ``y``, computed
-    once for every shape fitted onto it: (y, a, sum of a, weighted centroid,
-    a * centred y)."""
+def _load_centred(vertices: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write the (J, 3) ``vertices`` coordinate-major into the (3, J) ``out``,
+    moved to their vertex mean, and return that mean. The expanded sums of
+    squares in :func:`_fit_stack` lose precision as a shape moves away from
+    the origin; this keeps them as accurate as explicit centring."""
+    out[...] = vertices.T
+    offset = out.mean(axis=1)
+    out -= offset[:, None]
+    return offset
+
+
+def _similarity(scale: float, rotation: np.ndarray, translation: np.ndarray, offset: np.ndarray) -> SimilarityTransform:
+    """The transform x -> scale * (x - offset) @ rotation + translation."""
+    return SimilarityTransform(scale, rotation, translation - scale * offset @ rotation)
+
+
+def _fit_stack(
+    stack: np.ndarray, y: np.ndarray, a: np.ndarray, allow_scaling: bool, allow_reflection: bool, fitted_sum: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Weighted OPA of every shape of a coordinate-major (n, 3, J) ``stack``
+    onto the (3, J) target ``y`` with vertex weights ``a``.
+
+    One GEMM against [a (y - ybar) | a] gives every centroid and
+    cross-covariance, one einsum every weighted sum of squares, expanded as
+    sum a |x|^2 - total |xbar|^2 (so callers centre the shapes first, see
+    :func:`_load_centred`). One pass per shape then forms the fit s R^T x + t,
+    adds it to ``fitted_sum`` (3, J) and takes its weighted residual sum of
+    squares. Returns the scales (n,), rotations (n, 3, 3), translations
+    (n, 3) and residual sums of squares (n,).
+    """
     total = a.sum()
     if total <= 0:
         raise ValueError("weights sum to zero")
-    centroid = y @ a / total
-    return y, a, total, centroid, (y - centroid[:, None]) * a
-
-
-def _opa(
-    x: np.ndarray, target: tuple, allow_scaling: bool, allow_reflection: bool, out: np.ndarray | None = None
-) -> tuple[SimilarityTransform, np.ndarray, float]:
-    """Weighted OPA of a (3, J) source onto a target prepared by :func:`_target`.
-
-    Coordinate-major arrays keep every pass over the shape a run over J.
-    Returns the transform, the fitted source as (3, J) (written to ``out``
-    when given) and the weighted residual sum of squares.
-    """
-    y, a, total, centroid_y, weighted_yc = target
-    if np.array_equal(x, y):
-        # the optimum is the exact identity; the SVD route would leave rounding noise
-        fitted = np.empty_like(y) if out is None else out
-        fitted[...] = y
-        return SimilarityTransform.identity(), fitted, 0.0
-
-    centroid_x = x @ a / total
-    xc = x - centroid_x[:, None]
-    cross_cov = xc @ weighted_yc.T  # X^T A Y, 3x3
-    u, s, vt = np.linalg.svd(cross_cov)
-    if s[0] <= 0 or s[1] <= s[0] * 1e-12:
+    n, _, n_vertices = stack.shape
+    centroid_y = y @ a / total
+    weighted = np.empty((4, n_vertices))
+    np.subtract(y, centroid_y[:, None], out=weighted[:3])
+    weighted[:3] *= a
+    weighted[3] = a
+    products = (stack.reshape(3 * n, n_vertices) @ weighted.T).reshape(n, 3, 4)
+    centroid_x = products[:, :, 3] / total
+    # sum_j a_j (y_j - ybar) = 0, so x A (y - ybar)^T is the cross-covariance
+    # of the centred shapes without centring x
+    u, s, vt = np.linalg.svd(products[:, :, :3])
+    if (s[:, 0] <= 0).any() or (s[:, 1] <= s[:, 0] * 1e-12).any():
         raise ValueError("degenerate configuration: points are collinear or coincident")
-    signs = np.ones(3)
-    if not allow_reflection and np.linalg.det(u @ vt) < 0:
-        signs[2] = -1.0
-    rotation = (u * signs) @ vt
+    signs = np.ones((n, 3))
+    if not allow_reflection:
+        signs[np.linalg.det(u @ vt) < 0, 2] = -1.0
+    rotations = (u * signs[:, None, :]) @ vt
 
     if allow_scaling:
-        scale = float(signs @ s) / float(np.einsum("j,kj,kj->", a, xc, xc))
-        if scale <= 0:
+        sxx = np.einsum("nkj,nkj,j->n", stack, stack, a) - total * (centroid_x * centroid_x).sum(axis=1)
+        scales = (signs * s).sum(axis=1) / sxx
+        if (scales <= 0).any():
             raise ValueError("degenerate configuration: non-positive scale")
     else:
-        scale = 1.0
+        scales = np.ones(n)
 
-    translation = centroid_y - scale * centroid_x @ rotation
-    fitted = np.matmul(scale * rotation.T, x, out=out)
-    fitted += translation[:, None]
-    residual = y - fitted
-    rss = float(np.einsum("j,kj,kj->", a, residual, residual))
-    return SimilarityTransform(scale, rotation, translation), fitted, rss
+    translations = centroid_y - scales[:, None] * (centroid_x[:, None, :] @ rotations)[:, 0]
+    scratch, residual, rss = np.empty_like(y), np.empty_like(y), np.empty(n)
+    for i, x in enumerate(stack):
+        fitted = scratch if i else fitted_sum  # the first fit starts the sum
+        np.matmul(scales[i] * rotations[i].T, x, out=fitted)
+        fitted += translations[i][:, None]
+        if i:
+            fitted_sum += fitted
+        np.subtract(y, fitted, out=residual)
+        rss[i] = np.einsum("j,kj,kj->", a, residual, residual)
+    return scales, rotations, translations, rss
 
 
 def weighted_opa(
@@ -153,13 +168,16 @@ def weighted_opa(
     source = np.asarray(source, dtype=float)
     target = np.asarray(target, dtype=float)
     _check_pair(source, target, weights)
-    transform, fitted, rss = _opa(
-        np.ascontiguousarray(source.T),
-        _target(np.ascontiguousarray(target.T), weights.weights),
-        allow_scaling,
-        allow_reflection,
+    if np.array_equal(source, target):
+        # the optimum is the exact identity; the SVD route would leave rounding noise
+        return OpaFit(SimilarityTransform.identity(), target.copy(), 0.0)
+    x = np.empty((1, 3, source.shape[0]))
+    offset = _load_centred(source, x[0])
+    fitted = np.empty_like(x[0])  # the sum of one fit is the fit
+    scales, rotations, translations, rss = _fit_stack(
+        x, np.ascontiguousarray(target.T), weights.weights, allow_scaling, allow_reflection, fitted
     )
-    return OpaFit(transform, fitted.T, rss)
+    return OpaFit(_similarity(scales[0], rotations[0], translations[0], offset), fitted.T, float(rss[0]))
 
 
 def weighted_gpa(
@@ -172,17 +190,21 @@ def weighted_gpa(
 ) -> GpaResult:
     """Register a cohort to a common mean by iterated weighted OPA.
 
-    Each iteration re-estimates the mean as the average of the aligned shapes,
-    rescales it to the size constraint, recomputes its area weights, and
-    re-fits every shape onto it. Stops when the relative change of the
-    weighted objective falls below ``tol`` or the objective reaches
-    rounding-noise level. Because the weights are recomputed from the evolving
-    mean, successive trace entries evaluate slightly different criteria; on
-    noisy cohorts the trace can wobble a few orders above machine precision
-    even though the state converges to an order-independent fixed point.
+    Each iteration fits every shape onto the mean, re-estimates the mean as
+    the average of the fitted shapes, re-anchors it at its weighted centroid,
+    rescales it to the size constraint and recomputes its area weights.
+    Stops when the relative change of the weighted objective falls below
+    ``tol`` or the objective reaches rounding-noise level. Because the
+    weights are recomputed from the evolving mean, successive trace entries
+    evaluate slightly different criteria; on noisy cohorts the trace can
+    wobble a few orders above machine precision even though the state
+    converges to an order-independent fixed point.
 
-    The returned ``mean`` (J, 3) and ``aligned`` (n, J, 3) are transposed
-    views of coordinate-major arrays.
+    Memory: GPA allocates one coordinate-major (n, 3, J) working stack, plus
+    buffers of a single shape's size. The stack holds the input shapes while
+    iterating and the aligned shapes at the end; it is returned as
+    ``aligned``. The returned ``mean`` (J, 3) and ``aligned`` (n, J, 3) are
+    transposed views of coordinate-major arrays.
     """
     if size_constraint not in SIZE_CONSTRAINTS:
         raise ValueError(f"size_constraint must be one of {SIZE_CONSTRAINTS}")
@@ -194,65 +216,72 @@ def weighted_gpa(
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
 
-    # the cohort and the mean are coordinate-major: shapes[i] is a contiguous
-    # (3, J) block (np.stack of the transposed views would keep their strides)
+    # the cohort and the mean are coordinate-major: stack[i] is a contiguous
+    # (3, J) block, shape i moved by -offsets[i] until the aligned shapes
+    # replace it
     reference = sample.meshes[0]
-    shapes = np.empty((sample.n_shapes, 3, sample.n_vertices))
-    for shape, mesh in zip(shapes, sample.meshes):
-        shape[...] = mesh.vertices.T
+    n = sample.n_shapes
+    stack = np.empty((n, 3, sample.n_vertices))
+    offsets = np.array([_load_centred(mesh.vertices, shape) for shape, mesh in zip(stack, sample.meshes)])
 
-    def surface_area(mean: np.ndarray) -> float:
-        return triangle_areas(reference.with_vertices(mean.T)).sum()
+    def normalize(mean: np.ndarray, areas: np.ndarray) -> AreaWeights:
+        """Move the (3, J) ``mean``, whose triangles have ``areas``, to its weighted
+        centroid and rescale it to ``target_area`` in place; return its weights.
+        The translation keeps the areas, the rescale multiplies them by its square."""
+        anchor = _area_weights(reference, areas, weight_overrides)
+        mean -= (mean @ anchor.weights / anchor.total_area)[:, None]
+        ratio = target_area / areas.sum()
+        mean *= np.sqrt(ratio)
+        return _area_weights(reference, areas * ratio, weight_overrides)
 
-    def mean_weights(mean: np.ndarray) -> AreaWeights:
-        return vertex_areas(reference.with_vertices(mean.T), weight_overrides)
-
-    mean = shapes[0].copy()
-    init_weights = vertex_areas(reference, weight_overrides)
-    mean -= (mean @ init_weights.weights / init_weights.total_area)[:, None]
-    initial_area = surface_area(mean)
-    target_area = 1.0 if size_constraint == "unit_area" else initial_area
-    mean *= np.sqrt(target_area / initial_area)
-
-    aligned = np.empty_like(shapes)
-    transforms: list[SimilarityTransform] = []
+    areas = triangle_areas(reference)
+    target_area = 1.0 if size_constraint == "unit_area" else float(areas.sum())
+    mean = stack[0].copy()
+    weights = normalize(mean, areas)
+    average = np.empty_like(mean)
     trace: list[float] = []
     converged = False
     previous = np.inf
-    for _ in range(max_iter):
-        weights = mean_weights(mean)
-        target = _target(mean, weights.weights)
-        transforms = []
-        objective = 0.0
-        for x, out in zip(shapes, aligned):
-            transform, _, rss = _opa(x, target, allow_scaling, False, out=out)
-            transforms.append(transform)
-            objective += rss
+    for iteration in range(max_iter):
+        scales, rotations, translations, rss = _fit_stack(
+            stack, mean, weights.weights, allow_scaling, False, average
+        )
+        objective = float(rss.sum())
         trace.append(objective)
-        noise_floor = 1e-24 * len(shapes) * float(np.einsum("j,kj,kj->", weights.weights, mean, mean))
-        if objective <= noise_floor or (
+        noise_floor = 1e-24 * n * float(np.einsum("j,kj,kj->", weights.weights, mean, mean))
+        converged = objective <= noise_floor or (
             np.isfinite(previous) and abs(previous - objective) <= tol * max(previous, np.finfo(float).tiny)
-        ):
-            converged = True
-            break
+        )
         previous = objective
-        mean = aligned.mean(axis=0)
-        # re-anchor translation: the rescale below would otherwise compound any
+        average /= n
+        areas = triangle_areas(reference.with_vertices(average.T))
+        if converged or iteration == max_iter - 1:
+            break
+        # re-anchor translation: the rescale would otherwise compound any
         # centroid offset geometrically across iterations
-        new_weights = mean_weights(mean)
-        mean -= (mean @ new_weights.weights / new_weights.total_area)[:, None]
-        mean *= np.sqrt(target_area / surface_area(mean))
+        weights = normalize(average, areas)
+        mean, average = average, mean
 
     # Final common rescale: keeps mean == average(aligned) exactly while
-    # restoring the size constraint that the last averaging perturbed.
-    factor = float(np.sqrt(target_area / surface_area(aligned.mean(axis=0))))
-    aligned *= factor
-    mean = aligned.mean(axis=0)
+    # restoring the size constraint that the last averaging perturbed. The
+    # aligned shapes replace the input shapes in the stack.
+    factor = float(np.sqrt(target_area / areas.sum()))
+    fitted, mean = mean, average
+    mean[...] = 0.0
+    for x, scale, rotation, translation in zip(stack, scales, rotations, translations):
+        np.matmul(scale * rotation.T, x, out=fitted)
+        fitted += translation[:, None]
+        np.multiply(fitted, factor, out=x)
+        mean += x
+    mean /= n
     return GpaResult(
         mean=mean.T,
-        aligned=aligned.transpose(0, 2, 1),
-        transforms=tuple(t.rescaled(factor) for t in transforms),
-        mean_weights=mean_weights(mean),
+        aligned=stack.transpose(0, 2, 1),
+        transforms=tuple(
+            _similarity(scale * factor, rotation, translation * factor, offset)
+            for scale, rotation, translation, offset in zip(scales, rotations, translations, offsets)
+        ),
+        mean_weights=vertex_areas(reference.with_vertices(mean.T), weight_overrides),
         iterations=len(trace),
         objective_trace=np.asarray(trace),
         converged=converged,

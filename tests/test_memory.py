@@ -1,14 +1,17 @@
-"""Memory guards for the cohort statistics.
+"""Memory guards for registration and the cohort statistics.
 
-Each statistic works on one (n, 3J) copy of its tangent rows. tracemalloc
-(which sees numpy's buffers) measures the peak a call allocates, in units of
-the input stack; the call must also leave its ``tangent`` argument unchanged.
+Each statistic works on one (n, 3J) copy of its tangent rows, and GPA on one
+(n, 3, J) stack of the cohort. tracemalloc (which sees numpy's buffers)
+measures the peak a call allocates, in units of the input stack; the call must
+also leave its input unchanged.
 """
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from conftest import random_rotation, sphere_mesh
+from surfshape import ShapeSample, weighted_gpa
 from surfshape.fpca import fit_fpca
 from surfshape.groupcompare import PERMUTATION_MODES, permutation_test
 from surfshape.individual import _residual_lengths
@@ -28,19 +31,25 @@ def weights():
     return AreaWeights.from_weights(np.random.default_rng(9).uniform(0.5, 1.5, N_VERTICES))
 
 
+def peak_bytes(fn, *args, **kwargs):
+    """The peak memory ``fn(*args, **kwargs)`` allocates, in bytes."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn(*args, **kwargs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak - base
+
+
 def peak_stacks(tangent, fn, *args, **kwargs):
     """The peak memory ``fn(tangent, ...)`` allocates, in stacks of ``tangent``'s
     size, after checking that the call leaves ``tangent`` as it was."""
     before = tangent.copy()
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        fn(tangent, *args, **kwargs)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = peak_bytes(fn, tangent, *args, **kwargs)
     assert np.array_equal(tangent, before), "the call wrote into its tangent argument"
-    return (peak - base) / tangent.nbytes
+    return peak / tangent.nbytes
 
 
 @pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "weighted"])
@@ -61,3 +70,24 @@ def test_residual_lengths_hold_one_copy(tangent, weights):
     model = fit_fpca(tangent, weights, k=2)
     score_rows = tangent @ (model.eigenfunctions * weights.stacked).T
     assert peak_stacks(tangent, _residual_lengths, model, score_rows) <= 1.4
+
+
+def test_weighted_gpa_holds_one_stack():
+    # the working stack becomes the aligned stack, so GPA holds one stack of
+    # the cohort, not the input and the aligned shapes side by side
+    rng = np.random.default_rng(10)
+    base = sphere_mesh(6)  # J = 16,386: several blocks of triangle_areas
+    sample = ShapeSample(
+        tuple(
+            base.with_vertices(
+                np.exp(rng.normal(scale=0.1)) * (base.vertices + rng.normal(scale=0.01, size=base.vertices.shape))
+                @ random_rotation(rng)
+                + rng.normal(size=3)
+            )
+            for _ in range(N_SHAPES)
+        )
+    )
+    before = sample.vertex_array()
+    stacks = peak_bytes(weighted_gpa, sample) / before.nbytes
+    assert np.array_equal(sample.vertex_array(), before), "GPA wrote into its input meshes"
+    assert stacks <= 1.3

@@ -50,6 +50,11 @@ class TestVertexAreas:
         assert weights.weights[1] == 0.25
         assert weights.total_area == pytest.approx(1 / 6 + 0.25 + 1 / 6)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_override_rejected(self, value):
+        with pytest.raises(ValueError, match="weight override for vertex 1 is not finite"):
+            ss.vertex_areas(single_triangle(), overrides={1: value})
+
     def test_zero_area_surface_rejected(self):
         mesh = ss.SurfaceMesh(np.zeros((3, 3)) + np.array([[0.0, 0, 0], [1, 0, 0], [2, 0, 0]]), [[0, 1, 2]])
         with pytest.raises(ValueError, match="zero-area"):
@@ -87,9 +92,9 @@ class TestAccumulationMatchesAddAt:
     sums must equal np.add.at's bit for bit (same per-vertex order)."""
 
     @staticmethod
-    def scrambled_mesh():
+    def scrambled_mesh(resolution=3):
         rng = np.random.default_rng(11)
-        mesh = bumpy_mesh(rng, resolution=3, amplitude=0.2)
+        mesh = bumpy_mesh(rng, resolution=resolution, amplitude=0.2)
         # shuffled triangles and widely spread magnitudes make summation order matter
         order = rng.permutation(mesh.n_triangles)
         scale = 10.0 ** rng.uniform(-3, 3, (mesh.n_vertices, 1))
@@ -97,13 +102,15 @@ class TestAccumulationMatchesAddAt:
 
     def test_triangle_areas_bitwise(self):
         # column gathers and a written-out cross product against np.cross + norm,
-        # on row-major vertices and on a transposed view of coordinate-major ones
-        mesh = self.scrambled_mesh()
-        tri = mesh.vertices[mesh.triangles]
-        expected = 0.5 * np.linalg.norm(np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0]), axis=1)
-        assert ss.triangle_areas(mesh).tobytes() == expected.tobytes()
-        view = mesh.with_vertices(np.ascontiguousarray(mesh.vertices.T).T)
-        assert ss.triangle_areas(view).tobytes() == expected.tobytes()
+        # on row-major vertices and on a transposed view of coordinate-major ones;
+        # resolution 6 has 32,768 triangles, several blocks of triangle_areas
+        for resolution in (3, 6):
+            mesh = self.scrambled_mesh(resolution)
+            tri = mesh.vertices[mesh.triangles]
+            expected = 0.5 * np.linalg.norm(np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0]), axis=1)
+            assert ss.triangle_areas(mesh).tobytes() == expected.tobytes()
+            view = mesh.with_vertices(np.ascontiguousarray(mesh.vertices.T).T)
+            assert ss.triangle_areas(view).tobytes() == expected.tobytes()
 
     def test_vertex_areas_bitwise(self):
         mesh = self.scrambled_mesh()
@@ -178,6 +185,18 @@ class TestShapeDifferenceField:
         field = ss.shape_difference_field(mesh, other, "signed_euclidean")
         distances = np.linalg.norm(other.vertices - mesh.vertices, axis=1)
         np.testing.assert_array_equal(np.abs(field), distances)
+
+    @pytest.mark.parametrize("mode", ["normal", "signed_euclidean"])
+    def test_memory_layout_changes_no_bit(self, mode):
+        # GPA and FPCA return (J, 3) transposed views; a mesh on such a view must
+        # give the field of a mesh on a row-major copy, bit for bit
+        rng = np.random.default_rng(23)
+        mesh = bumpy_mesh(rng, resolution=4)
+        other = mesh.with_vertices(mesh.vertices + rng.normal(scale=0.02, size=mesh.vertices.shape))
+        expected = ss.shape_difference_field(mesh, other, mode)
+        views = [m.with_vertices(np.ascontiguousarray(m.vertices.T).T) for m in (mesh, other)]
+        for base, moved in ((views[0], other), (mesh, views[1]), views):
+            assert ss.shape_difference_field(base, moved, mode).tobytes() == expected.tobytes()
 
     def test_unknown_mode_and_mismatch_rejected(self):
         mesh = flat_square_mesh()

@@ -214,6 +214,98 @@ class TestOpaKernelMatchesReference:
         assert fit.fitted.shape == source.shape
 
 
+def reference_gpa(
+    sample, max_iter=100, tol=1e-10, size_constraint="unit_area", allow_scaling=True, weight_overrides=None
+):
+    """GPA on (J, 3) rows as a plain loop over shapes, one reference_opa each,
+    in the original iteration order (area weights and surface area recomputed
+    from every new mean): the oracle for weighted_gpa's stack kernel."""
+    mesh = sample.meshes[0]
+    shapes = [m.vertices for m in sample.meshes]
+
+    def weights_of(mean):
+        return ss.vertex_areas(mesh.with_vertices(mean), weight_overrides)
+
+    def area_of(mean):
+        return ss.triangle_areas(mesh.with_vertices(mean)).sum()
+
+    def centred(mean):
+        weights = weights_of(mean)
+        return mean - weights.weights @ mean / weights.total_area
+
+    mean = centred(shapes[0])
+    target = 1.0 if size_constraint == "unit_area" else area_of(mean)
+    mean = mean * np.sqrt(target / area_of(mean))
+    trace, previous, converged = [], np.inf, False
+    for _ in range(max_iter):
+        a = weights_of(mean).weights
+        fits = [reference_opa(x, mean, a, allow_scaling, False) for x in shapes]
+        objective = sum(fit[4] for fit in fits)
+        trace.append(objective)
+        noise_floor = 1e-24 * len(shapes) * np.einsum("j,jk,jk->", a, mean, mean)
+        if objective <= noise_floor or (np.isfinite(previous) and abs(previous - objective) <= tol * previous):
+            converged = True
+            break
+        previous = objective
+        mean = centred(np.mean([fit[3] for fit in fits], axis=0))
+        mean = mean * np.sqrt(target / area_of(mean))
+    factor = np.sqrt(target / area_of(np.mean([fit[3] for fit in fits], axis=0)))
+    aligned = np.array([fit[3] * factor for fit in fits])
+    transforms = [(scale * factor, rotation, translation * factor) for scale, rotation, translation, _, _ in fits]
+    return len(trace), converged, np.array(trace), aligned.mean(axis=0), aligned, transforms
+
+
+def gpa_case(kind):
+    config = ss.SynthConfig(
+        resolution=3, n_shapes=8, noise_sd=0.02, nuisance_rotation_deg=30, nuisance_translation=2.0,
+        nuisance_log_scale=0.3, seed=12,
+    )
+    sample, _ = ss.synth_cohort(config)
+    if kind == "mirrored_member":
+        meshes = list(sample.meshes)
+        meshes[3] = meshes[3].with_vertices(meshes[3].vertices * np.array([-1.0, 1.0, 1.0]))
+        # its proper-rotation fit keeps the objective wobbling: the run ends at max_iter
+        return ss.ShapeSample(tuple(meshes)), {"max_iter": 25}
+    if kind == "far_from_origin":
+        # 100 sizes out: uncentred, the expanded sums of squares would lose about 1e-11
+        shift = np.array([100.0, -70.0, 30.0])
+        return ss.ShapeSample(tuple(m.with_vertices(m.vertices + shift) for m in sample.meshes)), {}
+    options = {
+        "defaults": {},
+        "initial_mean_area": {"size_constraint": "initial_mean_area"},
+        "no_scaling": {"allow_scaling": False},
+        "weight_overrides": {"weight_overrides": {0: 0.0, 7: 0.05, 100: 0.3}},
+    }[kind]
+    return sample, options
+
+
+class TestGpaKernelMatchesReference:
+    """weighted_gpa (batched stack passes) against a per-shape loop over
+    reference_opa. Only summation order, the expanded sums of squares and the
+    area bookkeeping differ, so every output agrees to rtol 1e-12 (absolute
+    parts scaled by the data's size)."""
+
+    RTOL = 1e-12
+
+    @pytest.mark.parametrize(
+        "kind", ["defaults", "initial_mean_area", "no_scaling", "weight_overrides", "mirrored_member", "far_from_origin"]
+    )
+    def test_matches(self, kind):
+        sample, options = gpa_case(kind)
+        iterations, converged, trace, mean, aligned, transforms = reference_gpa(sample, **options)
+        result = ss.weighted_gpa(sample, **options)
+        assert (result.iterations, result.converged) == (iterations, converged)
+        np.testing.assert_allclose(result.objective_trace, trace, rtol=self.RTOL, atol=0)
+        size = np.abs(aligned).max()
+        np.testing.assert_allclose(result.mean, mean, rtol=0, atol=self.RTOL * size)
+        np.testing.assert_allclose(result.aligned, aligned, rtol=0, atol=self.RTOL * size)
+        for got, (scale, rotation, translation), mesh in zip(result.transforms, transforms, sample.meshes):
+            assert got.scale == pytest.approx(scale, rel=self.RTOL)
+            np.testing.assert_allclose(got.rotation, rotation, rtol=0, atol=self.RTOL)
+            offset = np.abs(mesh.vertices).max() * scale  # translation absorbs the shape's position
+            np.testing.assert_allclose(got.translation, translation, rtol=0, atol=self.RTOL * offset)
+
+
 class TestApplySimilarity:
     def test_identity_leaves_shape(self):
         rng = np.random.default_rng(2)
@@ -317,6 +409,13 @@ class TestWeightedGpa:
             trace = ss.weighted_gpa(sample).objective_trace
             assert trace[-1] <= trace[0]
             assert np.all(np.diff(trace) <= 1e-4 * trace[0])
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_weight_override_rejected(self, value):
+        config = ss.SynthConfig(resolution=2, n_shapes=4, noise_sd=0.01, seed=2)
+        sample, _ = ss.synth_cohort(config)
+        with pytest.raises(ValueError, match="weight override for vertex 0 is not finite"):
+            ss.weighted_gpa(sample, weight_overrides={0: value})
 
     def test_non_convergence_flagged_not_raised(self):
         config = ss.SynthConfig(resolution=2, n_shapes=6, noise_sd=0.05, nuisance_rotation_deg=20, seed=2)

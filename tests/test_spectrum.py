@@ -334,14 +334,15 @@ class TestClosedFormAgainstOracle:
         report, (got_g, got_c), masks = run_permutation_test(tangent, weights, labels, p, mode, n_perm, seed)
         want_g, want_c = oracle_stats(reduced_coords(tangent, weights), masks, p, mode)
         assert_stats_match((got_g, got_c), (want_g, want_c))
+        # distinct splits of repeated shapes can be the same split; both routes
+        # read such ties only to rounding, and permutation_test counts them
+        tie = lambda x: (x[1:] >= x[0] * (1 - 1e-12)).sum(axis=0)  # noqa: E731
         if np.unique(tangent, axis=0).shape[0] < n:
-            # distinct splits of repeated shapes can be the same split; both routes
-            # read such ties only to rounding, so count them as ties
-            exceed = lambda x: (x[1:] >= x[0] * (1 - 1e-12)).sum(axis=0)  # noqa: E731
+            exceed = tie
         else:
             exceed = lambda x: (x[1:] >= x[0]).sum(axis=0)  # noqa: E731
-            assert report.global_p == (1 + exceed(want_g)) / (1 + n_perm)
-            np.testing.assert_array_equal(report.component_p, (1 + exceed(want_c)) / (1 + n_perm))
+        assert report.global_p == (1 + tie(want_g)) / (1 + n_perm)
+        np.testing.assert_array_equal(report.component_p, (1 + tie(want_c)) / (1 + n_perm))
         assert exceed(got_g) == exceed(want_g)
         np.testing.assert_array_equal(exceed(got_c), exceed(want_c))
 
