@@ -36,6 +36,7 @@ from .io import (
     write_json,
     write_labels,
     write_mesh,
+    write_meshes,
     write_painted_mesh,
     write_pairing,
     write_regions,
@@ -197,9 +198,11 @@ def cmd_register(args) -> None:
     result = _run_gpa(sample, args)
     aligned_dir = out / "aligned"
     aligned_dir.mkdir(exist_ok=True)
-    for name, verts in zip(names, result.aligned):
-        write_mesh(sample.meshes[0].with_vertices(verts), aligned_dir / name)
-    write_mesh(sample.meshes[0].with_vertices(result.mean), out / "mean.obj")
+    topology = sample.meshes[0]
+    write_meshes(
+        [(topology.with_vertices(verts), aligned_dir / name) for name, verts in zip(names, result.aligned)]
+        + [(topology.with_vertices(result.mean), out / "mean.obj")]
+    )
     write_csv(
         out / "transforms.csv",
         ["filename", "scale", *(f"r{i}{j}" for i in range(3) for j in range(3)), "tx", "ty", "tz"],
@@ -243,8 +246,7 @@ def cmd_tour(args) -> None:
             raise ValidationFailure("topology mesh does not match the model's vertex count")
         p = args.components if args.components is not None else model.n_components
     tour = grand_tour(model, p=p, n_stops=args.stops, seed=args.seed, frames_per_leg=args.frames_per_leg)
-    for i, frame in enumerate(tour.frames):
-        write_mesh(topology.with_vertices(frame), out / f"tour_{i:04d}.obj")
+    write_meshes((topology.with_vertices(frame), out / f"tour_{i:04d}.obj") for i, frame in enumerate(tour.frames))
     write_json(
         {
             "n_frames": int(tour.frames.shape[0]),
@@ -323,12 +325,13 @@ def cmd_split_affine(args) -> None:
         names, sample = _load_cohort(args)
     gpa = _run_gpa(sample, args)
     affine, nonaffine, alphas = affine_nonaffine_split(gpa.aligned, gpa.mean)
+    topology = sample.meshes[0]
+    items = []
     for sub, stack in (("affine", affine), ("nonaffine", nonaffine)):
         directory = out / sub
         directory.mkdir(exist_ok=True)
-        for name, verts in zip(names, stack):
-            write_mesh(sample.meshes[0].with_vertices(verts), directory / name)
-    write_mesh(sample.meshes[0].with_vertices(gpa.mean), out / "mean.obj")
+        items += [(topology.with_vertices(verts), directory / name) for name, verts in zip(names, stack)]
+    write_meshes(items + [(topology.with_vertices(gpa.mean), out / "mean.obj")])
     write_json({"filenames": names, "coefficients": alphas}, out / "coefficients.json")
     write_manifest(out, "split-affine", args)
     print(f"split {len(names)} shapes into affine and non-affine parts")
@@ -342,21 +345,26 @@ def cmd_asymmetry(args) -> None:
         pairing = read_pairing(args.pairing, meshes[0].n_vertices)
         regions = read_regions(args.regions, meshes[0].n_vertices) if args.regions else {}
     rows = []
-    for name, mesh in zip(names, meshes):
-        report = asymmetry_report(
-            mesh,
-            pairing,
-            regions,
-            allow_scaling=not args.rigid,
-            register_per_region=args.per_region_registration,
-        )
-        rows.append((name, "global", report.global_score))
-        rows.extend((name, region, report.region_scores[region]) for region in sorted(report.region_scores))
-        field = report.per_vertex_distance
-        hi = float(field.max())
-        cmap = ColorMap("sequential", lo=0.0, hi=hi if hi > 0 else 1.0)
-        write_painted_mesh(mesh, field, cmap, out / f"{Path(name).stem}_asymmetry.ply")
-        write_mesh(mesh.with_vertices(report.matched_reflection), out / f"{Path(name).stem}_reflection.obj")
+
+    def reflections():
+        """Score and paint each shape, then yield its reflection: one is held at a time."""
+        for name, mesh in zip(names, meshes):
+            report = asymmetry_report(
+                mesh,
+                pairing,
+                regions,
+                allow_scaling=not args.rigid,
+                register_per_region=args.per_region_registration,
+            )
+            rows.append((name, "global", report.global_score))
+            rows.extend((name, region, report.region_scores[region]) for region in sorted(report.region_scores))
+            field = report.per_vertex_distance
+            hi = float(field.max())
+            cmap = ColorMap("sequential", lo=0.0, hi=hi if hi > 0 else 1.0)
+            write_painted_mesh(mesh, field, cmap, out / f"{Path(name).stem}_asymmetry.ply")
+            yield mesh.with_vertices(report.matched_reflection), out / f"{Path(name).stem}_reflection.obj"
+
+    write_meshes(reflections())
     write_csv(out / "asymmetry.csv", ("filename", "region", "score_mm"), rows)
     write_manifest(out, "asymmetry", args)
     print(f"scored {len(names)} shapes")
@@ -390,10 +398,10 @@ def cmd_assess(args) -> None:
         save_model(model, out / "control_model.json")
     assessment = integrated_assessment(model, pre, post, pairing, regions)
     write_json(assessment.document, out / "assessment.json")
-    for name, artifact in sorted(assessment.artifacts.items()):
-        if artifact.field is None:
-            write_mesh(artifact.mesh, out / f"{name}.obj")
-        else:
+    artifacts = sorted(assessment.artifacts.items())
+    write_meshes((artifact.mesh, out / f"{name}.obj") for name, artifact in artifacts if artifact.field is None)
+    for name, artifact in artifacts:
+        if artifact.field is not None:
             span = float(np.abs(artifact.field).max())
             if name.endswith("_normal"):
                 cmap = ColorMap("diverging", lo=-(span or 1.0), hi=span or 1.0, reference=0.0)
@@ -465,9 +473,7 @@ def cmd_simulate(args) -> None:
     mesh_dir = out / "meshes"
     mesh_dir.mkdir(exist_ok=True)
     names = [f"shape_{i:03d}.obj" for i in range(sample.n_shapes)]
-    for name, mesh in zip(names, sample.meshes):
-        write_mesh(mesh, mesh_dir / name)
-    write_mesh(truth.base_mesh, out / "base.obj")
+    write_meshes([*zip(sample.meshes, (mesh_dir / name for name in names)), (truth.base_mesh, out / "base.obj")])
     write_pairing(truth.pairing, out / "pairing.csv")
     write_regions(truth.base_mesh.regions or {}, out / "regions.csv")
     if sample.labels is not None:

@@ -226,10 +226,25 @@ def _scan_obj(data: bytes, path) -> tuple[np.ndarray, np.ndarray]:
 
 def write_mesh(mesh: SurfaceMesh, path) -> None:
     """Write the OBJ subset emitted by this tool (9 significant digits)."""
-    body = ("v %.9g %.9g %.9g\n" * mesh.n_vertices) % tuple(mesh.vertices.ravel().tolist())
-    body += ("f %d %d %d\n" * mesh.n_triangles) % tuple((mesh.triangles + 1).ravel().tolist())
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(body)
+    write_meshes([(mesh, path)])
+
+
+def write_meshes(items) -> None:
+    """Write each ``(mesh, path)`` of ``items`` as an OBJ, in order.
+
+    The face block is formatted again only when a mesh's ``triangles`` is not
+    the previous item's array (identity, not equality), so a cohort that
+    shares one triangle array formats it once. The bytes of every file are
+    those of a :func:`write_mesh` call on its own.
+    """
+    triangles = faces = None
+    for mesh, path in items:
+        if mesh.triangles is not triangles:
+            triangles = mesh.triangles
+            faces = ("f %d %d %d\n" * mesh.n_triangles) % tuple((triangles + 1).ravel().tolist())
+        body = ("v %.9g %.9g %.9g\n" * mesh.n_vertices) % tuple(mesh.vertices.ravel().tolist())
+        with open(path, "w", encoding="ascii", newline="\n") as fh:
+            fh.write(body + faces)
 
 
 def write_painted_mesh(mesh: SurfaceMesh, field: np.ndarray, cmap: ColorMap, path) -> int:
@@ -308,7 +323,7 @@ def _require(payload: dict, fields) -> None:
 def _array(payload: dict, name: str, dtype=float) -> np.ndarray:
     try:
         array = np.asarray(payload[name], dtype=dtype)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ValueError(f"field {name!r} is not a rectangular numeric array") from None
     # json turns null into nan under a float dtype
     if not np.isfinite(array).all():
@@ -316,18 +331,43 @@ def _array(payload: dict, name: str, dtype=float) -> np.ndarray:
     return array
 
 
+def _scalar(payload: dict, name: str, kind):
+    """``payload[name]`` as an ``int`` or a ``float``; a float field takes an
+    integer too, and neither takes a boolean."""
+    value = payload[name]
+    if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else int):
+        raise ValueError(f"field {name!r} is not {'a number' if kind is float else 'an integer'}")
+    return kind(value)
+
+
+def _strings(payload: dict, name: str) -> tuple[str, ...]:
+    value = payload[name]
+    if not isinstance(value, list) or not all(isinstance(item, str) for item in value):
+        raise ValueError(f"field {name!r} is not a list of strings")
+    return tuple(value)
+
+
+def _object(payload: dict, name: str) -> dict:
+    if not isinstance(payload[name], dict):
+        raise ValueError(f"field {name!r} is not an object")
+    return payload[name]
+
+
 def _fpca_from_payload(payload: dict) -> FpcaModel:
     _require(payload, _FPCA_FIELDS)
-    weights = AreaWeights(_array(payload, "weights"), float(payload["weights_total_area"]))
+    weights = AreaWeights(_array(payload, "weights"), _scalar(payload, "weights_total_area", float))
+    eigenvalues, explained = _array(payload, "eigenvalues"), _array(payload, "explained")
+    if explained.shape != eigenvalues.shape:
+        raise ValueError(f"explained {explained.shape} and eigenvalues {eigenvalues.shape} differ in shape")
     return FpcaModel(
         mean=_array(payload, "mean"),
         weights=weights,
         eigenfunctions=_array(payload, "eigenfunctions"),
-        eigenvalues=_array(payload, "eigenvalues"),
-        explained=_array(payload, "explained"),
-        n_samples=int(payload["n_samples"]),
-        total_variance=float(payload["total_variance"]),
-        warnings=tuple(payload["warnings"]),
+        eigenvalues=eigenvalues,
+        explained=explained,
+        n_samples=_scalar(payload, "n_samples", int),
+        total_variance=_scalar(payload, "total_variance", float),
+        warnings=_strings(payload, "warnings"),
     )
 
 
@@ -403,7 +443,7 @@ def load_model(path) -> FpcaModel | ControlModel:
     try:
         with open(path, "r", encoding="ascii") as fh:
             doc = json.load(fh)
-    except json.JSONDecodeError as err:
+    except (ValueError, RecursionError) as err:  # bad JSON, a non-ASCII byte, an over-long integer
         raise ValueError(f"{path}: truncated or malformed model file: {err}") from None
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: not a model: the file holds a JSON {type(doc).__name__}, not an object")
@@ -421,20 +461,18 @@ def _model_from_doc(doc: dict) -> FpcaModel | ControlModel:
         return _fpca_from_payload(doc)
     if kind == "control":
         _require(doc, _CONTROL_FIELDS)
-        asym = doc["control_asymmetry"]
+        asym = None if doc["control_asymmetry"] is None else _object(doc, "control_asymmetry")
         return ControlModel(
-            fpca=_fpca_from_payload(doc["fpca"]),
-            p=int(doc["p"]),
-            chi2_threshold=float(doc["chi2_threshold"]),
+            fpca=_fpca_from_payload(_object(doc, "fpca")),
+            p=_scalar(doc, "p", int),
+            chi2_threshold=_scalar(doc, "chi2_threshold", float),
             nu=_array(doc, "nu"),
-            q95=float(doc["q95"]),
+            q95=_scalar(doc, "q95", float),
             control_d=_array(doc, "control_d"),
             control_r=_array(doc, "control_r"),
             triangles=_array(doc, "triangles", np.intp),
-            control_asymmetry=(
-                None if asym is None else {k: np.asarray(v, dtype=float) for k, v in asym.items()}
-            ),
-            warnings=tuple(doc["warnings"]),
+            control_asymmetry=None if asym is None else {k: _array(asym, k) for k in asym},
+            warnings=_strings(doc, "warnings"),
         )
     raise ValueError(f"unknown model kind {kind!r}")
 
@@ -445,6 +483,13 @@ def write_csv(path, header, rows) -> None:
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(f"{c:.17g}" if isinstance(c, float) else str(c) for c in row) + "\n")
+
+
+def _write_table(path, header, template: str, values: np.ndarray) -> None:
+    """Write a CSV table whose body is ``template`` filled with the integers of
+    ``values`` in C order: the bytes :func:`write_csv` writes for the same rows."""
+    with open(path, "w", encoding="ascii", newline="\n") as fh:
+        fh.write(",".join(header) + "\n" + template % tuple(values.ravel().tolist()))
 
 
 def _read_csv_rows(path, expected_columns: int):
@@ -494,8 +539,10 @@ def read_regions(path, n_vertices: int) -> dict[str, np.ndarray]:
 
 
 def write_regions(regions: dict[str, np.ndarray], path) -> None:
-    rows = ((int(idx), name) for name in sorted(regions) for idx in np.asarray(regions[name], dtype=np.intp))
-    write_csv(path, ("vertex_index", "region_name"), rows)
+    names = sorted(regions)
+    index = [np.asarray(regions[name], dtype=np.intp) for name in names]
+    template = "".join(("%d," + str(name).replace("%", "%%") + "\n") * idx.size for name, idx in zip(names, index))
+    _write_table(path, ("vertex_index", "region_name"), template, np.concatenate([np.empty(0, np.intp), *index]))
 
 
 def read_pairing(path, n_vertices: int, plane_normal=(1.0, 0.0, 0.0)) -> BilateralPairing:
@@ -523,7 +570,8 @@ def read_pairing(path, n_vertices: int, plane_normal=(1.0, 0.0, 0.0)) -> Bilater
 
 
 def write_pairing(pairing: BilateralPairing, path) -> None:
-    write_csv(path, ("index", "mirror_index"), enumerate(pairing.pair.tolist()))
+    rows = np.column_stack([np.arange(pairing.pair.size), pairing.pair])
+    _write_table(path, ("index", "mirror_index"), "%d,%d\n" * len(rows), rows)
 
 
 def read_weight_overrides(path, n_vertices: int) -> dict[int, float]:

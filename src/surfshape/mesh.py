@@ -283,10 +283,10 @@ def vertex_normals(mesh: SurfaceMesh) -> np.ndarray:
 def correspondence_problem(mesh: SurfaceMesh, reference: SurfaceMesh, reference_name: str) -> str | None:
     """Why ``mesh`` is not in correspondence with ``reference`` (called
     ``reference_name`` in the text), or None when both share the vertex count
-    and the triangle list."""
+    and the triangle list. A shared triangle array is not compared."""
     if mesh.n_vertices != reference.n_vertices:
         return f"vertex count {mesh.n_vertices} != {reference.n_vertices} of {reference_name}"
-    if not np.array_equal(mesh.triangles, reference.triangles):
+    if mesh.triangles is not reference.triangles and not np.array_equal(mesh.triangles, reference.triangles):
         return f"triangle list differs from {reference_name}"
     return None
 

@@ -111,37 +111,44 @@ def subdivided_vertex_count(resolution: int) -> int:
 
 
 def _subdivide_octasphere(resolution: int) -> tuple[np.ndarray, np.ndarray]:
-    vertices = [v for v in _OCTAHEDRON_VERTICES]
+    """Unit-sphere vertices and faces of the octahedron after ``resolution``
+    midpoint subdivisions. Each level numbers its new vertices by the first
+    appearance of their edge, walking the faces in order and each face's edges
+    as ab, bc, ca, and splits face abc into (a, ab, ca), (b, bc, ab),
+    (c, ca, bc), (ab, bc, ca)."""
+    vertices = _OCTAHEDRON_VERTICES
     faces = _OCTAHEDRON_FACES
     for _ in range(resolution):
-        midpoint_cache: dict[tuple[int, int], int] = {}
-
-        def midpoint(i: int, j: int) -> int:
-            key = (i, j) if i < j else (j, i)
-            if key not in midpoint_cache:
-                m = 0.5 * (vertices[i] + vertices[j])
-                m = m / np.linalg.norm(m)
-                midpoint_cache[key] = len(vertices)
-                vertices.append(m)
-            return midpoint_cache[key]
-
-        new_faces = []
-        for a, b, c in faces:
-            ab, bc, ca = midpoint(a, b), midpoint(b, c), midpoint(c, a)
-            new_faces.extend([(a, ab, ca), (b, bc, ab), (c, ca, bc), (ab, bc, ca)])
-        faces = np.asarray(new_faces, dtype=np.intp)
-    return np.asarray(vertices) + 0.0, faces  # +0.0 turns -0.0 into +0.0 for exact mirror lookups
+        ends = faces[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
+        keys = ends.min(axis=1) * vertices.shape[0] + ends.max(axis=1)
+        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        order = np.argsort(first)
+        rank = np.empty_like(order)
+        rank[order] = np.arange(order.size)
+        new_ends = ends[first[order]]
+        m = 0.5 * (vertices[new_ends[:, 0]] + vertices[new_ends[:, 1]])
+        # a stacked matmul is the dot product np.linalg.norm takes of one
+        # 3-vector, bit for bit; norm(axis=1) and einsum round differently
+        m /= np.sqrt((m[:, None, :] @ m[:, :, None])[:, 0, 0])[:, None]
+        ab, bc, ca = (vertices.shape[0] + rank[inverse].reshape(-1, 3)).T
+        a, b, c = faces.T
+        faces = np.stack([a, ab, ca, b, bc, ab, c, ca, bc, ab, bc, ca], axis=1).reshape(-1, 3)
+        vertices = np.concatenate([vertices, m])
+    return vertices + 0.0, faces  # +0.0 turns -0.0 into +0.0 for exact mirror lookups
 
 
 def _pairing_from_coordinates(vertices: np.ndarray) -> BilateralPairing:
-    index = {v.tobytes(): i for i, v in enumerate(vertices)}
+    """Pair each vertex with the vertex whose bytes equal its x-mirrored
+    coordinates (the last such vertex, should two coincide)."""
+    n = vertices.shape[0]
     mirrored = vertices * np.array([-1.0, 1.0, 1.0]) + 0.0
-    pair = np.empty(vertices.shape[0], dtype=np.intp)
-    for i, m in enumerate(mirrored):
-        j = index.get(m.tobytes())
-        if j is None:
-            raise ValueError(f"vertex {i} has no exact mirror partner")
-        pair[i] = j
+    rows = np.concatenate([vertices, mirrored]).view("V24").ravel()  # one 24-byte key per row
+    unique, inverse = np.unique(rows, return_inverse=True)
+    index = np.full(unique.size, -1, dtype=np.intp)
+    np.maximum.at(index, inverse[:n], np.arange(n))
+    pair = index[inverse[n:]]
+    if (pair < 0).any():
+        raise ValueError(f"vertex {int(np.flatnonzero(pair < 0)[0])} has no exact mirror partner")
     return BilateralPairing(pair, np.array([1.0, 0.0, 0.0]))
 
 

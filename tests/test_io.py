@@ -21,6 +21,7 @@ from surfshape.io import (
     write_csv,
     write_labels,
     write_mesh,
+    write_meshes,
     write_painted_mesh,
     write_pairing,
     write_regions,
@@ -311,6 +312,42 @@ class TestMeshWriterGoldenText:
         expected = "".join(f"v {x:.9g} {y:.9g} {z:.9g}\n" for x, y, z in vertices.tolist())
         expected += "".join(f"f {a + 1} {b + 1} {c + 1}\n" for a, b, c in triangles.tolist())
         assert path.read_text() == expected
+
+
+def cohort_bytes_match_per_file_bytes(items, tmp_path):
+    """Write ``items`` with one write_meshes call and again file by file."""
+    together, alone = tmp_path / "together", tmp_path / "alone"
+    together.mkdir()
+    alone.mkdir()
+    write_meshes((mesh, together / name) for mesh, name in items)
+    for mesh, name in items:
+        write_mesh(mesh, alone / name)
+    for _, name in items:
+        assert (together / name).read_bytes() == (alone / name).read_bytes()
+
+
+class TestCohortWriter:
+    """write_meshes formats a face block once per run of one triangle array;
+    every file must still hold the bytes of its own write_mesh call."""
+
+    def test_shared_triangle_array(self, mesh, tmp_path):
+        rng = np.random.default_rng(7)
+        shapes = [mesh.with_vertices(mesh.vertices + rng.normal(0, 0.1, mesh.vertices.shape)) for _ in range(4)]
+        items = [(shape, f"s{i}.obj") for i, shape in enumerate(shapes)]
+        assert all(m.triangles is mesh.triangles for m, _ in items)
+        cohort_bytes_match_per_file_bytes(items, tmp_path)
+
+    def test_two_interleaved_triangulations(self, mesh, tmp_path):
+        flipped = ss.SurfaceMesh(mesh.vertices, mesh.triangles[:, ::-1].copy())
+        finer = bumpy_mesh(np.random.default_rng(3), resolution=3)
+        items = [(m, f"s{i}.obj") for i, m in enumerate([mesh, flipped, flipped, mesh, finer, mesh])]
+        cohort_bytes_match_per_file_bytes(items, tmp_path)
+        assert (tmp_path / "together" / "s1.obj").read_bytes() != (tmp_path / "together" / "s0.obj").read_bytes()
+
+    def test_equal_but_distinct_triangle_arrays(self, mesh, tmp_path):
+        items = [(ss.SurfaceMesh(mesh.vertices * (i + 1), mesh.triangles.copy()), f"s{i}.obj") for i in range(3)]
+        assert items[0][0].triangles is not items[1][0].triangles
+        cohort_bytes_match_per_file_bytes(items, tmp_path)
 
 
 def fitted_models():

@@ -1,5 +1,6 @@
-"""Micro-benchmarks of the OBJ reader, the model writer, the geometry and the
-registration kernels at J = 16,386, and of the permutation test at n = 60.
+"""Micro-benchmarks of the synthetic base mesh, the OBJ reader and writers, the
+model writer, the geometry and the registration kernels at J = 16,386, and of
+the permutation test at n = 60.
 
 Under the plain test run each case times a single round, so the suite stays
 fast. For timings, run
@@ -15,7 +16,7 @@ pytest.importorskip("pytest_benchmark")
 
 import surfshape as ss
 from surfshape.groupcompare import PERMUTATION_MODES
-from surfshape.io import load_mesh_directory, read_mesh, save_model, write_mesh
+from surfshape.io import load_mesh_directory, read_mesh, save_model, write_mesh, write_meshes
 
 BENCH_ROUNDS = 7
 
@@ -47,6 +48,18 @@ def timed(benchmark, request):
         return benchmark.pedantic(fn, args=args, kwargs=kwargs, rounds=rounds, iterations=1)
 
     return run
+
+
+def test_synth_base_mesh(timed):
+    mesh, pairing = timed(ss.synth_base_mesh, ss.SynthConfig(resolution=6))
+    assert mesh.n_vertices == 16386 and pairing.pair.shape == (16386,)
+
+
+def test_write_meshes(timed, cohort, tmp_path):
+    """Ten files that share one triangle array: the face block is formatted once."""
+    paths = [tmp_path / f"shape_{i:02d}.obj" for i in range(cohort.n_shapes)]
+    timed(write_meshes, list(zip(cohort.meshes, paths)))
+    assert all(path.stat().st_size > 2**20 for path in paths)
 
 
 def test_read_mesh(timed, obj_directory):

@@ -159,6 +159,30 @@ class TestValidateCorrespondence:
         assert any("triangle list" in p for p in report.problems)
 
 
+class TestSharedTriangleArray:
+    """A cohort read from one directory shares one triangle array, which the
+    correspondence check does not compare with itself; the other checks stay."""
+
+    def test_shared_array_still_reports_vertex_count_and_nan(self):
+        mesh = sphere_mesh()
+        extra = ss.SurfaceMesh(np.vstack([mesh.vertices, [[0.0, 0.0, 2.0]]]), mesh.triangles)
+        bad_vertices = mesh.vertices.copy()
+        bad_vertices[3, 2] = np.nan
+        nan_mesh = mesh.with_vertices(bad_vertices)
+        assert extra.triangles is mesh.triangles and nan_mesh.triangles is mesh.triangles
+        report = ss.validate_correspondence(ss.ShapeSample((mesh, extra, nan_mesh)))
+        assert report.problems == (
+            f"shape 1: vertex count {extra.n_vertices} != {mesh.n_vertices} of shape 0",
+            "shape 2: non-finite coordinate at vertex 3",
+        )
+
+    def test_equal_but_distinct_arrays_pass(self):
+        mesh = sphere_mesh()
+        copies = tuple(ss.SurfaceMesh(mesh.vertices + i, mesh.triangles.copy()) for i in range(3))
+        assert copies[0].triangles is not copies[1].triangles
+        assert ss.validate_correspondence(ss.ShapeSample(copies)).ok
+
+
 class TestShapeDifferenceField:
     def test_identical_meshes_zero_in_every_mode(self):
         mesh = bumpy_mesh(np.random.default_rng(3))

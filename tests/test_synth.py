@@ -43,6 +43,82 @@ class TestBaseMesh:
         assert len(mesh.regions["upper"]) + len(mesh.regions["lower"]) == mesh.n_vertices
 
 
+def loop_subdivide_octasphere(resolution):
+    """The per-edge loop that built the octahedron sphere before it was
+    vectorised, kept verbatim as the oracle of its vertex numbering and bits."""
+    vertices = [v for v in ss.synth._OCTAHEDRON_VERTICES]
+    faces = ss.synth._OCTAHEDRON_FACES
+    for _ in range(resolution):
+        midpoint_cache: dict[tuple[int, int], int] = {}
+
+        def midpoint(i: int, j: int) -> int:
+            key = (i, j) if i < j else (j, i)
+            if key not in midpoint_cache:
+                m = 0.5 * (vertices[i] + vertices[j])
+                m = m / np.linalg.norm(m)
+                midpoint_cache[key] = len(vertices)
+                vertices.append(m)
+            return midpoint_cache[key]
+
+        new_faces = []
+        for a, b, c in faces:
+            ab, bc, ca = midpoint(a, b), midpoint(b, c), midpoint(c, a)
+            new_faces.extend([(a, ab, ca), (b, bc, ab), (c, ca, bc), (ab, bc, ca)])
+        faces = np.asarray(new_faces, dtype=np.intp)
+    return np.asarray(vertices) + 0.0, faces  # +0.0 turns -0.0 into +0.0 for exact mirror lookups
+
+
+def dict_pairing_from_coordinates(vertices):
+    """The dict lookup that paired mirror vertices before it was vectorised."""
+    index = {v.tobytes(): i for i, v in enumerate(vertices)}
+    mirrored = vertices * np.array([-1.0, 1.0, 1.0]) + 0.0
+    pair = np.empty(vertices.shape[0], dtype=np.intp)
+    for i, m in enumerate(mirrored):
+        j = index.get(m.tobytes())
+        if j is None:
+            raise ValueError(f"vertex {i} has no exact mirror partner")
+        pair[i] = j
+    return ss.BilateralPairing(pair, np.array([1.0, 0.0, 0.0]))
+
+
+def assert_same_bits(actual, expected):
+    assert actual.dtype == expected.dtype and actual.shape == expected.shape
+    assert actual.tobytes() == expected.tobytes()
+
+
+class TestVectorisedBaseMesh:
+    """The array-at-a-time subdivision and pairing against the loops they replaced."""
+
+    @pytest.mark.parametrize("resolution", range(7))
+    def test_subdivision_and_pairing_match_the_loops_bitwise(self, resolution):
+        vertices, faces = ss.synth._subdivide_octasphere(resolution)
+        expected_vertices, expected_faces = loop_subdivide_octasphere(resolution)
+        assert_same_bits(vertices, expected_vertices)
+        assert_same_bits(faces, expected_faces)
+        pair = ss.synth._pairing_from_coordinates(vertices).pair
+        assert_same_bits(pair, dict_pairing_from_coordinates(expected_vertices).pair)
+
+    @pytest.mark.parametrize("resolution", [2, 5])
+    def test_superellipsoid_base_matches_the_loops_bitwise(self, resolution):
+        config = ss.SynthConfig(base="superellipsoid", resolution=resolution, exponent=0.6, radii=(1.2, 1.0, 0.9))
+        mesh, pairing = ss.synth_base_mesh(config)
+        unit, faces = loop_subdivide_octasphere(resolution)
+        vertices = np.sign(unit) * np.abs(unit) ** 0.6 * np.array([1.2, 1.0, 0.9]) + 0.0
+        assert_same_bits(mesh.vertices, vertices)
+        assert_same_bits(mesh.triangles, faces)
+        assert_same_bits(pairing.pair, dict_pairing_from_coordinates(vertices).pair)
+
+    def test_missing_partner_names_the_first_such_vertex(self):
+        vertices = ss.synth._subdivide_octasphere(3)[0]
+        vertices[[40, 17, 90], 0] += 1e-12
+        messages = []
+        for pairing_from_coordinates in (ss.synth._pairing_from_coordinates, dict_pairing_from_coordinates):
+            with pytest.raises(ValueError, match="has no exact mirror partner") as info:
+                pairing_from_coordinates(vertices)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+
+
 class TestPlantedModes:
     def test_modes_are_a_orthonormal(self):
         mesh, _ = ss.synth_base_mesh(ss.SynthConfig(resolution=2))
