@@ -421,6 +421,8 @@ def cmd_warp(args) -> None:
         template = read_mesh(args.template)
         if source.n_vertices != target.n_vertices:
             raise ValidationFailure("source and target must have the same vertex count")
+        if not np.isfinite(args.ridge):
+            raise ValidationFailure(f"--ridge must be finite, got {args.ridge!r}")
         try:
             check_tps_size(source.n_vertices)
         except ValueError as err:

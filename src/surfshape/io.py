@@ -320,15 +320,25 @@ def _require(payload: dict, fields) -> None:
             raise ValueError(f"missing field {name!r}")
 
 
-def _array(payload: dict, name: str, dtype=float) -> np.ndarray:
+def _array(payload: dict, name: str) -> np.ndarray:
     try:
-        array = np.asarray(payload[name], dtype=dtype)
+        array = np.asarray(payload[name], dtype=float)
     except (TypeError, ValueError, OverflowError):
         raise ValueError(f"field {name!r} is not a rectangular numeric array") from None
     # json turns null into nan under a float dtype
     if not np.isfinite(array).all():
         raise ValueError(f"field {name!r} holds a null or non-finite value")
     return array
+
+
+def _indices(payload: dict, name: str) -> np.ndarray:
+    """An index array, read as floats so that a fractional entry is refused
+    rather than truncated by the cast."""
+    array = _array(payload, name)
+    bad = (array != np.trunc(array)) | (np.abs(array) > 2.0**53)
+    if bad.any():
+        raise ValueError(f"field {name!r} holds {float(array[bad][0])!r}, which is not an integer index")
+    return array.astype(np.intp)
 
 
 def _scalar(payload: dict, name: str, kind):
@@ -470,7 +480,7 @@ def _model_from_doc(doc: dict) -> FpcaModel | ControlModel:
             q95=_scalar(doc, "q95", float),
             control_d=_array(doc, "control_d"),
             control_r=_array(doc, "control_r"),
-            triangles=_array(doc, "triangles", np.intp),
+            triangles=_indices(doc, "triangles"),
             control_asymmetry=None if asym is None else {k: _array(asym, k) for k in asym},
             warnings=_strings(doc, "warnings"),
         )

@@ -13,14 +13,36 @@ import numpy as np
 
 from .mesh import SurfaceMesh
 
-# The dense (J+4)^2 system, the distance matrix, the kernel built from it and
-# the LU copy in the solver take about 4 * 8 * (J+4)^2 bytes: 2 GiB is J = 8,188.
+# A fit allocates the dense (J+4)^2 system, whose J x J block holds the
+# distances and then the kernel in place, and the solver's (J+4)^2 LU copy:
+# about 2 * 8 * (J+4)^2 bytes at once, plus the distances' 2 MB scratch.
+# check_tps_size estimates 4 * 8 * (J+4)^2, which leaves headroom: 2 GiB is
+# J = 8,188.
 TPS_MEMORY_LIMIT = 2 * 1024**3
 
 
-def radial_basis(z: np.ndarray) -> np.ndarray:
-    """Optimal 3D interpolation kernel phi(z) = -z / (8 pi)."""
-    return -np.asarray(z, dtype=float) / (8.0 * np.pi)
+def radial_basis(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Optimal 3D interpolation kernel phi(z) = -z / (8 pi), into ``out`` if given."""
+    return np.divide(np.asarray(z, dtype=float), -8.0 * np.pi, out=out)
+
+
+def _distances(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Euclidean distances between the rows of ``a`` and ``b``, into ``out`` if
+    given. The squared x, y and z differences are added in that order and the
+    root is taken in place, which is scipy's cdist bit for bit. The rows go in
+    blocks through a scratch array of at most 2 MB."""
+    if out is None:
+        out = np.empty((a.shape[0], b.shape[0]))
+    step = max(1, 2**18 // max(b.shape[0], 1))
+    scratch = np.empty((min(step, a.shape[0]), b.shape[0]))
+    for start in range(0, a.shape[0], step):
+        rows, block = a[start : start + step], out[start : start + step]
+        for k in range(3):
+            diff = np.subtract(rows[:, k, None], b[None, :, k], out=scratch[: len(rows)] if k else block)
+            np.multiply(diff, diff, out=diff)
+            if k:
+                block += diff
+    return np.sqrt(out, out=out)
 
 
 @dataclass(frozen=True)
@@ -54,8 +76,6 @@ def fit_tps(source: np.ndarray, target: np.ndarray, ridge: float = 0.0) -> WarpF
     inputs, trading exact interpolation for stability (default 0: exact).
     Raises ``ValueError`` above ``TPS_MEMORY_LIMIT`` (see :func:`check_tps_size`).
     """
-    from scipy.spatial.distance import cdist, pdist
-
     x = np.asarray(source, dtype=float)
     y = np.asarray(target, dtype=float)
     if x.ndim != 2 or x.shape[1] != 3 or x.shape != y.shape:
@@ -63,19 +83,23 @@ def fit_tps(source: np.ndarray, target: np.ndarray, ridge: float = 0.0) -> WarpF
     j = x.shape[0]
     if j < 5:
         raise ValueError("need at least 5 control points")
+    if not np.isfinite(ridge):
+        raise ValueError(f"ridge must be finite, got {ridge!r}")
     check_tps_size(j)
-    if pdist(x).min() < 1e-9:
+    system = np.zeros((j + 4, j + 4))
+    s = _distances(x, x, out=system[:j, :j])
+    np.fill_diagonal(s, np.inf)
+    if s.min() < 1e-9:
         raise ValueError("duplicate source points make the kernel matrix singular")
+    np.fill_diagonal(s, 0.0)
 
     q = np.hstack([np.ones((j, 1)), x])
     if np.linalg.matrix_rank(q, tol=None) < 4:
         raise ValueError("source points are coplanar; the affine block is rank-deficient")
 
-    s = radial_basis(cdist(x, x))
+    radial_basis(s, out=s)
     if ridge:
-        s = s + ridge * np.eye(j)
-    system = np.zeros((j + 4, j + 4))
-    system[:j, :j] = s
+        s[np.diag_indices(j)] += ridge
     system[:j, j:] = q
     system[j:, :j] = q.T
     rhs = np.vstack([y, np.zeros((4, 3))])
@@ -98,14 +122,13 @@ def fit_tps(source: np.ndarray, target: np.ndarray, ridge: float = 0.0) -> WarpF
 
 def apply_warp(field: WarpField, points: np.ndarray) -> np.ndarray:
     """Evaluate the warp rowwise: y(x) = sum_j phi(||x - x_j||) beta1_j + (1, x) beta2."""
-    from scipy.spatial.distance import cdist
-
     pts = np.asarray(points, dtype=float)
     squeeze = pts.ndim == 1
     pts = np.atleast_2d(pts)
     if pts.shape[1] != 3:
         raise ValueError("points must be (M, 3)")
-    kernel = radial_basis(cdist(pts, field.control_points))
+    kernel = _distances(pts, field.control_points)
+    radial_basis(kernel, out=kernel)
     out = kernel @ field.beta1 + np.hstack([np.ones((pts.shape[0], 1)), pts]) @ field.beta2
     return out[0] if squeeze else out
 

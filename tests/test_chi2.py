@@ -26,3 +26,37 @@ class TestChiSquareQuantile:
             chi_square_quantile(3, 1.0)
         with pytest.raises(ValueError):
             chi_square_quantile(3, 0.0)
+
+
+class TestClosedFormQuantile:
+    """The quantile comes from closed-form tails and Newton's method, without
+    scipy; scipy is the oracle."""
+
+    def test_within_two_ulps_of_the_incomplete_gamma_oracle_for_df_1_to_200(self):
+        for df in range(1, 201):
+            oracle = 2.0 * special.gammaincinv(df / 2.0, 0.95)
+            assert abs(chi_square_quantile(df, 0.95) - oracle) <= 2e-15 * oracle, df
+
+    def test_correctly_rounded_thresholds(self):
+        # the float nearest the exact quantile (40-digit mpmath): 3.84145882069412446...
+        # and 5.99146454710798021...
+        assert chi_square_quantile(1, 0.95) == 3.8414588206941245
+        assert chi_square_quantile(2, 0.95) == 5.99146454710798
+
+    @pytest.mark.parametrize("prob", [1e-12, 1e-6, 0.001, 0.3, 0.5, 0.7, 0.999999, 1 - 1e-12])
+    @pytest.mark.parametrize("df", [1, 2, 3, 8, 33, 200, 1000, 5001])
+    def test_both_tails_and_large_df(self, df, prob):
+        assert chi_square_quantile(df, prob) == pytest.approx(stats.chi2.ppf(prob, df), rel=1e-12)
+
+    def test_a_quantile_below_the_smallest_float_is_zero(self):
+        assert chi_square_quantile(1, 1e-300) == 0.0
+
+    @pytest.mark.parametrize("df", [2.5, 3.0, "3", None])
+    def test_refuses_a_non_integer_df(self, df):
+        with pytest.raises(ValueError, match="df must be an integer"):
+            chi_square_quantile(df, 0.95)
+
+    def test_takes_numpy_integers(self):
+        import numpy as np
+
+        assert chi_square_quantile(np.int64(9), 0.95) == chi_square_quantile(9, 0.95)

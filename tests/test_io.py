@@ -1,4 +1,5 @@
 import json
+import re
 from unittest import mock
 
 import numpy as np
@@ -383,6 +384,30 @@ class TestModelSerialization:
         assert np.array_equal(back.control_d, control.control_d)
         assert np.array_equal(back.triangles, control.triangles)
         assert set(back.control_asymmetry) == set(control.control_asymmetry)
+
+    @pytest.mark.parametrize("entry", [0.7, 18.5, -0.25, 2.0**80])
+    def test_fractional_or_huge_triangle_index_refused(self, tmp_path, entry):
+        # np.asarray([[0.7, 18, 20]], dtype=np.intp) is [[0, 18, 20]]: the entry
+        # has to be refused, not truncated into a valid triangle
+        _, control = fitted_models()
+        path = tmp_path / "control.json"
+        save_model(control, path)
+        doc = json.loads(path.read_text())
+        doc["triangles"][0][0] = entry
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=r"^" + re.escape(f"{path}: field 'triangles' holds {entry!r}")):
+            load_model(path)
+
+    def test_integral_float_triangle_index_loads(self, tmp_path):
+        _, control = fitted_models()
+        path = tmp_path / "control.json"
+        save_model(control, path)
+        doc = json.loads(path.read_text())
+        doc["triangles"] = [[float(v) for v in row] for row in doc["triangles"]]
+        path.write_text(json.dumps(doc))
+        back = load_model(path)
+        assert back.triangles.dtype == np.intp
+        assert np.array_equal(back.triangles, control.triangles)
 
     def test_tampered_eigenvalue_order_rejected(self, tmp_path):
         fpca, _ = fitted_models()

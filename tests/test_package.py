@@ -18,3 +18,44 @@ def test_cli_import_leaves_scipy_unloaded():
     probe = "import sys, surfshape.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
     assert result.stdout.strip() == "[]"
+
+
+# Any scipy import raises ImportError in this process, so every step below
+# must run on numpy and the standard library alone.
+SCIPY_FREE_PROBE = """
+import sys
+sys.modules["scipy"] = None
+from pathlib import Path
+
+import numpy as np
+
+from surfshape import apply_warp, chi_square_quantile, fit_tps
+from surfshape.cli import main
+
+out = Path(sys.argv[1])
+x = np.random.default_rng(0).standard_normal((20, 3))
+field = fit_tps(x, 2.0 * x + 1.0)
+assert np.allclose(apply_warp(field, x), 2.0 * x + 1.0)
+assert abs(chi_square_quantile(9, 0.95) - 16.918977604620448) < 1e-12
+sim = out / "sim"
+assert main(["simulate", "--resolution", "2", "--n-shapes", "12", "--asymmetry", "0.02",
+             "--noise-sd", "0.01", "--seed", "3", "--out", str(sim)]) == 0
+assert main(["warp", "--source", str(sim / "base.obj"), "--target", str(sim / "meshes" / "shape_000.obj"),
+             "--template", str(sim / "base.obj"), "--out", str(out / "warp")]) == 0
+assert main(["assess", "--controls", str(sim / "meshes"), "--pre", str(sim / "meshes" / "shape_000.obj"),
+             "--post", str(sim / "meshes" / "shape_001.obj"), "--pairing", str(sim / "pairing.csv"),
+             "--regions", str(sim / "regions.csv"), "--out", str(out / "assess")]) == 0
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy" and sys.modules[m] is not None))
+"""
+
+
+def test_runtime_runs_with_scipy_blocked(tmp_path):
+    src = str(Path(ss.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run(
+        [sys.executable, "-c", SCIPY_FREE_PROBE, str(tmp_path)], env=env, capture_output=True, text=True
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip().splitlines()[-1] == "[]"
+    assert (tmp_path / "warp" / "warped.obj").is_file()
+    assert (tmp_path / "assess" / "assessment.json").is_file()

@@ -203,3 +203,95 @@ class TestSizeLimit:
         with pytest.raises(ValueError, match=r"above the limit of 2,147,483,648 bytes \(2 GiB\)"):
             ss.fit_tps(x, x)
 
+
+
+def scipy_fit_tps(source, target, ridge=0.0):
+    """The scipy-cdist fit that fit_tps replaced, kept as a bitwise oracle:
+    (beta1, beta2), or the ValueError message it raises."""
+    from scipy.spatial.distance import pdist
+
+    x, y = np.asarray(source, dtype=float), np.asarray(target, dtype=float)
+    j = x.shape[0]
+    if pdist(x).min() < 1e-9:
+        raise ValueError("duplicate source points make the kernel matrix singular")
+    q = np.hstack([np.ones((j, 1)), x])
+    s = -cdist(x, x) / (8.0 * np.pi)
+    if ridge:
+        s = s + ridge * np.eye(j)
+    system = np.zeros((j + 4, j + 4))
+    system[:j, :j] = s
+    system[:j, j:] = q
+    system[j:, :j] = q.T
+    solution = np.linalg.solve(system, np.vstack([y, np.zeros((4, 3))]))
+    return solution[:j], solution[j:]
+
+
+def scipy_apply_warp(beta1, beta2, control_points, points):
+    kernel = -cdist(points, control_points) / (8.0 * np.pi)
+    return kernel @ beta1 + np.hstack([np.ones((points.shape[0], 1)), points]) @ beta2
+
+
+def assert_bitwise(actual, expected):
+    assert actual.dtype == expected.dtype and actual.shape == expected.shape
+    assert actual.tobytes() == expected.tobytes()
+
+
+class TestMatchesScipyCdist:
+    """fit_tps and apply_warp build their distances with numpy alone and give
+    the bits of the scipy cdist code they replaced."""
+
+    @pytest.mark.parametrize("n, m, ridge", [(5, 3, 0.0), (20, 40, 0.0), (66, 258, 0.0), (300, 1100, 0.0),
+                                              (40, 50, 1e-3), (40, 50, -2.5), (300, 1100, 0.1)])
+    def test_fit_and_apply_are_bitwise(self, n, m, ridge):
+        rng = np.random.default_rng(n + m)
+        x = rng.standard_normal((n, 3))
+        y = x + 0.2 * rng.standard_normal((n, 3))
+        queries = 1.5 * rng.standard_normal((m, 3))
+        field = ss.fit_tps(x, y, ridge=ridge)
+        beta1, beta2 = scipy_fit_tps(x, y, ridge=ridge)
+        assert_bitwise(field.beta1, beta1)
+        assert_bitwise(field.beta2, beta2)
+        assert_bitwise(ss.apply_warp(field, queries), scipy_apply_warp(beta1, beta2, x, queries))
+
+    def test_template_warp_is_bitwise(self):
+        template = sphere_mesh(4)  # 1,026 vertices: the rows go through the scratch in several blocks
+        x = sphere_mesh(2).vertices * np.array([1.0, 1.1, 0.9])
+        y = x + 0.05 * np.random.default_rng(5).standard_normal(x.shape)
+        field = ss.fit_tps(x, y)
+        beta1, beta2 = scipy_fit_tps(x, y)
+        assert_bitwise(ss.apply_warp(field, template.vertices), scipy_apply_warp(beta1, beta2, x, template.vertices))
+
+    def test_duplicate_refusal_at_the_boundary(self):
+        # two points whose distance is 1e-9 give or take a few ulps: both codes
+        # refuse exactly the same inputs, and give the same bits for the others
+        y = random_points(32)
+        refused = set()
+        for steps in range(-4, 5):
+            x = random_points(31)
+            gap = 1e-9
+            for _ in range(abs(steps)):
+                gap = np.nextafter(gap, np.inf if steps > 0 else 0.0)
+            x[0], x[1] = 0.0, (gap, 0.0, 0.0)
+            try:
+                expected = scipy_fit_tps(x, y)
+            except ValueError as err:
+                refused.add(steps)
+                with pytest.raises(ValueError, match=str(err)):
+                    ss.fit_tps(x, y)
+                continue
+            assert_bitwise(ss.fit_tps(x, y).beta1, expected[0])
+        assert refused == set(range(-4, 0))
+
+    def test_refusal_boundary_is_one_nanometre(self):
+        x = random_points(33)
+        x[1] = x[0]
+        x[1, 0] += 2e-9
+        ss.fit_tps(x, random_points(34))
+        x[1, 0] = x[0, 0] + 0.5e-9
+        with pytest.raises(ValueError, match="duplicate source points"):
+            ss.fit_tps(x, random_points(34))
+
+    @pytest.mark.parametrize("ridge", [np.nan, np.inf, -np.inf])
+    def test_non_finite_ridge_is_refused(self, ridge):
+        with pytest.raises(ValueError, match="ridge must be finite"):
+            ss.fit_tps(random_points(35), random_points(36), ridge=ridge)
