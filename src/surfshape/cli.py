@@ -1,10 +1,12 @@
 """Command-line front end: one subcommand per pipeline stage.
 
-Every run writes its artifacts plus a manifest.json recording the tool
-version, resolved options, and seed; identical options and seed give
-byte-identical artifacts (only the manifest timestamp differs). Options can
-come from a flat ``key = value`` config file via --config, with command-line
-flags taking precedence.
+``main`` is the only runner. It parses the options (a flat ``key = value``
+file from --config supplies defaults; command-line flags win), creates --out
+while validating, and calls the subcommand's handler, which validates its
+own inputs, does its work and returns one summary line. Only when the handler
+succeeds does the runner write manifest.json (tool version, resolved options,
+seed) and print that line. Identical options and seed give byte-identical
+artifacts (only the manifest timestamp differs).
 
 Exit codes: 0 success, 2 validation error, 3 numerical failure.
 """
@@ -43,7 +45,7 @@ from .io import (
 )
 from .mesh import ShapeSample, SurfaceMesh, correspondence_problem, shape_difference_field
 from .registration import tangent_coordinates, weighted_gpa
-from .synth import SynthConfig, synth_cohort
+from .synth import MAX_PLANTED_MODES, SynthConfig, synth_cohort
 from .warp import apply_warp, check_tps_size, fit_tps
 
 class ValidationFailure(Exception):
@@ -120,17 +122,25 @@ def _comma_ints(text: str) -> tuple[int, ...]:
     return tuple(int(p) for p in text.split(","))
 
 
-def _out_dir(args) -> Path:
-    require(args, "out")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+def _at_least(args: argparse.Namespace, **floors) -> None:
+    """Refuse each set option that lies below its floor, naming it."""
+    for name, floor in floors.items():
+        value = getattr(args, name)
+        if value is not None and value < floor:
+            raise ValidationFailure(f"--{name.replace('_', '-')} must be at least {floor}, got {value}")
+
+
+def _variance(args: argparse.Namespace) -> float:
+    """--variance as an explained-variance fraction: 0.80 when unset, refused outside (0, 1)."""
+    if args.variance is not None and not 0 < args.variance < 1:
+        raise ValidationFailure(f"--variance must lie in (0, 1), got {args.variance}")
+    return 0.80 if args.variance is None else args.variance
 
 
 def write_manifest(out: Path, command: str, args: argparse.Namespace) -> None:
     options = {}
     for key, value in sorted(vars(args).items()):
-        if key in ("handler", "command", "config"):
+        if key in ("handler", "parser", "command", "config"):
             continue
         options[key] = str(value) if isinstance(value, Path) else value
     doc = {
@@ -172,28 +182,18 @@ def _run_gpa(sample: ShapeSample, args):
     )
 
 
-def _add_gpa_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--max-iter", type=int, default=100, help="GPA iteration cap")
-    parser.add_argument("--tol", type=float, default=1e-10, help="relative objective change to stop")
-    parser.add_argument(
-        "--size-constraint",
-        choices=("unit_area", "initial_mean_area"),
-        default="unit_area",
-        help="mean-surface size constraint",
-    )
-    parser.add_argument("--rigid", action="store_true", help="rigid registration (no scaling)")
-    parser.add_argument(
-        "--weight-overrides", type=Path, default=None,
-        help="vertex_index,weight CSV replacing computed area weights (curve points)",
-    )
+def _paint(mesh: SurfaceMesh, field: np.ndarray, path: Path, diverging: bool = False) -> None:
+    """Write ``field`` painted on ``mesh``, the colour map spanning its largest magnitude (1 if all zero)."""
+    span = float(np.abs(field).max()) or 1.0
+    cmap = ColorMap("diverging", lo=-span, hi=span) if diverging else ColorMap("sequential", lo=0.0, hi=span)
+    write_painted_mesh(mesh, field, cmap, path)
 
 
 # ---------------------------------------------------------------- subcommands
 
 
-def cmd_register(args) -> None:
+def cmd_register(args, out: Path) -> str:
     with validation_phase():
-        out = _out_dir(args)
         names, sample = _load_cohort(args)
     result = _run_gpa(sample, args)
     aligned_dir = out / "aligned"
@@ -209,17 +209,16 @@ def cmd_register(args) -> None:
         ((name, t.scale, *t.rotation.ravel(), *t.translation) for name, t in zip(names, result.transforms)),
     )
     write_csv(out / "objective.csv", ("iteration", "objective"), enumerate(result.objective_trace, start=1))
-    write_manifest(out, "register", args)
-    print(f"registered {len(names)} shapes in {result.iterations} iterations (converged={result.converged})")
+    return f"registered {len(names)} shapes in {result.iterations} iterations (converged={result.converged})"
 
 
-def cmd_pca(args) -> None:
+def cmd_pca(args, out: Path) -> str:
     with validation_phase():
-        out = _out_dir(args)
         names, sample = _load_cohort(args)
         if args.components is not None and args.variance is not None:
             raise ValidationFailure("give either --components or --variance, not both")
-        k = args.components if args.components is not None else (args.variance or 0.80)
+        _at_least(args, components=1)
+        k = args.components if args.components is not None else _variance(args)
     gpa = _run_gpa(sample, args)
     tangent = tangent_coordinates(gpa.aligned, gpa.mean)
     topology, mean, mean_weights = sample.meshes[0], gpa.mean, gpa.mean_weights
@@ -230,13 +229,11 @@ def cmd_pca(args) -> None:
     score_rows = scores_from_tangent(model, tangent)
     header = ["filename", *(f"pc{k + 1}" for k in range(model.n_components))]
     write_csv(out / "scores.csv", header, ((name, *row) for name, row in zip(names, score_rows)))
-    write_manifest(out, "pca", args)
-    print(f"fitted {model.n_components} components explaining {model.explained[-1]:.1%} of variance")
+    return f"fitted {model.n_components} components explaining {model.explained[-1]:.1%} of variance"
 
 
-def cmd_tour(args) -> None:
+def cmd_tour(args, out: Path) -> str:
     with validation_phase():
-        out = _out_dir(args)
         require(args, "model", "topology")
         model = load_model(args.model)
         if not isinstance(model, FpcaModel):
@@ -244,7 +241,10 @@ def cmd_tour(args) -> None:
         topology = read_mesh(args.topology)
         if topology.n_vertices != model.mean.shape[0]:
             raise ValidationFailure("topology mesh does not match the model's vertex count")
+        _at_least(args, components=1, stops=1, frames_per_leg=0)
         p = args.components if args.components is not None else model.n_components
+        if p > model.n_components:
+            raise ValidationFailure(f"--components must be at most {model.n_components}, got {p}")
     tour = grand_tour(model, p=p, n_stops=args.stops, seed=args.seed, frames_per_leg=args.frames_per_leg)
     write_meshes((topology.with_vertices(frame), out / f"tour_{i:04d}.obj") for i, frame in enumerate(tour.frames))
     write_json(
@@ -257,23 +257,18 @@ def cmd_tour(args) -> None:
         },
         out / "tour.json",
     )
-    write_manifest(out, "tour", args)
-    print(f"wrote {tour.frames.shape[0]} tour frames")
+    return f"wrote {tour.frames.shape[0]} tour frames"
 
 
-def cmd_compare(args) -> None:
+def cmd_compare(args, out: Path) -> str:
     with validation_phase():
-        out = _out_dir(args)
         require(args, "labels", "p")
         names, sample = _load_cohort(args)
         if sample.labels is None:
             raise ValidationFailure("compare needs a labels file")
-        if args.p < 1:
-            raise ValidationFailure(f"--p must be at least 1, got {args.p}")
+        _at_least(args, p=1, n_perm=1)
         if sample.n_shapes < args.p + 2:
             raise ValidationFailure(f"--p {args.p} needs at least {args.p + 2} shapes, got {sample.n_shapes}")
-        if args.n_perm < 1:
-            raise ValidationFailure(f"--n-perm must be at least 1, got {args.n_perm}")
     gpa = _run_gpa(sample, args)
     tangent = tangent_coordinates(gpa.aligned, gpa.mean)
     labels, mean_weights = sample.labels, gpa.mean_weights
@@ -312,16 +307,14 @@ def cmd_compare(args) -> None:
         flag = "true" if (i + 1) in report.significant else "false"
         rows.append((i + 1, report.component_stats[i], report.component_p[i], flag))
     write_csv(out / "report.csv", ("component", "statistic", "p_value", "significant"), rows)
-    write_manifest(out, "compare", args)
-    print(
+    return (
         f"global statistic {report.global_stat:.4g} (p={report.global_p:.4g}); "
         f"significant components: {list(report.significant) or 'none'}"
     )
 
 
-def cmd_split_affine(args) -> None:
+def cmd_split_affine(args, out: Path) -> str:
     with validation_phase():
-        out = _out_dir(args)
         names, sample = _load_cohort(args)
     gpa = _run_gpa(sample, args)
     affine, nonaffine, alphas = affine_nonaffine_split(gpa.aligned, gpa.mean)
@@ -333,13 +326,11 @@ def cmd_split_affine(args) -> None:
         items += [(topology.with_vertices(verts), directory / name) for name, verts in zip(names, stack)]
     write_meshes(items + [(topology.with_vertices(gpa.mean), out / "mean.obj")])
     write_json({"filenames": names, "coefficients": alphas}, out / "coefficients.json")
-    write_manifest(out, "split-affine", args)
-    print(f"split {len(names)} shapes into affine and non-affine parts")
+    return f"split {len(names)} shapes into affine and non-affine parts"
 
 
-def cmd_asymmetry(args) -> None:
+def cmd_asymmetry(args, out: Path) -> str:
     with validation_phase():
-        out = _out_dir(args)
         require(args, "meshes", "pairing")
         names, meshes = load_mesh_directory(args.meshes)
         pairing = read_pairing(args.pairing, meshes[0].n_vertices)
@@ -358,21 +349,16 @@ def cmd_asymmetry(args) -> None:
             )
             rows.append((name, "global", report.global_score))
             rows.extend((name, region, report.region_scores[region]) for region in sorted(report.region_scores))
-            field = report.per_vertex_distance
-            hi = float(field.max())
-            cmap = ColorMap("sequential", lo=0.0, hi=hi if hi > 0 else 1.0)
-            write_painted_mesh(mesh, field, cmap, out / f"{Path(name).stem}_asymmetry.ply")
+            _paint(mesh, report.per_vertex_distance, out / f"{Path(name).stem}_asymmetry.ply")
             yield mesh.with_vertices(report.matched_reflection), out / f"{Path(name).stem}_reflection.obj"
 
     write_meshes(reflections())
     write_csv(out / "asymmetry.csv", ("filename", "region", "score_mm"), rows)
-    write_manifest(out, "asymmetry", args)
-    print(f"scored {len(names)} shapes")
+    return f"scored {len(names)} shapes"
 
 
-def cmd_assess(args) -> None:
+def cmd_assess(args, out: Path) -> str:
     with validation_phase():
-        out = _out_dir(args)
         require(args, "pre", "post", "pairing")
         if (args.controls is None) == (args.model is None):
             raise ValidationFailure("give exactly one of --controls or --model")
@@ -392,9 +378,10 @@ def cmd_assess(args) -> None:
                 raise ValidationFailure(f"{path}: {problem}")
         pairing = read_pairing(args.pairing, pre.n_vertices)
         regions = read_regions(args.regions, pre.n_vertices) if args.regions else {}
+        variance = _variance(args)
     if args.controls is not None:
         sample = ShapeSample(tuple(controls), pairing=pairing)
-        model = fit_control_model(sample, variance_threshold=args.variance or 0.80, regions=regions)
+        model = fit_control_model(sample, variance_threshold=variance, regions=regions)
         save_model(model, out / "control_model.json")
     assessment = integrated_assessment(model, pre, post, pairing, regions)
     write_json(assessment.document, out / "assessment.json")
@@ -402,19 +389,12 @@ def cmd_assess(args) -> None:
     write_meshes((artifact.mesh, out / f"{name}.obj") for name, artifact in artifacts if artifact.field is None)
     for name, artifact in artifacts:
         if artifact.field is not None:
-            span = float(np.abs(artifact.field).max())
-            if name.endswith("_normal"):
-                cmap = ColorMap("diverging", lo=-(span or 1.0), hi=span or 1.0, reference=0.0)
-            else:
-                cmap = ColorMap("sequential", lo=0.0, hi=span or 1.0)
-            write_painted_mesh(artifact.mesh, artifact.field, cmap, out / f"{name}.ply")
-    write_manifest(out, "assess", args)
-    print("assessment written")
+            _paint(artifact.mesh, artifact.field, out / f"{name}.ply", diverging=name.endswith("_normal"))
+    return "assessment written"
 
 
-def cmd_warp(args) -> None:
+def cmd_warp(args, out: Path) -> str:
     with validation_phase():
-        out = _out_dir(args)
         require(args, "source", "target", "template")
         source = read_mesh(args.source)
         target = read_mesh(args.target)
@@ -438,20 +418,22 @@ def cmd_warp(args) -> None:
         },
         out / "warp.json",
     )
-    write_manifest(out, "warp", args)
-    print(f"warped template ({field.bending_energy:.6g} bending energy)")
+    return f"warped template ({field.bending_energy:.6g} bending energy)"
 
 
-def cmd_simulate(args) -> None:
+def cmd_simulate(args, out: Path) -> str:
     with validation_phase():
-        out = _out_dir(args)
         group_sizes = tuple(args.group_sizes) if args.group_sizes else None
-        if group_sizes is not None and len(group_sizes) != 2:
-            raise ValidationFailure("--group-sizes needs exactly two comma-separated counts")
+        if group_sizes is not None and (len(group_sizes) != 2 or min(group_sizes) < 1):
+            raise ValidationFailure("--group-sizes needs two positive comma-separated counts")
+        if group_sizes is None:
+            _at_least(args, n_shapes=1)
         radii = args.radii if args.radii else (1.0, 1.0, 1.0)
         if len(radii) != 3:
             raise ValidationFailure("--radii needs three comma-separated values")
         spectrum = args.spectrum if args.spectrum else (0.05, 0.02, 0.01)
+        if len(spectrum) > MAX_PLANTED_MODES:
+            raise ValidationFailure(f"--spectrum gives at most {MAX_PLANTED_MODES} planted modes, got {len(spectrum)}")
         config = SynthConfig(
             base=args.base,
             resolution=args.resolution,
@@ -496,27 +478,28 @@ def cmd_simulate(args) -> None:
         },
         out / "ground_truth.json",
     )
-    write_manifest(out, "simulate", args)
-    print(f"simulated {sample.n_shapes} shapes with {config.n_modes} planted modes")
+    return f"simulated {sample.n_shapes} shapes with {config.n_modes} planted modes"
 
 
-def cmd_diff(args) -> None:
+def cmd_diff(args, out: Path) -> str:
     with validation_phase():
-        out = _out_dir(args)
         base = read_mesh(args.base)
         other = read_mesh(args.other)
         problem = correspondence_problem(other, base, str(args.base))
         if problem:
             raise ValidationFailure(f"{args.other}: {problem}")
     field = shape_difference_field(base, other, args.mode)
-    write_csv(out / "difference.csv", ("vertex_index", "value_mm"), enumerate(field))
-    span = float(np.abs(field).max())
-    lo = args.lo if args.lo is not None else -(span or 1.0)
-    hi = args.hi if args.hi is not None else (span or 1.0)
+    span = float(np.abs(field).max()) or 1.0
+    lo = args.lo if args.lo is not None else -span
+    hi = args.hi if args.hi is not None else span
+    if not lo < hi:
+        raise ValidationFailure(f"--lo must be below --hi, got {lo:g} and {hi:g}")
+    if not lo <= args.reference <= hi:
+        raise ValidationFailure(f"--reference must lie in [--lo, --hi] = [{lo:g}, {hi:g}], got {args.reference:g}")
     cmap = ColorMap("diverging", lo=lo, hi=hi, reference=args.reference)
+    write_csv(out / "difference.csv", ("vertex_index", "value_mm"), enumerate(field))
     clamped = write_painted_mesh(base, field, cmap, out / "difference.ply")
-    write_manifest(out, "diff", args)
-    print(f"wrote difference field ({clamped} values clamped)")
+    return f"wrote difference field ({clamped} values clamped)"
 
 
 # ---------------------------------------------------------------- wiring
@@ -527,22 +510,34 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"surfshape {__version__}")
     sub = parser.add_subparsers(dest="command", metavar="subcommand")
 
-    def add(name: str, handler, help_text: str) -> argparse.ArgumentParser:
+    def add(name: str, handler, help_text: str, cohort: bool = False) -> argparse.ArgumentParser:
+        """A subparser; ``cohort`` adds --meshes and the GPA options of a registered cohort."""
         p = sub.add_parser(name, help=help_text)
-        p.set_defaults(handler=handler)
+        p.set_defaults(handler=handler, parser=p)
         p.add_argument("--config", type=Path, default=None, help="flat key = value option file")
         p.add_argument("--out", type=Path, default=None, help="output directory")
+        if cohort:
+            p.add_argument("--meshes", type=Path, default=None, help="directory of .obj shapes")
+            p.add_argument("--max-iter", type=int, default=100, help="GPA iteration cap")
+            p.add_argument("--tol", type=float, default=1e-10, help="relative objective change to stop")
+            p.add_argument(
+                "--size-constraint",
+                choices=("unit_area", "initial_mean_area"),
+                default="unit_area",
+                help="mean-surface size constraint",
+            )
+            p.add_argument("--rigid", action="store_true", help="rigid registration (no scaling)")
+            p.add_argument(
+                "--weight-overrides", type=Path, default=None,
+                help="vertex_index,weight CSV replacing computed area weights (curve points)",
+            )
         return p
 
-    p = add("register", cmd_register, "generalized Procrustes registration of a mesh cohort")
-    p.add_argument("--meshes", type=Path, default=None, help="directory of .obj shapes")
-    _add_gpa_options(p)
+    add("register", cmd_register, "generalized Procrustes registration of a mesh cohort", cohort=True)
 
-    p = add("pca", cmd_pca, "functional principal components of a registered cohort")
-    p.add_argument("--meshes", type=Path, default=None)
+    p = add("pca", cmd_pca, "functional principal components of a registered cohort", cohort=True)
     p.add_argument("--components", type=int, default=None, help="fixed component count")
     p.add_argument("--variance", type=float, default=None, help="explained-variance fraction rule")
-    _add_gpa_options(p)
 
     p = add("tour", cmd_tour, "grand tour shape sequence from a fitted model")
     p.add_argument("--model", type=Path, default=None, help="model.json from pca")
@@ -552,19 +547,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--frames-per-leg", type=int, default=9)
     p.add_argument("--seed", type=int, default=None)
 
-    p = add("compare", cmd_compare, "two-group permutation comparison")
-    p.add_argument("--meshes", type=Path, default=None)
+    p = add("compare", cmd_compare, "two-group permutation comparison", cohort=True)
     p.add_argument("--labels", type=Path, default=None, help="filename,label CSV")
     p.add_argument("--p", type=int, default=None, help="number of components")
     p.add_argument("--n-perm", type=int, default=500)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--mode", choices=("tangent_pca", "group_shape_space"), default="tangent_pca")
     p.add_argument("--bonferroni", type=float, default=None, help="override the 0.05/p threshold")
-    _add_gpa_options(p)
 
-    p = add("split-affine", cmd_split_affine, "affine/non-affine decomposition of a cohort")
-    p.add_argument("--meshes", type=Path, default=None)
-    _add_gpa_options(p)
+    add("split-affine", cmd_split_affine, "affine/non-affine decomposition of a cohort", cohort=True)
 
     p = add("asymmetry", cmd_asymmetry, "bilateral asymmetry scores")
     p.add_argument("--meshes", type=Path, default=None)
@@ -625,26 +616,22 @@ def main(argv=None) -> int:
         return 2
     try:
         if args.config is not None:
-            merge_config(_find_subparser(parser, args.command), parse_config_file(args.config))
+            merge_config(args.parser, parse_config_file(args.config))
             args = parser.parse_args(argv)
-        args.handler(args)
+        with validation_phase():
+            require(args, "out")
+            out = Path(args.out)
+            out.mkdir(parents=True, exist_ok=True)
+        summary = args.handler(args, out)
+        write_manifest(out, args.command, args)
+        print(summary)
         return 0
-    except ValidationFailure as err:
-        print(f"error: validation: {err}", file=sys.stderr)
-        return 2
-    except OSError as err:
+    except (ValidationFailure, OSError) as err:
         print(f"error: validation: {err}", file=sys.stderr)
         return 2
     except Exception as err:  # numerical failures from the pipeline
         print(f"error: numerical: {err}", file=sys.stderr)
         return 3
-
-
-def _find_subparser(parser: argparse.ArgumentParser, command: str) -> argparse.ArgumentParser:
-    for action in parser._actions:
-        if isinstance(action, argparse._SubParsersAction):
-            return action.choices[command]
-    raise RuntimeError("subparser registry missing")
 
 
 if __name__ == "__main__":

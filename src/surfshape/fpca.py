@@ -133,7 +133,8 @@ def fit_fpca(
     scaled *= sqrt_w
     u, lam, rank = _gram_spectrum(scaled)
     eigenvalues = lam / (n - 1)
-    total_variance = float(np.vdot(scaled, scaled)) / (n - 1)
+    # einsum, not BLAS vdot, so the sum's order does not change with the BLAS thread count
+    total_variance = float(np.einsum("ij,ij->", scaled, scaled)) / (n - 1)
 
     warnings: list[str] = []
     if isinstance(k, (bool,)) or not isinstance(k, (int, float, np.integer, np.floating)):

@@ -186,6 +186,7 @@ _SMOOTH_FIELDS = (
     lambda x, y, z: y * (y * y - 3 * z * z),
     lambda x, y, z: z * (z * z - 3 * x * x),
 )
+MAX_PLANTED_MODES = len(_SMOOTH_FIELDS)
 
 
 def _similarity_directions(base: np.ndarray) -> np.ndarray:
@@ -209,8 +210,8 @@ def _similarity_directions(base: np.ndarray) -> np.ndarray:
 def planted_modes(mesh: SurfaceMesh, weights: AreaWeights, n_modes: int) -> np.ndarray:
     """A-orthonormal low-frequency displacement modes, orthogonal to the similarity
     directions so alignment does not eat the planted variation."""
-    if n_modes > len(_SMOOTH_FIELDS):
-        raise ValueError(f"at most {len(_SMOOTH_FIELDS)} planted modes are available")
+    if n_modes > MAX_PLANTED_MODES:
+        raise ValueError(f"at most {MAX_PLANTED_MODES} planted modes are available")
     if n_modes == 0:
         return np.zeros((0, 3 * mesh.n_vertices))
     w = weights.stacked

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -501,3 +504,115 @@ class TestSplitAffine:
         assert run("register", "--meshes", cohort / "meshes", "--out", gpa_aligned_dir) == 0
         aligned = read_mesh(gpa_aligned_dir / "aligned" / names[0])
         np.testing.assert_allclose(rebuilt, aligned.vertices, atol=1e-5)
+
+
+@pytest.fixture(scope="module")
+def component_model(cohort, tmp_path_factory):
+    out = tmp_path_factory.mktemp("pca")
+    assert run("pca", "--meshes", cohort / "meshes", "--components", "2", "--out", out) == 0
+    return out / "model.json"
+
+
+def inputs(command, cohort, model):
+    """Valid input options of each subcommand, on the module's cohort."""
+    meshes = cohort / "meshes"
+    case = ("--pre", meshes / "shape_000.obj", "--post", meshes / "shape_001.obj", "--pairing", cohort / "pairing.csv")
+    return {
+        "simulate": ("--resolution", "2", "--n-shapes", "3", "--seed", "1"),
+        "register": ("--meshes", meshes),
+        "pca": ("--meshes", meshes),
+        "tour": ("--model", model, "--topology", cohort / "base.obj", "--seed", "2"),
+        "compare": ("--meshes", meshes, "--labels", cohort / "labels.csv", "--p", "2", "--n-perm", "9"),
+        "split-affine": ("--meshes", meshes),
+        "asymmetry": ("--meshes", meshes, "--pairing", cohort / "pairing.csv"),
+        "assess": ("--controls", meshes, *case),
+        "warp": ("--source", cohort / "base.obj", "--target", meshes / "shape_000.obj", "--template", cohort / "base.obj"),
+        "diff": (meshes / "shape_000.obj", meshes / "shape_001.obj"),
+    }[command]
+
+
+class TestRunner:
+    """Every subcommand runs through one runner: it prints one summary line and
+    writes a manifest of one shape, naming the subcommand."""
+
+    @pytest.mark.parametrize(
+        "command",
+        ["simulate", "register", "pca", "tour", "compare", "split-affine", "asymmetry", "assess", "warp", "diff"],
+    )
+    def test_manifest_contract(self, cohort, component_model, tmp_path, capsys, command):
+        capsys.readouterr()
+        assert run(command, *inputs(command, cohort, component_model), "--out", tmp_path / "out") == 0
+        assert len(capsys.readouterr().out.splitlines()) == 1
+        doc = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert set(doc) == {"tool", "version", "command", "created_at", "options", "seed"}
+        assert doc["command"] == command
+        assert not {"handler", "parser", "config"} & set(doc["options"])
+
+
+class TestOptionValues:
+    """An option value the library would refuse is a validation error (exit 2)
+    naming the option, refused before any work and before the manifest."""
+
+    @pytest.mark.parametrize(
+        "command, options, message",
+        [
+            ("pca", ("--components", "0"), "--components must be at least 1, got 0"),
+            ("pca", ("--variance", "0"), "--variance must lie in (0, 1), got 0.0"),
+            ("pca", ("--variance", "1.0"), "--variance must lie in (0, 1), got 1.0"),
+            ("pca", ("--variance", "1.5"), "--variance must lie in (0, 1), got 1.5"),
+            ("assess", ("--variance", "3.7"), "--variance must lie in (0, 1), got 3.7"),
+            ("tour", ("--components", "0"), "--components must be at least 1, got 0"),
+            ("tour", ("--components", "99"), "--components must be at most 2, got 99"),
+            ("tour", ("--stops", "0"), "--stops must be at least 1, got 0"),
+            ("tour", ("--frames-per-leg", "-1"), "--frames-per-leg must be at least 0, got -1"),
+            ("diff", ("--lo", "5", "--hi", "1"), "--lo must be below --hi, got 5 and 1"),
+            ("diff", ("--reference", "9"), "--reference must lie in [--lo, --hi]"),
+            ("simulate", ("--n-shapes", "0"), "--n-shapes must be at least 1, got 0"),
+            ("simulate", ("--spectrum", ",".join(str(13 - i) for i in range(13))), "--spectrum gives at most 12"),
+        ],
+    )
+    def test_bad_value_is_exit_2(self, cohort, component_model, tmp_path, capsys, command, options, message):
+        out = tmp_path / "out"
+        assert run(command, *inputs(command, cohort, component_model), *options, "--out", out) == 2
+        assert f"error: validation: {message}" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
+
+    def test_single_shape_simulation_is_valid(self, tmp_path):
+        assert run("simulate", "--n-shapes", "1", "--seed", "1", "--out", tmp_path) == 0
+
+
+# One process per BLAS thread count; each runs the subcommands whose models
+# sum over the whole (n, 3J) stack.
+BLAS_PROBE = """
+import sys
+from surfshape.cli import main
+
+sim, out = sys.argv[1:]
+case = ["--pre", f"{sim}/meshes/shape_000.obj", "--post", f"{sim}/meshes/shape_001.obj", "--pairing", f"{sim}/pairing.csv"]
+assert main(["pca", "--meshes", f"{sim}/meshes", "--out", f"{out}/pca"]) == 0
+assert main(["compare", "--meshes", f"{sim}/meshes", "--labels", f"{sim}/labels.csv", "--p", "2", "--n-perm", "20",
+             "--seed", "1", "--out", f"{out}/compare"]) == 0
+assert main(["assess", "--controls", f"{sim}/meshes", *case, "--out", f"{out}/assess"]) == 0
+"""
+
+
+def test_artifacts_do_not_depend_on_blas_threads(tmp_path):
+    # J = 1,026 and n = 12: large enough for a multithreaded BLAS to split its reductions
+    sim = tmp_path / "sim"
+    assert run(
+        "simulate", "--resolution", "4", "--group-sizes", "6,6", "--noise-sd", "0.01", "--asymmetry", "0.02",
+        "--seed", "5", "--out", sim,
+    ) == 0
+    src = str(Path(ss.__file__).resolve().parents[1])
+    for threads in ("1", "2"):
+        env = {
+            **os.environ,
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+            **dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), threads),
+        }
+        result = subprocess.run(
+            [sys.executable, "-c", BLAS_PROBE, str(sim), str(tmp_path / threads)],
+            env=env, capture_output=True, text=True,
+        )
+        assert result.returncode == 0, result.stderr
+    assert artifact_bytes(tmp_path / "1") == artifact_bytes(tmp_path / "2")

@@ -38,13 +38,23 @@ field = fit_tps(x, 2.0 * x + 1.0)
 assert np.allclose(apply_warp(field, x), 2.0 * x + 1.0)
 assert abs(chi_square_quantile(9, 0.95) - 16.918977604620448) < 1e-12
 sim = out / "sim"
-assert main(["simulate", "--resolution", "2", "--n-shapes", "12", "--asymmetry", "0.02",
+assert main(["simulate", "--resolution", "2", "--group-sizes", "6,6", "--asymmetry", "0.02",
              "--noise-sd", "0.01", "--seed", "3", "--out", str(sim)]) == 0
+assert main(["register", "--meshes", str(sim / "meshes"), "--out", str(out / "register")]) == 0
+assert main(["pca", "--meshes", str(sim / "meshes"), "--out", str(out / "pca")]) == 0
+assert main(["tour", "--model", str(out / "pca" / "model.json"), "--topology", str(sim / "base.obj"),
+             "--seed", "1", "--out", str(out / "tour")]) == 0
+assert main(["compare", "--meshes", str(sim / "meshes"), "--labels", str(sim / "labels.csv"), "--p", "2",
+             "--n-perm", "20", "--seed", "1", "--out", str(out / "compare")]) == 0
+assert main(["split-affine", "--meshes", str(sim / "meshes"), "--out", str(out / "split-affine")]) == 0
+assert main(["asymmetry", "--meshes", str(sim / "meshes"), "--pairing", str(sim / "pairing.csv"),
+             "--regions", str(sim / "regions.csv"), "--out", str(out / "asymmetry")]) == 0
 assert main(["warp", "--source", str(sim / "base.obj"), "--target", str(sim / "meshes" / "shape_000.obj"),
              "--template", str(sim / "base.obj"), "--out", str(out / "warp")]) == 0
 assert main(["assess", "--controls", str(sim / "meshes"), "--pre", str(sim / "meshes" / "shape_000.obj"),
              "--post", str(sim / "meshes" / "shape_001.obj"), "--pairing", str(sim / "pairing.csv"),
              "--regions", str(sim / "regions.csv"), "--out", str(out / "assess")]) == 0
+assert main(["diff", str(sim / "base.obj"), str(sim / "meshes" / "shape_000.obj"), "--out", str(out / "diff")]) == 0
 print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy" and sys.modules[m] is not None))
 """
 
@@ -57,5 +67,7 @@ def test_runtime_runs_with_scipy_blocked(tmp_path):
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip().splitlines()[-1] == "[]"
+    for command in ("register", "pca", "tour", "compare", "split-affine", "asymmetry", "warp", "assess", "diff"):
+        assert (tmp_path / command / "manifest.json").is_file()
     assert (tmp_path / "warp" / "warped.obj").is_file()
     assert (tmp_path / "assess" / "assessment.json").is_file()
