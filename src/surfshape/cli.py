@@ -2,19 +2,22 @@
 
 ``main`` is the only runner. It parses the options (a flat ``key = value``
 file from --config supplies defaults; command-line flags win), creates --out
-while validating, and calls the subcommand's handler, which validates its
-own inputs, does its work and returns one summary line. Only when the handler
-succeeds does the runner write manifest.json (tool version, resolved options,
-seed) and print that line. Identical options and seed give byte-identical
-artifacts (only the manifest timestamp differs).
+and calls the subcommand's handler, which validates its own inputs, does its
+work and returns one summary line. Only when the handler succeeds does the
+runner write manifest.json (tool version, resolved options, seed) and print
+that line. Identical options and seed give byte-identical artifacts (only the
+manifest timestamp differs).
 
-Exit codes: 0 success, 2 validation error, 3 numerical failure.
+Exit codes follow the type of the error, not the stage that raised it:
+0 success; 2 for any ``ValueError`` or ``OSError``, i.e. a bad input or
+option, including one found mid-run (such as fewer than 5 controls); 3 for a
+``NumericalFailure`` or ``np.linalg.LinAlgError`` only. Any other exception
+is a bug and propagates with its traceback.
 """
 from __future__ import annotations
 
 import argparse
 import sys
-from contextlib import contextmanager
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -43,25 +46,10 @@ from .io import (
     write_pairing,
     write_regions,
 )
-from .mesh import ShapeSample, SurfaceMesh, correspondence_problem, shape_difference_field
+from .mesh import NumericalFailure, ShapeSample, SurfaceMesh, correspondence_problem, shape_difference_field
 from .registration import tangent_coordinates, weighted_gpa
 from .synth import MAX_PLANTED_MODES, SynthConfig, synth_cohort
 from .warp import apply_warp, check_tps_size, fit_tps
-
-class ValidationFailure(Exception):
-    """Bad inputs or options; maps to exit code 2."""
-
-
-@contextmanager
-def validation_phase():
-    """Everything raised while loading/validating inputs is a validation failure."""
-    try:
-        yield
-    except ValidationFailure:
-        raise
-    except Exception as err:
-        raise ValidationFailure(str(err)) from err
-
 
 def parse_config_file(path) -> dict[str, str]:
     """Flat ``key = value`` config; '#' starts a comment; keys use - or _."""
@@ -72,7 +60,7 @@ def parse_config_file(path) -> dict[str, str]:
             if not line:
                 continue
             if "=" not in line:
-                raise ValidationFailure(f"{path}: line {lineno}: expected key = value")
+                raise ValueError(f"{path}: line {lineno}: expected key = value")
             key, value = line.split("=", 1)
             values[key.strip().replace("-", "_")] = value.strip()
     return values
@@ -84,7 +72,7 @@ def _parse_bool(text: str) -> bool:
         return True
     if lowered in ("false", "0", "no", "off"):
         return False
-    raise ValidationFailure(f"expected a boolean, got {text!r}")
+    raise ValueError(f"expected a boolean, got {text!r}")
 
 
 def merge_config(parser: argparse.ArgumentParser, config: dict[str, str]) -> None:
@@ -92,7 +80,7 @@ def merge_config(parser: argparse.ArgumentParser, config: dict[str, str]) -> Non
     actions = {a.dest: a for a in parser._actions if a.dest not in ("help", "config")}
     unknown = set(config) - set(actions)
     if unknown:
-        raise ValidationFailure(f"unknown config keys: {', '.join(sorted(unknown))}")
+        raise ValueError(f"unknown config keys: {', '.join(sorted(unknown))}")
     defaults = {}
     for key, text in config.items():
         action = actions[key]
@@ -102,7 +90,7 @@ def merge_config(parser: argparse.ArgumentParser, config: dict[str, str]) -> Non
             try:
                 defaults[key] = action.type(text)
             except ValueError as err:
-                raise ValidationFailure(f"config key {key}: {err}") from None
+                raise ValueError(f"config key {key}: {err}") from None
         else:
             defaults[key] = text
     parser.set_defaults(**defaults)
@@ -111,7 +99,7 @@ def merge_config(parser: argparse.ArgumentParser, config: dict[str, str]) -> Non
 def require(args: argparse.Namespace, *names: str) -> None:
     missing = [n for n in names if getattr(args, n) is None]
     if missing:
-        raise ValidationFailure("missing required options: " + ", ".join("--" + n.replace("_", "-") for n in missing))
+        raise ValueError("missing required options: " + ", ".join("--" + n.replace("_", "-") for n in missing))
 
 
 def _comma_floats(text: str) -> tuple[float, ...]:
@@ -127,14 +115,15 @@ def _at_least(args: argparse.Namespace, **floors) -> None:
     for name, floor in floors.items():
         value = getattr(args, name)
         if value is not None and value < floor:
-            raise ValidationFailure(f"--{name.replace('_', '-')} must be at least {floor}, got {value}")
+            raise ValueError(f"--{name.replace('_', '-')} must be at least {floor}, got {value}")
 
 
-def _variance(args: argparse.Namespace) -> float:
-    """--variance as an explained-variance fraction: 0.80 when unset, refused outside (0, 1)."""
-    if args.variance is not None and not 0 < args.variance < 1:
-        raise ValidationFailure(f"--variance must lie in (0, 1), got {args.variance}")
-    return 0.80 if args.variance is None else args.variance
+def _fraction(args: argparse.Namespace, name: str, default: float | None = None) -> float | None:
+    """Option ``name`` as a fraction, ``default`` when unset; refused outside (0, 1), naming it."""
+    value = getattr(args, name, None)
+    if value is not None and not 0 < value < 1:
+        raise ValueError(f"--{name} must lie in (0, 1), got {value}")
+    return default if value is None else value
 
 
 def write_manifest(out: Path, command: str, args: argparse.Namespace) -> None:
@@ -155,14 +144,19 @@ def write_manifest(out: Path, command: str, args: argparse.Namespace) -> None:
 
 
 def _load_cohort(args) -> tuple[list[str], ShapeSample]:
+    """Check the cohort and test options, then read --meshes (and --labels, when given)."""
     require(args, "meshes")
+    _at_least(args, max_iter=1)
+    if not (np.isfinite(args.tol) and args.tol >= 0):
+        raise ValueError(f"--tol must be finite and at least 0, got {args.tol}")
+    _fraction(args, "bonferroni")
     names, meshes = load_mesh_directory(args.meshes)
     labels = None
     if getattr(args, "labels", None):
         table = read_labels(args.labels)
         missing = [n for n in names if n not in table]
         if missing:
-            raise ValidationFailure(f"labels file misses entries for: {', '.join(missing)}")
+            raise ValueError(f"labels file misses entries for: {', '.join(missing)}")
         labels = tuple(table[n] for n in names)
     return names, ShapeSample(tuple(meshes), labels=labels)
 
@@ -170,8 +164,7 @@ def _load_cohort(args) -> tuple[list[str], ShapeSample]:
 def _run_gpa(sample: ShapeSample, args):
     overrides = None
     if getattr(args, "weight_overrides", None):
-        with validation_phase():
-            overrides = read_weight_overrides(args.weight_overrides, sample.n_vertices)
+        overrides = read_weight_overrides(args.weight_overrides, sample.n_vertices)
     return weighted_gpa(
         sample,
         max_iter=args.max_iter,
@@ -193,8 +186,7 @@ def _paint(mesh: SurfaceMesh, field: np.ndarray, path: Path, diverging: bool = F
 
 
 def cmd_register(args, out: Path) -> str:
-    with validation_phase():
-        names, sample = _load_cohort(args)
+    names, sample = _load_cohort(args)
     result = _run_gpa(sample, args)
     aligned_dir = out / "aligned"
     aligned_dir.mkdir(exist_ok=True)
@@ -213,12 +205,11 @@ def cmd_register(args, out: Path) -> str:
 
 
 def cmd_pca(args, out: Path) -> str:
-    with validation_phase():
-        names, sample = _load_cohort(args)
-        if args.components is not None and args.variance is not None:
-            raise ValidationFailure("give either --components or --variance, not both")
-        _at_least(args, components=1)
-        k = args.components if args.components is not None else _variance(args)
+    names, sample = _load_cohort(args)
+    if args.components is not None and args.variance is not None:
+        raise ValueError("give either --components or --variance, not both")
+    _at_least(args, components=1)
+    k = args.components if args.components is not None else _fraction(args, "variance", 0.80)
     gpa = _run_gpa(sample, args)
     tangent = tangent_coordinates(gpa.aligned, gpa.mean)
     topology, mean, mean_weights = sample.meshes[0], gpa.mean, gpa.mean_weights
@@ -233,18 +224,17 @@ def cmd_pca(args, out: Path) -> str:
 
 
 def cmd_tour(args, out: Path) -> str:
-    with validation_phase():
-        require(args, "model", "topology")
-        model = load_model(args.model)
-        if not isinstance(model, FpcaModel):
-            raise ValidationFailure(f"{args.model}: not a component model")
-        topology = read_mesh(args.topology)
-        if topology.n_vertices != model.mean.shape[0]:
-            raise ValidationFailure("topology mesh does not match the model's vertex count")
-        _at_least(args, components=1, stops=1, frames_per_leg=0)
-        p = args.components if args.components is not None else model.n_components
-        if p > model.n_components:
-            raise ValidationFailure(f"--components must be at most {model.n_components}, got {p}")
+    require(args, "model", "topology")
+    model = load_model(args.model)
+    if not isinstance(model, FpcaModel):
+        raise ValueError(f"{args.model}: not a component model")
+    topology = read_mesh(args.topology)
+    if topology.n_vertices != model.mean.shape[0]:
+        raise ValueError("topology mesh does not match the model's vertex count")
+    _at_least(args, components=1, stops=1, frames_per_leg=0)
+    p = args.components if args.components is not None else model.n_components
+    if p > model.n_components:
+        raise ValueError(f"--components must be at most {model.n_components}, got {p}")
     tour = grand_tour(model, p=p, n_stops=args.stops, seed=args.seed, frames_per_leg=args.frames_per_leg)
     write_meshes((topology.with_vertices(frame), out / f"tour_{i:04d}.obj") for i, frame in enumerate(tour.frames))
     write_json(
@@ -261,14 +251,13 @@ def cmd_tour(args, out: Path) -> str:
 
 
 def cmd_compare(args, out: Path) -> str:
-    with validation_phase():
-        require(args, "labels", "p")
-        names, sample = _load_cohort(args)
-        if sample.labels is None:
-            raise ValidationFailure("compare needs a labels file")
-        _at_least(args, p=1, n_perm=1)
-        if sample.n_shapes < args.p + 2:
-            raise ValidationFailure(f"--p {args.p} needs at least {args.p + 2} shapes, got {sample.n_shapes}")
+    require(args, "labels", "p")
+    names, sample = _load_cohort(args)
+    if sample.labels is None:
+        raise ValueError("compare needs a labels file")
+    _at_least(args, p=1, n_perm=1)
+    if sample.n_shapes < args.p + 2:
+        raise ValueError(f"--p {args.p} needs at least {args.p + 2} shapes, got {sample.n_shapes}")
     gpa = _run_gpa(sample, args)
     tangent = tangent_coordinates(gpa.aligned, gpa.mean)
     labels, mean_weights = sample.labels, gpa.mean_weights
@@ -314,8 +303,7 @@ def cmd_compare(args, out: Path) -> str:
 
 
 def cmd_split_affine(args, out: Path) -> str:
-    with validation_phase():
-        names, sample = _load_cohort(args)
+    names, sample = _load_cohort(args)
     gpa = _run_gpa(sample, args)
     affine, nonaffine, alphas = affine_nonaffine_split(gpa.aligned, gpa.mean)
     topology = sample.meshes[0]
@@ -330,11 +318,10 @@ def cmd_split_affine(args, out: Path) -> str:
 
 
 def cmd_asymmetry(args, out: Path) -> str:
-    with validation_phase():
-        require(args, "meshes", "pairing")
-        names, meshes = load_mesh_directory(args.meshes)
-        pairing = read_pairing(args.pairing, meshes[0].n_vertices)
-        regions = read_regions(args.regions, meshes[0].n_vertices) if args.regions else {}
+    require(args, "meshes", "pairing")
+    names, meshes = load_mesh_directory(args.meshes)
+    pairing = read_pairing(args.pairing, meshes[0].n_vertices)
+    regions = read_regions(args.regions, meshes[0].n_vertices) if args.regions else {}
     rows = []
 
     def reflections():
@@ -358,27 +345,28 @@ def cmd_asymmetry(args, out: Path) -> str:
 
 
 def cmd_assess(args, out: Path) -> str:
-    with validation_phase():
-        require(args, "pre", "post", "pairing")
-        if (args.controls is None) == (args.model is None):
-            raise ValidationFailure("give exactly one of --controls or --model")
-        pre = read_mesh(args.pre)
-        post = read_mesh(args.post)
-        if args.controls is not None:
-            controls = load_mesh_directory(args.controls)[1]
-            reference, what = controls[0], f"control cohort {args.controls}"
-        else:
-            model = load_model(args.model)
-            if not isinstance(model, ControlModel):
-                raise ValidationFailure(f"{args.model}: not a control model")
-            reference, what = model.mean_mesh(), f"control model {args.model}"
-        for path, mesh in ((args.pre, pre), (args.post, post)):
-            problem = correspondence_problem(mesh, reference, what)
-            if problem:
-                raise ValidationFailure(f"{path}: {problem}")
-        pairing = read_pairing(args.pairing, pre.n_vertices)
-        regions = read_regions(args.regions, pre.n_vertices) if args.regions else {}
-        variance = _variance(args)
+    require(args, "pre", "post", "pairing")
+    if (args.controls is None) == (args.model is None):
+        raise ValueError("give exactly one of --controls or --model")
+    if args.model is not None and args.variance is not None:
+        raise ValueError("--variance applies only with --controls")
+    variance = _fraction(args, "variance", 0.80)
+    pre = read_mesh(args.pre)
+    post = read_mesh(args.post)
+    if args.controls is not None:
+        controls = load_mesh_directory(args.controls)[1]
+        reference, what = controls[0], f"control cohort {args.controls}"
+    else:
+        model = load_model(args.model)
+        if not isinstance(model, ControlModel):
+            raise ValueError(f"{args.model}: not a control model")
+        reference, what = model.mean_mesh(), f"control model {args.model}"
+    for path, mesh in ((args.pre, pre), (args.post, post)):
+        problem = correspondence_problem(mesh, reference, what)
+        if problem:
+            raise ValueError(f"{path}: {problem}")
+    pairing = read_pairing(args.pairing, pre.n_vertices)
+    regions = read_regions(args.regions, pre.n_vertices) if args.regions else {}
     if args.controls is not None:
         sample = ShapeSample(tuple(controls), pairing=pairing)
         model = fit_control_model(sample, variance_threshold=variance, regions=regions)
@@ -394,19 +382,18 @@ def cmd_assess(args, out: Path) -> str:
 
 
 def cmd_warp(args, out: Path) -> str:
-    with validation_phase():
-        require(args, "source", "target", "template")
-        source = read_mesh(args.source)
-        target = read_mesh(args.target)
-        template = read_mesh(args.template)
-        if source.n_vertices != target.n_vertices:
-            raise ValidationFailure("source and target must have the same vertex count")
-        if not np.isfinite(args.ridge):
-            raise ValidationFailure(f"--ridge must be finite, got {args.ridge!r}")
-        try:
-            check_tps_size(source.n_vertices)
-        except ValueError as err:
-            raise ValidationFailure(f"{args.source}: {err}") from None
+    require(args, "source", "target", "template")
+    source = read_mesh(args.source)
+    target = read_mesh(args.target)
+    template = read_mesh(args.template)
+    if source.n_vertices != target.n_vertices:
+        raise ValueError("source and target must have the same vertex count")
+    if not np.isfinite(args.ridge):
+        raise ValueError(f"--ridge must be finite, got {args.ridge!r}")
+    try:
+        check_tps_size(source.n_vertices)
+    except ValueError as err:
+        raise ValueError(f"{args.source}: {err}") from None
     field = fit_tps(source.vertices, target.vertices, ridge=args.ridge)
     warped = template.with_vertices(apply_warp(field, template.vertices))
     write_mesh(warped, out / "warped.obj")
@@ -422,37 +409,37 @@ def cmd_warp(args, out: Path) -> str:
 
 
 def cmd_simulate(args, out: Path) -> str:
-    with validation_phase():
-        group_sizes = tuple(args.group_sizes) if args.group_sizes else None
-        if group_sizes is not None and (len(group_sizes) != 2 or min(group_sizes) < 1):
-            raise ValidationFailure("--group-sizes needs two positive comma-separated counts")
-        if group_sizes is None:
-            _at_least(args, n_shapes=1)
-        radii = args.radii if args.radii else (1.0, 1.0, 1.0)
-        if len(radii) != 3:
-            raise ValidationFailure("--radii needs three comma-separated values")
-        spectrum = args.spectrum if args.spectrum else (0.05, 0.02, 0.01)
-        if len(spectrum) > MAX_PLANTED_MODES:
-            raise ValidationFailure(f"--spectrum gives at most {MAX_PLANTED_MODES} planted modes, got {len(spectrum)}")
-        config = SynthConfig(
-            base=args.base,
-            resolution=args.resolution,
-            radii=radii,
-            exponent=args.exponent,
-            n_modes=len(spectrum),
-            eigen_spectrum=spectrum,
-            n_shapes=args.n_shapes,
-            group_sizes=group_sizes,
-            group_shift_component=args.shift_component,
-            group_shift_sd=args.shift_sd,
-            asymmetry_magnitude=args.asymmetry,
-            noise_sd=args.noise_sd,
-            nuisance_rotation_deg=args.nuisance_rotation,
-            nuisance_translation=args.nuisance_translation,
-            nuisance_log_scale=args.nuisance_log_scale,
-            standardize_scores=args.standardize,
-            seed=args.seed,
-        )
+    group_sizes = tuple(args.group_sizes) if args.group_sizes else None
+    if group_sizes is not None and args.n_shapes is not None:
+        raise ValueError("give either --n-shapes or --group-sizes, not both")
+    if group_sizes is not None and (len(group_sizes) != 2 or min(group_sizes) < 1):
+        raise ValueError("--group-sizes needs two positive comma-separated counts")
+    _at_least(args, n_shapes=1)
+    radii = args.radii if args.radii else (1.0, 1.0, 1.0)
+    if len(radii) != 3:
+        raise ValueError("--radii needs three comma-separated values")
+    spectrum = args.spectrum if args.spectrum else (0.05, 0.02, 0.01)
+    if len(spectrum) > MAX_PLANTED_MODES:
+        raise ValueError(f"--spectrum gives at most {MAX_PLANTED_MODES} planted modes, got {len(spectrum)}")
+    config = SynthConfig(
+        base=args.base,
+        resolution=args.resolution,
+        radii=radii,
+        exponent=args.exponent,
+        n_modes=len(spectrum),
+        eigen_spectrum=spectrum,
+        n_shapes=SynthConfig.n_shapes if args.n_shapes is None else args.n_shapes,
+        group_sizes=group_sizes,
+        group_shift_component=args.shift_component,
+        group_shift_sd=args.shift_sd,
+        asymmetry_magnitude=args.asymmetry,
+        noise_sd=args.noise_sd,
+        nuisance_rotation_deg=args.nuisance_rotation,
+        nuisance_translation=args.nuisance_translation,
+        nuisance_log_scale=args.nuisance_log_scale,
+        standardize_scores=args.standardize,
+        seed=args.seed,
+    )
     sample, truth = synth_cohort(config)
     mesh_dir = out / "meshes"
     mesh_dir.mkdir(exist_ok=True)
@@ -482,20 +469,19 @@ def cmd_simulate(args, out: Path) -> str:
 
 
 def cmd_diff(args, out: Path) -> str:
-    with validation_phase():
-        base = read_mesh(args.base)
-        other = read_mesh(args.other)
-        problem = correspondence_problem(other, base, str(args.base))
-        if problem:
-            raise ValidationFailure(f"{args.other}: {problem}")
+    base = read_mesh(args.base)
+    other = read_mesh(args.other)
+    problem = correspondence_problem(other, base, str(args.base))
+    if problem:
+        raise ValueError(f"{args.other}: {problem}")
     field = shape_difference_field(base, other, args.mode)
     span = float(np.abs(field).max()) or 1.0
     lo = args.lo if args.lo is not None else -span
     hi = args.hi if args.hi is not None else span
     if not lo < hi:
-        raise ValidationFailure(f"--lo must be below --hi, got {lo:g} and {hi:g}")
+        raise ValueError(f"--lo must be below --hi, got {lo:g} and {hi:g}")
     if not lo <= args.reference <= hi:
-        raise ValidationFailure(f"--reference must lie in [--lo, --hi] = [{lo:g}, {hi:g}], got {args.reference:g}")
+        raise ValueError(f"--reference must lie in [--lo, --hi] = [{lo:g}, {hi:g}], got {args.reference:g}")
     cmap = ColorMap("diverging", lo=lo, hi=hi, reference=args.reference)
     write_csv(out / "difference.csv", ("vertex_index", "value_mm"), enumerate(field))
     clamped = write_painted_mesh(base, field, cmap, out / "difference.ply")
@@ -585,7 +571,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--radii", type=_comma_floats, default=None, help="rx,ry,rz")
     p.add_argument("--exponent", type=float, default=1.0)
     p.add_argument("--spectrum", type=_comma_floats, default=None, help="planted eigenvalues, decreasing")
-    p.add_argument("--n-shapes", type=int, default=20)
+    p.add_argument("--n-shapes", type=int, default=None, help="cohort size without groups (default 20)")
     p.add_argument("--group-sizes", type=_comma_ints, default=None, help="nA,nB")
     p.add_argument("--shift-component", type=int, default=None)
     p.add_argument("--shift-sd", type=float, default=0.0)
@@ -618,20 +604,18 @@ def main(argv=None) -> int:
         if args.config is not None:
             merge_config(args.parser, parse_config_file(args.config))
             args = parser.parse_args(argv)
-        with validation_phase():
-            require(args, "out")
-            out = Path(args.out)
-            out.mkdir(parents=True, exist_ok=True)
-        summary = args.handler(args, out)
-        write_manifest(out, args.command, args)
+        require(args, "out")
+        args.out.mkdir(parents=True, exist_ok=True)
+        summary = args.handler(args, args.out)
+        write_manifest(args.out, args.command, args)
         print(summary)
         return 0
-    except (ValidationFailure, OSError) as err:
-        print(f"error: validation: {err}", file=sys.stderr)
-        return 2
-    except Exception as err:  # numerical failures from the pipeline
+    except (NumericalFailure, np.linalg.LinAlgError) as err:
         print(f"error: numerical: {err}", file=sys.stderr)
         return 3
+    except (ValueError, OSError) as err:  # a bad input or option, wherever it is found
+        print(f"error: validation: {err}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

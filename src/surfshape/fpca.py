@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mesh import AreaWeights
+from .mesh import AreaWeights, NumericalFailure
 from .registration import tangent_coordinates, vec_inverse
 
 
@@ -141,7 +141,7 @@ def fit_fpca(
         raise ValueError("k must be a component count or a variance fraction in (0, 1)")
     if isinstance(k, (float, np.floating)) and 0 < k < 1:
         if total_variance <= 0:
-            raise ValueError("no variance in the sample")
+            raise NumericalFailure("no variance in the sample")
         fractions = np.cumsum(eigenvalues[:rank]) / total_variance
         keep = int(np.searchsorted(fractions, k - 1e-12) + 1)
         keep = min(keep, rank)
@@ -153,7 +153,7 @@ def fit_fpca(
             warnings.append(f"requested {keep} components but rank is {rank}; truncated")
             keep = rank
     if keep == 0:
-        raise ValueError("no variance in the sample")
+        raise NumericalFailure("no variance in the sample")
 
     eigenfunctions = (u[:, :keep].T @ scaled) / np.sqrt(lam[:keep])[:, None] * inv_sqrt_w
     # deterministic sign: the largest-magnitude entry of each eigenfunction is positive

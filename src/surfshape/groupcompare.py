@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .fpca import FpcaModel, _gram_spectrum
-from .mesh import AreaWeights
+from .mesh import AreaWeights, NumericalFailure
 from .registration import vec_inverse
 
 PERMUTATION_MODES = ("tangent_pca", "group_shape_space")
@@ -95,10 +95,10 @@ def hotelling_t2(scores_a: np.ndarray, scores_b: np.ndarray) -> float:
     try:
         solved = np.linalg.solve(cov, diff)
     except np.linalg.LinAlgError:
-        raise ValueError("pooled covariance singular; reduce p") from None
+        raise NumericalFailure("pooled covariance singular; reduce p") from None
     cond = np.linalg.cond(cov)
     if not np.isfinite(cond) or cond > 1e12:
-        raise ValueError("pooled covariance singular; reduce p")
+        raise NumericalFailure("pooled covariance singular; reduce p")
     return float(diff @ solved / (1.0 / na + 1.0 / nb))
 
 
@@ -112,7 +112,7 @@ def component_t(scores_a: np.ndarray, scores_b: np.ndarray, component: int) -> f
     na, nb = xa.size, xb.size
     pooled_var = (((xa - xa.mean()) ** 2).sum() + ((xb - xb.mean()) ** 2).sum()) / (na + nb - 2)
     if pooled_var <= 0:
-        raise ValueError(f"component {component} has zero pooled variance")
+        raise NumericalFailure(f"component {component} has zero pooled variance")
     return float((xa.mean() - xb.mean()) / np.sqrt(pooled_var * (1.0 / na + 1.0 / nb)))
 
 
@@ -142,11 +142,11 @@ def _tangent_pca_stats(lam: np.ndarray, d: np.ndarray, rho: float, n: int) -> tu
     d2 = d * d
     var = lam - rho * d2
     if (var <= 1e-12 * lam).any():
-        raise ValueError("a component has zero pooled variance")
+        raise NumericalFailure("a component has zero pooled variance")
     s = (d2 / lam).sum(axis=1)
     det_ratio = 1.0 - rho * s  # det(pooled scatter) / det(diag(lam))
     if (det_ratio <= 1e-12).any():
-        raise ValueError("pooled covariance singular; reduce p")
+        raise NumericalFailure("pooled covariance singular; reduce p")
     t2 = (n - 2) * rho * s / det_ratio
     return np.sqrt(t2 / d.shape[1]), np.abs(d) * np.sqrt((n - 2) * rho / var)
 
@@ -169,7 +169,7 @@ def _group_shape_space_stats(
     """
     rows, r = d.shape
     if r < p:
-        raise ValueError(f"pooled within-group covariance has rank below p={p}")
+        raise NumericalFailure(f"pooled within-group covariance has rank below p={p}")
     w = d * d
     starts = np.flatnonzero(np.r_[True, lam[1:] != lam[:-1]])
     ends = np.r_[starts[1:], r] - 1
@@ -226,7 +226,7 @@ def _group_shape_space_stats(
     order = np.argsort(-mu, axis=1, kind="stable")[:, :p]
     mu = np.take_along_axis(mu, order, axis=1)
     if (mu[:, p - 1] <= 1e-12 * mu[:, 0]).any():
-        raise ValueError(f"pooled within-group covariance has rank below p={p}")
+        raise NumericalFailure(f"pooled within-group covariance has rank below p={p}")
     t = np.take_along_axis(proj, order, axis=1) * np.sqrt((n - 2) * rho / mu)
     return np.sqrt((t * t).sum(axis=1) / p), t
 
@@ -301,7 +301,7 @@ def permutation_test(
 
     if mode == "tangent_pca":
         if rank < p:
-            raise ValueError(f"data rank {rank} is below p={p}")
+            raise NumericalFailure(f"data rank {rank} is below p={p}")
         # the first p coordinates are the label-blind PCA scores, up to sign
         coords, lam = coords[:, :p], lam[:p]
         stats = lambda masks: _tangent_pca_stats(lam, _mean_differences(coords, masks), rho, n)  # noqa: E731
@@ -403,7 +403,7 @@ def affine_nonaffine_split(
         design = weights.weights[:, None] * mean
     gram = design.T @ mean
     if np.linalg.cond(gram) > 1e12:
-        raise ValueError("mean shape is planar-degenerate; affine regression is singular")
+        raise NumericalFailure("mean shape is planar-degenerate; affine regression is singular")
     alphas = np.linalg.solve(gram, np.einsum("jk,njl->nkl", design, aligned))
     affine = np.einsum("jk,nkl->njl", mean, alphas)
     nonaffine = mean + (aligned - affine)

@@ -18,6 +18,14 @@ _DIFFERENCE_MODES = ("x", "y", "z", "normal", "signed_euclidean")
 _AREA_BLOCK = 8_192  # triangles per block of triangle_areas
 
 
+class NumericalFailure(ValueError):
+    """A singular, rank-deficient, degenerate or zero-variance computation.
+
+    The inputs were well formed but the statistics cannot be computed from
+    them; the command line maps this (and ``np.linalg.LinAlgError``) to exit 3.
+    """
+
+
 def _as_vertices(vertices) -> np.ndarray:
     v = np.asarray(vertices, dtype=float)
     if v.ndim != 2 or v.shape[1] != 3:

@@ -11,7 +11,9 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .mesh import AreaWeights, ShapeSample, _area_weights, triangle_areas, validate_correspondence, vertex_areas
+from .mesh import (
+    AreaWeights, NumericalFailure, ShapeSample, _area_weights, triangle_areas, validate_correspondence, vertex_areas
+)
 
 SIZE_CONSTRAINTS = ("unit_area", "initial_mean_area")
 
@@ -122,7 +124,7 @@ def _fit_stack(
     # of the centred shapes without centring x
     u, s, vt = np.linalg.svd(products[:, :, :3])
     if (s[:, 0] <= 0).any() or (s[:, 1] <= s[:, 0] * 1e-12).any():
-        raise ValueError("degenerate configuration: points are collinear or coincident")
+        raise NumericalFailure("degenerate configuration: points are collinear or coincident")
     signs = np.ones((n, 3))
     if not allow_reflection:
         signs[np.linalg.det(u @ vt) < 0, 2] = -1.0
@@ -132,7 +134,7 @@ def _fit_stack(
         sxx = np.einsum("nkj,nkj,j->n", stack, stack, a) - total * (centroid_x * centroid_x).sum(axis=1)
         scales = (signs * s).sum(axis=1) / sxx
         if (scales <= 0).any():
-            raise ValueError("degenerate configuration: non-positive scale")
+            raise NumericalFailure("degenerate configuration: non-positive scale")
     else:
         scales = np.ones(n)
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import SurfaceMesh
+from .mesh import NumericalFailure, SurfaceMesh
 
 # A fit allocates the dense (J+4)^2 system, whose J x J block holds the
 # distances and then the kernel in place, and the solver's (J+4)^2 LU copy:
@@ -90,12 +90,12 @@ def fit_tps(source: np.ndarray, target: np.ndarray, ridge: float = 0.0) -> WarpF
     s = _distances(x, x, out=system[:j, :j])
     np.fill_diagonal(s, np.inf)
     if s.min() < 1e-9:
-        raise ValueError("duplicate source points make the kernel matrix singular")
+        raise NumericalFailure("duplicate source points make the kernel matrix singular")
     np.fill_diagonal(s, 0.0)
 
     q = np.hstack([np.ones((j, 1)), x])
     if np.linalg.matrix_rank(q, tol=None) < 4:
-        raise ValueError("source points are coplanar; the affine block is rank-deficient")
+        raise NumericalFailure("source points are coplanar; the affine block is rank-deficient")
 
     radial_basis(s, out=s)
     if ridge:
@@ -106,7 +106,7 @@ def fit_tps(source: np.ndarray, target: np.ndarray, ridge: float = 0.0) -> WarpF
     try:
         solution = np.linalg.solve(system, rhs)
     except np.linalg.LinAlgError:
-        raise ValueError("warp system is singular; check control point configuration") from None
+        raise NumericalFailure("warp system is singular; check control point configuration") from None
     beta1 = solution[:j]
     beta2 = solution[j:]
     # tr(Y^T Be Y) coordinate by coordinate; exact zero is only reached up to rounding

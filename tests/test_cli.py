@@ -569,6 +569,12 @@ class TestOptionValues:
             ("diff", ("--reference", "9"), "--reference must lie in [--lo, --hi]"),
             ("simulate", ("--n-shapes", "0"), "--n-shapes must be at least 1, got 0"),
             ("simulate", ("--spectrum", ",".join(str(13 - i) for i in range(13))), "--spectrum gives at most 12"),
+            ("compare", ("--bonferroni", "nan"), "--bonferroni must lie in (0, 1), got nan"),
+            ("compare", ("--bonferroni", "-1"), "--bonferroni must lie in (0, 1), got -1.0"),
+            ("compare", ("--bonferroni", "2"), "--bonferroni must lie in (0, 1), got 2.0"),
+            ("register", ("--tol", "nan"), "--tol must be finite and at least 0, got nan"),
+            ("register", ("--tol", "-1"), "--tol must be finite and at least 0, got -1.0"),
+            ("register", ("--max-iter", "0"), "--max-iter must be at least 1, got 0"),
         ],
     )
     def test_bad_value_is_exit_2(self, cohort, component_model, tmp_path, capsys, command, options, message):
@@ -579,6 +585,80 @@ class TestOptionValues:
 
     def test_single_shape_simulation_is_valid(self, tmp_path):
         assert run("simulate", "--n-shapes", "1", "--seed", "1", "--out", tmp_path) == 0
+
+    @pytest.mark.parametrize(
+        "command, message",
+        [("assess", "--variance applies only with --controls"),
+         ("simulate", "give either --n-shapes or --group-sizes, not both")],
+    )
+    def test_option_the_run_would_ignore_is_exit_2(self, cohort, component_model, tmp_path, capsys, command, message):
+        meshes = cohort / "meshes"
+        options = {
+            # refused before the model is read, whatever its kind
+            "assess": ("--model", component_model, "--variance", "0.3", "--pre", meshes / "shape_000.obj",
+                       "--post", meshes / "shape_001.obj", "--pairing", cohort / "pairing.csv"),
+            "simulate": ("--n-shapes", "7", "--group-sizes", "2,2"),
+        }[command]
+        assert run(command, *options, "--out", tmp_path / "out") == 2
+        assert f"error: validation: {message}" in capsys.readouterr().err
+
+    def test_n_shapes_defaults_to_20(self, tmp_path):
+        assert run("simulate", "--resolution", "2", "--seed", "1", "--out", tmp_path) == 0
+        assert len(list((tmp_path / "meshes").glob("*.obj"))) == 20
+
+
+class TestExitCodeByType:
+    """The exit code follows the error's type, wherever the handler raises it."""
+
+    @pytest.mark.parametrize(
+        "error, code, prefix",
+        [
+            (ss.NumericalFailure("planted"), 3, "error: numerical: planted"),
+            (np.linalg.LinAlgError("planted"), 3, "error: numerical: planted"),
+            (ValueError("planted"), 2, "error: validation: planted"),
+            (OSError("planted"), 2, "error: validation: planted"),
+        ],
+        ids=["NumericalFailure", "LinAlgError", "ValueError", "OSError"],
+    )
+    def test_mid_run_error(self, cohort, tmp_path, capsys, monkeypatch, error, code, prefix):
+        def fail(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr("surfshape.cli.affine_nonaffine_split", fail)
+        assert run("split-affine", "--meshes", cohort / "meshes", "--out", tmp_path / "out") == code
+        assert capsys.readouterr().err.strip() == prefix
+        assert not (tmp_path / "out" / "manifest.json").exists()
+
+    def test_other_exception_is_a_bug_with_a_traceback(self, cohort, tmp_path, monkeypatch):
+        def fail(*args, **kwargs):
+            raise RuntimeError("planted")
+
+        monkeypatch.setattr("surfshape.cli.affine_nonaffine_split", fail)
+        with pytest.raises(RuntimeError, match="planted"):
+            run("split-affine", "--meshes", cohort / "meshes", "--out", tmp_path / "out")
+
+    def test_too_few_controls_is_exit_2(self, cohort, tmp_path, capsys):
+        controls = tmp_path / "controls"
+        controls.mkdir()
+        for name in ("shape_000.obj", "shape_001.obj", "shape_002.obj", "shape_003.obj"):
+            (controls / name).write_bytes((cohort / "meshes" / name).read_bytes())
+        shape = cohort / "meshes" / "shape_004.obj"
+        code = run(
+            "assess", "--controls", controls, "--pre", shape, "--post", shape, "--pairing", cohort / "pairing.csv",
+            "--out", tmp_path / "out",
+        )
+        assert code == 2
+        assert "error: validation: need at least 5 control shapes" in capsys.readouterr().err
+
+    def test_one_group_labels_is_exit_2(self, cohort, tmp_path, capsys):
+        labels = tmp_path / "labels.csv"
+        labels.write_text((cohort / "labels.csv").read_text().replace(",B", ",A"))
+        code = run(
+            "compare", "--meshes", cohort / "meshes", "--labels", labels, "--p", "2", "--n-perm", "9",
+            "--out", tmp_path / "out",
+        )
+        assert code == 2
+        assert "error: validation: need exactly two groups, got 1" in capsys.readouterr().err
 
 
 # One process per BLAS thread count; each runs the subcommands whose models
