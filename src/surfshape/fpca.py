@@ -4,11 +4,12 @@ The weighted problem is reduced to ordinary PCA by the isometry that scales
 every coordinate slot of vertex j by sqrt(a_j); eigenfunctions come back
 orthonormal under <u, v>_A = sum_j a_j u_j . v_j.
 
-A cohort has far fewer shapes n than coordinates 3J, so the spectrum comes
-from the n x n Gram matrix of the centred, scaled rows (the method of
-snapshots) rather than from an SVD of the n x 3J matrix. The rank counts
-Gram eigenvalues above 1e-12 of the largest, i.e. singular values above 1e-6
-of the largest: Gram eigenvalues are only accurate to about eps times the
+The reduction shared by :func:`fit_fpca` and both permutation modes: the
+(n, 3J) rows are scaled by sqrt(a), then centred (:func:`_scaled_centred`),
+and the spectrum comes from their n x n Gram matrix (the method of snapshots,
+as n is far below 3J; :func:`_gram_spectrum`). The rank counts Gram
+eigenvalues above 1e-12 of the largest, i.e. singular values above 1e-6 of
+the largest: Gram eigenvalues are only accurate to about eps times the
 largest, and a tighter rule would count the null direction left by centring.
 """
 from __future__ import annotations
@@ -52,10 +53,13 @@ class FpcaModel:
             raise ValueError(
                 f"eigenfunctions must be ({lam.size}, {3 * j}): one row of 3J entries per eigenvalue, got {e.shape}"
             )
+        explained = np.asarray(self.explained, dtype=float)
+        if explained.shape != lam.shape:
+            raise ValueError(f"explained {explained.shape} and eigenvalues {lam.shape} differ in shape")
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "eigenfunctions", e)
         object.__setattr__(self, "eigenvalues", lam)
-        object.__setattr__(self, "explained", np.asarray(self.explained, dtype=float))
+        object.__setattr__(self, "explained", explained)
 
     @property
     def n_components(self) -> int:
@@ -72,11 +76,17 @@ class GrandTour:
     seed: int | None
 
 
-def _stacked_weights(weights: AreaWeights, n_entries: int) -> np.ndarray:
+def _scaled_centred(rows: np.ndarray, weights: AreaWeights | None) -> np.ndarray:
+    """A copy of the (n, 3J) ``rows`` scaled by sqrt(``weights.stacked``), then
+    centred; with ``weights`` None, rows of any width, centred only."""
+    if weights is None:
+        return rows - rows.mean(axis=0)
     w = weights.stacked
-    if w.size != n_entries:
-        raise ValueError(f"weights are for {w.size // 3} vertices, data has {n_entries // 3}")
-    return w
+    if w.size != rows.shape[1]:
+        raise ValueError(f"weights are for {w.size // 3} vertices, data has {rows.shape[1] // 3}")
+    scaled = rows * np.sqrt(w)
+    scaled -= scaled.mean(axis=0)
+    return scaled
 
 
 def _gram_spectrum(centred: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
@@ -105,10 +115,8 @@ def fit_fpca(
     ``mean_shape`` is the (J, 3) shape the tangent coordinates deviate from;
     it becomes the model mean used by scores/reconstruct.
 
-    The spectrum comes from the n x n Gram matrix of the centred, area-scaled
-    rows; the rank counts its eigenvalues above 1e-12 of the largest (singular
-    values above 1e-6 of the largest). Only the returned eigenfunctions are
-    mapped back to 3J coordinates.
+    The spectrum and rank come from the module's reduction; only the returned
+    eigenfunctions are mapped back to 3J coordinates.
     """
     tangent = np.asarray(tangent, dtype=float)
     if tangent.ndim != 2:
@@ -118,8 +126,8 @@ def fit_fpca(
         raise ValueError("need at least two samples")
     if m % 3:
         raise ValueError("tangent row length must be 3J")
-    w = _stacked_weights(weights, m)
-    sqrt_w = np.sqrt(w)
+    scaled = _scaled_centred(tangent, weights)
+    sqrt_w = np.sqrt(weights.stacked)
     # zero-weight vertices carry no variance; keep their eigenfunction entries at 0
     inv_sqrt_w = np.divide(1.0, sqrt_w, out=np.zeros_like(sqrt_w), where=sqrt_w > 0)
 
@@ -129,8 +137,6 @@ def fit_fpca(
     if mean_shape.shape != (m // 3, 3):
         raise ValueError(f"mean_shape must be ({m // 3}, 3)")
 
-    scaled = tangent - tangent.mean(axis=0)
-    scaled *= sqrt_w
     u, lam, rank = _gram_spectrum(scaled)
     eigenvalues = lam / (n - 1)
     # einsum, not BLAS vdot, so the sum's order does not change with the BLAS thread count

@@ -11,7 +11,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .fpca import FpcaModel, _gram_spectrum
+from .fpca import FpcaModel, _gram_spectrum, _scaled_centred
 from .mesh import AreaWeights, NumericalFailure
 from .registration import vec_inverse
 
@@ -250,15 +250,14 @@ def permutation_test(
     permutation. Empirical p-values use (1 + exceedances) / (1 + n_perm),
     counting a permuted statistic of at least (1 - 1e-12) times the observed.
 
-    The data are first reduced to n x rank coordinates through the n x n Gram
-    matrix of the centred rows; the rank counts its eigenvalues above 1e-12 of
-    the largest (singular values above 1e-6 of the largest). Their columns are
-    orthogonal with squared norms lam, so every labelling's pooled within-group
-    scatter is diag(lam) - rho d d^T (d the group-mean difference, rho =
-    n_a n_b / n), and both statistics are closed-form in (lam, rho, d). The
-    group-shape-space rank check (p-th within-group eigenvalue above 1e-12 of
-    the first) applies to every permutation. A repeated or swapped split reads
-    exactly the observed statistics.
+    The data are first reduced to n x rank coordinates by the reduction of
+    :mod:`surfshape.fpca` (``weights`` None leaves the rows unscaled). Their
+    columns are orthogonal with squared norms lam, so every labelling's pooled
+    within-group scatter is diag(lam) - rho d d^T (d the group-mean difference,
+    rho = n_a n_b / n), and both statistics are closed-form in (lam, rho, d).
+    The group-shape-space rank check (p-th within-group eigenvalue above 1e-12
+    of the first) applies to every permutation. A repeated or swapped split
+    reads exactly the observed statistics.
 
     ``threads`` is ignored. It will be removed by the benchmark change that drops
     it from ``perfbench/statsworker.py``.
@@ -277,14 +276,7 @@ def permutation_test(
     if n < p + 2:
         raise ValueError("too few samples for p components")
 
-    if weights is not None:
-        w = weights.stacked
-        if w.size != tangent.shape[1]:
-            raise ValueError("weights do not match tangent dimension")
-        data = tangent * np.sqrt(w)
-        data -= data.mean(axis=0)
-    else:
-        data = tangent - tangent.mean(axis=0)
+    data = _scaled_centred(tangent, weights)
 
     rng = np.random.default_rng(seed)
     na = int(mask_a.sum())

@@ -275,49 +275,12 @@ def write_painted_mesh(mesh: SurfaceMesh, field: np.ndarray, cmap: ColorMap, pat
     return clamped
 
 
-def _fpca_payload(model: FpcaModel) -> dict:
-    return {
-        "mean": model.mean,
-        "weights": model.weights.weights,
-        "weights_total_area": model.weights.total_area,
-        "eigenfunctions": model.eigenfunctions,
-        "eigenvalues": model.eigenvalues,
-        "explained": model.explained,
-        "n_samples": model.n_samples,
-        "total_variance": model.total_variance,
-        "warnings": list(model.warnings),
-    }
-
-
-_FPCA_FIELDS = (
-    "mean",
-    "weights",
-    "weights_total_area",
-    "eigenfunctions",
-    "eigenvalues",
-    "explained",
-    "n_samples",
-    "total_variance",
-    "warnings",
-)
-_CONTROL_FIELDS = (
-    "fpca",
-    "p",
-    "chi2_threshold",
-    "nu",
-    "q95",
-    "control_d",
-    "control_r",
-    "triangles",
-    "control_asymmetry",
-    "warnings",
-)
-
-
-def _require(payload: dict, fields) -> None:
-    for name in fields:
+def _fields(payload: dict, table: dict) -> dict:
+    """Every field named in ``table``, read from ``payload`` by its reader."""
+    for name in table:
         if name not in payload:
             raise ValueError(f"missing field {name!r}")
+    return {name: read(payload, name) for name, read in table.items()}
 
 
 def _array(payload: dict, name: str) -> np.ndarray:
@@ -341,13 +304,19 @@ def _indices(payload: dict, name: str) -> np.ndarray:
     return array.astype(np.intp)
 
 
-def _scalar(payload: dict, name: str, kind):
-    """``payload[name]`` as an ``int`` or a ``float``; a float field takes an
-    integer too, and neither takes a boolean."""
+def _int(payload: dict, name: str) -> int:
     value = payload[name]
-    if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else int):
-        raise ValueError(f"field {name!r} is not {'a number' if kind is float else 'an integer'}")
-    return kind(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"field {name!r} is not an integer")
+    return value
+
+
+def _float(payload: dict, name: str) -> float:
+    """A number; an integer is taken too, a boolean is not."""
+    value = payload[name]
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"field {name!r} is not a number")
+    return float(value)
 
 
 def _strings(payload: dict, name: str) -> tuple[str, ...]:
@@ -363,46 +332,70 @@ def _object(payload: dict, name: str) -> dict:
     return payload[name]
 
 
-def _fpca_from_payload(payload: dict) -> FpcaModel:
-    _require(payload, _FPCA_FIELDS)
-    weights = AreaWeights(_array(payload, "weights"), _scalar(payload, "weights_total_area", float))
-    eigenvalues, explained = _array(payload, "eigenvalues"), _array(payload, "explained")
-    if explained.shape != eigenvalues.shape:
-        raise ValueError(f"explained {explained.shape} and eigenvalues {eigenvalues.shape} differ in shape")
-    return FpcaModel(
-        mean=_array(payload, "mean"),
-        weights=weights,
-        eigenfunctions=_array(payload, "eigenfunctions"),
-        eigenvalues=eigenvalues,
-        explained=explained,
-        n_samples=_scalar(payload, "n_samples", int),
-        total_variance=_scalar(payload, "total_variance", float),
-        warnings=_strings(payload, "warnings"),
-    )
+def _weights(payload: dict, name: str) -> AreaWeights:
+    """Area weights, stored as the fields ``name`` and ``name_total_area``."""
+    return AreaWeights(*_fields(payload, {name: _array, f"{name}_total_area": _float}).values())
+
+
+def _fpca(payload: dict, name: str) -> FpcaModel:
+    return FpcaModel(**_fields(_object(payload, name), _FPCA))
+
+
+def _asymmetry(payload: dict, name: str) -> dict[str, np.ndarray] | None:
+    """None, or an object of per-region score arrays."""
+    if payload[name] is None:
+        return None
+    scores = _object(payload, name)
+    return {region: _array(scores, region) for region in scores}
+
+
+# the model file of each kind: every dataclass field, and the reader load_model takes it through
+_FPCA = {
+    "mean": _array,
+    "weights": _weights,
+    "eigenfunctions": _array,
+    "eigenvalues": _array,
+    "explained": _array,
+    "n_samples": _int,
+    "total_variance": _float,
+    "warnings": _strings,
+}
+_CONTROL = {
+    "fpca": _fpca,
+    "p": _int,
+    "chi2_threshold": _float,
+    "nu": _array,
+    "q95": _float,
+    "control_d": _array,
+    "control_r": _array,
+    "triangles": _indices,
+    "control_asymmetry": _asymmetry,
+    "warnings": _strings,
+}
+_KINDS = {"fpca": (FpcaModel, _FPCA), "control": (ControlModel, _CONTROL)}
+
+
+def _payload(model, table: dict) -> dict:
+    """The attribute of every name in ``table``: a nested model as its own
+    payload, area weights as the two fields :func:`_weights` reads."""
+    doc = {}
+    for name in table:
+        value = getattr(model, name)
+        if isinstance(value, FpcaModel):
+            value = _payload(value, _FPCA)
+        elif isinstance(value, AreaWeights):
+            doc[f"{name}_total_area"] = value.total_area
+            value = value.weights
+        doc[name] = value
+    return doc
 
 
 def save_model(model: FpcaModel | ControlModel, path) -> None:
     """Serialize a component or control model to the JSON schema (version 1)."""
-    if isinstance(model, ControlModel):
-        doc = {
-            "schema_version": SCHEMA_VERSION,
-            "kind": "control",
-            "fpca": _fpca_payload(model.fpca),
-            "p": model.p,
-            "chi2_threshold": model.chi2_threshold,
-            "nu": model.nu,
-            "q95": model.q95,
-            "control_d": model.control_d,
-            "control_r": model.control_r,
-            "triangles": np.asarray(model.triangles),
-            "control_asymmetry": model.control_asymmetry,
-            "warnings": list(model.warnings),
-        }
-    elif isinstance(model, FpcaModel):
-        doc = {"schema_version": SCHEMA_VERSION, "kind": "fpca", **_fpca_payload(model)}
-    else:
-        raise TypeError(f"cannot serialize {type(model).__name__}")
-    write_json(doc, path)
+    for kind, (cls, table) in _KINDS.items():
+        if isinstance(model, cls):
+            return write_json({"schema_version": SCHEMA_VERSION, "kind": kind, **_payload(model, table)}, path)
+    raise TypeError(f"cannot serialize {type(model).__name__}")
 
 
 def write_json(doc, path) -> None:
@@ -457,34 +450,16 @@ def load_model(path) -> FpcaModel | ControlModel:
         raise ValueError(f"{path}: truncated or malformed model file: {err}") from None
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: not a model: the file holds a JSON {type(doc).__name__}, not an object")
+    version, kind = doc.get("schema_version"), doc.get("kind")
     try:
-        return _model_from_doc(doc)
+        if version != SCHEMA_VERSION:
+            raise ValueError(f"schema version {version!r} is not supported (expected {SCHEMA_VERSION})")
+        if not isinstance(kind, str) or kind not in _KINDS:
+            raise ValueError(f"unknown model kind {kind!r}")
+        cls, table = _KINDS[kind]
+        return cls(**_fields(doc, table))
     except ValueError as err:
         raise ValueError(f"{path}: {err}") from None
-
-
-def _model_from_doc(doc: dict) -> FpcaModel | ControlModel:
-    if doc.get("schema_version") != SCHEMA_VERSION:
-        raise ValueError(f"schema version {doc.get('schema_version')!r} is not supported (expected {SCHEMA_VERSION})")
-    kind = doc.get("kind")
-    if kind == "fpca":
-        return _fpca_from_payload(doc)
-    if kind == "control":
-        _require(doc, _CONTROL_FIELDS)
-        asym = None if doc["control_asymmetry"] is None else _object(doc, "control_asymmetry")
-        return ControlModel(
-            fpca=_fpca_from_payload(_object(doc, "fpca")),
-            p=_scalar(doc, "p", int),
-            chi2_threshold=_scalar(doc, "chi2_threshold", float),
-            nu=_array(doc, "nu"),
-            q95=_scalar(doc, "q95", float),
-            control_d=_array(doc, "control_d"),
-            control_r=_array(doc, "control_r"),
-            triangles=_indices(doc, "triangles"),
-            control_asymmetry=None if asym is None else {k: _array(asym, k) for k in asym},
-            warnings=_strings(doc, "warnings"),
-        )
-    raise ValueError(f"unknown model kind {kind!r}")
 
 
 def write_csv(path, header, rows) -> None:

@@ -79,13 +79,15 @@ def _check_pair(source: np.ndarray, target: np.ndarray, weights: AreaWeights) ->
         raise ValueError("weight vector length does not match the shapes")
 
 
-def _load_centred(vertices: np.ndarray, out: np.ndarray) -> np.ndarray:
+def _load_centred(vertices: np.ndarray, out: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
     """Write the (J, 3) ``vertices`` coordinate-major into the (3, J) ``out``,
-    moved to their vertex mean, and return that mean. The expanded sums of
-    squares in :func:`_fit_stack` lose precision as a shape moves away from
-    the origin; this keeps them as accurate as explicit centring."""
+    moved to their centroid under ``weights`` (the vertex mean when None), and
+    return that centroid. The expanded sums of squares in :func:`_fit_stack`
+    lose about 2 log10(|c| / s) of 16 digits, c the weighted centroid after the
+    move and s the weighted spread. The weighted centroid loses none; the vertex
+    mean loses all once zero-weight vertices pull it 1e8 s away."""
     out[...] = vertices.T
-    offset = out.mean(axis=1)
+    offset = out.mean(axis=1) if weights is None else out @ weights / weights.sum()
     out -= offset[:, None]
     return offset
 
@@ -135,6 +137,8 @@ def _fit_stack(
         scales = (signs * s).sum(axis=1) / sxx
         if (scales <= 0).any():
             raise NumericalFailure("degenerate configuration: non-positive scale")
+        if not np.isfinite(scales).all():
+            raise NumericalFailure("degenerate configuration: the scale is not finite")
     else:
         scales = np.ones(n)
 
@@ -173,8 +177,10 @@ def weighted_opa(
     if np.array_equal(source, target):
         # the optimum is the exact identity; the SVD route would leave rounding noise
         return OpaFit(SimilarityTransform.identity(), target.copy(), 0.0)
+    if weights.weights.sum() <= 0:  # before the weighted centroid divides by it
+        raise ValueError("weights sum to zero")
     x = np.empty((1, 3, source.shape[0]))
-    offset = _load_centred(source, x[0])
+    offset = _load_centred(source, x[0], weights.weights)
     fitted = np.empty_like(x[0])  # the sum of one fit is the fit
     scales, rotations, translations, rss = _fit_stack(
         x, np.ascontiguousarray(target.T), weights.weights, allow_scaling, allow_reflection, fitted

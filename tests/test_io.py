@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 from unittest import mock
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 
 import surfshape as ss
+import surfshape.io as sio
 from surfshape.io import (
     ColorMap,
     DIVERGING_HIGH,
@@ -620,3 +622,52 @@ class TestMeshDirectory:
         write_mesh(bumpy_mesh(np.random.default_rng(1), resolution=3), tmp_path / "b.obj")
         with pytest.raises(ValueError, match=f"b.obj: vertex count 258 != {mesh.n_vertices} of a.obj"):
             load_mesh_directory(tmp_path)
+
+
+def assert_same_bits(back, model, path="model"):
+    """``back`` equals ``model`` field by field, every array and number bit for bit."""
+    if dataclasses.is_dataclass(model):
+        assert type(back) is type(model), path
+        for field in dataclasses.fields(model):
+            assert_same_bits(getattr(back, field.name), getattr(model, field.name), f"{path}.{field.name}")
+    elif isinstance(model, dict):
+        assert back.keys() == model.keys(), path
+        for key in model:
+            assert_same_bits(back[key], model[key], f"{path}[{key!r}]")
+    elif model is None or isinstance(model, tuple):
+        assert back == model, path
+    else:
+        back, model = np.asarray(back), np.asarray(model)
+        assert (back.shape, back.dtype, back.tobytes()) == (model.shape, model.dtype, model.tobytes()), path
+
+
+class TestModelFileRoundTrip:
+    """Both model kinds, every dataclass field: save then load gives the same
+    bits, and saving what was loaded gives the same bytes."""
+
+    @pytest.fixture(scope="class")
+    def models(self):
+        config = ss.SynthConfig(resolution=2, n_shapes=12, noise_sd=0.01, asymmetry_magnitude=0.02, seed=2)
+        sample, truth = ss.synth_cohort(config)
+        fpca, _ = fitted_models()
+        regional = ss.fit_control_model(sample, pairing=truth.pairing, regions=truth.base_mesh.regions)
+        plain = ss.fit_control_model(ss.ShapeSample(sample.meshes))
+        assert regional.control_asymmetry and plain.control_asymmetry is None
+        assert fpca.warnings == () and regional.fpca.n_components > 1
+        truncated = ss.fit_fpca(np.eye(4, 3 * 66), ss.AreaWeights.from_weights(np.ones(66)), k=5)
+        assert truncated.warnings
+        return {"fpca": fpca, "truncated": truncated, "regional": regional, "plain": plain}
+
+    @pytest.mark.parametrize("name", ["fpca", "truncated", "regional", "plain"])
+    def test_every_field_bitwise_and_bytes_stable(self, models, name, tmp_path):
+        model = models[name]
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        save_model(model, first)
+        back = load_model(first)
+        assert_same_bits(back, model)
+        save_model(back, second)
+        assert second.read_bytes() == first.read_bytes()
+
+    def test_field_tables_name_every_dataclass_field(self):
+        assert list(sio._FPCA) == [field.name for field in dataclasses.fields(ss.FpcaModel)]
+        assert list(sio._CONTROL) == [field.name for field in dataclasses.fields(ss.ControlModel)]

@@ -329,3 +329,26 @@ def test_later_file_behind_the_first_face_block(fault, cohort_dir):
         return
     assert [arrays(mesh) for mesh in meshes] == expected
     assert meshes[1].triangles is meshes[0].triangles
+
+
+finite_vertex_lists = st.integers(3, 8).flatmap(
+    lambda j: st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=3 * j, max_size=3 * j)
+)
+
+
+@given(coords=finite_vertex_lists)
+def test_written_mesh_reads_back_at_nine_digits(coords, scratch):
+    """write_mesh then read_mesh gives each coordinate x as float("%.9g" % x),
+    bit for bit, and a leading comment (which sends the file to the line scan)
+    changes nothing."""
+    vertices = np.array(coords).reshape(-1, 3)
+    mesh = ss.SurfaceMesh(vertices, [[0, i, i + 1] for i in range(1, vertices.shape[0] - 1)])
+    write_mesh(mesh, scratch)
+    data = scratch.read_bytes()
+    assert sio._parse_plain_obj(data) is not None
+    back = read_mesh(scratch)
+    assert back.vertices.tobytes() == np.array([float("%.9g" % x) for x in coords]).tobytes()
+    assert np.array_equal(back.triangles, mesh.triangles)
+    scratch.write_bytes(b"# comment\n" + data)
+    assert sio._parse_plain_obj(scratch.read_bytes()) is None
+    assert arrays(read_mesh(scratch)) == arrays(back)

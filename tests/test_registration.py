@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.optimize import minimize
@@ -496,3 +498,37 @@ class TestTangentCoordinates:
         mean = rng.normal(size=(8, 3))
         shape = rng.normal(size=(8, 3))
         np.testing.assert_array_equal(ss.tangent_coordinates(shape[None], mean)[0], ss.vec(shape - mean))
+
+
+class TestFarZeroWeightVertices:
+    """Vertices without weight do not move the fit, however far they lie.
+
+    The kernel's sums of squares are expanded about the source's centroid; it
+    is the weighted centroid, so zero-weight vertices far from the rest leave
+    nothing to cancel.
+    """
+
+    @pytest.mark.parametrize("offset", [1e2, 1e4, 1e6, 1e8, 1e10, 1e12])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_the_weighted_vertices_alone(self, offset, seed):
+        rng = np.random.default_rng(seed)
+        near = rng.normal(size=(4, 3))
+        target = 1.3 * near @ random_rotation(rng) + 0.5 + rng.normal(scale=0.05, size=(4, 3))
+        alone = ss.weighted_opa(near, target, ss.AreaWeights.from_weights(np.ones(4)))
+        source = np.vstack([near, offset + rng.normal(size=(4, 3))])
+        weights = ss.AreaWeights.from_weights(np.r_[np.ones(4), np.zeros(4)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fit = ss.weighted_opa(source, np.vstack([target, rng.normal(size=(4, 3))]), weights)
+        assert fit.transform.scale == pytest.approx(alone.transform.scale, rel=1e-9)
+        np.testing.assert_allclose(fit.transform.rotation, alone.transform.rotation, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(fit.transform.translation, alone.transform.translation, rtol=1e-9, atol=1e-9)
+        np.testing.assert_allclose(fit.fitted[:4], alone.fitted, rtol=1e-9, atol=1e-9)
+        assert fit.rss == pytest.approx(alone.rss, rel=1e-9)
+        assert np.isfinite(fit.fitted).all()
+
+    def test_scale_that_is_not_finite_is_a_numerical_failure(self):
+        # the weighted sum of squares underflows to 0, so the scale divides by it
+        corners = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]], float)
+        with np.errstate(all="ignore"), pytest.raises(ss.NumericalFailure, match="scale is not finite"):
+            ss.weighted_opa(1e-170 * corners, corners, ss.AreaWeights.from_weights(np.ones(5)))

@@ -14,13 +14,14 @@ component |t| within 1e-12 of the row's largest |t|, and identical
 exceedance counts and p-values.
 """
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
 
 import surfshape as ss
 from conftest import drawn_masks, principal_angles, sphere_mesh, weighted_a_norm
-from surfshape.fpca import _gram_spectrum
+from surfshape.fpca import _gram_spectrum, _scaled_centred
 from surfshape.groupcompare import PERMUTATION_MODES, _group_shape_space_stats, _mean_differences
 
 EIGEN_RTOL = 1e-7
@@ -478,3 +479,41 @@ class TestRankAndSingularity:
         tangent = plane @ np.linalg.qr(rng.standard_normal((30, 2)))[0].T
         with pytest.raises(ValueError, match="pooled covariance singular; reduce p"):
             ss.permutation_test(tangent, labels, p=2, n_perm=9, mode="tangent_pca")
+
+
+class TestOneReduction:
+    """fit_fpca and both permutation modes take their spectrum from one
+    reduction: _scaled_centred, then _gram_spectrum."""
+
+    @staticmethod
+    def cohort(n=9, j=20):
+        rng = np.random.default_rng(21)
+        return rng.normal(size=(n, 3 * j)), ss.AreaWeights.from_weights(rng.uniform(0.1, 2.0, j))
+
+    def test_fit_fpca_eigenvalues_are_the_reduction_spectrum(self):
+        tangent, weights = self.cohort()
+        n = tangent.shape[0]
+        _, lam, rank = _gram_spectrum(_scaled_centred(tangent, weights))
+        fit = ss.fit_fpca(tangent, weights, k=rank)
+        # n - 1 = 8, so dividing by it and multiplying back are exact
+        assert (fit.eigenvalues * (n - 1)).tobytes() == lam[:rank].tobytes()
+
+    @pytest.mark.parametrize("mode", PERMUTATION_MODES)
+    @pytest.mark.parametrize("weighted", [True, False])
+    def test_permutation_test_reduces_the_same_rows(self, mode, weighted):
+        tangent, weights = self.cohort()
+        weights = weights if weighted else None
+        labels = ["a"] * 4 + ["b"] * 5
+        with mock.patch("surfshape.groupcompare._gram_spectrum", wraps=_gram_spectrum) as spectrum:
+            ss.permutation_test(tangent, labels, p=2, weights=weights, n_perm=5, seed=0, mode=mode)
+        (reduced,), _ = spectrum.call_args
+        assert reduced.tobytes() == _scaled_centred(tangent, weights).tobytes()
+
+    def test_mismatched_weights_refused_with_one_message(self):
+        tangent, weights = self.cohort(j=21)
+        short = ss.AreaWeights.from_weights(weights.weights[:20])
+        message = "weights are for 20 vertices, data has 21"
+        with pytest.raises(ValueError, match=message):
+            ss.fit_fpca(tangent, short)
+        with pytest.raises(ValueError, match=message):
+            ss.permutation_test(tangent, ["a"] * 4 + ["b"] * 5, p=2, weights=short, n_perm=5)
