@@ -47,7 +47,7 @@ from .io import (
     write_regions,
 )
 from .mesh import NumericalFailure, ShapeSample, SurfaceMesh, correspondence_problem, shape_difference_field
-from .registration import tangent_coordinates, weighted_gpa
+from .registration import _tangent_over_stack, weighted_gpa
 from .synth import MAX_PLANTED_MODES, SynthConfig, synth_cohort
 from .warp import apply_warp, check_tps_size, fit_tps
 
@@ -211,12 +211,12 @@ def cmd_pca(args, out: Path) -> str:
     _at_least(args, components=1)
     k = args.components if args.components is not None else _fraction(args, "variance", 0.80)
     gpa = _run_gpa(sample, args)
-    tangent = tangent_coordinates(gpa.aligned, gpa.mean)
-    topology, mean, mean_weights = sample.meshes[0], gpa.mean, gpa.mean_weights
-    del sample, gpa  # release the cohort and the aligned stack before the fit
-    model = fit_fpca(tangent, mean_weights, k=k, mean_shape=mean)
+    topology = sample.meshes[0]
+    del sample  # release the cohort; the tangent rows are written over GPA's stack
+    tangent = _tangent_over_stack(gpa)
+    model = fit_fpca(tangent, gpa.mean_weights, k=k, mean_shape=gpa.mean)
     save_model(model, out / "model.json")
-    write_mesh(topology.with_vertices(mean), out / "mean.obj")
+    write_mesh(topology.with_vertices(gpa.mean), out / "mean.obj")
     score_rows = scores_from_tangent(model, tangent)
     header = ["filename", *(f"pc{k + 1}" for k in range(model.n_components))]
     write_csv(out / "scores.csv", header, ((name, *row) for name, row in zip(names, score_rows)))
@@ -259,14 +259,13 @@ def cmd_compare(args, out: Path) -> str:
     if sample.n_shapes < args.p + 2:
         raise ValueError(f"--p {args.p} needs at least {args.p + 2} shapes, got {sample.n_shapes}")
     gpa = _run_gpa(sample, args)
-    tangent = tangent_coordinates(gpa.aligned, gpa.mean)
-    labels, mean_weights = sample.labels, gpa.mean_weights
-    del sample, gpa  # release the cohort and the aligned stack before the test
+    labels = sample.labels
+    del sample  # release the cohort; the tangent rows are written over GPA's stack
     report = permutation_test(
-        tangent,
+        _tangent_over_stack(gpa),
         labels,
         p=args.p,
-        weights=mean_weights,
+        weights=gpa.mean_weights,
         n_perm=args.n_perm,
         seed=args.seed,
         mode=args.mode,

@@ -4,12 +4,15 @@ The weighted problem is reduced to ordinary PCA by the isometry that scales
 every coordinate slot of vertex j by sqrt(a_j); eigenfunctions come back
 orthonormal under <u, v>_A = sum_j a_j u_j . v_j.
 
-The reduction shared by :func:`fit_fpca` and both permutation modes: the
-(n, 3J) rows are scaled by sqrt(a), then centred (:func:`_scaled_centred`),
-and the spectrum comes from their n x n Gram matrix (the method of snapshots,
-as n is far below 3J; :func:`_gram_spectrum`). The rank counts Gram
-eigenvalues above 1e-12 of the largest, i.e. singular values above 1e-6 of
-the largest: Gram eigenvalues are only accurate to about eps times the
+The reduction shared by :func:`fit_fpca` and both permutation modes walks the
+(n, 3J) rows in blocks of 8,192 columns (the block of ``triangle_areas``) through
+one (n, 8,192) buffer (:func:`_blocks`): each block is scaled by sqrt(a), then
+centred, and its n x n Gram matrix and sum of squares are added up
+(:func:`_gram`; the method of snapshots, as n is far below 3J). The total
+variance comes from the same pass, fit_fpca maps its eigenfunctions back over
+the same blocks, and no step allocates an array of the cohort's size. The rank
+counts Gram eigenvalues above 1e-12 of the largest, i.e. singular values above
+1e-6 of the largest: Gram eigenvalues are only accurate to about eps times the
 largest, and a tighter rule would count the null direction left by centring.
 """
 from __future__ import annotations
@@ -18,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mesh import AreaWeights, NumericalFailure
+from .mesh import _BLOCK, AreaWeights, NumericalFailure
 from .registration import tangent_coordinates, vec_inverse
 
 
@@ -76,27 +79,37 @@ class GrandTour:
     seed: int | None
 
 
-def _scaled_centred(rows: np.ndarray, weights: AreaWeights | None) -> np.ndarray:
-    """A copy of the (n, 3J) ``rows`` scaled by sqrt(``weights.stacked``), then
-    centred; with ``weights`` None, rows of any width, centred only."""
-    if weights is None:
-        return rows - rows.mean(axis=0)
-    w = weights.stacked
-    if w.size != rows.shape[1]:
-        raise ValueError(f"weights are for {w.size // 3} vertices, data has {rows.shape[1] // 3}")
-    scaled = rows * np.sqrt(w)
-    scaled -= scaled.mean(axis=0)
-    return scaled
+def _blocks(rows: np.ndarray, weights: AreaWeights | None):
+    """Yield (columns, block, root weights) over the (n, m) ``rows`` in blocks of
+    _BLOCK columns, each scaled by its root weights sqrt(``weights.stacked``) (1
+    when ``weights`` is None), then centred, in one reused buffer."""
+    n, m = rows.shape
+    root = np.ones(m) if weights is None else np.sqrt(weights.stacked)
+    if root.size != m:
+        raise ValueError(f"weights are for {root.size // 3} vertices, data has {m // 3}")
+    buffer = np.empty((n, min(m, _BLOCK)))
+    for start in range(0, m, _BLOCK):
+        cols = slice(start, min(start + _BLOCK, m))
+        block = np.multiply(rows[:, cols], root[cols], out=buffer[:, : cols.stop - start])
+        block -= block.mean(axis=0)
+        yield cols, block, root[cols]
 
 
-def _gram_spectrum(centred: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
-    """Left singular vectors ``u`` (columns), squared singular values ``lam``
-    (descending, rounding negatives clipped to 0) and numerical rank of an
-    (n, m) matrix, from the eigendecomposition of its n x n Gram matrix.
+def _gram(rows: np.ndarray, weights: AreaWeights | None) -> tuple[np.ndarray, float]:
+    """The n x n Gram matrix and the sum of squares of the :func:`_blocks`, added
+    up block by block (einsum, not BLAS vdot, so the order is thread-independent)."""
+    gram, total = np.zeros((len(rows), len(rows))), 0.0
+    for _, block, _ in _blocks(rows, weights):
+        gram += block @ block.T
+        total += float(np.einsum("ij,ij->", block, block))
+    return gram, total
 
-    The rank counts ``lam > lam[0] * 1e-12``.
-    """
-    lam, u = np.linalg.eigh(centred @ centred.T)
+
+def _spectrum(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """Eigenvectors ``u`` (columns), eigenvalues ``lam`` (descending, rounding
+    negatives clipped to 0) and rank (``lam > lam[0] * 1e-12``) of a Gram matrix:
+    the left singular vectors and squared singular values of the rows behind it."""
+    lam, u = np.linalg.eigh(gram)
     lam = np.maximum(lam[::-1], 0.0)
     return u[:, ::-1], lam, int(np.count_nonzero(lam > lam[0] * 1e-12))
 
@@ -115,8 +128,9 @@ def fit_fpca(
     ``mean_shape`` is the (J, 3) shape the tangent coordinates deviate from;
     it becomes the model mean used by scores/reconstruct.
 
-    The spectrum and rank come from the module's reduction; only the returned
-    eigenfunctions are mapped back to 3J coordinates.
+    The spectrum and rank come from the module's reduction. Memory, in stacks
+    of the (n, 3J) input: the block buffer (8,192 / 3J), 3J vectors (1/n each)
+    and the returned (K, 3J) eigenfunctions (K/n); no copy of the input.
     """
     tangent = np.asarray(tangent, dtype=float)
     if tangent.ndim != 2:
@@ -126,10 +140,7 @@ def fit_fpca(
         raise ValueError("need at least two samples")
     if m % 3:
         raise ValueError("tangent row length must be 3J")
-    scaled = _scaled_centred(tangent, weights)
-    sqrt_w = np.sqrt(weights.stacked)
-    # zero-weight vertices carry no variance; keep their eigenfunction entries at 0
-    inv_sqrt_w = np.divide(1.0, sqrt_w, out=np.zeros_like(sqrt_w), where=sqrt_w > 0)
+    gram, total = _gram(tangent, weights)
 
     if mean_shape is None:
         mean_shape = np.zeros((m // 3, 3))
@@ -137,10 +148,9 @@ def fit_fpca(
     if mean_shape.shape != (m // 3, 3):
         raise ValueError(f"mean_shape must be ({m // 3}, 3)")
 
-    u, lam, rank = _gram_spectrum(scaled)
+    u, lam, rank = _spectrum(gram)
     eigenvalues = lam / (n - 1)
-    # einsum, not BLAS vdot, so the sum's order does not change with the BLAS thread count
-    total_variance = float(np.einsum("ij,ij->", scaled, scaled)) / (n - 1)
+    total_variance = total / (n - 1)
 
     warnings: list[str] = []
     if isinstance(k, (bool,)) or not isinstance(k, (int, float, np.integer, np.floating)):
@@ -161,12 +171,16 @@ def fit_fpca(
     if keep == 0:
         raise NumericalFailure("no variance in the sample")
 
-    eigenfunctions = (u[:, :keep].T @ scaled) / np.sqrt(lam[:keep])[:, None] * inv_sqrt_w
+    eigenfunctions = np.empty((keep, m))
+    for cols, block, root in _blocks(tangent, weights):
+        part = np.matmul(u[:, :keep].T, block, out=eigenfunctions[:, cols])
+        part /= np.sqrt(lam[:keep])[:, None]
+        # zero-weight vertices carry no variance; keep their eigenfunction entries at 0
+        part *= np.divide(1.0, root, out=np.zeros_like(root), where=root > 0)
     # deterministic sign: the largest-magnitude entry of each eigenfunction is positive
-    flip = np.take_along_axis(
-        eigenfunctions, np.argmax(np.abs(eigenfunctions), axis=1)[:, None], axis=1
-    )[:, 0] < 0
-    eigenfunctions[flip] *= -1.0
+    for e in eigenfunctions:  # a row at a time, so |e| is one 3J vector
+        if e[np.argmax(np.abs(e))] < 0:
+            e *= -1.0
 
     explained = np.cumsum(eigenvalues[:keep]) / total_variance if total_variance > 0 else np.zeros(keep)
     return FpcaModel(

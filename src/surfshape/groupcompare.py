@@ -11,7 +11,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .fpca import FpcaModel, _gram_spectrum, _scaled_centred
+from .fpca import FpcaModel, _gram, _spectrum
 from .mesh import AreaWeights, NumericalFailure
 from .registration import vec_inverse
 
@@ -251,7 +251,9 @@ def permutation_test(
     counting a permuted statistic of at least (1 - 1e-12) times the observed.
 
     The data are first reduced to n x rank coordinates by the reduction of
-    :mod:`surfshape.fpca` (``weights`` None leaves the rows unscaled). Their
+    :mod:`surfshape.fpca` (``weights`` None leaves the rows unscaled), which
+    holds one (n, 8,192) block and the n x n Gram matrix, no copy of the
+    (n, 3J) input: a fraction 8,192 / 3J of a stack. Their
     columns are orthogonal with squared norms lam, so every labelling's pooled
     within-group scatter is diag(lam) - rho d d^T (d the group-mean difference,
     rho = n_a n_b / n), and both statistics are closed-form in (lam, rho, d).
@@ -276,8 +278,6 @@ def permutation_test(
     if n < p + 2:
         raise ValueError("too few samples for p components")
 
-    data = _scaled_centred(tangent, weights)
-
     rng = np.random.default_rng(seed)
     na = int(mask_a.sum())
     perm_masks = np.zeros((n_perm, n), dtype=bool)
@@ -286,7 +286,7 @@ def permutation_test(
 
     # all group mean differences and within-group scatters live in the span of
     # the centred rows; reduce once so per-permutation work is O(n * rank)
-    u, lam, rank = _gram_spectrum(data)
+    u, lam, rank = _spectrum(_gram(tangent, weights)[0])
     lam = lam[:rank]
     coords = u[:, :rank] * np.sqrt(lam)
     rho = na * (n - na) / n

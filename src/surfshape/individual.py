@@ -14,22 +14,8 @@ import numpy as np
 
 from .chi2 import chi_square_quantile
 from .fpca import FpcaModel, fit_fpca, scores_from_tangent
-from .mesh import (
-    AreaWeights,
-    BilateralPairing,
-    ShapeSample,
-    SurfaceMesh,
-    shape_difference_field,
-    vertex_areas,
-)
-from .registration import (
-    SimilarityTransform,
-    tangent_coordinates,
-    vec,
-    vec_inverse,
-    weighted_gpa,
-    weighted_opa,
-)
+from .mesh import _BLOCK, AreaWeights, BilateralPairing, ShapeSample, SurfaceMesh, shape_difference_field, vertex_areas
+from .registration import SimilarityTransform, _tangent_over_stack, vec, vec_inverse, weighted_gpa, weighted_opa
 
 
 @dataclass(frozen=True)
@@ -247,16 +233,23 @@ def asymmetry_report(
 def _residual_lengths(tangent_rows: np.ndarray, model: FpcaModel, score_rows: np.ndarray) -> np.ndarray:
     """Per-vertex Euclidean lengths of the residual after removing the component fit.
 
-    One (n, 3J) buffer holds the fit, then the residual, then its squares; the
-    coordinate blocks are summed as (x^2 + y^2) + z^2, np.linalg.norm's order.
+    The vertices go in blocks of _BLOCK // 3 (_BLOCK tangent columns). One
+    (n, _BLOCK // 3) buffer holds a coordinate's fit, residual and squares, summed
+    as (x^2 + y^2) + z^2, np.linalg.norm's order. Memory: the (n, J) output (a
+    third of a stack) and the buffer.
     """
-    residual = score_rows @ model.eigenfunctions
-    np.subtract(tangent_rows, residual, out=residual)
-    residual *= residual
-    j = residual.shape[1] // 3
-    lengths = residual[:, :j] + residual[:, j : 2 * j]
-    lengths += residual[:, 2 * j :]
-    return np.sqrt(lengths, out=lengths)
+    j = tangent_rows.shape[1] // 3
+    lengths = np.zeros((len(tangent_rows), j))
+    buffer = np.empty((len(tangent_rows), min(j, _BLOCK // 3)))
+    for start in range(0, j, _BLOCK // 3):
+        out = lengths[:, start : start + _BLOCK // 3]
+        for offset in (0, j, 2 * j):
+            cols = slice(offset + start, offset + start + out.shape[1])
+            residual = np.matmul(score_rows, model.eigenfunctions[:, cols], out=buffer[:, : out.shape[1]])
+            np.subtract(tangent_rows[:, cols], residual, out=residual)
+            out += np.square(residual, out=residual)
+        np.sqrt(out, out=out)
+    return lengths
 
 
 def sanitize_residual_sds(nu: np.ndarray, tiny: float) -> tuple[np.ndarray, tuple[str, ...]]:
@@ -293,26 +286,30 @@ def fit_control_model(
     one explaining at least ``variance_threshold`` of the weighted variance.
     When a bilateral pairing is available (argument or sample attribute),
     control asymmetry score distributions are recorded for percentile lookups.
+
+    Memory beyond the input meshes, in stacks: GPA's stack (1), then the tangent
+    rows written over it, plus the fit's block (8,192 / 3J) or the residual
+    lengths (1/3) and their block (8,192 / 9J): 1.48 at J = 16,386, n = 40.
     """
     if controls.n_shapes < 5:
         raise ValueError("need at least 5 control shapes")
     gpa = weighted_gpa(controls, max_iter=max_iter, tol=tol)
-    tangent = tangent_coordinates(gpa.aligned, gpa.mean)
-    mean, mean_weights = gpa.mean, gpa.mean_weights
-    del gpa  # the aligned stack is not needed past the tangent rows
-    model = fit_fpca(tangent, mean_weights, k=variance_threshold, mean_shape=mean)
+    tangent = _tangent_over_stack(gpa)
+    model = fit_fpca(tangent, gpa.mean_weights, k=variance_threshold, mean_shape=gpa.mean)
     p = model.n_components
     threshold = chi_square_quantile(p, 0.95)
 
     score_rows = scores_from_tangent(model, tangent)
     d = np.einsum("nk,k->n", score_rows**2, 1.0 / model.eigenvalues)
     lengths = _residual_lengths(tangent, model, score_rows)
+    del gpa, tangent  # release the stack before the statistics of the lengths
     nu = lengths.std(axis=0, ddof=1)
 
     # residual sds at alignment-rounding scale are degenerate, not informative
     tiny = 1e-12 * np.sqrt(model.total_variance / model.mean.shape[0])
     nu, warnings = sanitize_residual_sds(nu, tiny)
-    r = (lengths / nu).mean(axis=1)
+    lengths /= nu
+    r = lengths.mean(axis=1)
     q95 = float(np.percentile(r, 95.0))
 
     pairing = pairing if pairing is not None else controls.pairing
@@ -370,7 +367,8 @@ def assess_individual(model: ControlModel, case: SurfaceMesh) -> ClosestControlR
     r = float((lengths / model.nu).mean())
     within_residual = r <= model.q95
     alpha2 = 1.0 if within_residual else float(model.q95 / r)
-    cc = cc_p + alpha2 * residual
+    # inside both ranges the case is its own closest control; its parts' sum only rounds back to it
+    cc = aligned.copy() if within_components and within_residual else cc_p + alpha2 * residual
 
     return ClosestControlResult(
         d=d,

@@ -15,7 +15,7 @@ DifferenceMode = str  # one of "x", "y", "z", "normal", "signed_euclidean"
 
 _DIFFERENCE_MODES = ("x", "y", "z", "normal", "signed_euclidean")
 
-_AREA_BLOCK = 8_192  # triangles per block of triangle_areas
+_BLOCK = 8_192  # triangles per block of triangle_areas; tangent columns per block in fpca
 
 
 class NumericalFailure(ValueError):
@@ -217,8 +217,8 @@ def triangle_areas(mesh: SurfaceMesh) -> np.ndarray:
     """
     x, y, z = mesh.vertices.T
     areas = np.empty(mesh.n_triangles)
-    for start in range(0, mesh.n_triangles, _AREA_BLOCK):
-        block = slice(start, start + _AREA_BLOCK)
+    for start in range(0, mesh.n_triangles, _BLOCK):
+        block = slice(start, start + _BLOCK)
         i, j, k = mesh.triangles[block].T
         x0, y0, z0 = x[i], y[i], z[i]
         ux, uy, uz = x[j] - x0, y[j] - y0, z[j] - z0

@@ -101,7 +101,7 @@ def _fit_stack(
     stack: np.ndarray, y: np.ndarray, a: np.ndarray, allow_scaling: bool, allow_reflection: bool, fitted_sum: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Weighted OPA of every shape of a coordinate-major (n, 3, J) ``stack``
-    onto the (3, J) target ``y`` with vertex weights ``a``.
+    onto the (3, J) target ``y`` with vertex weights ``a`` of positive sum.
 
     One GEMM against [a (y - ybar) | a] gives every centroid and
     cross-covariance, one einsum every weighted sum of squares, expanded as
@@ -112,8 +112,6 @@ def _fit_stack(
     (n, 3) and residual sums of squares (n,).
     """
     total = a.sum()
-    if total <= 0:
-        raise ValueError("weights sum to zero")
     n, _, n_vertices = stack.shape
     centroid_y = y @ a / total
     weighted = np.empty((4, n_vertices))
@@ -177,7 +175,7 @@ def weighted_opa(
     if np.array_equal(source, target):
         # the optimum is the exact identity; the SVD route would leave rounding noise
         return OpaFit(SimilarityTransform.identity(), target.copy(), 0.0)
-    if weights.weights.sum() <= 0:  # before the weighted centroid divides by it
+    if weights.weights.sum() <= 0:  # before the weighted centroid and _fit_stack divide by it
         raise ValueError("weights sum to zero")
     x = np.empty((1, 3, source.shape[0]))
     offset = _load_centred(source, x[0], weights.weights)
@@ -237,6 +235,8 @@ def weighted_gpa(
         centroid and rescale it to ``target_area`` in place; return its weights.
         The translation keeps the areas, the rescale multiplies them by its square."""
         anchor = _area_weights(reference, areas, weight_overrides)
+        if anchor.total_area <= 0:  # before the centroid divides by it
+            raise ValueError("weights sum to zero")
         mean -= (mean @ anchor.weights / anchor.total_area)[:, None]
         ratio = target_area / areas.sum()
         mean *= np.sqrt(ratio)
@@ -322,3 +322,11 @@ def tangent_coordinates(aligned: np.ndarray | Sequence[np.ndarray], mean: np.nda
         raise ValueError(f"aligned shapes {aligned.shape[1:]} do not match mean {mean.shape}")
     deviations = aligned - mean
     return deviations.transpose(0, 2, 1).reshape(aligned.shape[0], -1)
+
+
+def _tangent_over_stack(gpa: GpaResult) -> np.ndarray:
+    """``tangent_coordinates(gpa.aligned, gpa.mean)`` bit for bit, written over
+    GPA's stack (``gpa.aligned`` holds them afterwards) as an (n, 3J) view."""
+    stack = gpa.aligned.transpose(0, 2, 1)
+    np.subtract(stack, gpa.mean.T, out=stack)
+    return stack.reshape(stack.shape[0], -1)

@@ -1,10 +1,13 @@
-"""Property tests for the CSV sidecar readers.
+"""Property tests for the CSV sidecar readers and writers.
 
 Any bytes either parse or raise a ValueError whose text starts with the file
 path. What parses keeps each reader's contract: ASCII text, vertex indices in
-range, finite non-negative weights, a pairing that is an involution.
+range, finite non-negative weights, a pairing that is an involution. What the
+writers write reads back exactly: floats at 17 digits, pairings and regions
+as equal arrays.
 """
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -12,7 +15,10 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, strategies as st  # noqa: E402
 
-from surfshape.io import read_labels, read_pairing, read_regions, read_weight_overrides  # noqa: E402
+from surfshape.io import (  # noqa: E402
+    read_labels, read_pairing, read_regions, read_weight_overrides, write_csv, write_pairing, write_regions
+)
+from surfshape.mesh import BilateralPairing  # noqa: E402
 
 N_VERTICES = 6
 
@@ -82,3 +88,37 @@ def test_parse_or_name_the_file(kind, data, scratch):
         assert str(err).startswith(f"{scratch}: ")
     else:
         check(result)
+
+
+@given(values=st.lists(st.floats(allow_nan=False), min_size=1, max_size=8))
+def test_written_floats_read_back_bitwise(values, scratch):
+    # infinities and -0.0 included; %.17g is the shortest width that is exact for every double
+    write_csv(scratch, ("name", "value"), ((f"r{i}", x) for i, x in enumerate(values)))
+    lines = scratch.read_text(encoding="ascii").splitlines()
+    assert lines[0] == "name,value" and len(lines) == len(values) + 1
+    for x, line in zip(values, lines[1:]):
+        assert struct.pack("<d", float(line.split(",")[1])) == struct.pack("<d", x)
+
+
+@given(order=st.permutations(range(N_VERTICES)), n_pairs=st.integers(0, N_VERTICES // 2))
+def test_written_pairing_reads_back(order, n_pairs, scratch):
+    pair = np.arange(N_VERTICES)
+    for a, b in zip(order[0 : 2 * n_pairs : 2], order[1 : 2 * n_pairs : 2]):
+        pair[a], pair[b] = b, a
+    write_pairing(BilateralPairing(pair), scratch)
+    np.testing.assert_array_equal(read_pairing(scratch, N_VERTICES).pair, pair)
+
+
+region_names = st.text(alphabet="abcXYZ019_-.%", min_size=1, max_size=6)
+vertex_sets = st.sets(st.integers(0, N_VERTICES - 1), min_size=1)
+
+
+@given(regions=st.dictionaries(region_names, vertex_sets, max_size=4))
+def test_written_regions_read_back(regions, scratch):
+    regions = {name: np.array(sorted(idx), dtype=np.intp) for name, idx in regions.items()}
+    write_regions(regions, scratch)
+    back = read_regions(scratch, N_VERTICES)
+    assert sorted(back) == sorted(regions)
+    for name, idx in regions.items():
+        assert back[name].dtype == np.intp
+        np.testing.assert_array_equal(back[name], idx)

@@ -4,6 +4,7 @@ from scipy import special
 
 import surfshape as ss
 from conftest import random_rotation, sphere_with_pairing
+from surfshape.individual import _residual_lengths
 
 
 def brute_force_asymmetry(mesh, pairing, region=None):
@@ -260,6 +261,20 @@ class TestChi2ThresholdCheck:
             control_model_with_threshold(0, 1.0)
 
 
+@pytest.mark.parametrize("n_vertices", [66, 5_000])
+def test_residual_lengths_are_the_norms_of_the_residual(n_vertices):
+    # 5,000 vertices take two vertex blocks of 2,730 (8,192 tangent columns)
+    rng = np.random.default_rng(31)
+    tangent = rng.normal(size=(7, 3 * n_vertices))
+    weights = ss.AreaWeights.from_weights(rng.uniform(0.5, 1.5, n_vertices))
+    fit = ss.fit_fpca(tangent, weights, k=3)
+    score_rows = ss.scores_from_tangent(fit, tangent)
+    residual = tangent - score_rows @ fit.eigenfunctions
+    want = np.sqrt(np.stack([residual[:, c * n_vertices : (c + 1) * n_vertices] ** 2 for c in range(3)]).sum(axis=0))
+    got = _residual_lengths(tangent, fit, score_rows)
+    np.testing.assert_array_equal(got, want)
+
+
 @pytest.fixture(scope="module")
 def model():
     controls, _ = control_sample(n=45, seed=11)
@@ -323,6 +338,16 @@ class TestAssessIndividual:
         assert result.within_component_range and result.within_residual_range
         np.testing.assert_allclose(result.cc, result.aligned_case, atol=1e-10)
 
+    def test_inside_case_is_its_own_closest_control_bitwise(self, model):
+        # mean + component part + residual would only round back to the case
+        mild = model.fpca.mean + 0.3 * np.sqrt(model.fpca.eigenvalues[1]) * ss.vec_inverse(
+            model.fpca.eigenfunctions[1]
+        )
+        result = ss.assess_individual(model, model.mean_mesh().with_vertices(mild))
+        assert result.alpha1 == 1.0 and result.alpha2 == 1.0
+        assert result.cc.tobytes() == result.aligned_case.tobytes()
+        assert not np.shares_memory(result.cc, result.aligned_case)
+
     def test_alphas_in_unit_interval(self, model):
         rng = np.random.default_rng(4)
         for _ in range(5):
@@ -375,6 +400,18 @@ class TestIntegratedAssessment:
             assert f"{point}_closest_control" in names
             assert f"{point}_vs_closest_control_normal" in names
             assert f"{point}_asymmetry_distance" in names
+
+    def test_inside_case_paints_an_exactly_zero_difference(self, setup):
+        model, _, _, pairing = setup
+        inside = model.mean_mesh().with_vertices(
+            model.fpca.mean + 0.3 * np.sqrt(model.fpca.eigenvalues[1]) * ss.vec_inverse(model.fpca.eigenfunctions[1])
+        )
+        assessment = ss.integrated_assessment(model, inside, inside, pairing)
+        entry = assessment.document["timepoints"]["pre"]
+        assert entry["closest_control"]["within_component_range"]
+        assert entry["closest_control"]["within_residual_range"]
+        assert entry["difference_to_closest_control"] == {"normal_min": 0.0, "normal_max": 0.0, "normal_rms": 0.0}
+        assert not assessment.artifacts["pre_vs_closest_control_normal"].field.any()
 
     def test_control_percentiles_roughly_uniform_over_controls(self):
         controls, truth = control_sample(n=25, seed=17)

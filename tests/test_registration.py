@@ -7,6 +7,7 @@ from scipy.spatial.transform import Rotation
 
 import surfshape as ss
 from conftest import bumpy_mesh, random_rotation, sphere_mesh
+from surfshape.registration import _tangent_over_stack
 
 
 def weighted_objective(source, target, a, params):
@@ -419,6 +420,15 @@ class TestWeightedGpa:
         with pytest.raises(ValueError, match="weight override for vertex 0 is not finite"):
             ss.weighted_gpa(sample, weight_overrides={0: value})
 
+    def test_all_zero_weight_overrides_refused_before_any_division(self):
+        config = ss.SynthConfig(resolution=2, n_shapes=4, noise_sd=0.01, seed=2)
+        sample, _ = ss.synth_cohort(config)
+        assert sample.n_vertices == 66
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="weights sum to zero"):
+                ss.weighted_gpa(sample, weight_overrides={j: 0.0 for j in range(66)})
+
     def test_non_convergence_flagged_not_raised(self):
         config = ss.SynthConfig(resolution=2, n_shapes=6, noise_sd=0.05, nuisance_rotation_deg=20, seed=2)
         sample, _ = ss.synth_cohort(config)
@@ -463,6 +473,17 @@ class TestWeightedGpa:
         tangent = ss.tangent_coordinates(result.aligned, result.mean)
         assert tangent.base is not None  # a reshaped view, not a copy
         np.testing.assert_array_equal(tangent[1], ss.vec(result.aligned[1] - result.mean))
+
+    @pytest.mark.parametrize("allow_scaling", [True, False])
+    def test_tangent_rows_over_the_stack_are_tangent_coordinates(self, allow_scaling):
+        config = ss.SynthConfig(resolution=2, n_shapes=6, noise_sd=0.02, nuisance_rotation_deg=20, seed=5)
+        sample, _ = ss.synth_cohort(config)
+        result = ss.weighted_gpa(sample, allow_scaling=allow_scaling)
+        want = ss.tangent_coordinates(result.aligned, result.mean)
+        stack = result.aligned.transpose(0, 2, 1)
+        rows = _tangent_over_stack(result)
+        assert np.shares_memory(rows, stack) and rows.shape == want.shape
+        assert rows.tobytes() == want.tobytes()
 
     def test_transforms_map_originals_onto_aligned(self):
         config = ss.SynthConfig(resolution=2, n_shapes=5, noise_sd=0.01, nuisance_rotation_deg=10, seed=3)

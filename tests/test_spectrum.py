@@ -21,12 +21,20 @@ import pytest
 
 import surfshape as ss
 from conftest import drawn_masks, principal_angles, sphere_mesh, weighted_a_norm
-from surfshape.fpca import _gram_spectrum, _scaled_centred
+from surfshape.fpca import _blocks, _gram, _spectrum
 from surfshape.groupcompare import PERMUTATION_MODES, _group_shape_space_stats, _mean_differences
 
 EIGEN_RTOL = 1e-7
 EIGEN_ATOL = 1e-13  # times lambda_0
 ANGLE_TOL = 1e-6
+
+
+def _gram_spectrum(centred):
+    """The spectrum of ``centred``'s own Gram matrix, formed in one product: the
+    reference for the library's reduction, which gives the same bits on rows
+    scaled and centred the same way while they fit in one block of 8,192
+    columns."""
+    return _spectrum(centred @ centred.T)
 
 
 def _batched_stats(scores: np.ndarray, masks_a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -483,7 +491,7 @@ class TestRankAndSingularity:
 
 class TestOneReduction:
     """fit_fpca and both permutation modes take their spectrum from one
-    reduction: _scaled_centred, then _gram_spectrum."""
+    reduction: _gram, which walks the rows in column blocks, then _spectrum."""
 
     @staticmethod
     def cohort(n=9, j=20):
@@ -493,7 +501,7 @@ class TestOneReduction:
     def test_fit_fpca_eigenvalues_are_the_reduction_spectrum(self):
         tangent, weights = self.cohort()
         n = tangent.shape[0]
-        _, lam, rank = _gram_spectrum(_scaled_centred(tangent, weights))
+        _, lam, rank = _spectrum(_gram(tangent, weights)[0])
         fit = ss.fit_fpca(tangent, weights, k=rank)
         # n - 1 = 8, so dividing by it and multiplying back are exact
         assert (fit.eigenvalues * (n - 1)).tobytes() == lam[:rank].tobytes()
@@ -504,10 +512,40 @@ class TestOneReduction:
         tangent, weights = self.cohort()
         weights = weights if weighted else None
         labels = ["a"] * 4 + ["b"] * 5
-        with mock.patch("surfshape.groupcompare._gram_spectrum", wraps=_gram_spectrum) as spectrum:
+        gram = mock.Mock(wraps=_gram)
+        with mock.patch("surfshape.fpca._gram", gram), mock.patch("surfshape.groupcompare._gram", gram):
             ss.permutation_test(tangent, labels, p=2, weights=weights, n_perm=5, seed=0, mode=mode)
-        (reduced,), _ = spectrum.call_args
-        assert reduced.tobytes() == _scaled_centred(tangent, weights).tobytes()
+            if weighted:
+                ss.fit_fpca(tangent, weights, k=2)
+        assert gram.call_count == (2 if weighted else 1)
+        for (rows, w), _ in gram.call_args_list:
+            assert rows.tobytes() == tangent.tobytes() and w is weights
+
+    @pytest.mark.parametrize("weighted", [True, False])
+    def test_blocks_are_the_scaled_centred_rows(self, weighted):
+        # 3J = 9,000 columns: a full block of 8,192 and a short one
+        tangent, weights = self.cohort(n=7, j=3_000)
+        tangent += 3.0
+        weights = weights if weighted else None
+        scaled = tangent if weights is None else tangent * np.sqrt(weights.stacked)
+        centred = scaled - scaled.mean(axis=0)
+        blocks = [(cols, block.copy()) for cols, block, _ in _blocks(tangent, weights)]
+        assert [cols.stop - cols.start for cols, _ in blocks] == [8_192, 808]
+        assert np.concatenate([b for _, b in blocks], axis=1).tobytes() == centred.tobytes()
+        gram, total = _gram(tangent, weights)
+        full = centred @ centred.T
+        assert np.abs(gram - full).max() <= 1e-14 * np.abs(full).max()
+        assert total == pytest.approx(np.einsum("ij,ij->", centred, centred), rel=1e-14)
+
+    def test_eigenfunctions_map_back_over_the_blocks(self):
+        tangent, weights = self.cohort(n=7, j=3_000)
+        fit = ss.fit_fpca(tangent, weights, k=4)
+        centred = tangent * np.sqrt(weights.stacked)
+        centred -= centred.mean(axis=0)
+        u, lam, _ = _spectrum(centred @ centred.T)
+        want = (u[:, :4].T @ centred) / np.sqrt(lam[:4])[:, None] / np.sqrt(weights.stacked)
+        want *= np.sign(want[np.arange(4), np.abs(want).argmax(axis=1)])[:, None]
+        np.testing.assert_allclose(fit.eigenfunctions, want, rtol=0, atol=1e-12 * np.abs(want).max())
 
     def test_mismatched_weights_refused_with_one_message(self):
         tangent, weights = self.cohort(j=21)
