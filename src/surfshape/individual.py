@@ -8,13 +8,14 @@ by the components.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .chi2 import chi_square_quantile
 from .fpca import FpcaModel, fit_fpca, scores_from_tangent
 from .mesh import _BLOCK, AreaWeights, BilateralPairing, ShapeSample, SurfaceMesh, shape_difference_field, vertex_areas
+from .mesh import _region_indices
 from .registration import SimilarityTransform, _tangent_over_stack, vec, vec_inverse, weighted_gpa, weighted_opa
 
 
@@ -27,6 +28,11 @@ class AsymmetryReport:
     matched_reflection: np.ndarray
     per_vertex_distance: np.ndarray
     control_percentiles: dict[str, float] | None = None
+
+    @property
+    def scores(self) -> dict[str, float]:
+        """The global and region scores under one key set, as control tables keep them."""
+        return {"global": self.global_score, **self.region_scores}
 
 
 @dataclass(frozen=True)
@@ -55,14 +61,11 @@ class ControlModel:
             raise ValueError(f"p = {self.p} but the component model has {self.fpca.n_components} components")
         if self.p < 1:
             raise ValueError("a control model needs at least one component")
-        # Wilson-Hilferty approximation of the 95% quantile: 2.5% off at p = 1,
-        # under 1% for p >= 2, and no scipy import
-        h = 2.0 / (9.0 * self.p)
-        approx = self.p * (1.0 - h + 1.6448536269514722 * np.sqrt(h)) ** 3
-        if not abs(self.chi2_threshold / approx - 1.0) <= 0.05:
+        exact = chi_square_quantile(self.p, 0.95)
+        if not abs(self.chi2_threshold / exact - 1.0) <= 1e-12:
             raise ValueError(
                 f"chi2_threshold {self.chi2_threshold!r} is not the 95% chi-square quantile "
-                f"for p = {self.p} (about {approx:.4g})"
+                f"for p = {self.p} ({exact!r})"
             )
         j = self.fpca.mean.shape[0]
         if np.shape(self.nu) != (j,):
@@ -112,13 +115,15 @@ class AssessmentDocument:
 
 
 def reflect_relabel(shape: np.ndarray, pairing: BilateralPairing) -> np.ndarray:
-    """Mirror a shape through the pairing's plane and swap left/right vertex labels."""
+    """Mirror a shape through the plane x = 0 and swap left/right vertex labels.
+
+    The mirror image is Procrustes-matched with the orthogonal part left free,
+    so any other plane through the origin gives the same matched shape.
+    """
     shape = np.asarray(shape, dtype=float)
     if shape.ndim != 2 or shape.shape != (pairing.pair.size, 3):
         raise ValueError(f"shape must be ({pairing.pair.size}, 3), got {shape.shape}")
-    n = pairing.plane_normal
-    reflected = shape - 2.0 * np.outer(shape @ n, n)
-    return reflected[pairing.pair]
+    return (shape * np.array([-1.0, 1.0, 1.0]))[pairing.pair]
 
 
 def _match_mirror(
@@ -140,11 +145,9 @@ def _match_mirror(
 def _region_rms(sq: np.ndarray, areas: np.ndarray, region: np.ndarray | None = None) -> float:
     """Area-weighted RMS of per-vertex distances over ``region`` (all vertices when None)."""
     if region is not None:
-        region = np.asarray(region, dtype=np.intp)
+        region = _region_indices(region, sq.size)
         if region.size == 0:
             raise ValueError("region is empty")
-        if region.min() < 0 or region.max() >= sq.size:
-            raise ValueError("region references a vertex outside the mesh")
         sq, areas = sq[region], areas[region]
     denom = areas.sum()
     if denom <= 0:
@@ -204,6 +207,7 @@ def asymmetry_report(
     global_score = _region_rms(sq, halfway)
     region_scores: dict[str, float] = {}
     for name, idx in regions.items():
+        idx = _region_indices(idx, mesh.n_vertices, name)
         if register_per_region:
             region_w = np.zeros_like(areas.weights)
             region_w[idx] = areas.weights[idx]
@@ -213,21 +217,15 @@ def asymmetry_report(
             region_scores[name] = _region_rms(region_sq, region_halfway, idx)
         else:
             region_scores[name] = _region_rms(sq, halfway, idx)
-    percentiles = None
-    if control_scores is not None:
-        percentiles = {}
-        if "global" in control_scores:
-            percentiles["global"] = empirical_percentile(global_score, control_scores["global"])
-        for name, score in region_scores.items():
-            if name in control_scores:
-                percentiles[name] = empirical_percentile(score, control_scores[name])
-    return AsymmetryReport(
-        global_score=global_score,
-        region_scores=region_scores,
-        matched_reflection=matched,
-        per_vertex_distance=np.sqrt(sq),
-        control_percentiles=percentiles,
-    )
+    report = AsymmetryReport(global_score, region_scores, matched, np.sqrt(sq))
+    if control_scores is None:
+        return report
+    percentiles = {
+        name: empirical_percentile(score, control_scores[name])
+        for name, score in report.scores.items()
+        if name in control_scores
+    }
+    return replace(report, control_percentiles=percentiles)
 
 
 def _residual_lengths(tangent_rows: np.ndarray, model: FpcaModel, score_rows: np.ndarray) -> np.ndarray:
@@ -250,6 +248,14 @@ def _residual_lengths(tangent_rows: np.ndarray, model: FpcaModel, score_rows: np
             out += np.square(residual, out=residual)
         np.sqrt(out, out=out)
     return lengths
+
+
+def _measure(model: FpcaModel, tangent_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Component scores, Mahalanobis distances d and per-vertex residual lengths of
+    tangent rows in ``model``'s spaces: one definition for the controls and a case."""
+    score_rows = scores_from_tangent(model, tangent_rows)
+    d = np.einsum("nk,k->n", score_rows**2, 1.0 / model.eigenvalues)
+    return score_rows, d, _residual_lengths(tangent_rows, model, score_rows)
 
 
 def sanitize_residual_sds(nu: np.ndarray, tiny: float) -> tuple[np.ndarray, tuple[str, ...]]:
@@ -299,9 +305,7 @@ def fit_control_model(
     p = model.n_components
     threshold = chi_square_quantile(p, 0.95)
 
-    score_rows = scores_from_tangent(model, tangent)
-    d = np.einsum("nk,k->n", score_rows**2, 1.0 / model.eigenvalues)
-    lengths = _residual_lengths(tangent, model, score_rows)
+    _, d, lengths = _measure(model, tangent)
     del gpa, tangent  # release the stack before the statistics of the lengths
     nu = lengths.std(axis=0, ddof=1)
 
@@ -317,15 +321,9 @@ def fit_control_model(
     if pairing is not None:
         if regions is None:
             regions = controls.meshes[0].regions or {}
-        control_asym = {"global": np.empty(controls.n_shapes)}
-        for name in regions:
-            control_asym[name] = np.empty(controls.n_shapes)
-        for i, mesh in enumerate(controls.meshes):
-            report = asymmetry_report(mesh, pairing, regions)
-            control_asym["global"][i] = report.global_score
-            for name, value in report.region_scores.items():
-                control_asym[name][i] = value
-        control_asym = {name: np.sort(v) for name, v in control_asym.items()}
+        # only the scores of each report are kept, not its per-vertex arrays
+        rows = [asymmetry_report(mesh, pairing, regions).scores for mesh in controls.meshes]
+        control_asym = {name: np.sort([row[name] for row in rows]) for name in rows[0]}
 
     return ControlModel(
         fpca=model,
@@ -355,18 +353,16 @@ def assess_individual(model: ControlModel, case: SurfaceMesh) -> ClosestControlR
     fit = weighted_opa(case.vertices, model.fpca.mean, model.fpca.weights, allow_scaling=True)
     aligned = fit.fitted
     tangent = vec(aligned - model.fpca.mean)[None, :]
-    v = scores_from_tangent(model.fpca, tangent)[0]
-
-    d = float(v**2 @ (1.0 / model.fpca.eigenvalues))
+    score_rows, d_rows, lengths = _measure(model.fpca, tangent)
+    v, d = score_rows[0], float(d_rows[0])
     within_components = d <= model.chi2_threshold
     alpha1 = 1.0 if within_components else float(np.sqrt(model.chi2_threshold / d))
     cc_p = model.fpca.mean + vec_inverse((alpha1 * v) @ model.fpca.eigenfunctions)
 
-    residual = vec_inverse(tangent[0] - v @ model.fpca.eigenfunctions)
-    lengths = np.linalg.norm(residual, axis=1)
-    r = float((lengths / model.nu).mean())
+    r = float((lengths[0] / model.nu).mean())
     within_residual = r <= model.q95
     alpha2 = 1.0 if within_residual else float(model.q95 / r)
+    residual = vec_inverse(tangent[0] - v @ model.fpca.eigenfunctions)
     # inside both ranges the case is its own closest control; its parts' sum only rounds back to it
     cc = aligned.copy() if within_components and within_residual else cc_p + alpha2 * residual
 

@@ -477,9 +477,10 @@ def _write_table(path, header, template: str, values: np.ndarray) -> None:
         fh.write(",".join(header) + "\n" + template % tuple(values.ravel().tolist()))
 
 
-def _read_csv_rows(path, expected_columns: int):
-    """(line, stripped cells) of every non-blank row, numbered by the line the
-    row starts on (a quoted cell may span lines)."""
+def _read_csv_rows(path, header: str):
+    """(line, stripped cells) of every non-blank row of a two-column CSV, numbered
+    by the line the row starts on (a quoted cell may span lines). A row on line 1
+    whose first cell is ``header`` is the optional header and is skipped."""
     # latin-1 decodes every byte, so a non-ASCII one is named with its line here
     # instead of failing in the decoder, which names neither
     start = 1
@@ -492,9 +493,11 @@ def _read_csv_rows(path, expected_columns: int):
                     raise ValueError(f"{path}: line {lineno}: non-ASCII byte")
                 if not row or (len(row) == 1 and not row[0].strip()):
                     continue
-                if len(row) != expected_columns:
-                    raise ValueError(f"{path}: line {lineno}: expected {expected_columns} columns")
-                yield lineno, [cell.strip() for cell in row]
+                if len(row) != 2:
+                    raise ValueError(f"{path}: line {lineno}: expected 2 columns")
+                cells = [cell.strip() for cell in row]
+                if lineno > 1 or cells[0] != header:
+                    yield lineno, cells
         except csv.Error as err:  # e.g. a field beyond the csv module's size limit
             raise ValueError(f"{path}: line {start}: {err}") from None
 
@@ -510,9 +513,7 @@ def _number(kind, text: str):
 def read_regions(path, n_vertices: int) -> dict[str, np.ndarray]:
     """Read a vertex_index,region_name CSV into a region map (header optional)."""
     regions: dict[str, list[int]] = {}
-    for lineno, (idx_text, name) in _read_csv_rows(path, 2):
-        if lineno == 1 and idx_text == "vertex_index":
-            continue
+    for lineno, (idx_text, name) in _read_csv_rows(path, "vertex_index"):
         try:
             idx = _number(int, idx_text)
         except ValueError:
@@ -530,16 +531,14 @@ def write_regions(regions: dict[str, np.ndarray], path) -> None:
     _write_table(path, ("vertex_index", "region_name"), template, np.concatenate([np.empty(0, np.intp), *index]))
 
 
-def read_pairing(path, n_vertices: int, plane_normal=(1.0, 0.0, 0.0)) -> BilateralPairing:
+def read_pairing(path, n_vertices: int) -> BilateralPairing:
     """Read an index,mirror_index CSV into a BilateralPairing (header optional).
 
     Unlisted vertices default to midline (self-paired); the involution is
     validated on construction.
     """
     pair = np.arange(n_vertices, dtype=np.intp)
-    for lineno, (a_text, b_text) in _read_csv_rows(path, 2):
-        if lineno == 1 and a_text == "index":
-            continue
+    for lineno, (a_text, b_text) in _read_csv_rows(path, "index"):
         try:
             a, b = _number(int, a_text), _number(int, b_text)
         except ValueError:
@@ -549,7 +548,7 @@ def read_pairing(path, n_vertices: int, plane_normal=(1.0, 0.0, 0.0)) -> Bilater
                 raise ValueError(f"{path}: line {lineno}: vertex {value} outside [0, {n_vertices})")
         pair[a] = b
     try:
-        return BilateralPairing(pair, np.asarray(plane_normal, dtype=float))
+        return BilateralPairing(pair)
     except ValueError as err:
         raise ValueError(f"{path}: {err}") from None
 
@@ -566,9 +565,7 @@ def read_weight_overrides(path, n_vertices: int) -> dict[int, float]:
     set externally (e.g. to the average of the surface points).
     """
     overrides: dict[int, float] = {}
-    for lineno, (idx_text, weight_text) in _read_csv_rows(path, 2):
-        if lineno == 1 and idx_text == "vertex_index":
-            continue
+    for lineno, (idx_text, weight_text) in _read_csv_rows(path, "vertex_index"):
         try:
             idx = _number(int, idx_text)
             weight = _number(float, weight_text)
@@ -587,9 +584,7 @@ def read_weight_overrides(path, n_vertices: int) -> dict[int, float]:
 def read_labels(path) -> dict[str, str]:
     """Read a filename,label CSV keyed by mesh filename (header optional)."""
     labels: dict[str, str] = {}
-    for lineno, (name, label) in _read_csv_rows(path, 2):
-        if lineno == 1 and name == "filename":
-            continue
+    for lineno, (name, label) in _read_csv_rows(path, "filename"):
         if name in labels:
             raise ValueError(f"{path}: line {lineno}: duplicate filename {name!r}")
         labels[name] = label

@@ -6,7 +6,7 @@ shape in a sample, and all shapes in a sample share one triangulation.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -40,6 +40,19 @@ def _as_triangles(triangles) -> np.ndarray:
     return t
 
 
+def _region_indices(idx, n_vertices: int, name: str | None = None) -> np.ndarray:
+    """A region's vertex indices as an intp array. A boolean mask or a fractional
+    array is refused, not cast to indices; an empty array of any type passes."""
+    label = "region" if name is None else f"region {name!r}"
+    idx = np.asarray(idx)
+    if idx.size and not np.issubdtype(idx.dtype, np.integer):
+        raise ValueError(f"{label} must hold integer vertex indices, got {idx.dtype} values")
+    idx = idx.astype(np.intp, copy=False)
+    if idx.size and (idx.min() < 0 or idx.max() >= n_vertices):
+        raise ValueError(f"{label} references a vertex outside [0, {n_vertices})")
+    return idx
+
+
 @dataclass(frozen=True)
 class SurfaceMesh:
     """A triangulated surface: (J, 3) vertex coordinates in mm plus (T, 3) index triples.
@@ -68,10 +81,7 @@ class SurfaceMesh:
         if self.regions is not None:
             regions = {}
             for name, idx in self.regions.items():
-                idx = np.asarray(idx, dtype=np.intp)
-                if idx.size and (idx.min() < 0 or idx.max() >= v.shape[0]):
-                    raise ValueError(f"region {name!r} references a vertex outside [0, {v.shape[0]})")
-                regions[name] = np.unique(idx)
+                regions[name] = np.unique(_region_indices(idx, v.shape[0], name))
         object.__setattr__(self, "vertices", v)
         object.__setattr__(self, "triangles", t)
         object.__setattr__(self, "regions", regions)
@@ -134,12 +144,10 @@ class BilateralPairing:
     """Left/right vertex correspondence: an involution on vertex indices.
 
     ``pair[j]`` is the mirror partner of vertex j; midline vertices are the
-    fixed points. ``plane_normal`` is the unit normal of the nominal symmetry
-    plane (through the origin).
+    fixed points.
     """
 
     pair: np.ndarray
-    plane_normal: np.ndarray = field(default_factory=lambda: np.array([1.0, 0.0, 0.0]))
 
     def __post_init__(self):
         p = np.asarray(self.pair, dtype=np.intp)
@@ -151,12 +159,7 @@ class BilateralPairing:
         if not np.array_equal(p[p], j):
             bad = int(np.flatnonzero(p[p] != j)[0])
             raise ValueError(f"pairing is not an involution at vertex {bad}")
-        n = np.asarray(self.plane_normal, dtype=float)
-        norm = np.linalg.norm(n)
-        if n.shape != (3,) or norm == 0:
-            raise ValueError("plane_normal must be a nonzero 3-vector")
         object.__setattr__(self, "pair", p)
-        object.__setattr__(self, "plane_normal", n / norm)
 
     @property
     def midline(self) -> np.ndarray:

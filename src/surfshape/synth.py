@@ -149,7 +149,7 @@ def _pairing_from_coordinates(vertices: np.ndarray) -> BilateralPairing:
     pair = index[inverse[n:]]
     if (pair < 0).any():
         raise ValueError(f"vertex {int(np.flatnonzero(pair < 0)[0])} has no exact mirror partner")
-    return BilateralPairing(pair, np.array([1.0, 0.0, 0.0]))
+    return BilateralPairing(pair)
 
 
 def synth_base_mesh(config: SynthConfig) -> tuple[SurfaceMesh, BilateralPairing]:

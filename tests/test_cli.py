@@ -401,7 +401,7 @@ class TestTamperedModel:
             (lambda d: d["fpca"]["weights"].__setitem__(2, None), "field 'weights' holds a null or non-finite value"),
             (
                 lambda d: d.update(chi2_threshold=0.5),
-                "chi2_threshold 0.5 is not the 95% chi-square quantile for p = 2 (about 5.937)",
+                "chi2_threshold 0.5 is not the 95% chi-square quantile for p = 2 (5.99146454710798)",
             ),
         ],
     )

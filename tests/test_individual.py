@@ -1,9 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 from scipy import special
 
 import surfshape as ss
 from conftest import random_rotation, sphere_with_pairing
+from surfshape.chi2 import chi_square_quantile
 from surfshape.individual import _residual_lengths
 
 
@@ -14,7 +17,7 @@ def brute_force_asymmetry(mesh, pairing, region=None):
     from the closed-form solution, its own area computation.
     """
     x = mesh.vertices
-    n = pairing.plane_normal
+    n = np.array([1.0, 0.0, 0.0])  # the plane x = 0
     reflected = x @ (np.eye(3) - 2.0 * np.outer(n, n))
     mirrored = reflected[pairing.pair]
 
@@ -130,6 +133,14 @@ class TestAsymmetryScore:
         with pytest.raises(ValueError, match="empty"):
             ss.asymmetry_score(mesh, pairing, region=np.array([], dtype=int))
 
+    @pytest.mark.parametrize("as_values", [lambda mask: mask, lambda mask: mask.astype(float)], ids=["bool", "float"])
+    def test_mask_is_not_read_as_indices(self, as_values):
+        # a boolean mask cast to intp would be the vertices 0 and 1
+        mesh, pairing = perturbed_mesh(0.1)
+        mask = np.isin(np.arange(mesh.n_vertices), mesh.regions["upper"])
+        with pytest.raises(ValueError, match="region must hold integer vertex indices"):
+            ss.asymmetry_score(mesh, pairing, region=as_values(mask))
+
 
 class TestAsymmetryReport:
     def test_regions_and_percentiles(self):
@@ -139,6 +150,13 @@ class TestAsymmetryReport:
         assert set(report.region_scores) == {"upper", "lower"}
         assert 0.0 <= report.control_percentiles["global"] <= 100.0
         assert "lower" not in report.control_percentiles
+
+    @pytest.mark.parametrize("register_per_region", [False, True])
+    def test_mask_region_refused_by_name(self, register_per_region):
+        mesh, pairing = perturbed_mesh(0.1)
+        mask = np.isin(np.arange(mesh.n_vertices), mesh.regions["upper"])
+        with pytest.raises(ValueError, match="region 'upper' must hold integer vertex indices, got bool"):
+            ss.asymmetry_report(mesh, pairing, {"upper": mask}, register_per_region=register_per_region)
 
     def test_per_region_registration_flag_changes_only_regions(self):
         mesh, pairing = perturbed_mesh(0.15)
@@ -241,8 +259,8 @@ def control_model_with_threshold(p, threshold):
 
 
 class TestChi2ThresholdCheck:
-    """ControlModel refuses a chi2_threshold more than 5% away from the
-    Wilson-Hilferty approximation of the 95% quantile (2.5% off at p = 1)."""
+    """ControlModel refuses a chi2_threshold more than 1e-12 relative away from
+    the exact 95% quantile; scipy's values lie within 1.2e-15 of it."""
 
     @pytest.mark.parametrize("p", range(1, 41))
     def test_true_quantile_accepted(self, p):
@@ -255,6 +273,14 @@ class TestChi2ThresholdCheck:
         threshold = factor * 2.0 * special.gammaincinv(p / 2.0, 0.95)
         with pytest.raises(ValueError, match=f"is not the 95% chi-square quantile for p = {p}"):
             control_model_with_threshold(p, threshold)
+
+    @pytest.mark.parametrize("p", [1, 2, 5, 30])
+    @pytest.mark.parametrize("relative", [1e-9, -1e-9])
+    def test_threshold_a_billionth_off_refused(self, p, relative):
+        exact = chi_square_quantile(p, 0.95)
+        message = re.escape(f"is not the 95% chi-square quantile for p = {p} ({exact!r})")
+        with pytest.raises(ValueError, match=message):
+            control_model_with_threshold(p, exact * (1.0 + relative))
 
     def test_no_components_refused(self):
         with pytest.raises(ValueError, match="at least one component"):
@@ -360,6 +386,43 @@ class TestAssessIndividual:
         other = ss.synth_base_mesh(ss.SynthConfig(resolution=3))[0]
         with pytest.raises(ValueError, match="vertices"):
             ss.assess_individual(model, other)
+
+
+class TestClosestControlInvariances:
+    """The assessment depends on the case's shape and on the controls as a set:
+    a similarity motion of the case and the order of the controls leave it."""
+
+    @pytest.mark.parametrize("outside", [False, True])
+    def test_similarity_motion_of_the_case(self, model, outside):
+        rng = np.random.default_rng(8)
+        mean, eigenfunctions, eigenvalues = model.fpca.mean, model.fpca.eigenfunctions, model.fpca.eigenvalues
+        if outside:
+            shape = mean + 4.0 * np.sqrt(eigenvalues[0]) * ss.vec_inverse(eigenfunctions[0])
+            shape = shape + rng.normal(scale=0.02, size=mean.shape)
+        else:
+            shape = mean + 0.3 * np.sqrt(eigenvalues[1]) * ss.vec_inverse(eigenfunctions[1])
+        moved = 1.7 * shape @ random_rotation(rng) + rng.normal(size=3)
+        base = ss.assess_individual(model, model.mean_mesh().with_vertices(shape))
+        other = ss.assess_individual(model, model.mean_mesh().with_vertices(moved))
+        assert base.within_component_range is not outside and base.within_residual_range is not outside
+        for name in ("d", "r", "alpha1", "alpha2"):
+            assert getattr(other, name) == pytest.approx(getattr(base, name), rel=1e-9), name
+        assert other.within_component_range == base.within_component_range
+        assert other.within_residual_range == base.within_residual_range
+
+    def test_control_order(self):
+        controls, truth = control_sample(n=20, seed=17)
+        reversed_controls = ss.ShapeSample(controls.meshes[::-1])
+        fit = lambda sample: ss.fit_control_model(sample, pairing=truth.pairing, tol=1e-14, max_iter=300)
+        base, other = fit(controls), fit(reversed_controls)
+        np.testing.assert_allclose(other.control_d, base.control_d[::-1], rtol=1e-9)
+        np.testing.assert_allclose(other.control_r, base.control_r[::-1], rtol=1e-9)
+        assert other.p == base.p
+        np.testing.assert_allclose(other.nu, base.nu, rtol=1e-9)
+        assert other.q95 == pytest.approx(base.q95, rel=1e-9)
+        assert set(other.control_asymmetry) == set(base.control_asymmetry) == {"global", "upper", "lower"}
+        for name, scores in base.control_asymmetry.items():
+            np.testing.assert_allclose(other.control_asymmetry[name], scores, rtol=1e-9)
 
 
 @pytest.fixture(scope="module")

@@ -249,6 +249,17 @@ class TestMeshValidation:
         with pytest.raises(ValueError, match="region 'nose'"):
             ss.SurfaceMesh(np.eye(3), [[0, 1, 2]], regions={"nose": np.array([4])})
 
+    @pytest.mark.parametrize("values", [np.array([True, True, False]), np.array([0.0, 2.0]), np.array([0.5])])
+    def test_region_of_non_integers_refused(self, values):
+        # a boolean mask cast to intp would be the vertices 0 and 1
+        with pytest.raises(ValueError, match="region 'upper' must hold integer vertex indices"):
+            ss.SurfaceMesh(np.eye(3), [[0, 1, 2]], regions={"upper": values})
+
+    def test_empty_region_of_any_type_kept(self):
+        mesh = ss.SurfaceMesh(np.eye(3), [[0, 1, 2]], regions={"none": [], "pair": np.array([2, 0], np.uint8)})
+        assert mesh.regions["none"].dtype == np.intp and mesh.regions["none"].size == 0
+        np.testing.assert_array_equal(mesh.regions["pair"], [0, 2])
+
 
 class TestWithVertices:
     def test_same_as_a_freshly_validated_mesh(self):
@@ -278,7 +289,3 @@ class TestBilateralPairing:
     def test_midline_is_fixed_points(self):
         pairing = ss.BilateralPairing(np.array([1, 0, 2, 3]))
         np.testing.assert_array_equal(pairing.midline, [2, 3])
-
-    def test_plane_normal_normalized(self):
-        pairing = ss.BilateralPairing(np.array([0, 1, 2]), plane_normal=np.array([2.0, 0, 0]))
-        np.testing.assert_array_equal(pairing.plane_normal, [1.0, 0, 0])

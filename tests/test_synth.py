@@ -78,7 +78,7 @@ def dict_pairing_from_coordinates(vertices):
         if j is None:
             raise ValueError(f"vertex {i} has no exact mirror partner")
         pair[i] = j
-    return ss.BilateralPairing(pair, np.array([1.0, 0.0, 0.0]))
+    return ss.BilateralPairing(pair)
 
 
 def assert_same_bits(actual, expected):
