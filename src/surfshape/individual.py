@@ -16,7 +16,8 @@ from .chi2 import chi_square_quantile
 from .fpca import FpcaModel, fit_fpca, scores_from_tangent
 from .mesh import _BLOCK, AreaWeights, BilateralPairing, ShapeSample, SurfaceMesh, shape_difference_field, vertex_areas
 from .mesh import _region_indices
-from .registration import SimilarityTransform, _tangent_over_stack, vec, vec_inverse, weighted_gpa, weighted_opa
+from .registration import SimilarityTransform, _tangent_over_stack, tangent_coordinates, vec_inverse
+from .registration import weighted_gpa, weighted_opa
 
 
 @dataclass(frozen=True)
@@ -198,10 +199,12 @@ def asymmetry_report(
 
     By default one global registration is shared by all regions;
     ``register_per_region`` instead re-matches the mirror image using each
-    region's own vertices and weights.
+    region's own vertices and weights. The name ``global`` is reserved.
     """
     if regions is None:
         regions = mesh.regions or {}
+    if "global" in regions:
+        raise ValueError("region name 'global' is reserved for the whole-surface score")
     areas = vertex_areas(mesh)
     matched, sq, halfway = _match_mirror(mesh, pairing, areas, allow_scaling)
     global_score = _region_rms(sq, halfway)
@@ -352,7 +355,7 @@ def assess_individual(model: ControlModel, case: SurfaceMesh) -> ClosestControlR
         )
     fit = weighted_opa(case.vertices, model.fpca.mean, model.fpca.weights, allow_scaling=True)
     aligned = fit.fitted
-    tangent = vec(aligned - model.fpca.mean)[None, :]
+    tangent = tangent_coordinates(aligned, model.fpca.mean)
     score_rows, d_rows, lengths = _measure(model.fpca, tangent)
     v, d = score_rows[0], float(d_rows[0])
     within_components = d <= model.chi2_threshold

@@ -110,10 +110,6 @@ def _mesh_from_obj(data: bytes, path) -> tuple[SurfaceMesh, bool]:
         raise ValueError(f"{path}: vertex {int(np.flatnonzero(~finite)[0]) + 1} has a non-finite coordinate")
     if t.max() >= v.shape[0]:
         raise ValueError(f"{path}: face references vertex {int(t.max()) + 1} but only {v.shape[0]} exist")
-    used = np.zeros(v.shape[0], dtype=bool)
-    used[t.ravel()] = True
-    if not used.all():
-        raise ValueError(f"{path}: vertex {int(np.flatnonzero(~used)[0])} appears in no triangle")
     try:
         return SurfaceMesh(v, t), arrays is not None
     except ValueError as err:
@@ -511,9 +507,11 @@ def _number(kind, text: str):
 
 
 def read_regions(path, n_vertices: int) -> dict[str, np.ndarray]:
-    """Read a vertex_index,region_name CSV into a region map (header optional)."""
+    """Read a vertex_index,region_name CSV into a region map (header optional; no region ``global``)."""
     regions: dict[str, list[int]] = {}
     for lineno, (idx_text, name) in _read_csv_rows(path, "vertex_index"):
+        if name == "global":
+            raise ValueError(f"{path}: line {lineno}: region name 'global' is reserved for the whole-surface score")
         try:
             idx = _number(int, idx_text)
         except ValueError:

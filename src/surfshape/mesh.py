@@ -57,6 +57,7 @@ def _region_indices(idx, n_vertices: int, name: str | None = None) -> np.ndarray
 class SurfaceMesh:
     """A triangulated surface: (J, 3) vertex coordinates in mm plus (T, 3) index triples.
 
+    Every vertex lies on at least one triangle, and no triangle repeats a vertex.
     ``regions`` optionally names vertex subsets (region name -> sorted index array)
     used for sub-region scores and reports.
     """
@@ -77,6 +78,11 @@ class SurfaceMesh:
         degenerate = (t[:, 0] == t[:, 1]) | (t[:, 1] == t[:, 2]) | (t[:, 0] == t[:, 2])
         if degenerate.any():
             raise ValueError(f"triangle {int(np.flatnonzero(degenerate)[0])} repeats a vertex index")
+        # a vertex on no triangle would get zero weight in every surface sum
+        isolated = np.ones(v.shape[0], dtype=bool)
+        isolated[t] = False
+        if isolated.any():
+            raise ValueError(f"vertex {int(np.flatnonzero(isolated)[0])} appears in no triangle")
         regions = None
         if self.regions is not None:
             regions = {}
@@ -169,7 +175,8 @@ class BilateralPairing:
 
 @dataclass(frozen=True)
 class ShapeSample:
-    """A cohort of corresponded shapes with optional group labels and bilateral pairing."""
+    """A cohort of corresponded shapes with optional group labels and bilateral pairing:
+    every shape has shape 0's vertex count and triangle list, and finite coordinates."""
 
     meshes: tuple[SurfaceMesh, ...]
     labels: tuple[str, ...] | None = None
@@ -179,6 +186,13 @@ class ShapeSample:
         meshes = tuple(self.meshes)
         if len(meshes) < 1:
             raise ValueError("a sample needs at least one shape")
+        for i, mesh in enumerate(meshes):
+            problem = correspondence_problem(mesh, meshes[0], "shape 0")
+            if problem:
+                raise ValueError(f"shape {i}: {problem}")
+            if not np.isfinite(mesh.vertices).all():
+                j = int(np.flatnonzero(~np.isfinite(mesh.vertices).all(axis=1))[0])
+                raise ValueError(f"shape {i}: non-finite coordinate at vertex {j}")
         if self.labels is not None:
             labels = tuple(str(l) for l in self.labels)
             if len(labels) != len(meshes):
@@ -199,36 +213,34 @@ class ShapeSample:
         return np.stack([m.vertices for m in self.meshes])
 
 
-@dataclass(frozen=True)
-class CorrespondenceReport:
-    """Outcome of validate_correspondence: empty problem list means OK."""
-
-    problems: tuple[str, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.problems
-
-
-def triangle_areas(mesh: SurfaceMesh) -> np.ndarray:
-    """Per-triangle areas (half cross-product norm).
+def _cross_blocks(mesh: SurfaceMesh):
+    """(triangle slice, cx, cy, cz) per block of _BLOCK triangles: the cross
+    product (b - a) x (c - a) of each triangle's corners a, b, c.
 
     Gathers coordinate columns and writes the cross product out: the same
-    operations, in the same order, as ``0.5 * norm(np.cross(b - a, c - a))``.
-    Works through the triangles in blocks, so its temporaries stay at a
-    fixed size however large the mesh.
+    operations, in the same order, as numpy's ``cross``, in fixed-size temporaries.
     """
     x, y, z = mesh.vertices.T
-    areas = np.empty(mesh.n_triangles)
     for start in range(0, mesh.n_triangles, _BLOCK):
         block = slice(start, start + _BLOCK)
         i, j, k = mesh.triangles[block].T
         x0, y0, z0 = x[i], y[i], z[i]
         ux, uy, uz = x[j] - x0, y[j] - y0, z[j] - z0
         vx, vy, vz = x[k] - x0, y[k] - y0, z[k] - z0
-        cx = uy * vz - uz * vy
-        cy = uz * vx - ux * vz
-        cz = ux * vy - uy * vx
+        yield block, uy * vz - uz * vy, uz * vx - ux * vz, ux * vy - uy * vx
+
+
+def _corner_sums(mesh: SurfaceMesh, values: np.ndarray) -> np.ndarray:
+    """Per-vertex sums of a per-triangle value over the vertex's triangles,
+    corner by corner in triangle order (the order ``np.add.at`` sums in)."""
+    return np.bincount(mesh.triangles.T.ravel(), weights=np.tile(values, 3), minlength=mesh.n_vertices)
+
+
+def triangle_areas(mesh: SurfaceMesh) -> np.ndarray:
+    """Per-triangle areas: numpy's ``0.5 * norm(cross(b - a, c - a))`` bit for
+    bit, block by block."""
+    areas = np.empty(mesh.n_triangles)
+    for block, cx, cy, cz in _cross_blocks(mesh):
         areas[block] = 0.5 * np.sqrt(cx * cx + cy * cy + cz * cz)
     return areas
 
@@ -253,8 +265,7 @@ def _area_weights(mesh: SurfaceMesh, areas: np.ndarray, overrides: Mapping[int, 
     per-triangle ``areas``, for a caller that holds them already."""
     if not (areas > 0).any():
         raise ValueError("zero-area surface")
-    # corner by corner, each vertex sums its shares in triangle order
-    w = np.bincount(mesh.triangles.T.ravel(), weights=np.tile(areas / 3.0, 3), minlength=mesh.n_vertices)
+    w = _corner_sums(mesh, areas / 3.0)
     if overrides:
         for j, value in overrides.items():
             if not 0 <= j < mesh.n_vertices:
@@ -273,18 +284,13 @@ def vertex_normals(mesh: SurfaceMesh) -> np.ndarray:
     Raises
     ------
     ValueError
-        If a vertex has no incident triangle or its averaged normal vanishes.
+        If a vertex's averaged normal vanishes.
     """
-    tri = mesh.vertices[mesh.triangles]
     # cross product = 2 * area * unit normal, which is exactly the area weighting
-    cross = np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0])
-    corners = mesh.triangles.T.ravel()
-    normals = np.column_stack(
-        [np.bincount(corners, weights=np.tile(cross[:, k], 3), minlength=mesh.n_vertices) for k in range(3)]
-    )
-    incident = np.bincount(corners, minlength=mesh.n_vertices)
-    if (incident == 0).any():
-        raise ValueError(f"vertex {int(np.flatnonzero(incident == 0)[0])} has no incident triangle")
+    cross = np.empty((3, mesh.n_triangles))
+    for block, *columns in _cross_blocks(mesh):
+        cross[:, block] = columns
+    normals = np.column_stack([_corner_sums(mesh, c) for c in cross])
     lengths = np.linalg.norm(normals, axis=1)
     if (lengths == 0).any():
         raise ValueError(f"vertex {int(np.flatnonzero(lengths == 0)[0])} has a degenerate normal")
@@ -300,22 +306,6 @@ def correspondence_problem(mesh: SurfaceMesh, reference: SurfaceMesh, reference_
     if mesh.triangles is not reference.triangles and not np.array_equal(mesh.triangles, reference.triangles):
         return f"triangle list differs from {reference_name}"
     return None
-
-
-def validate_correspondence(sample: ShapeSample) -> CorrespondenceReport:
-    """Check that every shape shares the first shape's vertex count and triangulation
-    and carries finite coordinates."""
-    problems: list[str] = []
-    ref = sample.meshes[0]
-    for i, mesh in enumerate(sample.meshes):
-        problem = correspondence_problem(mesh, ref, "shape 0")
-        if problem:
-            problems.append(f"shape {i}: {problem}")
-        bad = ~np.isfinite(mesh.vertices)
-        if bad.any():
-            j = int(np.flatnonzero(bad.any(axis=1))[0])
-            problems.append(f"shape {i}: non-finite coordinate at vertex {j}")
-    return CorrespondenceReport(tuple(problems))
 
 
 def shape_difference_field(base: SurfaceMesh, other: SurfaceMesh, mode: DifferenceMode) -> np.ndarray:

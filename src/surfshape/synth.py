@@ -105,11 +105,6 @@ class SynthGroundTruth:
     seed: int | None
 
 
-def subdivided_vertex_count(resolution: int) -> int:
-    """Vertices of the octahedron sphere after ``resolution`` subdivisions: 4^(r+1) + 2."""
-    return 4 ** (resolution + 1) + 2
-
-
 def _subdivide_octasphere(resolution: int) -> tuple[np.ndarray, np.ndarray]:
     """Unit-sphere vertices and faces of the octahedron after ``resolution``
     midpoint subdivisions. Each level numbers its new vertices by the first

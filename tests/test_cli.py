@@ -169,6 +169,18 @@ class TestAsymmetryCommand:
         rows = (out / "asymmetry.csv").read_text().splitlines()[1:]
         assert all(float(r.split(",")[2]) > 0 for r in rows)
 
+    def test_region_named_global_refused(self, cohort, tmp_path, capsys):
+        regions = tmp_path / "regions.csv"
+        regions.write_text((cohort / "regions.csv").read_text() + "5,global\n")
+        lineno = len(regions.read_text().splitlines())
+        capsys.readouterr()
+        code = run(
+            "asymmetry", "--meshes", cohort / "meshes", "--pairing", cohort / "pairing.csv",
+            "--regions", regions, "--out", tmp_path / "asym",
+        )
+        assert code == 2
+        assert f"{regions}: line {lineno}: region name 'global' is reserved" in capsys.readouterr().err
+
 
 class TestAssess:
     def test_fit_then_reuse_model(self, cohort, tmp_path):
@@ -388,6 +400,8 @@ class TestTamperedModel:
             (lambda d: d.update(control_r=d["control_r"][:-1]), "control_d (6,) and control_r (5,)"),
             (lambda d: d["triangles"][0].__setitem__(1, d["triangles"][0][0]), "triangle 0 repeats a vertex index"),
             (lambda d: d["triangles"][3].__setitem__(2, 66), "triangle index out of range"),
+            # without its triangles vertex 0 would get zero area weight
+            (lambda d: d.update(triangles=[t for t in d["triangles"] if 0 not in t]), "vertex 0 appears in no triangle"),
             (lambda d: d["fpca"].update(mean=d["fpca"]["mean"][:-1]), "mean must be (66, 3) for 66 vertex weights"),
             (
                 lambda d: d["fpca"].update(eigenfunctions=[row[:-3] for row in d["fpca"]["eigenfunctions"]]),

@@ -243,6 +243,13 @@ class TestFitControlModel:
         assert set(model.control_asymmetry) == {"global", "upper", "lower"}
         assert model.control_asymmetry["global"].shape == (8,)
 
+    def test_region_named_global_refused(self):
+        # it would replace the whole-surface score in the control table
+        controls, truth = control_sample(n=6, seed=9)
+        upper = controls.meshes[0].regions["upper"]
+        with pytest.raises(ValueError, match="region name 'global' is reserved"):
+            ss.fit_control_model(controls, pairing=truth.pairing, regions={"global": upper})
+
     def test_needs_five_controls(self):
         controls, _ = control_sample(n=4, seed=1)
         with pytest.raises(ValueError, match="at least 5"):

@@ -10,7 +10,6 @@ class TestBaseMesh:
     def test_vertex_and_triangle_counts(self, resolution):
         mesh, _ = ss.synth_base_mesh(ss.SynthConfig(resolution=resolution))
         assert mesh.n_vertices == 4 ** (resolution + 1) + 2
-        assert mesh.n_vertices == ss.synth.subdivided_vertex_count(resolution)
         assert mesh.n_triangles == 8 * 4**resolution
 
     def test_pairing_is_valid_involution_with_exact_midline(self):
