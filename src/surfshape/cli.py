@@ -1,12 +1,14 @@
 """Command-line front end: one subcommand per pipeline stage.
 
 ``main`` is the only runner. It parses the options (a flat ``key = value``
-file from --config supplies defaults; command-line flags win), creates --out
-and calls the subcommand's handler, which validates its own inputs, does its
-work and returns one summary line. Only when the handler succeeds does the
-runner write manifest.json (tool version, resolved options, seed) and print
-that line. Identical options and seed give byte-identical artifacts (only the
-manifest timestamp differs).
+file from --config supplies defaults; command-line flags win) and refuses a
+missing, conflicting or out-of-range option (``check_options``) before any
+input is read or --out is created. It then calls the subcommand's handler,
+which checks the rules that need other options or the data, does its work and
+returns one summary line. Only when the handler succeeds does the runner write
+manifest.json (tool version, resolved options, seed) and print that line.
+Identical options and seed give byte-identical artifacts (only the manifest
+timestamp differs).
 
 Exit codes follow the type of the error, not the stage that raised it:
 0 success; 2 for any ``ValueError`` or ``OSError``, i.e. a bad input or
@@ -96,12 +98,6 @@ def merge_config(parser: argparse.ArgumentParser, config: dict[str, str]) -> Non
     parser.set_defaults(**defaults)
 
 
-def require(args: argparse.Namespace, *names: str) -> None:
-    missing = [n for n in names if getattr(args, n) is None]
-    if missing:
-        raise ValueError("missing required options: " + ", ".join("--" + n.replace("_", "-") for n in missing))
-
-
 def _comma_floats(text: str) -> tuple[float, ...]:
     return tuple(float(p) for p in text.split(","))
 
@@ -110,26 +106,43 @@ def _comma_ints(text: str) -> tuple[int, ...]:
     return tuple(int(p) for p in text.split(","))
 
 
-def _at_least(args: argparse.Namespace, **floors) -> None:
-    """Refuse each set option that lies below its floor, naming it."""
-    for name, floor in floors.items():
-        value = getattr(args, name)
-        if value is not None and value < floor:
-            raise ValueError(f"--{name.replace('_', '-')} must be at least {floor}, got {value}")
+# The range of every numeric option, whichever subcommands take it: (test, what it must be).
+OPTION_RANGES = {
+    **dict.fromkeys(
+        ("max_iter", "components", "stops", "p", "n_perm", "n_shapes"), (lambda v: v >= 1, "must be at least 1")
+    ),
+    "frames_per_leg": (lambda v: v >= 0, "must be at least 0"),
+    "tol": (lambda v: np.isfinite(v) and v >= 0, "must be finite and at least 0"),
+    "ridge": (np.isfinite, "must be finite"),
+    **dict.fromkeys(("variance", "bonferroni"), (lambda v: 0 < v < 1, "must lie in (0, 1)")),
+}
+# Options that exclude each other wherever a subcommand takes both.
+_EXCLUSIVE = (("components", "variance"), ("n_shapes", "group_sizes"))
 
 
-def _fraction(args: argparse.Namespace, name: str, default: float | None = None) -> float | None:
-    """Option ``name`` as a fraction, ``default`` when unset; refused outside (0, 1), naming it."""
-    value = getattr(args, name, None)
-    if value is not None and not 0 < value < 1:
-        raise ValueError(f"--{name} must lie in (0, 1), got {value}")
-    return default if value is None else value
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
+
+
+def check_options(args: argparse.Namespace) -> None:
+    """Refuse missing required options, options given together that exclude each
+    other, then any set option outside its range, naming them."""
+    missing = [n for n in args.required if getattr(args, n) is None]
+    if missing:
+        raise ValueError("missing required options: " + ", ".join(map(_flag, missing)))
+    for a, b in _EXCLUSIVE:
+        if getattr(args, a, None) is not None and getattr(args, b, None) is not None:
+            raise ValueError(f"give either {_flag(a)} or {_flag(b)}, not both")
+    for name, (within, what) in OPTION_RANGES.items():
+        value = getattr(args, name, None)
+        if value is not None and not within(value):
+            raise ValueError(f"{_flag(name)} {what}, got {value}")
 
 
 def write_manifest(out: Path, command: str, args: argparse.Namespace) -> None:
     options = {}
     for key, value in sorted(vars(args).items()):
-        if key in ("handler", "parser", "command", "config"):
+        if key in ("handler", "parser", "required", "command", "config"):
             continue
         options[key] = str(value) if isinstance(value, Path) else value
     doc = {
@@ -144,12 +157,7 @@ def write_manifest(out: Path, command: str, args: argparse.Namespace) -> None:
 
 
 def _load_cohort(args) -> tuple[list[str], ShapeSample]:
-    """Check the cohort and test options, then read --meshes (and --labels, when given)."""
-    require(args, "meshes")
-    _at_least(args, max_iter=1)
-    if not (np.isfinite(args.tol) and args.tol >= 0):
-        raise ValueError(f"--tol must be finite and at least 0, got {args.tol}")
-    _fraction(args, "bonferroni")
+    """Read --meshes (and --labels, when given)."""
     names, meshes = load_mesh_directory(args.meshes)
     labels = None
     if getattr(args, "labels", None):
@@ -206,15 +214,11 @@ def cmd_register(args, out: Path) -> str:
 
 def cmd_pca(args, out: Path) -> str:
     names, sample = _load_cohort(args)
-    if args.components is not None and args.variance is not None:
-        raise ValueError("give either --components or --variance, not both")
-    _at_least(args, components=1)
-    k = args.components if args.components is not None else _fraction(args, "variance", 0.80)
     gpa = _run_gpa(sample, args)
     topology = sample.meshes[0]
     del sample  # release the cohort; the tangent rows are written over GPA's stack
     tangent = _tangent_over_stack(gpa)
-    model = fit_fpca(tangent, gpa.mean_weights, k=k, mean_shape=gpa.mean)
+    model = fit_fpca(tangent, gpa.mean_weights, k=args.components or args.variance or 0.80, mean_shape=gpa.mean)
     save_model(model, out / "model.json")
     write_mesh(topology.with_vertices(gpa.mean), out / "mean.obj")
     score_rows = scores_from_tangent(model, tangent)
@@ -224,15 +228,13 @@ def cmd_pca(args, out: Path) -> str:
 
 
 def cmd_tour(args, out: Path) -> str:
-    require(args, "model", "topology")
     model = load_model(args.model)
     if not isinstance(model, FpcaModel):
         raise ValueError(f"{args.model}: not a component model")
     topology = read_mesh(args.topology)
     if topology.n_vertices != model.mean.shape[0]:
         raise ValueError("topology mesh does not match the model's vertex count")
-    _at_least(args, components=1, stops=1, frames_per_leg=0)
-    p = args.components if args.components is not None else model.n_components
+    p = args.components or model.n_components
     if p > model.n_components:
         raise ValueError(f"--components must be at most {model.n_components}, got {p}")
     tour = grand_tour(model, p=p, n_stops=args.stops, seed=args.seed, frames_per_leg=args.frames_per_leg)
@@ -251,11 +253,7 @@ def cmd_tour(args, out: Path) -> str:
 
 
 def cmd_compare(args, out: Path) -> str:
-    require(args, "labels", "p")
     names, sample = _load_cohort(args)
-    if sample.labels is None:
-        raise ValueError("compare needs a labels file")
-    _at_least(args, p=1, n_perm=1)
     if sample.n_shapes < args.p + 2:
         raise ValueError(f"--p {args.p} needs at least {args.p + 2} shapes, got {sample.n_shapes}")
     gpa = _run_gpa(sample, args)
@@ -317,7 +315,6 @@ def cmd_split_affine(args, out: Path) -> str:
 
 
 def cmd_asymmetry(args, out: Path) -> str:
-    require(args, "meshes", "pairing")
     names, meshes = load_mesh_directory(args.meshes)
     pairing = read_pairing(args.pairing, meshes[0].n_vertices)
     regions = read_regions(args.regions, meshes[0].n_vertices) if args.regions else {}
@@ -344,12 +341,10 @@ def cmd_asymmetry(args, out: Path) -> str:
 
 
 def cmd_assess(args, out: Path) -> str:
-    require(args, "pre", "post", "pairing")
     if (args.controls is None) == (args.model is None):
         raise ValueError("give exactly one of --controls or --model")
     if args.model is not None and args.variance is not None:
         raise ValueError("--variance applies only with --controls")
-    variance = _fraction(args, "variance", 0.80)
     pre = read_mesh(args.pre)
     post = read_mesh(args.post)
     if args.controls is not None:
@@ -368,7 +363,7 @@ def cmd_assess(args, out: Path) -> str:
     regions = read_regions(args.regions, pre.n_vertices) if args.regions else {}
     if args.controls is not None:
         sample = ShapeSample(tuple(controls), pairing=pairing)
-        model = fit_control_model(sample, variance_threshold=variance, regions=regions)
+        model = fit_control_model(sample, variance_threshold=args.variance or 0.80, regions=regions)
         save_model(model, out / "control_model.json")
     assessment = integrated_assessment(model, pre, post, pairing, regions)
     write_json(assessment.document, out / "assessment.json")
@@ -381,14 +376,11 @@ def cmd_assess(args, out: Path) -> str:
 
 
 def cmd_warp(args, out: Path) -> str:
-    require(args, "source", "target", "template")
     source = read_mesh(args.source)
     target = read_mesh(args.target)
     template = read_mesh(args.template)
     if source.n_vertices != target.n_vertices:
         raise ValueError("source and target must have the same vertex count")
-    if not np.isfinite(args.ridge):
-        raise ValueError(f"--ridge must be finite, got {args.ridge!r}")
     try:
         check_tps_size(source.n_vertices)
     except ValueError as err:
@@ -408,12 +400,8 @@ def cmd_warp(args, out: Path) -> str:
 
 
 def cmd_simulate(args, out: Path) -> str:
-    group_sizes = tuple(args.group_sizes) if args.group_sizes else None
-    if group_sizes is not None and args.n_shapes is not None:
-        raise ValueError("give either --n-shapes or --group-sizes, not both")
-    if group_sizes is not None and (len(group_sizes) != 2 or min(group_sizes) < 1):
+    if args.group_sizes is not None and (len(args.group_sizes) != 2 or min(args.group_sizes) < 1):
         raise ValueError("--group-sizes needs two positive comma-separated counts")
-    _at_least(args, n_shapes=1)
     radii = args.radii if args.radii else (1.0, 1.0, 1.0)
     if len(radii) != 3:
         raise ValueError("--radii needs three comma-separated values")
@@ -428,7 +416,7 @@ def cmd_simulate(args, out: Path) -> str:
         n_modes=len(spectrum),
         eigen_spectrum=spectrum,
         n_shapes=SynthConfig.n_shapes if args.n_shapes is None else args.n_shapes,
-        group_sizes=group_sizes,
+        group_sizes=args.group_sizes,
         group_shift_component=args.shift_component,
         group_shift_sd=args.shift_sd,
         asymmetry_magnitude=args.asymmetry,
@@ -495,10 +483,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"surfshape {__version__}")
     sub = parser.add_subparsers(dest="command", metavar="subcommand")
 
-    def add(name: str, handler, help_text: str, cohort: bool = False) -> argparse.ArgumentParser:
-        """A subparser; ``cohort`` adds --meshes and the GPA options of a registered cohort."""
+    def add(name: str, handler, help_text: str, cohort: bool = False, required=()) -> argparse.ArgumentParser:
+        """A subparser needing --out and the ``required`` options; ``cohort`` adds
+        --meshes (required) and the GPA options of a registered cohort."""
         p = sub.add_parser(name, help=help_text)
-        p.set_defaults(handler=handler, parser=p)
+        p.set_defaults(handler=handler, parser=p, required=("out", *(("meshes",) if cohort else ()), *required))
         p.add_argument("--config", type=Path, default=None, help="flat key = value option file")
         p.add_argument("--out", type=Path, default=None, help="output directory")
         if cohort:
@@ -524,7 +513,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--components", type=int, default=None, help="fixed component count")
     p.add_argument("--variance", type=float, default=None, help="explained-variance fraction rule")
 
-    p = add("tour", cmd_tour, "grand tour shape sequence from a fitted model")
+    p = add("tour", cmd_tour, "grand tour shape sequence from a fitted model", required=("model", "topology"))
     p.add_argument("--model", type=Path, default=None, help="model.json from pca")
     p.add_argument("--topology", type=Path, default=None, help="mesh supplying the triangulation")
     p.add_argument("--components", type=int, default=None, help="tour dimensionality (default: all)")
@@ -532,7 +521,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--frames-per-leg", type=int, default=9)
     p.add_argument("--seed", type=int, default=None)
 
-    p = add("compare", cmd_compare, "two-group permutation comparison", cohort=True)
+    p = add("compare", cmd_compare, "two-group permutation comparison", cohort=True, required=("labels", "p"))
     p.add_argument("--labels", type=Path, default=None, help="filename,label CSV")
     p.add_argument("--p", type=int, default=None, help="number of components")
     p.add_argument("--n-perm", type=int, default=500)
@@ -542,14 +531,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     add("split-affine", cmd_split_affine, "affine/non-affine decomposition of a cohort", cohort=True)
 
-    p = add("asymmetry", cmd_asymmetry, "bilateral asymmetry scores")
+    p = add("asymmetry", cmd_asymmetry, "bilateral asymmetry scores", required=("meshes", "pairing"))
     p.add_argument("--meshes", type=Path, default=None)
     p.add_argument("--pairing", type=Path, default=None, help="index,mirror_index CSV")
     p.add_argument("--regions", type=Path, default=None, help="vertex_index,region_name CSV")
     p.add_argument("--rigid", action="store_true", help="match the mirror image without scaling")
     p.add_argument("--per-region-registration", action="store_true")
 
-    p = add("assess", cmd_assess, "integrated pre/post assessment against controls")
+    p = add(
+        "assess", cmd_assess, "integrated pre/post assessment against controls", required=("pre", "post", "pairing")
+    )
     p.add_argument("--controls", type=Path, default=None, help="directory of control .obj shapes")
     p.add_argument("--model", type=Path, default=None, help="previously fitted control_model.json")
     p.add_argument("--pre", type=Path, default=None)
@@ -558,7 +549,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--regions", type=Path, default=None)
     p.add_argument("--variance", type=float, default=None, help="control component rule (default 0.80)")
 
-    p = add("warp", cmd_warp, "thin-plate-spline warp of a template")
+    p = add("warp", cmd_warp, "thin-plate-spline warp of a template", required=("source", "target", "template"))
     p.add_argument("--source", type=Path, default=None, help="model points to warp from")
     p.add_argument("--target", type=Path, default=None, help="model points to warp onto")
     p.add_argument("--template", type=Path, default=None, help="mesh carried along the warp")
@@ -603,7 +594,7 @@ def main(argv=None) -> int:
         if args.config is not None:
             merge_config(args.parser, parse_config_file(args.config))
             args = parser.parse_args(argv)
-        require(args, "out")
+        check_options(args)
         args.out.mkdir(parents=True, exist_ok=True)
         summary = args.handler(args, args.out)
         write_manifest(args.out, args.command, args)

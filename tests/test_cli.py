@@ -620,6 +620,51 @@ class TestOptionValues:
         assert run("simulate", "--resolution", "2", "--seed", "1", "--out", tmp_path) == 0
         assert len(list((tmp_path / "meshes").glob("*.obj"))) == 20
 
+    @pytest.mark.parametrize(
+        "command, options, message",
+        [
+            ("compare", ("--p", "2", "--n-perm", "0"), "--n-perm must be at least 1, got 0"),
+            ("compare", ("--p", "0"), "--p must be at least 1, got 0"),
+            ("compare", ("--p", "2", "--bonferroni", "2"), "--bonferroni must lie in (0, 1), got 2.0"),
+            ("pca", ("--components", "0"), "--components must be at least 1, got 0"),
+            ("pca", ("--variance", "1.5"), "--variance must lie in (0, 1), got 1.5"),
+            ("pca", ("--components", "2", "--variance", "0.5"), "give either --components or --variance, not both"),
+            ("tour", ("--stops", "0"), "--stops must be at least 1, got 0"),
+            ("register", ("--max-iter", "0"), "--max-iter must be at least 1, got 0"),
+            ("register", ("--tol", "nan"), "--tol must be finite and at least 0, got nan"),
+            ("warp", ("--ridge", "nan"), "--ridge must be finite, got nan"),
+            ("assess", ("--variance", "3.7"), "--variance must lie in (0, 1), got 3.7"),
+        ],
+    )
+    def test_refused_before_any_input_is_read(self, tmp_path, capsys, monkeypatch, command, options, message):
+        def unread(*args, **kwargs):
+            raise AssertionError("an input was read before the options were checked")
+
+        for reader in ("load_mesh_directory", "read_mesh", "load_model"):
+            monkeypatch.setattr(f"surfshape.cli.{reader}", unread)
+        absent = tmp_path / "absent"  # no input exists: none may be opened
+        inputs = {
+            "compare": ("--meshes", absent, "--labels", absent),
+            "pca": ("--meshes", absent),
+            "tour": ("--model", absent, "--topology", absent),
+            "register": ("--meshes", absent),
+            "warp": ("--source", absent, "--target", absent, "--template", absent),
+            "assess": ("--controls", absent, "--pre", absent, "--post", absent, "--pairing", absent),
+        }[command]
+        out = tmp_path / "out"
+        assert run(command, *inputs, *options, "--out", out) == 2
+        assert f"error: validation: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_config_value_refused_before_any_input_is_read(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("surfshape.cli.load_mesh_directory", lambda *a: pytest.fail("the cohort was read"))
+        config = tmp_path / "run.cfg"
+        config.write_text(f"meshes = {tmp_path / 'absent'}\nn-perm = 0\n")
+        out = tmp_path / "out"
+        assert run("compare", "--config", config, "--labels", tmp_path / "absent", "--p", "2", "--out", out) == 2
+        assert "error: validation: --n-perm must be at least 1, got 0" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestExitCodeByType:
     """The exit code follows the error's type, wherever the handler raises it."""
