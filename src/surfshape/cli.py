@@ -117,7 +117,7 @@ OPTION_RANGES = {
     **dict.fromkeys(("variance", "bonferroni"), (lambda v: 0 < v < 1, "must lie in (0, 1)")),
 }
 # Options that exclude each other wherever a subcommand takes both.
-_EXCLUSIVE = (("components", "variance"), ("n_shapes", "group_sizes"))
+EXCLUSIVE_OPTIONS = (("components", "variance"), ("n_shapes", "group_sizes"))
 
 
 def _flag(name: str) -> str:
@@ -130,7 +130,7 @@ def check_options(args: argparse.Namespace) -> None:
     missing = [n for n in args.required if getattr(args, n) is None]
     if missing:
         raise ValueError("missing required options: " + ", ".join(map(_flag, missing)))
-    for a, b in _EXCLUSIVE:
+    for a, b in EXCLUSIVE_OPTIONS:
         if getattr(args, a, None) is not None and getattr(args, b, None) is not None:
             raise ValueError(f"give either {_flag(a)} or {_flag(b)}, not both")
     for name, (within, what) in OPTION_RANGES.items():

@@ -208,7 +208,7 @@ def scores(model: FpcaModel, shapes: np.ndarray) -> np.ndarray:
 def scores_from_tangent(model: FpcaModel, tangent: np.ndarray) -> np.ndarray:
     """Scores for tangent-coordinate rows (n, 3J) already relative to the model mean."""
     tangent = np.atleast_2d(np.asarray(tangent, dtype=float))
-    return tangent @ (model.eigenfunctions * model.weights.stacked).T
+    return np.einsum("nm,km->nk", tangent, model.eigenfunctions * model.weights.stacked)
 
 
 def reconstruct(model: FpcaModel, score_vector: np.ndarray) -> np.ndarray:
@@ -216,7 +216,7 @@ def reconstruct(model: FpcaModel, score_vector: np.ndarray) -> np.ndarray:
     s = np.asarray(score_vector, dtype=float)
     if s.shape != (model.n_components,):
         raise ValueError(f"expected {model.n_components} scores, got shape {s.shape}")
-    return model.mean + vec_inverse(model.eigenfunctions.T @ s)
+    return model.mean + vec_inverse(np.einsum("k,km->m", s, model.eigenfunctions))
 
 
 def component_shape(model: FpcaModel, k: int, c: float) -> np.ndarray:

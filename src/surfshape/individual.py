@@ -153,7 +153,14 @@ def _region_rms(sq: np.ndarray, areas: np.ndarray, region: np.ndarray | None = N
     denom = areas.sum()
     if denom <= 0:
         raise ValueError("region has zero surface area")
-    return float(np.sqrt(areas @ sq / denom))
+    return float(np.sqrt(np.einsum("j,j->", areas, sq) / denom))
+
+
+def _checked_regions(regions: dict[str, np.ndarray], n_vertices: int) -> dict[str, np.ndarray]:
+    """Each region's indices, checked against ``n_vertices``; the name ``global`` is reserved."""
+    if "global" in regions:
+        raise ValueError("region name 'global' is reserved for the whole-surface score")
+    return {name: _region_indices(idx, n_vertices, name) for name, idx in regions.items()}
 
 
 def asymmetry_score(
@@ -201,16 +208,12 @@ def asymmetry_report(
     ``register_per_region`` instead re-matches the mirror image using each
     region's own vertices and weights. The name ``global`` is reserved.
     """
-    if regions is None:
-        regions = mesh.regions or {}
-    if "global" in regions:
-        raise ValueError("region name 'global' is reserved for the whole-surface score")
+    regions = _checked_regions(regions if regions is not None else mesh.regions or {}, mesh.n_vertices)
     areas = vertex_areas(mesh)
     matched, sq, halfway = _match_mirror(mesh, pairing, areas, allow_scaling)
     global_score = _region_rms(sq, halfway)
     region_scores: dict[str, float] = {}
     for name, idx in regions.items():
-        idx = _region_indices(idx, mesh.n_vertices, name)
         if register_per_region:
             region_w = np.zeros_like(areas.weights)
             region_w[idx] = areas.weights[idx]
@@ -302,6 +305,12 @@ def fit_control_model(
     """
     if controls.n_shapes < 5:
         raise ValueError("need at least 5 control shapes")
+    pairing = pairing if pairing is not None else controls.pairing
+    if pairing is not None:  # refuse a bad pairing or region map before the fit
+        if pairing.pair.size != controls.n_vertices:
+            raise ValueError(f"pairing covers {pairing.pair.size} vertices, the controls {controls.n_vertices}")
+        regions = regions if regions is not None else controls.meshes[0].regions or {}
+        regions = _checked_regions(regions, controls.n_vertices)
     gpa = weighted_gpa(controls, max_iter=max_iter, tol=tol)
     tangent = _tangent_over_stack(gpa)
     model = fit_fpca(tangent, gpa.mean_weights, k=variance_threshold, mean_shape=gpa.mean)
@@ -319,11 +328,8 @@ def fit_control_model(
     r = lengths.mean(axis=1)
     q95 = float(np.percentile(r, 95.0))
 
-    pairing = pairing if pairing is not None else controls.pairing
     control_asym = None
     if pairing is not None:
-        if regions is None:
-            regions = controls.meshes[0].regions or {}
         # only the scores of each report are kept, not its per-vertex arrays
         rows = [asymmetry_report(mesh, pairing, regions).scores for mesh in controls.meshes]
         control_asym = {name: np.sort([row[name] for row in rows]) for name in rows[0]}

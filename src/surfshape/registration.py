@@ -101,13 +101,13 @@ def _fit_stack(
     """Weighted OPA of every shape of a coordinate-major (n, 3, J) ``stack``
     onto the (3, J) target ``y`` with vertex weights ``a`` of positive sum.
 
-    One GEMM against [a (y - ybar) | a] gives every centroid and
-    cross-covariance, one einsum every weighted sum of squares, expanded as
-    sum a |x|^2 - total |xbar|^2 (so callers centre the shapes first, see
-    :func:`_load_centred`). One pass per shape then forms the fit s R^T x + t,
-    adds it to ``fitted_sum`` (3, J) and takes its weighted residual sum of
-    squares. Returns the scales (n,), rotations (n, 3, 3), translations
-    (n, 3) and residual sums of squares (n,).
+    One (3, J) x (J, 4) product per shape against [a (y - ybar) | a] (one (3n, J)
+    GEMM would round by BLAS thread) gives every centroid and cross-covariance,
+    one einsum every weighted sum of squares, expanded as sum a |x|^2 - total
+    |xbar|^2 (so callers centre the shapes first, see :func:`_load_centred`). One
+    pass per shape forms the fit s R^T x + t, adds it to ``fitted_sum`` (3, J)
+    and takes its weighted residual sum of squares. Returns the scales (n,),
+    rotations (n, 3, 3), translations (n, 3) and residual sums of squares (n,).
     """
     total = a.sum()
     n, _, n_vertices = stack.shape
@@ -116,7 +116,7 @@ def _fit_stack(
     np.subtract(y, centroid_y[:, None], out=weighted[:3])
     weighted[:3] *= a
     weighted[3] = a
-    products = (stack.reshape(3 * n, n_vertices) @ weighted.T).reshape(n, 3, 4)
+    products = np.matmul(stack, weighted.T)
     centroid_x = products[:, :, 3] / total
     # sum_j a_j (y_j - ybar) = 0, so x A (y - ybar)^T is the cross-covariance
     # of the centred shapes without centring x

@@ -209,20 +209,20 @@ def planted_modes(mesh: SurfaceMesh, weights: AreaWeights, n_modes: int) -> np.n
         raise ValueError(f"at most {MAX_PLANTED_MODES} planted modes are available")
     if n_modes == 0:
         return np.zeros((0, 3 * mesh.n_vertices))
-    w = weights.stacked
+    w = weights.stacked  # <u, v>_A is einsum("j,j->", u, w * v): fixed order, where a BLAS dot splits by thread
     normals = vertex_normals(mesh)
     unit = mesh.vertices / np.linalg.norm(mesh.vertices, axis=1)[:, None]
     x, y, z = unit.T
 
     basis = list(_similarity_directions(mesh.vertices))
     for u in basis:
-        u /= np.sqrt(u @ (w * u))
+        u /= np.sqrt(np.einsum("j,j->", u, w * u))
     # Gram-Schmidt within the basis itself first
     ortho: list[np.ndarray] = []
     for u in basis:
         for v in ortho:
-            u = u - (v @ (w * u)) * v
-        norm = np.sqrt(u @ (w * u))
+            u = u - np.einsum("j,j->", v, w * u) * v
+        norm = np.sqrt(np.einsum("j,j->", u, w * u))
         if norm > 1e-10:
             ortho.append(u / norm)
     n_nuisance = len(ortho)
@@ -231,10 +231,10 @@ def planted_modes(mesh: SurfaceMesh, weights: AreaWeights, n_modes: int) -> np.n
         if len(ortho) - n_nuisance == n_modes:
             break
         u = (h(x, y, z)[:, None] * normals).reshape(-1, order="F")
-        scale = np.sqrt(u @ (w * u))
+        scale = np.sqrt(np.einsum("j,j->", u, w * u))
         for v in ortho:
-            u = u - (v @ (w * u)) * v
-        norm = np.sqrt(u @ (w * u))
+            u = u - np.einsum("j,j->", v, w * u) * v
+        norm = np.sqrt(np.einsum("j,j->", u, w * u))
         if norm > 1e-8 * scale:
             ortho.append(u / norm)
     modes = np.stack(ortho[n_nuisance:])
@@ -308,7 +308,7 @@ def synth_cohort(config: SynthConfig) -> tuple[ShapeSample, SynthGroundTruth]:
         labels = ("A",) * n_a + ("B",) * n_b
         shift[n_a:] = 1.0
 
-    tangent = (z * np.sqrt(spectrum)) @ modes
+    tangent = np.einsum("nk,km->nm", z * np.sqrt(spectrum), modes)  # BLAS rounds by thread even at k = 3
     if config.group_shift_component is not None and config.group_shift_sd:
         k = config.group_shift_component - 1
         tangent += shift * (config.group_shift_sd * np.sqrt(spectrum[k])) * modes[k]

@@ -720,28 +720,34 @@ class TestExitCodeByType:
         assert "error: validation: need exactly two groups, got 1" in capsys.readouterr().err
 
 
-# One process per BLAS thread count; each runs the subcommands whose models
-# sum over the whole (n, 3J) stack.
+# One process per BLAS thread count; each simulates the cohort and runs the
+# subcommands whose results sum over the whole (n, 3J) stack or over J vertices.
 BLAS_PROBE = """
 import sys
 from surfshape.cli import main
 
-sim, out = sys.argv[1:]
-case = ["--pre", f"{sim}/meshes/shape_000.obj", "--post", f"{sim}/meshes/shape_001.obj", "--pairing", f"{sim}/pairing.csv"]
-assert main(["pca", "--meshes", f"{sim}/meshes", "--out", f"{out}/pca"]) == 0
-assert main(["compare", "--meshes", f"{sim}/meshes", "--labels", f"{sim}/labels.csv", "--p", "2", "--n-perm", "20",
-             "--seed", "1", "--out", f"{out}/compare"]) == 0
-assert main(["assess", "--controls", f"{sim}/meshes", *case, "--out", f"{out}/assess"]) == 0
+out = sys.argv[1]
+sim = f"{out}/sim"
+cohort = ["--meshes", f"{sim}/meshes"]
+test = [*cohort, "--labels", f"{sim}/labels.csv", "--p", "2", "--n-perm", "20", "--seed", "1"]
+sides = ["--pairing", f"{sim}/pairing.csv", "--regions", f"{sim}/regions.csv"]
+runs = {
+    "sim": ["simulate", "--resolution", "5", "--group-sizes", "6,6", "--noise-sd", "0.01", "--asymmetry", "0.02",
+            "--seed", "5"],
+    "pca": ["pca", *cohort],
+    "compare": ["compare", *test],
+    "compare-gss": ["compare", *test, "--mode", "group_shape_space"],
+    "asymmetry": ["asymmetry", *cohort, *sides],
+    "assess": ["assess", "--controls", f"{sim}/meshes", "--pre", f"{sim}/meshes/shape_000.obj",
+               "--post", f"{sim}/meshes/shape_001.obj", *sides],
+}
+for name, argv in runs.items():
+    assert main([*argv, "--out", f"{out}/{name}"]) == 0, name
 """
 
 
 def test_artifacts_do_not_depend_on_blas_threads(tmp_path):
-    # J = 1,026 and n = 12: large enough for a multithreaded BLAS to split its reductions
-    sim = tmp_path / "sim"
-    assert run(
-        "simulate", "--resolution", "4", "--group-sizes", "6,6", "--noise-sd", "0.01", "--asymmetry", "0.02",
-        "--seed", "5", "--out", sim,
-    ) == 0
+    # J = 4,098 and n = 12: large enough for a multithreaded BLAS to split its reductions
     src = str(Path(ss.__file__).resolve().parents[1])
     for threads in ("1", "2"):
         env = {
@@ -750,8 +756,7 @@ def test_artifacts_do_not_depend_on_blas_threads(tmp_path):
             **dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), threads),
         }
         result = subprocess.run(
-            [sys.executable, "-c", BLAS_PROBE, str(sim), str(tmp_path / threads)],
-            env=env, capture_output=True, text=True,
+            [sys.executable, "-c", BLAS_PROBE, str(tmp_path / threads)], env=env, capture_output=True, text=True
         )
         assert result.returncode == 0, result.stderr
     assert artifact_bytes(tmp_path / "1") == artifact_bytes(tmp_path / "2")

@@ -250,6 +250,33 @@ class TestFitControlModel:
         with pytest.raises(ValueError, match="region name 'global' is reserved"):
             ss.fit_control_model(controls, pairing=truth.pairing, regions={"global": upper})
 
+    @pytest.mark.parametrize(
+        "fault, message",
+        [
+            ("global", "region name 'global' is reserved for the whole-surface score"),
+            ("outside", "region 'upper' references a vertex outside [0, 66)"),
+            ("mask", "region 'upper' must hold integer vertex indices, got bool values"),
+            ("pairing", "pairing covers 18 vertices, the controls 66"),
+        ],
+    )
+    def test_bad_region_map_or_pairing_refused_before_the_fit(self, monkeypatch, fault, message):
+        def unfitted(*args, **kwargs):
+            raise AssertionError("the cohort was fitted before the regions and pairing were checked")
+
+        monkeypatch.setattr("surfshape.individual.weighted_gpa", unfitted)
+        monkeypatch.setattr("surfshape.individual.fit_fpca", unfitted)
+        controls, truth = control_sample(n=6, seed=9)
+        upper = controls.meshes[0].regions["upper"]
+        regions = {
+            "global": {"global": upper},
+            "outside": {"upper": np.append(upper, 66)},
+            "mask": {"upper": np.isin(np.arange(66), upper)},
+            "pairing": {"upper": upper},
+        }[fault]
+        pairing = ss.BilateralPairing(np.arange(18)) if fault == "pairing" else truth.pairing
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ss.fit_control_model(controls, pairing=pairing, regions=regions)
+
     def test_needs_five_controls(self):
         controls, _ = control_sample(n=4, seed=1)
         with pytest.raises(ValueError, match="at least 5"):
