@@ -124,9 +124,15 @@ def _flag(name: str) -> str:
     return "--" + name.replace("_", "-")
 
 
+def _check_bounds(lo: float, hi: float) -> None:
+    if not lo < hi:
+        raise ValueError(f"--lo must be below --hi, got {lo:g} and {hi:g}")
+
+
 def check_options(args: argparse.Namespace) -> None:
     """Refuse missing required options, options given together that exclude each
-    other, then any set option outside its range, naming them."""
+    other, any set option outside its range, then the subcommands' rules that
+    tie options together without the data, naming them."""
     missing = [n for n in args.required if getattr(args, n) is None]
     if missing:
         raise ValueError("missing required options: " + ", ".join(map(_flag, missing)))
@@ -137,6 +143,16 @@ def check_options(args: argparse.Namespace) -> None:
         value = getattr(args, name, None)
         if value is not None and not within(value):
             raise ValueError(f"{_flag(name)} {what}, got {value}")
+    if args.command == "assess":
+        if (args.controls is None) == (args.model is None):
+            raise ValueError("give exactly one of --controls or --model")
+        if args.model is not None and args.variance is not None:
+            raise ValueError("--variance applies only with --controls")
+    group_sizes = getattr(args, "group_sizes", None)
+    if group_sizes is not None and (len(group_sizes) != 2 or min(group_sizes) < 1):
+        raise ValueError("--group-sizes needs two positive comma-separated counts")
+    if getattr(args, "lo", None) is not None and getattr(args, "hi", None) is not None:
+        _check_bounds(args.lo, args.hi)
 
 
 def write_manifest(out: Path, command: str, args: argparse.Namespace) -> None:
@@ -341,10 +357,6 @@ def cmd_asymmetry(args, out: Path) -> str:
 
 
 def cmd_assess(args, out: Path) -> str:
-    if (args.controls is None) == (args.model is None):
-        raise ValueError("give exactly one of --controls or --model")
-    if args.model is not None and args.variance is not None:
-        raise ValueError("--variance applies only with --controls")
     pre = read_mesh(args.pre)
     post = read_mesh(args.post)
     if args.controls is not None:
@@ -400,8 +412,6 @@ def cmd_warp(args, out: Path) -> str:
 
 
 def cmd_simulate(args, out: Path) -> str:
-    if args.group_sizes is not None and (len(args.group_sizes) != 2 or min(args.group_sizes) < 1):
-        raise ValueError("--group-sizes needs two positive comma-separated counts")
     radii = args.radii if args.radii else (1.0, 1.0, 1.0)
     if len(radii) != 3:
         raise ValueError("--radii needs three comma-separated values")
@@ -465,8 +475,7 @@ def cmd_diff(args, out: Path) -> str:
     span = float(np.abs(field).max()) or 1.0
     lo = args.lo if args.lo is not None else -span
     hi = args.hi if args.hi is not None else span
-    if not lo < hi:
-        raise ValueError(f"--lo must be below --hi, got {lo:g} and {hi:g}")
+    _check_bounds(lo, hi)  # with one bound given, the other comes from the field
     if not lo <= args.reference <= hi:
         raise ValueError(f"--reference must lie in [--lo, --hi] = [{lo:g}, {hi:g}], got {args.reference:g}")
     cmap = ColorMap("diverging", lo=lo, hi=hi, reference=args.reference)

@@ -232,8 +232,11 @@ def _cross_blocks(mesh: SurfaceMesh):
 
 def _corner_sums(mesh: SurfaceMesh, values: np.ndarray) -> np.ndarray:
     """Per-vertex sums of a per-triangle value over the vertex's triangles,
-    corner by corner in triangle order (the order ``np.add.at`` sums in)."""
-    return np.bincount(mesh.triangles.T.ravel(), weights=np.tile(values, 3), minlength=mesh.n_vertices)
+    corner by corner in triangle order, into one zero vector."""
+    sums = np.zeros(mesh.n_vertices)
+    for corner in mesh.triangles.T:
+        np.add.at(sums, corner, values)
+    return sums
 
 
 def triangle_areas(mesh: SurfaceMesh) -> np.ndarray:

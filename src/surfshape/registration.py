@@ -96,24 +96,34 @@ def _similarity(scale: float, rotation: np.ndarray, translation: np.ndarray, off
 
 
 def _fit_stack(
-    stack: np.ndarray, y: np.ndarray, a: np.ndarray, allow_scaling: bool, allow_reflection: bool, fitted_sum: np.ndarray
+    stack: np.ndarray, y: np.ndarray, a: np.ndarray, allow_scaling: bool, allow_reflection: bool, tol: float,
+    fitted_sum: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Weighted OPA of every shape of a coordinate-major (n, 3, J) ``stack``
     onto the (3, J) target ``y`` with vertex weights ``a`` of positive sum.
 
-    One (3, J) x (J, 4) product per shape against [a (y - ybar) | a] (one (3n, J)
-    GEMM would round by BLAS thread) gives every centroid and cross-covariance,
-    one einsum every weighted sum of squares, expanded as sum a |x|^2 - total
-    |xbar|^2 (so callers centre the shapes first, see :func:`_load_centred`). One
-    pass per shape forms the fit s R^T x + t, adds it to ``fitted_sum`` (3, J)
-    and takes its weighted residual sum of squares. Returns the scales (n,),
-    rotations (n, 3, 3), translations (n, 3) and residual sums of squares (n,).
+    Three passes over the stack: one (3, J) x (J, 4) product per shape against
+    [a (y - ybar) | a] (one (3n, J) GEMM would round by BLAS thread) gives every
+    centroid and cross-covariance; one einsum every weighted sum of squares,
+    expanded as sum a |x|^2 - total |xbar|^2 (so callers centre the shapes
+    first, see :func:`_load_centred`); one (3, 3n) x (3n, J) product writes the
+    sum of the fits s R^T x + t into ``fitted_sum`` (3, J). That product sums
+    over the 3n rows, which OpenBLAS does not split among its threads.
+
+    Each residual sum of squares comes from the closed form, Syy - s tr with
+    scaling and Syy + Sxx - 2 tr without (tr the signed singular-value sum),
+    which rounds to about eps (Syy + s^2 sum a |x|^2) absolute. Where that is
+    not below ``tol`` / 256 of the value (every shape at ``tol`` = 0), one more
+    pass over the shape forms its fit and takes the residual. Returns the
+    scales (n,), rotations (n, 3, 3), translations (n, 3) and residual sums of
+    squares (n,).
     """
     total = a.sum()
     n, _, n_vertices = stack.shape
     centroid_y = y @ a / total
     weighted = np.empty((4, n_vertices))
     np.subtract(y, centroid_y[:, None], out=weighted[:3])
+    syy = np.einsum("j,kj,kj->", a, weighted[:3], weighted[:3])
     weighted[:3] *= a
     weighted[3] = a
     products = np.matmul(stack, weighted.T)
@@ -127,27 +137,36 @@ def _fit_stack(
     if not allow_reflection:
         signs[np.linalg.det(u @ vt) < 0, 2] = -1.0
     rotations = (u * signs[:, None, :]) @ vt
+    traces = (signs * s).sum(axis=1)
+    sxx_raw = np.einsum("nkj,nkj,j->n", stack, stack, a)
+    sxx = sxx_raw - total * (centroid_x * centroid_x).sum(axis=1)
 
     if allow_scaling:
-        sxx = np.einsum("nkj,nkj,j->n", stack, stack, a) - total * (centroid_x * centroid_x).sum(axis=1)
-        scales = (signs * s).sum(axis=1) / sxx
+        scales = traces / sxx
         if (scales <= 0).any():
             raise NumericalFailure("degenerate configuration: non-positive scale")
         if not np.isfinite(scales).all():
             raise NumericalFailure("degenerate configuration: the scale is not finite")
+        rss = syy - scales * traces
     else:
         scales = np.ones(n)
+        rss = syy + sxx - 2.0 * traces
 
     translations = centroid_y - scales[:, None] * (centroid_x[:, None, :] @ rotations)[:, 0]
-    scratch, residual, rss = np.empty_like(y), np.empty_like(y), np.empty(n)
-    for i, x in enumerate(stack):
-        fitted = scratch if i else fitted_sum  # the first fit starts the sum
-        np.matmul(scales[i] * rotations[i].T, x, out=fitted)
-        fitted += translations[i][:, None]
-        if i:
-            fitted_sum += fitted
-        np.subtract(y, fitted, out=residual)
-        rss[i] = np.einsum("j,kj,kj->", a, residual, residual)
+    # the (3, 3n) matrix [s_1 R_1^T | ... | s_n R_n^T], stored as its transpose
+    blocks = (scales[:, None, None] * rotations).reshape(3 * n, 3)
+    np.matmul(blocks.T, stack.reshape(3 * n, n_vertices), out=fitted_sum)
+    fitted_sum += translations.sum(axis=0)[:, None]
+
+    rounding = 256 * np.finfo(float).eps * (syy + scales * scales * sxx_raw)
+    unresolved = np.flatnonzero(~(rss * tol > rounding))
+    if unresolved.size:
+        fitted, residual = np.empty_like(y), np.empty_like(y)
+        for i in unresolved:
+            np.matmul(scales[i] * rotations[i].T, stack[i], out=fitted)
+            fitted += translations[i][:, None]
+            np.subtract(y, fitted, out=residual)
+            rss[i] = np.einsum("j,kj,kj->", a, residual, residual)
     return scales, rotations, translations, rss
 
 
@@ -179,7 +198,7 @@ def weighted_opa(
     offset = _load_centred(source, x[0], weights.weights)
     fitted = np.empty_like(x[0])  # the sum of one fit is the fit
     scales, rotations, translations, rss = _fit_stack(
-        x, np.ascontiguousarray(target.T), weights.weights, allow_scaling, allow_reflection, fitted
+        x, np.ascontiguousarray(target.T), weights.weights, allow_scaling, allow_reflection, 0.0, fitted
     )
     return OpaFit(_similarity(scales[0], rotations[0], translations[0], offset), fitted.T, float(rss[0]))
 
@@ -203,6 +222,13 @@ def weighted_gpa(
     evaluate slightly different criteria; on noisy cohorts the trace can
     wobble a few orders above machine precision even though the state
     converges to an order-independent fixed point.
+
+    An iteration makes three passes over the cohort, with no per-shape loop:
+    the batched cross-products against the mean, the weighted sums of squares,
+    and one (3, 3n) x (3n, J) product that sums the fitted shapes into the new
+    mean. Each fit's residual sum of squares comes from the Procrustes closed
+    form; a shape whose closed form could not resolve ``tol`` (every shape at
+    ``tol`` = 0) takes one more pass for its explicit residual.
 
     Memory: GPA allocates one coordinate-major (n, 3, J) working stack, plus
     buffers of a single shape's size. The stack holds the input shapes while
@@ -247,7 +273,7 @@ def weighted_gpa(
     previous = np.inf
     for iteration in range(max_iter):
         scales, rotations, translations, rss = _fit_stack(
-            stack, mean, weights.weights, allow_scaling, False, average
+            stack, mean, weights.weights, allow_scaling, False, tol, average
         )
         objective = float(rss.sum())
         trace.append(objective)

@@ -633,7 +633,11 @@ class TestOptionValues:
             ("register", ("--max-iter", "0"), "--max-iter must be at least 1, got 0"),
             ("register", ("--tol", "nan"), "--tol must be finite and at least 0, got nan"),
             ("warp", ("--ridge", "nan"), "--ridge must be finite, got nan"),
-            ("assess", ("--variance", "3.7"), "--variance must lie in (0, 1), got 3.7"),
+            ("assess", ("--controls", "absent", "--variance", "3.7"), "--variance must lie in (0, 1), got 3.7"),
+            ("assess", (), "give exactly one of --controls or --model"),
+            ("assess", ("--model", "absent", "--variance", "0.5"), "--variance applies only with --controls"),
+            ("simulate", ("--group-sizes", "3"), "--group-sizes needs two positive comma-separated counts"),
+            ("diff", ("--lo", "5", "--hi", "1"), "--lo must be below --hi, got 5 and 1"),
         ],
     )
     def test_refused_before_any_input_is_read(self, tmp_path, capsys, monkeypatch, command, options, message):
@@ -642,6 +646,7 @@ class TestOptionValues:
 
         for reader in ("load_mesh_directory", "read_mesh", "load_model"):
             monkeypatch.setattr(f"surfshape.cli.{reader}", unread)
+        monkeypatch.chdir(tmp_path)
         absent = tmp_path / "absent"  # no input exists: none may be opened
         inputs = {
             "compare": ("--meshes", absent, "--labels", absent),
@@ -649,7 +654,9 @@ class TestOptionValues:
             "tour": ("--model", absent, "--topology", absent),
             "register": ("--meshes", absent),
             "warp": ("--source", absent, "--target", absent, "--template", absent),
-            "assess": ("--controls", absent, "--pre", absent, "--post", absent, "--pairing", absent),
+            "assess": ("--pre", absent, "--post", absent, "--pairing", absent),
+            "simulate": (),
+            "diff": (absent, absent),
         }[command]
         out = tmp_path / "out"
         assert run(command, *inputs, *options, "--out", out) == 2
@@ -734,6 +741,7 @@ sides = ["--pairing", f"{sim}/pairing.csv", "--regions", f"{sim}/regions.csv"]
 runs = {
     "sim": ["simulate", "--resolution", "5", "--group-sizes", "6,6", "--noise-sd", "0.01", "--asymmetry", "0.02",
             "--seed", "5"],
+    "register-rigid": ["register", *cohort, "--rigid"],
     "pca": ["pca", *cohort],
     "compare": ["compare", *test],
     "compare-gss": ["compare", *test, "--mode", "group_shape_space"],

@@ -309,6 +309,28 @@ class TestGpaKernelMatchesReference:
             np.testing.assert_allclose(got.translation, translation, rtol=0, atol=self.RTOL * offset)
 
 
+class TestClosedFormMisfit:
+    """Each fit's misfit comes from the Procrustes closed form only where its
+    rounding cannot change a convergence decision at the given ``tol``;
+    elsewhere it takes the explicit residual. So down to ``tol`` = 1e-15 the
+    iteration count stays that of the per-shape reference, and ``weighted_opa``
+    keeps the explicit residual's bits."""
+
+    @pytest.mark.parametrize("tol", [1e-12, 1e-13, 1e-14, 1e-15])
+    @pytest.mark.parametrize("kind", ["defaults", "no_scaling", "weight_overrides"])
+    def test_iterations_match_the_reference(self, kind, tol):
+        sample, options = gpa_case(kind)
+        options = {**options, "tol": tol, "max_iter": 300}
+        iterations, converged, *_ = reference_gpa(sample, **options)
+        result = ss.weighted_gpa(sample, **options)
+        assert (result.iterations, result.converged) == (iterations, converged)
+        a, allow_scaling = result.mean_weights.weights, options.get("allow_scaling", True)
+        for shape in sample.meshes[:3]:
+            fit = ss.weighted_opa(shape.vertices, result.mean, result.mean_weights, allow_scaling=allow_scaling)
+            residual = np.ascontiguousarray((result.mean - fit.fitted).T)
+            assert fit.rss == float(np.einsum("j,kj,kj->", a, residual, residual))
+
+
 class TestApplySimilarity:
     def test_identity_leaves_shape(self):
         rng = np.random.default_rng(2)
