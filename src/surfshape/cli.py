@@ -48,8 +48,8 @@ from .io import (
     write_pairing,
     write_regions,
 )
-from .mesh import NumericalFailure, ShapeSample, SurfaceMesh, correspondence_problem, shape_difference_field
-from .registration import _tangent_over_stack, weighted_gpa
+from .mesh import NumericalFailure, ShapeSample, SurfaceMesh, check_correspondence, shape_difference_field
+from .registration import MIN_TOL, _tangent_over_stack, weighted_gpa
 from .synth import MAX_PLANTED_MODES, SynthConfig, synth_cohort
 from .warp import apply_warp, check_tps_size, fit_tps
 
@@ -112,7 +112,7 @@ OPTION_RANGES = {
         ("max_iter", "components", "stops", "p", "n_perm", "n_shapes"), (lambda v: v >= 1, "must be at least 1")
     ),
     "frames_per_leg": (lambda v: v >= 0, "must be at least 0"),
-    "tol": (lambda v: np.isfinite(v) and v >= 0, "must be finite and at least 0"),
+    "tol": (lambda v: np.isfinite(v) and v >= MIN_TOL, f"must be finite and at least {MIN_TOL:g}"),
     "ridge": (np.isfinite, "must be finite"),
     **dict.fromkeys(("variance", "bonferroni"), (lambda v: 0 < v < 1, "must lie in (0, 1)")),
 }
@@ -148,11 +148,12 @@ def check_options(args: argparse.Namespace) -> None:
             raise ValueError("give exactly one of --controls or --model")
         if args.model is not None and args.variance is not None:
             raise ValueError("--variance applies only with --controls")
-    group_sizes = getattr(args, "group_sizes", None)
-    if group_sizes is not None and (len(group_sizes) != 2 or min(group_sizes) < 1):
-        raise ValueError("--group-sizes needs two positive comma-separated counts")
+    if args.command == "asymmetry" and args.per_region_registration and args.regions is None:
+        raise ValueError("--per-region-registration needs --regions")
     if getattr(args, "lo", None) is not None and getattr(args, "hi", None) is not None:
         _check_bounds(args.lo, args.hi)
+    if args.command == "simulate":
+        _synth_config(args)
 
 
 def write_manifest(out: Path, command: str, args: argparse.Namespace) -> None:
@@ -368,9 +369,7 @@ def cmd_assess(args, out: Path) -> str:
             raise ValueError(f"{args.model}: not a control model")
         reference, what = model.mean_mesh(), f"control model {args.model}"
     for path, mesh in ((args.pre, pre), (args.post, post)):
-        problem = correspondence_problem(mesh, reference, what)
-        if problem:
-            raise ValueError(f"{path}: {problem}")
+        check_correspondence(mesh, reference, what, str(path))
     pairing = read_pairing(args.pairing, pre.n_vertices)
     regions = read_regions(args.regions, pre.n_vertices) if args.regions else {}
     if args.controls is not None:
@@ -411,19 +410,21 @@ def cmd_warp(args, out: Path) -> str:
     return f"warped template ({field.bending_energy:.6g} bending energy)"
 
 
-def cmd_simulate(args, out: Path) -> str:
+def _synth_config(args) -> SynthConfig:
+    """The ``simulate`` options as a :class:`SynthConfig`, which refuses a bad recipe."""
     radii = args.radii if args.radii else (1.0, 1.0, 1.0)
     if len(radii) != 3:
         raise ValueError("--radii needs three comma-separated values")
     spectrum = args.spectrum if args.spectrum else (0.05, 0.02, 0.01)
     if len(spectrum) > MAX_PLANTED_MODES:
         raise ValueError(f"--spectrum gives at most {MAX_PLANTED_MODES} planted modes, got {len(spectrum)}")
-    config = SynthConfig(
+    if args.group_sizes is not None and (len(args.group_sizes) != 2 or min(args.group_sizes) < 1):
+        raise ValueError("--group-sizes needs two positive comma-separated counts")
+    return SynthConfig(
         base=args.base,
         resolution=args.resolution,
         radii=radii,
         exponent=args.exponent,
-        n_modes=len(spectrum),
         eigen_spectrum=spectrum,
         n_shapes=SynthConfig.n_shapes if args.n_shapes is None else args.n_shapes,
         group_sizes=args.group_sizes,
@@ -437,7 +438,10 @@ def cmd_simulate(args, out: Path) -> str:
         standardize_scores=args.standardize,
         seed=args.seed,
     )
-    sample, truth = synth_cohort(config)
+
+
+def cmd_simulate(args, out: Path) -> str:
+    sample, truth = synth_cohort(_synth_config(args))
     mesh_dir = out / "meshes"
     mesh_dir.mkdir(exist_ok=True)
     names = [f"shape_{i:03d}.obj" for i in range(sample.n_shapes)]
@@ -462,15 +466,13 @@ def cmd_simulate(args, out: Path) -> str:
         },
         out / "ground_truth.json",
     )
-    return f"simulated {sample.n_shapes} shapes with {config.n_modes} planted modes"
+    return f"simulated {sample.n_shapes} shapes with {len(truth.spectrum)} planted modes"
 
 
 def cmd_diff(args, out: Path) -> str:
     base = read_mesh(args.base)
     other = read_mesh(args.other)
-    problem = correspondence_problem(other, base, str(args.base))
-    if problem:
-        raise ValueError(f"{args.other}: {problem}")
+    check_correspondence(other, base, str(args.base), str(args.other))
     field = shape_difference_field(base, other, args.mode)
     span = float(np.abs(field).max()) or 1.0
     lo = args.lo if args.lo is not None else -span
@@ -565,7 +567,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ridge", type=float, default=0.0)
 
     p = add("simulate", cmd_simulate, "synthetic cohort with planted ground truth")
-    p.add_argument("--base", choices=("sphere", "ellipsoid", "superellipsoid"), default="sphere")
+    p.add_argument("--base", choices=("sphere", "ellipsoid", "superellipsoid"), default="sphere",
+                   help="sphere and ellipsoid build the same surface: --radii stretches both")
     p.add_argument("--resolution", type=int, default=2)
     p.add_argument("--radii", type=_comma_floats, default=None, help="rx,ry,rz")
     p.add_argument("--exponent", type=float, default=1.0)

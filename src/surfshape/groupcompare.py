@@ -92,14 +92,10 @@ def hotelling_t2(scores_a: np.ndarray, scores_b: np.ndarray) -> float:
     na, nb = a.shape[0], b.shape[0]
     diff = a.mean(axis=0) - b.mean(axis=0)
     cov = pooled_covariance(a, b)
-    try:
-        solved = np.linalg.solve(cov, diff)
-    except np.linalg.LinAlgError:
-        raise NumericalFailure("pooled covariance singular; reduce p") from None
-    cond = np.linalg.cond(cov)
+    cond = np.linalg.cond(cov)  # inf for an exactly singular matrix
     if not np.isfinite(cond) or cond > 1e12:
         raise NumericalFailure("pooled covariance singular; reduce p")
-    return float(diff @ solved / (1.0 / na + 1.0 / nb))
+    return float(diff @ np.linalg.solve(cov, diff) / (1.0 / na + 1.0 / nb))
 
 
 def component_t(scores_a: np.ndarray, scores_b: np.ndarray, component: int) -> float:

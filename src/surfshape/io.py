@@ -16,7 +16,7 @@ import numpy as np
 
 from .fpca import FpcaModel
 from .individual import ControlModel
-from .mesh import AreaWeights, BilateralPairing, SurfaceMesh, correspondence_problem
+from .mesh import AreaWeights, BilateralPairing, SurfaceMesh, check_correspondence
 
 SCHEMA_VERSION = 1
 _MAX_INDEX = int(np.iinfo(np.intp).max)  # largest OBJ face index an index array can hold
@@ -621,7 +621,5 @@ def load_mesh_directory(directory) -> tuple[list[str], list[SurfaceMesh]]:
         else:  # read in full, so that a fault is named as read_mesh names it
             meshes.append(_mesh_from_obj(data, path)[0])
     for path, mesh in zip(paths, meshes):
-        problem = correspondence_problem(mesh, first, names[0])
-        if problem:
-            raise ValueError(f"{path}: {problem}")
+        check_correspondence(mesh, first, names[0], str(path))
     return names, meshes

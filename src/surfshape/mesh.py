@@ -187,9 +187,7 @@ class ShapeSample:
         if len(meshes) < 1:
             raise ValueError("a sample needs at least one shape")
         for i, mesh in enumerate(meshes):
-            problem = correspondence_problem(mesh, meshes[0], "shape 0")
-            if problem:
-                raise ValueError(f"shape {i}: {problem}")
+            check_correspondence(mesh, meshes[0], "shape 0", f"shape {i}")
             if not np.isfinite(mesh.vertices).all():
                 j = int(np.flatnonzero(~np.isfinite(mesh.vertices).all(axis=1))[0])
                 raise ValueError(f"shape {i}: non-finite coordinate at vertex {j}")
@@ -300,15 +298,14 @@ def vertex_normals(mesh: SurfaceMesh) -> np.ndarray:
     return normals / lengths[:, None]
 
 
-def correspondence_problem(mesh: SurfaceMesh, reference: SurfaceMesh, reference_name: str) -> str | None:
-    """Why ``mesh`` is not in correspondence with ``reference`` (called
-    ``reference_name`` in the text), or None when both share the vertex count
-    and the triangle list. A shared triangle array is not compared."""
+def check_correspondence(mesh: SurfaceMesh, reference: SurfaceMesh, reference_name: str, label: str) -> None:
+    """Refuse ``mesh`` as ``label: reason`` unless it shares the vertex count and
+    the triangle list of ``reference`` (called ``reference_name`` in the reason).
+    A shared triangle array is not compared."""
     if mesh.n_vertices != reference.n_vertices:
-        return f"vertex count {mesh.n_vertices} != {reference.n_vertices} of {reference_name}"
+        raise ValueError(f"{label}: vertex count {mesh.n_vertices} != {reference.n_vertices} of {reference_name}")
     if mesh.triangles is not reference.triangles and not np.array_equal(mesh.triangles, reference.triangles):
-        return f"triangle list differs from {reference_name}"
-    return None
+        raise ValueError(f"{label}: triangle list differs from {reference_name}")
 
 
 def shape_difference_field(base: SurfaceMesh, other: SurfaceMesh, mode: DifferenceMode) -> np.ndarray:
@@ -320,9 +317,7 @@ def shape_difference_field(base: SurfaceMesh, other: SurfaceMesh, mode: Differen
     """
     if mode not in _DIFFERENCE_MODES:
         raise ValueError(f"unknown difference mode {mode!r}; expected one of {_DIFFERENCE_MODES}")
-    problem = correspondence_problem(other, base, "the base mesh")
-    if problem:
-        raise ValueError(f"meshes are not in correspondence: {problem}")
+    check_correspondence(other, base, "the base mesh", "meshes are not in correspondence")
     # C order whatever the inputs' layout: the reductions below round by layout,
     # and a mesh built on a transposed view (a GPA result) must read as its copy
     delta = np.subtract(other.vertices, base.vertices, order="C")

@@ -14,6 +14,7 @@ import numpy as np
 from .mesh import AreaWeights, NumericalFailure, ShapeSample, _area_weights, triangle_areas, vertex_areas
 
 SIZE_CONSTRAINTS = ("unit_area", "initial_mean_area")
+MIN_TOL = 1e-15  # GPA's smallest stop tolerance: below it, rounding sets the iteration count
 
 
 @dataclass(frozen=True)
@@ -96,9 +97,8 @@ def _similarity(scale: float, rotation: np.ndarray, translation: np.ndarray, off
 
 
 def _fit_stack(
-    stack: np.ndarray, y: np.ndarray, a: np.ndarray, allow_scaling: bool, allow_reflection: bool, tol: float,
-    fitted_sum: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    stack: np.ndarray, y: np.ndarray, a: np.ndarray, allow_scaling: bool, allow_reflection: bool, fitted_sum: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Weighted OPA of every shape of a coordinate-major (n, 3, J) ``stack``
     onto the (3, J) target ``y`` with vertex weights ``a`` of positive sum.
 
@@ -111,12 +111,10 @@ def _fit_stack(
     over the 3n rows, which OpenBLAS does not split among its threads.
 
     Each residual sum of squares comes from the closed form, Syy - s tr with
-    scaling and Syy + Sxx - 2 tr without (tr the signed singular-value sum),
-    which rounds to about eps (Syy + s^2 sum a |x|^2) absolute. Where that is
-    not below ``tol`` / 256 of the value (every shape at ``tol`` = 0), one more
-    pass over the shape forms its fit and takes the residual. Returns the
-    scales (n,), rotations (n, 3, 3), translations (n, 3) and residual sums of
-    squares (n,).
+    scaling and Syy + Sxx - 2 tr without (tr the signed singular-value sum).
+    Returns the scales (n,), rotations (n, 3, 3), translations (n, 3), those
+    residual sums of squares (n,) and a bound on each one's rounding error,
+    256 eps (Syy + s^2 sum a |x|^2) (n,).
     """
     total = a.sum()
     n, _, n_vertices = stack.shape
@@ -157,17 +155,7 @@ def _fit_stack(
     blocks = (scales[:, None, None] * rotations).reshape(3 * n, 3)
     np.matmul(blocks.T, stack.reshape(3 * n, n_vertices), out=fitted_sum)
     fitted_sum += translations.sum(axis=0)[:, None]
-
-    rounding = 256 * np.finfo(float).eps * (syy + scales * scales * sxx_raw)
-    unresolved = np.flatnonzero(~(rss * tol > rounding))
-    if unresolved.size:
-        fitted, residual = np.empty_like(y), np.empty_like(y)
-        for i in unresolved:
-            np.matmul(scales[i] * rotations[i].T, stack[i], out=fitted)
-            fitted += translations[i][:, None]
-            np.subtract(y, fitted, out=residual)
-            rss[i] = np.einsum("j,kj,kj->", a, residual, residual)
-    return scales, rotations, translations, rss
+    return scales, rotations, translations, rss, 256 * np.finfo(float).eps * (syy + scales * scales * sxx_raw)
 
 
 def weighted_opa(
@@ -196,11 +184,12 @@ def weighted_opa(
         raise ValueError("weights sum to zero")
     x = np.empty((1, 3, source.shape[0]))
     offset = _load_centred(source, x[0], weights.weights)
-    fitted = np.empty_like(x[0])  # the sum of one fit is the fit
-    scales, rotations, translations, rss = _fit_stack(
-        x, np.ascontiguousarray(target.T), weights.weights, allow_scaling, allow_reflection, 0.0, fitted
-    )
-    return OpaFit(_similarity(scales[0], rotations[0], translations[0], offset), fitted.T, float(rss[0]))
+    y = np.ascontiguousarray(target.T)
+    fitted = np.empty_like(y)  # the sum of one fit is the fit
+    scales, rotations, translations, _, _ = _fit_stack(x, y, weights.weights, allow_scaling, allow_reflection, fitted)
+    residual = y - fitted
+    rss = np.einsum("j,kj,kj->", weights.weights, residual, residual)
+    return OpaFit(_similarity(scales[0], rotations[0], translations[0], offset), fitted.T, float(rss))
 
 
 def weighted_gpa(
@@ -217,18 +206,18 @@ def weighted_gpa(
     the average of the fitted shapes, re-anchors it at its weighted centroid,
     rescales it to the size constraint and recomputes its area weights.
     Stops when the relative change of the weighted objective falls below
-    ``tol`` or the objective reaches rounding-noise level. Because the
-    weights are recomputed from the evolving mean, successive trace entries
-    evaluate slightly different criteria; on noisy cohorts the trace can
-    wobble a few orders above machine precision even though the state
-    converges to an order-independent fixed point.
+    ``tol`` (finite and at least :data:`MIN_TOL`) or the objective reaches
+    rounding-noise level. Because the weights are recomputed from the evolving
+    mean, successive trace entries evaluate slightly different criteria; on
+    noisy cohorts the trace can wobble a few orders above machine precision
+    even though the state converges to an order-independent fixed point.
 
     An iteration makes three passes over the cohort, with no per-shape loop:
     the batched cross-products against the mean, the weighted sums of squares,
     and one (3, 3n) x (3n, J) product that sums the fitted shapes into the new
     mean. Each fit's residual sum of squares comes from the Procrustes closed
-    form; a shape whose closed form could not resolve ``tol`` (every shape at
-    ``tol`` = 0) takes one more pass for its explicit residual.
+    form; a shape whose closed form's rounding bound is not below ``tol`` of
+    the value takes one more pass for its explicit residual.
 
     Memory: GPA allocates one coordinate-major (n, 3, J) working stack, plus
     buffers of a single shape's size. The stack holds the input shapes while
@@ -242,6 +231,8 @@ def weighted_gpa(
         raise ValueError("generalized registration needs at least two shapes")
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
+    if not (np.isfinite(tol) and tol >= MIN_TOL):
+        raise ValueError(f"tol must be finite and at least {MIN_TOL:g}, got {tol}")
 
     # the cohort and the mean are coordinate-major: stack[i] is a contiguous
     # (3, J) block, shape i moved by -offsets[i] until the aligned shapes
@@ -267,14 +258,23 @@ def weighted_gpa(
     target_area = 1.0 if size_constraint == "unit_area" else float(areas.sum())
     mean = stack[0].copy()
     weights = normalize(mean, areas)
-    average = np.empty_like(mean)
+    average, fitted = np.empty_like(mean), np.empty_like(mean)
+
+    def fit(i: int) -> np.ndarray:
+        """Shape i's fit s R^T x + t, written into the one-shape buffer ``fitted``."""
+        np.matmul(scales[i] * rotations[i].T, stack[i], out=fitted)
+        return np.add(fitted, translations[i][:, None], out=fitted)
+
     trace: list[float] = []
     converged = False
     previous = np.inf
     for iteration in range(max_iter):
-        scales, rotations, translations, rss = _fit_stack(
-            stack, mean, weights.weights, allow_scaling, False, tol, average
+        scales, rotations, translations, rss, rounding = _fit_stack(
+            stack, mean, weights.weights, allow_scaling, False, average
         )
+        for i in np.flatnonzero(~(rss * tol > rounding)):  # the closed form cannot resolve tol
+            residual = np.subtract(mean, fit(i), out=fitted)
+            rss[i] = np.einsum("j,kj,kj->", weights.weights, residual, residual)
         objective = float(rss.sum())
         trace.append(objective)
         noise_floor = 1e-24 * n * float(np.einsum("j,kj,kj->", weights.weights, mean, mean))
@@ -295,12 +295,10 @@ def weighted_gpa(
     # restoring the size constraint that the last averaging perturbed. The
     # aligned shapes replace the input shapes in the stack.
     factor = float(np.sqrt(target_area / areas.sum()))
-    fitted, mean = mean, average
+    mean = average
     mean[...] = 0.0
-    for x, scale, rotation, translation in zip(stack, scales, rotations, translations):
-        np.matmul(scale * rotation.T, x, out=fitted)
-        fitted += translation[:, None]
-        np.multiply(fitted, factor, out=x)
+    for i, x in enumerate(stack):
+        np.multiply(fit(i), factor, out=x)
         mean += x
     mean /= n
     return GpaResult(

@@ -45,13 +45,15 @@ _OCTAHEDRON_FACES = np.array(
 
 @dataclass(frozen=True)
 class SynthConfig:
-    """Recipe for a synthetic cohort; every draw is determined by ``seed``."""
+    """Recipe for a synthetic cohort; every draw is determined by ``seed``.
+
+    ``radii`` stretches every base, so ``sphere`` and ``ellipsoid`` build the
+    same surface. An option that the recipe would ignore is refused."""
 
     base: str = "sphere"
     resolution: int = 2
     radii: tuple[float, float, float] = (1.0, 1.0, 1.0)
     exponent: float = 1.0
-    n_modes: int = 3
     eigen_spectrum: tuple[float, ...] = (0.05, 0.02, 0.01)
     n_shapes: int = 20
     group_sizes: tuple[int, int] | None = None
@@ -70,18 +72,27 @@ class SynthConfig:
             raise ValueError(f"base must be one of {_BASES}")
         if self.resolution < 2:
             raise ValueError("resolution must be at least 2 subdivisions")
-        if self.n_modes < 0:
-            raise ValueError("n_modes must be non-negative")
+        if min(self.radii) <= 0 or min(self.noise_sd, self.nuisance_translation, self.nuisance_log_scale) < 0:
+            raise ValueError("radii must be positive; noise_sd, nuisance_translation, nuisance_log_scale non-negative")
+        if self.exponent != 1.0 and self.base != "superellipsoid":
+            raise ValueError(f"exponent applies only to base 'superellipsoid', not {self.base!r}")
         spectrum = tuple(float(s) for s in self.eigen_spectrum)
-        if len(spectrum) != self.n_modes:
-            raise ValueError("eigen_spectrum length must equal n_modes")
         if any(s <= 0 for s in spectrum):
             raise ValueError("eigen_spectrum entries must be positive")
         if any(a <= b for a, b in zip(spectrum, spectrum[1:])):
             raise ValueError("eigen_spectrum must be strictly decreasing")
-        if self.group_shift_component is not None and not 1 <= self.group_shift_component <= self.n_modes:
+        if self.group_shift_component is not None and not 1 <= self.group_shift_component <= len(spectrum):
             raise ValueError("group_shift_component outside the planted modes")
+        given = (self.group_shift_component is not None, bool(self.group_shift_sd), bool(self.group_sizes))
+        if any(given[:2]) and not all(given):
+            raise ValueError("a group shift needs group_shift_component, a non-zero group_shift_sd and group_sizes")
+        if self.standardize_scores and self.n_total <= len(spectrum):
+            raise ValueError("standardization needs more shapes than modes")
         object.__setattr__(self, "eigen_spectrum", spectrum)
+
+    @property
+    def n_modes(self) -> int:
+        return len(self.eigen_spectrum)
 
     @property
     def n_total(self) -> int:
@@ -295,8 +306,6 @@ def synth_cohort(config: SynthConfig) -> tuple[ShapeSample, SynthGroundTruth]:
     n = config.n_total
     z = rng.standard_normal((n, config.n_modes))
     if config.standardize_scores:
-        if n <= config.n_modes:
-            raise ValueError("standardization needs more shapes than modes")
         z = _standardize(z)
 
     labels: tuple[str, ...] | None = None
@@ -309,7 +318,7 @@ def synth_cohort(config: SynthConfig) -> tuple[ShapeSample, SynthGroundTruth]:
         shift[n_a:] = 1.0
 
     tangent = np.einsum("nk,km->nm", z * np.sqrt(spectrum), modes)  # BLAS rounds by thread even at k = 3
-    if config.group_shift_component is not None and config.group_shift_sd:
+    if config.group_shift_component is not None:
         k = config.group_shift_component - 1
         tangent += shift * (config.group_shift_sd * np.sqrt(spectrum[k])) * modes[k]
     asym = None

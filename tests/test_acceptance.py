@@ -96,7 +96,7 @@ def test_02_gpa_collapse():
     with criterion(2, "GPA collapse on similarity cohorts"):
         for seed in range(5):
             config = ss.SynthConfig(
-                resolution=2, n_modes=0, eigen_spectrum=(), n_shapes=10,
+                resolution=2, eigen_spectrum=(), n_shapes=10,
                 nuisance_rotation_deg=60, nuisance_translation=5.0, nuisance_log_scale=0.5,
                 seed=seed,
             )
@@ -123,7 +123,7 @@ def test_03_fpca_oracle():
 
         spectrum = (5.0, 3.0, 1.0, 0.5, 0.1)
         config = ss.SynthConfig(
-            resolution=2, n_modes=5, eigen_spectrum=spectrum, n_shapes=40,
+            resolution=2, eigen_spectrum=spectrum, n_shapes=40,
             standardize_scores=True, seed=103,
         )
         sample, truth = ss.synth_cohort(config)
@@ -139,7 +139,6 @@ def _calibration_cohort(seed: int):
     config = ss.SynthConfig(
         resolution=2,
         radii=(10.0, 10.0, 10.0),
-        n_modes=5,
         eigen_spectrum=(5.0, 3.0, 1.0, 0.5, 0.1),
         group_sizes=(15, 15),
         noise_sd=0.05,
@@ -179,7 +178,6 @@ def test_05_permutation_power():
             config = ss.SynthConfig(
                 resolution=2,
                 radii=(10.0, 10.0, 10.0),
-                n_modes=5,
                 eigen_spectrum=(16.0, 8.0, 1.0, 0.5, 0.1),
                 group_sizes=(15, 15),
                 group_shift_component=3,
@@ -277,7 +275,6 @@ def test_09_closest_control():
 
         config = ss.SynthConfig(
             resolution=2,
-            n_modes=5,
             eigen_spectrum=(0.05, 0.03, 0.01, 0.005, 0.001),
             n_shapes=2000,
             noise_sd=0.002,

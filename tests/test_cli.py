@@ -563,6 +563,9 @@ class TestRunner:
         assert not {"handler", "parser", "config"} & set(doc["options"])
 
 
+SYNTH_RANGES = "radii must be positive; noise_sd, nuisance_translation, nuisance_log_scale non-negative"
+
+
 class TestOptionValues:
     """An option value the library would refuse is a validation error (exit 2)
     naming the option, refused before any work and before the manifest."""
@@ -586,8 +589,8 @@ class TestOptionValues:
             ("compare", ("--bonferroni", "nan"), "--bonferroni must lie in (0, 1), got nan"),
             ("compare", ("--bonferroni", "-1"), "--bonferroni must lie in (0, 1), got -1.0"),
             ("compare", ("--bonferroni", "2"), "--bonferroni must lie in (0, 1), got 2.0"),
-            ("register", ("--tol", "nan"), "--tol must be finite and at least 0, got nan"),
-            ("register", ("--tol", "-1"), "--tol must be finite and at least 0, got -1.0"),
+            ("register", ("--tol", "nan"), "--tol must be finite and at least 1e-15, got nan"),
+            ("register", ("--tol", "-1"), "--tol must be finite and at least 1e-15, got -1.0"),
             ("register", ("--max-iter", "0"), "--max-iter must be at least 1, got 0"),
         ],
     )
@@ -631,12 +634,29 @@ class TestOptionValues:
             ("pca", ("--components", "2", "--variance", "0.5"), "give either --components or --variance, not both"),
             ("tour", ("--stops", "0"), "--stops must be at least 1, got 0"),
             ("register", ("--max-iter", "0"), "--max-iter must be at least 1, got 0"),
-            ("register", ("--tol", "nan"), "--tol must be finite and at least 0, got nan"),
+            ("register", ("--tol", "nan"), "--tol must be finite and at least 1e-15, got nan"),
+            # below 1e-15, rounding in the objective sets GPA's iteration count
+            ("register", ("--tol", "0"), "--tol must be finite and at least 1e-15, got 0.0"),
+            ("register", ("--tol", "1e-16"), "--tol must be finite and at least 1e-15, got 1e-16"),
             ("warp", ("--ridge", "nan"), "--ridge must be finite, got nan"),
             ("assess", ("--controls", "absent", "--variance", "3.7"), "--variance must lie in (0, 1), got 3.7"),
             ("assess", (), "give exactly one of --controls or --model"),
             ("assess", ("--model", "absent", "--variance", "0.5"), "--variance applies only with --controls"),
             ("simulate", ("--group-sizes", "3"), "--group-sizes needs two positive comma-separated counts"),
+            # every simulate recipe refusal comes before --out
+            ("simulate", ("--radii", "1,2"), "--radii needs three comma-separated values"),
+            ("simulate", ("--spectrum", "0.1,0.2"), "eigen_spectrum must be strictly decreasing"),
+            ("simulate", ("--shift-component", "5"), "group_shift_component outside the planted modes"),
+            ("simulate", ("--standardize", "--n-shapes", "3"), "standardization needs more shapes than modes"),
+            ("simulate", ("--radii", "0,0,1"), SYNTH_RANGES),
+            ("simulate", ("--noise-sd", "-1"), SYNTH_RANGES),
+            ("simulate", ("--nuisance-log-scale", "-1"), SYNTH_RANGES),
+            # recipe options that would be silently ignored
+            ("simulate", ("--shift-sd", "3", "--group-sizes", "4,4"), "a group shift needs group_shift_component"),
+            ("simulate", ("--shift-component", "1", "--shift-sd", "3"), "a group shift needs group_shift_component"),
+            ("simulate", ("--shift-component", "1", "--group-sizes", "4,4"), "a group shift needs group_shift_component"),
+            ("simulate", ("--exponent", "3"), "exponent applies only to base 'superellipsoid', not 'sphere'"),
+            ("asymmetry", ("--per-region-registration",), "--per-region-registration needs --regions"),
             ("diff", ("--lo", "5", "--hi", "1"), "--lo must be below --hi, got 5 and 1"),
         ],
     )
@@ -655,6 +675,7 @@ class TestOptionValues:
             "register": ("--meshes", absent),
             "warp": ("--source", absent, "--target", absent, "--template", absent),
             "assess": ("--pre", absent, "--post", absent, "--pairing", absent),
+            "asymmetry": ("--meshes", absent, "--pairing", absent),
             "simulate": (),
             "diff": (absent, absent),
         }[command]

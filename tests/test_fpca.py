@@ -17,7 +17,6 @@ def unweighted_pca_oracle(tangent):
 def planted_model(seed=0, n=40, spectrum=(5.0, 3.0, 1.0, 0.5, 0.1)):
     config = ss.SynthConfig(
         resolution=2,
-        n_modes=len(spectrum),
         eigen_spectrum=spectrum,
         n_shapes=n,
         standardize_scores=True,

@@ -130,7 +130,6 @@ class TestPermutationTest:
     def test_planted_shift_is_detected_on_its_component(self):
         config = ss.SynthConfig(
             resolution=2,
-            n_modes=5,
             eigen_spectrum=(0.16, 0.08, 0.01, 0.005, 0.001),
             group_sizes=(15, 15),
             group_shift_component=3,

@@ -120,7 +120,7 @@ class TestAsymmetryScore:
     def test_planted_asymmetry_is_monotone(self):
         scores = []
         for magnitude in (0.0, 0.05, 0.1, 0.2):
-            config = ss.SynthConfig(resolution=2, n_modes=0, eigen_spectrum=(), n_shapes=1,
+            config = ss.SynthConfig(resolution=2, eigen_spectrum=(), n_shapes=1,
                                     asymmetry_magnitude=magnitude, seed=1)
             sample, truth = ss.synth_cohort(config)
             score, _, _ = ss.asymmetry_score(sample.meshes[0], truth.pairing)
@@ -184,7 +184,6 @@ class TestEmpiricalPercentile:
 def control_sample(n=40, seed=0, spectrum=(0.05, 0.02, 0.01, 0.004, 0.002), noise=0.004):
     config = ss.SynthConfig(
         resolution=2,
-        n_modes=len(spectrum),
         eigen_spectrum=spectrum,
         n_shapes=n,
         noise_sd=noise,
@@ -463,7 +462,7 @@ class TestClosestControlInvariances:
 def setup():
     controls, truth = control_sample(n=30, seed=13)
     control_model = ss.fit_control_model(controls, pairing=truth.pairing)
-    case_config = ss.SynthConfig(resolution=2, n_modes=0, eigen_spectrum=(), n_shapes=2,
+    case_config = ss.SynthConfig(resolution=2, eigen_spectrum=(), n_shapes=2,
                                  asymmetry_magnitude=0.05, noise_sd=0.01, seed=40)
     cases, _ = ss.synth_cohort(case_config)
     return control_model, cases.meshes[0], cases.meshes[1], truth.pairing

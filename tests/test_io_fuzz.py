@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 import surfshape as ss  # noqa: E402
 import surfshape.io as sio  # noqa: E402
 from surfshape.io import load_mesh_directory, read_mesh, write_mesh  # noqa: E402
-from surfshape.mesh import correspondence_problem  # noqa: E402
+from surfshape.mesh import check_correspondence  # noqa: E402
 from conftest import bumpy_mesh  # noqa: E402
 
 
@@ -199,9 +199,7 @@ def directory_by_read_mesh(directory):
     try:
         meshes = [read_mesh(directory / name) for name in names]
         for name, mesh in zip(names, meshes):
-            problem = correspondence_problem(mesh, meshes[0], names[0])
-            if problem:
-                raise ValueError(f"{directory / name}: {problem}")
+            check_correspondence(mesh, meshes[0], names[0], str(directory / name))
     except ValueError as err:
         return str(err)
     return [arrays(mesh) for mesh in meshes]

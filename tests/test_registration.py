@@ -331,6 +331,14 @@ class TestClosedFormMisfit:
             assert fit.rss == float(np.einsum("j,kj,kj->", a, residual, residual))
 
 
+    @pytest.mark.parametrize("tol", [0.0, 1e-16, np.nan, np.inf, -1.0])
+    def test_tol_below_the_floor_is_refused(self, tol):
+        """Below MIN_TOL = 1e-15, rounding would set the iteration count."""
+        sample, _ = gpa_case("defaults")
+        with pytest.raises(ValueError, match="tol must be finite and at least 1e-15"):
+            ss.weighted_gpa(sample, tol=tol)
+
+
 class TestApplySimilarity:
     def test_identity_leaves_shape(self):
         rng = np.random.default_rng(2)
@@ -367,7 +375,6 @@ class TestWeightedGpa:
     def test_similarity_cohort_aligns_pairwise(self, seed):
         config = ss.SynthConfig(
             resolution=2,
-            n_modes=0,
             eigen_spectrum=(),
             n_shapes=6,
             nuisance_rotation_deg=60,
@@ -414,7 +421,7 @@ class TestWeightedGpa:
     def test_objective_trace_non_increasing_on_similarity_cohorts(self):
         for seed in range(3):
             config = ss.SynthConfig(
-                resolution=2, n_modes=0, eigen_spectrum=(), n_shapes=10,
+                resolution=2, eigen_spectrum=(), n_shapes=10,
                 nuisance_rotation_deg=45, nuisance_translation=2.0, nuisance_log_scale=0.3, seed=seed,
             )
             sample, _ = ss.synth_cohort(config)

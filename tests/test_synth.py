@@ -154,7 +154,7 @@ class TestSynthCohort:
 
     def test_single_mode_recovery(self):
         config = ss.SynthConfig(
-            resolution=2, n_modes=1, eigen_spectrum=(0.04,), n_shapes=25,
+            resolution=2, eigen_spectrum=(0.04,), n_shapes=25,
             standardize_scores=True, seed=5,
         )
         sample, truth = ss.synth_cohort(config)
@@ -168,7 +168,7 @@ class TestSynthCohort:
     def test_gpa_plus_fpca_recovers_planted_subspace(self):
         spectrum = (4e-8, 2e-8, 1e-8)
         config = ss.SynthConfig(
-            resolution=2, n_modes=3, eigen_spectrum=spectrum, n_shapes=30,
+            resolution=2, eigen_spectrum=spectrum, n_shapes=30,
             standardize_scores=True, seed=7,
         )
         sample, truth = ss.synth_cohort(config)
@@ -184,7 +184,7 @@ class TestSynthCohort:
 
     def test_group_labels_and_shift(self):
         config = ss.SynthConfig(
-            resolution=2, n_modes=2, eigen_spectrum=(0.04, 0.01), group_sizes=(4, 6),
+            resolution=2, eigen_spectrum=(0.04, 0.01), group_sizes=(4, 6),
             group_shift_component=1, group_shift_sd=2.0, seed=9,
         )
         sample, truth = ss.synth_cohort(config)
@@ -194,7 +194,7 @@ class TestSynthCohort:
     def test_asymmetry_monotone_in_magnitude(self):
         previous = -1.0
         for magnitude in (0.0, 0.03, 0.1):
-            config = ss.SynthConfig(resolution=2, n_modes=0, eigen_spectrum=(),
+            config = ss.SynthConfig(resolution=2, eigen_spectrum=(),
                                     n_shapes=1, asymmetry_magnitude=magnitude, seed=1)
             sample, truth = ss.synth_cohort(config)
             score, _, _ = ss.asymmetry_score(sample.meshes[0], truth.pairing)
@@ -211,12 +211,27 @@ class TestSynthCohort:
 
     def test_config_validation(self):
         with pytest.raises(ValueError, match="strictly decreasing"):
-            ss.SynthConfig(n_modes=2, eigen_spectrum=(1.0, 1.0))
-        with pytest.raises(ValueError, match="length"):
-            ss.SynthConfig(n_modes=2, eigen_spectrum=(1.0,))
+            ss.SynthConfig(eigen_spectrum=(1.0, 1.0))
         with pytest.raises(ValueError, match="resolution"):
             ss.SynthConfig(resolution=1)
         with pytest.raises(ValueError, match="planted modes"):
-            ss.SynthConfig(n_modes=2, eigen_spectrum=(1.0, 0.5), group_shift_component=3)
+            ss.SynthConfig(eigen_spectrum=(1.0, 0.5), group_shift_component=3)
         with pytest.raises(ValueError, match="base"):
             ss.SynthConfig(base="torus")
+        # recipe options that would change nothing are refused, naming the fields
+        for ignored in ({"group_shift_sd": 3.0, "group_sizes": (4, 4)}, {"group_shift_component": 1},
+                        {"group_shift_component": 1, "group_shift_sd": 3.0},
+                        {"group_shift_component": 1, "group_sizes": (4, 4)}):
+            with pytest.raises(ValueError, match="group_shift_component, a non-zero group_shift_sd and group_sizes"):
+                ss.SynthConfig(**ignored)
+        for base in ("sphere", "ellipsoid"):
+            with pytest.raises(ValueError, match="exponent applies only to base 'superellipsoid'"):
+                ss.SynthConfig(base=base, exponent=3.0)
+        assert ss.SynthConfig(group_sizes=(4, 4), group_shift_component=1, group_shift_sd=3.0).n_modes == 3
+        # a recipe numpy would refuse only mid-draw is refused with the config
+        for bad in ({"radii": (1.0, 0.0, 1.0)}, {"noise_sd": -0.1}, {"nuisance_translation": -1.0},
+                    {"nuisance_log_scale": -0.1}):
+            with pytest.raises(ValueError, match="radii must be positive; noise_sd"):
+                ss.SynthConfig(**bad)
+        with pytest.raises(ValueError, match="standardization needs more shapes than modes"):
+            ss.SynthConfig(n_shapes=3, standardize_scores=True)
