@@ -635,14 +635,12 @@ class TestOptionValues:
             ("tour", ("--stops", "0"), "--stops must be at least 1, got 0"),
             ("register", ("--max-iter", "0"), "--max-iter must be at least 1, got 0"),
             ("register", ("--tol", "nan"), "--tol must be finite and at least 1e-15, got nan"),
-            # below 1e-15, rounding in the objective sets GPA's iteration count
-            ("register", ("--tol", "0"), "--tol must be finite and at least 1e-15, got 0.0"),
-            ("register", ("--tol", "1e-16"), "--tol must be finite and at least 1e-15, got 1e-16"),
             ("warp", ("--ridge", "nan"), "--ridge must be finite, got nan"),
             ("assess", ("--controls", "absent", "--variance", "3.7"), "--variance must lie in (0, 1), got 3.7"),
             ("assess", (), "give exactly one of --controls or --model"),
             ("assess", ("--model", "absent", "--variance", "0.5"), "--variance applies only with --controls"),
             ("simulate", ("--group-sizes", "3"), "--group-sizes needs two positive comma-separated counts"),
+            ("diff", ("--lo", "5", "--hi", "1"), "--lo must be below --hi, got 5 and 1"),
             # every simulate recipe refusal comes before --out
             ("simulate", ("--radii", "1,2"), "--radii needs three comma-separated values"),
             ("simulate", ("--spectrum", "0.1,0.2"), "eigen_spectrum must be strictly decreasing"),
@@ -657,7 +655,9 @@ class TestOptionValues:
             ("simulate", ("--shift-component", "1", "--group-sizes", "4,4"), "a group shift needs group_shift_component"),
             ("simulate", ("--exponent", "3"), "exponent applies only to base 'superellipsoid', not 'sphere'"),
             ("asymmetry", ("--per-region-registration",), "--per-region-registration needs --regions"),
-            ("diff", ("--lo", "5", "--hi", "1"), "--lo must be below --hi, got 5 and 1"),
+            # below 1e-15, rounding in the objective sets GPA's iteration count
+            ("register", ("--tol", "0"), "--tol must be finite and at least 1e-15, got 0.0"),
+            ("register", ("--tol", "1e-16"), "--tol must be finite and at least 1e-15, got 1e-16"),
         ],
     )
     def test_refused_before_any_input_is_read(self, tmp_path, capsys, monkeypatch, command, options, message):
