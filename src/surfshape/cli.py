@@ -50,7 +50,7 @@ from .io import (
 )
 from .mesh import NumericalFailure, ShapeSample, SurfaceMesh, check_correspondence, shape_difference_field
 from .registration import MIN_TOL, _tangent_over_stack, weighted_gpa
-from .synth import MAX_PLANTED_MODES, SynthConfig, synth_cohort
+from .synth import SynthConfig, synth_cohort
 from .warp import apply_warp, check_tps_size, fit_tps
 
 def parse_config_file(path) -> dict[str, str]:
@@ -113,7 +113,7 @@ OPTION_RANGES = {
     ),
     "frames_per_leg": (lambda v: v >= 0, "must be at least 0"),
     "tol": (lambda v: np.isfinite(v) and v >= MIN_TOL, f"must be finite and at least {MIN_TOL:g}"),
-    "ridge": (np.isfinite, "must be finite"),
+    **dict.fromkeys(("ridge", "lo", "hi", "reference"), (np.isfinite, "must be finite")),
     **dict.fromkeys(("variance", "bonferroni"), (lambda v: 0 < v < 1, "must lie in (0, 1)")),
 }
 # Options that exclude each other wherever a subcommand takes both.
@@ -412,20 +412,11 @@ def cmd_warp(args, out: Path) -> str:
 
 def _synth_config(args) -> SynthConfig:
     """The ``simulate`` options as a :class:`SynthConfig`, which refuses a bad recipe."""
-    radii = args.radii if args.radii else (1.0, 1.0, 1.0)
-    if len(radii) != 3:
-        raise ValueError("--radii needs three comma-separated values")
-    spectrum = args.spectrum if args.spectrum else (0.05, 0.02, 0.01)
-    if len(spectrum) > MAX_PLANTED_MODES:
-        raise ValueError(f"--spectrum gives at most {MAX_PLANTED_MODES} planted modes, got {len(spectrum)}")
-    if args.group_sizes is not None and (len(args.group_sizes) != 2 or min(args.group_sizes) < 1):
-        raise ValueError("--group-sizes needs two positive comma-separated counts")
     return SynthConfig(
-        base=args.base,
         resolution=args.resolution,
-        radii=radii,
+        radii=args.radii,
         exponent=args.exponent,
-        eigen_spectrum=spectrum,
+        eigen_spectrum=args.spectrum,
         n_shapes=SynthConfig.n_shapes if args.n_shapes is None else args.n_shapes,
         group_sizes=args.group_sizes,
         group_shift_component=args.shift_component,
@@ -441,7 +432,8 @@ def _synth_config(args) -> SynthConfig:
 
 
 def cmd_simulate(args, out: Path) -> str:
-    sample, truth = synth_cohort(_synth_config(args))
+    config = _synth_config(args)
+    sample, truth = synth_cohort(config)
     mesh_dir = out / "meshes"
     mesh_dir.mkdir(exist_ok=True)
     names = [f"shape_{i:03d}.obj" for i in range(sample.n_shapes)]
@@ -455,10 +447,10 @@ def cmd_simulate(args, out: Path) -> str:
             "spectrum": truth.spectrum,
             "modes": truth.modes,
             "z": truth.z,
-            "labels": list(truth.labels) if truth.labels else None,
-            "shift_component": truth.shift_component,
-            "shift_sd": truth.shift_sd,
-            "seed": truth.seed,
+            "labels": list(sample.labels) if sample.labels else None,
+            "shift_component": config.group_shift_component,
+            "shift_sd": config.group_shift_sd,
+            "seed": config.seed,
             "transforms": [
                 {"scale": t.scale, "rotation": t.rotation, "translation": t.translation}
                 for t in truth.transforms
@@ -567,12 +559,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ridge", type=float, default=0.0)
 
     p = add("simulate", cmd_simulate, "synthetic cohort with planted ground truth")
-    p.add_argument("--base", choices=("sphere", "ellipsoid", "superellipsoid"), default="sphere",
-                   help="sphere and ellipsoid build the same surface: --radii stretches both")
-    p.add_argument("--resolution", type=int, default=2)
-    p.add_argument("--radii", type=_comma_floats, default=None, help="rx,ry,rz")
-    p.add_argument("--exponent", type=float, default=1.0)
-    p.add_argument("--spectrum", type=_comma_floats, default=None, help="planted eigenvalues, decreasing")
+    p.add_argument("--resolution", type=int, default=SynthConfig.resolution)
+    p.add_argument("--radii", type=_comma_floats, default=SynthConfig.radii, help="rx,ry,rz")
+    p.add_argument("--exponent", type=float, default=SynthConfig.exponent,
+                   help="superellipsoid exponent; exponent 1 is the (stretched) sphere")
+    p.add_argument("--spectrum", type=_comma_floats, default=SynthConfig.eigen_spectrum,
+                   help="planted eigenvalues, decreasing")
     p.add_argument("--n-shapes", type=int, default=None, help="cohort size without groups (default 20)")
     p.add_argument("--group-sizes", type=_comma_ints, default=None, help="nA,nB")
     p.add_argument("--shift-component", type=int, default=None)

@@ -50,8 +50,8 @@ class ColorMap:
     def __post_init__(self):
         if self.kind not in ("diverging", "sequential"):
             raise ValueError("kind must be 'diverging' or 'sequential'")
-        if not self.lo < self.hi:
-            raise ValueError("require lo < hi")
+        if not (np.isfinite(self.lo) and np.isfinite(self.hi) and self.lo < self.hi):
+            raise ValueError("require finite lo < hi")
         if self.kind == "diverging" and not self.lo <= self.reference <= self.hi:
             raise ValueError("reference must lie inside [lo, hi] for diverging maps")
 

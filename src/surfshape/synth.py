@@ -1,11 +1,12 @@
 """Synthetic cohorts with planted ground truth.
 
-The base surface is an octahedron-subdivision sphere (optionally stretched to
-an ellipsoid or superellipsoid), built so that reflection in the x = 0 plane
-maps the vertex set onto itself bitwise-exactly; the bilateral pairing is
-found by coordinate lookup, not by nearest-neighbour search. Cohorts add
-planted area-orthonormal deformation modes, optional group shifts, optional
-mirror-breaking displacement, noise, and nuisance similarity transforms.
+The base surface is an octahedron-subdivision sphere shaped into a stretched
+superellipsoid (exponent 1 is the stretched sphere), built so that reflection
+in the x = 0 plane maps the vertex set onto itself bitwise-exactly; the
+bilateral pairing is found by coordinate lookup, not by nearest-neighbour
+search. Cohorts add planted area-orthonormal deformation modes, optional
+group shifts, optional mirror-breaking displacement, noise, and nuisance
+similarity transforms.
 """
 from __future__ import annotations
 
@@ -15,8 +16,6 @@ import numpy as np
 
 from .mesh import AreaWeights, BilateralPairing, ShapeSample, SurfaceMesh, vertex_areas, vertex_normals
 from .registration import SimilarityTransform, vec_inverse
-
-_BASES = ("sphere", "ellipsoid", "superellipsoid")
 
 _OCTAHEDRON_VERTICES = np.array(
     [
@@ -47,10 +46,10 @@ _OCTAHEDRON_FACES = np.array(
 class SynthConfig:
     """Recipe for a synthetic cohort; every draw is determined by ``seed``.
 
-    ``radii`` stretches every base, so ``sphere`` and ``ellipsoid`` build the
-    same surface. An option that the recipe would ignore is refused."""
+    ``exponent`` shapes the superellipsoid that ``radii`` stretches; exponent 1
+    is the (stretched) sphere. The recipe owns its rules: a bad or non-finite
+    number, or an option that the recipe would ignore, is refused here."""
 
-    base: str = "sphere"
     resolution: int = 2
     radii: tuple[float, float, float] = (1.0, 1.0, 1.0)
     exponent: float = 1.0
@@ -68,14 +67,25 @@ class SynthConfig:
     seed: int | None = None
 
     def __post_init__(self):
-        if self.base not in _BASES:
-            raise ValueError(f"base must be one of {_BASES}")
+        if len(self.radii) != 3:
+            raise ValueError(f"radii must be three values, got {len(self.radii)}")
+        if len(self.eigen_spectrum) > MAX_PLANTED_MODES:
+            raise ValueError(f"eigen_spectrum gives at most {MAX_PLANTED_MODES} modes, got {len(self.eigen_spectrum)}")
+        if self.group_sizes is not None and (len(self.group_sizes) != 2 or min(self.group_sizes) < 1):
+            raise ValueError(f"group_sizes must be two positive counts, got {self.group_sizes}")
+        for name in ("radii", "exponent", "eigen_spectrum", "group_shift_sd", "asymmetry_magnitude", "noise_sd",
+                     "nuisance_rotation_deg", "nuisance_translation", "nuisance_log_scale"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        if not self.exponent > 0:
+            raise ValueError(f"exponent must be positive, got {self.exponent}")
         if self.resolution < 2:
             raise ValueError("resolution must be at least 2 subdivisions")
         if min(self.radii) <= 0 or min(self.noise_sd, self.nuisance_translation, self.nuisance_log_scale) < 0:
             raise ValueError("radii must be positive; noise_sd, nuisance_translation, nuisance_log_scale non-negative")
-        if self.exponent != 1.0 and self.base != "superellipsoid":
-            raise ValueError(f"exponent applies only to base 'superellipsoid', not {self.base!r}")
+        # numpy draws the translation over a span of 2 * nuisance_translation; the scale is exp(log scale)
+        if 2 * self.nuisance_translation > np.finfo(float).max or self.nuisance_log_scale > np.log(np.finfo(float).max):
+            raise ValueError("nuisance_translation and nuisance_log_scale must keep the drawn transforms finite")
         spectrum = tuple(float(s) for s in self.eigen_spectrum)
         if any(s <= 0 for s in spectrum):
             raise ValueError("eigen_spectrum entries must be positive")
@@ -101,19 +111,14 @@ class SynthConfig:
 
 @dataclass(frozen=True)
 class SynthGroundTruth:
-    """Everything planted into a synthetic cohort, for recovery checks."""
+    """What the draw adds to its :class:`SynthConfig`, for recovery checks."""
 
     modes: np.ndarray  # (K, 3J), A-orthonormal on the base mesh
     spectrum: np.ndarray
     z: np.ndarray  # (n, K) standard-normal draws behind the shapes
-    labels: tuple[str, ...] | None
-    shift_component: int | None
-    shift_sd: float
-    asymmetry_field: np.ndarray | None  # (3J,) common mirror-breaking displacement
     transforms: tuple[SimilarityTransform, ...]
     base_mesh: SurfaceMesh
     pairing: BilateralPairing
-    seed: int | None
 
 
 def _subdivide_octasphere(resolution: int) -> tuple[np.ndarray, np.ndarray]:
@@ -159,17 +164,15 @@ def _pairing_from_coordinates(vertices: np.ndarray) -> BilateralPairing:
 
 
 def synth_base_mesh(config: SynthConfig) -> tuple[SurfaceMesh, BilateralPairing]:
-    """Mirror-symmetric base surface with exact vertex pairing across x = 0.
+    """Mirror-symmetric base surface with exact vertex pairing across x = 0:
+    the superellipsoid ``sign(u) |u|**exponent * radii`` over the unit-sphere
+    vertices u (exponent 1 is the stretched sphere, bit for bit).
 
     Regions ``upper`` (z >= 0) and ``lower`` (z < 0) are attached for
     sub-region scores.
     """
     unit, faces = _subdivide_octasphere(config.resolution)
-    if config.base == "superellipsoid":
-        shaped = np.sign(unit) * np.abs(unit) ** config.exponent
-    else:
-        shaped = unit
-    vertices = shaped * np.asarray(config.radii, dtype=float) + 0.0
+    vertices = np.sign(unit) * np.abs(unit) ** config.exponent * np.asarray(config.radii, dtype=float) + 0.0
     regions = {
         "upper": np.flatnonzero(vertices[:, 2] >= 0),
         "lower": np.flatnonzero(vertices[:, 2] < 0),
@@ -312,8 +315,6 @@ def synth_cohort(config: SynthConfig) -> tuple[ShapeSample, SynthGroundTruth]:
     shift = np.zeros((n, 1))
     if config.group_sizes is not None:
         n_a, n_b = config.group_sizes
-        if n_a < 1 or n_b < 1:
-            raise ValueError("both group sizes must be positive")
         labels = ("A",) * n_a + ("B",) * n_b
         shift[n_a:] = 1.0
 
@@ -321,10 +322,8 @@ def synth_cohort(config: SynthConfig) -> tuple[ShapeSample, SynthGroundTruth]:
     if config.group_shift_component is not None:
         k = config.group_shift_component - 1
         tangent += shift * (config.group_shift_sd * np.sqrt(spectrum[k])) * modes[k]
-    asym = None
     if config.asymmetry_magnitude:
-        asym = _asymmetry_field(mesh, config.asymmetry_magnitude)
-        tangent += asym
+        tangent += _asymmetry_field(mesh, config.asymmetry_magnitude)
 
     meshes = []
     transforms = []
@@ -337,17 +336,4 @@ def synth_cohort(config: SynthConfig) -> tuple[ShapeSample, SynthGroundTruth]:
         meshes.append(mesh.with_vertices(transform.apply(verts)))
 
     sample = ShapeSample(tuple(meshes), labels=labels, pairing=pairing)
-    truth = SynthGroundTruth(
-        modes=modes,
-        spectrum=spectrum,
-        z=z,
-        labels=labels,
-        shift_component=config.group_shift_component,
-        shift_sd=config.group_shift_sd,
-        asymmetry_field=asym,
-        transforms=tuple(transforms),
-        base_mesh=mesh,
-        pairing=pairing,
-        seed=config.seed,
-    )
-    return sample, truth
+    return sample, SynthGroundTruth(modes, spectrum, z, tuple(transforms), mesh, pairing)

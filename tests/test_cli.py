@@ -53,6 +53,17 @@ class TestSimulate:
         assert truth["seed"] == 42
         assert len(truth["z"]) == 16
 
+    def test_ground_truth_and_manifest_record_the_recipe(self, tmp_path):
+        code = run("simulate", "--group-sizes", "3,4", "--shift-component", "2", "--shift-sd", "1.5",
+                   "--seed", "7", "--out", tmp_path)
+        assert code == 0
+        truth = json.loads((tmp_path / "ground_truth.json").read_text())
+        assert (truth["shift_component"], truth["shift_sd"], truth["seed"]) == (2, 1.5, 7)
+        assert truth["labels"] == ["A"] * 3 + ["B"] * 4
+        options = json.loads((tmp_path / "manifest.json").read_text())["options"]
+        assert (options["radii"], options["spectrum"], options["exponent"]) == ([1.0] * 3, [0.05, 0.02, 0.01], 1.0)
+        assert "base" not in options
+
     def test_byte_identical_rerun(self, cohort, tmp_path):
         again = tmp_path / "again"
         code = run(
@@ -585,7 +596,7 @@ class TestOptionValues:
             ("diff", ("--lo", "5", "--hi", "1"), "--lo must be below --hi, got 5 and 1"),
             ("diff", ("--reference", "9"), "--reference must lie in [--lo, --hi]"),
             ("simulate", ("--n-shapes", "0"), "--n-shapes must be at least 1, got 0"),
-            ("simulate", ("--spectrum", ",".join(str(13 - i) for i in range(13))), "--spectrum gives at most 12"),
+            ("simulate", ("--spectrum", ",".join(str(13 - i) for i in range(13))), "eigen_spectrum gives at most 12"),
             ("compare", ("--bonferroni", "nan"), "--bonferroni must lie in (0, 1), got nan"),
             ("compare", ("--bonferroni", "-1"), "--bonferroni must lie in (0, 1), got -1.0"),
             ("compare", ("--bonferroni", "2"), "--bonferroni must lie in (0, 1), got 2.0"),
@@ -639,10 +650,10 @@ class TestOptionValues:
             ("assess", ("--controls", "absent", "--variance", "3.7"), "--variance must lie in (0, 1), got 3.7"),
             ("assess", (), "give exactly one of --controls or --model"),
             ("assess", ("--model", "absent", "--variance", "0.5"), "--variance applies only with --controls"),
-            ("simulate", ("--group-sizes", "3"), "--group-sizes needs two positive comma-separated counts"),
+            ("simulate", ("--group-sizes", "3"), "group_sizes must be two positive counts, got (3,)"),
             ("diff", ("--lo", "5", "--hi", "1"), "--lo must be below --hi, got 5 and 1"),
             # every simulate recipe refusal comes before --out
-            ("simulate", ("--radii", "1,2"), "--radii needs three comma-separated values"),
+            ("simulate", ("--radii", "1,2"), "radii must be three values, got 2"),
             ("simulate", ("--spectrum", "0.1,0.2"), "eigen_spectrum must be strictly decreasing"),
             ("simulate", ("--shift-component", "5"), "group_shift_component outside the planted modes"),
             ("simulate", ("--standardize", "--n-shapes", "3"), "standardization needs more shapes than modes"),
@@ -653,11 +664,26 @@ class TestOptionValues:
             ("simulate", ("--shift-sd", "3", "--group-sizes", "4,4"), "a group shift needs group_shift_component"),
             ("simulate", ("--shift-component", "1", "--shift-sd", "3"), "a group shift needs group_shift_component"),
             ("simulate", ("--shift-component", "1", "--group-sizes", "4,4"), "a group shift needs group_shift_component"),
-            ("simulate", ("--exponent", "3"), "exponent applies only to base 'superellipsoid', not 'sphere'"),
+            ("simulate", ("--exponent", "0"), "exponent must be positive, got 0.0"),
             ("asymmetry", ("--per-region-registration",), "--per-region-registration needs --regions"),
             # below 1e-15, rounding in the objective sets GPA's iteration count
             ("register", ("--tol", "0"), "--tol must be finite and at least 1e-15, got 0.0"),
             ("register", ("--tol", "1e-16"), "--tol must be finite and at least 1e-15, got 1e-16"),
+            # a non-finite recipe number, or one whose draw would overflow, is refused with the recipe
+            ("simulate", ("--noise-sd", "nan"), "noise_sd must be finite, got nan"),
+            ("simulate", ("--asymmetry", "nan"), "asymmetry_magnitude must be finite, got nan"),
+            ("simulate", ("--radii", "1,nan,1"), "radii must be finite, got (1.0, nan, 1.0)"),
+            ("simulate", ("--spectrum", "0.05,nan"), "eigen_spectrum must be finite, got (0.05, nan)"),
+            ("simulate", ("--nuisance-rotation", "nan"), "nuisance_rotation_deg must be finite, got nan"),
+            ("simulate", ("--nuisance-translation", "inf"), "nuisance_translation must be finite, got inf"),
+            ("simulate", ("--nuisance-translation", "1e308"), "nuisance_translation and nuisance_log_scale must keep"),
+            ("simulate", ("--exponent", "nan"), "exponent must be finite, got nan"),
+            ("simulate", ("--exponent", "1e400"), "exponent must be finite, got inf"),
+            ("simulate", ("--exponent", "-1"), "exponent must be positive, got -1.0"),
+            # a non-finite colour bound would paint NaN colours
+            ("diff", ("--lo=-inf",), "--lo must be finite, got -inf"),
+            ("diff", ("--hi=inf",), "--hi must be finite, got inf"),
+            ("diff", ("--reference", "nan"), "--reference must be finite, got nan"),
         ],
     )
     def test_refused_before_any_input_is_read(self, tmp_path, capsys, monkeypatch, command, options, message):

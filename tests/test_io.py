@@ -214,6 +214,9 @@ class TestColorMap:
     def test_validation(self):
         with pytest.raises(ValueError, match="lo < hi"):
             ColorMap("diverging", lo=1.0, hi=1.0)
+        for lo, hi in ((-np.inf, 1.0), (0.0, np.inf), (np.nan, 1.0), (0.0, np.nan)):
+            with pytest.raises(ValueError, match="finite lo < hi"):
+                ColorMap("sequential", lo=lo, hi=hi)
         with pytest.raises(ValueError, match="reference"):
             ColorMap("diverging", lo=0.0, hi=1.0, reference=2.0)
         with pytest.raises(ValueError, match="kind"):

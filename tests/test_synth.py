@@ -26,8 +26,8 @@ class TestBaseMesh:
         "config",
         [
             ss.SynthConfig(resolution=2),
-            ss.SynthConfig(resolution=2, base="ellipsoid", radii=(1.5, 1.0, 0.7)),
-            ss.SynthConfig(resolution=2, base="superellipsoid", exponent=0.6, radii=(1.2, 1.0, 0.9)),
+            ss.SynthConfig(resolution=2, radii=(1.5, 1.0, 0.7)),
+            ss.SynthConfig(resolution=2, exponent=0.6, radii=(1.2, 1.0, 0.9)),
         ],
     )
     def test_every_base_shape_is_exactly_mirror_symmetric(self, config):
@@ -99,13 +99,17 @@ class TestVectorisedBaseMesh:
 
     @pytest.mark.parametrize("resolution", [2, 5])
     def test_superellipsoid_base_matches_the_loops_bitwise(self, resolution):
-        config = ss.SynthConfig(base="superellipsoid", resolution=resolution, exponent=0.6, radii=(1.2, 1.0, 0.9))
+        config = ss.SynthConfig(resolution=resolution, exponent=0.6, radii=(1.2, 1.0, 0.9))
         mesh, pairing = ss.synth_base_mesh(config)
         unit, faces = loop_subdivide_octasphere(resolution)
         vertices = np.sign(unit) * np.abs(unit) ** 0.6 * np.array([1.2, 1.0, 0.9]) + 0.0
         assert_same_bits(mesh.vertices, vertices)
         assert_same_bits(mesh.triangles, faces)
         assert_same_bits(pairing.pair, dict_pairing_from_coordinates(vertices).pair)
+
+    def test_exponent_one_is_the_stretched_sphere_bitwise(self):
+        mesh, _ = ss.synth_base_mesh(ss.SynthConfig(resolution=4, radii=(1.2, 1.0, 0.9)))
+        assert_same_bits(mesh.vertices, loop_subdivide_octasphere(4)[0] * np.array([1.2, 1.0, 0.9]) + 0.0)
 
     def test_missing_partner_names_the_first_such_vertex(self):
         vertices = ss.synth._subdivide_octasphere(3)[0]
@@ -187,9 +191,8 @@ class TestSynthCohort:
             resolution=2, eigen_spectrum=(0.04, 0.01), group_sizes=(4, 6),
             group_shift_component=1, group_shift_sd=2.0, seed=9,
         )
-        sample, truth = ss.synth_cohort(config)
+        sample, _ = ss.synth_cohort(config)
         assert sample.labels == ("A",) * 4 + ("B",) * 6
-        assert truth.shift_component == 1
 
     def test_asymmetry_monotone_in_magnitude(self):
         previous = -1.0
@@ -216,17 +219,12 @@ class TestSynthCohort:
             ss.SynthConfig(resolution=1)
         with pytest.raises(ValueError, match="planted modes"):
             ss.SynthConfig(eigen_spectrum=(1.0, 0.5), group_shift_component=3)
-        with pytest.raises(ValueError, match="base"):
-            ss.SynthConfig(base="torus")
         # recipe options that would change nothing are refused, naming the fields
         for ignored in ({"group_shift_sd": 3.0, "group_sizes": (4, 4)}, {"group_shift_component": 1},
                         {"group_shift_component": 1, "group_shift_sd": 3.0},
                         {"group_shift_component": 1, "group_sizes": (4, 4)}):
             with pytest.raises(ValueError, match="group_shift_component, a non-zero group_shift_sd and group_sizes"):
                 ss.SynthConfig(**ignored)
-        for base in ("sphere", "ellipsoid"):
-            with pytest.raises(ValueError, match="exponent applies only to base 'superellipsoid'"):
-                ss.SynthConfig(base=base, exponent=3.0)
         assert ss.SynthConfig(group_sizes=(4, 4), group_shift_component=1, group_shift_sd=3.0).n_modes == 3
         # a recipe numpy would refuse only mid-draw is refused with the config
         for bad in ({"radii": (1.0, 0.0, 1.0)}, {"noise_sd": -0.1}, {"nuisance_translation": -1.0},
@@ -235,3 +233,26 @@ class TestSynthCohort:
                 ss.SynthConfig(**bad)
         with pytest.raises(ValueError, match="standardization needs more shapes than modes"):
             ss.SynthConfig(n_shapes=3, standardize_scores=True)
+        # the recipe owns the shape of its values and refuses any non-finite number, naming the field
+        for bad, message in (
+            ({"radii": (1.0, 2.0)}, "radii must be three values, got 2"),
+            ({"eigen_spectrum": tuple(range(13, 0, -1))}, "eigen_spectrum gives at most 12 modes, got 13"),
+            ({"group_sizes": (3,)}, r"group_sizes must be two positive counts, got \(3,\)"),
+            ({"group_sizes": (0, 3)}, r"group_sizes must be two positive counts, got \(0, 3\)"),
+            ({"exponent": 0.0}, "exponent must be positive, got 0.0"),
+            ({"exponent": -1.0}, "exponent must be positive, got -1.0"),
+            ({"exponent": np.nan}, "exponent must be finite, got nan"),
+            ({"noise_sd": np.nan}, "noise_sd must be finite, got nan"),
+            ({"asymmetry_magnitude": np.nan}, "asymmetry_magnitude must be finite, got nan"),
+            ({"radii": (1.0, np.nan, 1.0)}, r"radii must be finite, got \(1.0, nan, 1.0\)"),
+            ({"eigen_spectrum": (0.05, np.nan)}, r"eigen_spectrum must be finite, got \(0.05, nan\)"),
+            ({"nuisance_rotation_deg": np.nan}, "nuisance_rotation_deg must be finite, got nan"),
+            ({"nuisance_translation": np.inf}, "nuisance_translation must be finite, got inf"),
+            ({"nuisance_log_scale": -np.inf}, "nuisance_log_scale must be finite, got -inf"),
+            ({"group_sizes": (4, 4), "group_shift_component": 1, "group_shift_sd": np.inf},
+             "group_shift_sd must be finite, got inf"),
+            ({"nuisance_translation": 1e308}, "nuisance_translation and nuisance_log_scale must keep"),
+            ({"nuisance_log_scale": 710.0}, "nuisance_translation and nuisance_log_scale must keep"),
+        ):
+            with pytest.raises(ValueError, match=message):
+                ss.SynthConfig(**bad)
