@@ -27,7 +27,7 @@ import numpy as np
 
 from . import __version__
 from .fpca import FpcaModel, fit_fpca, grand_tour, scores_from_tangent
-from .groupcompare import affine_nonaffine_split, permutation_test
+from .groupcompare import PERMUTATION_MODES, affine_nonaffine_split, permutation_test
 from .individual import ControlModel, asymmetry_report, fit_control_model, integrated_assessment
 from .io import (
     ColorMap,
@@ -48,8 +48,9 @@ from .io import (
     write_pairing,
     write_regions,
 )
-from .mesh import NumericalFailure, ShapeSample, SurfaceMesh, check_correspondence, shape_difference_field
-from .registration import MIN_TOL, _tangent_over_stack, weighted_gpa
+from .mesh import DIFFERENCE_MODES, NumericalFailure, ShapeSample, SurfaceMesh, check_correspondence
+from .mesh import shape_difference_field
+from .registration import MIN_TOL, SIZE_CONSTRAINTS, _tangent_over_stack, weighted_gpa
 from .synth import SynthConfig, synth_cohort
 from .warp import apply_warp, check_tps_size, fit_tps
 
@@ -373,16 +374,15 @@ def cmd_assess(args, out: Path) -> str:
     pairing = read_pairing(args.pairing, pre.n_vertices)
     regions = read_regions(args.regions, pre.n_vertices) if args.regions else {}
     if args.controls is not None:
-        sample = ShapeSample(tuple(controls), pairing=pairing)
-        model = fit_control_model(sample, variance_threshold=args.variance or 0.80, regions=regions)
+        model = fit_control_model(ShapeSample(tuple(controls)), args.variance or 0.80, pairing, regions)
         save_model(model, out / "control_model.json")
     assessment = integrated_assessment(model, pre, post, pairing, regions)
     write_json(assessment.document, out / "assessment.json")
     artifacts = sorted(assessment.artifacts.items())
-    write_meshes((artifact.mesh, out / f"{name}.obj") for name, artifact in artifacts if artifact.field is None)
-    for name, artifact in artifacts:
-        if artifact.field is not None:
-            _paint(artifact.mesh, artifact.field, out / f"{name}.ply", diverging=name.endswith("_normal"))
+    write_meshes((mesh, out / f"{name}.obj") for name, (mesh, field) in artifacts if field is None)
+    for name, (mesh, field) in artifacts:
+        if field is not None:
+            _paint(mesh, field, out / f"{name}.ply", diverging=name.endswith("_normal"))
     return "assessment written"
 
 
@@ -499,7 +499,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--tol", type=float, default=1e-10, help="relative objective change to stop")
             p.add_argument(
                 "--size-constraint",
-                choices=("unit_area", "initial_mean_area"),
+                choices=SIZE_CONSTRAINTS,
                 default="unit_area",
                 help="mean-surface size constraint",
             )
@@ -529,7 +529,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=int, default=None, help="number of components")
     p.add_argument("--n-perm", type=int, default=500)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--mode", choices=("tangent_pca", "group_shape_space"), default="tangent_pca")
+    p.add_argument("--mode", choices=PERMUTATION_MODES, default="tangent_pca")
     p.add_argument("--bonferroni", type=float, default=None, help="override the 0.05/p threshold")
 
     add("split-affine", cmd_split_affine, "affine/non-affine decomposition of a cohort", cohort=True)
@@ -580,7 +580,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("diff", cmd_diff, "painted difference field between two corresponded meshes")
     p.add_argument("base", type=Path)
     p.add_argument("other", type=Path)
-    p.add_argument("--mode", choices=("x", "y", "z", "normal", "signed_euclidean"), default="normal")
+    p.add_argument("--mode", choices=DIFFERENCE_MODES, default="normal")
     p.add_argument("--lo", type=float, default=None)
     p.add_argument("--hi", type=float, default=None)
     p.add_argument("--reference", type=float, default=0.0)

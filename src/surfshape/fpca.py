@@ -124,7 +124,8 @@ def fit_fpca(
 
     ``k`` selects components: an int keeps that many (truncated to the
     available rank, with a warning recorded on the model), a fraction in (0, 1)
-    keeps the smallest K whose cumulative explained variance reaches it.
+    keeps the smallest K whose cumulative explained variance reaches it; any
+    other float is refused.
     ``mean_shape`` is the (J, 3) shape the tangent coordinates deviate from;
     it becomes the model mean used by scores/reconstruct.
 
@@ -132,6 +133,9 @@ def fit_fpca(
     of the (n, 3J) input: the block buffer (8,192 / 3J), 3J vectors (1/n each)
     and the returned (K, 3J) eigenfunctions (K/n); no copy of the input.
     """
+    fraction = isinstance(k, (float, np.floating))
+    if isinstance(k, bool) or not (fraction or isinstance(k, (int, np.integer))) or (fraction and not 0 < k < 1):
+        raise ValueError("k must be a component count or a variance fraction in (0, 1)")
     tangent = np.asarray(tangent, dtype=float)
     if tangent.ndim != 2:
         raise ValueError("tangent must be (n, 3J)")
@@ -153,9 +157,7 @@ def fit_fpca(
     total_variance = total / (n - 1)
 
     warnings: list[str] = []
-    if isinstance(k, (bool,)) or not isinstance(k, (int, float, np.integer, np.floating)):
-        raise ValueError("k must be a component count or a variance fraction in (0, 1)")
-    if isinstance(k, (float, np.floating)) and 0 < k < 1:
+    if fraction:
         if total_variance <= 0:
             raise NumericalFailure("no variance in the sample")
         fractions = np.cumsum(eigenvalues[:rank]) / total_variance

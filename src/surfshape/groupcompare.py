@@ -255,7 +255,8 @@ def permutation_test(
     rho = n_a n_b / n), and both statistics are closed-form in (lam, rho, d).
     The group-shape-space rank check (p-th within-group eigenvalue above 1e-12
     of the first) applies to every permutation. A repeated or swapped split
-    reads exactly the observed statistics.
+    reads exactly the observed statistics. Each permutation draws the smaller
+    group, so swapping the two labels changes no draw, statistic or p-value.
 
     ``threads`` is ignored. It will be removed by the benchmark change that drops
     it from ``perfbench/statsworker.py``.
@@ -276,9 +277,12 @@ def permutation_test(
 
     rng = np.random.default_rng(seed)
     na = int(mask_a.sum())
+    drawn = min(na, n - na)
     perm_masks = np.zeros((n_perm, n), dtype=bool)
     for r in range(n_perm):
-        perm_masks[r, rng.permutation(n)[:na]] = True
+        perm_masks[r, rng.permutation(n)[:drawn]] = True
+    if drawn < na:
+        np.logical_not(perm_masks, out=perm_masks)
 
     # all group mean differences and within-group scatters live in the span of
     # the centred rows; reduce once so per-permutation work is O(n * rank)

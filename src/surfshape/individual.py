@@ -8,7 +8,7 @@ by the components.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,7 +28,6 @@ class AsymmetryReport:
     region_scores: dict[str, float]
     matched_reflection: np.ndarray
     per_vertex_distance: np.ndarray
-    control_percentiles: dict[str, float] | None = None
 
     @property
     def scores(self) -> dict[str, float]:
@@ -100,19 +99,11 @@ class ClosestControlResult:
 
 
 @dataclass(frozen=True)
-class AssessmentArtifact:
-    """A mesh to emit with the assessment document; painted when a field is attached."""
-
-    mesh: SurfaceMesh
-    field: np.ndarray | None = None
-
-
-@dataclass(frozen=True)
 class AssessmentDocument:
-    """Machine-readable integrated assessment plus the meshes backing its figures."""
+    """Machine-readable integrated assessment plus its meshes: name -> (mesh, field to paint or None)."""
 
     document: dict
-    artifacts: dict[str, AssessmentArtifact]
+    artifacts: dict[str, tuple[SurfaceMesh, np.ndarray | None]]
 
 
 def reflect_relabel(shape: np.ndarray, pairing: BilateralPairing) -> np.ndarray:
@@ -144,11 +135,8 @@ def _match_mirror(
 
 
 def _region_rms(sq: np.ndarray, areas: np.ndarray, region: np.ndarray | None = None) -> float:
-    """Area-weighted RMS of per-vertex distances over ``region`` (all vertices when None)."""
+    """Area-weighted RMS of per-vertex distances over checked ``region`` indices (all when None)."""
     if region is not None:
-        region = _region_indices(region, sq.size)
-        if region.size == 0:
-            raise ValueError("region is empty")
         sq, areas = sq[region], areas[region]
     denom = areas.sum()
     if denom <= 0:
@@ -156,11 +144,17 @@ def _region_rms(sq: np.ndarray, areas: np.ndarray, region: np.ndarray | None = N
     return float(np.sqrt(np.einsum("j,j->", areas, sq) / denom))
 
 
-def _checked_regions(regions: dict[str, np.ndarray], n_vertices: int) -> dict[str, np.ndarray]:
-    """Each region's indices, checked against ``n_vertices``; the name ``global`` is reserved."""
+def _checked_regions(
+    regions: dict[str, np.ndarray] | None, n_vertices: int, register_per_region: bool = False
+) -> dict[str, np.ndarray]:
+    """Each region's distinct indices, checked against ``n_vertices`` (None is no
+    regions): the name ``global`` is reserved, and a region needs a vertex, or 3
+    to be registered on its own."""
+    regions = regions or {}
     if "global" in regions:
         raise ValueError("region name 'global' is reserved for the whole-surface score")
-    return {name: _region_indices(idx, n_vertices, name) for name, idx in regions.items()}
+    size = 3 if register_per_region else 1
+    return {name: _region_indices(idx, n_vertices, name, size) for name, idx in regions.items()}
 
 
 def asymmetry_score(
@@ -179,6 +173,8 @@ def asymmetry_score(
 
     Returns (score, matched reflection, per-vertex distance field).
     """
+    if region is not None:
+        region = _checked_regions({None: region}, mesh.n_vertices)[None]
     matched, sq, halfway = _match_mirror(mesh, pairing, vertex_areas(mesh), allow_scaling)
     return _region_rms(sq, halfway, region), matched, np.sqrt(sq)
 
@@ -198,17 +194,17 @@ def asymmetry_report(
     mesh: SurfaceMesh,
     pairing: BilateralPairing,
     regions: dict[str, np.ndarray] | None = None,
-    control_scores: dict[str, np.ndarray] | None = None,
     allow_scaling: bool = True,
     register_per_region: bool = False,
 ) -> AsymmetryReport:
-    """Global plus per-region asymmetry scores, optionally placed against controls.
+    """Global plus per-region asymmetry scores.
 
     By default one global registration is shared by all regions;
     ``register_per_region`` instead re-matches the mirror image using each
-    region's own vertices and weights. The name ``global`` is reserved.
+    region's own vertices and weights. The regions are checked by
+    :func:`_checked_regions` before any matching.
     """
-    regions = _checked_regions(regions if regions is not None else mesh.regions or {}, mesh.n_vertices)
+    regions = _checked_regions(regions, mesh.n_vertices, register_per_region)
     areas = vertex_areas(mesh)
     matched, sq, halfway = _match_mirror(mesh, pairing, areas, allow_scaling)
     global_score = _region_rms(sq, halfway)
@@ -223,15 +219,7 @@ def asymmetry_report(
             region_scores[name] = _region_rms(region_sq, region_halfway, idx)
         else:
             region_scores[name] = _region_rms(sq, halfway, idx)
-    report = AsymmetryReport(global_score, region_scores, matched, np.sqrt(sq))
-    if control_scores is None:
-        return report
-    percentiles = {
-        name: empirical_percentile(score, control_scores[name])
-        for name, score in report.scores.items()
-        if name in control_scores
-    }
-    return replace(report, control_percentiles=percentiles)
+    return AsymmetryReport(global_score, region_scores, matched, np.sqrt(sq))
 
 
 def _residual_lengths(tangent_rows: np.ndarray, model: FpcaModel, score_rows: np.ndarray) -> np.ndarray:
@@ -296,8 +284,9 @@ def fit_control_model(
 
     Controls are registered internally; the component count is the smallest
     one explaining at least ``variance_threshold`` of the weighted variance.
-    When a bilateral pairing is available (argument or sample attribute),
-    control asymmetry score distributions are recorded for percentile lookups.
+    With a bilateral ``pairing``, the controls' global and ``regions``
+    asymmetry scores are recorded for percentile lookups; regions without a
+    pairing are refused.
 
     Memory beyond the input meshes, in stacks: GPA's stack (1), then the tangent
     rows written over it, plus the fit's block (8,192 / 3J) or the residual
@@ -305,12 +294,12 @@ def fit_control_model(
     """
     if controls.n_shapes < 5:
         raise ValueError("need at least 5 control shapes")
-    pairing = pairing if pairing is not None else controls.pairing
-    if pairing is not None:  # refuse a bad pairing or region map before the fit
-        if pairing.pair.size != controls.n_vertices:
-            raise ValueError(f"pairing covers {pairing.pair.size} vertices, the controls {controls.n_vertices}")
-        regions = regions if regions is not None else controls.meshes[0].regions or {}
-        regions = _checked_regions(regions, controls.n_vertices)
+    # refuse a bad pairing or region map before the fit
+    if pairing is None and regions:
+        raise ValueError("regions given without a pairing: control asymmetry is scored only with one")
+    if pairing is not None and pairing.pair.size != controls.n_vertices:
+        raise ValueError(f"pairing covers {pairing.pair.size} vertices, the controls {controls.n_vertices}")
+    regions = _checked_regions(regions, controls.n_vertices)
     gpa = weighted_gpa(controls, max_iter=max_iter, tol=tol)
     tangent = _tangent_over_stack(gpa)
     model = fit_fpca(tangent, gpa.mean_weights, k=variance_threshold, mean_shape=gpa.mean)
@@ -401,10 +390,16 @@ def integrated_assessment(
 
     The document is plain JSON-serializable data; artifacts carry the aligned
     case, its closest control, and painted difference/asymmetry fields for
-    each time point.
+    each time point. Each score whose key the controls were scored on gets
+    its control percentile.
     """
-    if regions is None:
-        regions = pre.regions or {}
+    regions = _checked_regions(regions, pre.n_vertices)
+    table = model.control_asymmetry or {}
+
+    def scored(key: str, score: float) -> dict:
+        percentile = {"control_percentile": empirical_percentile(score, table[key])} if key in table else {}
+        return {"score": score, **percentile}
+
     document: dict = {
         "schema_version": 1,
         "regions": sorted(regions),
@@ -413,20 +408,17 @@ def integrated_assessment(
         "p": model.p,
         "timepoints": {},
     }
-    artifacts: dict[str, AssessmentArtifact] = {}
+    artifacts: dict[str, tuple[SurfaceMesh, np.ndarray | None]] = {}
     for name, mesh in (("pre", pre), ("post", post)):
-        asym = asymmetry_report(mesh, pairing, regions, control_scores=model.control_asymmetry)
+        asym = asymmetry_report(mesh, pairing, regions)
         cc = assess_individual(model, mesh)
         case_mesh = mesh.with_vertices(cc.aligned_case)
         cc_mesh = mesh.with_vertices(cc.cc)
         normal_field = shape_difference_field(case_mesh, cc_mesh, "normal")
         entry = {
             "asymmetry": {
-                "global": _score_entry(asym.global_score, asym.control_percentiles, "global"),
-                "regions": {
-                    r: _score_entry(asym.region_scores[r], asym.control_percentiles, r)
-                    for r in sorted(regions)
-                },
+                "global": scored("global", asym.global_score),
+                "regions": {r: scored(r, asym.region_scores[r]) for r in sorted(regions)},
             },
             "closest_control": {
                 "d": cc.d,
@@ -443,15 +435,8 @@ def integrated_assessment(
             },
         }
         document["timepoints"][name] = entry
-        artifacts[f"{name}_case"] = AssessmentArtifact(case_mesh)
-        artifacts[f"{name}_closest_control"] = AssessmentArtifact(cc_mesh)
-        artifacts[f"{name}_vs_closest_control_normal"] = AssessmentArtifact(case_mesh, normal_field)
-        artifacts[f"{name}_asymmetry_distance"] = AssessmentArtifact(mesh, asym.per_vertex_distance)
+        artifacts[f"{name}_case"] = (case_mesh, None)
+        artifacts[f"{name}_closest_control"] = (cc_mesh, None)
+        artifacts[f"{name}_vs_closest_control_normal"] = (case_mesh, normal_field)
+        artifacts[f"{name}_asymmetry_distance"] = (mesh, asym.per_vertex_distance)
     return AssessmentDocument(document=document, artifacts=artifacts)
-
-
-def _score_entry(score: float, percentiles: dict[str, float] | None, key: str) -> dict:
-    entry = {"score": score}
-    if percentiles is not None and key in percentiles:
-        entry["control_percentile"] = percentiles[key]
-    return entry

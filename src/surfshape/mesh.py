@@ -11,9 +11,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-DifferenceMode = str  # one of "x", "y", "z", "normal", "signed_euclidean"
-
-_DIFFERENCE_MODES = ("x", "y", "z", "normal", "signed_euclidean")
+DIFFERENCE_MODES = ("x", "y", "z", "normal", "signed_euclidean")
 
 _BLOCK = 8_192  # triangles per block of triangle_areas; tangent columns per block in fpca
 
@@ -40,16 +38,23 @@ def _as_triangles(triangles) -> np.ndarray:
     return t
 
 
-def _region_indices(idx, n_vertices: int, name: str | None = None) -> np.ndarray:
-    """A region's vertex indices as an intp array. A boolean mask or a fractional
-    array is refused, not cast to indices; an empty array of any type passes."""
+def _region_indices(idx, n_vertices: int, name: str | None = None, min_size: int = 0) -> np.ndarray:
+    """A region's distinct vertex indices as an increasing intp array. A boolean
+    mask or a fractional array is refused, not cast to indices, and so is a
+    region of fewer than ``min_size`` distinct vertices (3 for one registered
+    on its own)."""
     label = "region" if name is None else f"region {name!r}"
-    idx = np.asarray(idx)
+    idx = np.ravel(idx)
     if idx.size and not np.issubdtype(idx.dtype, np.integer):
         raise ValueError(f"{label} must hold integer vertex indices, got {idx.dtype} values")
     idx = idx.astype(np.intp, copy=False)
     if idx.size and (idx.min() < 0 or idx.max() >= n_vertices):
         raise ValueError(f"{label} references a vertex outside [0, {n_vertices})")
+    # np.unique sorts; a region that is already strictly increasing (the usual case) skips it
+    idx = idx if (idx[1:] > idx[:-1]).all() else np.unique(idx)
+    if idx.size < min_size:
+        reason = "is empty" if idx.size == 0 else f"has {idx.size} vertices; registering it on its own needs {min_size}"
+        raise ValueError(f"{label} {reason}")
     return idx
 
 
@@ -58,8 +63,9 @@ class SurfaceMesh:
     """A triangulated surface: (J, 3) vertex coordinates in mm plus (T, 3) index triples.
 
     Every vertex lies on at least one triangle, and no triangle repeats a vertex.
-    ``regions`` optionally names vertex subsets (region name -> sorted index array)
-    used for sub-region scores and reports.
+    ``regions`` optionally names vertex subsets (region name -> increasing index
+    array). They are metadata carried with the mesh and written by ``simulate``;
+    scoring takes its regions as an argument, never from the mesh.
     """
 
     vertices: np.ndarray
@@ -83,11 +89,9 @@ class SurfaceMesh:
         isolated[t] = False
         if isolated.any():
             raise ValueError(f"vertex {int(np.flatnonzero(isolated)[0])} appears in no triangle")
-        regions = None
-        if self.regions is not None:
-            regions = {}
-            for name, idx in self.regions.items():
-                regions[name] = np.unique(_region_indices(idx, v.shape[0], name))
+        regions = self.regions
+        if regions is not None:
+            regions = {name: _region_indices(idx, v.shape[0], name) for name, idx in regions.items()}
         object.__setattr__(self, "vertices", v)
         object.__setattr__(self, "triangles", t)
         object.__setattr__(self, "regions", regions)
@@ -175,12 +179,11 @@ class BilateralPairing:
 
 @dataclass(frozen=True)
 class ShapeSample:
-    """A cohort of corresponded shapes with optional group labels and bilateral pairing:
-    every shape has shape 0's vertex count and triangle list, and finite coordinates."""
+    """A cohort of corresponded shapes with optional group labels: every shape has
+    shape 0's vertex count and triangle list, and finite coordinates."""
 
     meshes: tuple[SurfaceMesh, ...]
     labels: tuple[str, ...] | None = None
-    pairing: BilateralPairing | None = None
 
     def __post_init__(self):
         meshes = tuple(self.meshes)
@@ -308,15 +311,15 @@ def check_correspondence(mesh: SurfaceMesh, reference: SurfaceMesh, reference_na
         raise ValueError(f"{label}: triangle list differs from {reference_name}")
 
 
-def shape_difference_field(base: SurfaceMesh, other: SurfaceMesh, mode: DifferenceMode) -> np.ndarray:
+def shape_difference_field(base: SurfaceMesh, other: SurfaceMesh, mode: str) -> np.ndarray:
     """Per-vertex scalar difference field (mm) from ``base`` to ``other``.
 
     Modes: ``x``/``y``/``z`` coordinate differences, ``normal`` projection of the
     displacement on base's vertex normal, ``signed_euclidean`` distance signed by
     that projection.
     """
-    if mode not in _DIFFERENCE_MODES:
-        raise ValueError(f"unknown difference mode {mode!r}; expected one of {_DIFFERENCE_MODES}")
+    if mode not in DIFFERENCE_MODES:
+        raise ValueError(f"unknown difference mode {mode!r}; expected one of {DIFFERENCE_MODES}")
     check_correspondence(other, base, "the base mesh", "meshes are not in correspondence")
     # C order whatever the inputs' layout: the reductions below round by layout,
     # and a mesh built on a transposed view (a GPA result) must read as its copy

@@ -335,5 +335,5 @@ def synth_cohort(config: SynthConfig) -> tuple[ShapeSample, SynthGroundTruth]:
         transforms.append(transform)
         meshes.append(mesh.with_vertices(transform.apply(verts)))
 
-    sample = ShapeSample(tuple(meshes), labels=labels, pairing=pairing)
+    sample = ShapeSample(tuple(meshes), labels=labels)
     return sample, SynthGroundTruth(modes, spectrum, z, tuple(transforms), mesh, pairing)

@@ -193,6 +193,30 @@ class TestAsymmetryCommand:
         assert f"{regions}: line {lineno}: region name 'global' is reserved" in capsys.readouterr().err
 
 
+    def test_per_region_registration_needs_three_vertices(self, cohort, tmp_path, capsys):
+        # two vertices cannot fix a registration; the region is refused before any shape is scored
+        regions = tmp_path / "regions.csv"
+        regions.write_text((cohort / "regions.csv").read_text() + "0,pair\n1,pair\n")
+        capsys.readouterr()
+        out = tmp_path / "asym"
+        code = run(
+            "asymmetry", "--meshes", cohort / "meshes", "--pairing", cohort / "pairing.csv",
+            "--regions", regions, "--per-region-registration", "--out", out,
+        )
+        assert code == 2
+        assert "region 'pair' has 2 vertices; registering it on its own needs 3" in capsys.readouterr().err
+        assert not any(out.iterdir())
+        # assess registers globally, so the same region is scored there
+        code = run(
+            "assess", "--controls", cohort / "meshes", "--pre", cohort / "meshes" / "shape_000.obj",
+            "--post", cohort / "meshes" / "shape_001.obj", "--pairing", cohort / "pairing.csv",
+            "--regions", regions, "--out", tmp_path / "assess",
+        )
+        assert code == 0
+        doc = json.loads((tmp_path / "assess" / "assessment.json").read_text())
+        assert sorted(doc["timepoints"]["pre"]["asymmetry"]["regions"]) == ["lower", "pair", "upper"]
+
+
 class TestAssess:
     def test_fit_then_reuse_model(self, cohort, tmp_path):
         out = tmp_path / "assess"

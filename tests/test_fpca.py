@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -127,6 +129,19 @@ class TestFitFpca:
             ss.fit_fpca(np.zeros((4, 3 * mesh.n_vertices + 1)), weights)
         with pytest.raises(ValueError, match="count must be positive"):
             ss.fit_fpca(np.random.default_rng(0).normal(size=(4, 3 * mesh.n_vertices)), weights, k=0)
+
+    @pytest.mark.parametrize(
+        "k", [1.0, 1.5, 0.0, -0.5, np.float64(1.0), float("nan")], ids=["1.0", "1.5", "0.0", "-0.5", "float64", "nan"]
+    )
+    def test_float_outside_the_open_unit_interval_refused(self, k):
+        # 1.0 and 1.5 were read as a count of one component
+        tangent, weights, _ = planted_model()
+        with pytest.raises(ValueError, match=re.escape("k must be a component count or a variance fraction in (0, 1)")):
+            ss.fit_fpca(tangent, weights, k=k)
+
+    def test_numpy_integer_count_kept(self):
+        tangent, weights, _ = planted_model()
+        assert ss.fit_fpca(tangent, weights, k=np.int64(3)).n_components == 3
 
 
 class TestScoresAndReconstruct:

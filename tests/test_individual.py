@@ -1,4 +1,5 @@
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -142,14 +143,28 @@ class TestAsymmetryScore:
             ss.asymmetry_score(mesh, pairing, region=as_values(mask))
 
 
+def upper_lower(mesh):
+    return {"upper": mesh.regions["upper"], "lower": mesh.regions["lower"]}
+
+
 class TestAsymmetryReport:
     def test_regions_and_percentiles(self):
+        # the assessment places each score the controls were scored on against them
         mesh, pairing = perturbed_mesh(0.15)
         controls = {"global": np.array([0.01, 0.02, 0.03, 0.5]), "upper": np.array([0.0, 1.0])}
-        report = ss.asymmetry_report(mesh, pairing, control_scores=controls)
+        model = replace(control_model_with_threshold(1, chi_square_quantile(1, 0.95)), control_asymmetry=controls)
+        report = ss.asymmetry_report(mesh, pairing, upper_lower(mesh))
         assert set(report.region_scores) == {"upper", "lower"}
-        assert 0.0 <= report.control_percentiles["global"] <= 100.0
-        assert "lower" not in report.control_percentiles
+        document = ss.integrated_assessment(model, mesh, mesh, pairing, upper_lower(mesh)).document
+        asymmetry = document["timepoints"]["pre"]["asymmetry"]
+        percentile = ss.empirical_percentile(report.global_score, controls["global"])
+        assert 0.0 < percentile < 100.0
+        assert asymmetry["global"] == {"score": report.global_score, "control_percentile": percentile}
+        upper = report.region_scores["upper"]
+        assert asymmetry["regions"]["upper"] == {
+            "score": upper, "control_percentile": ss.empirical_percentile(upper, controls["upper"])
+        }
+        assert asymmetry["regions"]["lower"] == {"score": report.region_scores["lower"]}
 
     @pytest.mark.parametrize("register_per_region", [False, True])
     def test_mask_region_refused_by_name(self, register_per_region):
@@ -160,10 +175,70 @@ class TestAsymmetryReport:
 
     def test_per_region_registration_flag_changes_only_regions(self):
         mesh, pairing = perturbed_mesh(0.15)
-        shared = ss.asymmetry_report(mesh, pairing)
-        per_region = ss.asymmetry_report(mesh, pairing, register_per_region=True)
+        shared = ss.asymmetry_report(mesh, pairing, upper_lower(mesh))
+        per_region = ss.asymmetry_report(mesh, pairing, upper_lower(mesh), register_per_region=True)
         assert per_region.global_score == shared.global_score
-        assert set(per_region.region_scores) == set(shared.region_scores)
+        assert set(per_region.region_scores) == set(shared.region_scores) == {"upper", "lower"}
+        assert per_region.region_scores != shared.region_scores
+
+
+class TestRegionRules:
+    """One checker serves every scoring call: duplicated indices count once, an
+    empty region is refused by name, and a region registered on its own needs
+    3 vertices. Each refusal comes before any mirror matching."""
+
+    @pytest.fixture
+    def unmatched(self, monkeypatch):
+        def match(*args, **kwargs):
+            raise AssertionError("the mirror image was matched before the regions were checked")
+
+        monkeypatch.setattr("surfshape.individual._match_mirror", match)
+
+    @pytest.mark.parametrize("register_per_region", [False, True])
+    def test_duplicated_indices_count_once(self, register_per_region):
+        mesh, pairing = perturbed_mesh(0.15)
+        region, distinct = np.array([11, 3, 3, 7, 3, 5]), np.array([3, 5, 7, 11])
+        got, want = (
+            ss.asymmetry_report(mesh, pairing, {"r": idx}, register_per_region=register_per_region).region_scores
+            for idx in (region, distinct)
+        )
+        assert got == want
+
+    def test_duplicated_indices_count_once_in_a_single_score(self):
+        mesh, pairing = perturbed_mesh(0.15)
+        score, _, _ = ss.asymmetry_score(mesh, pairing, region=[3, 3, 3, 5, 7, 11])
+        assert score == ss.asymmetry_score(mesh, pairing, region=[3, 5, 7, 11])[0]
+
+    @pytest.mark.parametrize("register_per_region", [False, True])
+    def test_empty_region_refused_by_name(self, unmatched, register_per_region):
+        mesh, pairing = perturbed_mesh(0.15)
+        with pytest.raises(ValueError, match="^region 'e' is empty$"):
+            ss.asymmetry_report(mesh, pairing, {"e": []}, register_per_region=register_per_region)
+
+    @pytest.mark.parametrize("size", [1, 2])
+    def test_per_region_registration_needs_three_vertices(self, unmatched, size):
+        mesh, pairing = perturbed_mesh(0.15)
+        region = {"r": mesh.triangles[0][:size]}
+        with pytest.raises(ValueError, match=f"^region 'r' has {size} vertices; registering it on its own needs 3$"):
+            ss.asymmetry_report(mesh, pairing, region, register_per_region=True)
+
+    @pytest.mark.parametrize("size", [1, 2, 3])
+    def test_small_regions_are_scored(self, size):
+        mesh, pairing = perturbed_mesh(0.15)
+        region = {"r": mesh.triangles[0][:size]}
+        for register_per_region in ([False, True] if size == 3 else [False]):
+            report = ss.asymmetry_report(mesh, pairing, region, register_per_region=register_per_region)
+            assert np.isfinite(report.region_scores["r"])
+
+    def test_assessment_refuses_before_assessing(self, unmatched, monkeypatch):
+        def unassessed(*args, **kwargs):
+            raise AssertionError("a case was assessed before the regions were checked")
+
+        monkeypatch.setattr("surfshape.individual.assess_individual", unassessed)
+        mesh, pairing = perturbed_mesh(0.15)
+        model = control_model_with_threshold(1, chi_square_quantile(1, 0.95))
+        with pytest.raises(ValueError, match="^region 'e' is empty$"):
+            ss.integrated_assessment(model, mesh, mesh, pairing, {"upper": mesh.regions["upper"], "e": []})
 
 
 class TestEmpiricalPercentile:
@@ -238,7 +313,7 @@ class TestFitControlModel:
 
     def test_asymmetry_distributions_recorded_with_pairing(self):
         controls, truth = control_sample(n=8, seed=9)
-        model = ss.fit_control_model(controls, pairing=truth.pairing)
+        model = ss.fit_control_model(controls, pairing=truth.pairing, regions=truth.base_mesh.regions)
         assert set(model.control_asymmetry) == {"global", "upper", "lower"}
         assert model.control_asymmetry["global"].shape == (8,)
 
@@ -256,6 +331,8 @@ class TestFitControlModel:
             ("outside", "region 'upper' references a vertex outside [0, 66)"),
             ("mask", "region 'upper' must hold integer vertex indices, got bool values"),
             ("pairing", "pairing covers 18 vertices, the controls 66"),
+            ("empty", "region 'e' is empty"),
+            ("no pairing", "regions given without a pairing: control asymmetry is scored only with one"),
         ],
     )
     def test_bad_region_map_or_pairing_refused_before_the_fit(self, monkeypatch, fault, message):
@@ -271,10 +348,25 @@ class TestFitControlModel:
             "outside": {"upper": np.append(upper, 66)},
             "mask": {"upper": np.isin(np.arange(66), upper)},
             "pairing": {"upper": upper},
+            "empty": {"upper": upper, "e": []},
+            "no pairing": {"upper": upper},
         }[fault]
-        pairing = ss.BilateralPairing(np.arange(18)) if fault == "pairing" else truth.pairing
+        pairing = {"pairing": ss.BilateralPairing(np.arange(18)), "no pairing": None}.get(fault, truth.pairing)
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             ss.fit_control_model(controls, pairing=pairing, regions=regions)
+
+    @pytest.mark.parametrize("variance_threshold", [1.0, 1.5])
+    def test_variance_threshold_outside_the_unit_interval_refused(self, variance_threshold):
+        # a float of 1 or more was read as a component count of 1
+        controls, _ = control_sample(n=6, seed=9)
+        with pytest.raises(ValueError, match=re.escape("variance fraction in (0, 1)")):
+            ss.fit_control_model(controls, variance_threshold=variance_threshold)
+
+    def test_duplicated_region_indices_count_once(self):
+        controls, truth = control_sample(n=6, seed=9)
+        region = np.array([3, 3, 3, 5, 7, 11])
+        scored = lambda idx: ss.fit_control_model(controls, pairing=truth.pairing, regions={"r": idx}).control_asymmetry
+        np.testing.assert_array_equal(scored(region)["r"], scored(np.unique(region))["r"])
 
     def test_needs_five_controls(self):
         controls, _ = control_sample(n=4, seed=1)
@@ -446,7 +538,9 @@ class TestClosestControlInvariances:
     def test_control_order(self):
         controls, truth = control_sample(n=20, seed=17)
         reversed_controls = ss.ShapeSample(controls.meshes[::-1])
-        fit = lambda sample: ss.fit_control_model(sample, pairing=truth.pairing, tol=1e-14, max_iter=300)
+        fit = lambda sample: ss.fit_control_model(
+            sample, pairing=truth.pairing, regions=truth.base_mesh.regions, tol=1e-14, max_iter=300
+        )
         base, other = fit(controls), fit(reversed_controls)
         np.testing.assert_allclose(other.control_d, base.control_d[::-1], rtol=1e-9)
         np.testing.assert_allclose(other.control_r, base.control_r[::-1], rtol=1e-9)
@@ -461,34 +555,35 @@ class TestClosestControlInvariances:
 @pytest.fixture(scope="module")
 def setup():
     controls, truth = control_sample(n=30, seed=13)
-    control_model = ss.fit_control_model(controls, pairing=truth.pairing)
+    control_model = ss.fit_control_model(controls, pairing=truth.pairing, regions=truth.base_mesh.regions)
     case_config = ss.SynthConfig(resolution=2, eigen_spectrum=(), n_shapes=2,
                                  asymmetry_magnitude=0.05, noise_sd=0.01, seed=40)
     cases, _ = ss.synth_cohort(case_config)
-    return control_model, cases.meshes[0], cases.meshes[1], truth.pairing
+    return control_model, cases.meshes[0], cases.meshes[1], truth.pairing, truth.base_mesh.regions
 
 
 class TestIntegratedAssessment:
 
     def test_identical_pre_post_gives_identical_halves(self, setup):
-        model, pre, _, pairing = setup
-        assessment = ss.integrated_assessment(model, pre, pre, pairing)
+        model, pre, _, pairing, regions = setup
+        assessment = ss.integrated_assessment(model, pre, pre, pairing, regions)
         doc = assessment.document
+        assert sorted(doc["timepoints"]["pre"]["asymmetry"]["regions"]) == ["lower", "upper"]
         assert doc["timepoints"]["pre"] == doc["timepoints"]["post"]
 
     def test_every_region_appears_once_per_timepoint(self, setup):
-        model, pre, post, pairing = setup
-        regions = {"upper": pre.regions["upper"], "lower": pre.regions["lower"]}
+        model, pre, post, pairing, regions = setup
         assessment = ss.integrated_assessment(model, pre, post, pairing, regions)
         for point in ("pre", "post"):
             entry = assessment.document["timepoints"][point]["asymmetry"]["regions"]
             assert sorted(entry) == ["lower", "upper"]
+            assert all("control_percentile" in score for score in entry.values())
 
     def test_document_is_json_serializable_and_artifacts_complete(self, setup):
         import json
 
-        model, pre, post, pairing = setup
-        assessment = ss.integrated_assessment(model, pre, post, pairing)
+        model, pre, post, pairing, regions = setup
+        assessment = ss.integrated_assessment(model, pre, post, pairing, regions)
         json.dumps(assessment.document)
         names = set(assessment.artifacts)
         for point in ("pre", "post"):
@@ -498,20 +593,21 @@ class TestIntegratedAssessment:
             assert f"{point}_asymmetry_distance" in names
 
     def test_inside_case_paints_an_exactly_zero_difference(self, setup):
-        model, _, _, pairing = setup
+        model, _, _, pairing, regions = setup
         inside = model.mean_mesh().with_vertices(
             model.fpca.mean + 0.3 * np.sqrt(model.fpca.eigenvalues[1]) * ss.vec_inverse(model.fpca.eigenfunctions[1])
         )
-        assessment = ss.integrated_assessment(model, inside, inside, pairing)
+        assessment = ss.integrated_assessment(model, inside, inside, pairing, regions)
         entry = assessment.document["timepoints"]["pre"]
         assert entry["closest_control"]["within_component_range"]
         assert entry["closest_control"]["within_residual_range"]
         assert entry["difference_to_closest_control"] == {"normal_min": 0.0, "normal_max": 0.0, "normal_rms": 0.0}
-        assert not assessment.artifacts["pre_vs_closest_control_normal"].field.any()
+        _, field = assessment.artifacts["pre_vs_closest_control_normal"]
+        assert field is not None and not field.any()
 
     def test_control_percentiles_roughly_uniform_over_controls(self):
         controls, truth = control_sample(n=25, seed=17)
-        model = ss.fit_control_model(controls, pairing=truth.pairing)
+        model = ss.fit_control_model(controls, pairing=truth.pairing, regions=truth.base_mesh.regions)
         ranks = [
             ss.empirical_percentile(score, model.control_asymmetry["global"])
             for score in model.control_asymmetry["global"]

@@ -362,7 +362,7 @@ def fitted_models():
     gpa = ss.weighted_gpa(sample)
     tangent = ss.tangent_coordinates(gpa.aligned, gpa.mean)
     fpca = ss.fit_fpca(tangent, gpa.mean_weights, k=3, mean_shape=gpa.mean)
-    control = ss.fit_control_model(sample, pairing=truth.pairing)
+    control = ss.fit_control_model(sample, pairing=truth.pairing, regions=truth.base_mesh.regions)
     return fpca, control
 
 
@@ -388,7 +388,7 @@ class TestModelSerialization:
         assert np.array_equal(back.nu, control.nu)
         assert np.array_equal(back.control_d, control.control_d)
         assert np.array_equal(back.triangles, control.triangles)
-        assert set(back.control_asymmetry) == set(control.control_asymmetry)
+        assert set(back.control_asymmetry) == set(control.control_asymmetry) == {"global", "upper", "lower"}
 
     @pytest.mark.parametrize("entry", [0.7, 18.5, -0.25, 2.0**80])
     def test_fractional_or_huge_triangle_index_refused(self, tmp_path, entry):
