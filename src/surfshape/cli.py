@@ -28,7 +28,7 @@ import numpy as np
 from . import __version__
 from .fpca import FpcaModel, fit_fpca, grand_tour, scores_from_tangent
 from .groupcompare import PERMUTATION_MODES, affine_nonaffine_split, permutation_test
-from .individual import ControlModel, asymmetry_report, fit_control_model, integrated_assessment
+from .individual import ControlModel, _checked_regions, asymmetry_report, fit_control_model, integrated_assessment
 from .io import (
     ColorMap,
     load_mesh_directory,
@@ -336,6 +336,10 @@ def cmd_asymmetry(args, out: Path) -> str:
     names, meshes = load_mesh_directory(args.meshes)
     pairing = read_pairing(args.pairing, meshes[0].n_vertices)
     regions = read_regions(args.regions, meshes[0].n_vertices) if args.regions else {}
+    try:  # the per-region rule, once and with the file named, before the first shape is scored
+        _checked_regions(regions, meshes[0].n_vertices, args.per_region_registration)
+    except ValueError as err:
+        raise ValueError(f"{args.regions}: {err}") from None
     rows = []
 
     def reflections():

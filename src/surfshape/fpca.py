@@ -29,7 +29,7 @@ from .registration import tangent_coordinates, vec_inverse
 class FpcaModel:
     """Fitted component model: mean shape, weights, eigenfunctions (rows), eigenvalues.
 
-    ``explained`` holds cumulative explained-variance fractions relative to the
+    ``explained`` (derived) holds cumulative explained-variance fractions of the
     total weighted variance, so truncated models report fractions of the full
     spectrum. ``warnings`` records fit-time adjustments such as rank truncation.
     """
@@ -38,7 +38,7 @@ class FpcaModel:
     weights: AreaWeights
     eigenfunctions: np.ndarray
     eigenvalues: np.ndarray
-    explained: np.ndarray
+    explained: np.ndarray = field(init=False)
     n_samples: int
     total_variance: float
     warnings: tuple[str, ...] = ()
@@ -56,9 +56,7 @@ class FpcaModel:
             raise ValueError(
                 f"eigenfunctions must be ({lam.size}, {3 * j}): one row of 3J entries per eigenvalue, got {e.shape}"
             )
-        explained = np.asarray(self.explained, dtype=float)
-        if explained.shape != lam.shape:
-            raise ValueError(f"explained {explained.shape} and eigenvalues {lam.shape} differ in shape")
+        explained = np.cumsum(lam) / self.total_variance if self.total_variance > 0 else np.zeros(lam.size)
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "eigenfunctions", e)
         object.__setattr__(self, "eigenvalues", lam)
@@ -114,6 +112,17 @@ def _spectrum(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
     return u[:, ::-1], lam, int(np.count_nonzero(lam > lam[0] * 1e-12))
 
 
+def check_component_rule(k, name: str = "k") -> bool:
+    """Refuse a component rule that is neither a positive count nor a float
+    fraction in (0, 1), naming it ``name``; return whether it is a fraction."""
+    fraction = isinstance(k, (float, np.floating))
+    if isinstance(k, bool) or not (fraction or isinstance(k, (int, np.integer))) or (fraction and not 0 < k < 1):
+        raise ValueError(f"{name} must be a component count or a variance fraction in (0, 1)")
+    if not fraction and k < 1:
+        raise ValueError(f"{name}: component count must be positive, got {k}")
+    return fraction
+
+
 def fit_fpca(
     tangent: np.ndarray,
     weights: AreaWeights,
@@ -133,9 +142,7 @@ def fit_fpca(
     of the (n, 3J) input: the block buffer (8,192 / 3J), 3J vectors (1/n each)
     and the returned (K, 3J) eigenfunctions (K/n); no copy of the input.
     """
-    fraction = isinstance(k, (float, np.floating))
-    if isinstance(k, bool) or not (fraction or isinstance(k, (int, np.integer))) or (fraction and not 0 < k < 1):
-        raise ValueError("k must be a component count or a variance fraction in (0, 1)")
+    fraction = check_component_rule(k)
     tangent = np.asarray(tangent, dtype=float)
     if tangent.ndim != 2:
         raise ValueError("tangent must be (n, 3J)")
@@ -165,8 +172,6 @@ def fit_fpca(
         keep = min(keep, rank)
     else:
         keep = int(k)
-        if keep < 1:
-            raise ValueError("component count must be positive")
         if keep > rank:
             warnings.append(f"requested {keep} components but rank is {rank}; truncated")
             keep = rank
@@ -184,13 +189,11 @@ def fit_fpca(
         if e[np.argmax(np.abs(e))] < 0:
             e *= -1.0
 
-    explained = np.cumsum(eigenvalues[:keep]) / total_variance if total_variance > 0 else np.zeros(keep)
     return FpcaModel(
         mean=mean_shape,
         weights=weights,
         eigenfunctions=eigenfunctions,
         eigenvalues=eigenvalues[:keep],
-        explained=explained,
         n_samples=n,
         total_variance=total_variance,
         warnings=tuple(warnings),

@@ -8,12 +8,12 @@ by the components.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .chi2 import chi_square_quantile
-from .fpca import FpcaModel, fit_fpca, scores_from_tangent
+from .fpca import FpcaModel, check_component_rule, fit_fpca, scores_from_tangent
 from .mesh import _BLOCK, AreaWeights, BilateralPairing, ShapeSample, SurfaceMesh, shape_difference_field, vertex_areas
 from .mesh import _region_indices
 from .registration import SimilarityTransform, _tangent_over_stack, tangent_coordinates, vec_inverse
@@ -40,16 +40,17 @@ class ControlModel:
     """Control-population model for closest-control assessment.
 
     Components are fitted on controls only; ``nu`` holds per-vertex standard
-    deviations of control residual lengths, ``q95`` the 95th percentile of the
-    controls' standardized residual scores, and ``chi2_threshold`` the 95%
-    chi-square bound for the component-space Mahalanobis distance.
+    deviations of control residual lengths. Derived on construction: ``p``, the
+    component count; ``q95``, the 95th percentile of the controls' standardized
+    residual scores ``control_r``; and ``chi2_threshold``, the 95% chi-square
+    bound for the component-space Mahalanobis distance with p degrees of freedom.
     """
 
     fpca: FpcaModel
-    p: int
-    chi2_threshold: float
+    p: int = field(init=False)
+    chi2_threshold: float = field(init=False)
     nu: np.ndarray
-    q95: float
+    q95: float = field(init=False)
     control_d: np.ndarray
     control_r: np.ndarray
     triangles: np.ndarray
@@ -57,16 +58,9 @@ class ControlModel:
     warnings: tuple[str, ...] = ()
 
     def __post_init__(self):
-        if self.p != self.fpca.n_components:
-            raise ValueError(f"p = {self.p} but the component model has {self.fpca.n_components} components")
-        if self.p < 1:
+        p = self.fpca.n_components
+        if p < 1:
             raise ValueError("a control model needs at least one component")
-        exact = chi_square_quantile(self.p, 0.95)
-        if not abs(self.chi2_threshold / exact - 1.0) <= 1e-12:
-            raise ValueError(
-                f"chi2_threshold {self.chi2_threshold!r} is not the 95% chi-square quantile "
-                f"for p = {self.p} ({exact!r})"
-            )
         j = self.fpca.mean.shape[0]
         if np.shape(self.nu) != (j,):
             raise ValueError(f"nu must have {j} entries, one per vertex, got shape {np.shape(self.nu)}")
@@ -75,7 +69,12 @@ class ControlModel:
                 f"control_d {np.shape(self.control_d)} and control_r {np.shape(self.control_r)} "
                 "must be equal-length vectors"
             )
+        if np.size(self.control_r) == 0:
+            raise ValueError("control_r is empty: the 95th percentile needs at least one control")
         self.mean_mesh()  # the triangles must index the mean's vertices
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "chi2_threshold", chi_square_quantile(p, 0.95))
+        object.__setattr__(self, "q95", float(np.percentile(self.control_r, 95.0)))
 
     def mean_mesh(self) -> SurfaceMesh:
         return SurfaceMesh(self.fpca.mean, self.triangles)
@@ -173,10 +172,9 @@ def asymmetry_score(
 
     Returns (score, matched reflection, per-vertex distance field).
     """
-    if region is not None:
-        region = _checked_regions({None: region}, mesh.n_vertices)[None]
-    matched, sq, halfway = _match_mirror(mesh, pairing, vertex_areas(mesh), allow_scaling)
-    return _region_rms(sq, halfway, region), matched, np.sqrt(sq)
+    report = asymmetry_report(mesh, pairing, None if region is None else {None: region}, allow_scaling)
+    score = report.global_score if region is None else report.region_scores[None]
+    return score, report.matched_reflection, report.per_vertex_distance
 
 
 def empirical_percentile(value: float, reference: np.ndarray) -> float:
@@ -213,9 +211,7 @@ def asymmetry_report(
         if register_per_region:
             region_w = np.zeros_like(areas.weights)
             region_w[idx] = areas.weights[idx]
-            _, region_sq, region_halfway = _match_mirror(
-                mesh, pairing, AreaWeights.from_weights(region_w), allow_scaling
-            )
+            _, region_sq, region_halfway = _match_mirror(mesh, pairing, AreaWeights(region_w), allow_scaling)
             region_scores[name] = _region_rms(region_sq, region_halfway, idx)
         else:
             region_scores[name] = _region_rms(sq, halfway, idx)
@@ -294,7 +290,8 @@ def fit_control_model(
     """
     if controls.n_shapes < 5:
         raise ValueError("need at least 5 control shapes")
-    # refuse a bad pairing or region map before the fit
+    # refuse a bad component rule, pairing or region map before the fit
+    check_component_rule(variance_threshold, "variance_threshold")
     if pairing is None and regions:
         raise ValueError("regions given without a pairing: control asymmetry is scored only with one")
     if pairing is not None and pairing.pair.size != controls.n_vertices:
@@ -303,9 +300,6 @@ def fit_control_model(
     gpa = weighted_gpa(controls, max_iter=max_iter, tol=tol)
     tangent = _tangent_over_stack(gpa)
     model = fit_fpca(tangent, gpa.mean_weights, k=variance_threshold, mean_shape=gpa.mean)
-    p = model.n_components
-    threshold = chi_square_quantile(p, 0.95)
-
     _, d, lengths = _measure(model, tangent)
     del gpa, tangent  # release the stack before the statistics of the lengths
     nu = lengths.std(axis=0, ddof=1)
@@ -315,7 +309,6 @@ def fit_control_model(
     nu, warnings = sanitize_residual_sds(nu, tiny)
     lengths /= nu
     r = lengths.mean(axis=1)
-    q95 = float(np.percentile(r, 95.0))
 
     control_asym = None
     if pairing is not None:
@@ -325,10 +318,7 @@ def fit_control_model(
 
     return ControlModel(
         fpca=model,
-        p=p,
-        chi2_threshold=threshold,
         nu=nu,
-        q95=q95,
         control_d=d,
         control_r=r,
         triangles=controls.meshes[0].triangles,

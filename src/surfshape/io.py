@@ -329,8 +329,7 @@ def _object(payload: dict, name: str) -> dict:
 
 
 def _weights(payload: dict, name: str) -> AreaWeights:
-    """Area weights, stored as the fields ``name`` and ``name_total_area``."""
-    return AreaWeights(*_fields(payload, {name: _array, f"{name}_total_area": _float}).values())
+    return AreaWeights(_array(payload, name))
 
 
 def _fpca(payload: dict, name: str) -> FpcaModel:
@@ -345,23 +344,19 @@ def _asymmetry(payload: dict, name: str) -> dict[str, np.ndarray] | None:
     return {region: _array(scores, region) for region in scores}
 
 
-# the model file of each kind: every dataclass field, and the reader load_model takes it through
+# the model file of each kind: every field but the derived ones, and the reader load_model takes it through
 _FPCA = {
     "mean": _array,
     "weights": _weights,
     "eigenfunctions": _array,
     "eigenvalues": _array,
-    "explained": _array,
     "n_samples": _int,
     "total_variance": _float,
     "warnings": _strings,
 }
 _CONTROL = {
     "fpca": _fpca,
-    "p": _int,
-    "chi2_threshold": _float,
     "nu": _array,
-    "q95": _float,
     "control_d": _array,
     "control_r": _array,
     "triangles": _indices,
@@ -373,14 +368,13 @@ _KINDS = {"fpca": (FpcaModel, _FPCA), "control": (ControlModel, _CONTROL)}
 
 def _payload(model, table: dict) -> dict:
     """The attribute of every name in ``table``: a nested model as its own
-    payload, area weights as the two fields :func:`_weights` reads."""
+    payload, area weights as their array."""
     doc = {}
     for name in table:
         value = getattr(model, name)
         if isinstance(value, FpcaModel):
             value = _payload(value, _FPCA)
         elif isinstance(value, AreaWeights):
-            doc[f"{name}_total_area"] = value.total_area
             value = value.weights
         doc[name] = value
     return doc
@@ -436,8 +430,8 @@ def load_model(path) -> FpcaModel | ControlModel:
     """Load a model written by :func:`save_model`, validating schema and invariants.
 
     Array lengths must agree with the vertex count J = len(weights), and the
-    triangles must index the mean's vertices. Every error starts with the
-    file name.
+    triangles must index the mean's vertices. Other keys (an older writer's
+    derived values) are ignored. Every error starts with the file name.
     """
     try:
         with open(path, "r", encoding="ascii") as fh:
@@ -532,10 +526,11 @@ def write_regions(regions: dict[str, np.ndarray], path) -> None:
 def read_pairing(path, n_vertices: int) -> BilateralPairing:
     """Read an index,mirror_index CSV into a BilateralPairing (header optional).
 
-    Unlisted vertices default to midline (self-paired); the involution is
-    validated on construction.
+    Unlisted vertices default to midline (self-paired), a vertex listed twice
+    is refused, and the involution is validated on construction.
     """
     pair = np.arange(n_vertices, dtype=np.intp)
+    listed = set()
     for lineno, (a_text, b_text) in _read_csv_rows(path, "index"):
         try:
             a, b = _number(int, a_text), _number(int, b_text)
@@ -544,6 +539,9 @@ def read_pairing(path, n_vertices: int) -> BilateralPairing:
         for value in (a, b):
             if not 0 <= value < n_vertices:
                 raise ValueError(f"{path}: line {lineno}: vertex {value} outside [0, {n_vertices})")
+        if a in listed:
+            raise ValueError(f"{path}: line {lineno}: duplicate vertex {a}")
+        listed.add(a)
         pair[a] = b
     try:
         return BilateralPairing(pair)
@@ -560,7 +558,8 @@ def read_weight_overrides(path, n_vertices: int) -> dict[int, float]:
     """Read a vertex_index,weight CSV of per-vertex area-weight overrides.
 
     Used for curve points carried as ordinary vertices whose area weight is
-    set externally (e.g. to the average of the surface points).
+    set externally (e.g. to the average of the surface points). A vertex
+    listed twice is refused.
     """
     overrides: dict[int, float] = {}
     for lineno, (idx_text, weight_text) in _read_csv_rows(path, "vertex_index"):
@@ -575,6 +574,8 @@ def read_weight_overrides(path, n_vertices: int) -> dict[int, float]:
             raise ValueError(f"{path}: line {lineno}: weight must be finite")
         if weight < 0:
             raise ValueError(f"{path}: line {lineno}: weight must be non-negative")
+        if idx in overrides:
+            raise ValueError(f"{path}: line {lineno}: duplicate vertex {idx}")
         overrides[idx] = weight
     return overrides
 

@@ -6,7 +6,7 @@ shape in a sample, and all shapes in a sample share one triangulation.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -122,12 +122,12 @@ class SurfaceMesh:
 class AreaWeights:
     """Per-vertex surface areas (mm^2): the diagonal of the weighting matrix.
 
-    ``total_area`` is the sum of the weights; without overrides it equals the
-    total triangle area of the surface.
+    ``total_area`` is the sum of the weights, derived on construction; without
+    overrides it equals the total triangle area of the surface.
     """
 
     weights: np.ndarray
-    total_area: float
+    total_area: float = field(init=False)
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float)
@@ -136,12 +136,7 @@ class AreaWeights:
         if (w < 0).any():
             raise ValueError("area weights must be non-negative")
         object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "total_area", float(self.total_area))
-
-    @classmethod
-    def from_weights(cls, weights) -> "AreaWeights":
-        w = np.asarray(weights, dtype=float)
-        return cls(w, float(w.sum()))
+        object.__setattr__(self, "total_area", float(w.sum()))
 
     @property
     def stacked(self) -> np.ndarray:
@@ -279,7 +274,7 @@ def _area_weights(mesh: SurfaceMesh, areas: np.ndarray, overrides: Mapping[int, 
             if value < 0:
                 raise ValueError(f"weight override for vertex {j} is negative")
             w[j] = value
-    return AreaWeights(w, float(w.sum()))
+    return AreaWeights(w)
 
 
 def vertex_normals(mesh: SurfaceMesh) -> np.ndarray:

@@ -41,7 +41,7 @@ def test_01_weighted_opa_exactness():
             scale = rng.uniform(0.3, 3.0)
             translation = rng.normal(scale=10.0, size=3)
             target = scale * source @ rotation + translation
-            weights = ss.AreaWeights.from_weights(rng.uniform(0.1, 2.0, j))
+            weights = ss.AreaWeights(rng.uniform(0.1, 2.0, j))
             fit = ss.weighted_opa(source, target, weights)
             assert abs(fit.transform.scale - scale) < 1e-8
             assert np.abs(fit.transform.rotation - rotation).max() < 1e-8
@@ -83,7 +83,7 @@ def test_01_weighted_opa_exactness():
             source = rng.standard_normal((10, 3))
             target = source @ random_rotation(rng) * 1.5 + rng.normal(size=3)
             target += rng.normal(scale=0.1, size=target.shape)
-            weights = ss.AreaWeights.from_weights(rng.uniform(0.2, 1.5, 10))
+            weights = ss.AreaWeights(rng.uniform(0.2, 1.5, 10))
             fit = ss.weighted_opa(source, target, weights)
             best = oracle(source, target, weights, fit)
             assert fit.rss <= best + 1e-6
@@ -114,7 +114,7 @@ def test_03_fpca_oracle():
         rng = np.random.default_rng(103)
         n, j = 30, 40
         tangent = rng.standard_normal((n, 3 * j)) * np.linspace(2.0, 0.05, 3 * j)
-        weights = ss.AreaWeights.from_weights(np.ones(j))
+        weights = ss.AreaWeights(np.ones(j))
         model = ss.fit_fpca(tangent, weights, k=n - 1)
         centered = tangent - tangent.mean(axis=0)
         oracle_values = np.sort(np.linalg.eigvalsh(centered.T @ centered / (n - 1)))[::-1]

@@ -204,7 +204,8 @@ class TestAsymmetryCommand:
             "--regions", regions, "--per-region-registration", "--out", out,
         )
         assert code == 2
-        assert "region 'pair' has 2 vertices; registering it on its own needs 3" in capsys.readouterr().err
+        message = f"error: validation: {regions}: region 'pair' has 2 vertices; registering it on its own needs 3"
+        assert message in capsys.readouterr().err
         assert not any(out.iterdir())
         # assess registers globally, so the same region is scored there
         code = run(
@@ -248,6 +249,29 @@ class TestAssess:
             "--out", tmp_path / "x",
         )
         assert code == 2
+
+    def test_stored_derived_values_are_ignored(self, cohort, tmp_path):
+        # a model file written before p, chi2_threshold, q95, explained and the
+        # total area were derived holds copies of them; edited, they change nothing
+        case = ("--pre", cohort / "meshes" / "shape_000.obj", "--post", cohort / "meshes" / "shape_001.obj",
+                "--pairing", cohort / "pairing.csv", "--regions", cohort / "regions.csv")
+        assert run("assess", "--controls", cohort / "meshes", *case, "--out", tmp_path / "fit") == 0
+        fitted = json.loads((tmp_path / "fit" / "control_model.json").read_text())
+        edits = {
+            "p": lambda d: d.update(p=9),
+            "chi2_threshold": lambda d: d.update(chi2_threshold=0.5),
+            "q95": lambda d: d.update(q95=1e-3),
+            "explained": lambda d: d["fpca"].update(explained=[0.5] * len(d["fpca"]["eigenvalues"])),
+            "weights_total_area": lambda d: d["fpca"].update(weights_total_area=1e3),
+        }
+        for name, edit in [*edits.items(), ("all", lambda d: [e(d) for e in edits.values()])]:
+            doc = json.loads(json.dumps(fitted))
+            edit(doc)
+            model = tmp_path / f"{name}.json"
+            model.write_text(json.dumps(doc))
+            assert run("assess", "--model", model, *case, "--out", tmp_path / name) == 0, name
+            expected = (tmp_path / "fit" / "assessment.json").read_bytes()
+            assert (tmp_path / name / "assessment.json").read_bytes() == expected, name
 
 
 class TestMismatchedMeshes:
@@ -430,7 +454,6 @@ class TestTamperedModel:
     @pytest.mark.parametrize(
         "edit, message",
         [
-            (lambda d: d.update(p=9), "p = 9 but the component model has 2 components"),
             (lambda d: d.update(nu=d["nu"][:5]), "nu must have 66 entries, one per vertex, got shape (5,)"),
             (lambda d: d.update(control_r=d["control_r"][:-1]), "control_d (6,) and control_r (5,)"),
             (lambda d: d["triangles"][0].__setitem__(1, d["triangles"][0][0]), "triangle 0 repeats a vertex index"),
@@ -449,8 +472,8 @@ class TestTamperedModel:
             (lambda d: d["nu"].__setitem__(0, None), "field 'nu' holds a null or non-finite value"),
             (lambda d: d["fpca"]["weights"].__setitem__(2, None), "field 'weights' holds a null or non-finite value"),
             (
-                lambda d: d.update(chi2_threshold=0.5),
-                "chi2_threshold 0.5 is not the 95% chi-square quantile for p = 2 (5.99146454710798)",
+                lambda d: d.update(control_d=[], control_r=[]),
+                "control_r is empty: the 95th percentile needs at least one control",
             ),
         ],
     )

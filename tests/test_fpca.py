@@ -49,7 +49,7 @@ class TestFitFpca:
         rng = np.random.default_rng(3)
         n, j = 25, 30
         tangent = rng.standard_normal((n, 3 * j)) @ np.diag(rng.uniform(0.1, 2.0, 3 * j))
-        weights = ss.AreaWeights.from_weights(np.full(j, 0.49))
+        weights = ss.AreaWeights(np.full(j, 0.49))
         model = ss.fit_fpca(tangent, weights, k=n - 1)
         oracle_values, oracle_vectors = unweighted_pca_oracle(tangent)
         k = model.n_components

@@ -1,3 +1,4 @@
+import json
 import re
 from dataclasses import replace
 
@@ -9,6 +10,7 @@ import surfshape as ss
 from conftest import random_rotation, sphere_with_pairing
 from surfshape.chi2 import chi_square_quantile
 from surfshape.individual import _residual_lengths
+from surfshape.io import load_model, save_model
 
 
 def brute_force_asymmetry(mesh, pairing, region=None):
@@ -152,7 +154,7 @@ class TestAsymmetryReport:
         # the assessment places each score the controls were scored on against them
         mesh, pairing = perturbed_mesh(0.15)
         controls = {"global": np.array([0.01, 0.02, 0.03, 0.5]), "upper": np.array([0.0, 1.0])}
-        model = replace(control_model_with_threshold(1, chi_square_quantile(1, 0.95)), control_asymmetry=controls)
+        model = replace(control_model(1), control_asymmetry=controls)
         report = ss.asymmetry_report(mesh, pairing, upper_lower(mesh))
         assert set(report.region_scores) == {"upper", "lower"}
         document = ss.integrated_assessment(model, mesh, mesh, pairing, upper_lower(mesh)).document
@@ -236,7 +238,7 @@ class TestRegionRules:
 
         monkeypatch.setattr("surfshape.individual.assess_individual", unassessed)
         mesh, pairing = perturbed_mesh(0.15)
-        model = control_model_with_threshold(1, chi_square_quantile(1, 0.95))
+        model = control_model(1)
         with pytest.raises(ValueError, match="^region 'e' is empty$"):
             ss.integrated_assessment(model, mesh, mesh, pairing, {"upper": mesh.regions["upper"], "e": []})
 
@@ -355,11 +357,17 @@ class TestFitControlModel:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             ss.fit_control_model(controls, pairing=pairing, regions=regions)
 
-    @pytest.mark.parametrize("variance_threshold", [1.0, 1.5])
-    def test_variance_threshold_outside_the_unit_interval_refused(self, variance_threshold):
-        # a float of 1 or more was read as a component count of 1
+    @pytest.mark.parametrize("variance_threshold", [1.0, 1.5, 0.0, -0.5, np.nan])
+    def test_variance_threshold_outside_the_unit_interval_refused(self, monkeypatch, variance_threshold):
+        # a float of 1 or more was read as a component count of 1, and every bad
+        # fraction was refused by fit_fpca, after the registration, as a bad k
+        def unfitted(*args, **kwargs):
+            raise AssertionError("the cohort was registered before variance_threshold was checked")
+
+        monkeypatch.setattr("surfshape.individual.weighted_gpa", unfitted)
         controls, _ = control_sample(n=6, seed=9)
-        with pytest.raises(ValueError, match=re.escape("variance fraction in (0, 1)")):
+        message = "variance_threshold must be a component count or a variance fraction in (0, 1)"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             ss.fit_control_model(controls, variance_threshold=variance_threshold)
 
     def test_duplicated_region_indices_count_once(self):
@@ -374,42 +382,58 @@ class TestFitControlModel:
             ss.fit_control_model(controls)
 
 
-def control_model_with_threshold(p, threshold):
+def control_model(p):
     mesh, _ = sphere_with_pairing()
     j = mesh.n_vertices
-    fpca = ss.FpcaModel(
-        mesh.vertices, ss.vertex_areas(mesh), np.zeros((p, 3 * j)), np.ones(p), np.linspace(0.5, 0.9, p), 10, 1.0
-    )
-    return ss.ControlModel(fpca, p, threshold, np.ones(j), 1.0, np.ones(3), np.ones(3), mesh.triangles)
+    fpca = ss.FpcaModel(mesh.vertices, ss.vertex_areas(mesh), np.zeros((p, 3 * j)), np.ones(p), 10, 1.0)
+    return ss.ControlModel(fpca, np.ones(j), np.ones(3), np.ones(3), mesh.triangles)
 
 
 class TestChi2ThresholdCheck:
-    """ControlModel refuses a chi2_threshold more than 1e-12 relative away from
-    the exact 95% quantile; scipy's values lie within 1.2e-15 of it."""
+    """A control model's chi2_threshold is the exact 95% quantile for its p,
+    derived on construction: the constructor and ``replace`` refuse any
+    other value, and a model file's stored copy is ignored on load."""
 
     @pytest.mark.parametrize("p", range(1, 41))
     def test_true_quantile_accepted(self, p):
-        threshold = 2.0 * special.gammaincinv(p / 2.0, 0.95)
-        assert control_model_with_threshold(p, threshold).chi2_threshold == threshold
+        model = control_model(p)
+        assert model.p == p and model.chi2_threshold == chi_square_quantile(p, 0.95)
+        assert model.chi2_threshold == pytest.approx(2.0 * special.gammaincinv(p / 2.0, 0.95), rel=1e-12, abs=0)
+
+    @staticmethod
+    def assert_threshold_not_taken(p, threshold, tmp_path):
+        model = control_model(p)
+        fields = (model.fpca, model.nu, model.control_d, model.control_r, model.triangles)
+        with pytest.raises(TypeError, match="chi2_threshold"):
+            ss.ControlModel(*fields, chi2_threshold=threshold)
+        with pytest.raises(ValueError, match="chi2_threshold"):
+            replace(model, chi2_threshold=threshold)
+        path = tmp_path / "control.json"
+        save_model(model, path)
+        doc = json.loads(path.read_text())
+        doc["chi2_threshold"] = threshold
+        path.write_text(json.dumps(doc))
+        assert load_model(path).chi2_threshold == model.chi2_threshold
 
     @pytest.mark.parametrize("p", [1, 2, 5, 30])
     @pytest.mark.parametrize("factor", [0.92, 1.08, 0.0, np.nan])
-    def test_wrong_threshold_refused(self, p, factor):
-        threshold = factor * 2.0 * special.gammaincinv(p / 2.0, 0.95)
-        with pytest.raises(ValueError, match=f"is not the 95% chi-square quantile for p = {p}"):
-            control_model_with_threshold(p, threshold)
+    def test_wrong_threshold_refused(self, p, factor, tmp_path):
+        self.assert_threshold_not_taken(p, factor * chi_square_quantile(p, 0.95), tmp_path)
 
     @pytest.mark.parametrize("p", [1, 2, 5, 30])
     @pytest.mark.parametrize("relative", [1e-9, -1e-9])
-    def test_threshold_a_billionth_off_refused(self, p, relative):
-        exact = chi_square_quantile(p, 0.95)
-        message = re.escape(f"is not the 95% chi-square quantile for p = {p} ({exact!r})")
-        with pytest.raises(ValueError, match=message):
-            control_model_with_threshold(p, exact * (1.0 + relative))
+    def test_threshold_a_billionth_off_refused(self, p, relative, tmp_path):
+        self.assert_threshold_not_taken(p, chi_square_quantile(p, 0.95) * (1.0 + relative), tmp_path)
 
     def test_no_components_refused(self):
         with pytest.raises(ValueError, match="at least one component"):
-            control_model_with_threshold(0, 1.0)
+            control_model(0)
+
+    def test_empty_control_scores_refused(self):
+        # np.percentile of an empty array raises IndexError, which would end as exit 1
+        model = control_model(2)
+        with pytest.raises(ValueError, match="^control_r is empty"):
+            ss.ControlModel(model.fpca, model.nu, np.ones(0), np.ones(0), model.triangles)
 
 
 @pytest.mark.parametrize("n_vertices", [66, 5_000])
@@ -417,7 +441,7 @@ def test_residual_lengths_are_the_norms_of_the_residual(n_vertices):
     # 5,000 vertices take two vertex blocks of 2,730 (8,192 tangent columns)
     rng = np.random.default_rng(31)
     tangent = rng.normal(size=(7, 3 * n_vertices))
-    weights = ss.AreaWeights.from_weights(rng.uniform(0.5, 1.5, n_vertices))
+    weights = ss.AreaWeights(rng.uniform(0.5, 1.5, n_vertices))
     fit = ss.fit_fpca(tangent, weights, k=3)
     score_rows = ss.scores_from_tangent(fit, tangent)
     residual = tangent - score_rows @ fit.eigenfunctions

@@ -540,8 +540,12 @@ class TestSidecarFiles:
              "weight must be non-negative"),
             (read_labels, 'filename,label\na.obj,"A\nB"\n' + "b" * 200_000 + ".obj,B\n", 4,
              "field larger than field limit (131072)"),
+            # a repeated vertex would put 0 and 5 both on the midline, or keep the last weight in silence
+            (lambda path: read_pairing(path, 6), 'index,mirror_index\n0,5\n"1\n",1\n0,0\n', 5, "duplicate vertex 0"),
+            (lambda path: read_weight_overrides(path, 6), 'vertex_index,weight\n3,0.1\n"1\n",1\n3,0.2\n', 5,
+             "duplicate vertex 3"),
         ],
-        ids=["labels", "regions", "pairing", "weights", "oversized-field"],
+        ids=["labels", "regions", "pairing", "weights", "oversized-field", "pairing-duplicate", "weights-duplicate"],
     )
     def test_rows_are_numbered_by_the_line_they_start_on(self, tmp_path, reader, text, line, message):
         path = tmp_path / "sidecar.csv"
@@ -657,7 +661,7 @@ class TestModelFileRoundTrip:
         plain = ss.fit_control_model(ss.ShapeSample(sample.meshes))
         assert regional.control_asymmetry and plain.control_asymmetry is None
         assert fpca.warnings == () and regional.fpca.n_components > 1
-        truncated = ss.fit_fpca(np.eye(4, 3 * 66), ss.AreaWeights.from_weights(np.ones(66)), k=5)
+        truncated = ss.fit_fpca(np.eye(4, 3 * 66), ss.AreaWeights(np.ones(66)), k=5)
         assert truncated.warnings
         return {"fpca": fpca, "truncated": truncated, "regional": regional, "plain": plain}
 
@@ -672,5 +676,20 @@ class TestModelFileRoundTrip:
         assert second.read_bytes() == first.read_bytes()
 
     def test_field_tables_name_every_dataclass_field(self):
-        assert list(sio._FPCA) == [field.name for field in dataclasses.fields(ss.FpcaModel)]
-        assert list(sio._CONTROL) == [field.name for field in dataclasses.fields(ss.ControlModel)]
+        # the derived fields are computed on construction, not stored
+        assert list(sio._FPCA) == [field.name for field in dataclasses.fields(ss.FpcaModel) if field.init]
+        assert list(sio._CONTROL) == [field.name for field in dataclasses.fields(ss.ControlModel) if field.init]
+
+    @pytest.mark.parametrize("name", ["fpca", "truncated", "regional", "plain"])
+    def test_stored_derived_values_are_ignored(self, models, name, tmp_path):
+        # an older writer stored p, chi2_threshold, q95, explained and the total area
+        model = models[name]
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        doc = json.loads(path.read_text())
+        fpca = doc if name in ("fpca", "truncated") else doc["fpca"]
+        fpca.update(explained=[0.5] * len(fpca["eigenvalues"]), weights_total_area=1e3)
+        if fpca is not doc:
+            doc.update(p=9, chi2_threshold=0.5, q95=0.5)
+        path.write_text(json.dumps(doc))
+        assert_same_bits(load_model(path), model)

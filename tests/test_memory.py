@@ -33,7 +33,7 @@ def tangent():
 
 @pytest.fixture(scope="module")
 def weights():
-    return AreaWeights.from_weights(np.random.default_rng(9).uniform(0.5, 1.5, N_VERTICES))
+    return AreaWeights(np.random.default_rng(9).uniform(0.5, 1.5, N_VERTICES))
 
 
 def peak_bytes(fn, *args, **kwargs):

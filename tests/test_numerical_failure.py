@@ -11,7 +11,7 @@ from surfshape.groupcompare import component_t, hotelling_t2
 
 CORNERS = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]], float)
 PLANAR = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0], [2, 1, 0]], float)
-UNIT = ss.AreaWeights.from_weights(np.ones(5))
+UNIT = ss.AreaWeights(np.ones(5))
 LABELS = ["A"] * 3 + ["B"] * 3
 # two groups, each one repeated point: rank 1, no within-group variance
 TWO_POINTS = np.repeat([[0.0, 0.0], [1.0, 2.0]], 3, axis=0)

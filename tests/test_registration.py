@@ -81,7 +81,7 @@ class TestWeightedOpa:
         rng = np.random.default_rng(42)
         source = rng.normal(size=(10, 3))
         target = source @ random_rotation(rng) * 1.4 + rng.normal(size=3) + rng.normal(scale=0.2, size=(10, 3))
-        weights = ss.AreaWeights.from_weights(rng.uniform(0.2, 2.0, 10))
+        weights = ss.AreaWeights(rng.uniform(0.2, 2.0, 10))
         fit = ss.weighted_opa(source, target, weights)
         starts = [transform_params_as_start(fit)] + [
             np.concatenate([rng.normal(scale=1.0, size=3), [rng.normal(scale=0.3)], rng.normal(size=3)])
@@ -95,7 +95,7 @@ class TestWeightedOpa:
         rng = np.random.default_rng(5)
         source = rng.normal(size=(30, 3))
         target = rng.normal(size=(30, 3))
-        weights = ss.AreaWeights.from_weights(np.full(30, 0.37))
+        weights = ss.AreaWeights(np.full(30, 0.37))
         fit = ss.weighted_opa(source, target, weights)
         scale, rotation, translation = unweighted_procrustes_oracle(source, target)
         assert fit.transform.scale == pytest.approx(scale, abs=1e-10)
@@ -106,7 +106,7 @@ class TestWeightedOpa:
         rng = np.random.default_rng(9)
         source = rng.normal(size=(20, 3))
         target = rng.normal(size=(20, 3))
-        weights = ss.AreaWeights.from_weights(rng.uniform(0.5, 1.5, 20))
+        weights = ss.AreaWeights(rng.uniform(0.5, 1.5, 20))
         base = ss.weighted_opa(source, target, weights).rss
         rotation = random_rotation(rng)
         shift = rng.normal(size=3)
@@ -116,7 +116,7 @@ class TestWeightedOpa:
     def test_zero_residual_iff_similarity(self):
         rng = np.random.default_rng(13)
         source = rng.normal(size=(15, 3))
-        weights = ss.AreaWeights.from_weights(rng.uniform(0.5, 1.5, 15))
+        weights = ss.AreaWeights(rng.uniform(0.5, 1.5, 15))
         exact = 0.7 * source @ random_rotation(rng) + rng.normal(size=3)
         assert ss.weighted_opa(source, exact, weights).rss < 1e-10
         noisy = exact + rng.normal(scale=0.05, size=source.shape)
@@ -125,7 +125,7 @@ class TestWeightedOpa:
     def test_reflection_flag(self):
         rng = np.random.default_rng(21)
         source = rng.normal(size=(12, 3))
-        weights = ss.AreaWeights.from_weights(np.ones(12))
+        weights = ss.AreaWeights(np.ones(12))
         mirrored = source * np.array([-1.0, 1.0, 1.0])
         constrained = ss.weighted_opa(source, mirrored, weights, allow_reflection=False)
         assert np.linalg.det(constrained.transform.rotation) == pytest.approx(1.0, abs=1e-10)
@@ -138,7 +138,7 @@ class TestWeightedOpa:
         rng = np.random.default_rng(3)
         source = rng.normal(size=(10, 3))
         target = 3.0 * source
-        weights = ss.AreaWeights.from_weights(np.ones(10))
+        weights = ss.AreaWeights(np.ones(10))
         fit = ss.weighted_opa(source, target, weights, allow_scaling=False)
         assert fit.transform.scale == 1.0
 
@@ -148,7 +148,7 @@ class TestWeightedOpa:
         rng = np.random.default_rng(1)
         target = rng.normal(size=(8, 3))
         with pytest.raises(ValueError, match="degenerate configuration"):
-            ss.weighted_opa(line, target, ss.AreaWeights.from_weights(np.ones(8)))
+            ss.weighted_opa(line, target, ss.AreaWeights(np.ones(8)))
 
 
 def reference_opa(source, target, a, allow_scaling, allow_reflection):
@@ -183,7 +183,7 @@ def opa_case(kind, seed, n=400):
     if kind == "zero_weights":
         a[rng.permutation(n)[: n // 3]] = 0.0
         target[a == 0] += 1e3  # vertices without weight must not pull the fit
-    return source, target, ss.AreaWeights.from_weights(a)
+    return source, target, ss.AreaWeights(a)
 
 
 class TestOpaKernelMatchesReference:
@@ -414,7 +414,7 @@ class TestWeightedGpa:
         reordered = ss.ShapeSample(tuple(reversed(sample.meshes)))
         mean_a = ss.weighted_gpa(sample, tol=1e-14, max_iter=300).mean
         mean_b = ss.weighted_gpa(reordered, tol=1e-14, max_iter=300).mean
-        weights = ss.AreaWeights.from_weights(np.ones(mean_a.shape[0]))
+        weights = ss.AreaWeights(np.ones(mean_a.shape[0]))
         fit = ss.weighted_opa(mean_b, mean_a, weights)
         assert np.sqrt(fit.rss) < 1e-8
 
@@ -565,9 +565,9 @@ class TestFarZeroWeightVertices:
         rng = np.random.default_rng(seed)
         near = rng.normal(size=(4, 3))
         target = 1.3 * near @ random_rotation(rng) + 0.5 + rng.normal(scale=0.05, size=(4, 3))
-        alone = ss.weighted_opa(near, target, ss.AreaWeights.from_weights(np.ones(4)))
+        alone = ss.weighted_opa(near, target, ss.AreaWeights(np.ones(4)))
         source = np.vstack([near, offset + rng.normal(size=(4, 3))])
-        weights = ss.AreaWeights.from_weights(np.r_[np.ones(4), np.zeros(4)])
+        weights = ss.AreaWeights(np.r_[np.ones(4), np.zeros(4)])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             fit = ss.weighted_opa(source, np.vstack([target, rng.normal(size=(4, 3))]), weights)
@@ -582,4 +582,4 @@ class TestFarZeroWeightVertices:
         # the weighted sum of squares underflows to 0, so the scale divides by it
         corners = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]], float)
         with np.errstate(all="ignore"), pytest.raises(ss.NumericalFailure, match="scale is not finite"):
-            ss.weighted_opa(1e-170 * corners, corners, ss.AreaWeights.from_weights(np.ones(5)))
+            ss.weighted_opa(1e-170 * corners, corners, ss.AreaWeights(np.ones(5)))

@@ -128,7 +128,7 @@ def spread_spectrum_case(seed, n, j, decades, rank=None):
     u = np.linalg.qr(rng.standard_normal((n, r)))[0]
     v = np.linalg.qr(rng.standard_normal((3 * j, r)))[0]
     tangent = (u * np.logspace(0, -decades, r)) @ v.T
-    return tangent, ss.AreaWeights.from_weights(rng.uniform(0.2, 2.0, j)), n
+    return tangent, ss.AreaWeights(rng.uniform(0.2, 2.0, j)), n
 
 
 def rank_one_case():
@@ -156,7 +156,7 @@ def zero_weight_case():
     tangent, weights, _ = spread_spectrum_case(3, 15, 80, 3)
     w = weights.weights.copy()
     w[::7] = 0.0
-    return tangent, ss.AreaWeights.from_weights(w), 14
+    return tangent, ss.AreaWeights(w), 14
 
 
 CASES = {
@@ -496,7 +496,7 @@ class TestOneReduction:
     @staticmethod
     def cohort(n=9, j=20):
         rng = np.random.default_rng(21)
-        return rng.normal(size=(n, 3 * j)), ss.AreaWeights.from_weights(rng.uniform(0.1, 2.0, j))
+        return rng.normal(size=(n, 3 * j)), ss.AreaWeights(rng.uniform(0.1, 2.0, j))
 
     def test_fit_fpca_eigenvalues_are_the_reduction_spectrum(self):
         tangent, weights = self.cohort()
@@ -549,7 +549,7 @@ class TestOneReduction:
 
     def test_mismatched_weights_refused_with_one_message(self):
         tangent, weights = self.cohort(j=21)
-        short = ss.AreaWeights.from_weights(weights.weights[:20])
+        short = ss.AreaWeights(weights.weights[:20])
         message = "weights are for 20 vertices, data has 21"
         with pytest.raises(ValueError, match=message):
             ss.fit_fpca(tangent, short)
