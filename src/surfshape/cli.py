@@ -27,7 +27,7 @@ import numpy as np
 
 from . import __version__
 from .fpca import FpcaModel, fit_fpca, grand_tour, scores_from_tangent
-from .groupcompare import PERMUTATION_MODES, affine_nonaffine_split, permutation_test
+from .groupcompare import COMPONENT_P_VALUE_CAVEAT, PERMUTATION_MODES, affine_nonaffine_split, permutation_test
 from .individual import ControlModel, _checked_regions, asymmetry_report, fit_control_model, integrated_assessment
 from .io import (
     ColorMap,
@@ -291,23 +291,23 @@ def cmd_compare(args, out: Path) -> str:
     write_json(
         {
             "groups": list(report.group_names),
-            "mode": report.mode,
-            "n_components": report.n_components,
+            "mode": args.mode,
+            "n_components": args.p,
             "global_stat": report.global_stat,
             "global_p": report.global_p,
             "component_stats": report.component_stats,
             "component_p": report.component_p,
             "bonferroni_alpha": report.bonferroni_alpha,
             "significant_components": list(report.significant),
-            "n_perm": report.n_perm,
-            "seed": report.seed,
+            "n_perm": args.n_perm,
+            "seed": args.seed,
             "permuted_quartiles": {"global": quartiles["global"], "components": quartiles["components"]},
-            "note": report.note,
+            "note": COMPONENT_P_VALUE_CAVEAT,
         },
         out / "report.json",
     )
     rows = [("global", report.global_stat, report.global_p, "")]
-    for i in range(report.n_components):
+    for i in range(args.p):
         flag = "true" if (i + 1) in report.significant else "false"
         rows.append((i + 1, report.component_stats[i], report.component_p[i], flag))
     write_csv(out / "report.csv", ("component", "statistic", "p_value", "significant"), rows)

@@ -29,9 +29,11 @@ from .registration import tangent_coordinates, vec_inverse
 class FpcaModel:
     """Fitted component model: mean shape, weights, eigenfunctions (rows), eigenvalues.
 
-    ``explained`` (derived) holds cumulative explained-variance fractions of the
-    total weighted variance, so truncated models report fractions of the full
-    spectrum. ``warnings`` records fit-time adjustments such as rank truncation.
+    ``total_variance`` (positive, finite, and at least the eigenvalue sum up to
+    1e-12 relative) is the sample's total weighted variance, and ``explained``
+    (derived) its cumulative fractions, so truncated models report fractions
+    of the full spectrum. ``warnings`` records fit-time adjustments such as
+    rank truncation.
     """
 
     mean: np.ndarray
@@ -39,7 +41,6 @@ class FpcaModel:
     eigenfunctions: np.ndarray
     eigenvalues: np.ndarray
     explained: np.ndarray = field(init=False)
-    n_samples: int
     total_variance: float
     warnings: tuple[str, ...] = ()
 
@@ -56,11 +57,14 @@ class FpcaModel:
             raise ValueError(
                 f"eigenfunctions must be ({lam.size}, {3 * j}): one row of 3J entries per eigenvalue, got {e.shape}"
             )
-        explained = np.cumsum(lam) / self.total_variance if self.total_variance > 0 else np.zeros(lam.size)
+        if not 0 < self.total_variance < np.inf:
+            raise ValueError(f"total_variance must be positive and finite, got {self.total_variance!r}")
+        if lam.sum() > self.total_variance * (1 + 1e-12):
+            raise ValueError(f"total_variance {float(self.total_variance)!r} is below the eigenvalue sum {lam.sum()}")
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "eigenfunctions", e)
         object.__setattr__(self, "eigenvalues", lam)
-        object.__setattr__(self, "explained", explained)
+        object.__setattr__(self, "explained", np.cumsum(lam) / self.total_variance)
 
     @property
     def n_components(self) -> int:
@@ -74,7 +78,6 @@ class GrandTour:
     frames: np.ndarray  # (n_frames, J, 3)
     z_vectors: np.ndarray  # (n_stops, p) standard-normal draws behind the stops
     stop_indices: np.ndarray  # frame index of each stop
-    seed: int | None
 
 
 def _blocks(rows: np.ndarray, weights: AreaWeights | None):
@@ -194,7 +197,6 @@ def fit_fpca(
         weights=weights,
         eigenfunctions=eigenfunctions,
         eigenvalues=eigenvalues[:keep],
-        n_samples=n,
         total_variance=total_variance,
         warnings=tuple(warnings),
     )
@@ -275,7 +277,6 @@ def grand_tour(
         frames=np.stack(frames),
         z_vectors=z,
         stop_indices=np.asarray(stop_indices, dtype=np.intp),
-        seed=seed,
     )
 
 

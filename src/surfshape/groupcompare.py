@@ -32,22 +32,22 @@ COMPONENT_P_VALUE_CAVEAT = (
 
 @dataclass(frozen=True)
 class GroupTestReport:
-    """Permutation-test outcome for a two-group comparison on p components."""
+    """Permutation-test outcome for a two-group comparison on p components
+    (``component_p.size``); the settings the test ran with are not echoed."""
 
     group_names: tuple[str, str]
-    mode: str
-    n_components: int
     global_stat: float
     component_stats: np.ndarray
     global_p: float
     component_p: np.ndarray
     bonferroni_alpha: float
-    significant: tuple[int, ...]  # 1-based component indices
-    n_perm: int
-    seed: int | None
     permuted_global: np.ndarray
     permuted_components: np.ndarray
-    note: str = COMPONENT_P_VALUE_CAVEAT
+
+    @property
+    def significant(self) -> tuple[int, ...]:
+        """1-based indices of the components whose p-value is below ``bonferroni_alpha``."""
+        return tuple(int(i + 1) for i in np.flatnonzero(self.component_p < self.bonferroni_alpha))
 
     def permuted_quartiles(self) -> dict[str, np.ndarray]:
         """(25%, 50%, 75%) of the permutation draws, for box-style displays."""
@@ -307,21 +307,14 @@ def permutation_test(
 
     global_p = float((1 + (permuted_global >= observed_global * _TIE).sum()) / (1 + n_perm))
     component_p = (1 + (permuted_comps >= observed_comps * _TIE).sum(axis=0)) / (1 + n_perm)
-    alpha = 0.05 / p if bonferroni_alpha is None else float(bonferroni_alpha)
-    significant = tuple(int(i + 1) for i in np.flatnonzero(component_p < alpha))
 
     return GroupTestReport(
         group_names=group_names,
-        mode=mode,
-        n_components=p,
         global_stat=float(observed_global),
         component_stats=observed_comps,
         global_p=global_p,
         component_p=component_p,
-        bonferroni_alpha=alpha,
-        significant=significant,
-        n_perm=n_perm,
-        seed=seed,
+        bonferroni_alpha=0.05 / p if bonferroni_alpha is None else float(bonferroni_alpha),
         permuted_global=permuted_global,
         permuted_components=permuted_comps,
     )

@@ -39,11 +39,12 @@ class AsymmetryReport:
 class ControlModel:
     """Control-population model for closest-control assessment.
 
-    Components are fitted on controls only; ``nu`` holds per-vertex standard
-    deviations of control residual lengths. Derived on construction: ``p``, the
-    component count; ``q95``, the 95th percentile of the controls' standardized
-    residual scores ``control_r``; and ``chi2_threshold``, the 95% chi-square
-    bound for the component-space Mahalanobis distance with p degrees of freedom.
+    Components are fitted on controls only; ``nu`` (positive) holds per-vertex
+    standard deviations of control residual lengths, and ``control_r`` (not
+    negative) the controls' standardized residual scores. Derived on
+    construction: ``p``, the component count; ``q95``, the 95th percentile of
+    ``control_r``; and ``chi2_threshold``, the 95% chi-square bound for the
+    component-space Mahalanobis distance with p degrees of freedom.
     """
 
     fpca: FpcaModel
@@ -71,6 +72,12 @@ class ControlModel:
             )
         if np.size(self.control_r) == 0:
             raise ValueError("control_r is empty: the 95th percentile needs at least one control")
+        bad = np.flatnonzero(~(np.asarray(self.nu) > 0))
+        if bad.size:
+            raise ValueError(f"nu must be positive: vertex {bad[0]} has {float(self.nu[bad[0]])!r}")
+        bad = np.flatnonzero(~(np.asarray(self.control_r) >= 0))
+        if bad.size:
+            raise ValueError(f"control_r must be non-negative: control {bad[0]} has {float(self.control_r[bad[0]])!r}")
         self.mean_mesh()  # the triangles must index the mean's vertices
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "chi2_threshold", chi_square_quantile(p, 0.95))
@@ -273,8 +280,6 @@ def fit_control_model(
     variance_threshold: float = 0.80,
     pairing: BilateralPairing | None = None,
     regions: dict[str, np.ndarray] | None = None,
-    max_iter: int = 100,
-    tol: float = 1e-10,
 ) -> ControlModel:
     """Fit the closest-control machinery on a control cohort.
 
@@ -297,7 +302,7 @@ def fit_control_model(
     if pairing is not None and pairing.pair.size != controls.n_vertices:
         raise ValueError(f"pairing covers {pairing.pair.size} vertices, the controls {controls.n_vertices}")
     regions = _checked_regions(regions, controls.n_vertices)
-    gpa = weighted_gpa(controls, max_iter=max_iter, tol=tol)
+    gpa = weighted_gpa(controls)
     tangent = _tangent_over_stack(gpa)
     model = fit_fpca(tangent, gpa.mean_weights, k=variance_threshold, mean_shape=gpa.mean)
     _, d, lengths = _measure(model, tangent)

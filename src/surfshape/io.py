@@ -300,13 +300,6 @@ def _indices(payload: dict, name: str) -> np.ndarray:
     return array.astype(np.intp)
 
 
-def _int(payload: dict, name: str) -> int:
-    value = payload[name]
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"field {name!r} is not an integer")
-    return value
-
-
 def _float(payload: dict, name: str) -> float:
     """A number; an integer is taken too, a boolean is not."""
     value = payload[name]
@@ -350,7 +343,6 @@ _FPCA = {
     "weights": _weights,
     "eigenfunctions": _array,
     "eigenvalues": _array,
-    "n_samples": _int,
     "total_variance": _float,
     "warnings": _strings,
 }

@@ -66,9 +66,12 @@ class GpaResult:
     aligned: np.ndarray
     transforms: tuple[SimilarityTransform, ...]
     mean_weights: AreaWeights
-    iterations: int
     objective_trace: np.ndarray
     converged: bool
+
+    @property
+    def iterations(self) -> int:
+        return len(self.objective_trace)
 
 
 def _check_pair(source: np.ndarray, target: np.ndarray, weights: AreaWeights) -> None:
@@ -309,7 +312,6 @@ def weighted_gpa(
             for scale, rotation, translation, offset in zip(scales, rotations, translations, offsets)
         ),
         mean_weights=vertex_areas(reference.with_vertices(mean.T), weight_overrides),
-        iterations=len(trace),
         objective_trace=np.asarray(trace),
         converged=converged,
     )

@@ -48,13 +48,17 @@ def _distances(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> n
 @dataclass(frozen=True)
 class WarpField:
     """Fitted warp: control points, non-affine coefficients beta1 (J, 3), affine
-    coefficients beta2 (4, 3, first row translation), and the bending energy."""
+    coefficients beta2 (4, 3, first row translation), and the bending energy of
+    each coordinate."""
 
     control_points: np.ndarray
     beta1: np.ndarray
     beta2: np.ndarray
-    bending_energy: float
     bending_energy_by_coordinate: np.ndarray
+
+    @property
+    def bending_energy(self) -> float:
+        return float(self.bending_energy_by_coordinate.sum())
 
 
 def check_tps_size(n_points: int) -> None:
@@ -115,7 +119,6 @@ def fit_tps(source: np.ndarray, target: np.ndarray, ridge: float = 0.0) -> WarpF
         control_points=x,
         beta1=beta1,
         beta2=beta2,
-        bending_energy=float(per_coordinate.sum()),
         bending_energy_by_coordinate=per_coordinate,
     )
 

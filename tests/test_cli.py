@@ -252,7 +252,8 @@ class TestAssess:
 
     def test_stored_derived_values_are_ignored(self, cohort, tmp_path):
         # a model file written before p, chi2_threshold, q95, explained and the
-        # total area were derived holds copies of them; edited, they change nothing
+        # total area were derived, or before n_samples was dropped, holds copies
+        # of them; edited, they change nothing
         case = ("--pre", cohort / "meshes" / "shape_000.obj", "--post", cohort / "meshes" / "shape_001.obj",
                 "--pairing", cohort / "pairing.csv", "--regions", cohort / "regions.csv")
         assert run("assess", "--controls", cohort / "meshes", *case, "--out", tmp_path / "fit") == 0
@@ -263,6 +264,7 @@ class TestAssess:
             "q95": lambda d: d.update(q95=1e-3),
             "explained": lambda d: d["fpca"].update(explained=[0.5] * len(d["fpca"]["eigenvalues"])),
             "weights_total_area": lambda d: d["fpca"].update(weights_total_area=1e3),
+            "n_samples": lambda d: d["fpca"].update(n_samples=-5),
         }
         for name, edit in [*edits.items(), ("all", lambda d: [e(d) for e in edits.values()])]:
             doc = json.loads(json.dumps(fitted))
@@ -475,6 +477,12 @@ class TestTamperedModel:
                 lambda d: d.update(control_d=[], control_r=[]),
                 "control_r is empty: the 95th percentile needs at least one control",
             ),
+            # no fit gives these; the first three would assess to r = Infinity (invalid JSON), a negative r
+            # within range and a negative q95
+            (lambda d: d["nu"].__setitem__(3, 0), "nu must be positive: vertex 3 has 0.0"),
+            (lambda d: d.update(nu=[-v for v in d["nu"]]), "nu must be positive: vertex 0 has -"),
+            (lambda d: d.update(control_r=[-v for v in d["control_r"]]), "control_r must be non-negative: control 0"),
+            (lambda d: d["fpca"].update(total_variance=1e-9), "total_variance 1e-09 is below the eigenvalue sum"),
         ],
     )
     def test_control_model_for_assess(self, cohort, tmp_path, capsys, models, edit, message):

@@ -383,9 +383,10 @@ class TestFitControlModel:
 
 
 def control_model(p):
+    # unit eigenvalues with their sum as the total variance (1 for p = 0, which a total of 0 would refuse first)
     mesh, _ = sphere_with_pairing()
     j = mesh.n_vertices
-    fpca = ss.FpcaModel(mesh.vertices, ss.vertex_areas(mesh), np.zeros((p, 3 * j)), np.ones(p), 10, 1.0)
+    fpca = ss.FpcaModel(mesh.vertices, ss.vertex_areas(mesh), np.zeros((p, 3 * j)), np.ones(p), float(max(p, 1)))
     return ss.ControlModel(fpca, np.ones(j), np.ones(3), np.ones(3), mesh.triangles)
 
 
@@ -434,6 +435,33 @@ class TestChi2ThresholdCheck:
         model = control_model(2)
         with pytest.raises(ValueError, match="^control_r is empty"):
             ss.ControlModel(model.fpca, model.nu, np.ones(0), np.ones(0), model.triangles)
+
+
+class TestResidualScaleRules:
+    """A residual score divides by ``nu`` and is compared with the 95th
+    percentile of ``control_r``; a fit gives positive ``nu`` and non-negative
+    ``control_r``, but a model file can hold anything, so the constructor
+    refuses the rest by vertex or control."""
+
+    @pytest.mark.parametrize(
+        "field, values, message",
+        [
+            ("nu", lambda j: np.r_[1.0, 1.0, 1.0, 0.0, np.ones(j - 4)], "nu must be positive: vertex 3 has 0.0"),
+            ("nu", lambda j: -np.ones(j), "nu must be positive: vertex 0 has -1.0"),
+            ("nu", lambda j: np.r_[1.0, 1.0, np.nan, np.ones(j - 3)], "nu must be positive: vertex 2 has nan"),
+            ("control_r", lambda j: np.array([1.0, -0.5, 1.0]), "control_r must be non-negative: control 1 has -0.5"),
+            ("control_r", lambda j: -np.ones(3), "control_r must be non-negative: control 0 has -1.0"),
+        ],
+        ids=["nu-zero", "nu-negated", "nu-nan", "control_r-one-negative", "control_r-negated"],
+    )
+    def test_refused_by_name(self, field, values, message):
+        model = control_model(2)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            replace(model, **{field: values(model.nu.size)})
+
+    def test_a_zero_control_score_is_kept(self):
+        model = replace(control_model(2), control_r=np.array([0.0, 0.0, 1.0]))
+        assert model.q95 == pytest.approx(0.9)
 
 
 @pytest.mark.parametrize("n_vertices", [66, 5_000])
@@ -562,9 +590,7 @@ class TestClosestControlInvariances:
     def test_control_order(self):
         controls, truth = control_sample(n=20, seed=17)
         reversed_controls = ss.ShapeSample(controls.meshes[::-1])
-        fit = lambda sample: ss.fit_control_model(
-            sample, pairing=truth.pairing, regions=truth.base_mesh.regions, tol=1e-14, max_iter=300
-        )
+        fit = lambda sample: ss.fit_control_model(sample, pairing=truth.pairing, regions=truth.base_mesh.regions)
         base, other = fit(controls), fit(reversed_controls)
         np.testing.assert_allclose(other.control_d, base.control_d[::-1], rtol=1e-9)
         np.testing.assert_allclose(other.control_r, base.control_r[::-1], rtol=1e-9)

@@ -424,6 +424,25 @@ class TestModelSerialization:
         with pytest.raises(ValueError, match="non-increasing"):
             load_model(path)
 
+    @pytest.mark.parametrize(
+        "total, message",
+        [
+            (1e-9, "total_variance 1e-09 is below the eigenvalue sum"),
+            (-1.0, "total_variance must be positive and finite, got -1.0"),
+        ],
+    )
+    def test_total_variance_below_the_eigenvalues_refused(self, tmp_path, total, message):
+        # no fit gives either; explained[-1] would be in the hundreds of thousands, or the fractions negative
+        fpca, control = fitted_models()
+        for model in (fpca, control):
+            path = tmp_path / "model.json"
+            save_model(model, path)
+            doc = json.loads(path.read_text())
+            (doc.get("fpca") or doc)["total_variance"] = total
+            path.write_text(json.dumps(doc))
+            with pytest.raises(ValueError, match="^" + re.escape(f"{path}: {message}")):
+                load_model(path)
+
     def test_missing_field_named(self, tmp_path):
         fpca, _ = fitted_models()
         path = tmp_path / "model.json"
@@ -682,13 +701,13 @@ class TestModelFileRoundTrip:
 
     @pytest.mark.parametrize("name", ["fpca", "truncated", "regional", "plain"])
     def test_stored_derived_values_are_ignored(self, models, name, tmp_path):
-        # an older writer stored p, chi2_threshold, q95, explained and the total area
+        # an older writer stored p, chi2_threshold, q95, explained, the total area and n_samples
         model = models[name]
         path = tmp_path / "model.json"
         save_model(model, path)
         doc = json.loads(path.read_text())
         fpca = doc if name in ("fpca", "truncated") else doc["fpca"]
-        fpca.update(explained=[0.5] * len(fpca["eigenvalues"]), weights_total_area=1e3)
+        fpca.update(explained=[0.5] * len(fpca["eigenvalues"]), weights_total_area=1e3, n_samples=-5)
         if fpca is not doc:
             doc.update(p=9, chi2_threshold=0.5, q95=0.5)
         path.write_text(json.dumps(doc))
