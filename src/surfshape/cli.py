@@ -1,14 +1,14 @@
 """Command-line front end: one subcommand per pipeline stage.
 
-``main`` is the only runner. It parses the options (a flat ``key = value``
-file from --config supplies defaults; command-line flags win) and refuses a
-missing, conflicting or out-of-range option (``check_options``) before any
-input is read or --out is created. It then calls the subcommand's handler,
-which checks the rules that need other options or the data, does its work and
-returns one summary line. Only when the handler succeeds does the runner write
-manifest.json (tool version, resolved options, seed) and print that line.
-Identical options and seed give byte-identical artifacts (only the manifest
-timestamp differs).
+``main`` is the only runner. It parses the options (each line of a --config
+file becomes option tokens placed before the command line's, so a flag wins)
+and refuses a missing, conflicting or out-of-range option (``check_options``)
+before any input is read or --out is created. It then calls the subcommand's
+handler, which checks the rules that need other options or the data, does its
+work and returns one summary line. Only when the handler succeeds does the
+runner write manifest.json (tool version, resolved options, seed) and print
+that line. Identical options and seed give byte-identical artifacts (only the
+manifest timestamp differs).
 
 Exit codes follow the type of the error, not the stage that raised it:
 0 success; 2 for any ``ValueError`` or ``OSError``, i.e. a bad input or
@@ -54,49 +54,46 @@ from .registration import MIN_TOL, SIZE_CONSTRAINTS, _tangent_over_stack, weight
 from .synth import SynthConfig, synth_cohort
 from .warp import apply_warp, check_tps_size, fit_tps
 
-def parse_config_file(path) -> dict[str, str]:
-    """Flat ``key = value`` config; '#' starts a comment; keys use - or _."""
-    values: dict[str, str] = {}
-    with open(path, "r", encoding="ascii") as fh:
+def parse_with_config(args: argparse.Namespace, argv: list[str]) -> argparse.Namespace:
+    """Parse the subcommand of ``args`` again, with the lines of its --config file
+    as option tokens placed before the command line's: argparse types and checks
+    every value, and a flag on the command line wins. '#' starts a comment, keys
+    are long option names with - or _ interchangeable, and a later line of a key
+    replaces an earlier one. A value becomes ``--key=value``; a store-true key
+    becomes ``--key`` when true and no token when false. A refusal names the
+    file and the line."""
+    parser, path = args.parser, args.config
+    options = {s: a for a in parser._actions for s in a.option_strings if s not in ("-h", "--help", "--config")}
+    values: dict[str, tuple[int, str]] = {}
+    with open(path, "r", encoding="latin-1") as fh:  # every byte decodes, so a non-ASCII one is named by line
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
+            if not raw.isascii():
+                raise ValueError(f"{path}: line {lineno}: non-ASCII byte")
             if not line:
                 continue
             if "=" not in line:
                 raise ValueError(f"{path}: line {lineno}: expected key = value")
-            key, value = line.split("=", 1)
-            values[key.strip().replace("-", "_")] = value.strip()
-    return values
-
-
-def _parse_bool(text: str) -> bool:
-    lowered = text.lower()
-    if lowered in ("true", "1", "yes", "on"):
-        return True
-    if lowered in ("false", "0", "no", "off"):
-        return False
-    raise ValueError(f"expected a boolean, got {text!r}")
-
-
-def merge_config(parser: argparse.ArgumentParser, config: dict[str, str]) -> None:
-    """Make config-file values the subcommand's defaults, so flags given on the command line win."""
-    actions = {a.dest: a for a in parser._actions if a.dest not in ("help", "config")}
-    unknown = set(config) - set(actions)
-    if unknown:
-        raise ValueError(f"unknown config keys: {', '.join(sorted(unknown))}")
-    defaults = {}
-    for key, text in config.items():
-        action = actions[key]
-        if isinstance(action, (argparse._StoreTrueAction, argparse._StoreFalseAction)):
-            defaults[key] = _parse_bool(text)
-        elif action.type is not None:
-            try:
-                defaults[key] = action.type(text)
-            except ValueError as err:
-                raise ValueError(f"config key {key}: {err}") from None
-        else:
-            defaults[key] = text
-    parser.set_defaults(**defaults)
+            key, value = (part.strip() for part in line.split("=", 1))
+            if _flag(key) not in options:
+                raise ValueError(f"{path}: line {lineno}: {_flag(key)} is not a config option of {parser.prog}")
+            if value == "--":  # see check_options
+                raise ValueError(f"{path}: line {lineno}: {_flag(key)} needs a value, got '--'")
+            values[_flag(key)] = lineno, value
+    tokens = []
+    for flag, (lineno, value) in values.items():
+        if not isinstance(options[flag], argparse._StoreTrueAction):
+            tokens.append(f"{flag}={value}")
+        elif value.lower() in ("true", "1", "yes", "on"):
+            tokens.append(flag)
+        elif value.lower() not in ("false", "0", "no", "off"):
+            raise ValueError(f"{path}: line {lineno}: {flag} expected a boolean, got {value!r}")
+    rest = argv[argv.index(args.command) + 1 :]
+    parser.exit_on_error = False  # hand a config value's error back, to name its line
+    try:
+        return parser.parse_args([*tokens, *rest], argparse.Namespace(command=args.command))
+    except argparse.ArgumentError as err:
+        raise ValueError(f"{path}: line {values[err.argument_name][0]}: {err}") from None
 
 
 def _comma_floats(text: str) -> tuple[float, ...]:
@@ -131,9 +128,13 @@ def _check_bounds(lo: float, hi: float) -> None:
 
 
 def check_options(args: argparse.Namespace) -> None:
-    """Refuse missing required options, options given together that exclude each
-    other, any set option outside its range, then the subcommands' rules that
-    tie options together without the data, naming them."""
+    """Refuse an option whose value is '--', missing required options, options
+    given together that exclude each other, any set option outside its range,
+    then the subcommands' rules that tie options together without the data,
+    naming them."""
+    for name, value in vars(args).items():
+        if isinstance(value, list):  # argparse reads --name=-- as an empty list, skipping type and choices
+            raise ValueError(f"{_flag(name)} needs a value, got '--'")
     missing = [n for n in args.required if getattr(args, n) is None]
     if missing:
         raise ValueError("missing required options: " + ", ".join(map(_flag, missing)))
@@ -593,6 +594,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     args = parser.parse_args(argv)
     if getattr(args, "command", None) is None:
@@ -600,8 +602,7 @@ def main(argv=None) -> int:
         return 2
     try:
         if args.config is not None:
-            merge_config(args.parser, parse_config_file(args.config))
-            args = parser.parse_args(argv)
+            args = parse_with_config(args, argv)
         check_options(args)
         args.out.mkdir(parents=True, exist_ok=True)
         summary = args.handler(args, args.out)

@@ -40,11 +40,13 @@ class ControlModel:
     """Control-population model for closest-control assessment.
 
     Components are fitted on controls only; ``nu`` (positive) holds per-vertex
-    standard deviations of control residual lengths, and ``control_r`` (not
-    negative) the controls' standardized residual scores. Derived on
-    construction: ``p``, the component count; ``q95``, the 95th percentile of
-    ``control_r``; and ``chi2_threshold``, the 95% chi-square bound for the
-    component-space Mahalanobis distance with p degrees of freedom.
+    standard deviations of control residual lengths, ``control_r`` (not
+    negative) the controls' standardized residual scores, and
+    ``control_asymmetry`` one finite, non-negative asymmetry score per control
+    for each region it names. Derived on construction: ``p``, the component
+    count; ``q95``, the 95th percentile of ``control_r``; and
+    ``chi2_threshold``, the 95% chi-square bound for the component-space
+    Mahalanobis distance with p degrees of freedom.
     """
 
     fpca: FpcaModel
@@ -78,6 +80,11 @@ class ControlModel:
         bad = np.flatnonzero(~(np.asarray(self.control_r) >= 0))
         if bad.size:
             raise ValueError(f"control_r must be non-negative: control {bad[0]} has {float(self.control_r[bad[0]])!r}")
+        for region, scores in (self.control_asymmetry or {}).items():
+            scores = np.asarray(scores, dtype=float)
+            if scores.shape != np.shape(self.control_r) or not (np.isfinite(scores) & (scores >= 0)).all():
+                raise ValueError(f"control_asymmetry region {region!r} must hold {np.size(self.control_r)} finite, "
+                                 "non-negative scores, one per control")
         self.mean_mesh()  # the triangles must index the mean's vertices
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "chi2_threshold", chi_square_quantile(p, 0.95))

@@ -42,6 +42,11 @@ _OCTAHEDRON_FACES = np.array(
 )
 
 
+# Areas, and the area-weighted inner products of the planted modes and of registration, are fourth powers of
+# lengths: a radius or noise sd in this range keeps them normal floats, with two decades to spare for sums.
+_LENGTH_BOUNDS = (np.finfo(float).tiny ** 0.25 * 100, np.finfo(float).max ** 0.25 / 100)
+
+
 @dataclass(frozen=True)
 class SynthConfig:
     """Recipe for a synthetic cohort; every draw is determined by ``seed``.
@@ -83,6 +88,19 @@ class SynthConfig:
             raise ValueError("resolution must be at least 2 subdivisions")
         if min(self.radii) <= 0 or min(self.noise_sd, self.nuisance_translation, self.nuisance_log_scale) < 0:
             raise ValueError("radii must be positive; noise_sd, nuisance_translation, nuisance_log_scale non-negative")
+        lo, hi = _LENGTH_BOUNDS
+        if not lo <= min(self.radii) <= max(self.radii) <= hi:
+            raise ValueError(f"radii must lie in [{lo:.2g}, {hi:.2g}], got {self.radii}")
+        if self.noise_sd > hi:
+            raise ValueError(f"noise_sd must be at most {hi:.2g}, got {self.noise_sd}")
+        # the unit sphere's coordinates strictly between 0 and 1 in magnitude lie in [sin t, cos t], t the angle
+        # from a pole to its nearest vertex: cos(t)**e must stay a rounding unit below 1 (or vertices coincide)
+        # and the fourth power of sin(t)**e a normal float (or areas and normals underflow)
+        t = np.ldexp(np.pi, -(self.resolution + 1))
+        lo, hi = np.finfo(float).eps / -np.log(np.cos(t)), np.log(np.finfo(float).tiny) / (4 * np.log(np.sin(t)))
+        if not lo <= self.exponent <= hi:
+            raise ValueError(f"exponent must lie in [{lo:.2g}, {hi:.3g}] at resolution {self.resolution}, "
+                             f"got {self.exponent}")
         # numpy draws the translation over a span of 2 * nuisance_translation; the scale is exp(log scale)
         if 2 * self.nuisance_translation > np.finfo(float).max or self.nuisance_log_scale > np.log(np.finfo(float).max):
             raise ValueError("nuisance_translation and nuisance_log_scale must keep the drawn transforms finite")

@@ -12,6 +12,8 @@ except ImportError:  # property suites skip themselves without hypothesis
 else:
     # reproducible and bounded: the same examples on every run, no example database
     settings.register_profile("surfshape", derandomize=True, deadline=None, max_examples=150, database=None)
+    # the same, with more examples, for CI's tier-1 step (pytest --hypothesis-profile ci)
+    settings.register_profile("ci", settings.get_profile("surfshape"), max_examples=1000)
     settings.load_profile("surfshape")
 
 

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -9,7 +10,7 @@ import pytest
 
 import surfshape as ss
 from surfshape.cli import main
-from surfshape.io import load_mesh_directory, read_mesh, save_model, write_mesh
+from surfshape.io import load_mesh_directory, read_mesh, read_pairing, save_model, write_mesh
 
 
 def run(*argv):
@@ -413,6 +414,46 @@ class TestConfigFile:
         config.write_text("mesh-folder = /nope\n")
         assert run("compare", "--config", config, "--out", tmp_path / "o") == 2
 
+    @pytest.mark.parametrize(
+        "command, line, message",
+        [
+            # argparse checks no default against its choices: these were refused only mid-run, naming no flag
+            ("compare", "mode = bogus", "argument --mode: invalid choice: 'bogus'"),
+            ("register", "size-constraint = bogus", "argument --size-constraint: invalid choice: 'bogus'"),
+            ("diff", "mode = bogus", "argument --mode: invalid choice: 'bogus'"),
+            ("register", "rigid = maybe", "--rigid expected a boolean, got 'maybe'"),
+            ("register", "max_iter = 1.5", "argument --max-iter: invalid int value: '1.5'"),
+            # a positional is no config key; it was ignored
+            ("diff", "base = x.obj", "--base is not a config option of surfshape diff"),
+            ("register", "config = other.cfg", "--config is not a config option of surfshape register"),
+            ("register", "max-iter 5", "expected key = value"),
+            ("register", "tol = --", "--tol needs a value, got '--'"),
+            # the ASCII decoder named neither the file nor the line
+            ("register", "# caf\u00e9", "non-ASCII byte"),
+        ],
+    )
+    def test_bad_line_refused_before_out_naming_file_and_line(self, cohort, tmp_path, capsys, command, line, message):
+        config = tmp_path / "run.cfg"
+        config.write_text(f"# the second line is refused\n{line}\n", encoding="utf-8")
+        inputs = {
+            "compare": ("--meshes", cohort / "meshes", "--labels", cohort / "labels.csv", "--p", "2", "--n-perm", "9"),
+            "register": ("--meshes", cohort / "meshes"),
+            "diff": (cohort / "base.obj", cohort / "meshes" / "shape_000.obj"),
+        }[command]
+        out = tmp_path / "out"
+        assert run(command, *inputs, "--config", config, "--out", out) == 2
+        assert f"error: validation: {config}: line 2: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_later_line_wins_and_false_gives_no_flag(self, cohort, tmp_path):
+        config = tmp_path / "run.cfg"
+        config.write_text(f"meshes = {cohort / 'meshes'}\nrigid = yes\nmax-iter = 1\nRIGID = no\n")
+        assert run("register", "--config", config, "--out", tmp_path / "o") == 2  # keys are case-sensitive
+        config.write_text(f"meshes = {cohort / 'meshes'}\nrigid = yes\nmax-iter = 1\nrigid = Off\nmax_iter = 50\n")
+        assert run("register", "--config", config, "--out", tmp_path / "config") == 0
+        assert run("register", "--meshes", cohort / "meshes", "--max-iter", "50", "--out", tmp_path / "flags") == 0
+        assert artifact_bytes(tmp_path / "config") == artifact_bytes(tmp_path / "flags")
+
 
 class TestCompareOptions:
     """Option values the cohort cannot support are validation errors (exit 2)."""
@@ -504,6 +545,35 @@ class TestTamperedModel:
         code = run("tour", "--model", model, "--topology", cohort / "base.obj", "--out", tmp_path / "out")
         assert code == 2
         assert f"error: validation: {model}: mean must be (65, 3) for 65 vertex weights" in capsys.readouterr().err
+
+
+    @pytest.fixture(scope="class")
+    def scored_model(self, cohort, tmp_path_factory):
+        """A control model of 8 controls whose asymmetry scores were kept."""
+        path = tmp_path_factory.mktemp("scored") / "control.json"
+        meshes = load_mesh_directory(cohort / "meshes")[1]
+        pairing = read_pairing(cohort / "pairing.csv", meshes[0].n_vertices)
+        save_model(ss.fit_control_model(ss.ShapeSample(tuple(meshes[:8])), pairing=pairing), path)
+        return path
+
+    @pytest.mark.parametrize(
+        "scores",
+        # the empty table failed in the percentile, naming no file; one negative score assessed at 100.0
+        [[], [-5.0], [-5.0] + [0.1] * 7],
+        ids=["empty", "one-negative", "negative"],
+    )
+    def test_control_asymmetry_for_assess(self, cohort, tmp_path, capsys, scored_model, scores):
+        model = self.tamper(
+            scored_model, tmp_path / "control_model.json", lambda d: d["control_asymmetry"].update({"global": scores})
+        )
+        shape = cohort / "meshes" / "shape_000.obj"
+        code = run(
+            "assess", "--model", model, "--pre", shape, "--post", shape, "--pairing", cohort / "pairing.csv",
+            "--out", tmp_path / "out",
+        )
+        assert code == 2
+        message = "control_asymmetry region 'global' must hold 8 finite, non-negative scores, one per control"
+        assert f"error: validation: {model}: {message}" in capsys.readouterr().err
 
 
 class TestExitCodes:
@@ -631,6 +701,11 @@ class TestRunner:
 
 SYNTH_RANGES = "radii must be positive; noise_sd, nuisance_translation, nuisance_log_scale non-negative"
 
+_probe = argparse.ArgumentParser()
+_probe.add_argument("--x")
+# argparse (3.11 at least) reads --x=-- as the empty list, which check_options refuses
+EMPTY_LIST = pytest.mark.skipif(_probe.parse_args(["--x=--"]).x != [], reason="this argparse reads --x=-- as '--'")
+
 
 class TestOptionValues:
     """An option value the library would refuse is a validation error (exit 2)
@@ -739,6 +814,16 @@ class TestOptionValues:
             ("diff", ("--lo=-inf",), "--lo must be finite, got -inf"),
             ("diff", ("--hi=inf",), "--hi must be finite, got inf"),
             ("diff", ("--reference", "nan"), "--reference must be finite, got nan"),
+            # a finite recipe number so extreme that the surface or the noise would stop being finite or distinct
+            ("simulate", ("--exponent", "1e300"), "exponent must lie in [2.8e-15, 184] at resolution 2, got 1e+300"),
+            ("simulate", ("--exponent", "1e-300"), "exponent must lie in [2.8e-15, 184] at resolution 2, got 1e-300"),
+            ("simulate", ("--noise-sd", "1e308"), "noise_sd must be at most 1.2e+75, got 1e+308"),
+            ("simulate", ("--radii", "1e308,1,1"), "radii must lie in [1.2e-75, 1.2e+75], got (1e+308, 1.0, 1.0)"),
+            # argparse takes --name=-- for an empty list, of no type and no choice
+            pytest.param("register", ("--max-iter=--",), "--max-iter needs a value, got '--'", marks=EMPTY_LIST),
+            pytest.param("register", ("--weight-overrides=--",), "--weight-overrides needs a value, got '--'",
+                         marks=EMPTY_LIST),
+            pytest.param("diff", ("--mode=--",), "--mode needs a value, got '--'", marks=EMPTY_LIST),
         ],
     )
     def test_refused_before_any_input_is_read(self, tmp_path, capsys, monkeypatch, command, options, message):

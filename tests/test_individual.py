@@ -153,7 +153,8 @@ class TestAsymmetryReport:
     def test_regions_and_percentiles(self):
         # the assessment places each score the controls were scored on against them
         mesh, pairing = perturbed_mesh(0.15)
-        controls = {"global": np.array([0.01, 0.02, 0.03, 0.5]), "upper": np.array([0.0, 1.0])}
+        # one score per control: control_model has three
+        controls = {"global": np.array([0.01, 0.03, 0.5]), "upper": np.array([0.0, 0.5, 1.0])}
         model = replace(control_model(1), control_asymmetry=controls)
         report = ss.asymmetry_report(mesh, pairing, upper_lower(mesh))
         assert set(report.region_scores) == {"upper", "lower"}
@@ -451,13 +452,46 @@ class TestResidualScaleRules:
             ("nu", lambda j: np.r_[1.0, 1.0, np.nan, np.ones(j - 3)], "nu must be positive: vertex 2 has nan"),
             ("control_r", lambda j: np.array([1.0, -0.5, 1.0]), "control_r must be non-negative: control 1 has -0.5"),
             ("control_r", lambda j: -np.ones(3), "control_r must be non-negative: control 0 has -1.0"),
+            (
+                "control_asymmetry",
+                lambda j: {"global": np.ones(3), "left": np.ones(0)},
+                "control_asymmetry region 'left' must hold 3 finite, non-negative scores, one per control",
+            ),
+            (
+                "control_asymmetry",
+                lambda j: {"global": np.array([-5.0])},
+                "control_asymmetry region 'global' must hold 3 finite, non-negative scores, one per control",
+            ),
+            (
+                "control_asymmetry",
+                lambda j: {"global": np.array([-5.0, 1.0, 2.0])},
+                "control_asymmetry region 'global' must hold 3 finite, non-negative scores, one per control",
+            ),
+            (
+                "control_asymmetry",
+                lambda j: {"upper": np.array([0.0, np.nan, 1.0])},
+                "control_asymmetry region 'upper' must hold 3 finite, non-negative scores, one per control",
+            ),
+            (
+                "control_asymmetry",
+                lambda j: {"upper": np.array([0.0, 1.0, np.inf])},
+                "control_asymmetry region 'upper' must hold 3 finite, non-negative scores, one per control",
+            ),
         ],
-        ids=["nu-zero", "nu-negated", "nu-nan", "control_r-one-negative", "control_r-negated"],
+        ids=[
+            "nu-zero", "nu-negated", "nu-nan", "control_r-one-negative", "control_r-negated",
+            "control_asymmetry-empty", "control_asymmetry-short", "control_asymmetry-negative",
+            "control_asymmetry-nan", "control_asymmetry-inf",
+        ],
     )
     def test_refused_by_name(self, field, values, message):
         model = control_model(2)
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             replace(model, **{field: values(model.nu.size)})
+
+    def test_control_asymmetry_holds_one_score_per_control(self):
+        model = replace(control_model(2), control_asymmetry={"global": np.array([0.0, 0.1, 0.2])})
+        assert model.control_asymmetry["global"].shape == (3,)
 
     def test_a_zero_control_score_is_kept(self):
         model = replace(control_model(2), control_r=np.array([0.0, 0.0, 1.0]))

@@ -3,6 +3,7 @@ import pytest
 
 import surfshape as ss
 from conftest import principal_angles
+from surfshape.synth import _LENGTH_BOUNDS
 
 
 class TestBaseMesh:
@@ -212,6 +213,23 @@ class TestSynthCohort:
         for transform in truth.transforms:
             assert transform.scale != 1.0
 
+    @pytest.mark.parametrize("resolution", [2, 4])
+    def test_recipe_at_its_bounds_simulates(self, resolution):
+        # the refused extremes start just past these: each bound itself still gives distinct, finite shapes
+        lo, hi = _LENGTH_BOUNDS
+        t = np.pi / 2 ** (resolution + 1)  # FORMATS.md: the exponent lies in [eps / -ln cos t, ln tiny / (4 ln sin t)]
+        finfo = np.finfo(float)
+        exponents = (finfo.eps / -np.log(np.cos(t)), np.log(finfo.tiny) / (4 * np.log(np.sin(t))))
+        for e in exponents:  # just past either bound is refused
+            with pytest.raises(ValueError, match="exponent must lie in"):
+                ss.SynthConfig(resolution=resolution, exponent=e * (0.99 if e < 1 else 1.01))
+        recipes = [{"exponent": e} for e in exponents]
+        recipes += [{"radii": (lo, lo, lo)}, {"radii": (hi, hi, hi)}, {"radii": (hi, lo, 1.0)}, {"noise_sd": hi}]
+        for recipe in recipes:
+            sample, truth = ss.synth_cohort(ss.SynthConfig(resolution=resolution, n_shapes=3, seed=1, **recipe))
+            assert np.unique(truth.base_mesh.vertices, axis=0).shape[0] == truth.base_mesh.n_vertices
+            assert all(np.isfinite(mesh.vertices).all() for mesh in sample.meshes)
+
     def test_config_validation(self):
         with pytest.raises(ValueError, match="strictly decreasing"):
             ss.SynthConfig(eigen_spectrum=(1.0, 1.0))
@@ -253,6 +271,13 @@ class TestSynthCohort:
              "group_shift_sd must be finite, got inf"),
             ({"nuisance_translation": 1e308}, "nuisance_translation and nuisance_log_scale must keep"),
             ({"nuisance_log_scale": 710.0}, "nuisance_translation and nuisance_log_scale must keep"),
+            # finite, but the surface or the noisy shapes would stop being finite or distinct
+            ({"exponent": 1e300}, r"exponent must lie in \[2.8e-15, 184\] at resolution 2, got 1e\+300"),
+            ({"exponent": 1e-300}, r"exponent must lie in \[2.8e-15, 184\] at resolution 2, got 1e-300"),
+            ({"resolution": 5, "exponent": 60.0}, r"exponent must lie in \[1.8e-13, 58.7\] at resolution 5, got 60.0"),
+            ({"noise_sd": 1e308}, r"noise_sd must be at most 1.2e\+75, got 1e\+308"),
+            ({"radii": (1e308, 1.0, 1.0)}, r"radii must lie in \[1.2e-75, 1.2e\+75\], got \(1e\+308, 1.0, 1.0\)"),
+            ({"radii": (1.0, 1e-80, 1.0)}, r"radii must lie in \[1.2e-75, 1.2e\+75\], got \(1.0, 1e-80, 1.0\)"),
         ):
             with pytest.raises(ValueError, match=message):
                 ss.SynthConfig(**bad)
