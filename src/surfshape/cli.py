@@ -342,23 +342,18 @@ def cmd_asymmetry(args, out: Path) -> str:
     except ValueError as err:
         raise ValueError(f"{args.regions}: {err}") from None
     rows = []
-
-    def reflections():
-        """Score and paint each shape, then yield its reflection: one is held at a time."""
-        for name, mesh in zip(names, meshes):
-            report = asymmetry_report(
-                mesh,
-                pairing,
-                regions,
-                allow_scaling=not args.rigid,
-                register_per_region=args.per_region_registration,
-            )
-            rows.append((name, "global", report.global_score))
-            rows.extend((name, region, report.region_scores[region]) for region in sorted(report.region_scores))
-            _paint(mesh, report.per_vertex_distance, out / f"{Path(name).stem}_asymmetry.ply")
-            yield mesh.with_vertices(report.matched_reflection), out / f"{Path(name).stem}_reflection.obj"
-
-    write_meshes(reflections())
+    for name, mesh in zip(names, meshes):  # one reflection is held at a time
+        report = asymmetry_report(
+            mesh,
+            pairing,
+            regions,
+            allow_scaling=not args.rigid,
+            register_per_region=args.per_region_registration,
+        )
+        rows.append((name, "global", report.global_score))
+        rows.extend((name, region, report.region_scores[region]) for region in sorted(report.region_scores))
+        _paint(mesh, report.per_vertex_distance, out / f"{Path(name).stem}_asymmetry.ply")
+        write_mesh(mesh.with_vertices(report.matched_reflection), out / f"{Path(name).stem}_reflection.obj")
     write_csv(out / "asymmetry.csv", ("filename", "region", "score_mm"), rows)
     return f"scored {len(names)} shapes"
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 from dataclasses import dataclass
 from io import StringIO
 from pathlib import Path
@@ -226,21 +227,86 @@ def write_mesh(mesh: SurfaceMesh, path) -> None:
 
 
 def write_meshes(items) -> None:
-    """Write each ``(mesh, path)`` of ``items`` as an OBJ, in order.
+    """Write each ``(mesh, path)`` of ``items`` as an OBJ.
 
-    The face block is formatted again only when a mesh's ``triangles`` is not
-    the previous item's array (identity, not equality), so a cohort that
-    shares one triangle array formats it once. The bytes of every file are
+    ``items`` is listed first, so every mesh is held at once; its files are
+    split over the CPUs by :func:`_in_shares`. Within a share the face block
+    is formatted again only when a mesh's ``triangles`` is not the previous
+    item's array (identity, not equality), so a cohort that shares one
+    triangle array formats it once per share. The bytes of every file are
     those of a :func:`write_mesh` call on its own.
     """
-    triangles = faces = None
-    for mesh, path in items:
-        if mesh.triangles is not triangles:
-            triangles = mesh.triangles
-            faces = ("f %d %d %d\n" * mesh.n_triangles) % tuple((triangles + 1).ravel().tolist())
-        body = ("v %.9g %.9g %.9g\n" * mesh.n_vertices) % tuple(mesh.vertices.ravel().tolist())
-        with open(path, "w", encoding="ascii", newline="\n") as fh:
-            fh.write(body + faces)
+    items = list(items)
+
+    def write_share(lo: int, hi: int) -> list[None]:
+        triangles = faces = None
+        for mesh, path in items[lo:hi]:
+            if mesh.triangles is not triangles:
+                triangles = mesh.triangles
+                faces = ("f %d %d %d\n" * mesh.n_triangles) % tuple((triangles + 1).ravel().tolist())
+            body = ("v %.9g %.9g %.9g\n" * mesh.n_vertices) % tuple(mesh.vertices.ravel().tolist())
+            with open(path, "w", encoding="ascii", newline="\n") as fh:
+                fh.write(body + faces)
+        return [None] * (hi - lo)
+
+    _in_shares(len(items), write_share)
+
+
+def _in_shares(n: int, task, shape: tuple = ()) -> list:
+    """What ``task(lo, hi)`` gives for each item of ``range(lo, hi)`` (None, or
+    a float array of ``shape``), run over contiguous shares of ``range(n)``:
+    one share per CPU this process may run on, at most ``n``.
+
+    The first share runs here and each other one in a child made by
+    ``os.fork``, which sends its arrays through a pipe into arrays allocated
+    here. A child that fails exits non-zero having sent nothing, so its pipe
+    comes up short; such a share is run again here, in order, and so is
+    every share left when a fork fails. Every exception is thus the serial
+    code's. With one CPU or one item, or without ``os.fork``, this is
+    ``task(0, n)``.
+    """
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "fork") and hasattr(os, "sched_getaffinity") else 1
+    shares = max(1, min(n, cpus))
+    bounds = [n * i // shares for i in range(shares + 1)]
+    children = []
+    try:
+        for lo, hi in zip(bounds[1:-1], bounds[2:]):
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:  # no process to be had: this share and the rest run here
+                os.close(read)
+                os.close(write)
+                break
+            if not pid:
+                # Python 3.12 warns about forking a process with (OpenBLAS)
+                # threads. This child takes no lock they may hold: it parses or
+                # formats text and does file I/O, then leaves by os._exit.
+                status = 1
+                try:
+                    os.close(read)
+                    with open(write, "wb") as pipe:
+                        share = task(lo, hi)  # all of it before the first write, or the pipe stalls the child
+                        pipe.write(bytes(array is not None for array in share))
+                        for array in share:
+                            if array is not None:
+                                pipe.write(array)
+                    status = 0
+                finally:
+                    os._exit(status)
+            os.close(write)
+            children.append((lo, hi, pid, open(read, "rb")))
+        results = task(0, bounds[1])
+        for lo, hi, _, pipe in children:
+            flags = pipe.read(hi - lo)
+            share = [np.empty(shape) if flag else None for flag in flags]
+            whole = len(flags) == hi - lo and all(a is None or pipe.readinto(a) == a.nbytes for a in share)
+            results += share if whole else task(lo, hi)
+        return results + task(len(results), n)
+    finally:
+        for _, _, pid, pipe in children:  # closed first, so that a child blocked on its pipe ends
+            pipe.close()
+            os.waitpid(pid, 0)
 
 
 def write_painted_mesh(mesh: SurfaceMesh, field: np.ndarray, cmap: ColorMap, path) -> int:
@@ -594,7 +660,8 @@ def load_mesh_directory(directory) -> tuple[list[str], list[SurfaceMesh]]:
     of plain ``v`` lines and then exactly the first file's face block (with
     a final newline) has only its vertex block parsed, and its mesh shares
     the first mesh's triangle array: callers must not mutate ``triangles``.
-    The arrays and every error text are the ones :func:`read_mesh` and the
+    These vertex blocks are parsed over the CPUs by :func:`_in_shares`. The
+    arrays and every error text are the ones :func:`read_mesh` and the
     correspondence check give.
     """
     directory = Path(directory)
@@ -605,14 +672,26 @@ def load_mesh_directory(directory) -> tuple[list[str], list[SurfaceMesh]]:
     data = paths[0].read_bytes()
     first, plain = _mesh_from_obj(data, paths[0])
     faces = _plain_blocks(data)[1] if plain else None
+
+    def plain_vertices(lo: int, hi: int) -> list[np.ndarray | None]:
+        """The vertex array of each later file in ``[lo, hi)`` that takes the
+        fast path; None for any other, and for one that cannot be read."""
+        share = []
+        for path in paths[1 + lo : 1 + hi]:
+            try:
+                data = path.read_bytes()
+            except OSError:
+                data = b""
+            v = _parse_plain_vertices(data[: len(data) - len(faces)]) if data.endswith(faces) else None
+            share.append(v if v is not None and v.shape == first.vertices.shape and np.isfinite(v).all() else None)
+        return share
+
+    later = len(paths) - 1
+    vertices = _in_shares(later, plain_vertices, first.vertices.shape) if faces else [None] * later
     meshes = [first]
-    for path in paths[1:]:
-        data = path.read_bytes()
-        v = _parse_plain_vertices(data[: len(data) - len(faces)]) if faces and data.endswith(faces) else None
-        if v is not None and v.shape[0] == first.n_vertices and np.isfinite(v).all():
-            meshes.append(first.with_vertices(v))
-        else:  # read in full, so that a fault is named as read_mesh names it
-            meshes.append(_mesh_from_obj(data, path)[0])
+    for path, v in zip(paths[1:], vertices):
+        # a file off the fast path is read in full, in order, so that a fault is named as read_mesh names it
+        meshes.append(first.with_vertices(v) if v is not None else _mesh_from_obj(path.read_bytes(), path)[0])
     for path, mesh in zip(paths, meshes):
         check_correspondence(mesh, first, names[0], str(path))
     return names, meshes

@@ -46,6 +46,11 @@ class TestFitFpca:
         cosine = model.eigenfunctions[0] @ (weights.stacked * direction)
         assert abs(cosine) == pytest.approx(1.0, abs=1e-10)
 
+    def test_two_samples_fit(self):
+        tangent = np.random.default_rng(4).standard_normal((2, 3 * 10))
+        model = ss.fit_fpca(tangent, ss.AreaWeights(np.ones(10)), k=1)
+        assert model.n_components == 1
+
     def test_equal_weights_match_unweighted_pca(self):
         rng = np.random.default_rng(3)
         n, j = 25, 30

@@ -252,6 +252,9 @@ class TestEmpiricalPercentile:
         assert ss.empirical_percentile(-1.0, ref) == 0.0
         assert ss.empirical_percentile(9.0, ref) == 100.0
 
+    def test_one_value_reference(self):
+        assert [ss.empirical_percentile(v, np.array([2.0])) for v in (1.0, 2.0, 3.0)] == [0.0, 50.0, 100.0]
+
     def test_uniform_ranks_for_the_sample_itself(self):
         rng = np.random.default_rng(0)
         ref = rng.normal(size=101)
@@ -284,6 +287,10 @@ class TestFitControlModel:
         model = ss.fit_control_model(controls)
         frac = (model.control_r > model.q95).mean()
         assert frac == pytest.approx(0.05, abs=0.03)
+
+    def test_exactly_five_controls_fit(self):
+        controls, _ = control_sample(n=5, seed=5)
+        assert ss.fit_control_model(controls).control_r.shape == (5,)
 
     def test_control_statistics_have_expected_sizes(self):
         controls, _ = control_sample(n=20, seed=5)

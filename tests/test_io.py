@@ -1,6 +1,8 @@
 import dataclasses
 import json
+import os
 import re
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -321,15 +323,20 @@ class TestMeshWriterGoldenText:
 
 
 def cohort_bytes_match_per_file_bytes(items, tmp_path):
-    """Write ``items`` with one write_meshes call and again file by file."""
+    """Write ``items`` file by file, and again with one write_meshes call on 1,
+    2 and 3 CPUs; the last call's files stay in ``tmp_path / "together"``."""
     together, alone = tmp_path / "together", tmp_path / "alone"
     together.mkdir()
     alone.mkdir()
-    write_meshes((mesh, together / name) for mesh, name in items)
     for mesh, name in items:
         write_mesh(mesh, alone / name)
-    for _, name in items:
-        assert (together / name).read_bytes() == (alone / name).read_bytes()
+    for cpus in (1, 2, 3):
+        for _, name in items:
+            (together / name).unlink(missing_ok=True)
+        with mock.patch("os.sched_getaffinity", return_value=set(range(cpus))):
+            write_meshes((mesh, together / name) for mesh, name in items)
+        for _, name in items:
+            assert (together / name).read_bytes() == (alone / name).read_bytes(), f"{cpus} CPUs"
 
 
 class TestCohortWriter:
@@ -648,6 +655,135 @@ class TestMeshDirectory:
         write_mesh(bumpy_mesh(np.random.default_rng(1), resolution=3), tmp_path / "b.obj")
         with pytest.raises(ValueError, match=f"b.obj: vertex count 258 != {mesh.n_vertices} of a.obj"):
             load_mesh_directory(tmp_path)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestSplitOverCpus:
+    """load_mesh_directory and write_meshes split their files over the CPUs the
+    process may run on; the arrays, bytes and errors are the serial code's."""
+
+    @pytest.fixture(params=[1, 2, 3], autouse=True)
+    def cpus(self, request, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(request.param)))
+        return request.param
+
+    @pytest.fixture()
+    def cohort(self, mesh, tmp_path):
+        """Seven plain files: the first, then three shares of two at 3 CPUs."""
+        rng = np.random.default_rng(11)
+        for i in range(7):
+            shape = mesh.with_vertices(mesh.vertices + rng.normal(0, 0.01, mesh.vertices.shape))
+            write_mesh(shape, tmp_path / f"s{i}.obj")
+        return tmp_path
+
+    def serial_error(self, path):
+        with pytest.raises(ValueError) as err:
+            read_mesh(path)
+        return str(err.value)
+
+    def test_forks_one_child_per_cpu_beyond_the_first(self, cohort, cpus, monkeypatch):
+        forks, fork = [], os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+        names, meshes = load_mesh_directory(cohort)
+        assert len(forks) == cpus - 1
+        for name, back in zip(names, meshes):
+            assert back.vertices.tobytes() == read_mesh(cohort / name).vertices.tobytes()
+            assert back.triangles is meshes[0].triangles
+        assert_no_child_left()
+
+    def test_malformed_file_in_the_last_share(self, cohort):
+        bad = cohort / "s6.obj"
+        bad.write_text(bad.read_text().replace("v ", "v x", 1))
+        with pytest.raises(ValueError, match="^" + re.escape(self.serial_error(bad)) + "$"):
+            load_mesh_directory(cohort)
+        assert_no_child_left()
+
+    # at 3 CPUs the files 1-2 are read here, 3-4 and 5-6 in two children
+    @pytest.mark.parametrize("early, late", [(1, 4), (3, 5), (2, 6)])
+    def test_first_of_two_bad_files_named(self, cohort, early, late):
+        # a non-finite coordinate, then a line the scan refuses
+        text = (cohort / f"s{early}.obj").read_text()
+        (cohort / f"s{early}.obj").write_text("v nan 0 0\n" + text.split("\n", 1)[1])
+        (cohort / f"s{late}.obj").write_text("v 0 0 0\nf 1 2\n")
+        with pytest.raises(ValueError, match="^" + re.escape(self.serial_error(cohort / f"s{early}.obj")) + "$"):
+            load_mesh_directory(cohort)
+
+    def test_unreadable_entry_after_a_malformed_file(self, cohort):
+        (cohort / "s2.obj").write_text("v 0 0 0\nf 1 2\n")
+        (cohort / "s5.obj").unlink()
+        (cohort / "s5.obj").mkdir()  # read_bytes raises IsADirectoryError
+        with pytest.raises(ValueError, match="s2.obj: line 2: non-triangular face"):
+            load_mesh_directory(cohort)
+        (cohort / "s2.obj").unlink()
+        with pytest.raises(IsADirectoryError):
+            load_mesh_directory(cohort)
+        assert_no_child_left()
+
+    def test_file_off_the_fast_path_gives_read_mesh_arrays(self, cohort):
+        messy = cohort / "s5.obj"
+        messy.write_bytes(b"# exported\r\n" + messy.read_bytes().replace(b"\n", b"\r\n"))
+        back = load_mesh_directory(cohort)[1][5]
+        expected = read_mesh(messy)
+        assert back.vertices.tobytes() == expected.vertices.tobytes()
+        assert back.triangles.tobytes() == expected.triangles.tobytes()
+
+    @pytest.mark.parametrize("fault", ["raises", "exits early", "no fork"])
+    def test_share_that_fails_in_a_child_is_run_here(self, cohort, cpus, monkeypatch, fault):
+        # s4.obj is in the only child's share at 2 CPUs and in the first of two at 3;
+        # the last fork fails, the only one at 2 CPUs and the second at 3
+        serial = [m.vertices.tobytes() for m in load_mesh_directory(cohort)[1]]
+        parent, read_bytes, fork, forks = os.getpid(), Path.read_bytes, os.fork, []
+
+        def read_here_only(path):
+            if os.getpid() != parent and path.name == "s4.obj" and fault != "no fork":
+                if fault == "exits early":  # status 0, but the pipe comes up short
+                    os._exit(0)
+                raise MemoryError("in the child")
+            return read_bytes(path)
+
+        def fork_but_the_last():
+            forks.append(1)
+            if fault == "no fork" and len(forks) == cpus - 1:
+                raise BlockingIOError("fork: resource temporarily unavailable")
+            return fork()
+
+        monkeypatch.setattr(Path, "read_bytes", read_here_only)
+        monkeypatch.setattr(os, "fork", fork_but_the_last)
+        assert [m.vertices.tobytes() for m in load_mesh_directory(cohort)[1]] == serial
+        assert_no_child_left()
+
+    def test_writer_share_that_fails_in_a_child_is_written_here(self, mesh, tmp_path, monkeypatch):
+        # s1.obj is in the first child's share at 3 CPUs, and here at 1 and 2
+        parent = os.getpid()
+        items = [(mesh.with_vertices(mesh.vertices * (i + 1)), tmp_path / f"s{i}.obj") for i in range(5)]
+        expected = [written_bytes(shape, tmp_path / "alone.obj") for shape, _ in items]
+
+        def open_here_only(path, *args, **kwargs):
+            if os.getpid() != parent and str(path).endswith("s1.obj"):
+                raise PermissionError("in the child")
+            return open(path, *args, **kwargs)
+
+        monkeypatch.setattr(sio, "open", open_here_only, raising=False)
+        write_meshes(items)
+        assert [path.read_bytes() for _, path in items] == expected
+        assert_no_child_left()
+
+    def test_failing_writer_leaves_no_child(self, mesh, tmp_path):
+        items = [(mesh, tmp_path / f"s{i}.obj") for i in range(6)]
+        items[0] = (mesh, tmp_path / "missing" / "s0.obj")  # in the first share, which runs here
+        with pytest.raises(FileNotFoundError):
+            write_meshes(items)
+        assert_no_child_left()
+
+
+def written_bytes(mesh, path):
+    """The bytes write_mesh writes for ``mesh``."""
+    write_mesh(mesh, path)
+    return path.read_bytes()
 
 
 def assert_same_bits(back, model, path="model"):

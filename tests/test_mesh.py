@@ -80,6 +80,15 @@ class TestVertexNormals:
         cosines = np.einsum("jk,jk->j", normals, radial)
         assert np.degrees(np.arccos(np.clip(cosines, -1, 1))).max() < 5.0
 
+    def test_first_degenerate_normal_named(self):
+        # two bow ties, each of two opposite-facing triangles of equal area about
+        # its centre, vertices 2 and 7, whose normals cancel
+        bow_tie = np.array([[1.0, 0, 0], [0, 1, 0], [0, 0, 0], [-1, 0, 0], [0, -1, 0]])
+        vertices = np.vstack([bow_tie, bow_tie + [5.0, 0, 0]])
+        triangles = np.array([[2, 0, 1], [2, 4, 3], [7, 5, 6], [7, 9, 8]])
+        with pytest.raises(ValueError, match="^vertex 2 has a degenerate normal$"):
+            ss.vertex_normals(ss.SurfaceMesh(vertices, triangles))
+
     def test_isolated_vertex_named_in_error(self):
         # refused where the mesh is built, so no normal is ever taken of it
         with pytest.raises(ValueError, match="vertex 3 appears in no triangle"):
