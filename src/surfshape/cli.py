@@ -1,20 +1,20 @@
 """Command-line front end: one subcommand per pipeline stage.
 
-``main`` is the only runner. It parses the options (each line of a --config
-file becomes option tokens placed before the command line's, so a flag wins)
-and refuses a missing, conflicting or out-of-range option (``check_options``)
-before any input is read or --out is created. It then calls the subcommand's
-handler, which checks the rules that need other options or the data, does its
-work and returns one summary line. Only when the handler succeeds does the
-runner write manifest.json (tool version, resolved options, seed) and print
-that line. Identical options and seed give byte-identical artifacts (only the
-manifest timestamp differs).
+``main`` is the only runner. It parses the options, each line of a --config
+file becoming option tokens before the command line's (a flag wins); each
+option's argparse type refuses a value of the wrong type, choice or range.
+``check_options`` refuses a missing or conflicting option, all before any
+input is read or --out is created. The subcommand's handler then checks the
+rules that need other options or the data, does its work and returns one
+summary line. Only when it succeeds does the runner write manifest.json (tool
+version, resolved options, seed) and print that line. Identical options and
+seed give byte-identical artifacts (only the manifest timestamp differs).
 
 Exit codes follow the type of the error, not the stage that raised it:
-0 success; 2 for any ``ValueError`` or ``OSError``, i.e. a bad input or
-option, including one found mid-run (such as fewer than 5 controls); 3 for a
-``NumericalFailure`` or ``np.linalg.LinAlgError`` only. Any other exception
-is a bug and propagates with its traceback.
+0 success; 2 for any ``ValueError``, ``OSError`` or ``argparse.ArgumentError``,
+i.e. a bad input or option, including one found mid-run (such as fewer than 5
+controls); 3 for a ``NumericalFailure`` or ``np.linalg.LinAlgError`` only. Any
+other exception is a bug and propagates with its traceback.
 """
 from __future__ import annotations
 
@@ -89,11 +89,10 @@ def parse_with_config(args: argparse.Namespace, argv: list[str]) -> argparse.Nam
         elif value.lower() not in ("false", "0", "no", "off"):
             raise ValueError(f"{path}: line {lineno}: {flag} expected a boolean, got {value!r}")
     rest = argv[argv.index(args.command) + 1 :]
-    parser.exit_on_error = False  # hand a config value's error back, to name its line
     try:
         return parser.parse_args([*tokens, *rest], argparse.Namespace(command=args.command))
     except argparse.ArgumentError as err:
-        raise ValueError(f"{path}: line {values[err.argument_name][0]}: {err}") from None
+        raise ValueError(f"{path}: line {values[err.argument_name][0]}: {err.argument_name} {err.message}") from None
 
 
 def _comma_floats(text: str) -> tuple[float, ...]:
@@ -104,16 +103,21 @@ def _comma_ints(text: str) -> tuple[int, ...]:
     return tuple(int(p) for p in text.split(","))
 
 
-# The range of every numeric option, whichever subcommands take it: (test, what it must be).
-OPTION_RANGES = {
-    **dict.fromkeys(
-        ("max_iter", "components", "stops", "p", "n_perm", "n_shapes"), (lambda v: v >= 1, "must be at least 1")
-    ),
-    "frames_per_leg": (lambda v: v >= 0, "must be at least 0"),
-    "tol": (lambda v: np.isfinite(v) and v >= MIN_TOL, f"must be finite and at least {MIN_TOL:g}"),
-    **dict.fromkeys(("ridge", "lo", "hi", "reference"), (np.isfinite, "must be finite")),
-    **dict.fromkeys(("variance", "bonferroni"), (lambda v: 0 < v < 1, "must lie in (0, 1)")),
-}
+def _ranged(convert, within, what: str):
+    """An argparse type: ``convert`` the text, then refuse a value not ``within`` as '``what``, got <value>'."""
+    def checked(text: str):
+        if not within(value := convert(text)):
+            raise argparse.ArgumentTypeError(f"{what}, got {value}")
+        return value
+    checked.__name__ = convert.__name__  # argparse calls a text that does not convert an 'invalid int value'
+    return checked
+
+
+COUNT = _ranged(int, lambda v: v >= 1, "must be at least 1")
+NATURAL = _ranged(int, lambda v: v >= 0, "must be at least 0")
+FINITE = _ranged(float, np.isfinite, "must be finite")
+FRACTION = _ranged(float, lambda v: 0 < v < 1, "must lie in (0, 1)")
+TOL = _ranged(float, lambda v: np.isfinite(v) and v >= MIN_TOL, f"must be finite and at least {MIN_TOL:g}")
 # Options that exclude each other wherever a subcommand takes both.
 EXCLUSIVE_OPTIONS = (("components", "variance"), ("n_shapes", "group_sizes"))
 
@@ -129,9 +133,8 @@ def _check_bounds(lo: float, hi: float) -> None:
 
 def check_options(args: argparse.Namespace) -> None:
     """Refuse an option whose value is '--', missing required options, options
-    given together that exclude each other, any set option outside its range,
-    then the subcommands' rules that tie options together without the data,
-    naming them."""
+    given together that exclude each other, then the subcommands' rules that
+    tie options together without the data, naming them (argparse checked each value)."""
     for name, value in vars(args).items():
         if isinstance(value, list):  # argparse reads --name=-- as an empty list, skipping type and choices
             raise ValueError(f"{_flag(name)} needs a value, got '--'")
@@ -141,10 +144,6 @@ def check_options(args: argparse.Namespace) -> None:
     for a, b in EXCLUSIVE_OPTIONS:
         if getattr(args, a, None) is not None and getattr(args, b, None) is not None:
             raise ValueError(f"give either {_flag(a)} or {_flag(b)}, not both")
-    for name, (within, what) in OPTION_RANGES.items():
-        value = getattr(args, name, None)
-        if value is not None and not within(value):
-            raise ValueError(f"{_flag(name)} {what}, got {value}")
     if args.command == "assess":
         if (args.controls is None) == (args.model is None):
             raise ValueError("give exactly one of --controls or --model")
@@ -183,7 +182,7 @@ def _load_cohort(args) -> tuple[list[str], ShapeSample]:
         table = read_labels(args.labels)
         missing = [n for n in names if n not in table]
         if missing:
-            raise ValueError(f"labels file misses entries for: {', '.join(missing)}")
+            raise ValueError(f"{args.labels}: labels file misses entries for: {', '.join(missing)}")
         labels = tuple(table[n] for n in names)
     return names, ShapeSample(tuple(meshes), labels=labels)
 
@@ -251,8 +250,8 @@ def cmd_tour(args, out: Path) -> str:
     if not isinstance(model, FpcaModel):
         raise ValueError(f"{args.model}: not a component model")
     topology = read_mesh(args.topology)
-    if topology.n_vertices != model.mean.shape[0]:
-        raise ValueError("topology mesh does not match the model's vertex count")
+    if topology.n_vertices != len(model.mean):
+        raise ValueError(f"{args.topology}: vertex count {topology.n_vertices} != {len(model.mean)} of {args.model}")
     p = args.components or model.n_components
     if p > model.n_components:
         raise ValueError(f"--components must be at most {model.n_components}, got {p}")
@@ -341,8 +340,8 @@ def cmd_asymmetry(args, out: Path) -> str:
         _checked_regions(regions, meshes[0].n_vertices, args.per_region_registration)
     except ValueError as err:
         raise ValueError(f"{args.regions}: {err}") from None
-    rows = []
-    for name, mesh in zip(names, meshes):  # one reflection is held at a time
+    rows, reflections = [], []
+    for name, mesh in zip(names, meshes):
         report = asymmetry_report(
             mesh,
             pairing,
@@ -353,7 +352,8 @@ def cmd_asymmetry(args, out: Path) -> str:
         rows.append((name, "global", report.global_score))
         rows.extend((name, region, report.region_scores[region]) for region in sorted(report.region_scores))
         _paint(mesh, report.per_vertex_distance, out / f"{Path(name).stem}_asymmetry.ply")
-        write_mesh(mesh.with_vertices(report.matched_reflection), out / f"{Path(name).stem}_reflection.obj")
+        reflections.append((mesh.with_vertices(report.matched_reflection), out / f"{Path(name).stem}_reflection.obj"))
+    write_meshes(reflections)  # every reflection is held, so one call splits the files over the CPUs
     write_csv(out / "asymmetry.csv", ("filename", "region", "score_mm"), rows)
     return f"scored {len(names)} shapes"
 
@@ -391,7 +391,7 @@ def cmd_warp(args, out: Path) -> str:
     target = read_mesh(args.target)
     template = read_mesh(args.template)
     if source.n_vertices != target.n_vertices:
-        raise ValueError("source and target must have the same vertex count")
+        raise ValueError(f"{args.target}: vertex count {target.n_vertices} != {source.n_vertices} of {args.source}")
     try:
         check_tps_size(source.n_vertices)
     except ValueError as err:
@@ -482,21 +482,21 @@ def cmd_diff(args, out: Path) -> str:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="surfshape", description=__doc__)
+    parser = argparse.ArgumentParser(prog="surfshape", description=__doc__, exit_on_error=False)
     parser.add_argument("--version", action="version", version=f"surfshape {__version__}")
     sub = parser.add_subparsers(dest="command", metavar="subcommand")
 
     def add(name: str, handler, help_text: str, cohort: bool = False, required=()) -> argparse.ArgumentParser:
         """A subparser needing --out and the ``required`` options; ``cohort`` adds
         --meshes (required) and the GPA options of a registered cohort."""
-        p = sub.add_parser(name, help=help_text)
+        p = sub.add_parser(name, help=help_text, exit_on_error=False)
         p.set_defaults(handler=handler, parser=p, required=("out", *(("meshes",) if cohort else ()), *required))
         p.add_argument("--config", type=Path, default=None, help="flat key = value option file")
         p.add_argument("--out", type=Path, default=None, help="output directory")
         if cohort:
             p.add_argument("--meshes", type=Path, default=None, help="directory of .obj shapes")
-            p.add_argument("--max-iter", type=int, default=100, help="GPA iteration cap")
-            p.add_argument("--tol", type=float, default=1e-10, help="relative objective change to stop")
+            p.add_argument("--max-iter", type=COUNT, default=100, help="GPA iteration cap")
+            p.add_argument("--tol", type=TOL, default=1e-10, help="relative objective change to stop")
             p.add_argument(
                 "--size-constraint",
                 choices=SIZE_CONSTRAINTS,
@@ -513,24 +513,24 @@ def build_parser() -> argparse.ArgumentParser:
     add("register", cmd_register, "generalized Procrustes registration of a mesh cohort", cohort=True)
 
     p = add("pca", cmd_pca, "functional principal components of a registered cohort", cohort=True)
-    p.add_argument("--components", type=int, default=None, help="fixed component count")
-    p.add_argument("--variance", type=float, default=None, help="explained-variance fraction rule")
+    p.add_argument("--components", type=COUNT, default=None, help="fixed component count")
+    p.add_argument("--variance", type=FRACTION, default=None, help="explained-variance fraction rule")
 
     p = add("tour", cmd_tour, "grand tour shape sequence from a fitted model", required=("model", "topology"))
     p.add_argument("--model", type=Path, default=None, help="model.json from pca")
     p.add_argument("--topology", type=Path, default=None, help="mesh supplying the triangulation")
-    p.add_argument("--components", type=int, default=None, help="tour dimensionality (default: all)")
-    p.add_argument("--stops", type=int, default=5)
-    p.add_argument("--frames-per-leg", type=int, default=9)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--components", type=COUNT, default=None, help="tour dimensionality (default: all)")
+    p.add_argument("--stops", type=COUNT, default=5)
+    p.add_argument("--frames-per-leg", type=NATURAL, default=9)
+    p.add_argument("--seed", type=NATURAL, default=None)
 
     p = add("compare", cmd_compare, "two-group permutation comparison", cohort=True, required=("labels", "p"))
     p.add_argument("--labels", type=Path, default=None, help="filename,label CSV")
-    p.add_argument("--p", type=int, default=None, help="number of components")
-    p.add_argument("--n-perm", type=int, default=500)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--p", type=COUNT, default=None, help="number of components")
+    p.add_argument("--n-perm", type=COUNT, default=500)
+    p.add_argument("--seed", type=NATURAL, default=None)
     p.add_argument("--mode", choices=PERMUTATION_MODES, default="tangent_pca")
-    p.add_argument("--bonferroni", type=float, default=None, help="override the 0.05/p threshold")
+    p.add_argument("--bonferroni", type=FRACTION, default=None, help="override the 0.05/p threshold")
 
     add("split-affine", cmd_split_affine, "affine/non-affine decomposition of a cohort", cohort=True)
 
@@ -550,13 +550,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--post", type=Path, default=None)
     p.add_argument("--pairing", type=Path, default=None)
     p.add_argument("--regions", type=Path, default=None)
-    p.add_argument("--variance", type=float, default=None, help="control component rule (default 0.80)")
+    p.add_argument("--variance", type=FRACTION, default=None, help="control component rule (default 0.80)")
 
     p = add("warp", cmd_warp, "thin-plate-spline warp of a template", required=("source", "target", "template"))
     p.add_argument("--source", type=Path, default=None, help="model points to warp from")
     p.add_argument("--target", type=Path, default=None, help="model points to warp onto")
     p.add_argument("--template", type=Path, default=None, help="mesh carried along the warp")
-    p.add_argument("--ridge", type=float, default=0.0)
+    p.add_argument("--ridge", type=FINITE, default=0.0)
 
     p = add("simulate", cmd_simulate, "synthetic cohort with planted ground truth")
     p.add_argument("--resolution", type=int, default=SynthConfig.resolution)
@@ -565,7 +565,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="superellipsoid exponent; exponent 1 is the (stretched) sphere")
     p.add_argument("--spectrum", type=_comma_floats, default=SynthConfig.eigen_spectrum,
                    help="planted eigenvalues, decreasing")
-    p.add_argument("--n-shapes", type=int, default=None, help="cohort size without groups (default 20)")
+    p.add_argument("--n-shapes", type=COUNT, default=None, help="cohort size without groups (default 20)")
     p.add_argument("--group-sizes", type=_comma_ints, default=None, help="nA,nB")
     p.add_argument("--shift-component", type=int, default=None)
     p.add_argument("--shift-sd", type=float, default=0.0)
@@ -575,15 +575,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nuisance-translation", type=float, default=0.0)
     p.add_argument("--nuisance-log-scale", type=float, default=0.0)
     p.add_argument("--standardize", action="store_true", help="exactly standardize mode draws")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=NATURAL, default=None)
 
     p = add("diff", cmd_diff, "painted difference field between two corresponded meshes")
     p.add_argument("base", type=Path)
     p.add_argument("other", type=Path)
     p.add_argument("--mode", choices=DIFFERENCE_MODES, default="normal")
-    p.add_argument("--lo", type=float, default=None)
-    p.add_argument("--hi", type=float, default=None)
-    p.add_argument("--reference", type=float, default=0.0)
+    p.add_argument("--lo", type=FINITE, default=None)
+    p.add_argument("--hi", type=FINITE, default=None)
+    p.add_argument("--reference", type=FINITE, default=0.0)
 
     return parser
 
@@ -591,11 +591,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "command", None) is None:
-        parser.print_help()
-        return 2
     try:
+        args = parser.parse_args(argv)
+        if args.command is None:
+            parser.print_help()
+            return 2
         if args.config is not None:
             args = parse_with_config(args, argv)
         check_options(args)
@@ -607,7 +607,9 @@ def main(argv=None) -> int:
     except (NumericalFailure, np.linalg.LinAlgError) as err:
         print(f"error: numerical: {err}", file=sys.stderr)
         return 3
-    except (ValueError, OSError) as err:  # a bad input or option, wherever it is found
+    except (ValueError, OSError, argparse.ArgumentError) as err:  # a bad input or option, wherever it is found
+        if isinstance(err, argparse.ArgumentError):  # as '--flag message', the form of every other option refusal
+            err = " ".join(filter(None, (err.argument_name, err.message)))  # Python 3.13 names no flag for some
         print(f"error: validation: {err}", file=sys.stderr)
         return 2
 

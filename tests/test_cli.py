@@ -1,4 +1,6 @@
 import argparse
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -328,6 +330,23 @@ class TestMismatchedMeshes:
         assert run("diff", shape, finer, "--out", tmp_path / "out") == 2
         assert f"{finer}: vertex count 258 != 66 of {shape}" in capsys.readouterr().err
 
+    def test_tour_topology_of_another_mesh(self, cohort, component_model, tmp_path, finer, capsys):
+        assert run("tour", "--model", component_model, "--topology", finer, "--out", tmp_path / "out") == 2
+        assert f"{finer}: vertex count 258 != 66 of {component_model}" in capsys.readouterr().err
+
+    def test_warp_source_and_target_of_other_sizes(self, cohort, tmp_path, finer, capsys):
+        source = cohort / "base.obj"
+        assert run("warp", "--source", source, "--target", finer, "--template", source, "--out", tmp_path / "out") == 2
+        assert f"{finer}: vertex count 258 != 66 of {source}" in capsys.readouterr().err
+
+    def test_labels_missing_a_shape(self, cohort, tmp_path, capsys):
+        labels = tmp_path / "labels.csv"
+        labels.write_text("".join(l + "\n" for l in (cohort / "labels.csv").read_text().splitlines()
+                                  if not l.startswith("shape_003.obj")))
+        argv = ("--meshes", cohort / "meshes", "--labels", labels, "--p", "2", "--n-perm", "9")
+        assert run("compare", *argv, "--out", tmp_path / "out") == 2
+        assert f"{labels}: labels file misses entries for: shape_003.obj" in capsys.readouterr().err
+
     def test_model_of_the_wrong_kind(self, cohort, tmp_path, capsys):
         pca = tmp_path / "pca"
         assert run("pca", "--meshes", cohort / "meshes", "--components", "2", "--out", pca) == 0
@@ -418,11 +437,11 @@ class TestConfigFile:
         "command, line, message",
         [
             # argparse checks no default against its choices: these were refused only mid-run, naming no flag
-            ("compare", "mode = bogus", "argument --mode: invalid choice: 'bogus'"),
-            ("register", "size-constraint = bogus", "argument --size-constraint: invalid choice: 'bogus'"),
-            ("diff", "mode = bogus", "argument --mode: invalid choice: 'bogus'"),
+            ("compare", "mode = bogus", "--mode invalid choice: 'bogus'"),
+            ("register", "size-constraint = bogus", "--size-constraint invalid choice: 'bogus'"),
+            ("diff", "mode = bogus", "--mode invalid choice: 'bogus'"),
             ("register", "rigid = maybe", "--rigid expected a boolean, got 'maybe'"),
-            ("register", "max_iter = 1.5", "argument --max-iter: invalid int value: '1.5'"),
+            ("register", "max_iter = 1.5", "--max-iter invalid int value: '1.5'"),
             # a positional is no config key; it was ignored
             ("diff", "base = x.obj", "--base is not a config option of surfshape diff"),
             ("register", "config = other.cfg", "--config is not a config option of surfshape register"),
@@ -628,10 +647,10 @@ class TestExitCodes:
         write_mesh(mesh.with_vertices(mesh.vertices + 0.01), mesh_dir / "b.obj")
         assert run("register", "--meshes", mesh_dir, "--out", tmp_path / "o") == 3
 
-    def test_unknown_subcommand(self):
-        with pytest.raises(SystemExit) as exc:
-            run("frobnicate")
-        assert exc.value.code == 2
+    def test_unknown_subcommand(self, capsys):
+        assert run("frobnicate") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: validation: subcommand invalid choice: 'frobnicate'") and err.count("\n") == 1
 
     def test_no_subcommand_prints_help(self, capsys):
         assert run() == 2
@@ -824,6 +843,11 @@ class TestOptionValues:
             pytest.param("register", ("--weight-overrides=--",), "--weight-overrides needs a value, got '--'",
                          marks=EMPTY_LIST),
             pytest.param("diff", ("--mode=--",), "--mode needs a value, got '--'", marks=EMPTY_LIST),
+            ("simulate", ("--spectrum", "0.1,-0.05"), "eigen_spectrum entries must be positive"),
+            # numpy refused a negative seed mid-run, naming no flag and leaving --out behind
+            ("simulate", ("--seed", "-1"), "--seed must be at least 0, got -1"),
+            ("tour", ("--seed", "-1"), "--seed must be at least 0, got -1"),
+            ("compare", ("--p", "2", "--seed", "-1"), "--seed must be at least 0, got -1"),
         ],
     )
     def test_refused_before_any_input_is_read(self, tmp_path, capsys, monkeypatch, command, options, message):
@@ -856,7 +880,65 @@ class TestOptionValues:
         config.write_text(f"meshes = {tmp_path / 'absent'}\nn-perm = 0\n")
         out = tmp_path / "out"
         assert run("compare", "--config", config, "--labels", tmp_path / "absent", "--p", "2", "--out", out) == 2
-        assert "error: validation: --n-perm must be at least 1, got 0" in capsys.readouterr().err
+        assert f"error: validation: {config}: line 2: --n-perm must be at least 1, got 0" in capsys.readouterr().err
+        assert not out.exists()
+
+
+# For each subcommand, values that argparse refuses (of the wrong type, outside
+# the choices, outside the range), each with a valid one; asymmetry takes only
+# paths and booleans.
+REFUSED_VALUES = {
+    "register": (("--max-iter", "x", "5"), ("--size-constraint", "bogus", "unit_area"), ("--max-iter", "0", "5")),
+    "pca": (("--components", "1.5", "2"), ("--variance", "1", "0.5")),
+    "tour": (("--stops", "x", "2"), ("--frames-per-leg", "-1", "0"), ("--seed", "-1", "3")),
+    "compare": (("--n-perm", "x", "9"), ("--mode", "bogus", "tangent_pca"), ("--n-perm", "0", "9"),
+                ("--bonferroni", "nan", "0.01"), ("--seed", "-1", "3")),
+    "split-affine": (("--tol", "x", "1e-9"), ("--tol", "1e-16", "1e-9")),
+    "asymmetry": (),
+    "assess": (("--variance", "x", "0.5"), ("--variance", "0", "0.5")),
+    "warp": (("--ridge", "x", "0"), ("--ridge", "inf", "0")),
+    "simulate": (("--resolution", "x", "2"), ("--n-shapes", "0", "3"), ("--seed", "-1", "3")),
+    "diff": (("--lo", "x", "-1"), ("--mode", "bogus", "normal"), ("--reference", "nan", "0")),
+}
+
+
+class TestRefusedValueReturns2:
+    """main returns 2 with one 'error: validation:' line, and never exits
+    through argparse, for a value of the wrong type, choice or range or a
+    missing value, from the command line or --config (an unknown subcommand:
+    TestExitCodes)."""
+
+    def run(self, *argv):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            try:
+                code = main([str(a) for a in argv])
+            except SystemExit as exit:
+                pytest.fail(f"argparse exited with {exit.code}: {err.getvalue()}")
+        assert code == 2
+        assert err.getvalue().count("\n") == 1 and "usage:" not in err.getvalue()
+        return err.getvalue()
+
+    @pytest.fixture()
+    def positionals(self, tmp_path, monkeypatch):
+        for reader in ("load_mesh_directory", "read_mesh", "load_model"):
+            monkeypatch.setattr(f"surfshape.cli.{reader}", lambda *a: pytest.fail("an input was read"))
+        return lambda command: (tmp_path / "absent",) * 2 if command == "diff" else ()
+
+    @pytest.mark.parametrize("command", list(REFUSED_VALUES))
+    def test_every_subcommand(self, tmp_path, positionals, command):
+        out, config = tmp_path / "out", tmp_path / "run.cfg"
+        for flag, refused, valid in REFUSED_VALUES[command]:
+            err = self.run(command, *positionals(command), f"{flag}={refused}", "--out", out)
+            assert err.startswith(f"error: validation: {flag} ")
+            config.write_text(f"# refused\n{flag[2:]} = {refused}\n")
+            for later in ((), (flag, valid)):  # a config line is checked even when a later flag replaces it
+                err = self.run(command, *positionals(command), "--config", config, *later, "--out", out)
+                assert err.startswith(f"error: validation: {config}: line 2: {flag} ")
+        err = self.run(command, *positionals(command), "--out")
+        assert err == "error: validation: --out expected one argument\n"
+        err = self.run(command, *positionals(command), "--out", out, "--config")
+        assert err == "error: validation: --config expected one argument\n"
         assert not out.exists()
 
 

@@ -1,10 +1,11 @@
 """Property tests for --config files, over all ten subcommands.
 
 Each example takes a valid config at J = 66 and applies one mutation: an
-unknown or positional key, a bad choice, int, float or boolean, a line without
-'=', or a repeated key. A run exits 0 or 2, never with a traceback; a refused
-run leaves no --out and names the config file and the line; a run that is not
-refused writes the artifacts of the same options given as flags.
+unknown or positional key, a bad choice, int, float or boolean, a number
+outside its option's range (also when a later flag replaces it), a line
+without '=', or a repeated key. A run exits 0 or 2, never with a traceback; a
+refused run leaves no --out and names the config file and the line; a run that
+is not refused writes the artifacts of the same options given as flags.
 """
 import contextlib
 import io
@@ -30,6 +31,14 @@ BAD = {
     "float": ("x", "", "1e", "0x10", "--", "1..2", "nan0"),
     "choice": ("bogus", "", "Tangent_PCA", "unit area"),
     "bool": ("maybe", "2", "", "tru", "y", "enabled"),
+}
+# values of the right type outside each ranged option's range
+COUNTS, FRACTIONS, FINITE = ("0", "-1"), ("0", "1", "nan"), ("inf", "-inf", "nan")
+OUT_OF_RANGE = {
+    **dict.fromkeys(("max-iter", "components", "stops", "p", "n-perm", "n-shapes"), COUNTS),
+    **dict.fromkeys(("variance", "bonferroni"), FRACTIONS),
+    **dict.fromkeys(("ridge", "lo", "hi", "reference"), FINITE),
+    "tol": ("1e-16", "0", "nan", "inf"), "frames-per-leg": ("-1",), "seed": ("-1",),
 }
 KIND = {**dict.fromkeys(INTS, "int"), **dict.fromkeys(FLOATS, "float"), **dict.fromkeys(CHOICES, "choice"),
         **dict.fromkeys(BOOLEANS, "bool")}
@@ -130,13 +139,13 @@ def runs(tmp_path_factory):
     return root, specs
 
 
-def run_config(runs, command, lines):
-    """Run ``command`` with ``lines`` as its --config file: the exit code, stderr,
-    the config's path and the --out the run was given."""
+def run_config(runs, command, lines, flags=()):
+    """Run ``command`` with ``lines`` as its --config file, then ``flags``: the
+    exit code, stderr, the config's path and the --out the run was given."""
     root, specs = runs
     config, out = root / command / "run.cfg", root / command / "out"
     config.write_text("".join(line + "\n" for line in lines))
-    code, err = run(command, *specs[command][0], "--config", config, "--out", out)
+    code, err = run(command, *specs[command][0], "--config", config, *flags, "--out", out)
     return code, err, config, out
 
 
@@ -168,13 +177,22 @@ def test_mutated_config_exits_0_or_2_naming_file_and_line(runs, data):
         at = data.draw(st.integers(0, len(lines)))
         lines.insert(at, data.draw(st.sampled_from(["# a comment", "", "   # indented"])))
         owners.insert(at, None)
-    mutation = data.draw(st.sampled_from(["unknown", "no-equals", "bad-value", "repeated"]), label="mutation")
-    flag = None
+    ranged = [key for key in entries if key in OUT_OF_RANGE]
+    mutations = ["unknown", "no-equals", "bad-value", "repeated"] + (["out-of-range"] if ranged else [])
+    mutation = data.draw(st.sampled_from(mutations), label="mutation")
+    flag, flags = None, ()
     if mutation == "bad-value":
         key = data.draw(st.sampled_from([key for key in entries if key in KIND]))
         at = owners.index(key)
         lines[at] = line(key, data.draw(st.sampled_from(BAD[KIND[key]])))
         flag = f"--{key}"
+    elif mutation == "out-of-range":  # refused by its line, even when a later flag replaces it
+        key = data.draw(st.sampled_from(ranged))
+        at = owners.index(key)
+        lines[at] = line(key, data.draw(st.sampled_from(OUT_OF_RANGE[key])))
+        flag = f"--{key}"
+        if data.draw(st.booleans()):
+            flags = (flag, entries[key][0])
     elif mutation == "repeated":  # an earlier line with another valid value
         key = data.draw(st.sampled_from(list(entries)))
         at = data.draw(st.integers(0, owners.index(key)))
@@ -189,7 +207,7 @@ def test_mutated_config_exits_0_or_2_naming_file_and_line(runs, data):
             flag = f"--{key}"
         else:
             lines.insert(at, data.draw(st.sampled_from([*entries][:1] + ["p 2", "rigid: true", "[options]"])))
-    code, err, config, out = run_config(runs, command, lines)
+    code, err, config, out = run_config(runs, command, lines, flags)
     if mutation == "repeated":  # the later line wins
         assert (code, err) == (0, "")
         assert_flags_artifacts(runs, command, out)
@@ -199,3 +217,5 @@ def test_mutated_config_exits_0_or_2_naming_file_and_line(runs, data):
     assert err.startswith(f"error: validation: {config}: line {at + 1}: ")
     if flag is not None:
         assert flag in err
+    if mutation == "out-of-range":
+        assert err.startswith(f"error: validation: {config}: line {at + 1}: {flag} must ")

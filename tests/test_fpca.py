@@ -297,6 +297,20 @@ class TestGrandTour:
                 frame = tour.frames[tour.stop_indices[leg] + step]
                 np.testing.assert_allclose(ss.scores(model, frame), (1 - t) * a + t * b, atol=1e-10)
 
+    @pytest.mark.parametrize(
+        "arguments, message",
+        [
+            ({"p": 0, "n_stops": 2}, r"p must be in 1\.\.3"),
+            ({"p": 4, "n_stops": 2}, r"p must be in 1\.\.3"),
+            ({"p": 2, "n_stops": 0}, "need at least one stop"),
+            ({"p": 2, "n_stops": 2, "frames_per_leg": -1}, "frames_per_leg must be non-negative"),
+        ],
+        ids=["p-zero", "p-above-the-model", "no-stop", "negative-frames"],
+    )
+    def test_arguments_checked(self, arguments, message):
+        with pytest.raises(ValueError, match=message):
+            ss.grand_tour(self.model(), seed=0, **arguments)
+
     def test_stop_shapes_match_planted_z(self):
         model = self.model()
         z = np.array([[1.0, -2.0, 0.5]])

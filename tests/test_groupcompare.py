@@ -160,6 +160,13 @@ class TestPermutationTest:
         with pytest.raises(ValueError, match="two groups"):
             ss.permutation_test(tangent, np.array(["A"] * len(labels)), p=2)
 
+    def test_component_count_validation(self):
+        tangent, labels = null_tangent()  # 30 samples
+        with pytest.raises(ValueError, match="p must be at least 1"):
+            ss.permutation_test(tangent, labels, p=0)
+        with pytest.raises(ValueError, match="too few samples for p components"):
+            ss.permutation_test(tangent, labels, p=29)
+
     def test_quartiles_shape(self):
         tangent, labels = null_tangent(seed=23)
         report = ss.permutation_test(tangent, labels, p=3, n_perm=40, seed=6)

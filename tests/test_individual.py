@@ -252,6 +252,10 @@ class TestEmpiricalPercentile:
         assert ss.empirical_percentile(-1.0, ref) == 0.0
         assert ss.empirical_percentile(9.0, ref) == 100.0
 
+    def test_empty_reference_refused(self):
+        with pytest.raises(ValueError, match="empty reference sample"):
+            ss.empirical_percentile(1.0, np.array([]))
+
     def test_one_value_reference(self):
         assert [ss.empirical_percentile(v, np.array([2.0])) for v in (1.0, 2.0, 3.0)] == [0.0, 50.0, 100.0]
 

@@ -57,6 +57,15 @@ class TestVertexAreas:
         with pytest.raises(ValueError, match="weight override for vertex 1 is not finite"):
             ss.vertex_areas(single_triangle(), overrides={1: value})
 
+    @pytest.mark.parametrize("vertex", [-1, 3])
+    def test_override_outside_the_mesh_rejected(self, vertex):
+        with pytest.raises(ValueError, match=rf"weight override references vertex {vertex} outside \[0, 3\)"):
+            ss.vertex_areas(single_triangle(), overrides={vertex: 0.1})
+
+    def test_negative_override_rejected(self):
+        with pytest.raises(ValueError, match="weight override for vertex 1 is negative"):
+            ss.vertex_areas(single_triangle(), overrides={1: -0.1})
+
     def test_zero_area_surface_rejected(self):
         mesh = ss.SurfaceMesh(np.zeros((3, 3)) + np.array([[0.0, 0, 0], [1, 0, 0], [2, 0, 0]]), [[0, 1, 2]])
         with pytest.raises(ValueError, match="zero-area"):

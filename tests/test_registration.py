@@ -142,6 +142,11 @@ class TestWeightedOpa:
         fit = ss.weighted_opa(source, target, weights, allow_scaling=False)
         assert fit.transform.scale == 1.0
 
+    def test_zero_weights_refused_before_any_division(self):
+        mesh = bumpy_mesh(np.random.default_rng(2))
+        with pytest.raises(ValueError, match="weights sum to zero"):
+            ss.weighted_opa(mesh.vertices, 2.0 * mesh.vertices, ss.AreaWeights(np.zeros(mesh.n_vertices)))
+
     def test_collinear_source_rejected(self):
         t = np.linspace(0, 1, 8)
         line = np.column_stack([t, 2 * t, -t])
