@@ -113,6 +113,13 @@ def _ranged(convert, within, what: str):
     return checked
 
 
+def _path(text: str) -> Path:
+    """An argparse type: a path, refusing the empty text, which Path reads as the working directory."""
+    if not text:
+        raise argparse.ArgumentTypeError("needs a path, got ''")
+    return Path(text)
+
+
 COUNT = _ranged(int, lambda v: v >= 1, "must be at least 1")
 NATURAL = _ranged(int, lambda v: v >= 0, "must be at least 0")
 FINITE = _ranged(float, np.isfinite, "must be finite")
@@ -491,10 +498,10 @@ def build_parser() -> argparse.ArgumentParser:
         --meshes (required) and the GPA options of a registered cohort."""
         p = sub.add_parser(name, help=help_text, exit_on_error=False)
         p.set_defaults(handler=handler, parser=p, required=("out", *(("meshes",) if cohort else ()), *required))
-        p.add_argument("--config", type=Path, default=None, help="flat key = value option file")
-        p.add_argument("--out", type=Path, default=None, help="output directory")
+        p.add_argument("--config", type=_path, default=None, help="flat key = value option file")
+        p.add_argument("--out", type=_path, default=None, help="output directory")
         if cohort:
-            p.add_argument("--meshes", type=Path, default=None, help="directory of .obj shapes")
+            p.add_argument("--meshes", type=_path, default=None, help="directory of .obj shapes")
             p.add_argument("--max-iter", type=COUNT, default=100, help="GPA iteration cap")
             p.add_argument("--tol", type=TOL, default=1e-10, help="relative objective change to stop")
             p.add_argument(
@@ -505,7 +512,7 @@ def build_parser() -> argparse.ArgumentParser:
             )
             p.add_argument("--rigid", action="store_true", help="rigid registration (no scaling)")
             p.add_argument(
-                "--weight-overrides", type=Path, default=None,
+                "--weight-overrides", type=_path, default=None,
                 help="vertex_index,weight CSV replacing computed area weights (curve points)",
             )
         return p
@@ -517,15 +524,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--variance", type=FRACTION, default=None, help="explained-variance fraction rule")
 
     p = add("tour", cmd_tour, "grand tour shape sequence from a fitted model", required=("model", "topology"))
-    p.add_argument("--model", type=Path, default=None, help="model.json from pca")
-    p.add_argument("--topology", type=Path, default=None, help="mesh supplying the triangulation")
+    p.add_argument("--model", type=_path, default=None, help="model.json from pca")
+    p.add_argument("--topology", type=_path, default=None, help="mesh supplying the triangulation")
     p.add_argument("--components", type=COUNT, default=None, help="tour dimensionality (default: all)")
     p.add_argument("--stops", type=COUNT, default=5)
     p.add_argument("--frames-per-leg", type=NATURAL, default=9)
     p.add_argument("--seed", type=NATURAL, default=None)
 
     p = add("compare", cmd_compare, "two-group permutation comparison", cohort=True, required=("labels", "p"))
-    p.add_argument("--labels", type=Path, default=None, help="filename,label CSV")
+    p.add_argument("--labels", type=_path, default=None, help="filename,label CSV")
     p.add_argument("--p", type=COUNT, default=None, help="number of components")
     p.add_argument("--n-perm", type=COUNT, default=500)
     p.add_argument("--seed", type=NATURAL, default=None)
@@ -535,27 +542,27 @@ def build_parser() -> argparse.ArgumentParser:
     add("split-affine", cmd_split_affine, "affine/non-affine decomposition of a cohort", cohort=True)
 
     p = add("asymmetry", cmd_asymmetry, "bilateral asymmetry scores", required=("meshes", "pairing"))
-    p.add_argument("--meshes", type=Path, default=None)
-    p.add_argument("--pairing", type=Path, default=None, help="index,mirror_index CSV")
-    p.add_argument("--regions", type=Path, default=None, help="vertex_index,region_name CSV")
+    p.add_argument("--meshes", type=_path, default=None)
+    p.add_argument("--pairing", type=_path, default=None, help="index,mirror_index CSV")
+    p.add_argument("--regions", type=_path, default=None, help="vertex_index,region_name CSV")
     p.add_argument("--rigid", action="store_true", help="match the mirror image without scaling")
     p.add_argument("--per-region-registration", action="store_true")
 
     p = add(
         "assess", cmd_assess, "integrated pre/post assessment against controls", required=("pre", "post", "pairing")
     )
-    p.add_argument("--controls", type=Path, default=None, help="directory of control .obj shapes")
-    p.add_argument("--model", type=Path, default=None, help="previously fitted control_model.json")
-    p.add_argument("--pre", type=Path, default=None)
-    p.add_argument("--post", type=Path, default=None)
-    p.add_argument("--pairing", type=Path, default=None)
-    p.add_argument("--regions", type=Path, default=None)
+    p.add_argument("--controls", type=_path, default=None, help="directory of control .obj shapes")
+    p.add_argument("--model", type=_path, default=None, help="previously fitted control_model.json")
+    p.add_argument("--pre", type=_path, default=None)
+    p.add_argument("--post", type=_path, default=None)
+    p.add_argument("--pairing", type=_path, default=None)
+    p.add_argument("--regions", type=_path, default=None)
     p.add_argument("--variance", type=FRACTION, default=None, help="control component rule (default 0.80)")
 
     p = add("warp", cmd_warp, "thin-plate-spline warp of a template", required=("source", "target", "template"))
-    p.add_argument("--source", type=Path, default=None, help="model points to warp from")
-    p.add_argument("--target", type=Path, default=None, help="model points to warp onto")
-    p.add_argument("--template", type=Path, default=None, help="mesh carried along the warp")
+    p.add_argument("--source", type=_path, default=None, help="model points to warp from")
+    p.add_argument("--target", type=_path, default=None, help="model points to warp onto")
+    p.add_argument("--template", type=_path, default=None, help="mesh carried along the warp")
     p.add_argument("--ridge", type=FINITE, default=0.0)
 
     p = add("simulate", cmd_simulate, "synthetic cohort with planted ground truth")
@@ -578,8 +585,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=NATURAL, default=None)
 
     p = add("diff", cmd_diff, "painted difference field between two corresponded meshes")
-    p.add_argument("base", type=Path)
-    p.add_argument("other", type=Path)
+    p.add_argument("base", type=_path)
+    p.add_argument("other", type=_path)
     p.add_argument("--mode", choices=DIFFERENCE_MODES, default="normal")
     p.add_argument("--lo", type=FINITE, default=None)
     p.add_argument("--hi", type=FINITE, default=None)

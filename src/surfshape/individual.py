@@ -15,7 +15,7 @@ import numpy as np
 from .chi2 import chi_square_quantile
 from .fpca import FpcaModel, check_component_rule, fit_fpca, scores_from_tangent
 from .mesh import _BLOCK, AreaWeights, BilateralPairing, ShapeSample, SurfaceMesh, shape_difference_field, vertex_areas
-from .mesh import _region_indices
+from .mesh import _in_shares, _region_indices
 from .registration import SimilarityTransform, _tangent_over_stack, tangent_coordinates, vec_inverse
 from .registration import weighted_gpa, weighted_opa
 
@@ -293,7 +293,8 @@ def fit_control_model(
     Controls are registered internally; the component count is the smallest
     one explaining at least ``variance_threshold`` of the weighted variance.
     With a bilateral ``pairing``, the controls' global and ``regions``
-    asymmetry scores are recorded for percentile lookups; regions without a
+    asymmetry scores are recorded for percentile lookups, the controls split
+    over the CPUs by :func:`~surfshape.mesh._in_shares`; regions without a
     pairing are refused.
 
     Memory beyond the input meshes, in stacks: GPA's stack (1), then the tangent
@@ -324,9 +325,15 @@ def fit_control_model(
 
     control_asym = None
     if pairing is not None:
-        # only the scores of each report are kept, not its per-vertex arrays
-        rows = [asymmetry_report(mesh, pairing, regions).scores for mesh in controls.meshes]
-        control_asym = {name: np.sort([row[name] for row in rows]) for name in rows[0]}
+        names = ["global", *regions]
+
+        def score_share(lo: int, hi: int) -> list[np.ndarray]:
+            # only the scores of each report are kept, not its per-vertex arrays
+            reports = (asymmetry_report(mesh, pairing, regions) for mesh in controls.meshes[lo:hi])
+            return [np.array([report.scores[name] for name in names]) for report in reports]
+
+        rows = np.array(_in_shares(controls.n_shapes, score_share, (len(names),)))
+        control_asym = {name: np.sort(rows[:, i]) for i, name in enumerate(names)}
 
     return ControlModel(
         fpca=model,

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import csv
 import json
-import os
 from dataclasses import dataclass
 from io import StringIO
 from pathlib import Path
@@ -17,7 +16,7 @@ import numpy as np
 
 from .fpca import FpcaModel
 from .individual import ControlModel
-from .mesh import AreaWeights, BilateralPairing, SurfaceMesh, check_correspondence
+from .mesh import AreaWeights, BilateralPairing, SurfaceMesh, _in_shares, check_correspondence
 
 SCHEMA_VERSION = 1
 _MAX_INDEX = int(np.iinfo(np.intp).max)  # largest OBJ face index an index array can hold
@@ -112,7 +111,7 @@ def _mesh_from_obj(data: bytes, path) -> tuple[SurfaceMesh, bool]:
     if t.max() >= v.shape[0]:
         raise ValueError(f"{path}: face references vertex {int(t.max()) + 1} but only {v.shape[0]} exist")
     try:
-        return SurfaceMesh(v, t), arrays is not None
+        return SurfaceMesh(v, t, first_index=1), arrays is not None
     except ValueError as err:
         raise ValueError(f"{path}: {err}") from None
 
@@ -250,63 +249,6 @@ def write_meshes(items) -> None:
         return [None] * (hi - lo)
 
     _in_shares(len(items), write_share)
-
-
-def _in_shares(n: int, task, shape: tuple = ()) -> list:
-    """What ``task(lo, hi)`` gives for each item of ``range(lo, hi)`` (None, or
-    a float array of ``shape``), run over contiguous shares of ``range(n)``:
-    one share per CPU this process may run on, at most ``n``.
-
-    The first share runs here and each other one in a child made by
-    ``os.fork``, which sends its arrays through a pipe into arrays allocated
-    here. A child that fails exits non-zero having sent nothing, so its pipe
-    comes up short; such a share is run again here, in order, and so is
-    every share left when a fork fails. Every exception is thus the serial
-    code's. With one CPU or one item, or without ``os.fork``, this is
-    ``task(0, n)``.
-    """
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "fork") and hasattr(os, "sched_getaffinity") else 1
-    shares = max(1, min(n, cpus))
-    bounds = [n * i // shares for i in range(shares + 1)]
-    children = []
-    try:
-        for lo, hi in zip(bounds[1:-1], bounds[2:]):
-            read, write = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:  # no process to be had: this share and the rest run here
-                os.close(read)
-                os.close(write)
-                break
-            if not pid:
-                # Python 3.12 warns about forking a process with (OpenBLAS)
-                # threads. This child takes no lock they may hold: it parses or
-                # formats text and does file I/O, then leaves by os._exit.
-                status = 1
-                try:
-                    os.close(read)
-                    with open(write, "wb") as pipe:
-                        share = task(lo, hi)  # all of it before the first write, or the pipe stalls the child
-                        pipe.write(bytes(array is not None for array in share))
-                        for array in share:
-                            if array is not None:
-                                pipe.write(array)
-                    status = 0
-                finally:
-                    os._exit(status)
-            os.close(write)
-            children.append((lo, hi, pid, open(read, "rb")))
-        results = task(0, bounds[1])
-        for lo, hi, _, pipe in children:
-            flags = pipe.read(hi - lo)
-            share = [np.empty(shape) if flag else None for flag in flags]
-            whole = len(flags) == hi - lo and all(a is None or pipe.readinto(a) == a.nbytes for a in share)
-            results += share if whole else task(lo, hi)
-        return results + task(len(results), n)
-    finally:
-        for _, _, pid, pipe in children:  # closed first, so that a child blocked on its pipe ends
-            pipe.close()
-            os.waitpid(pid, 0)
 
 
 def write_painted_mesh(mesh: SurfaceMesh, field: np.ndarray, cmap: ColorMap, path) -> int:

@@ -1,4 +1,5 @@
-"""Triangle mesh geometry: area weights, normals, correspondence, difference fields.
+"""Triangle mesh geometry: area weights, normals, correspondence, difference fields,
+and the split of per-shape work over the CPUs.
 
 Meshes are corresponded: vertex j means the same surface location on every
 shape in a sample, and all shapes in a sample share one triangulation.
@@ -6,7 +7,8 @@ shape in a sample, and all shapes in a sample share one triangulation.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field
+import os
+from dataclasses import KW_ONLY, InitVar, dataclass, field
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -66,13 +68,17 @@ class SurfaceMesh:
     ``regions`` optionally names vertex subsets (region name -> increasing index
     array). They are metadata carried with the mesh and written by ``simulate``;
     scoring takes its regions as an argument, never from the mesh.
+    ``first_index`` numbers the vertex or triangle a refusal names: 0, or 1 as
+    an OBJ file does.
     """
 
     vertices: np.ndarray
     triangles: np.ndarray
     regions: dict[str, np.ndarray] | None = None
+    _: KW_ONLY
+    first_index: InitVar[int] = 0
 
-    def __post_init__(self):
+    def __post_init__(self, first_index: int):
         v = _as_vertices(self.vertices)
         t = _as_triangles(self.triangles)
         if v.shape[0] < 3:
@@ -83,12 +89,12 @@ class SurfaceMesh:
             raise ValueError("triangle index out of range")
         degenerate = (t[:, 0] == t[:, 1]) | (t[:, 1] == t[:, 2]) | (t[:, 0] == t[:, 2])
         if degenerate.any():
-            raise ValueError(f"triangle {int(np.flatnonzero(degenerate)[0])} repeats a vertex index")
+            raise ValueError(f"triangle {int(np.flatnonzero(degenerate)[0]) + first_index} repeats a vertex index")
         # a vertex on no triangle would get zero weight in every surface sum
         isolated = np.ones(v.shape[0], dtype=bool)
         isolated[t] = False
         if isolated.any():
-            raise ValueError(f"vertex {int(np.flatnonzero(isolated)[0])} appears in no triangle")
+            raise ValueError(f"vertex {int(np.flatnonzero(isolated)[0]) + first_index} appears in no triangle")
         regions = self.regions
         if regions is not None:
             regions = {name: _region_indices(idx, v.shape[0], name) for name, idx in regions.items()}
@@ -327,3 +333,65 @@ def shape_difference_field(base: SurfaceMesh, other: SurfaceMesh, mode: str) -> 
     distance = np.linalg.norm(delta, axis=1)
     sign = np.where(projection < 0, -1.0, 1.0)
     return distance * sign
+
+
+def _in_shares(n: int, task, shape: tuple = ()) -> list:
+    """What ``task(lo, hi)`` gives for each item of ``range(lo, hi)`` (None, or
+    a float array of ``shape``), run over contiguous shares of ``range(n)``:
+    one share per CPU this process may run on, at most ``n``.
+
+    The first share runs here and each other one in a child made by
+    ``os.fork``, which sends its arrays through a pipe into arrays allocated
+    here. A child that fails exits non-zero having sent nothing, so its pipe
+    comes up short; such a share is run again here, in order, and so is
+    every share left when a fork fails. Every exception is thus the serial
+    code's. With one CPU or one item, or without ``os.fork``, this is
+    ``task(0, n)``.
+    """
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "fork") and hasattr(os, "sched_getaffinity") else 1
+    shares = max(1, min(n, cpus))
+    bounds = [n * i // shares for i in range(shares + 1)]
+    children = []
+    try:
+        for lo, hi in zip(bounds[1:-1], bounds[2:]):
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:  # no process to be had: this share and the rest run here
+                os.close(read)
+                os.close(write)
+                break
+            if not pid:
+                # Python 3.12 warns about forking a process with (OpenBLAS)
+                # threads. The child takes no lock they hold: numpy's OpenBLAS
+                # registers blas_thread_shutdown_ as a fork handler, so its pool
+                # stops before the fork and starts again at the next BLAS or
+                # LAPACK call on either side. Every per-shape product gives the
+                # same bits on any thread count (FORMATS.md, "Run manifest").
+                # Besides numpy, the child parses or formats text and does file
+                # I/O, then leaves by os._exit.
+                status = 1
+                try:
+                    os.close(read)
+                    with open(write, "wb") as pipe:
+                        share = task(lo, hi)  # all of it before the first write, or the pipe stalls the child
+                        pipe.write(bytes(array is not None for array in share))
+                        for array in share:
+                            if array is not None:
+                                pipe.write(array)
+                    status = 0
+                finally:
+                    os._exit(status)
+            os.close(write)
+            children.append((lo, hi, pid, open(read, "rb")))
+        results = task(0, bounds[1])
+        for lo, hi, _, pipe in children:
+            flags = pipe.read(hi - lo)
+            share = [np.empty(shape) if flag else None for flag in flags]
+            whole = len(flags) == hi - lo and all(a is None or pipe.readinto(a) == a.nbytes for a in share)
+            results += share if whole else task(lo, hi)
+        return results + task(len(results), n)
+    finally:
+        for _, _, pid, pipe in children:  # closed first, so that a child blocked on its pipe ends
+            pipe.close()
+            os.waitpid(pid, 0)

@@ -1,7 +1,10 @@
 """Shared helpers for the test suite."""
 from __future__ import annotations
 
+import os
+
 import numpy as np
+import pytest
 
 import surfshape as ss
 
@@ -85,3 +88,9 @@ def drawn_masks(seed, n: int, na: int, n_perm: int) -> np.ndarray:
     for r in range(n_perm):
         masks[r, rng.permutation(n)[:na]] = True
     return masks
+
+
+def assert_no_child_left():
+    """No child process of this one is left, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)

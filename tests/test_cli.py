@@ -942,6 +942,59 @@ class TestRefusedValueReturns2:
         assert not out.exists()
 
 
+# the path options of each subcommand besides --config; diff's positionals: TestEmptyPath
+PATH_OPTIONS = {
+    "simulate": ("--out",),
+    "register": ("--out", "--meshes", "--weight-overrides"),
+    "pca": ("--out", "--meshes", "--weight-overrides"),
+    "tour": ("--out", "--model", "--topology"),
+    "compare": ("--out", "--meshes", "--weight-overrides", "--labels"),
+    "split-affine": ("--out", "--meshes", "--weight-overrides"),
+    "asymmetry": ("--out", "--meshes", "--pairing", "--regions"),
+    "assess": ("--out", "--controls", "--model", "--pre", "--post", "--pairing", "--regions"),
+    "warp": ("--out", "--source", "--target", "--template"),
+    "diff": ("--out",),
+}
+
+
+class TestEmptyPath:
+    """An empty path, which Path reads as the working directory, is refused for
+    every path option, from the command line or --config, before anything is
+    read or written: one validation line, exit 2."""
+
+    @pytest.fixture()
+    def workdir(self, tmp_path, monkeypatch):
+        for reader in ("load_mesh_directory", "read_mesh", "load_model"):
+            monkeypatch.setattr(f"surfshape.cli.{reader}", lambda *a: pytest.fail("an input was read"))
+        monkeypatch.chdir(tmp_path)  # where an empty --out would write
+        return tmp_path
+
+    def refused(self, capsys, *argv):
+        assert run(*argv) == 2
+        return capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", list(PATH_OPTIONS))
+    def test_every_path_option(self, cohort, component_model, workdir, capsys, command):
+        given, out, config = inputs(command, cohort, component_model), workdir / "out", workdir / "run.cfg"
+        capsys.readouterr()
+        for flag in ("--config", *PATH_OPTIONS[command]):
+            err = self.refused(capsys, command, *given, "--out", out, flag, "")
+            assert err == f"error: validation: {flag} needs a path, got ''\n"
+        for flag in PATH_OPTIONS[command]:
+            config.write_text(f"# refused\n{flag[2:]} =\n")
+            err = self.refused(capsys, command, *given, "--config", config, *(() if flag == "--out" else ("--out", out)))
+            assert err == f"error: validation: {config}: line 2: {flag} needs a path, got ''\n"
+        assert [p.name for p in workdir.iterdir()] == ["run.cfg"]
+
+    @pytest.mark.parametrize("position", [0, 1])
+    def test_diff_positionals(self, cohort, workdir, capsys, position):
+        meshes = [cohort / "base.obj", cohort / "meshes" / "shape_000.obj"]
+        meshes[position] = ""
+        err = self.refused(capsys, "diff", *meshes, "--out", workdir / "out")
+        assert err == f"error: validation: {('base', 'other')[position]} needs a path, got ''\n"
+        assert list(workdir.iterdir()) == []
+
+
 class TestExitCodeByType:
     """The exit code follows the error's type, wherever the handler raises it."""
 

@@ -1,4 +1,5 @@
 import json
+import os
 import re
 from dataclasses import replace
 
@@ -7,7 +8,7 @@ import pytest
 from scipy import special
 
 import surfshape as ss
-from conftest import random_rotation, sphere_with_pairing
+from conftest import assert_no_child_left, random_rotation, sphere_with_pairing
 from surfshape.chi2 import chi_square_quantile
 from surfshape.individual import _residual_lengths
 from surfshape.io import load_model, save_model
@@ -392,6 +393,90 @@ class TestFitControlModel:
         controls, _ = control_sample(n=4, seed=1)
         with pytest.raises(ValueError, match="at least 5"):
             ss.fit_control_model(controls)
+
+
+def serial_asymmetry_table(controls, pairing, regions):
+    """The control asymmetry table as one loop over the controls scores it."""
+    rows = [ss.asymmetry_report(mesh, pairing, regions).scores for mesh in controls.meshes]
+    return {name: np.sort([row[name] for row in rows]) for name in rows[0]}
+
+
+class TestControlAsymmetryOverCpus:
+    """fit_control_model scores its controls' asymmetry in one share per CPU the
+    process may run on; the table and every error are the serial loop's."""
+
+    # twelve controls: shares 0-11 at 1 CPU, 0-5 | 6-11 at 2, 0-3 | 4-7 | 8-11 at 3
+    @pytest.fixture(params=[1, 2, 3], autouse=True)
+    def cpus(self, request, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(request.param)))
+        return request.param
+
+    @pytest.fixture(scope="class")
+    def cohort(self):
+        return control_sample(n=12, seed=9)
+
+    @staticmethod
+    def table_bytes(table):
+        return [(name, scores.tobytes()) for name, scores in table.items()]
+
+    @pytest.mark.parametrize("with_regions", [False, True])
+    def test_table_is_the_serial_one(self, cohort, cpus, monkeypatch, with_regions):
+        controls, truth = cohort
+        regions = truth.base_mesh.regions if with_regions else None
+        forks, fork = [], os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+        model = ss.fit_control_model(controls, pairing=truth.pairing, regions=regions)
+        assert len(forks) == cpus - 1
+        expected = serial_asymmetry_table(controls, truth.pairing, regions)
+        assert self.table_bytes(model.control_asymmetry) == self.table_bytes(expected)
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("fault", ["raises", "exits early", "no fork"])
+    def test_share_that_fails_in_a_child_is_run_here(self, cohort, cpus, monkeypatch, fault):
+        # control 7 is in the only child's share at 2 CPUs and in the first of two at 3;
+        # the last fork fails, the only one at 2 CPUs and the second at 3
+        controls, truth = cohort
+        regions = truth.base_mesh.regions
+        expected = serial_asymmetry_table(controls, truth.pairing, regions)
+        parent, report, fork, forks = os.getpid(), ss.individual.asymmetry_report, os.fork, []
+
+        def report_here_only(mesh, *args, **kwargs):
+            if os.getpid() != parent and mesh is controls.meshes[7]:
+                if fault == "exits early":  # status 0, but the pipe comes up short
+                    os._exit(0)
+                raise MemoryError("in the child")
+            return report(mesh, *args, **kwargs)
+
+        def fork_but_the_last():
+            forks.append(1)
+            if fault == "no fork" and len(forks) == cpus - 1:
+                raise BlockingIOError("fork: resource temporarily unavailable")
+            return fork()
+
+        monkeypatch.setattr(ss.individual, "asymmetry_report", report_here_only)
+        monkeypatch.setattr(os, "fork", fork_but_the_last)
+        model = ss.fit_control_model(controls, pairing=truth.pairing, regions=regions)
+        assert self.table_bytes(model.control_asymmetry) == self.table_bytes(expected)
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("degenerate", [1, 7, 11])
+    def test_degenerate_mirror_match_raises_the_serial_error(self, cohort, monkeypatch, degenerate):
+        # the mirror image of one control lies on a line: its match has no rotation
+        controls, truth = cohort
+        reflect = ss.individual.reflect_relabel
+
+        def collinear_for_one(shape, pairing):
+            mirrored = reflect(shape, pairing)
+            if shape is controls.meshes[degenerate].vertices:
+                mirrored = np.outer(np.arange(len(mirrored)), [1.0, 2.0, 3.0])
+            return mirrored
+
+        monkeypatch.setattr(ss.individual, "reflect_relabel", collinear_for_one)
+        with pytest.raises(ss.NumericalFailure) as serial:
+            serial_asymmetry_table(controls, truth.pairing, None)
+        with pytest.raises(ss.NumericalFailure, match=f"^{re.escape(str(serial.value))}$"):
+            ss.fit_control_model(controls, pairing=truth.pairing)
+        assert_no_child_left()
 
 
 def control_model(p):

@@ -31,7 +31,7 @@ from surfshape.io import (
     write_pairing,
     write_regions,
 )
-from conftest import bumpy_mesh, sphere_with_pairing
+from conftest import assert_no_child_left, bumpy_mesh, sphere_with_pairing
 
 
 @pytest.fixture()
@@ -117,7 +117,7 @@ class TestObjErrors:
     def test_isolated_vertex_rejected(self, tmp_path):
         path = tmp_path / "iso.obj"
         path.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\nv 5 5 5\nf 1 2 3\n")
-        with pytest.raises(ValueError, match="vertex 3 appears in no triangle"):
+        with pytest.raises(ValueError, match="iso.obj: vertex 4 appears in no triangle"):
             read_mesh(path)
 
     def test_out_of_range_face(self, tmp_path):
@@ -161,8 +161,30 @@ class TestObjErrors:
     def test_repeated_face_vertex_names_file(self, tmp_path):
         path = tmp_path / "degenerate.obj"
         path.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\nf 1 1 2\n")
-        with pytest.raises(ValueError, match="degenerate.obj: triangle 1 repeats a vertex index"):
+        with pytest.raises(ValueError, match="degenerate.obj: triangle 2 repeats a vertex index"):
             read_mesh(path)
+
+    # 4-vertex files: every refusal numbers vertices and triangles from 1, as the file does
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("v 0 0 0\nv 1 0 0\nv 0 1 0\nv nan 0 0\nf 1 2 3\nf 1 3 4\n", "vertex 4 has a non-finite coordinate"),
+            ("v 0 0 0\nv 1 0 0\nv 0 1 0\nv 1 1 0\nf 1 2 3\n", "vertex 4 appears in no triangle"),
+            ("v 0 0 0\nv 1 0 0\nv 0 1 0\nv 1 1 0\nf 1 2 2\nf 1 3 4\n", "triangle 1 repeats a vertex index"),
+            ("v 0 0 0\nv 1 0 0\nv 0 1 0\nv 1 1 0\nf 1 2 3\nf 4 3 4\n", "triangle 2 repeats a vertex index"),
+        ],
+        ids=["non-finite", "isolated", "repeat-first", "repeat-second"],
+    )
+    @pytest.mark.parametrize("layout", ["plain", "scanned"])
+    def test_vertices_and_triangles_numbered_from_1(self, tmp_path, text, message, layout):
+        path = tmp_path / "four.obj"
+        path.write_text(text if layout == "plain" else "# exported\n" + text.replace("\n", "\r\n"))
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {message}')}$"):
+            read_mesh(path)
+        # a later file of a cohort directory is named the same
+        (tmp_path / "a.obj").write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\nv 1 1 0\nf 1 2 3\nf 1 3 4\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {message}')}$"):
+            load_mesh_directory(tmp_path)
 
     @pytest.mark.parametrize(
         "text, message",
@@ -655,11 +677,6 @@ class TestMeshDirectory:
         write_mesh(bumpy_mesh(np.random.default_rng(1), resolution=3), tmp_path / "b.obj")
         with pytest.raises(ValueError, match=f"b.obj: vertex count 258 != {mesh.n_vertices} of a.obj"):
             load_mesh_directory(tmp_path)
-
-
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 class TestSplitOverCpus:
