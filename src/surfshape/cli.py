@@ -38,12 +38,11 @@ from .io import (
     read_pairing,
     read_regions,
     read_weight_overrides,
-    save_model,
     write_csv,
+    write_files,
     write_json,
     write_labels,
     write_mesh,
-    write_meshes,
     write_painted_mesh,
     write_pairing,
     write_regions,
@@ -208,11 +207,12 @@ def _run_gpa(sample: ShapeSample, args):
     )
 
 
-def _paint(mesh: SurfaceMesh, field: np.ndarray, path: Path, diverging: bool = False) -> None:
-    """Write ``field`` painted on ``mesh``, the colour map spanning its largest magnitude (1 if all zero)."""
+def _painted(path: Path, mesh: SurfaceMesh, field: np.ndarray, diverging: bool = False) -> tuple:
+    """The ``write_files`` item of ``field`` painted on ``mesh``, the colour map
+    spanning its largest magnitude (1 if all zero)."""
     span = float(np.abs(field).max()) or 1.0
     cmap = ColorMap("diverging", lo=-span, hi=span) if diverging else ColorMap("sequential", lo=0.0, hi=span)
-    write_painted_mesh(mesh, field, cmap, path)
+    return path, mesh, field, cmap
 
 
 # ---------------------------------------------------------------- subcommands
@@ -224,9 +224,9 @@ def cmd_register(args, out: Path) -> str:
     aligned_dir = out / "aligned"
     aligned_dir.mkdir(exist_ok=True)
     topology = sample.meshes[0]
-    write_meshes(
-        [(topology.with_vertices(verts), aligned_dir / name) for name, verts in zip(names, result.aligned)]
-        + [(topology.with_vertices(result.mean), out / "mean.obj")]
+    write_files(
+        [(aligned_dir / name, topology.with_vertices(verts)) for name, verts in zip(names, result.aligned)]
+        + [(out / "mean.obj", topology.with_vertices(result.mean))]
     )
     write_csv(
         out / "transforms.csv",
@@ -244,8 +244,7 @@ def cmd_pca(args, out: Path) -> str:
     del sample  # release the cohort; the tangent rows are written over GPA's stack
     tangent = _tangent_over_stack(gpa)
     model = fit_fpca(tangent, gpa.mean_weights, k=args.components or args.variance or 0.80, mean_shape=gpa.mean)
-    save_model(model, out / "model.json")
-    write_mesh(topology.with_vertices(gpa.mean), out / "mean.obj")
+    write_files([(out / "model.json", model), (out / "mean.obj", topology.with_vertices(gpa.mean))])
     score_rows = scores_from_tangent(model, tangent)
     header = ["filename", *(f"pc{k + 1}" for k in range(model.n_components))]
     write_csv(out / "scores.csv", header, ((name, *row) for name, row in zip(names, score_rows)))
@@ -263,7 +262,7 @@ def cmd_tour(args, out: Path) -> str:
     if p > model.n_components:
         raise ValueError(f"--components must be at most {model.n_components}, got {p}")
     tour = grand_tour(model, p=p, n_stops=args.stops, seed=args.seed, frames_per_leg=args.frames_per_leg)
-    write_meshes((topology.with_vertices(frame), out / f"tour_{i:04d}.obj") for i, frame in enumerate(tour.frames))
+    write_files((out / f"tour_{i:04d}.obj", topology.with_vertices(frame)) for i, frame in enumerate(tour.frames))
     write_json(
         {
             "n_frames": int(tour.frames.shape[0]),
@@ -333,8 +332,8 @@ def cmd_split_affine(args, out: Path) -> str:
     for sub, stack in (("affine", affine), ("nonaffine", nonaffine)):
         directory = out / sub
         directory.mkdir(exist_ok=True)
-        items += [(topology.with_vertices(verts), directory / name) for name, verts in zip(names, stack)]
-    write_meshes(items + [(topology.with_vertices(gpa.mean), out / "mean.obj")])
+        items += [(directory / name, topology.with_vertices(verts)) for name, verts in zip(names, stack)]
+    write_files(items + [(out / "mean.obj", topology.with_vertices(gpa.mean))])
     write_json({"filenames": names, "coefficients": alphas}, out / "coefficients.json")
     return f"split {len(names)} shapes into affine and non-affine parts"
 
@@ -347,7 +346,7 @@ def cmd_asymmetry(args, out: Path) -> str:
         _checked_regions(regions, meshes[0].n_vertices, args.per_region_registration)
     except ValueError as err:
         raise ValueError(f"{args.regions}: {err}") from None
-    rows, reflections = [], []
+    rows, painted, reflections = [], [], []
     for name, mesh in zip(names, meshes):
         report = asymmetry_report(
             mesh,
@@ -358,9 +357,9 @@ def cmd_asymmetry(args, out: Path) -> str:
         )
         rows.append((name, "global", report.global_score))
         rows.extend((name, region, report.region_scores[region]) for region in sorted(report.region_scores))
-        _paint(mesh, report.per_vertex_distance, out / f"{Path(name).stem}_asymmetry.ply")
-        reflections.append((mesh.with_vertices(report.matched_reflection), out / f"{Path(name).stem}_reflection.obj"))
-    write_meshes(reflections)  # every reflection is held, so one call splits the files over the CPUs
+        painted.append(_painted(out / f"{Path(name).stem}_asymmetry.ply", mesh, report.per_vertex_distance))
+        reflections.append((out / f"{Path(name).stem}_reflection.obj", mesh.with_vertices(report.matched_reflection)))
+    write_files(painted + reflections)  # every file is held, so one call deals them over the CPUs
     write_csv(out / "asymmetry.csv", ("filename", "region", "score_mm"), rows)
     return f"scored {len(names)} shapes"
 
@@ -382,14 +381,18 @@ def cmd_assess(args, out: Path) -> str:
     regions = read_regions(args.regions, pre.n_vertices) if args.regions else {}
     if args.controls is not None:
         model = fit_control_model(ShapeSample(tuple(controls)), args.variance or 0.80, pairing, regions)
-        save_model(model, out / "control_model.json")
     assessment = integrated_assessment(model, pre, post, pairing, regions)
     write_json(assessment.document, out / "assessment.json")
     artifacts = sorted(assessment.artifacts.items())
-    write_meshes((mesh, out / f"{name}.obj") for name, (mesh, field) in artifacts if field is None)
-    for name, (mesh, field) in artifacts:
-        if field is not None:
-            _paint(mesh, field, out / f"{name}.ply", diverging=name.endswith("_normal"))
+    write_files(
+        ([(out / "control_model.json", model)] if args.controls is not None else [])
+        + [(out / f"{name}.obj", mesh) for name, (mesh, field) in artifacts if field is None]
+        + [
+            _painted(out / f"{name}.ply", mesh, field, diverging=name.endswith("_normal"))
+            for name, (mesh, field) in artifacts
+            if field is not None
+        ]
+    )
     return "assessment written"
 
 
@@ -444,27 +447,26 @@ def cmd_simulate(args, out: Path) -> str:
     mesh_dir = out / "meshes"
     mesh_dir.mkdir(exist_ok=True)
     names = [f"shape_{i:03d}.obj" for i in range(sample.n_shapes)]
-    write_meshes([*zip(sample.meshes, (mesh_dir / name for name in names)), (truth.base_mesh, out / "base.obj")])
+    truth_doc = {
+        "spectrum": truth.spectrum,
+        "modes": truth.modes,
+        "z": truth.z,
+        "labels": list(sample.labels) if sample.labels else None,
+        "shift_component": config.group_shift_component,
+        "shift_sd": config.group_shift_sd,
+        "seed": config.seed,
+        "transforms": [
+            {"scale": t.scale, "rotation": t.rotation, "translation": t.translation} for t in truth.transforms
+        ],
+    }
+    write_files(
+        [*zip((mesh_dir / name for name in names), sample.meshes), (out / "base.obj", truth.base_mesh)]
+        + [(out / "ground_truth.json", truth_doc)]
+    )
     write_pairing(truth.pairing, out / "pairing.csv")
     write_regions(truth.base_mesh.regions or {}, out / "regions.csv")
     if sample.labels is not None:
         write_labels(dict(zip(names, sample.labels)), out / "labels.csv")
-    write_json(
-        {
-            "spectrum": truth.spectrum,
-            "modes": truth.modes,
-            "z": truth.z,
-            "labels": list(sample.labels) if sample.labels else None,
-            "shift_component": config.group_shift_component,
-            "shift_sd": config.group_shift_sd,
-            "seed": config.seed,
-            "transforms": [
-                {"scale": t.scale, "rotation": t.rotation, "translation": t.translation}
-                for t in truth.transforms
-            ],
-        },
-        out / "ground_truth.json",
-    )
     return f"simulated {sample.n_shapes} shapes with {len(truth.spectrum)} planted modes"
 
 

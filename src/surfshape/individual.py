@@ -327,9 +327,9 @@ def fit_control_model(
     if pairing is not None:
         names = ["global", *regions]
 
-        def score_share(lo: int, hi: int) -> list[np.ndarray]:
+        def score_share(indices) -> list[np.ndarray]:
             # only the scores of each report are kept, not its per-vertex arrays
-            reports = (asymmetry_report(mesh, pairing, regions) for mesh in controls.meshes[lo:hi])
+            reports = (asymmetry_report(controls.meshes[i], pairing, regions) for i in indices)
             return [np.array([report.scores[name] for name in names]) for report in reports]
 
         rows = np.array(_in_shares(controls.n_shapes, score_share, (len(names),)))

@@ -24,6 +24,14 @@ _MAX_INDEX = int(np.iinfo(np.intp).max)  # largest OBJ face index an index array
 # is left to the line scan, since some numpy versions parse "2.9" as int 2
 _FACE_BYTES = np.zeros(256, dtype=bool)
 _FACE_BYTES[list(b"f0123456789+- \n")] = True
+_DIGIT = np.zeros(256, dtype=bool)
+_DIGIT[list(b"0123456789")] = True
+# bytes of a region name the sidecar fast path takes: printable ASCII but the
+# quote and the comma, which the csv module treats apart
+_NAME_BYTE = np.zeros(256, dtype=bool)
+_NAME_BYTE[ord(" ") : ord("~") + 1] = True
+_NAME_BYTE[list(b'",')] = False
+_MAX_NAME = 64  # longest region name the fast path takes, in bytes
 
 # diverging palette endpoints (low / neutral / high), and the sequential pair
 DIVERGING_LOW = (59, 76, 192)
@@ -39,7 +47,8 @@ class ColorMap:
 
     ``diverging`` runs low colour -> neutral grey -> high colour with
     ``reference`` at the neutral point; ``sequential`` interpolates the
-    sequential pair. Values outside [lo, hi] are clamped.
+    sequential pair. Values outside [lo, hi] are clamped, infinities too; a
+    NaN has no colour and is refused.
     """
 
     kind: str
@@ -58,6 +67,9 @@ class ColorMap:
     def rgb(self, values: np.ndarray) -> tuple[np.ndarray, int]:
         """Map values to (n, 3) uint8 colours; also return how many were clamped."""
         v = np.asarray(values, dtype=float)
+        nan = np.isnan(v)
+        if nan.any():
+            raise ValueError(f"value at vertex {int(np.flatnonzero(nan)[0])} is NaN, which has no colour")
         clamped = int(((v < self.lo) | (v > self.hi)).sum())
         v = np.clip(v, self.lo, self.hi)
         if self.kind == "sequential":
@@ -222,33 +234,7 @@ def _scan_obj(data: bytes, path) -> tuple[np.ndarray, np.ndarray]:
 
 def write_mesh(mesh: SurfaceMesh, path) -> None:
     """Write the OBJ subset emitted by this tool (9 significant digits)."""
-    write_meshes([(mesh, path)])
-
-
-def write_meshes(items) -> None:
-    """Write each ``(mesh, path)`` of ``items`` as an OBJ.
-
-    ``items`` is listed first, so every mesh is held at once; its files are
-    split over the CPUs by :func:`_in_shares`. Within a share the face block
-    is formatted again only when a mesh's ``triangles`` is not the previous
-    item's array (identity, not equality), so a cohort that shares one
-    triangle array formats it once per share. The bytes of every file are
-    those of a :func:`write_mesh` call on its own.
-    """
-    items = list(items)
-
-    def write_share(lo: int, hi: int) -> list[None]:
-        triangles = faces = None
-        for mesh, path in items[lo:hi]:
-            if mesh.triangles is not triangles:
-                triangles = mesh.triangles
-                faces = ("f %d %d %d\n" * mesh.n_triangles) % tuple((triangles + 1).ravel().tolist())
-            body = ("v %.9g %.9g %.9g\n" * mesh.n_vertices) % tuple(mesh.vertices.ravel().tolist())
-            with open(path, "w", encoding="ascii", newline="\n") as fh:
-                fh.write(body + faces)
-        return [None] * (hi - lo)
-
-    _in_shares(len(items), write_share)
+    write_files([(path, mesh)])
 
 
 def write_painted_mesh(mesh: SurfaceMesh, field: np.ndarray, cmap: ColorMap, path) -> int:
@@ -257,6 +243,81 @@ def write_painted_mesh(mesh: SurfaceMesh, field: np.ndarray, cmap: ColorMap, pat
     The clamp count is also recorded in a header comment, echoing plots that
     truncate exceptional values.
     """
+    return write_files([(path, mesh, field, cmap)])[0]
+
+
+def write_files(items) -> list[int | None]:
+    """Write every item of ``items``: ``(path, mesh)`` as an OBJ, ``(path,
+    mesh, field, cmap)`` as a painted PLY, and ``(path, doc)`` as JSON, a
+    model as :func:`save_model` writes it. Returns the clamp count of each
+    PLY, None for the other items.
+
+    ``items`` is listed first, so everything is held at once. Its files are
+    dealt over the CPUs by :func:`_in_shares`, largest first by the number of
+    values each file holds (a JSON float counts 3 times: repr costs about
+    three times what ``%.9g`` does). A process formats a face block once per
+    format and triangle array (identity, not equality). The bytes of every
+    file are those of the single-file writer's call on its own, and a file
+    that fails is written again here, in item order, so the error raised is
+    that of a loop over the items.
+    """
+    items = [
+        (path, _model_document(value) if isinstance(value, _MODELS) else value, *rest) for path, value, *rest in items
+    ]
+    faces: dict[tuple[str, int], str] = {}
+
+    def write_share(indices) -> list[np.ndarray | None]:
+        share = []
+        for i in indices:
+            text, clamped = _file_text(items[i], faces)
+            with open(items[i][0], "w", encoding="ascii", newline="\n") as fh:
+                fh.write(text)
+            share.append(None if clamped is None else np.array(float(clamped)))
+        return share
+
+    done = _in_shares(len(items), write_share, (), [_file_size(item) for item in items])
+    return [None if clamped is None else int(clamped) for clamped in done]
+
+
+def _file_text(item, faces: dict) -> tuple[str, int | None]:
+    """The text of a :func:`write_files` item, and its clamp count if it is a PLY."""
+    _, value, *rest = item
+    if rest:
+        return _ply_text(value, *rest, faces)
+    if isinstance(value, SurfaceMesh):
+        body = ("v %.9g %.9g %.9g\n" * value.n_vertices) % tuple(value.vertices.ravel().tolist())
+        return body + _face_text(value.triangles, "f %d %d %d\n", 1, faces), None
+    return _json_text(value, "") + "\n", None
+
+
+def _file_size(item) -> int:
+    """The number of values in the text of a :func:`write_files` item, a JSON float counted 3 times."""
+    _, value, *rest = item
+    if isinstance(value, SurfaceMesh):
+        return (6 if rest else 3) * value.n_vertices + 3 * value.n_triangles
+    return _json_size(value)
+
+
+def _json_size(value) -> int:
+    if isinstance(value, dict):
+        return sum(_json_size(item) for item in value.values())
+    if isinstance(value, (list, tuple)):
+        return sum(_json_size(item) for item in value)
+    if isinstance(value, np.ndarray):
+        return value.size * (3 if value.dtype.kind == "f" else 1)
+    return 3 if isinstance(value, (float, np.floating)) else 1
+
+
+def _face_text(triangles: np.ndarray, template: str, first: int, faces: dict) -> str:
+    """``template`` filled with each triangle's indices counted from ``first``;
+    kept in ``faces`` by template and array identity."""
+    key = (template, id(triangles))
+    if key not in faces:
+        faces[key] = (template * len(triangles)) % tuple((triangles + first).ravel().tolist())
+    return faces[key]
+
+
+def _ply_text(mesh: SurfaceMesh, field: np.ndarray, cmap: ColorMap, faces: dict) -> tuple[str, int]:
     field = np.asarray(field, dtype=float)
     if field.shape != (mesh.n_vertices,):
         raise ValueError(f"field length {field.shape} does not match {mesh.n_vertices} vertices")
@@ -273,10 +334,7 @@ def write_painted_mesh(mesh: SurfaceMesh, field: np.ndarray, cmap: ColorMap, pat
     # uint8 colours are exact as floats, and %d prints them as integers
     rows = np.hstack([mesh.vertices, colors]).ravel().tolist()
     body = ("%.9g %.9g %.9g %d %d %d\n" * mesh.n_vertices) % tuple(rows)
-    body += ("3 %d %d %d\n" * mesh.n_triangles) % tuple(mesh.triangles.ravel().tolist())
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(header + body)
-    return clamped
+    return header + body + _face_text(mesh.triangles, "3 %d %d %d\n", 0, faces), clamped
 
 
 def _fields(payload: dict, table: dict) -> dict:
@@ -364,6 +422,7 @@ _CONTROL = {
     "warnings": _strings,
 }
 _KINDS = {"fpca": (FpcaModel, _FPCA), "control": (ControlModel, _CONTROL)}
+_MODELS = tuple(cls for cls, _ in _KINDS.values())
 
 
 def _payload(model, table: dict) -> dict:
@@ -382,18 +441,22 @@ def _payload(model, table: dict) -> dict:
 
 def save_model(model: FpcaModel | ControlModel, path) -> None:
     """Serialize a component or control model to the JSON schema (version 1)."""
+    if not isinstance(model, _MODELS):
+        raise TypeError(f"cannot serialize {type(model).__name__}")
+    write_files([(path, model)])
+
+
+def _model_document(model: FpcaModel | ControlModel) -> dict:
     for kind, (cls, table) in _KINDS.items():
         if isinstance(model, cls):
-            return write_json({"schema_version": SCHEMA_VERSION, "kind": kind, **_payload(model, table)}, path)
-    raise TypeError(f"cannot serialize {type(model).__name__}")
+            return {"schema_version": SCHEMA_VERSION, "kind": kind, **_payload(model, table)}
 
 
 def write_json(doc, path) -> None:
     """Write a JSON document with sorted keys and two-space indent; numpy arrays
     and scalars are written as plain lists and numbers. The bytes are those of
     ``json.dump(doc, sort_keys=True, indent=2)`` plus a final newline."""
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(_json_text(doc, "") + "\n")
+    write_files([(path, doc)])
 
 
 def _json_text(value, pad: str) -> str:
@@ -500,8 +563,81 @@ def _number(kind, text: str):
     return kind(text)
 
 
+def _plain_table(path, header: str, n_vertices: int, names: bool) -> tuple[np.ndarray, np.ndarray] | None:
+    """The columns of a CSV in the shape its writer gives: the line ``header``,
+    then rows ``index,index`` (``index,name`` with ``names``), each ending in
+    LF, every index of 1 to 18 decimal digits below ``n_vertices`` and every
+    name 1 to 64 bytes of printable ASCII, no quote or comma, with no space
+    at either end. Indices as intp, names as bytes; None for any other text,
+    which is left to :func:`_read_csv_rows`."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    head = header.encode("ascii") + b"\n"
+    if not data.startswith(head) or len(data) == len(head) or not data.endswith(b"\n"):
+        return None
+    text = np.frombuffer(data, dtype=np.uint8)[len(head) :]
+    ends = np.flatnonzero(text == ord("\n"))
+    commas = np.flatnonzero(text == ord(","))
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    # one comma a line, with a cell on either side, and no byte the csv module reads apart
+    if (
+        commas.size != ends.size
+        or not ((starts < commas) & (commas + 1 < ends)).all()
+        or not (_NAME_BYTE[text] | (text == ord(",")) | (text == ord("\n"))).all()
+    ):
+        return None
+    first = _decimal(text, starts, commas)
+    second = (_names if names else _decimal)(text, commas + 1, ends)
+    if first is None or second is None or first.max() >= n_vertices:
+        return None
+    if not names and second.max() >= n_vertices:
+        return None
+    return first, second
+
+
+def _decimal(text: np.ndarray, starts: np.ndarray, stops: np.ndarray) -> np.ndarray | None:
+    """The intp value of each run ``text[starts[k]:stops[k]]`` of 1 to 18
+    decimal digits; None if a run is longer or holds another byte."""
+    lengths = stops - starts
+    if lengths.max() > 18:
+        return None
+    offsets = np.arange(lengths.sum()) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    digits = text[np.repeat(starts, lengths) + offsets]
+    if not _DIGIT[digits].all():
+        return None
+    places = 10 ** (np.repeat(lengths, lengths) - 1 - offsets)
+    return np.add.reduceat((digits - ord("0")).astype(np.intp) * places, np.cumsum(lengths) - lengths)
+
+
+def _names(text: np.ndarray, starts: np.ndarray, stops: np.ndarray) -> np.ndarray | None:
+    """Each run ``text[starts[k]:stops[k]]`` as bytes (NUL-padded, so a name
+    must hold no NUL); None if one is longer than 64 bytes or has a space at
+    either end."""
+    lengths = stops - starts
+    width = int(lengths.max())
+    if width > _MAX_NAME or (text[starts] == ord(" ")).any() or (text[stops - 1] == ord(" ")).any():
+        return None
+    offsets = np.arange(width)
+    inside = offsets < lengths[:, None]
+    cells = np.zeros((starts.size, width), dtype=np.uint8)
+    cells[inside] = text[(starts[:, None] + offsets)[inside]]
+    return cells.view(f"S{width}").ravel()
+
+
 def read_regions(path, n_vertices: int) -> dict[str, np.ndarray]:
-    """Read a vertex_index,region_name CSV into a region map (header optional; no region ``global``)."""
+    """Read a vertex_index,region_name CSV into a region map (header optional; no region ``global``).
+
+    A file in the shape :func:`write_regions` gives is parsed in one numpy
+    pass (see :func:`_plain_table`); any other text row by row. Both give the
+    same map, names in the order they first appear.
+    """
+    table = _plain_table(path, "vertex_index,region_name", n_vertices, names=True)
+    if table is not None and not (table[1] == b"global").any():
+        index, names = table
+        unique, first, inverse = np.unique(names, return_index=True, return_inverse=True)
+        order = np.lexsort((index, inverse))
+        groups = np.split(index[order], np.flatnonzero(np.diff(inverse[order])) + 1)
+        return {unique[k].decode("ascii"): np.unique(groups[k]) for k in np.argsort(first)}
     regions: dict[str, list[int]] = {}
     for lineno, (idx_text, name) in _read_csv_rows(path, "vertex_index"):
         if name == "global":
@@ -527,22 +663,28 @@ def read_pairing(path, n_vertices: int) -> BilateralPairing:
     """Read an index,mirror_index CSV into a BilateralPairing (header optional).
 
     Unlisted vertices default to midline (self-paired), a vertex listed twice
-    is refused, and the involution is validated on construction.
+    is refused, and the involution is validated on construction. A file in
+    the shape :func:`write_pairing` gives is parsed in one numpy pass (see
+    :func:`_plain_table`); any other text row by row, to the same array.
     """
     pair = np.arange(n_vertices, dtype=np.intp)
-    listed = set()
-    for lineno, (a_text, b_text) in _read_csv_rows(path, "index"):
-        try:
-            a, b = _number(int, a_text), _number(int, b_text)
-        except ValueError:
-            raise ValueError(f"{path}: line {lineno}: indices must be integers") from None
-        for value in (a, b):
-            if not 0 <= value < n_vertices:
-                raise ValueError(f"{path}: line {lineno}: vertex {value} outside [0, {n_vertices})")
-        if a in listed:
-            raise ValueError(f"{path}: line {lineno}: duplicate vertex {a}")
-        listed.add(a)
-        pair[a] = b
+    table = _plain_table(path, "index,mirror_index", n_vertices, names=False)
+    if table is not None and np.unique(table[0]).size == table[0].size:
+        pair[table[0]] = table[1]
+    else:
+        listed = set()
+        for lineno, (a_text, b_text) in _read_csv_rows(path, "index"):
+            try:
+                a, b = _number(int, a_text), _number(int, b_text)
+            except ValueError:
+                raise ValueError(f"{path}: line {lineno}: indices must be integers") from None
+            for value in (a, b):
+                if not 0 <= value < n_vertices:
+                    raise ValueError(f"{path}: line {lineno}: vertex {value} outside [0, {n_vertices})")
+            if a in listed:
+                raise ValueError(f"{path}: line {lineno}: duplicate vertex {a}")
+            listed.add(a)
+            pair[a] = b
     try:
         return BilateralPairing(pair)
     except ValueError as err:
@@ -615,11 +757,12 @@ def load_mesh_directory(directory) -> tuple[list[str], list[SurfaceMesh]]:
     first, plain = _mesh_from_obj(data, paths[0])
     faces = _plain_blocks(data)[1] if plain else None
 
-    def plain_vertices(lo: int, hi: int) -> list[np.ndarray | None]:
-        """The vertex array of each later file in ``[lo, hi)`` that takes the
+    def plain_vertices(indices) -> list[np.ndarray | None]:
+        """The vertex array of each later file of ``indices`` that takes the
         fast path; None for any other, and for one that cannot be read."""
         share = []
-        for path in paths[1 + lo : 1 + hi]:
+        for i in indices:
+            path = paths[1 + i]
             try:
                 data = path.read_bytes()
             except OSError:

@@ -335,25 +335,39 @@ def shape_difference_field(base: SurfaceMesh, other: SurfaceMesh, mode: str) -> 
     return distance * sign
 
 
-def _in_shares(n: int, task, shape: tuple = ()) -> list:
-    """What ``task(lo, hi)`` gives for each item of ``range(lo, hi)`` (None, or
-    a float array of ``shape``), run over contiguous shares of ``range(n)``:
-    one share per CPU this process may run on, at most ``n``.
+def _in_shares(n: int, task, shape: tuple = (), sizes=None) -> list:
+    """What ``task(indices)`` gives for each item of a list of indices into
+    ``range(n)`` (None, or a float array of ``shape``), run in one share per
+    CPU this process may run on, at most ``n``.
+
+    The items are dealt largest first by ``sizes`` (one each when None),
+    each to the least-loaded share, the first of equals: equal sizes are
+    dealt round robin, so shares differ by at most one item. A share runs
+    its items in index order.
 
     The first share runs here and each other one in a child made by
     ``os.fork``, which sends its arrays through a pipe into arrays allocated
     here. A child that fails exits non-zero having sent nothing, so its pipe
-    comes up short; such a share is run again here, in order, and so is
-    every share left when a fork fails. Every exception is thus the serial
-    code's. With one CPU or one item, or without ``os.fork``, this is
-    ``task(0, n)``.
+    comes up short. Such a share, this process's own share if it raised, and
+    every share left when a fork fails are run again here once the others
+    are in, as one list in index order: every exception is thus the serial
+    code's first. With one CPU or one item, or without ``os.fork``, this is
+    ``task(range(n))``.
     """
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "fork") and hasattr(os, "sched_getaffinity") else 1
-    shares = max(1, min(n, cpus))
-    bounds = [n * i // shares for i in range(shares + 1)]
-    children = []
+    count = min(n, cpus)
+    if count < 2:
+        return task(range(n))
+    sizes = [1] * n if sizes is None else sizes
+    shares, loads = [[] for _ in range(count)], [0] * count
+    for i in sorted(range(n), key=lambda i: -sizes[i]):
+        least = loads.index(min(loads))
+        shares[least].append(i)
+        loads[least] += sizes[i]
+    shares = [sorted(share) for share in shares]
+    results, again, children = [None] * n, [], []
     try:
-        for lo, hi in zip(bounds[1:-1], bounds[2:]):
+        for share in shares[1:]:
             read, write = os.pipe()
             try:
                 pid = os.fork()
@@ -374,24 +388,39 @@ def _in_shares(n: int, task, shape: tuple = ()) -> list:
                 try:
                     os.close(read)
                     with open(write, "wb") as pipe:
-                        share = task(lo, hi)  # all of it before the first write, or the pipe stalls the child
-                        pipe.write(bytes(array is not None for array in share))
-                        for array in share:
+                        done = task(share)  # all of it before the first write, or the pipe stalls the child
+                        pipe.write(bytes(array is not None for array in done))
+                        for array in done:
                             if array is not None:
                                 pipe.write(array)
                     status = 0
                 finally:
                     os._exit(status)
             os.close(write)
-            children.append((lo, hi, pid, open(read, "rb")))
-        results = task(0, bounds[1])
-        for lo, hi, _, pipe in children:
-            flags = pipe.read(hi - lo)
-            share = [np.empty(shape) if flag else None for flag in flags]
-            whole = len(flags) == hi - lo and all(a is None or pipe.readinto(a) == a.nbytes for a in share)
-            results += share if whole else task(lo, hi)
-        return results + task(len(results), n)
+            children.append((share, pid, open(read, "rb")))
+        try:
+            done = task(shares[0])
+        except Exception:  # raised again by the rerun below, after the items before it
+            again += shares[0]
+        else:
+            results = _placed(results, shares[0], done)
+        for share, _, pipe in children:
+            flags = pipe.read(len(share))
+            done = [np.empty(shape) if flag else None for flag in flags]
+            if len(flags) == len(share) and all(a is None or pipe.readinto(a) == a.nbytes for a in done):
+                results = _placed(results, share, done)
+            else:
+                again += share
+        again = sorted(again + [i for share in shares[1 + len(children) :] for i in share])
+        return _placed(results, again, task(again)) if again else results
     finally:
-        for _, _, pid, pipe in children:  # closed first, so that a child blocked on its pipe ends
+        for _, pid, pipe in children:  # closed first, so that a child blocked on its pipe ends
             pipe.close()
             os.waitpid(pid, 0)
+
+
+def _placed(results: list, indices, done: list) -> list:
+    """``results`` with ``done[k]`` put at ``indices[k]``."""
+    for i, value in zip(indices, done):
+        results[i] = value
+    return results

@@ -13,6 +13,7 @@ import pytest
 import surfshape as ss
 from surfshape.cli import main
 from surfshape.io import load_mesh_directory, read_mesh, read_pairing, save_model, write_mesh
+from conftest import assert_no_child_left
 
 
 def run(*argv):
@@ -244,6 +245,34 @@ class TestAssess:
         assert code == 0
         doc_b = json.loads((reuse / "assessment.json").read_text())
         assert doc_b["timepoints"] == doc["timepoints"]
+
+    def test_control_model_is_dealt_apart(self, cohort, tmp_path, monkeypatch):
+        # at 2 CPUs the model file, the largest, shares a process with fewer meshes than the other one
+        log, file_text = tmp_path / "writers.log", ss.io._file_text
+
+        def logged(item, faces):
+            with open(log, "a", encoding="ascii") as fh:
+                fh.write(f"{os.getpid()} {Path(item[0]).name}\n")
+            return file_text(item, faces)
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(ss.io, "_file_text", logged)
+        code = run(
+            "assess", "--controls", cohort / "meshes", "--pre", cohort / "meshes" / "shape_000.obj",
+            "--post", cohort / "meshes" / "shape_001.obj", "--pairing", cohort / "pairing.csv",
+            "--regions", cohort / "regions.csv", "--out", tmp_path / "out",
+        )
+        assert code == 0
+        shares = {}
+        for line in log.read_text().splitlines():
+            pid, name = line.split()
+            if name not in ("assessment.json", "manifest.json"):  # written on their own
+                shares.setdefault(pid, []).append(name)
+        model = next(names for names in shares.values() if "control_model.json" in names)
+        other = next(names for names in shares.values() if "control_model.json" not in names)
+        assert len(shares) == 2 and len(model) - 1 <= len(other)
+        assert sum(len(names) for names in shares.values()) == 9
+        assert_no_child_left()
 
     def test_requires_exactly_one_source(self, cohort, tmp_path):
         code = run(

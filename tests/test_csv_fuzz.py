@@ -4,10 +4,13 @@ Any bytes either parse or raise a ValueError whose text starts with the file
 path. What parses keeps each reader's contract: ASCII text, vertex indices in
 range, finite non-negative weights, a pairing that is an involution. What the
 writers write reads back exactly: floats at 17 digits, pairings and regions
-as equal arrays.
+as equal arrays. The pairing and region readers parse a file in the writer's
+shape in one numpy pass; that pass and the row-by-row one give the same
+result, or the same error, on any text.
 """
 import math
 import struct
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,6 +18,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, strategies as st  # noqa: E402
 
+import surfshape.io as sio  # noqa: E402
 from surfshape.io import (  # noqa: E402
     read_labels, read_pairing, read_regions, read_weight_overrides, write_csv, write_pairing, write_regions
 )
@@ -122,3 +126,79 @@ def test_written_regions_read_back(regions, scratch):
     for name, idx in regions.items():
         assert back[name].dtype == np.intp
         np.testing.assert_array_equal(back[name], idx)
+
+
+def outcome(reader, path):
+    """What ``reader(path)`` gives: a pairing array, a region map as (name, array bytes) pairs, or an error text."""
+    try:
+        result = reader(path)
+    except ValueError as err:
+        return str(err)
+    if isinstance(result, BilateralPairing):
+        return result.pair.dtype, result.pair.tobytes()
+    return [(name, idx.dtype, idx.tobytes()) for name, idx in result.items()]
+
+
+def both_paths(reader, path):
+    """The outcome of ``reader`` on ``path``, and its outcome with the rows read one by one."""
+    fast = outcome(reader, path)
+    with mock.patch.object(sio, "_plain_table", return_value=None):
+        return fast, outcome(reader, path)
+
+
+SIDECARS = {
+    "pairing": (read_pairing, "index,mirror_index", False),
+    "regions": (read_regions, "vertex_index,region_name", True),
+}
+
+
+@st.composite
+def written_sidecar(draw):
+    """A kind, a vertex count J and the bytes its writer gives for a drawn pairing or region map."""
+    kind = draw(st.sampled_from(sorted(SIDECARS)))
+    j = draw(st.integers(1, 400))
+    if kind == "pairing":
+        order = draw(st.permutations(range(j)))
+        pair = np.arange(j)
+        n_pairs = draw(st.integers(0, j // 2))
+        for a, b in zip(order[0 : 2 * n_pairs : 2], order[1 : 2 * n_pairs : 2]):
+            pair[a], pair[b] = b, a
+        return kind, j, lambda path: write_pairing(BilateralPairing(pair), path)
+    names = st.text(alphabet="abcXYZ019_-.% ", min_size=1, max_size=70).filter(lambda n: n.strip() == n)
+    regions = draw(st.dictionaries(names, st.sets(st.integers(0, j - 1), min_size=1), min_size=1, max_size=5))
+    return kind, j, lambda path: write_regions({n: np.array(sorted(i)) for n, i in regions.items()}, path)
+
+
+@given(written=written_sidecar())
+def test_written_sidecar_takes_the_numpy_pass(written, scratch):
+    kind, j, write = written
+    reader, header, names = SIDECARS[kind]
+    write(scratch)
+    fast, rows = both_paths(lambda path: reader(path, j), scratch)
+    assert fast == rows and not isinstance(fast, str)
+    longest = max((len(line.split(",", 1)[1]) for line in scratch.read_text().splitlines()[1:]), default=0)
+    assert (sio._plain_table(scratch, header, j, names) is not None) == (longest <= 64)
+
+
+damage = st.sampled_from([b"", b" ", b",", b"\r", b"\n", b'"', b"-", b"+", b"x", b"9", b"0", b"\xe9", b"\t", b"global"])
+
+
+@given(written=written_sidecar(), at=st.integers(0, 2**16), cut=st.integers(0, 2), new=damage)
+def test_damaged_sidecar_reads_as_the_rows(written, at, cut, new, scratch):
+    kind, j, write = written
+    reader, _, _ = SIDECARS[kind]
+    write(scratch)
+    data = scratch.read_bytes()
+    at %= len(data) + 1
+    scratch.write_bytes(data[:at] + new + data[at + cut :])
+    fast, rows = both_paths(lambda path: reader(path, j), scratch)
+    assert fast == rows
+
+
+@pytest.mark.parametrize("kind", sorted(SIDECARS))
+@given(data=st.one_of(csv_text(), st.binary(max_size=200)))
+def test_any_text_reads_as_the_rows(kind, data, scratch):
+    reader, _, _ = SIDECARS[kind]
+    scratch.write_bytes(data)
+    fast, rows = both_paths(lambda path: reader(path, N_VERTICES), scratch)
+    assert fast == rows

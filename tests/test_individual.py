@@ -405,7 +405,8 @@ class TestControlAsymmetryOverCpus:
     """fit_control_model scores its controls' asymmetry in one share per CPU the
     process may run on; the table and every error are the serial loop's."""
 
-    # twelve controls: shares 0-11 at 1 CPU, 0-5 | 6-11 at 2, 0-3 | 4-7 | 8-11 at 3
+    # twelve controls dealt round robin: one share at 1 CPU, the even and the odd
+    # ones at 2, and at 3 the ones of each remainder of division by 3
     @pytest.fixture(params=[1, 2, 3], autouse=True)
     def cpus(self, request, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(request.param)))
@@ -459,7 +460,7 @@ class TestControlAsymmetryOverCpus:
         assert self.table_bytes(model.control_asymmetry) == self.table_bytes(expected)
         assert_no_child_left()
 
-    @pytest.mark.parametrize("degenerate", [1, 7, 11])
+    @pytest.mark.parametrize("degenerate", [1, 6, 7, 11])  # 6 is scored here, the others in a child at 2 CPUs
     def test_degenerate_mirror_match_raises_the_serial_error(self, cohort, monkeypatch, degenerate):
         # the mirror image of one control lies on a line: its match has no rotation
         controls, truth = cohort

@@ -25,8 +25,8 @@ from surfshape.io import (
     save_model,
     write_csv,
     write_labels,
+    write_files,
     write_mesh,
-    write_meshes,
     write_painted_mesh,
     write_pairing,
     write_regions,
@@ -271,6 +271,26 @@ class TestPaintedMesh:
         with pytest.raises(ValueError, match="field length"):
             write_painted_mesh(mesh, np.zeros(3), ColorMap("sequential", lo=0, hi=1), tmp_path / "x.ply")
 
+    def test_nan_refused_by_vertex(self, tmp_path):
+        # a NaN used to be cast to black, off both palettes, and not counted as clamped
+        mesh = ss.synth_base_mesh(ss.SynthConfig(resolution=4))[0]
+        field = np.zeros(mesh.n_vertices)
+        field[[5, 9]] = np.nan
+        for cmap in (ColorMap("diverging", lo=-1.0, hi=1.0), ColorMap("sequential", lo=0.0, hi=1.0)):
+            with pytest.raises(ValueError, match="^value at vertex 5 is NaN"):
+                write_painted_mesh(mesh, field, cmap, tmp_path / "nan.ply")
+        assert not (tmp_path / "nan.ply").exists()
+
+    def test_infinities_clamped_and_counted(self, mesh, tmp_path):
+        field = np.zeros(mesh.n_vertices)
+        field[:3] = [np.inf, -np.inf, np.inf]
+        path = tmp_path / "inf.ply"
+        assert write_painted_mesh(mesh, field, ColorMap("diverging", lo=-1.0, hi=1.0), path) == 3
+        lines = path.read_text().splitlines()
+        start = lines.index("end_header") + 1
+        colours = [" ".join(line.split()[3:]) for line in lines[start : start + 3]]
+        assert colours == [" ".join(map(str, c)) for c in (DIVERGING_HIGH, DIVERGING_LOW, DIVERGING_HIGH)]
+
     def test_deterministic_bytes(self, mesh, tmp_path):
         field = np.linspace(-1, 1, mesh.n_vertices)
         cmap = ColorMap("diverging", lo=-1.0, hi=1.0)
@@ -345,7 +365,7 @@ class TestMeshWriterGoldenText:
 
 
 def cohort_bytes_match_per_file_bytes(items, tmp_path):
-    """Write ``items`` file by file, and again with one write_meshes call on 1,
+    """Write ``items`` file by file, and again with one write_files call on 1,
     2 and 3 CPUs; the last call's files stay in ``tmp_path / "together"``."""
     together, alone = tmp_path / "together", tmp_path / "alone"
     together.mkdir()
@@ -356,13 +376,13 @@ def cohort_bytes_match_per_file_bytes(items, tmp_path):
         for _, name in items:
             (together / name).unlink(missing_ok=True)
         with mock.patch("os.sched_getaffinity", return_value=set(range(cpus))):
-            write_meshes((mesh, together / name) for mesh, name in items)
+            write_files((together / name, mesh) for mesh, name in items)
         for _, name in items:
             assert (together / name).read_bytes() == (alone / name).read_bytes(), f"{cpus} CPUs"
 
 
 class TestCohortWriter:
-    """write_meshes formats a face block once per run of one triangle array;
+    """write_files formats a face block once per triangle array in a process;
     every file must still hold the bytes of its own write_mesh call."""
 
     def test_shared_triangle_array(self, mesh, tmp_path):
@@ -680,7 +700,7 @@ class TestMeshDirectory:
 
 
 class TestSplitOverCpus:
-    """load_mesh_directory and write_meshes split their files over the CPUs the
+    """load_mesh_directory and write_files deal their files over the CPUs the
     process may run on; the arrays, bytes and errors are the serial code's."""
 
     @pytest.fixture(params=[1, 2, 3], autouse=True)
@@ -719,8 +739,9 @@ class TestSplitOverCpus:
             load_mesh_directory(cohort)
         assert_no_child_left()
 
-    # at 3 CPUs the files 1-2 are read here, 3-4 and 5-6 in two children
-    @pytest.mark.parametrize("early, late", [(1, 4), (3, 5), (2, 6)])
+    # dealt round robin: at 3 CPUs the files 1 and 4 are read here, 2 and 5 in
+    # the first child and 3 and 6 in the second
+    @pytest.mark.parametrize("early, late", [(1, 4), (3, 5), (2, 6), (3, 4)])
     def test_first_of_two_bad_files_named(self, cohort, early, late):
         # a non-finite coordinate, then a line the scan refuses
         text = (cohort / f"s{early}.obj").read_text()
@@ -750,13 +771,13 @@ class TestSplitOverCpus:
 
     @pytest.mark.parametrize("fault", ["raises", "exits early", "no fork"])
     def test_share_that_fails_in_a_child_is_run_here(self, cohort, cpus, monkeypatch, fault):
-        # s4.obj is in the only child's share at 2 CPUs and in the first of two at 3;
+        # s2.obj is in the only child's share at 2 CPUs and in the first of two at 3;
         # the last fork fails, the only one at 2 CPUs and the second at 3
         serial = [m.vertices.tobytes() for m in load_mesh_directory(cohort)[1]]
         parent, read_bytes, fork, forks = os.getpid(), Path.read_bytes, os.fork, []
 
         def read_here_only(path):
-            if os.getpid() != parent and path.name == "s4.obj" and fault != "no fork":
+            if os.getpid() != parent and path.name == "s2.obj" and fault != "no fork":
                 if fault == "exits early":  # status 0, but the pipe comes up short
                     os._exit(0)
                 raise MemoryError("in the child")
@@ -774,10 +795,10 @@ class TestSplitOverCpus:
         assert_no_child_left()
 
     def test_writer_share_that_fails_in_a_child_is_written_here(self, mesh, tmp_path, monkeypatch):
-        # s1.obj is in the first child's share at 3 CPUs, and here at 1 and 2
+        # s1.obj is in the first child's share at 2 and 3 CPUs, and here at 1
         parent = os.getpid()
-        items = [(mesh.with_vertices(mesh.vertices * (i + 1)), tmp_path / f"s{i}.obj") for i in range(5)]
-        expected = [written_bytes(shape, tmp_path / "alone.obj") for shape, _ in items]
+        items = [(tmp_path / f"s{i}.obj", mesh.with_vertices(mesh.vertices * (i + 1))) for i in range(5)]
+        expected = [written_bytes(shape, tmp_path / "alone.obj") for _, shape in items]
 
         def open_here_only(path, *args, **kwargs):
             if os.getpid() != parent and str(path).endswith("s1.obj"):
@@ -785,16 +806,138 @@ class TestSplitOverCpus:
             return open(path, *args, **kwargs)
 
         monkeypatch.setattr(sio, "open", open_here_only, raising=False)
-        write_meshes(items)
-        assert [path.read_bytes() for _, path in items] == expected
+        write_files(items)
+        assert [path.read_bytes() for path, _ in items] == expected
         assert_no_child_left()
 
     def test_failing_writer_leaves_no_child(self, mesh, tmp_path):
-        items = [(mesh, tmp_path / f"s{i}.obj") for i in range(6)]
-        items[0] = (mesh, tmp_path / "missing" / "s0.obj")  # in the first share, which runs here
+        items = [(tmp_path / f"s{i}.obj", mesh) for i in range(6)]
+        items[0] = (tmp_path / "missing" / "s0.obj", mesh)  # in the first share, which runs here
         with pytest.raises(FileNotFoundError):
-            write_meshes(items)
+            write_files(items)
         assert_no_child_left()
+
+
+class TestWriteFiles:
+    """write_files deals OBJs, painted PLYs and JSON documents over the CPUs
+    the process may run on, largest first; each file holds the bytes of its
+    own single-file call, and a fault is that of a loop over the items."""
+
+    @pytest.fixture(params=[1, 2, 3], autouse=True)
+    def cpus(self, request, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(request.param)))
+        yield request.param
+        assert_no_child_left()
+
+    @pytest.fixture(scope="class")
+    def models(self):
+        return fitted_models()
+
+    @pytest.fixture()
+    def items(self, mesh, models, tmp_path):
+        """OBJs and PLYs on one triangle array, a PLY with its own, both model kinds and a document."""
+        rng = np.random.default_rng(4)
+        shapes = [mesh.with_vertices(mesh.vertices + rng.normal(0, 0.05, mesh.vertices.shape)) for _ in range(3)]
+        own = ss.SurfaceMesh(mesh.vertices, mesh.triangles.copy())
+        field = rng.normal(0, 1, mesh.n_vertices)
+        fpca, control = models
+        return [
+            (tmp_path / "a.obj", shapes[0]),
+            (tmp_path / "a.ply", shapes[0], field, ColorMap("diverging", lo=-1.0, hi=1.0)),
+            (tmp_path / "fpca.json", fpca),
+            (tmp_path / "b.obj", shapes[1]),
+            (tmp_path / "own.ply", own, field, ColorMap("sequential", lo=0.0, hi=2.0)),
+            (tmp_path / "control.json", control),
+            (tmp_path / "b.ply", shapes[2], -field, ColorMap("sequential", lo=0.0, hi=1.0)),
+            (tmp_path / "doc.json", {"z": rng.normal(size=(2, 3)), "n": 3}),
+            (tmp_path / "c.obj", shapes[2]),
+        ]
+
+    @staticmethod
+    def alone(items, directory):
+        """The bytes and clamp counts of each item written by its single-file call."""
+        directory.mkdir()
+        counts = []
+        for path, value, *rest in items:
+            path = directory / path.name
+            if rest:
+                counts.append(write_painted_mesh(value, *rest, path))
+            else:
+                counts.append(None)
+                if isinstance(value, ss.SurfaceMesh):
+                    write_mesh(value, path)
+                elif isinstance(value, dict):
+                    sio.write_json(value, path)
+                else:
+                    save_model(value, path)
+        return [(directory / path.name).read_bytes() for path, *_ in items], counts
+
+    def test_bytes_of_the_single_file_writers(self, items, cpus, tmp_path, monkeypatch):
+        expected, counts = self.alone(items, tmp_path / "alone")
+        assert any(counts[k] for k in (1, 4, 6))
+        forks, fork = [], os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+        assert write_files(items) == counts
+        assert [path.read_bytes() for path, *_ in items] == expected
+        assert len(forks) == cpus - 1
+
+    def test_face_block_formatted_once_per_format_and_array(self, items, cpus, monkeypatch):
+        formatted, face_text = [], sio._face_text
+
+        def counted(triangles, template, first, faces):
+            if (template, id(triangles)) not in faces:
+                formatted.append((template, id(triangles)))
+            return face_text(triangles, template, first, faces)
+
+        monkeypatch.setattr(sio, "_face_text", counted)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})  # a child's calls are not seen here
+        write_files(items)
+        # the OBJs share one array, the PLYs that array and their own
+        assert len(formatted) == len(set(formatted)) == 3
+
+    @pytest.mark.parametrize("fault", ["raises", "exits early", "no fork"])
+    def test_file_that_fails_in_a_child_is_written_here(self, items, cpus, tmp_path, monkeypatch, fault):
+        expected, counts = self.alone(items, tmp_path / "alone")
+        parent, file_text, fork, forks = os.getpid(), sio._file_text, os.fork, []
+
+        def text_here_only(item, faces):
+            if os.getpid() != parent and fault != "no fork":
+                if fault == "exits early":  # status 0, but the pipe comes up short
+                    os._exit(0)
+                raise MemoryError("in the child")
+            return file_text(item, faces)
+
+        def fork_but_the_last():
+            forks.append(1)
+            if fault == "no fork" and len(forks) == cpus - 1:
+                raise BlockingIOError("fork: resource temporarily unavailable")
+            return fork()
+
+        monkeypatch.setattr(sio, "_file_text", text_here_only)
+        monkeypatch.setattr(os, "fork", fork_but_the_last)
+        assert write_files(items) == counts
+        assert [path.read_bytes() for path, *_ in items] == expected
+
+    # equal sizes are dealt round robin: item 0 is written here at any CPU count,
+    # 1 in a child at 2 and 3 CPUs, 2 here at 2 CPUs and 3 here at 3
+    @pytest.mark.parametrize("first, second", [(1, 2), (1, 3), (0, 4), (2, 5), (4, 5)])
+    def test_first_unwritable_path_named(self, mesh, tmp_path, first, second):
+        items = [(tmp_path / f"s{i}.obj", mesh) for i in range(6)]
+        for k in (first, second):
+            items[k] = (tmp_path / f"missing{k}" / f"s{k}.obj", mesh)
+        with pytest.raises(FileNotFoundError, match=re.escape(str(items[first][0]))):
+            write_files(items)
+        # as in a loop over the items, every file before the first fault is written
+        assert all(path.exists() for path, _ in items[:first])
+
+    def test_nan_field_refused_among_many(self, mesh, tmp_path):
+        field = np.zeros(mesh.n_vertices)
+        field[7] = np.nan
+        cmap = ColorMap("sequential", lo=0.0, hi=1.0)
+        items = [(tmp_path / f"s{i}.ply", mesh, np.zeros(mesh.n_vertices), cmap) for i in range(5)]
+        items[3] = (tmp_path / "s3.ply", mesh, field, cmap)
+        with pytest.raises(ValueError, match="^value at vertex 7 is NaN"):
+            write_files(items)
 
 
 def written_bytes(mesh, path):

@@ -16,7 +16,7 @@ pytest.importorskip("pytest_benchmark")
 
 import surfshape as ss
 from surfshape.groupcompare import PERMUTATION_MODES
-from surfshape.io import load_mesh_directory, read_mesh, save_model, write_mesh, write_meshes
+from surfshape.io import load_mesh_directory, read_mesh, save_model, write_files, write_mesh
 
 BENCH_ROUNDS = 7
 
@@ -55,10 +55,10 @@ def test_synth_base_mesh(timed):
     assert mesh.n_vertices == 16386 and pairing.pair.shape == (16386,)
 
 
-def test_write_meshes(timed, cohort, tmp_path):
+def test_write_files(timed, cohort, tmp_path):
     """Ten files that share one triangle array: the face block is formatted once."""
     paths = [tmp_path / f"shape_{i:02d}.obj" for i in range(cohort.n_shapes)]
-    timed(write_meshes, list(zip(cohort.meshes, paths)))
+    timed(write_files, list(zip(paths, cohort.meshes)))
     assert all(path.stat().st_size > 2**20 for path in paths)
 
 

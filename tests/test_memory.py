@@ -19,7 +19,7 @@ from surfshape.cli import main
 from surfshape.fpca import fit_fpca
 from surfshape.groupcompare import PERMUTATION_MODES, permutation_test
 from surfshape.individual import _residual_lengths, fit_control_model
-from surfshape.io import write_labels, write_meshes
+from surfshape.io import write_files, write_labels
 from surfshape.mesh import AreaWeights
 
 N_SHAPES, N_VERTICES = 40, 20_000
@@ -145,7 +145,7 @@ def test_compare_holds_the_meshes_and_one_stack(tmp_path):
     sample, _ = planted_cohort(60, group_sizes=(30, 30))
     names = [f"shape_{i:03d}.obj" for i in range(sample.n_shapes)]
     (tmp_path / "meshes").mkdir()
-    write_meshes(zip(sample.meshes, (tmp_path / "meshes" / name for name in names)))
+    write_files(zip((tmp_path / "meshes" / name for name in names), sample.meshes))
     write_labels(dict(zip(names, sample.labels)), tmp_path / "labels.csv")
     stack = sample.vertex_array().nbytes
     del sample

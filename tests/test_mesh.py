@@ -1,10 +1,12 @@
+import os
 from unittest import mock
 
 import numpy as np
 import pytest
 
 import surfshape as ss
-from conftest import bumpy_mesh, flat_square_mesh, random_rotation, sphere_mesh
+from conftest import assert_no_child_left, bumpy_mesh, flat_square_mesh, random_rotation, sphere_mesh
+from surfshape.mesh import _in_shares
 
 
 def single_triangle():
@@ -323,3 +325,27 @@ class TestBilateralPairing:
     def test_midline_is_fixed_points(self):
         pairing = ss.BilateralPairing(np.array([1, 0, 2, 3]))
         np.testing.assert_array_equal(pairing.midline, [2, 3])
+
+
+class TestDealOverCpus:
+    """_in_shares deals items largest first, each to the least-loaded share;
+    the first share runs here. Each item reports the process that ran it."""
+
+    @staticmethod
+    def here(n, sizes, cpus, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        pids = _in_shares(n, lambda indices: [np.array(float(os.getpid())) for _ in indices], (), sizes)
+        assert_no_child_left()
+        return [float(pid) == os.getpid() for pid in pids], len({float(pid) for pid in pids})
+
+    def test_largest_item_dealt_first(self, monkeypatch):
+        # the last item is the largest: it opens the first share, and the other
+        # share takes the small ones until it is as loaded
+        assert self.here(5, [1, 1, 1, 1, 3], 2, monkeypatch) == ([False, False, False, True, True], 2)
+        assert self.here(4, [5, 1, 1, 9], 2, monkeypatch) == ([False, False, False, True], 2)
+
+    @pytest.mark.parametrize("cpus", [2, 3, 4])
+    def test_equal_sizes_dealt_round_robin(self, cpus, monkeypatch):
+        for sizes in (None, [7] * 10):
+            here, processes = self.here(10, sizes, cpus, monkeypatch)
+            assert here == [i % cpus == 0 for i in range(10)] and processes == cpus

@@ -57,7 +57,7 @@ from surfshape.cli import main
 from surfshape.fpca import fit_fpca
 from surfshape.groupcompare import permutation_test
 from surfshape.individual import asymmetry_report, fit_control_model
-from surfshape.io import load_mesh_directory, read_pairing, read_regions, write_meshes, write_pairing, write_regions
+from surfshape.io import load_mesh_directory, read_pairing, read_regions, write_files, write_pairing, write_regions
 from surfshape.registration import tangent_coordinates, weighted_gpa
 
 
@@ -278,7 +278,7 @@ def test_the_cli_reads_renumbered_files_the_same(seed, tmp_path):
         read_regions(original / "regions.csv", j), np.random.default_rng(seed + 100),
     )
     (moved / "meshes").mkdir(parents=True)
-    write_meshes(zip(sample.meshes, (moved / "meshes" / name for name in names)))
+    write_files(zip((moved / "meshes" / name for name in names), sample.meshes))
     write_pairing(pairing, moved / "pairing.csv")
     write_regions(regions, moved / "regions.csv")
     shutil.copy(original / "labels.csv", moved / "labels.csv")
