@@ -4,10 +4,12 @@
 file becoming option tokens before the command line's (a flag wins); each
 option's argparse type refuses a value of the wrong type, choice or range.
 ``check_options`` refuses a missing or conflicting option, all before any
-input is read or --out is created. The subcommand's handler then checks the
-rules that need other options or the data, does its work and returns one
-summary line. Only when it succeeds does the runner write manifest.json (tool
-version, resolved options, seed) and print that line. Identical options and
+input is read. The subcommand's handler then checks the rules that need other
+options or the data and does its work, writing nothing: it returns a summary
+line and the ``write_files`` items of its artifacts, paths relative to --out.
+Only then does the runner make --out and the items' directories, write them in
+one ``write_files`` call, then manifest.json (tool version, resolved options,
+seed), and print the line: a refused run makes no --out. Identical options and
 seed give byte-identical artifacts (only the manifest timestamp differs).
 
 Exit codes follow the type of the error, not the stage that raised it:
@@ -31,21 +33,20 @@ from .groupcompare import COMPONENT_P_VALUE_CAVEAT, PERMUTATION_MODES, affine_no
 from .individual import ControlModel, _checked_regions, asymmetry_report, fit_control_model, integrated_assessment
 from .io import (
     ColorMap,
+    csv_table,
+    labels_table,
     load_mesh_directory,
     load_model,
+    mesh_names,
+    pairing_table,
     read_labels,
     read_mesh,
     read_pairing,
     read_regions,
     read_weight_overrides,
-    write_csv,
+    regions_table,
     write_files,
     write_json,
-    write_labels,
-    write_mesh,
-    write_painted_mesh,
-    write_pairing,
-    write_regions,
 )
 from .mesh import DIFFERENCE_MODES, NumericalFailure, ShapeSample, SurfaceMesh, check_correspondence
 from .mesh import shape_difference_field
@@ -164,11 +165,8 @@ def check_options(args: argparse.Namespace) -> None:
 
 
 def write_manifest(out: Path, command: str, args: argparse.Namespace) -> None:
-    options = {}
-    for key, value in sorted(vars(args).items()):
-        if key in ("handler", "parser", "required", "command", "config"):
-            continue
-        options[key] = str(value) if isinstance(value, Path) else value
+    skip = ("handler", "parser", "required", "command", "config")
+    options = {k: str(v) if isinstance(v, Path) else v for k, v in sorted(vars(args).items()) if k not in skip}
     doc = {
         "tool": "surfshape",
         "version": __version__,
@@ -181,15 +179,17 @@ def write_manifest(out: Path, command: str, args: argparse.Namespace) -> None:
 
 
 def _load_cohort(args) -> tuple[list[str], ShapeSample]:
-    """Read --meshes (and --labels, when given)."""
-    names, meshes = load_mesh_directory(args.meshes)
+    """Read --meshes, once a --labels file labels each listed name, in exactly two groups."""
     labels = None
     if getattr(args, "labels", None):
-        table = read_labels(args.labels)
+        table, names = read_labels(args.labels), mesh_names(args.meshes)
         missing = [n for n in names if n not in table]
         if missing:
             raise ValueError(f"{args.labels}: labels file misses entries for: {', '.join(missing)}")
         labels = tuple(table[n] for n in names)
+        if len(set(labels)) != 2:
+            raise ValueError(f"{args.labels}: need exactly two groups, got {len(set(labels))}")
+    names, meshes = load_mesh_directory(args.meshes)
     return names, ShapeSample(tuple(meshes), labels=labels)
 
 
@@ -218,40 +218,37 @@ def _painted(path: Path, mesh: SurfaceMesh, field: np.ndarray, diverging: bool =
 # ---------------------------------------------------------------- subcommands
 
 
-def cmd_register(args, out: Path) -> str:
+def cmd_register(args) -> tuple[str, list]:
     names, sample = _load_cohort(args)
     result = _run_gpa(sample, args)
-    aligned_dir = out / "aligned"
-    aligned_dir.mkdir(exist_ok=True)
     topology = sample.meshes[0]
-    write_files(
-        [(aligned_dir / name, topology.with_vertices(verts)) for name, verts in zip(names, result.aligned)]
-        + [(out / "mean.obj", topology.with_vertices(result.mean))]
-    )
-    write_csv(
-        out / "transforms.csv",
-        ["filename", "scale", *(f"r{i}{j}" for i in range(3) for j in range(3)), "tx", "ty", "tz"],
-        ((name, t.scale, *t.rotation.ravel(), *t.translation) for name, t in zip(names, result.transforms)),
-    )
-    write_csv(out / "objective.csv", ("iteration", "objective"), enumerate(result.objective_trace, start=1))
-    return f"registered {len(names)} shapes in {result.iterations} iterations (converged={result.converged})"
+    header = ["filename", "scale", *(f"r{i}{j}" for i in range(3) for j in range(3)), "tx", "ty", "tz"]
+    rows = ((name, t.scale, *t.rotation.ravel(), *t.translation) for name, t in zip(names, result.transforms))
+    return f"registered {len(names)} shapes in {result.iterations} iterations (converged={result.converged})", [
+        *((Path("aligned", name), topology.with_vertices(verts)) for name, verts in zip(names, result.aligned)),
+        ("mean.obj", topology.with_vertices(result.mean)),
+        ("transforms.csv", csv_table(header, rows)),
+        ("objective.csv", csv_table(("iteration", "objective"), enumerate(result.objective_trace, start=1))),
+    ]
 
 
-def cmd_pca(args, out: Path) -> str:
+def cmd_pca(args) -> tuple[str, list]:
     names, sample = _load_cohort(args)
     gpa = _run_gpa(sample, args)
     topology = sample.meshes[0]
     del sample  # release the cohort; the tangent rows are written over GPA's stack
     tangent = _tangent_over_stack(gpa)
     model = fit_fpca(tangent, gpa.mean_weights, k=args.components or args.variance or 0.80, mean_shape=gpa.mean)
-    write_files([(out / "model.json", model), (out / "mean.obj", topology.with_vertices(gpa.mean))])
     score_rows = scores_from_tangent(model, tangent)
     header = ["filename", *(f"pc{k + 1}" for k in range(model.n_components))]
-    write_csv(out / "scores.csv", header, ((name, *row) for name, row in zip(names, score_rows)))
-    return f"fitted {model.n_components} components explaining {model.explained[-1]:.1%} of variance"
+    return f"fitted {model.n_components} components explaining {model.explained[-1]:.1%} of variance", [
+        ("model.json", model),
+        ("mean.obj", topology.with_vertices(gpa.mean)),
+        ("scores.csv", csv_table(header, ((name, *row) for name, row in zip(names, score_rows)))),
+    ]
 
 
-def cmd_tour(args, out: Path) -> str:
+def cmd_tour(args) -> tuple[str, list]:
     model = load_model(args.model)
     if not isinstance(model, FpcaModel):
         raise ValueError(f"{args.model}: not a component model")
@@ -262,21 +259,18 @@ def cmd_tour(args, out: Path) -> str:
     if p > model.n_components:
         raise ValueError(f"--components must be at most {model.n_components}, got {p}")
     tour = grand_tour(model, p=p, n_stops=args.stops, seed=args.seed, frames_per_leg=args.frames_per_leg)
-    write_files((out / f"tour_{i:04d}.obj", topology.with_vertices(frame)) for i, frame in enumerate(tour.frames))
-    write_json(
-        {
-            "n_frames": int(tour.frames.shape[0]),
-            "stop_indices": tour.stop_indices,
-            "z_vectors": tour.z_vectors,
-            "seed": args.seed,
-            "components": p,
-        },
-        out / "tour.json",
-    )
-    return f"wrote {tour.frames.shape[0]} tour frames"
+    doc = {
+        "n_frames": int(tour.frames.shape[0]),
+        "stop_indices": tour.stop_indices,
+        "z_vectors": tour.z_vectors,
+        "seed": args.seed,
+        "components": p,
+    }
+    frames = [(f"tour_{i:04d}.obj", topology.with_vertices(frame)) for i, frame in enumerate(tour.frames)]
+    return f"wrote {tour.frames.shape[0]} tour frames", frames + [("tour.json", doc)]
 
 
-def cmd_compare(args, out: Path) -> str:
+def cmd_compare(args) -> tuple[str, list]:
     names, sample = _load_cohort(args)
     if sample.n_shapes < args.p + 2:
         raise ValueError(f"--p {args.p} needs at least {args.p + 2} shapes, got {sample.n_shapes}")
@@ -294,51 +288,44 @@ def cmd_compare(args, out: Path) -> str:
         bonferroni_alpha=args.bonferroni,
     )
     quartiles = report.permuted_quartiles()
-    write_json(
-        {
-            "groups": list(report.group_names),
-            "mode": args.mode,
-            "n_components": args.p,
-            "global_stat": report.global_stat,
-            "global_p": report.global_p,
-            "component_stats": report.component_stats,
-            "component_p": report.component_p,
-            "bonferroni_alpha": report.bonferroni_alpha,
-            "significant_components": list(report.significant),
-            "n_perm": args.n_perm,
-            "seed": args.seed,
-            "permuted_quartiles": {"global": quartiles["global"], "components": quartiles["components"]},
-            "note": COMPONENT_P_VALUE_CAVEAT,
-        },
-        out / "report.json",
-    )
+    doc = {
+        "groups": list(report.group_names),
+        "mode": args.mode,
+        "n_components": args.p,
+        "global_stat": report.global_stat,
+        "global_p": report.global_p,
+        "component_stats": report.component_stats,
+        "component_p": report.component_p,
+        "bonferroni_alpha": report.bonferroni_alpha,
+        "significant_components": list(report.significant),
+        "n_perm": args.n_perm,
+        "seed": args.seed,
+        "permuted_quartiles": {"global": quartiles["global"], "components": quartiles["components"]},
+        "note": COMPONENT_P_VALUE_CAVEAT,
+    }
     rows = [("global", report.global_stat, report.global_p, "")]
     for i in range(args.p):
         flag = "true" if (i + 1) in report.significant else "false"
         rows.append((i + 1, report.component_stats[i], report.component_p[i], flag))
-    write_csv(out / "report.csv", ("component", "statistic", "p_value", "significant"), rows)
-    return (
-        f"global statistic {report.global_stat:.4g} (p={report.global_p:.4g}); "
-        f"significant components: {list(report.significant) or 'none'}"
-    )
+    table = csv_table(("component", "statistic", "p_value", "significant"), rows)
+    significant = list(report.significant) or "none"
+    line = f"global statistic {report.global_stat:.4g} (p={report.global_p:.4g}); significant components: {significant}"
+    return line, [("report.json", doc), ("report.csv", table)]
 
 
-def cmd_split_affine(args, out: Path) -> str:
+def cmd_split_affine(args) -> tuple[str, list]:
     names, sample = _load_cohort(args)
     gpa = _run_gpa(sample, args)
     affine, nonaffine, alphas = affine_nonaffine_split(gpa.aligned, gpa.mean)
     topology = sample.meshes[0]
-    items = []
+    items = [("mean.obj", topology.with_vertices(gpa.mean))]
     for sub, stack in (("affine", affine), ("nonaffine", nonaffine)):
-        directory = out / sub
-        directory.mkdir(exist_ok=True)
-        items += [(directory / name, topology.with_vertices(verts)) for name, verts in zip(names, stack)]
-    write_files(items + [(out / "mean.obj", topology.with_vertices(gpa.mean))])
-    write_json({"filenames": names, "coefficients": alphas}, out / "coefficients.json")
-    return f"split {len(names)} shapes into affine and non-affine parts"
+        items += [(Path(sub, name), topology.with_vertices(verts)) for name, verts in zip(names, stack)]
+    items.append(("coefficients.json", {"filenames": names, "coefficients": alphas}))
+    return f"split {len(names)} shapes into affine and non-affine parts", items
 
 
-def cmd_asymmetry(args, out: Path) -> str:
+def cmd_asymmetry(args) -> tuple[str, list]:
     names, meshes = load_mesh_directory(args.meshes)
     pairing = read_pairing(args.pairing, meshes[0].n_vertices)
     regions = read_regions(args.regions, meshes[0].n_vertices) if args.regions else {}
@@ -346,7 +333,7 @@ def cmd_asymmetry(args, out: Path) -> str:
         _checked_regions(regions, meshes[0].n_vertices, args.per_region_registration)
     except ValueError as err:
         raise ValueError(f"{args.regions}: {err}") from None
-    rows, painted, reflections = [], [], []
+    rows, items = [], []
     for name, mesh in zip(names, meshes):
         report = asymmetry_report(
             mesh,
@@ -357,14 +344,13 @@ def cmd_asymmetry(args, out: Path) -> str:
         )
         rows.append((name, "global", report.global_score))
         rows.extend((name, region, report.region_scores[region]) for region in sorted(report.region_scores))
-        painted.append(_painted(out / f"{Path(name).stem}_asymmetry.ply", mesh, report.per_vertex_distance))
-        reflections.append((out / f"{Path(name).stem}_reflection.obj", mesh.with_vertices(report.matched_reflection)))
-    write_files(painted + reflections)  # every file is held, so one call deals them over the CPUs
-    write_csv(out / "asymmetry.csv", ("filename", "region", "score_mm"), rows)
-    return f"scored {len(names)} shapes"
+        items.append(_painted(f"{Path(name).stem}_asymmetry.ply", mesh, report.per_vertex_distance))
+        items.append((f"{Path(name).stem}_reflection.obj", mesh.with_vertices(report.matched_reflection)))
+    items.append(("asymmetry.csv", csv_table(("filename", "region", "score_mm"), rows)))
+    return f"scored {len(names)} shapes", items
 
 
-def cmd_assess(args, out: Path) -> str:
+def cmd_assess(args) -> tuple[str, list]:
     pre = read_mesh(args.pre)
     post = read_mesh(args.post)
     if args.controls is not None:
@@ -379,24 +365,19 @@ def cmd_assess(args, out: Path) -> str:
         check_correspondence(mesh, reference, what, str(path))
     pairing = read_pairing(args.pairing, pre.n_vertices)
     regions = read_regions(args.regions, pre.n_vertices) if args.regions else {}
+    items = []
     if args.controls is not None:
         model = fit_control_model(ShapeSample(tuple(controls)), args.variance or 0.80, pairing, regions)
+        items.append(("control_model.json", model))
     assessment = integrated_assessment(model, pre, post, pairing, regions)
-    write_json(assessment.document, out / "assessment.json")
-    artifacts = sorted(assessment.artifacts.items())
-    write_files(
-        ([(out / "control_model.json", model)] if args.controls is not None else [])
-        + [(out / f"{name}.obj", mesh) for name, (mesh, field) in artifacts if field is None]
-        + [
-            _painted(out / f"{name}.ply", mesh, field, diverging=name.endswith("_normal"))
-            for name, (mesh, field) in artifacts
-            if field is not None
-        ]
-    )
-    return "assessment written"
+    items.append(("assessment.json", assessment.document))
+    for name, (mesh, field) in sorted(assessment.artifacts.items()):
+        diverging = name.endswith("_normal")
+        items.append((f"{name}.obj", mesh) if field is None else _painted(f"{name}.ply", mesh, field, diverging))
+    return "assessment written", items
 
 
-def cmd_warp(args, out: Path) -> str:
+def cmd_warp(args) -> tuple[str, list]:
     source = read_mesh(args.source)
     target = read_mesh(args.target)
     template = read_mesh(args.template)
@@ -408,16 +389,12 @@ def cmd_warp(args, out: Path) -> str:
         raise ValueError(f"{args.source}: {err}") from None
     field = fit_tps(source.vertices, target.vertices, ridge=args.ridge)
     warped = template.with_vertices(apply_warp(field, template.vertices))
-    write_mesh(warped, out / "warped.obj")
-    write_json(
-        {
-            "bending_energy": field.bending_energy,
-            "bending_energy_by_coordinate": field.bending_energy_by_coordinate,
-            "n_control_points": int(field.control_points.shape[0]),
-        },
-        out / "warp.json",
-    )
-    return f"warped template ({field.bending_energy:.6g} bending energy)"
+    doc = {
+        "bending_energy": field.bending_energy,
+        "bending_energy_by_coordinate": field.bending_energy_by_coordinate,
+        "n_control_points": int(field.control_points.shape[0]),
+    }
+    return f"warped template ({field.bending_energy:.6g} bending energy)", [("warped.obj", warped), ("warp.json", doc)]
 
 
 def _synth_config(args) -> SynthConfig:
@@ -441,11 +418,9 @@ def _synth_config(args) -> SynthConfig:
     )
 
 
-def cmd_simulate(args, out: Path) -> str:
+def cmd_simulate(args) -> tuple[str, list]:
     config = _synth_config(args)
     sample, truth = synth_cohort(config)
-    mesh_dir = out / "meshes"
-    mesh_dir.mkdir(exist_ok=True)
     names = [f"shape_{i:03d}.obj" for i in range(sample.n_shapes)]
     truth_doc = {
         "spectrum": truth.spectrum,
@@ -459,18 +434,19 @@ def cmd_simulate(args, out: Path) -> str:
             {"scale": t.scale, "rotation": t.rotation, "translation": t.translation} for t in truth.transforms
         ],
     }
-    write_files(
-        [*zip((mesh_dir / name for name in names), sample.meshes), (out / "base.obj", truth.base_mesh)]
-        + [(out / "ground_truth.json", truth_doc)]
-    )
-    write_pairing(truth.pairing, out / "pairing.csv")
-    write_regions(truth.base_mesh.regions or {}, out / "regions.csv")
+    items = [
+        *zip((Path("meshes", name) for name in names), sample.meshes),
+        ("base.obj", truth.base_mesh),
+        ("ground_truth.json", truth_doc),
+        ("pairing.csv", pairing_table(truth.pairing)),
+        ("regions.csv", regions_table(truth.base_mesh.regions or {})),
+    ]
     if sample.labels is not None:
-        write_labels(dict(zip(names, sample.labels)), out / "labels.csv")
-    return f"simulated {sample.n_shapes} shapes with {len(truth.spectrum)} planted modes"
+        items.append(("labels.csv", labels_table(dict(zip(names, sample.labels)))))
+    return f"simulated {sample.n_shapes} shapes with {len(truth.spectrum)} planted modes", items
 
 
-def cmd_diff(args, out: Path) -> str:
+def cmd_diff(args) -> tuple[str, list]:
     base = read_mesh(args.base)
     other = read_mesh(args.other)
     check_correspondence(other, base, str(args.base), str(args.other))
@@ -482,9 +458,10 @@ def cmd_diff(args, out: Path) -> str:
     if not lo <= args.reference <= hi:
         raise ValueError(f"--reference must lie in [--lo, --hi] = [{lo:g}, {hi:g}], got {args.reference:g}")
     cmap = ColorMap("diverging", lo=lo, hi=hi, reference=args.reference)
-    write_csv(out / "difference.csv", ("vertex_index", "value_mm"), enumerate(field))
-    clamped = write_painted_mesh(base, field, cmap, out / "difference.ply")
-    return f"wrote difference field ({clamped} values clamped)"
+    return f"wrote difference field ({cmap.rgb(field)[1]} values clamped)", [
+        ("difference.csv", csv_table(("vertex_index", "value_mm"), enumerate(field))),
+        ("difference.ply", base, field, cmap),
+    ]
 
 
 # ---------------------------------------------------------------- wiring
@@ -608,8 +585,11 @@ def main(argv=None) -> int:
         if args.config is not None:
             args = parse_with_config(args, argv)
         check_options(args)
-        args.out.mkdir(parents=True, exist_ok=True)
-        summary = args.handler(args, args.out)
+        summary, items = args.handler(args)
+        items = [(args.out / path, *rest) for path, *rest in items]
+        for directory in {args.out, *(path.parent for path, *_ in items)}:
+            directory.mkdir(parents=True, exist_ok=True)
+        write_files(items)
         write_manifest(args.out, args.command, args)
         print(summary)
         return 0

@@ -248,13 +248,14 @@ def write_painted_mesh(mesh: SurfaceMesh, field: np.ndarray, cmap: ColorMap, pat
 
 def write_files(items) -> list[int | None]:
     """Write every item of ``items``: ``(path, mesh)`` as an OBJ, ``(path,
-    mesh, field, cmap)`` as a painted PLY, and ``(path, doc)`` as JSON, a
-    model as :func:`save_model` writes it. Returns the clamp count of each
-    PLY, None for the other items.
+    mesh, field, cmap)`` as a painted PLY, ``(path, bytes)`` as they are (a
+    :func:`csv_table`, say), and ``(path, doc)`` as JSON, a model as
+    :func:`save_model` writes it. Returns the clamp count of each PLY, None
+    for the other items. No directory is made.
 
     ``items`` is listed first, so everything is held at once. Its files are
     dealt over the CPUs by :func:`_in_shares`, largest first by the number of
-    values each file holds (a JSON float counts 3 times: repr costs about
+    values each file holds (bytes count 1; a JSON float 3: repr costs about
     three times what ``%.9g`` does). A process formats a face block once per
     format and triangle array (identity, not equality). The bytes of every
     file are those of the single-file writer's call on its own, and a file
@@ -270,8 +271,8 @@ def write_files(items) -> list[int | None]:
         share = []
         for i in indices:
             text, clamped = _file_text(items[i], faces)
-            with open(items[i][0], "w", encoding="ascii", newline="\n") as fh:
-                fh.write(text)
+            with open(items[i][0], "wb") as fh:
+                fh.write(text if isinstance(text, bytes) else text.encode("ascii"))
             share.append(None if clamped is None else np.array(float(clamped)))
         return share
 
@@ -279,11 +280,13 @@ def write_files(items) -> list[int | None]:
     return [None if clamped is None else int(clamped) for clamped in done]
 
 
-def _file_text(item, faces: dict) -> tuple[str, int | None]:
+def _file_text(item, faces: dict) -> tuple[str | bytes, int | None]:
     """The text of a :func:`write_files` item, and its clamp count if it is a PLY."""
     _, value, *rest = item
     if rest:
         return _ply_text(value, *rest, faces)
+    if isinstance(value, bytes):
+        return value, None
     if isinstance(value, SurfaceMesh):
         body = ("v %.9g %.9g %.9g\n" * value.n_vertices) % tuple(value.vertices.ravel().tolist())
         return body + _face_text(value.triangles, "f %d %d %d\n", 1, faces), None
@@ -515,19 +518,14 @@ def load_model(path) -> FpcaModel | ControlModel:
         raise ValueError(f"{path}: {err}") from None
 
 
+def csv_table(header, rows) -> bytes:
+    """A CSV table: floats as %.17g (exact round trip), every other cell with str()."""
+    lines = (",".join(f"{c:.17g}" if isinstance(c, float) else str(c) for c in row) for row in rows)
+    return "".join(line + "\n" for line in (",".join(header), *lines)).encode("ascii")
+
+
 def write_csv(path, header, rows) -> None:
-    """Write a CSV table: floats as %.17g (exact round trip), every other cell with str()."""
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(f"{c:.17g}" if isinstance(c, float) else str(c) for c in row) + "\n")
-
-
-def _write_table(path, header, template: str, values: np.ndarray) -> None:
-    """Write a CSV table whose body is ``template`` filled with the integers of
-    ``values`` in C order: the bytes :func:`write_csv` writes for the same rows."""
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(",".join(header) + "\n" + template % tuple(values.ravel().tolist()))
+    write_files([(path, csv_table(header, rows))])
 
 
 def _read_csv_rows(path, header: str):
@@ -652,11 +650,17 @@ def read_regions(path, n_vertices: int) -> dict[str, np.ndarray]:
     return {name: np.unique(np.asarray(idx, dtype=np.intp)) for name, idx in regions.items()}
 
 
-def write_regions(regions: dict[str, np.ndarray], path) -> None:
+def regions_table(regions: dict[str, np.ndarray]) -> bytes:
+    """The vertex_index,region_name CSV of a region map, regions by name: :func:`csv_table`'s bytes, one template."""
     names = sorted(regions)
     index = [np.asarray(regions[name], dtype=np.intp) for name in names]
     template = "".join(("%d," + str(name).replace("%", "%%") + "\n") * idx.size for name, idx in zip(names, index))
-    _write_table(path, ("vertex_index", "region_name"), template, np.concatenate([np.empty(0, np.intp), *index]))
+    values = np.concatenate([np.empty(0, np.intp), *index]).tolist()
+    return ("vertex_index,region_name\n" + template % tuple(values)).encode("ascii")
+
+
+def write_regions(regions: dict[str, np.ndarray], path) -> None:
+    write_files([(path, regions_table(regions))])
 
 
 def read_pairing(path, n_vertices: int) -> BilateralPairing:
@@ -691,9 +695,14 @@ def read_pairing(path, n_vertices: int) -> BilateralPairing:
         raise ValueError(f"{path}: {err}") from None
 
 
-def write_pairing(pairing: BilateralPairing, path) -> None:
+def pairing_table(pairing: BilateralPairing) -> bytes:
+    """The index,mirror_index CSV of a pairing, a row per vertex: :func:`csv_table`'s bytes, one template."""
     rows = np.column_stack([np.arange(pairing.pair.size), pairing.pair])
-    _write_table(path, ("index", "mirror_index"), "%d,%d\n" * len(rows), rows)
+    return ("index,mirror_index\n" + "%d,%d\n" * len(rows) % tuple(rows.ravel().tolist())).encode("ascii")
+
+
+def write_pairing(pairing: BilateralPairing, path) -> None:
+    write_files([(path, pairing_table(pairing))])
 
 
 def read_weight_overrides(path, n_vertices: int) -> dict[int, float]:
@@ -732,8 +741,21 @@ def read_labels(path) -> dict[str, str]:
     return labels
 
 
+def labels_table(labels: dict[str, str]) -> bytes:
+    """The filename,label CSV of a label map, by file name."""
+    return csv_table(("filename", "label"), ((name, labels[name]) for name in sorted(labels)))
+
+
 def write_labels(labels: dict[str, str], path) -> None:
-    write_csv(path, ("filename", "label"), ((name, labels[name]) for name in sorted(labels)))
+    write_files([(path, labels_table(labels))])
+
+
+def mesh_names(directory) -> list[str]:
+    """The names of the .obj files in ``directory``, sorted; a directory with none is refused."""
+    names = sorted(p.name for p in Path(directory).glob("*.obj"))
+    if not names:
+        raise ValueError(f"{directory}: no .obj meshes found")
+    return names
 
 
 def load_mesh_directory(directory) -> tuple[list[str], list[SurfaceMesh]]:
@@ -748,11 +770,8 @@ def load_mesh_directory(directory) -> tuple[list[str], list[SurfaceMesh]]:
     arrays and every error text are the ones :func:`read_mesh` and the
     correspondence check give.
     """
-    directory = Path(directory)
-    names = sorted(p.name for p in directory.glob("*.obj"))
-    if not names:
-        raise ValueError(f"{directory}: no .obj meshes found")
-    paths = [directory / name for name in names]
+    names = mesh_names(directory)
+    paths = [Path(directory, name) for name in names]
     data = paths[0].read_bytes()
     first, plain = _mesh_from_obj(data, paths[0])
     faces = _plain_blocks(data)[1] if plain else None

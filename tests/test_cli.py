@@ -210,7 +210,7 @@ class TestAsymmetryCommand:
         assert code == 2
         message = f"error: validation: {regions}: region 'pair' has 2 vertices; registering it on its own needs 3"
         assert message in capsys.readouterr().err
-        assert not any(out.iterdir())
+        assert not out.exists()
         # assess registers globally, so the same region is scored there
         code = run(
             "assess", "--controls", cohort / "meshes", "--pre", cohort / "meshes" / "shape_000.obj",
@@ -266,12 +266,12 @@ class TestAssess:
         shares = {}
         for line in log.read_text().splitlines():
             pid, name = line.split()
-            if name not in ("assessment.json", "manifest.json"):  # written on their own
+            if name != "manifest.json":  # written on its own
                 shares.setdefault(pid, []).append(name)
         model = next(names for names in shares.values() if "control_model.json" in names)
         other = next(names for names in shares.values() if "control_model.json" not in names)
         assert len(shares) == 2 and len(model) - 1 <= len(other)
-        assert sum(len(names) for names in shares.values()) == 9
+        assert sum(len(names) for names in shares.values()) == 10
         assert_no_child_left()
 
     def test_requires_exactly_one_source(self, cohort, tmp_path):
@@ -368,13 +368,16 @@ class TestMismatchedMeshes:
         assert run("warp", "--source", source, "--target", finer, "--template", source, "--out", tmp_path / "out") == 2
         assert f"{finer}: vertex count 258 != 66 of {source}" in capsys.readouterr().err
 
-    def test_labels_missing_a_shape(self, cohort, tmp_path, capsys):
+    def test_labels_missing_a_shape(self, cohort, tmp_path, capsys, monkeypatch):
         labels = tmp_path / "labels.csv"
         labels.write_text("".join(l + "\n" for l in (cohort / "labels.csv").read_text().splitlines()
                                   if not l.startswith("shape_003.obj")))
+        # refused from the directory listing, before any mesh is read
+        monkeypatch.setattr("surfshape.cli.load_mesh_directory", lambda *a: pytest.fail("the cohort was read"))
         argv = ("--meshes", cohort / "meshes", "--labels", labels, "--p", "2", "--n-perm", "9")
         assert run("compare", *argv, "--out", tmp_path / "out") == 2
         assert f"{labels}: labels file misses entries for: shape_003.obj" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_model_of_the_wrong_kind(self, cohort, tmp_path, capsys):
         pca = tmp_path / "pca"
@@ -746,6 +749,30 @@ class TestRunner:
         assert doc["command"] == command
         assert not {"handler", "parser", "config"} & set(doc["options"])
 
+    @pytest.mark.parametrize(
+        "command",
+        ["simulate", "register", "pca", "tour", "compare", "split-affine", "asymmetry", "assess", "warp", "diff"],
+    )
+    def test_artifacts_come_from_one_write(self, cohort, component_model, tmp_path, monkeypatch, command):
+        # the handler writes nothing: every artifact is an item of the runner's one write_files call
+        out, calls = tmp_path / "out", []
+
+        def files(items):
+            items = list(items)
+            calls.append(("write_files", sorted(str(path.relative_to(out)) for path, *_ in items)))
+            return ss.io.write_files(items)
+
+        def json_doc(doc, path):
+            calls.append(("write_json", str(path.relative_to(out))))
+            return ss.io.write_json(doc, path)
+
+        monkeypatch.setattr("surfshape.cli.write_files", files)
+        monkeypatch.setattr("surfshape.cli.write_json", json_doc)
+        assert run(command, *inputs(command, cohort, component_model), "--out", out) == 0
+        artifacts = sorted(artifact_bytes(out))
+        assert len(artifacts) >= 2
+        assert calls == [("write_files", artifacts), ("write_json", "manifest.json")]
+
 
 SYNTH_RANGES = "radii must be positive; noise_sd, nuisance_translation, nuisance_log_scale non-negative"
 
@@ -1024,6 +1051,64 @@ class TestEmptyPath:
         assert list(workdir.iterdir()) == []
 
 
+def refusal(case, cohort, tmp_path, monkeypatch):
+    """The argv of a run that a check inside the handler of ``case`` refuses
+    before anything is written, its exit code and a part of its message."""
+    meshes, shape, other = cohort / "meshes", cohort / "meshes" / "shape_000.obj", cohort / "meshes" / "shape_001.obj"
+    if case == "tour":
+        model = tmp_path / "control_model.json"
+        save_model(ss.fit_control_model(ss.ShapeSample(tuple(load_mesh_directory(meshes)[1][:6]))), model)
+        return ("tour", "--model", model, "--topology", shape), 2, f"{model}: not a component model"
+    if case == "compare":
+        labels = tmp_path / "labels.csv"
+        labels.write_text("".join(f"{p.name},{'ABC'[i % 3]}\n" for i, p in enumerate(sorted(meshes.glob("*.obj")))))
+        argv = ("compare", "--meshes", meshes, "--labels", labels, "--p", "2")
+        return argv, 2, f"{labels}: need exactly two groups, got 3"
+    if case == "assess":
+        four = tmp_path / "four"
+        four.mkdir()
+        for path in sorted(meshes.glob("*.obj"))[:4]:
+            (four / path.name).write_bytes(path.read_bytes())
+        argv = ("assess", "--controls", four, "--pre", shape, "--post", other, "--pairing", cohort / "pairing.csv")
+        return argv, 2, "need at least 5 control shapes"
+    if case == "asymmetry":
+        regions = tmp_path / "regions.csv"
+        regions.write_text((cohort / "regions.csv").read_text() + "0,pair\n1,pair\n")
+        argv = ("asymmetry", "--meshes", meshes, "--pairing", cohort / "pairing.csv", "--regions", regions)
+        return (*argv, "--per-region-registration"), 2, f"{regions}: region 'pair' has 2 vertices"
+    if case == "warp":
+        finer = tmp_path / "finer.obj"
+        write_mesh(ss.synth_base_mesh(ss.SynthConfig(resolution=3))[0], finer)
+        return ("warp", "--source", shape, "--target", finer, "--template", shape), 2, f"{finer}: vertex count 258"
+    if case == "diff":
+        return ("diff", shape, other, "--lo", "100"), 2, "--lo must be below --hi"
+    if case == "register":
+        zeros = tmp_path / "zeros.csv"
+        zeros.write_text("vertex_index,weight\n" + "".join(f"{j},0\n" for j in range(66)))
+        return ("register", "--meshes", meshes, "--weight-overrides", zeros), 2, "weights sum to zero"
+    planted = {"pca": ("fit_fpca", ValueError, 2), "split-affine": ("affine_nonaffine_split", ss.NumericalFailure, 3)}
+    name, error, code = planted[case]
+
+    def fail(*args, **kwargs):
+        raise error("planted")
+
+    monkeypatch.setattr(f"surfshape.cli.{name}", fail)
+    return (case, "--meshes", meshes), code, "planted"
+
+
+class TestRefusalMakesNoOut:
+    @pytest.mark.parametrize(
+        "case", ["tour", "compare", "assess", "asymmetry", "warp", "diff", "register", "pca", "split-affine"]
+    )
+    def test_refused_in_the_handler(self, cohort, tmp_path, capsys, monkeypatch, case):
+        argv, code, message = refusal(case, cohort, tmp_path, monkeypatch)
+        capsys.readouterr()
+        assert run(*argv, "--out", tmp_path / "out") == code
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+        assert_no_child_left()
+
+
 class TestExitCodeByType:
     """The exit code follows the error's type, wherever the handler raises it."""
 
@@ -1044,7 +1129,7 @@ class TestExitCodeByType:
         monkeypatch.setattr("surfshape.cli.affine_nonaffine_split", fail)
         assert run("split-affine", "--meshes", cohort / "meshes", "--out", tmp_path / "out") == code
         assert capsys.readouterr().err.strip() == prefix
-        assert not (tmp_path / "out" / "manifest.json").exists()
+        assert not (tmp_path / "out").exists()
 
     def test_other_exception_is_a_bug_with_a_traceback(self, cohort, tmp_path, monkeypatch):
         def fail(*args, **kwargs):
@@ -1067,15 +1152,27 @@ class TestExitCodeByType:
         assert code == 2
         assert "error: validation: need at least 5 control shapes" in capsys.readouterr().err
 
-    def test_one_group_labels_is_exit_2(self, cohort, tmp_path, capsys):
+    def test_one_group_labels_is_exit_2(self, cohort, tmp_path, capsys, monkeypatch):
+        self.labels_refused(cohort, tmp_path, capsys, monkeypatch, groups=1)
+
+    def test_three_group_labels_is_exit_2(self, cohort, tmp_path, capsys, monkeypatch):
+        self.labels_refused(cohort, tmp_path, capsys, monkeypatch, groups=3)
+
+    @staticmethod
+    def labels_refused(cohort, tmp_path, capsys, monkeypatch, groups):
+        # the labels are checked against the listed file names before any mesh is read
+        names = sorted(p.name for p in (cohort / "meshes").glob("*.obj"))
         labels = tmp_path / "labels.csv"
-        labels.write_text((cohort / "labels.csv").read_text().replace(",B", ",A"))
+        labels.write_text("".join(f"{name},{'ABC'[i % groups]}\n" for i, name in enumerate(names)))
+        monkeypatch.setattr("surfshape.cli.load_mesh_directory", lambda *a: pytest.fail("the cohort was read"))
+        capsys.readouterr()
         code = run(
             "compare", "--meshes", cohort / "meshes", "--labels", labels, "--p", "2", "--n-perm", "9",
             "--out", tmp_path / "out",
         )
         assert code == 2
-        assert "error: validation: need exactly two groups, got 1" in capsys.readouterr().err
+        assert f"error: validation: {labels}: need exactly two groups, got {groups}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 # One process per BLAS thread count; each simulates the cohort and runs the

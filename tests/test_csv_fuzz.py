@@ -20,7 +20,8 @@ from hypothesis import given, strategies as st  # noqa: E402
 
 import surfshape.io as sio  # noqa: E402
 from surfshape.io import (  # noqa: E402
-    read_labels, read_pairing, read_regions, read_weight_overrides, write_csv, write_pairing, write_regions
+    csv_table, pairing_table, read_labels, read_pairing, read_regions, read_weight_overrides, regions_table, write_csv,
+    write_pairing, write_regions,
 )
 from surfshape.mesh import BilateralPairing  # noqa: E402
 
@@ -111,6 +112,8 @@ def test_written_pairing_reads_back(order, n_pairs, scratch):
         pair[a], pair[b] = b, a
     write_pairing(BilateralPairing(pair), scratch)
     np.testing.assert_array_equal(read_pairing(scratch, N_VERTICES).pair, pair)
+    # the one-template table is the general table of the same rows
+    assert pairing_table(BilateralPairing(pair)) == csv_table(("index", "mirror_index"), enumerate(pair.tolist()))
 
 
 region_names = st.text(alphabet="abcXYZ019_-.%", min_size=1, max_size=6)
@@ -121,6 +124,8 @@ vertex_sets = st.sets(st.integers(0, N_VERTICES - 1), min_size=1)
 def test_written_regions_read_back(regions, scratch):
     regions = {name: np.array(sorted(idx), dtype=np.intp) for name, idx in regions.items()}
     write_regions(regions, scratch)
+    rows = [(i, name) for name in sorted(regions) for i in regions[name].tolist()]
+    assert scratch.read_bytes() == regions_table(regions) == csv_table(("vertex_index", "region_name"), rows)
     back = read_regions(scratch, N_VERTICES)
     assert sorted(back) == sorted(regions)
     for name, idx in regions.items():

@@ -930,6 +930,14 @@ class TestWriteFiles:
         # as in a loop over the items, every file before the first fault is written
         assert all(path.exists() for path, _ in items[:first])
 
+    def test_bytes_are_written_as_they_are(self, mesh, tmp_path):
+        table = sio.csv_table(("i", "value"), enumerate([0.1, -2.5]))
+        items = [(tmp_path / "a.csv", table), (tmp_path / "a.obj", mesh), (tmp_path / "empty", b"")]
+        assert write_files(items) == [None, None, None]
+        assert (tmp_path / "a.csv").read_bytes() == table == b"i,value\n0,0.10000000000000001\n1,-2.5\n"
+        assert (tmp_path / "a.obj").read_bytes() == written_bytes(mesh, tmp_path / "alone.obj")
+        assert (tmp_path / "empty").read_bytes() == b""
+
     def test_nan_field_refused_among_many(self, mesh, tmp_path):
         field = np.zeros(mesh.n_vertices)
         field[7] = np.nan
