@@ -3,10 +3,12 @@
 ``main`` is the only runner. It parses the options, each line of a --config
 file becoming option tokens before the command line's (a flag wins); each
 option's argparse type refuses a value of the wrong type, choice or range.
-``check_options`` refuses a missing or conflicting option, all before any
-input is read. The subcommand's handler then checks the rules that need other
-options or the data and does its work, writing nothing: it returns a summary
-line and the ``write_files`` items of its artifacts, paths relative to --out.
+``check_options`` refuses a missing or conflicting option, and an --out whose
+nearest existing path (itself or a parent) is not a directory, all before any
+input is read. The subcommand's handler then
+checks the rules that need other options or the data and does its work,
+writing nothing: it returns a summary line and the ``write_files`` items of
+its artifacts, paths relative to --out.
 Only then does the runner make --out and the items' directories, write them in
 one ``write_files`` call, then manifest.json (tool version, resolved options,
 seed), and print the line: a refused run makes no --out. Identical options and
@@ -139,15 +141,20 @@ def _check_bounds(lo: float, hi: float) -> None:
 
 
 def check_options(args: argparse.Namespace) -> None:
-    """Refuse an option whose value is '--', missing required options, options
-    given together that exclude each other, then the subcommands' rules that
-    tie options together without the data, naming them (argparse checked each value)."""
+    """Refuse an option whose value is '--', missing required options, an
+    --out that is not a directory, options given together that exclude each
+    other, then the subcommands' rules that tie options together without the
+    data, naming them (argparse checked each value)."""
     for name, value in vars(args).items():
         if isinstance(value, list):  # argparse reads --name=-- as an empty list, skipping type and choices
             raise ValueError(f"{_flag(name)} needs a value, got '--'")
     missing = [n for n in args.required if getattr(args, n) is None]
     if missing:
         raise ValueError("missing required options: " + ", ".join(map(_flag, missing)))
+    # --out is made only after the run: refuse here one that no run could make
+    existing = next(path for path in (args.out, *args.out.parents) if path.exists())
+    if not existing.is_dir():
+        raise ValueError(f"--out {existing} exists and is not a directory")
     for a, b in EXCLUSIVE_OPTIONS:
         if getattr(args, a, None) is not None and getattr(args, b, None) is not None:
             raise ValueError(f"give either {_flag(a)} or {_flag(b)}, not both")
@@ -179,7 +186,8 @@ def write_manifest(out: Path, command: str, args: argparse.Namespace) -> None:
 
 
 def _load_cohort(args) -> tuple[list[str], ShapeSample]:
-    """Read --meshes, once a --labels file labels each listed name, in exactly two groups."""
+    """Read --meshes, once a --labels file labels each listed name, in exactly
+    two groups, and the listing holds enough shapes for --p components."""
     labels = None
     if getattr(args, "labels", None):
         table, names = read_labels(args.labels), mesh_names(args.meshes)
@@ -189,6 +197,8 @@ def _load_cohort(args) -> tuple[list[str], ShapeSample]:
         labels = tuple(table[n] for n in names)
         if len(set(labels)) != 2:
             raise ValueError(f"{args.labels}: need exactly two groups, got {len(set(labels))}")
+        if len(names) < args.p + 2:  # compare, the one subcommand with --labels, fits --p components
+            raise ValueError(f"{args.meshes}: --p {args.p} needs at least {args.p + 2} shapes, got {len(names)}")
     names, meshes = load_mesh_directory(args.meshes)
     return names, ShapeSample(tuple(meshes), labels=labels)
 
@@ -272,8 +282,6 @@ def cmd_tour(args) -> tuple[str, list]:
 
 def cmd_compare(args) -> tuple[str, list]:
     names, sample = _load_cohort(args)
-    if sample.n_shapes < args.p + 2:
-        raise ValueError(f"--p {args.p} needs at least {args.p + 2} shapes, got {sample.n_shapes}")
     gpa = _run_gpa(sample, args)
     labels = sample.labels
     del sample  # release the cohort; the tangent rows are written over GPA's stack

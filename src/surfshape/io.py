@@ -20,17 +20,13 @@ from .mesh import AreaWeights, BilateralPairing, SurfaceMesh, _in_shares, check_
 
 SCHEMA_VERSION = 1
 _MAX_INDEX = int(np.iinfo(np.intp).max)  # largest OBJ face index an index array can hold
-# bytes an f block in the writer's shape holds; anything else (a '.', an 'e')
-# is left to the line scan, since some numpy versions parse "2.9" as int 2
+# bytes an f block and a sidecar's index cells in the writer's shape hold;
+# anything else (a '.', an 'e') is left to the line scan, since some numpy
+# versions parse "2.9" as int 2
 _FACE_BYTES = np.zeros(256, dtype=bool)
 _FACE_BYTES[list(b"f0123456789+- \n")] = True
-_DIGIT = np.zeros(256, dtype=bool)
-_DIGIT[list(b"0123456789")] = True
-# bytes of a region name the sidecar fast path takes: printable ASCII but the
-# quote and the comma, which the csv module treats apart
-_NAME_BYTE = np.zeros(256, dtype=bool)
-_NAME_BYTE[ord(" ") : ord("~") + 1] = True
-_NAME_BYTE[list(b'",')] = False
+_INDEX_BYTES = np.zeros(256, dtype=bool)
+_INDEX_BYTES[list(b"0123456789,\n")] = True
 _MAX_NAME = 64  # longest region name the fast path takes, in bytes
 
 # diverging palette endpoints (low / neutral / high), and the sequential pair
@@ -133,9 +129,9 @@ def _parse_plain_obj(data: bytes) -> tuple[np.ndarray, np.ndarray] | None:
     followed by ``f a b c`` lines, single spaces apart, with positive integer
     face indices; None for any other text, which is left to :func:`_scan_obj`."""
     vertex_block, face_block = _plain_blocks(data)
-    v = _parse_plain_vertices(vertex_block)
-    t = None if v is None else _parse_plain_faces(face_block)
-    return None if t is None else (v, t)
+    v = _parse_plain_block(vertex_block, "v", float)
+    t = None if v is None else _parse_plain_block(face_block, "f", np.intp)
+    return None if t is None or t.min() < 1 else (v, t - 1)
 
 
 def _plain_blocks(data: bytes) -> tuple[bytes, bytes]:
@@ -147,53 +143,40 @@ def _plain_blocks(data: bytes) -> tuple[bytes, bytes]:
     return data[:split], data[split:]
 
 
-def _plain_lines(block: bytes, keyword: str) -> np.ndarray | None:
-    """The bytes of a newline-terminated block whose every line is ``keyword``
-    and three tokens, single spaces apart, in printable ASCII; None otherwise."""
+def _plain_lines(block: bytes, first: str, separator: str, count: int) -> np.ndarray | None:
+    """The bytes of a newline-terminated block in printable ASCII whose every
+    line starts with ``first`` and holds ``count`` ``separator`` bytes; None
+    otherwise. The one check of text in a writer's shape: OBJ ``v`` and ``f``
+    blocks and the bodies of the pairing and region sidecars."""
     if not block.endswith(b"\n"):
         return None
     text = np.frombuffer(block, dtype=np.uint8)
     ends = np.flatnonzero(text == ord("\n"))
     starts = np.concatenate(([0], ends[:-1] + 1))
-    space = text == ord(" ")
-    # each line: the keyword, a space, three spaces in all; doubled or trailing
-    # spaces leave fewer than four tokens, which loadtxt rejects
+    # a doubled, leading or trailing separator leaves an empty or missing
+    # token, which loadtxt rejects
     if (
         (ends == starts).any()  # blank line
         or ((text < ord(" ")) & (text != ord("\n"))).any()  # tab, CR and other control bytes
         or (text > ord("~")).any()  # non-ASCII
-        or not (text[starts] == ord(keyword)).all()
-        or not space[starts + 1].all()
-        or (np.add.reduceat(space, starts, dtype=np.intp) != 3).any()
+        or not all((text[starts + k] == ord(byte)).all() for k, byte in enumerate(first))
+        or (np.add.reduceat(text == ord(separator), starts, dtype=np.intp) != count).any()
     ):
         return None
     return text
 
 
-def _parse_plain_vertices(block: bytes) -> np.ndarray | None:
-    """(J, 3) coordinates of a newline-terminated block of plain ``v x y z``
-    lines; None for any other text."""
-    if _plain_lines(block, "v") is None:
+def _parse_plain_block(block: bytes, keyword: str, dtype) -> np.ndarray | None:
+    """(n, 3) values of a newline-terminated block of plain ``keyword a b c``
+    lines: float coordinates, or intp indices written in digits and signs
+    only; None for any other text."""
+    text = _plain_lines(block, keyword + " ", " ", 3)
+    if text is None or (dtype is np.intp and not _FACE_BYTES[text].all()):
         return None
     try:
-        return np.loadtxt(StringIO(block.decode("ascii")), usecols=(1, 2, 3), comments=None, ndmin=2)
-    except ValueError:  # a token that is not a number
+        return np.loadtxt(StringIO(block.decode("ascii")), dtype=dtype, usecols=(1, 2, 3), comments=None, ndmin=2)
+    except ValueError:  # a token that is not a number, or an index beyond intp
         return None
-
-
-def _parse_plain_faces(block: bytes) -> np.ndarray | None:
-    """0-based (T, 3) triangles of a newline-terminated block of plain
-    ``f a b c`` lines with positive integer indices; None for any other text."""
-    text = _plain_lines(block, "f")
-    if text is None or not _FACE_BYTES[text].all():
-        return None
-    try:
-        t = np.loadtxt(StringIO(block.decode("ascii")), dtype=np.intp, usecols=(1, 2, 3), comments=None, ndmin=2)
-    except ValueError:  # a token that is not an integer, or an index beyond intp
-        return None
-    if t.min() < 1:
-        return None
-    return t - 1
 
 
 def _scan_obj(data: bytes, path) -> tuple[np.ndarray, np.ndarray]:
@@ -561,81 +544,59 @@ def _number(kind, text: str):
     return kind(text)
 
 
-def _plain_table(path, header: str, n_vertices: int, names: bool) -> tuple[np.ndarray, np.ndarray] | None:
-    """The columns of a CSV in the shape its writer gives: the line ``header``,
-    then rows ``index,index`` (``index,name`` with ``names``), each ending in
-    LF, every index of 1 to 18 decimal digits below ``n_vertices`` and every
-    name 1 to 64 bytes of printable ASCII, no quote or comma, with no space
-    at either end. Indices as intp, names as bytes; None for any other text,
-    which is left to :func:`_read_csv_rows`."""
+def _plain_table(path, header: str, n_vertices: int, names: bool) -> tuple | dict[str, np.ndarray] | None:
+    """The rows of a CSV in the shape its writer gives: the line ``header``,
+    then lines ``index,index`` (``index,name`` with ``names``) that
+    :func:`_plain_lines` takes, every index decimal digits below ``n_vertices``
+    and every name 1 to 64 bytes, with no quote and no space at either end;
+    with names, each name's lines together, indices increasing. Parsed by
+    ``np.loadtxt``: the two index columns as intp, or with ``names`` the
+    region map. None for any other text, which is left to
+    :func:`_read_csv_rows`."""
     with open(path, "rb") as fh:
         data = fh.read()
     head = header.encode("ascii") + b"\n"
-    if not data.startswith(head) or len(data) == len(head) or not data.endswith(b"\n"):
+    body = data[len(head) :]
+    text = _plain_lines(body, "", ",", 1) if data.startswith(head) else None
+    if text is None:
         return None
-    text = np.frombuffer(data, dtype=np.uint8)[len(head) :]
-    ends = np.flatnonzero(text == ord("\n"))
-    commas = np.flatnonzero(text == ord(","))
-    starts = np.concatenate(([0], ends[:-1] + 1))
-    # one comma a line, with a cell on either side, and no byte the csv module reads apart
-    if (
-        commas.size != ends.size
-        or not ((starts < commas) & (commas + 1 < ends)).all()
-        or not (_NAME_BYTE[text] | (text == ord(",")) | (text == ord("\n"))).all()
-    ):
+    # with names, the bytes from each comma to the end of its line are not checked here
+    name_bytes = np.logical_xor.accumulate((text == ord(",")) | (text == ord("\n"))) if names else False
+    if not (_INDEX_BYTES[text] | name_bytes).all():
         return None
-    first = _decimal(text, starts, commas)
-    second = (_names if names else _decimal)(text, commas + 1, ends)
-    if first is None or second is None or first.max() >= n_vertices:
+    # a name is cut at 65 bytes, so one too long still reads as too long
+    columns = [("index", np.intp), ("second", f"S{_MAX_NAME + 1}" if names else np.intp)]
+    try:
+        table = np.loadtxt(StringIO(body.decode("ascii")), dtype=columns, delimiter=",", comments=None, ndmin=1)
+    except ValueError:  # an empty index cell, or an index beyond intp
         return None
-    if not names and second.max() >= n_vertices:
+    index, second = table["index"], table["second"]
+    if index.max() >= n_vertices or (not names and second.max() >= n_vertices):
         return None
-    return first, second
-
-
-def _decimal(text: np.ndarray, starts: np.ndarray, stops: np.ndarray) -> np.ndarray | None:
-    """The intp value of each run ``text[starts[k]:stops[k]]`` of 1 to 18
-    decimal digits; None if a run is longer or holds another byte."""
-    lengths = stops - starts
-    if lengths.max() > 18:
+    if not names:
+        return index, second
+    new_name = np.r_[True, second[1:] != second[:-1]]
+    regions = second[new_name].tolist()
+    if len(set(regions)) < len(regions) or not ((np.diff(index) > 0) | new_name[1:]).all():
         return None
-    offsets = np.arange(lengths.sum()) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-    digits = text[np.repeat(starts, lengths) + offsets]
-    if not _DIGIT[digits].all():
+    if not all(0 < len(name) <= _MAX_NAME and name.strip(b" ") == name and b'"' not in name for name in regions):
         return None
-    places = 10 ** (np.repeat(lengths, lengths) - 1 - offsets)
-    return np.add.reduceat((digits - ord("0")).astype(np.intp) * places, np.cumsum(lengths) - lengths)
-
-
-def _names(text: np.ndarray, starts: np.ndarray, stops: np.ndarray) -> np.ndarray | None:
-    """Each run ``text[starts[k]:stops[k]]`` as bytes (NUL-padded, so a name
-    must hold no NUL); None if one is longer than 64 bytes or has a space at
-    either end."""
-    lengths = stops - starts
-    width = int(lengths.max())
-    if width > _MAX_NAME or (text[starts] == ord(" ")).any() or (text[stops - 1] == ord(" ")).any():
-        return None
-    offsets = np.arange(width)
-    inside = offsets < lengths[:, None]
-    cells = np.zeros((starts.size, width), dtype=np.uint8)
-    cells[inside] = text[(starts[:, None] + offsets)[inside]]
-    return cells.view(f"S{width}").ravel()
+    rows = np.split(np.ascontiguousarray(index), np.flatnonzero(new_name)[1:])
+    return {name.decode("ascii"): idx for name, idx in zip(regions, rows)}
 
 
 def read_regions(path, n_vertices: int) -> dict[str, np.ndarray]:
     """Read a vertex_index,region_name CSV into a region map (header optional; no region ``global``).
 
-    A file in the shape :func:`write_regions` gives is parsed in one numpy
-    pass (see :func:`_plain_table`); any other text row by row. Both give the
-    same map, names in the order they first appear.
+    A file in the shape :func:`write_regions` gives, each region's indices
+    increasing, is parsed by numpy (see :func:`_plain_table`: one line check
+    decides which files, and ``np.loadtxt`` parses the indices); any other
+    text row by row. Both give the same map, names in the order they first
+    appear.
     """
-    table = _plain_table(path, "vertex_index,region_name", n_vertices, names=True)
-    if table is not None and not (table[1] == b"global").any():
-        index, names = table
-        unique, first, inverse = np.unique(names, return_index=True, return_inverse=True)
-        order = np.lexsort((index, inverse))
-        groups = np.split(index[order], np.flatnonzero(np.diff(inverse[order])) + 1)
-        return {unique[k].decode("ascii"): np.unique(groups[k]) for k in np.argsort(first)}
+    plain = _plain_table(path, "vertex_index,region_name", n_vertices, names=True)
+    if plain is not None and "global" not in plain:
+        return plain
     regions: dict[str, list[int]] = {}
     for lineno, (idx_text, name) in _read_csv_rows(path, "vertex_index"):
         if name == "global":
@@ -668,8 +629,10 @@ def read_pairing(path, n_vertices: int) -> BilateralPairing:
 
     Unlisted vertices default to midline (self-paired), a vertex listed twice
     is refused, and the involution is validated on construction. A file in
-    the shape :func:`write_pairing` gives is parsed in one numpy pass (see
-    :func:`_plain_table`); any other text row by row, to the same array.
+    the shape :func:`write_pairing` gives is parsed by numpy (see
+    :func:`_plain_table`: one line check decides which files, and
+    ``np.loadtxt`` parses the indices); any other text row by row, to the
+    same array.
     """
     pair = np.arange(n_vertices, dtype=np.intp)
     table = _plain_table(path, "index,mirror_index", n_vertices, names=False)
@@ -786,7 +749,7 @@ def load_mesh_directory(directory) -> tuple[list[str], list[SurfaceMesh]]:
                 data = path.read_bytes()
             except OSError:
                 data = b""
-            v = _parse_plain_vertices(data[: len(data) - len(faces)]) if data.endswith(faces) else None
+            v = _parse_plain_block(data[: len(data) - len(faces)], "v", float) if data.endswith(faces) else None
             share.append(v if v is not None and v.shape == first.vertices.shape and np.isfinite(v).all() else None)
         return share
 

@@ -512,8 +512,8 @@ class TestCompareOptions:
     @pytest.mark.parametrize(
         "options, message",
         [
-            (("--p", "50"), "--p 50 needs at least 52 shapes, got 16"),
-            (("--p", "15"), "--p 15 needs at least 17 shapes, got 16"),
+            (("--p", "50"), "{meshes}: --p 50 needs at least 52 shapes, got 16"),
+            (("--p", "15"), "{meshes}: --p 15 needs at least 17 shapes, got 16"),
             (("--p", "0"), "--p must be at least 1, got 0"),
             (("--p", "2", "--n-perm", "0"), "--n-perm must be at least 1, got 0"),
         ],
@@ -524,7 +524,7 @@ class TestCompareOptions:
             "--out", tmp_path / "cmp",
         )
         assert code == 2
-        assert f"error: validation: {message}" in capsys.readouterr().err
+        assert f"error: validation: {message.format(meshes=cohort / 'meshes')}" in capsys.readouterr().err
 
 
 class TestTamperedModel:
@@ -1107,6 +1107,43 @@ class TestRefusalMakesNoOut:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
         assert_no_child_left()
+
+
+class TestRefusedBeforeInput:
+    """An --out that no run could make, and a --p the listed cohort cannot
+    support, are refused before any input is read."""
+
+    @staticmethod
+    def no_reads(monkeypatch):
+        def fail(*args, **kwargs):
+            pytest.fail("an input was read")
+
+        for name in ("read_mesh", "load_mesh_directory", "load_model"):
+            monkeypatch.setattr(f"surfshape.cli.{name}", fail)
+
+    @pytest.mark.parametrize(
+        "command",
+        ["simulate", "register", "pca", "tour", "compare", "split-affine", "asymmetry", "assess", "warp", "diff"],
+    )
+    @pytest.mark.parametrize("below", [False, True], ids=["file", "under-file"])
+    def test_out_that_is_a_file(self, cohort, component_model, tmp_path, capsys, monkeypatch, command, below):
+        afile = tmp_path / "afile"
+        afile.write_bytes(b"kept\n")
+        self.no_reads(monkeypatch)
+        capsys.readouterr()
+        out = afile / "sub" if below else afile
+        assert run(command, *inputs(command, cohort, component_model), "--out", out) == 2
+        assert capsys.readouterr().err == f"error: validation: --out {afile} exists and is not a directory\n"
+        assert afile.read_bytes() == b"kept\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["afile"]
+
+    def test_p_beyond_the_listing(self, cohort, tmp_path, capsys, monkeypatch):
+        self.no_reads(monkeypatch)
+        capsys.readouterr()
+        meshes, out = cohort / "meshes", tmp_path / "out"
+        assert run("compare", "--meshes", meshes, "--labels", cohort / "labels.csv", "--p", "15", "--out", out) == 2
+        assert capsys.readouterr().err == f"error: validation: {meshes}: --p 15 needs at least 17 shapes, got 16\n"
+        assert not out.exists()
 
 
 class TestExitCodeByType:
