@@ -144,7 +144,8 @@ def _match_mirror(
     # the configuration is already reflected, so leave the orthogonal part free
     matched = weighted_opa(mirrored, x, weights, allow_scaling=allow_scaling, allow_reflection=True).fitted
     halfway = vertex_areas(mesh.with_vertices(0.5 * (x + matched))).weights
-    return matched, np.einsum("jk,jk->j", x - matched, x - matched), halfway
+    displacement = x - matched
+    return matched, np.einsum("jk,jk->j", displacement, displacement), halfway
 
 
 def _region_rms(sq: np.ndarray, areas: np.ndarray, region: np.ndarray | None = None) -> float:

@@ -39,12 +39,14 @@ SEQUENTIAL_HIGH = (8, 48, 107)
 
 @dataclass(frozen=True)
 class ColorMap:
-    """Scalar-to-RGB mapping with a pinned palette.
+    """Scalar-to-RGB mapping with a pinned palette, linear between knots.
 
-    ``diverging`` runs low colour -> neutral grey -> high colour with
-    ``reference`` at the neutral point; ``sequential`` interpolates the
-    sequential pair. Values outside [lo, hi] are clamped, infinities too; a
-    NaN has no colour and is refused.
+    A ``sequential`` map's knots put the sequential pair at lo and hi, a
+    ``diverging`` map's low colour, neutral grey and high colour at lo,
+    ``reference`` and hi. Between knots (a, c_a) and (b, c_b) a value v gets
+    c_a + t (c_b - c_a), t = (v - a) / (b - a); at an inner knot, the lower
+    segment's. Values outside [lo, hi] are clamped, infinities too; a NaN has
+    no colour and is refused.
     """
 
     kind: str
@@ -69,23 +71,14 @@ class ColorMap:
         clamped = int(((v < self.lo) | (v > self.hi)).sum())
         v = np.clip(v, self.lo, self.hi)
         if self.kind == "sequential":
-            t = (v - self.lo) / (self.hi - self.lo)
-            lo = np.array(SEQUENTIAL_LOW, dtype=float)
-            hi = np.array(SEQUENTIAL_HIGH, dtype=float)
-            colors = lo + t[:, None] * (hi - lo)
-        else:
-            low = np.array(DIVERGING_LOW, dtype=float)
-            mid = np.array(DIVERGING_NEUTRAL, dtype=float)
-            high = np.array(DIVERGING_HIGH, dtype=float)
-            below_span = self.reference - self.lo
-            above_span = self.hi - self.reference
-            t_below = (v - self.lo) / below_span if below_span > 0 else np.ones_like(v)
-            t_above = (v - self.reference) / above_span if above_span > 0 else np.zeros_like(v)
-            colors = np.where(
-                (v <= self.reference)[:, None],
-                low + np.clip(t_below, 0, 1)[:, None] * (mid - low),
-                mid + np.clip(t_above, 0, 1)[:, None] * (high - mid),
-            )
+            knots = [(self.lo, SEQUENTIAL_LOW), (self.hi, SEQUENTIAL_HIGH)]
+        else:  # a reference at lo or at hi drops the outer knot of the half it empties
+            knots = [(self.lo, DIVERGING_LOW), (self.reference, DIVERGING_NEUTRAL), (self.hi, DIVERGING_HIGH)]
+            knots = knots[int(self.reference == self.lo) : 3 - int(self.reference == self.hi)]
+        points, palette = (np.array(column, dtype=float) for column in zip(*knots))
+        segment = np.searchsorted(points[1:-1], v) if len(knots) > 2 else 0  # one segment: no search, no gather
+        t = (v - points[:-1][segment]) / np.diff(points)[segment]
+        colors = palette[segment] + t[:, None] * np.diff(palette, axis=0)[segment]
         return np.rint(colors).astype(np.uint8), clamped
 
 
@@ -145,22 +138,22 @@ def _plain_blocks(data: bytes) -> tuple[bytes, bytes]:
 
 def _plain_lines(block: bytes, first: str, separator: str, count: int) -> np.ndarray | None:
     """The bytes of a newline-terminated block in printable ASCII whose every
-    line starts with ``first`` and holds ``count`` ``separator`` bytes; None
-    otherwise. The one check of text in a writer's shape: OBJ ``v`` and ``f``
-    blocks and the bodies of the pairing and region sidecars."""
+    line starts with ``first`` and whose ``separator`` bytes total ``count``
+    per line; None otherwise. The one check of text in a writer's shape, before
+    loadtxt: OBJ ``v`` and ``f`` blocks, pairing and region sidecar bodies."""
     if not block.endswith(b"\n"):
         return None
     text = np.frombuffer(block, dtype=np.uint8)
     ends = np.flatnonzero(text == ord("\n"))
     starts = np.concatenate(([0], ends[:-1] + 1))
-    # a doubled, leading or trailing separator leaves an empty or missing
-    # token, which loadtxt rejects
+    # a line short of ``count`` separators has too few fields, and a doubled,
+    # leading or trailing one leaves an empty or missing field: loadtxt rejects both
     if (
         (ends == starts).any()  # blank line
-        or ((text < ord(" ")) & (text != ord("\n"))).any()  # tab, CR and other control bytes
-        or (text > ord("~")).any()  # non-ASCII
+        or np.count_nonzero(text < ord(" ")) != ends.size  # tab, CR and other control bytes
+        or text.max() > ord("~")  # non-ASCII
         or not all((text[starts + k] == ord(byte)).all() for k, byte in enumerate(first))
-        or (np.add.reduceat(text == ord(separator), starts, dtype=np.intp) != count).any()
+        or np.count_nonzero(text == ord(separator)) != count * ends.size
     ):
         return None
     return text
@@ -226,15 +219,15 @@ def write_painted_mesh(mesh: SurfaceMesh, field: np.ndarray, cmap: ColorMap, pat
     The clamp count is also recorded in a header comment, echoing plots that
     truncate exceptional values.
     """
-    return write_files([(path, mesh, field, cmap)])[0]
+    write_files([(path, mesh, field, cmap)])
+    return cmap.rgb(field)[1]
 
 
-def write_files(items) -> list[int | None]:
+def write_files(items) -> None:
     """Write every item of ``items``: ``(path, mesh)`` as an OBJ, ``(path,
     mesh, field, cmap)`` as a painted PLY, ``(path, bytes)`` as they are (a
     :func:`csv_table`, say), and ``(path, doc)`` as JSON, a model as
-    :func:`save_model` writes it. Returns the clamp count of each PLY, None
-    for the other items. No directory is made.
+    :func:`save_model` writes it. No directory is made.
 
     ``items`` is listed first, so everything is held at once. Its files are
     dealt over the CPUs by :func:`_in_shares`, largest first by the number of
@@ -250,30 +243,27 @@ def write_files(items) -> list[int | None]:
     ]
     faces: dict[tuple[str, int], str] = {}
 
-    def write_share(indices) -> list[np.ndarray | None]:
-        share = []
+    def write_share(indices) -> list[None]:
         for i in indices:
-            text, clamped = _file_text(items[i], faces)
+            text = _file_text(items[i], faces)
             with open(items[i][0], "wb") as fh:
                 fh.write(text if isinstance(text, bytes) else text.encode("ascii"))
-            share.append(None if clamped is None else np.array(float(clamped)))
-        return share
+        return [None] * len(indices)
 
-    done = _in_shares(len(items), write_share, (), [_file_size(item) for item in items])
-    return [None if clamped is None else int(clamped) for clamped in done]
+    _in_shares(len(items), write_share, (), [_file_size(item) for item in items])
 
 
-def _file_text(item, faces: dict) -> tuple[str | bytes, int | None]:
-    """The text of a :func:`write_files` item, and its clamp count if it is a PLY."""
+def _file_text(item, faces: dict) -> str | bytes:
+    """The text of a :func:`write_files` item."""
     _, value, *rest = item
     if rest:
         return _ply_text(value, *rest, faces)
     if isinstance(value, bytes):
-        return value, None
+        return value
     if isinstance(value, SurfaceMesh):
         body = ("v %.9g %.9g %.9g\n" * value.n_vertices) % tuple(value.vertices.ravel().tolist())
-        return body + _face_text(value.triangles, "f %d %d %d\n", 1, faces), None
-    return _json_text(value, "") + "\n", None
+        return body + _face_text(value.triangles, "f %d %d %d\n", 1, faces)
+    return _json_text(value, "") + "\n"
 
 
 def _file_size(item) -> int:
@@ -303,7 +293,7 @@ def _face_text(triangles: np.ndarray, template: str, first: int, faces: dict) ->
     return faces[key]
 
 
-def _ply_text(mesh: SurfaceMesh, field: np.ndarray, cmap: ColorMap, faces: dict) -> tuple[str, int]:
+def _ply_text(mesh: SurfaceMesh, field: np.ndarray, cmap: ColorMap, faces: dict) -> str:
     field = np.asarray(field, dtype=float)
     if field.shape != (mesh.n_vertices,):
         raise ValueError(f"field length {field.shape} does not match {mesh.n_vertices} vertices")
@@ -320,7 +310,7 @@ def _ply_text(mesh: SurfaceMesh, field: np.ndarray, cmap: ColorMap, faces: dict)
     # uint8 colours are exact as floats, and %d prints them as integers
     rows = np.hstack([mesh.vertices, colors]).ravel().tolist()
     body = ("%.9g %.9g %.9g %d %d %d\n" * mesh.n_vertices) % tuple(rows)
-    return header + body + _face_text(mesh.triangles, "3 %d %d %d\n", 0, faces), clamped
+    return header + body + _face_text(mesh.triangles, "3 %d %d %d\n", 0, faces)
 
 
 def _fields(payload: dict, table: dict) -> dict:
@@ -636,7 +626,7 @@ def read_pairing(path, n_vertices: int) -> BilateralPairing:
     """
     pair = np.arange(n_vertices, dtype=np.intp)
     table = _plain_table(path, "index,mirror_index", n_vertices, names=False)
-    if table is not None and np.unique(table[0]).size == table[0].size:
+    if table is not None and (np.diff(np.sort(table[0])) > 0).all():
         pair[table[0]] = table[1]
     else:
         listed = set()

@@ -226,3 +226,21 @@ def test_long_indices_read_as_the_rows(kind, digits, scratch):
         fast, rows = both_paths(lambda path: reader(path, N_VERTICES), scratch)
         assert fast == rows
         assert (sio._plain_table(scratch, header, N_VERTICES, names) is not None) == (first[1] == one)
+
+
+# bodies whose one fault is a line a comma short and another one over, so that
+# the comma total is that of the writer's shape, or a control byte that the
+# row path strips
+BALANCED = {
+    "pairing": ["0,1,\n1\n", "0\n1,0,\n", "0,1,2\n2\n", "0,1\n1,0\x0b\n", "0,1\n1\x1f,0\n", "0,,1\n1\n"],
+    "regions": ["0,a,b\n1\n", "0\n1,a,\n", "0,a\n1,a\x1f\n", "0\x0b,a\n1,a\n", "0,a,\n1,a\n2\n"],
+}
+
+
+@pytest.mark.parametrize("kind, body", [(kind, body) for kind, bodies in BALANCED.items() for body in bodies])
+def test_balanced_separators_read_as_the_rows(kind, body, scratch):
+    reader, header, names = SIDECARS[kind]
+    scratch.write_text(f"{header}\n{body}")
+    assert sio._plain_table(scratch, header, N_VERTICES, names) is None
+    fast, rows = both_paths(lambda path: reader(path, N_VERTICES), scratch)
+    assert fast == rows

@@ -15,6 +15,8 @@ from surfshape.io import (
     DIVERGING_HIGH,
     DIVERGING_LOW,
     DIVERGING_NEUTRAL,
+    SEQUENTIAL_HIGH,
+    SEQUENTIAL_LOW,
     load_mesh_directory,
     load_model,
     read_labels,
@@ -229,6 +231,59 @@ class TestColorMap:
         assert tuple(colors[0]) == DIVERGING_LOW
         assert tuple(colors[-1]) == DIVERGING_HIGH
 
+    @pytest.mark.parametrize(
+        "kind, lo, hi, reference, values, clamped, colours",
+        [
+            # a reference at lo empties the lower half: everything at or below lo is neutral
+            (
+                "diverging", 0.0, 2.0, 0.0, [-1, 0, 0.5, 1, 2, 3, np.inf, -np.inf], 4,
+                [DIVERGING_NEUTRAL] * 2 + [(211, 167, 175), (200, 112, 130)] + [DIVERGING_HIGH] * 3
+                + [DIVERGING_NEUTRAL],
+            ),
+            # a reference at hi empties the upper half: everything at or above hi is neutral
+            (
+                "diverging", -2.0, 0.0, 0.0, [-3, -2, -1.5, -1, 0, 1, np.inf, -np.inf], 4,
+                [DIVERGING_LOW] * 2 + [(100, 112, 199), (140, 148, 206)] + [DIVERGING_NEUTRAL] * 3 + [DIVERGING_LOW],
+            ),
+            # at the reference and one step to either side of it, then the midpoint of each half
+            (
+                "diverging", -1.0, 3.0, 0.5, [0.5, np.nextafter(0.5, 1), np.nextafter(0.5, 0), -0.25, 1.75], 0,
+                [DIVERGING_NEUTRAL] * 3 + [(140, 148, 206), (200, 112, 130)],
+            ),
+            (
+                "sequential", -1.0, 3.0, 0.0, [-np.inf, -1, 0, 1, 3, np.inf], 2,
+                [SEQUENTIAL_LOW] * 2 + [(187, 200, 218), (128, 150, 181)] + [SEQUENTIAL_HIGH] * 2,
+            ),
+        ],
+    )
+    def test_colours_at_the_edges(self, kind, lo, hi, reference, values, clamped, colours):
+        got, count = ColorMap(kind, lo, hi, reference).rgb(np.array(values, dtype=float))
+        assert count == clamped
+        assert [tuple(c) for c in got.tolist()] == [tuple(c) for c in colours]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_bits_of_the_two_branch_formula(self, seed):
+        """rgb against the formula it replaced, kept here as the oracle: random
+        maps, a reference at lo, at hi, at the midpoint or anywhere between,
+        and values around every knot, beyond both ends and infinite."""
+        rng = np.random.default_rng(seed)
+        for k in range(250):
+            lo, hi = np.sort(rng.normal(0, 10.0 ** rng.uniform(-6, 6), 2))
+            if lo == hi:
+                continue
+            kind = ("sequential", "diverging")[k % 3 > 0]
+            reference = [lo, hi, (lo + hi) / 2, rng.uniform(lo, hi)][k % 4]
+            knots = np.array([lo, reference, hi])
+            values = np.concatenate([
+                rng.uniform(lo - (hi - lo), hi + (hi - lo), 200),
+                knots, np.nextafter(knots, -np.inf), np.nextafter(knots, np.inf), (knots[1:] + knots[:-1]) / 2,
+                [np.inf, -np.inf, 0.0],
+            ])
+            colours, clamped = ColorMap(kind, lo, hi, reference).rgb(values)
+            expected, count = two_branch_rgb(kind, lo, hi, reference, values)
+            assert clamped == count
+            assert colours.dtype == np.uint8 and colours.tobytes() == expected.tobytes()
+
     def test_sequential_monotone_channels(self):
         cmap = ColorMap("sequential", lo=0.0, hi=1.0)
         colors, _ = cmap.rgb(np.linspace(0, 1, 11))
@@ -245,6 +300,28 @@ class TestColorMap:
             ColorMap("diverging", lo=0.0, hi=1.0, reference=2.0)
         with pytest.raises(ValueError, match="kind"):
             ColorMap("rainbow", lo=0.0, hi=1.0)
+
+
+def two_branch_rgb(kind, lo, hi, reference, values):
+    """The colours and clamp count of the sequential and diverging formulas
+    that ColorMap.rgb had before its knots, one branch each."""
+    v = np.asarray(values, dtype=float)
+    clamped = int(((v < lo) | (v > hi)).sum())
+    v = np.clip(v, lo, hi)
+    if kind == "sequential":
+        low, high = np.array(SEQUENTIAL_LOW, dtype=float), np.array(SEQUENTIAL_HIGH, dtype=float)
+        colors = low + ((v - lo) / (hi - lo))[:, None] * (high - low)
+    else:
+        low, mid, high = (np.array(c, dtype=float) for c in (DIVERGING_LOW, DIVERGING_NEUTRAL, DIVERGING_HIGH))
+        below_span, above_span = reference - lo, hi - reference
+        t_below = (v - lo) / below_span if below_span > 0 else np.ones_like(v)
+        t_above = (v - reference) / above_span if above_span > 0 else np.zeros_like(v)
+        colors = np.where(
+            (v <= reference)[:, None],
+            low + np.clip(t_below, 0, 1)[:, None] * (mid - low),
+            mid + np.clip(t_above, 0, 1)[:, None] * (high - mid),
+        )
+    return np.rint(colors).astype(np.uint8), clamped
 
 
 class TestPaintedMesh:
@@ -877,7 +954,8 @@ class TestWriteFiles:
         assert any(counts[k] for k in (1, 4, 6))
         forks, fork = [], os.fork
         monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
-        assert write_files(items) == counts
+        assert write_files(items) is None
+        assert header_clamp_counts(items) == counts
         assert [path.read_bytes() for path, *_ in items] == expected
         assert len(forks) == cpus - 1
 
@@ -915,7 +993,8 @@ class TestWriteFiles:
 
         monkeypatch.setattr(sio, "_file_text", text_here_only)
         monkeypatch.setattr(os, "fork", fork_but_the_last)
-        assert write_files(items) == counts
+        write_files(items)
+        assert header_clamp_counts(items) == counts
         assert [path.read_bytes() for path, *_ in items] == expected
 
     # equal sizes are dealt round robin: item 0 is written here at any CPU count,
@@ -933,7 +1012,8 @@ class TestWriteFiles:
     def test_bytes_are_written_as_they_are(self, mesh, tmp_path):
         table = sio.csv_table(("i", "value"), enumerate([0.1, -2.5]))
         items = [(tmp_path / "a.csv", table), (tmp_path / "a.obj", mesh), (tmp_path / "empty", b"")]
-        assert write_files(items) == [None, None, None]
+        write_files(items)
+        assert header_clamp_counts(items) == [None, None, None]
         assert (tmp_path / "a.csv").read_bytes() == table == b"i,value\n0,0.10000000000000001\n1,-2.5\n"
         assert (tmp_path / "a.obj").read_bytes() == written_bytes(mesh, tmp_path / "alone.obj")
         assert (tmp_path / "empty").read_bytes() == b""
@@ -946,6 +1026,12 @@ class TestWriteFiles:
         items[3] = (tmp_path / "s3.ply", mesh, field, cmap)
         with pytest.raises(ValueError, match="^value at vertex 7 is NaN"):
             write_files(items)
+
+
+def header_clamp_counts(items):
+    """The ``comment clamped N`` count in the header of each PLY item's file, None for the other items."""
+    count = re.compile(rb"\ncomment clamped (\d+)\n")
+    return [int(count.search(path.read_bytes())[1]) if rest else None for path, _, *rest in items]
 
 
 def written_bytes(mesh, path):

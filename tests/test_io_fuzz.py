@@ -350,3 +350,27 @@ def test_written_mesh_reads_back_at_nine_digits(coords, scratch):
     scratch.write_bytes(b"# comment\n" + data)
     assert sio._parse_plain_obj(scratch.read_bytes()) is None
     assert arrays(read_mesh(scratch)) == arrays(back)
+
+
+# files whose one fault is a line a separator short and another one over, so
+# that the separator total is that of the writer's shape, or a control byte
+BALANCED_OBJ = {
+    "v long then short": "v 0 0 0\nv 1 0 0 7\nv 0 1\nf 1 2 3\n",
+    "v short then long": "v 0 0 0\nv 1 0\nv 0 1 0 7\nf 1 2 3\n",
+    "v trailing space": "v 0 0 0 \nv 1 0\nv 0 1 0\nf 1 2 3\n",
+    "v doubled space": "v 0  0 0\nv 1 0 0\nv 0 1\nf 1 2 3\n",
+    "f long then short": "v 0 0 0\nv 1 0 0\nv 0 1 0\nv 1 1 0\nf 1 2 3 4\nf 2 4\n",
+    "f short then long": "v 0 0 0\nv 1 0 0\nv 0 1 0\nv 1 1 0\nf 1 2\nf 2 4 3 1\n",
+    "vertical tab at a line end": "v 0 0 0\x0b\nv 1 0 0\nv 0 1 0\nf 1 2 3\n",
+    "unit separator at a line end": "v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\x1f\n",
+    "unit separator for a space": "v 0\x1f0 0\nv 1  0 0\nv 0 1 0\nf 1 2 3\n",
+    "vertical tab for a space": "v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1\x0b2  3\n",
+}
+
+
+@pytest.mark.parametrize("text", BALANCED_OBJ.values(), ids=BALANCED_OBJ)
+def test_balanced_separators_read_as_the_line_scan(text, scratch):
+    data = text.encode("ascii")
+    assert sio._parse_plain_obj(data) is None
+    scratch.write_bytes(data)
+    assert outcome(scratch) == outcome_by_scan(scratch)
