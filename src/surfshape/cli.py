@@ -48,7 +48,6 @@ from .io import (
     read_weight_overrides,
     regions_table,
     write_files,
-    write_json,
 )
 from .mesh import DIFFERENCE_MODES, NumericalFailure, ShapeSample, SurfaceMesh, check_correspondence
 from .mesh import shape_difference_field
@@ -182,7 +181,7 @@ def write_manifest(out: Path, command: str, args: argparse.Namespace) -> None:
         "options": options,
         "seed": options.get("seed"),
     }
-    write_json(doc, out / "manifest.json")
+    write_files([(out / "manifest.json", doc)])
 
 
 def _load_cohort(args) -> tuple[list[str], ShapeSample]:
@@ -466,7 +465,7 @@ def cmd_diff(args) -> tuple[str, list]:
     if not lo <= args.reference <= hi:
         raise ValueError(f"--reference must lie in [--lo, --hi] = [{lo:g}, {hi:g}], got {args.reference:g}")
     cmap = ColorMap("diverging", lo=lo, hi=hi, reference=args.reference)
-    return f"wrote difference field ({cmap.rgb(field)[1]} values clamped)", [
+    return f"wrote difference field ({cmap.clamped(field)} values clamped)", [
         ("difference.csv", csv_table(("vertex_index", "value_mm"), enumerate(field))),
         ("difference.ply", base, field, cmap),
     ]

@@ -62,14 +62,9 @@ class ColorMap:
         if self.kind == "diverging" and not self.lo <= self.reference <= self.hi:
             raise ValueError("reference must lie inside [lo, hi] for diverging maps")
 
-    def rgb(self, values: np.ndarray) -> tuple[np.ndarray, int]:
-        """Map values to (n, 3) uint8 colours; also return how many were clamped."""
-        v = np.asarray(values, dtype=float)
-        nan = np.isnan(v)
-        if nan.any():
-            raise ValueError(f"value at vertex {int(np.flatnonzero(nan)[0])} is NaN, which has no colour")
-        clamped = int(((v < self.lo) | (v > self.hi)).sum())
-        v = np.clip(v, self.lo, self.hi)
+    def rgb(self, values: np.ndarray) -> np.ndarray:
+        """Map values to (n, 3) uint8 colours."""
+        v = np.clip(_colourable(values), self.lo, self.hi)
         if self.kind == "sequential":
             knots = [(self.lo, SEQUENTIAL_LOW), (self.hi, SEQUENTIAL_HIGH)]
         else:  # a reference at lo or at hi drops the outer knot of the half it empties
@@ -79,14 +74,27 @@ class ColorMap:
         segment = np.searchsorted(points[1:-1], v) if len(knots) > 2 else 0  # one segment: no search, no gather
         t = (v - points[:-1][segment]) / np.diff(points)[segment]
         colors = palette[segment] + t[:, None] * np.diff(palette, axis=0)[segment]
-        return np.rint(colors).astype(np.uint8), clamped
+        return np.rint(colors).astype(np.uint8)
+
+    def clamped(self, values: np.ndarray) -> int:
+        """How many values lie outside [lo, hi], infinities included."""
+        v = _colourable(values)
+        return int(((v < self.lo) | (v > self.hi)).sum())
+
+
+def _colourable(values) -> np.ndarray:
+    """``values`` as floats; a NaN, which has no colour, is refused."""
+    v = np.asarray(values, dtype=float)
+    if np.isnan(v).any():
+        raise ValueError(f"value at vertex {int(np.argmax(np.isnan(v)))} is NaN, which has no colour")
+    return v
 
 
 def read_mesh(path) -> SurfaceMesh:
     """Read a triangulated OBJ (v/f records only; other record types are skipped).
 
     A file made only of ``v x y z`` lines followed by ``f a b c`` lines, single
-    spaces apart (what :func:`write_mesh` emits), is converted with one numpy
+    spaces apart (what :func:`write_files` writes), is converted with one numpy
     pass per block. Any other text goes through the line-by-line scan, which
     accepts every file the reader supports and names the line of the first
     error; both paths give the same arrays.
@@ -208,39 +216,23 @@ def _scan_obj(data: bytes, path) -> tuple[np.ndarray, np.ndarray]:
     return np.array(vertices, dtype=float).reshape(-1, 3), np.array(faces, dtype=np.intp).reshape(-1, 3)
 
 
-def write_mesh(mesh: SurfaceMesh, path) -> None:
-    """Write the OBJ subset emitted by this tool (9 significant digits)."""
-    write_files([(path, mesh)])
-
-
-def write_painted_mesh(mesh: SurfaceMesh, field: np.ndarray, cmap: ColorMap, path) -> int:
-    """Write an ascii PLY with per-vertex colours; returns the clamped-value count.
-
-    The clamp count is also recorded in a header comment, echoing plots that
-    truncate exceptional values.
-    """
-    write_files([(path, mesh, field, cmap)])
-    return cmap.rgb(field)[1]
-
-
 def write_files(items) -> None:
     """Write every item of ``items``: ``(path, mesh)`` as an OBJ, ``(path,
     mesh, field, cmap)`` as a painted PLY, ``(path, bytes)`` as they are (a
-    :func:`csv_table`, say), and ``(path, doc)`` as JSON, a model as
-    :func:`save_model` writes it. No directory is made.
+    :func:`csv_table`, say), and ``(path, doc)`` as JSON, a model as its schema
+    document (FORMATS.md gives each format). A value that JSON cannot hold
+    raises TypeError before any file is opened. No directory is made.
 
     ``items`` is listed first, so everything is held at once. Its files are
     dealt over the CPUs by :func:`_in_shares`, largest first by the number of
     values each file holds (bytes count 1; a JSON float 3: repr costs about
     three times what ``%.9g`` does). A process formats a face block once per
     format and triangle array (identity, not equality). The bytes of every
-    file are those of the single-file writer's call on its own, and a file
-    that fails is written again here, in item order, so the error raised is
-    that of a loop over the items.
+    file are those of a one-item call, and a file that fails is written
+    again here, in item order, so the error raised is that of a loop over
+    the items.
     """
-    items = [
-        (path, _model_document(value) if isinstance(value, _MODELS) else value, *rest) for path, value, *rest in items
-    ]
+    items = [(path, _document(value), *rest) for path, value, *rest in items]
     faces: dict[tuple[str, int], str] = {}
 
     def write_share(indices) -> list[None]:
@@ -297,10 +289,9 @@ def _ply_text(mesh: SurfaceMesh, field: np.ndarray, cmap: ColorMap, faces: dict)
     field = np.asarray(field, dtype=float)
     if field.shape != (mesh.n_vertices,):
         raise ValueError(f"field length {field.shape} does not match {mesh.n_vertices} vertices")
-    colors, clamped = cmap.rgb(field)
     header = (
         "ply\nformat ascii 1.0\n"
-        f"comment clamped {clamped}\n"
+        f"comment clamped {cmap.clamped(field)}\n"
         f"element vertex {mesh.n_vertices}\n"
         "property float x\nproperty float y\nproperty float z\n"
         "property uchar red\nproperty uchar green\nproperty uchar blue\n"
@@ -308,7 +299,7 @@ def _ply_text(mesh: SurfaceMesh, field: np.ndarray, cmap: ColorMap, faces: dict)
         "property list uchar int vertex_indices\nend_header\n"
     )
     # uint8 colours are exact as floats, and %d prints them as integers
-    rows = np.hstack([mesh.vertices, colors]).ravel().tolist()
+    rows = np.hstack([mesh.vertices, cmap.rgb(field)]).ravel().tolist()
     body = ("%.9g %.9g %.9g %d %d %d\n" * mesh.n_vertices) % tuple(rows)
     return header + body + _face_text(mesh.triangles, "3 %d %d %d\n", 0, faces)
 
@@ -398,7 +389,6 @@ _CONTROL = {
     "warnings": _strings,
 }
 _KINDS = {"fpca": (FpcaModel, _FPCA), "control": (ControlModel, _CONTROL)}
-_MODELS = tuple(cls for cls, _ in _KINDS.values())
 
 
 def _payload(model, table: dict) -> dict:
@@ -415,24 +405,12 @@ def _payload(model, table: dict) -> dict:
     return doc
 
 
-def save_model(model: FpcaModel | ControlModel, path) -> None:
-    """Serialize a component or control model to the JSON schema (version 1)."""
-    if not isinstance(model, _MODELS):
-        raise TypeError(f"cannot serialize {type(model).__name__}")
-    write_files([(path, model)])
-
-
-def _model_document(model: FpcaModel | ControlModel) -> dict:
+def _document(value):
+    """A model as its schema document; any other value as it is."""
     for kind, (cls, table) in _KINDS.items():
-        if isinstance(model, cls):
-            return {"schema_version": SCHEMA_VERSION, "kind": kind, **_payload(model, table)}
-
-
-def write_json(doc, path) -> None:
-    """Write a JSON document with sorted keys and two-space indent; numpy arrays
-    and scalars are written as plain lists and numbers. The bytes are those of
-    ``json.dump(doc, sort_keys=True, indent=2)`` plus a final newline."""
-    write_files([(path, doc)])
+        if isinstance(value, cls):
+            return {"schema_version": SCHEMA_VERSION, "kind": kind, **_payload(value, table)}
+    return value
 
 
 def _json_text(value, pad: str) -> str:
@@ -466,7 +444,7 @@ def _json_default(value):
 
 
 def load_model(path) -> FpcaModel | ControlModel:
-    """Load a model written by :func:`save_model`, validating schema and invariants.
+    """Load a model file that :func:`write_files` wrote, validating schema and invariants.
 
     Array lengths must agree with the vertex count J = len(weights), and the
     triangles must index the mean's vertices. Other keys (an older writer's
@@ -495,10 +473,6 @@ def csv_table(header, rows) -> bytes:
     """A CSV table: floats as %.17g (exact round trip), every other cell with str()."""
     lines = (",".join(f"{c:.17g}" if isinstance(c, float) else str(c) for c in row) for row in rows)
     return "".join(line + "\n" for line in (",".join(header), *lines)).encode("ascii")
-
-
-def write_csv(path, header, rows) -> None:
-    write_files([(path, csv_table(header, rows))])
 
 
 def _read_csv_rows(path, header: str):
@@ -534,6 +508,17 @@ def _number(kind, text: str):
     return kind(text)
 
 
+def _vertex(path, lineno: int, text: str, n_vertices: int) -> int:
+    """The vertex index in the cell ``text`` of line ``lineno``, an integer in [0, n_vertices)."""
+    try:
+        idx = _number(int, text)
+    except ValueError:
+        raise ValueError(f"{path}: line {lineno}: vertex index {text!r} is not an integer") from None
+    if not 0 <= idx < n_vertices:
+        raise ValueError(f"{path}: line {lineno}: vertex {idx} outside [0, {n_vertices})")
+    return idx
+
+
 def _plain_table(path, header: str, n_vertices: int, names: bool) -> tuple | dict[str, np.ndarray] | None:
     """The rows of a CSV in the shape its writer gives: the line ``header``,
     then lines ``index,index`` (``index,name`` with ``names``) that
@@ -567,9 +552,8 @@ def _plain_table(path, header: str, n_vertices: int, names: bool) -> tuple | dic
         return index, second
     new_name = np.r_[True, second[1:] != second[:-1]]
     regions = second[new_name].tolist()
-    if len(set(regions)) < len(regions) or not ((np.diff(index) > 0) | new_name[1:]).all():
-        return None
-    if not all(0 < len(name) <= _MAX_NAME and name.strip(b" ") == name and b'"' not in name for name in regions):
+    plain_names = all(0 < len(name) <= _MAX_NAME and name.strip(b" ") == name and b'"' not in name for name in regions)
+    if not plain_names or len(set(regions)) < len(regions) or not ((np.diff(index) > 0) | new_name[1:]).all():
         return None
     rows = np.split(np.ascontiguousarray(index), np.flatnonzero(new_name)[1:])
     return {name.decode("ascii"): idx for name, idx in zip(regions, rows)}
@@ -578,11 +562,12 @@ def _plain_table(path, header: str, n_vertices: int, names: bool) -> tuple | dic
 def read_regions(path, n_vertices: int) -> dict[str, np.ndarray]:
     """Read a vertex_index,region_name CSV into a region map (header optional; no region ``global``).
 
-    A file in the shape :func:`write_regions` gives, each region's indices
+    A file in the shape :func:`regions_table` gives, each region's indices
     increasing, is parsed by numpy (see :func:`_plain_table`: one line check
     decides which files, and ``np.loadtxt`` parses the indices); any other
     text row by row. Both give the same map, names in the order they first
-    appear.
+    appear. A name that would not read back once written is refused: one
+    holding a comma, CR or LF, or starting with a quote.
     """
     plain = _plain_table(path, "vertex_index,region_name", n_vertices, names=True)
     if plain is not None and "global" not in plain:
@@ -591,13 +576,9 @@ def read_regions(path, n_vertices: int) -> dict[str, np.ndarray]:
     for lineno, (idx_text, name) in _read_csv_rows(path, "vertex_index"):
         if name == "global":
             raise ValueError(f"{path}: line {lineno}: region name 'global' is reserved for the whole-surface score")
-        try:
-            idx = _number(int, idx_text)
-        except ValueError:
-            raise ValueError(f"{path}: line {lineno}: vertex index {idx_text!r} is not an integer") from None
-        if not 0 <= idx < n_vertices:
-            raise ValueError(f"{path}: line {lineno}: vertex {idx} outside [0, {n_vertices})")
-        regions.setdefault(name, []).append(idx)
+        if name.startswith('"') or any(c in name for c in ",\r\n"):
+            raise ValueError(f"{path}: line {lineno}: region name {name!r} has a comma, CR or LF, or a leading quote")
+        regions.setdefault(name, []).append(_vertex(path, lineno, idx_text, n_vertices))
     return {name: np.unique(np.asarray(idx, dtype=np.intp)) for name, idx in regions.items()}
 
 
@@ -610,16 +591,12 @@ def regions_table(regions: dict[str, np.ndarray]) -> bytes:
     return ("vertex_index,region_name\n" + template % tuple(values)).encode("ascii")
 
 
-def write_regions(regions: dict[str, np.ndarray], path) -> None:
-    write_files([(path, regions_table(regions))])
-
-
 def read_pairing(path, n_vertices: int) -> BilateralPairing:
     """Read an index,mirror_index CSV into a BilateralPairing (header optional).
 
     Unlisted vertices default to midline (self-paired), a vertex listed twice
     is refused, and the involution is validated on construction. A file in
-    the shape :func:`write_pairing` gives is parsed by numpy (see
+    the shape :func:`pairing_table` gives is parsed by numpy (see
     :func:`_plain_table`: one line check decides which files, and
     ``np.loadtxt`` parses the indices); any other text row by row, to the
     same array.
@@ -630,14 +607,8 @@ def read_pairing(path, n_vertices: int) -> BilateralPairing:
         pair[table[0]] = table[1]
     else:
         listed = set()
-        for lineno, (a_text, b_text) in _read_csv_rows(path, "index"):
-            try:
-                a, b = _number(int, a_text), _number(int, b_text)
-            except ValueError:
-                raise ValueError(f"{path}: line {lineno}: indices must be integers") from None
-            for value in (a, b):
-                if not 0 <= value < n_vertices:
-                    raise ValueError(f"{path}: line {lineno}: vertex {value} outside [0, {n_vertices})")
+        for lineno, cells in _read_csv_rows(path, "index"):
+            a, b = (_vertex(path, lineno, text, n_vertices) for text in cells)
             if a in listed:
                 raise ValueError(f"{path}: line {lineno}: duplicate vertex {a}")
             listed.add(a)
@@ -654,10 +625,6 @@ def pairing_table(pairing: BilateralPairing) -> bytes:
     return ("index,mirror_index\n" + "%d,%d\n" * len(rows) % tuple(rows.ravel().tolist())).encode("ascii")
 
 
-def write_pairing(pairing: BilateralPairing, path) -> None:
-    write_files([(path, pairing_table(pairing))])
-
-
 def read_weight_overrides(path, n_vertices: int) -> dict[int, float]:
     """Read a vertex_index,weight CSV of per-vertex area-weight overrides.
 
@@ -667,13 +634,11 @@ def read_weight_overrides(path, n_vertices: int) -> dict[int, float]:
     """
     overrides: dict[int, float] = {}
     for lineno, (idx_text, weight_text) in _read_csv_rows(path, "vertex_index"):
+        idx = _vertex(path, lineno, idx_text, n_vertices)
         try:
-            idx = _number(int, idx_text)
             weight = _number(float, weight_text)
         except ValueError:
-            raise ValueError(f"{path}: line {lineno}: expected integer index and numeric weight") from None
-        if not 0 <= idx < n_vertices:
-            raise ValueError(f"{path}: line {lineno}: vertex {idx} outside [0, {n_vertices})")
+            raise ValueError(f"{path}: line {lineno}: weight {weight_text!r} is not a number") from None
         if not np.isfinite(weight):
             raise ValueError(f"{path}: line {lineno}: weight must be finite")
         if weight < 0:
@@ -697,10 +662,6 @@ def read_labels(path) -> dict[str, str]:
 def labels_table(labels: dict[str, str]) -> bytes:
     """The filename,label CSV of a label map, by file name."""
     return csv_table(("filename", "label"), ((name, labels[name]) for name in sorted(labels)))
-
-
-def write_labels(labels: dict[str, str], path) -> None:
-    write_files([(path, labels_table(labels))])
 
 
 def mesh_names(directory) -> list[str]:

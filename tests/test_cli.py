@@ -12,7 +12,7 @@ import pytest
 
 import surfshape as ss
 from surfshape.cli import main
-from surfshape.io import load_mesh_directory, read_mesh, read_pairing, save_model, write_mesh
+from surfshape.io import load_mesh_directory, read_mesh, read_pairing, write_files
 from conftest import assert_no_child_left
 
 
@@ -315,7 +315,7 @@ class TestMismatchedMeshes:
     @pytest.fixture()
     def finer(self, tmp_path):
         path = tmp_path / "finer.obj"
-        write_mesh(ss.synth_base_mesh(ss.SynthConfig(resolution=3))[0], path)
+        write_files([(path, ss.synth_base_mesh(ss.SynthConfig(resolution=3))[0])])
         return path
 
     def assess(self, cohort, tmp_path, source, pre, post=None):
@@ -328,7 +328,7 @@ class TestMismatchedMeshes:
     def test_case_against_model(self, cohort, tmp_path, finer, capsys):
         meshes = load_mesh_directory(cohort / "meshes")[1]
         model_path = tmp_path / "control_model.json"
-        save_model(ss.fit_control_model(ss.ShapeSample(tuple(meshes[:6]))), model_path)
+        write_files([(model_path, ss.fit_control_model(ss.ShapeSample(tuple(meshes[:6]))))])
         capsys.readouterr()
         assert self.assess(cohort, tmp_path, ("--model", model_path), finer) == 2
         assert f"{finer}: vertex count 258 != 66 of control model {model_path}" in capsys.readouterr().err
@@ -347,7 +347,7 @@ class TestMismatchedMeshes:
         for name in ("shape_000.obj", "shape_001.obj", "shape_002.obj", "shape_003.obj", "shape_004.obj"):
             (controls / name).write_bytes((cohort / "meshes" / name).read_bytes())
         odd = read_mesh(controls / "shape_003.obj")
-        write_mesh(ss.SurfaceMesh(odd.vertices, odd.triangles[:, [1, 2, 0]][::-1]), controls / "shape_003.obj")
+        write_files([(controls / "shape_003.obj", ss.SurfaceMesh(odd.vertices, odd.triangles[:, [1, 2, 0]][::-1]))])
         if command == "assess":
             assert self.assess(cohort, tmp_path, ("--controls", controls), cohort / "meshes" / "shape_000.obj") == 2
         else:
@@ -387,7 +387,8 @@ class TestMismatchedMeshes:
         assert self.assess(cohort, tmp_path, ("--model", pca / "model.json"), shape) == 2
         assert f"{pca / 'model.json'}: not a control model" in capsys.readouterr().err
         control = tmp_path / "control_model.json"
-        save_model(ss.fit_control_model(ss.ShapeSample(tuple(load_mesh_directory(cohort / "meshes")[1][:6]))), control)
+        model = ss.fit_control_model(ss.ShapeSample(tuple(load_mesh_directory(cohort / "meshes")[1][:6])))
+        write_files([(control, model)])
         assert run("tour", "--model", control, "--topology", shape, "--out", tmp_path / "tour") == 2
         assert f"{control}: not a component model" in capsys.readouterr().err
 
@@ -535,7 +536,7 @@ class TestTamperedModel:
     def models(self, cohort, tmp_path_factory):
         root = tmp_path_factory.mktemp("models")
         meshes = load_mesh_directory(cohort / "meshes")[1]
-        save_model(ss.fit_control_model(ss.ShapeSample(tuple(meshes[:6]))), root / "control.json")
+        write_files([(root / "control.json", ss.fit_control_model(ss.ShapeSample(tuple(meshes[:6]))))])
         assert run("pca", "--meshes", cohort / "meshes", "--components", "2", "--out", root / "pca") == 0
         return root
 
@@ -604,7 +605,7 @@ class TestTamperedModel:
         path = tmp_path_factory.mktemp("scored") / "control.json"
         meshes = load_mesh_directory(cohort / "meshes")[1]
         pairing = read_pairing(cohort / "pairing.csv", meshes[0].n_vertices)
-        save_model(ss.fit_control_model(ss.ShapeSample(tuple(meshes[:8])), pairing=pairing), path)
+        write_files([(path, ss.fit_control_model(ss.ShapeSample(tuple(meshes[:8])), pairing=pairing))])
         return path
 
     @pytest.mark.parametrize(
@@ -675,8 +676,8 @@ class TestExitCodes:
         line = np.column_stack([np.linspace(0, 1, 6), np.linspace(0, 2, 6), np.zeros(6)])
         line[:, 2] = 1e-12 * np.arange(6)  # keep triangles with nonzero area
         mesh = ss.SurfaceMesh(line, [[0, 1, 2], [1, 2, 3], [2, 3, 4], [3, 4, 5]])
-        write_mesh(mesh, mesh_dir / "a.obj")
-        write_mesh(mesh.with_vertices(mesh.vertices + 0.01), mesh_dir / "b.obj")
+        write_files([(mesh_dir / "a.obj", mesh)])
+        write_files([(mesh_dir / "b.obj", mesh.with_vertices(mesh.vertices + 0.01))])
         assert run("register", "--meshes", mesh_dir, "--out", tmp_path / "o") == 3
 
     def test_unknown_subcommand(self, capsys):
@@ -754,7 +755,8 @@ class TestRunner:
         ["simulate", "register", "pca", "tour", "compare", "split-affine", "asymmetry", "assess", "warp", "diff"],
     )
     def test_artifacts_come_from_one_write(self, cohort, component_model, tmp_path, monkeypatch, command):
-        # the handler writes nothing: every artifact is an item of the runner's one write_files call
+        # the handler writes nothing: every artifact is an item of the runner's one write_files call,
+        # and manifest.json follows in a call of its own
         out, calls = tmp_path / "out", []
 
         def files(items):
@@ -762,16 +764,11 @@ class TestRunner:
             calls.append(("write_files", sorted(str(path.relative_to(out)) for path, *_ in items)))
             return ss.io.write_files(items)
 
-        def json_doc(doc, path):
-            calls.append(("write_json", str(path.relative_to(out))))
-            return ss.io.write_json(doc, path)
-
         monkeypatch.setattr("surfshape.cli.write_files", files)
-        monkeypatch.setattr("surfshape.cli.write_json", json_doc)
         assert run(command, *inputs(command, cohort, component_model), "--out", out) == 0
         artifacts = sorted(artifact_bytes(out))
         assert len(artifacts) >= 2
-        assert calls == [("write_files", artifacts), ("write_json", "manifest.json")]
+        assert calls == [("write_files", artifacts), ("write_files", ["manifest.json"])]
 
 
 SYNTH_RANGES = "radii must be positive; noise_sd, nuisance_translation, nuisance_log_scale non-negative"
@@ -1057,7 +1054,7 @@ def refusal(case, cohort, tmp_path, monkeypatch):
     meshes, shape, other = cohort / "meshes", cohort / "meshes" / "shape_000.obj", cohort / "meshes" / "shape_001.obj"
     if case == "tour":
         model = tmp_path / "control_model.json"
-        save_model(ss.fit_control_model(ss.ShapeSample(tuple(load_mesh_directory(meshes)[1][:6]))), model)
+        write_files([(model, ss.fit_control_model(ss.ShapeSample(tuple(load_mesh_directory(meshes)[1][:6]))))])
         return ("tour", "--model", model, "--topology", shape), 2, f"{model}: not a component model"
     if case == "compare":
         labels = tmp_path / "labels.csv"
@@ -1078,7 +1075,7 @@ def refusal(case, cohort, tmp_path, monkeypatch):
         return (*argv, "--per-region-registration"), 2, f"{regions}: region 'pair' has 2 vertices"
     if case == "warp":
         finer = tmp_path / "finer.obj"
-        write_mesh(ss.synth_base_mesh(ss.SynthConfig(resolution=3))[0], finer)
+        write_files([(finer, ss.synth_base_mesh(ss.SynthConfig(resolution=3))[0])])
         return ("warp", "--source", shape, "--target", finer, "--template", shape), 2, f"{finer}: vertex count 258"
     if case == "diff":
         return ("diff", shape, other, "--lo", "100"), 2, "--lo must be below --hi"

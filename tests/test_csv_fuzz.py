@@ -17,12 +17,11 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, strategies as st  # noqa: E402
+from hypothesis import example, given, strategies as st  # noqa: E402
 
 import surfshape.io as sio  # noqa: E402
 from surfshape.io import (  # noqa: E402
-    csv_table, pairing_table, read_labels, read_pairing, read_regions, read_weight_overrides, regions_table, write_csv,
-    write_pairing, write_regions,
+    csv_table, pairing_table, read_labels, read_pairing, read_regions, read_weight_overrides, regions_table, write_files,
 )
 from surfshape.mesh import BilateralPairing  # noqa: E402
 
@@ -99,7 +98,7 @@ def test_parse_or_name_the_file(kind, data, scratch):
 @given(values=st.lists(st.floats(allow_nan=False), min_size=1, max_size=8))
 def test_written_floats_read_back_bitwise(values, scratch):
     # infinities and -0.0 included; %.17g is the shortest width that is exact for every double
-    write_csv(scratch, ("name", "value"), ((f"r{i}", x) for i, x in enumerate(values)))
+    write_files([(scratch, csv_table(("name", "value"), ((f"r{i}", x) for i, x in enumerate(values))))])
     lines = scratch.read_text(encoding="ascii").splitlines()
     assert lines[0] == "name,value" and len(lines) == len(values) + 1
     for x, line in zip(values, lines[1:]):
@@ -111,7 +110,7 @@ def test_written_pairing_reads_back(order, n_pairs, scratch):
     pair = np.arange(N_VERTICES)
     for a, b in zip(order[0 : 2 * n_pairs : 2], order[1 : 2 * n_pairs : 2]):
         pair[a], pair[b] = b, a
-    write_pairing(BilateralPairing(pair), scratch)
+    write_files([(scratch, pairing_table(BilateralPairing(pair)))])
     np.testing.assert_array_equal(read_pairing(scratch, N_VERTICES).pair, pair)
     # the one-template table is the general table of the same rows
     assert pairing_table(BilateralPairing(pair)) == csv_table(("index", "mirror_index"), enumerate(pair.tolist()))
@@ -124,7 +123,7 @@ vertex_sets = st.sets(st.integers(0, N_VERTICES - 1), min_size=1)
 @given(regions=st.dictionaries(region_names, vertex_sets, max_size=4))
 def test_written_regions_read_back(regions, scratch):
     regions = {name: np.array(sorted(idx), dtype=np.intp) for name, idx in regions.items()}
-    write_regions(regions, scratch)
+    write_files([(scratch, regions_table(regions))])
     rows = [(i, name) for name in sorted(regions) for i in regions[name].tolist()]
     assert scratch.read_bytes() == regions_table(regions) == csv_table(("vertex_index", "region_name"), rows)
     back = read_regions(scratch, N_VERTICES)
@@ -169,10 +168,11 @@ def written_sidecar(draw):
         n_pairs = draw(st.integers(0, j // 2))
         for a, b in zip(order[0 : 2 * n_pairs : 2], order[1 : 2 * n_pairs : 2]):
             pair[a], pair[b] = b, a
-        return kind, j, lambda path: write_pairing(BilateralPairing(pair), path)
+        return kind, j, lambda path: write_files([(path, pairing_table(BilateralPairing(pair)))])
     names = st.text(alphabet="abcXYZ019_-.% ", min_size=1, max_size=70).filter(lambda n: n.strip() == n)
     regions = draw(st.dictionaries(names, st.sets(st.integers(0, j - 1), min_size=1), min_size=1, max_size=5))
-    return kind, j, lambda path: write_regions({n: np.array(sorted(i)) for n, i in regions.items()}, path)
+    table = regions_table({n: np.array(sorted(i)) for n, i in regions.items()})
+    return kind, j, lambda path: write_files([(path, table)])
 
 
 @given(written=written_sidecar())
@@ -184,6 +184,49 @@ def test_written_sidecar_takes_the_numpy_pass(written, scratch):
     assert fast == rows and not isinstance(fast, str)
     longest = max((len(line.split(",", 1)[1]) for line in scratch.read_text().splitlines()[1:]), default=0)
     assert (sio._plain_table(scratch, header, j, names) is not None) == (longest <= 64)
+
+
+TABLES = {"pairing": pairing_table, "regions": regions_table}
+
+# names read from quoted cells or after a space: a comma, a CR or LF inside, or a leading quote
+name_cell = st.sampled_from(['a', 'b c', 'a"b', '"a,b"', '"a\nb"', '"a\rb"', '"a\r\nb"', ' "a', '"""a"', '"', '%d'])
+
+
+@st.composite
+def region_text(draw):
+    """Regions bytes with an optional header, rows of an index cell and a name
+    cell that may be quoted, and any line ends."""
+    index = st.one_of(st.integers(-1, N_VERTICES).map(str), cell)
+    rows = draw(st.lists(st.tuples(index, name_cell), max_size=5))
+    eol = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    lines = [draw(header), *(",".join(row) for row in rows)]
+    return (eol.join(lines) + draw(st.sampled_from([eol, ""]))).encode("utf-8")
+
+
+@pytest.mark.parametrize("kind", sorted(SIDECARS))
+@given(data=st.one_of(csv_text(), region_text(), st.binary(max_size=200)))
+@example(data=b'0,"a\n1,b"\n')  # read as one name, written as two rows
+@example(data=b'0,"""a"\n')  # a leading quote, which opens a quoted cell once written
+@example(data=b'0, "a\n')
+@example(data=b'0,"a,b"\n')  # written unquoted, a row of three cells
+@example(data=b'0,"a\rb"\n')
+def test_what_reads_writes_back(kind, data, scratch):
+    """Every file the reader accepts, written by its table and read again, gives the same pairing or region map."""
+    reader, _, _ = SIDECARS[kind]
+    scratch.write_bytes(data)
+    try:
+        first = reader(scratch, N_VERTICES)
+    except ValueError:
+        return
+    scratch.write_bytes(TABLES[kind](first))
+    assert compared(reader(scratch, N_VERTICES)) == compared(first)
+
+
+def compared(result):
+    """A pairing as its array's dtype and bytes; a region map as those of each region, by name."""
+    if isinstance(result, BilateralPairing):
+        return result.pair.dtype, result.pair.tobytes()
+    return sorted((name, idx.dtype, idx.tobytes()) for name, idx in result.items())
 
 
 # NUL would pad a name in a bytes array, and DEL lies just past printable ASCII

@@ -11,7 +11,7 @@ import surfshape as ss
 from conftest import assert_no_child_left, random_rotation, sphere_with_pairing
 from surfshape.chi2 import chi_square_quantile
 from surfshape.individual import _residual_lengths
-from surfshape.io import load_model, save_model
+from surfshape.io import load_model, write_files
 
 
 def brute_force_asymmetry(mesh, pairing, region=None):
@@ -508,7 +508,7 @@ class TestChi2ThresholdCheck:
         with pytest.raises(ValueError, match="chi2_threshold"):
             replace(model, chi2_threshold=threshold)
         path = tmp_path / "control.json"
-        save_model(model, path)
+        write_files([(path, model)])
         doc = json.loads(path.read_text())
         doc["chi2_threshold"] = threshold
         path.write_text(json.dumps(doc))

@@ -24,14 +24,11 @@ from surfshape.io import (
     read_pairing,
     read_regions,
     read_weight_overrides,
-    save_model,
-    write_csv,
-    write_labels,
+    csv_table,
+    labels_table,
+    pairing_table,
+    regions_table,
     write_files,
-    write_mesh,
-    write_painted_mesh,
-    write_pairing,
-    write_regions,
 )
 from conftest import assert_no_child_left, bumpy_mesh, sphere_with_pairing
 
@@ -44,14 +41,14 @@ def mesh():
 class TestObjRoundTrip:
     def test_topology_exact_coordinates_close(self, mesh, tmp_path):
         path = tmp_path / "m.obj"
-        write_mesh(mesh, path)
+        write_files([(path, mesh)])
         back = read_mesh(path)
         np.testing.assert_array_equal(back.triangles, mesh.triangles)
         np.testing.assert_allclose(back.vertices, mesh.vertices, atol=1e-7)
 
     def test_orientation_preserved(self, mesh, tmp_path):
         path = tmp_path / "m.obj"
-        write_mesh(mesh, path)
+        write_files([(path, mesh)])
         back = read_mesh(path)
         base_normals = ss.vertex_normals(mesh)
         back_normals = ss.vertex_normals(back)
@@ -59,8 +56,8 @@ class TestObjRoundTrip:
 
     def test_writer_is_deterministic(self, mesh, tmp_path):
         a, b = tmp_path / "a.obj", tmp_path / "b.obj"
-        write_mesh(mesh, a)
-        write_mesh(mesh, b)
+        write_files([(a, mesh)])
+        write_files([(b, mesh)])
         assert a.read_bytes() == b.read_bytes()
 
     def test_face_slash_syntax_accepted(self, tmp_path):
@@ -72,7 +69,7 @@ class TestObjRoundTrip:
 
     def test_crlf_comments_and_other_records_accepted(self, mesh, tmp_path):
         plain, messy = tmp_path / "plain.obj", tmp_path / "messy.obj"
-        write_mesh(mesh, plain)
+        write_files([(plain, mesh)])
         lines = plain.read_text().splitlines()
         messy_lines = ["# exported", "o shape", ""]
         for line in lines:
@@ -213,21 +210,21 @@ class TestObjErrors:
 class TestColorMap:
     def test_reference_maps_to_neutral(self):
         cmap = ColorMap("diverging", lo=-1.0, hi=1.0, reference=0.0)
-        colors, clamped = cmap.rgb(np.array([0.0]))
+        colors = cmap.rgb(np.array([0.0]))
         assert tuple(colors[0]) == DIVERGING_NEUTRAL
-        assert clamped == 0
+        assert cmap.clamped(np.array([0.0])) == 0
 
     def test_endpoints_hit_extreme_colors(self):
         cmap = ColorMap("diverging", lo=-2.0, hi=3.0, reference=0.5)
-        colors, _ = cmap.rgb(np.array([-2.0, 3.0]))
+        colors = cmap.rgb(np.array([-2.0, 3.0]))
         assert tuple(colors[0]) == DIVERGING_LOW
         assert tuple(colors[1]) == DIVERGING_HIGH
 
     def test_clamp_count(self):
         cmap = ColorMap("diverging", lo=-1.0, hi=1.0)
         field = np.array([-5.0, -1.0, 0.0, 1.0, 2.0, 99.0])
-        colors, clamped = cmap.rgb(field)
-        assert clamped == 3
+        colors = cmap.rgb(field)
+        assert cmap.clamped(field) == 3
         assert tuple(colors[0]) == DIVERGING_LOW
         assert tuple(colors[-1]) == DIVERGING_HIGH
 
@@ -257,8 +254,9 @@ class TestColorMap:
         ],
     )
     def test_colours_at_the_edges(self, kind, lo, hi, reference, values, clamped, colours):
-        got, count = ColorMap(kind, lo, hi, reference).rgb(np.array(values, dtype=float))
-        assert count == clamped
+        cmap, values = ColorMap(kind, lo, hi, reference), np.array(values, dtype=float)
+        got = cmap.rgb(values)
+        assert cmap.clamped(values) == clamped
         assert [tuple(c) for c in got.tolist()] == [tuple(c) for c in colours]
 
     @pytest.mark.parametrize("seed", range(4))
@@ -279,14 +277,21 @@ class TestColorMap:
                 knots, np.nextafter(knots, -np.inf), np.nextafter(knots, np.inf), (knots[1:] + knots[:-1]) / 2,
                 [np.inf, -np.inf, 0.0],
             ])
-            colours, clamped = ColorMap(kind, lo, hi, reference).rgb(values)
+            cmap = ColorMap(kind, lo, hi, reference)
+            colours = cmap.rgb(values)
             expected, count = two_branch_rgb(kind, lo, hi, reference, values)
-            assert clamped == count
+            assert cmap.clamped(values) == count
             assert colours.dtype == np.uint8 and colours.tobytes() == expected.tobytes()
+
+    def test_nan_refused_by_both(self):
+        cmap, values = ColorMap("sequential", lo=0.0, hi=1.0), np.array([0.0, 2.0, np.nan])
+        for method in (cmap.rgb, cmap.clamped):
+            with pytest.raises(ValueError, match="^value at vertex 2 is NaN, which has no colour$"):
+                method(values)
 
     def test_sequential_monotone_channels(self):
         cmap = ColorMap("sequential", lo=0.0, hi=1.0)
-        colors, _ = cmap.rgb(np.linspace(0, 1, 11))
+        colors = cmap.rgb(np.linspace(0, 1, 11))
         diffs = np.diff(colors.astype(int), axis=0)
         assert np.all(diffs[:, 0] <= 0)  # red decreases toward the dark end
 
@@ -304,7 +309,7 @@ class TestColorMap:
 
 def two_branch_rgb(kind, lo, hi, reference, values):
     """The colours and clamp count of the sequential and diverging formulas
-    that ColorMap.rgb had before its knots, one branch each."""
+    that ColorMap had before its knots, one branch each."""
     v = np.asarray(values, dtype=float)
     clamped = int(((v < lo) | (v > hi)).sum())
     v = np.clip(v, lo, hi)
@@ -328,8 +333,9 @@ class TestPaintedMesh:
     def test_constant_reference_field_all_neutral(self, mesh, tmp_path):
         path = tmp_path / "flat.ply"
         cmap = ColorMap("diverging", lo=-1.0, hi=1.0, reference=0.25)
-        clamped = write_painted_mesh(mesh, np.full(mesh.n_vertices, 0.25), cmap, path)
-        assert clamped == 0
+        items = [(path, mesh, np.full(mesh.n_vertices, 0.25), cmap)]
+        write_files(items)
+        assert header_clamp_counts(items) == [0]
         lines = path.read_text().splitlines()
         start = lines.index("end_header") + 1
         for line in lines[start : start + mesh.n_vertices]:
@@ -340,13 +346,13 @@ class TestPaintedMesh:
         field = np.zeros(mesh.n_vertices)
         field[:4] = 99.0
         cmap = ColorMap("diverging", lo=-1.0, hi=1.0)
-        clamped = write_painted_mesh(mesh, field, cmap, path)
-        assert clamped == 4
+        write_files([(path, mesh, field, cmap)])
+        assert cmap.clamped(field) == 4
         assert "comment clamped 4" in path.read_text()
 
     def test_length_mismatch_rejected(self, mesh, tmp_path):
         with pytest.raises(ValueError, match="field length"):
-            write_painted_mesh(mesh, np.zeros(3), ColorMap("sequential", lo=0, hi=1), tmp_path / "x.ply")
+            write_files([(tmp_path / "x.ply", mesh, np.zeros(3), ColorMap("sequential", lo=0, hi=1))])
 
     def test_nan_refused_by_vertex(self, tmp_path):
         # a NaN used to be cast to black, off both palettes, and not counted as clamped
@@ -355,14 +361,16 @@ class TestPaintedMesh:
         field[[5, 9]] = np.nan
         for cmap in (ColorMap("diverging", lo=-1.0, hi=1.0), ColorMap("sequential", lo=0.0, hi=1.0)):
             with pytest.raises(ValueError, match="^value at vertex 5 is NaN"):
-                write_painted_mesh(mesh, field, cmap, tmp_path / "nan.ply")
+                write_files([(tmp_path / "nan.ply", mesh, field, cmap)])
         assert not (tmp_path / "nan.ply").exists()
 
     def test_infinities_clamped_and_counted(self, mesh, tmp_path):
         field = np.zeros(mesh.n_vertices)
         field[:3] = [np.inf, -np.inf, np.inf]
         path = tmp_path / "inf.ply"
-        assert write_painted_mesh(mesh, field, ColorMap("diverging", lo=-1.0, hi=1.0), path) == 3
+        items = [(path, mesh, field, ColorMap("diverging", lo=-1.0, hi=1.0))]
+        write_files(items)
+        assert header_clamp_counts(items) == [3]
         lines = path.read_text().splitlines()
         start = lines.index("end_header") + 1
         colours = [" ".join(line.split()[3:]) for line in lines[start : start + 3]]
@@ -372,8 +380,8 @@ class TestPaintedMesh:
         field = np.linspace(-1, 1, mesh.n_vertices)
         cmap = ColorMap("diverging", lo=-1.0, hi=1.0)
         a, b = tmp_path / "a.ply", tmp_path / "b.ply"
-        write_painted_mesh(mesh, field, cmap, a)
-        write_painted_mesh(mesh, field, cmap, b)
+        write_files([(a, mesh, field, cmap)])
+        write_files([(b, mesh, field, cmap)])
         assert a.read_bytes() == b.read_bytes()
 
 
@@ -401,22 +409,22 @@ class FixedColours:
     """Stands in for a ColorMap to put the uint8 extremes 0 and 255 in the file."""
 
     def rgb(self, values):
-        return np.array([[0, 0, 0], [255, 255, 255], [0, 128, 255], [7, 0, 255]], dtype=np.uint8), 2
+        return np.array([[0, 0, 0], [255, 255, 255], [0, 128, 255], [7, 0, 255]], dtype=np.uint8)
+
+    def clamped(self, values):
+        return 2
 
 
 class TestMeshWriterGoldenText:
     def test_obj_bytes(self, tmp_path):
         path = tmp_path / "golden.obj"
-        write_mesh(ss.SurfaceMesh(GOLDEN_VERTICES, GOLDEN_TRIANGLES), path)
+        write_files([(path, ss.SurfaceMesh(GOLDEN_VERTICES, GOLDEN_TRIANGLES))])
         expected = "".join(f"v {c}\n" for c in GOLDEN_COORDINATES) + "f 1 2 3\nf 1 3 4\n"
         assert path.read_bytes() == expected.encode("ascii")
 
     def test_ply_bytes_with_colour_extremes(self, tmp_path):
         path = tmp_path / "golden.ply"
-        clamped = write_painted_mesh(
-            ss.SurfaceMesh(GOLDEN_VERTICES, GOLDEN_TRIANGLES), np.zeros(4), FixedColours(), path
-        )
-        assert clamped == 2
+        write_files([(path, ss.SurfaceMesh(GOLDEN_VERTICES, GOLDEN_TRIANGLES), np.zeros(4), FixedColours())])
         colours = ("0 0 0", "255 255 255", "0 128 255", "7 0 255")
         body = "".join(f"{c} {rgb}\n" for c, rgb in zip(GOLDEN_COORDINATES, colours))
         expected = PLY_HEADER.format(clamped=2) + body + "3 0 1 2\n3 0 2 3\n"
@@ -426,7 +434,7 @@ class TestMeshWriterGoldenText:
         path = tmp_path / "diverging.ply"
         field = np.array([-2.0, -0.5, 0.0, 3.0])
         mesh = ss.SurfaceMesh(GOLDEN_VERTICES, GOLDEN_TRIANGLES)
-        assert write_painted_mesh(mesh, field, ColorMap("diverging", lo=-1.0, hi=1.0), path) == 2
+        write_files([(path, mesh, field, ColorMap("diverging", lo=-1.0, hi=1.0))])
         colours = ("59 76 192", "140 148 206", "221 221 221", "180 4 38")
         body = "".join(f"{c} {rgb}\n" for c, rgb in zip(GOLDEN_COORDINATES, colours))
         assert path.read_text() == PLY_HEADER.format(clamped=2) + body + "3 0 1 2\n3 0 2 3\n"
@@ -435,7 +443,7 @@ class TestMeshWriterGoldenText:
         vertices = np.random.default_rng(5).standard_normal((200, 3)) * 10.0 ** np.arange(-20, 20, 0.2)[:, None]
         triangles = np.column_stack([np.arange(198), np.arange(1, 199), np.arange(2, 200)])
         path = tmp_path / "random.obj"
-        write_mesh(ss.SurfaceMesh(vertices, triangles), path)
+        write_files([(path, ss.SurfaceMesh(vertices, triangles))])
         expected = "".join(f"v {x:.9g} {y:.9g} {z:.9g}\n" for x, y, z in vertices.tolist())
         expected += "".join(f"f {a + 1} {b + 1} {c + 1}\n" for a, b, c in triangles.tolist())
         assert path.read_text() == expected
@@ -448,7 +456,7 @@ def cohort_bytes_match_per_file_bytes(items, tmp_path):
     together.mkdir()
     alone.mkdir()
     for mesh, name in items:
-        write_mesh(mesh, alone / name)
+        write_files([(alone / name, mesh)])
     for cpus in (1, 2, 3):
         for _, name in items:
             (together / name).unlink(missing_ok=True)
@@ -460,7 +468,7 @@ def cohort_bytes_match_per_file_bytes(items, tmp_path):
 
 class TestCohortWriter:
     """write_files formats a face block once per triangle array in a process;
-    every file must still hold the bytes of its own write_mesh call."""
+    every file must still hold the bytes of its own one-item call."""
 
     def test_shared_triangle_array(self, mesh, tmp_path):
         rng = np.random.default_rng(7)
@@ -496,7 +504,7 @@ class TestModelSerialization:
     def test_fpca_round_trip_bitwise_eigenvalues_and_scores(self, tmp_path):
         fpca, _ = fitted_models()
         path = tmp_path / "model.json"
-        save_model(fpca, path)
+        write_files([(path, fpca)])
         back = load_model(path)
         assert np.array_equal(back.eigenvalues, fpca.eigenvalues)
         rng = np.random.default_rng(1)
@@ -506,7 +514,7 @@ class TestModelSerialization:
     def test_control_round_trip(self, tmp_path):
         _, control = fitted_models()
         path = tmp_path / "control.json"
-        save_model(control, path)
+        write_files([(path, control)])
         back = load_model(path)
         assert isinstance(back, ss.ControlModel)
         assert back.p == control.p
@@ -522,7 +530,7 @@ class TestModelSerialization:
         # has to be refused, not truncated into a valid triangle
         _, control = fitted_models()
         path = tmp_path / "control.json"
-        save_model(control, path)
+        write_files([(path, control)])
         doc = json.loads(path.read_text())
         doc["triangles"][0][0] = entry
         path.write_text(json.dumps(doc))
@@ -532,7 +540,7 @@ class TestModelSerialization:
     def test_integral_float_triangle_index_loads(self, tmp_path):
         _, control = fitted_models()
         path = tmp_path / "control.json"
-        save_model(control, path)
+        write_files([(path, control)])
         doc = json.loads(path.read_text())
         doc["triangles"] = [[float(v) for v in row] for row in doc["triangles"]]
         path.write_text(json.dumps(doc))
@@ -543,7 +551,7 @@ class TestModelSerialization:
     def test_tampered_eigenvalue_order_rejected(self, tmp_path):
         fpca, _ = fitted_models()
         path = tmp_path / "model.json"
-        save_model(fpca, path)
+        write_files([(path, fpca)])
         doc = json.loads(path.read_text())
         doc["eigenvalues"] = doc["eigenvalues"][::-1]
         path.write_text(json.dumps(doc))
@@ -562,7 +570,7 @@ class TestModelSerialization:
         fpca, control = fitted_models()
         for model in (fpca, control):
             path = tmp_path / "model.json"
-            save_model(model, path)
+            write_files([(path, model)])
             doc = json.loads(path.read_text())
             (doc.get("fpca") or doc)["total_variance"] = total
             path.write_text(json.dumps(doc))
@@ -572,7 +580,7 @@ class TestModelSerialization:
     def test_missing_field_named(self, tmp_path):
         fpca, _ = fitted_models()
         path = tmp_path / "model.json"
-        save_model(fpca, path)
+        write_files([(path, fpca)])
         doc = json.loads(path.read_text())
         del doc["eigenfunctions"]
         path.write_text(json.dumps(doc))
@@ -582,7 +590,7 @@ class TestModelSerialization:
     def test_schema_version_checked(self, tmp_path):
         fpca, _ = fitted_models()
         path = tmp_path / "model.json"
-        save_model(fpca, path)
+        write_files([(path, fpca)])
         doc = json.loads(path.read_text())
         doc["schema_version"] = 99
         path.write_text(json.dumps(doc))
@@ -592,7 +600,7 @@ class TestModelSerialization:
     def test_truncated_file(self, tmp_path):
         fpca, _ = fitted_models()
         path = tmp_path / "model.json"
-        save_model(fpca, path)
+        write_files([(path, fpca)])
         path.write_text(path.read_text()[: len(path.read_text()) // 2])
         with pytest.raises(ValueError, match="truncated or malformed"):
             load_model(path)
@@ -614,17 +622,36 @@ class TestSidecarFiles:
     def test_regions_round_trip_and_bounds(self, tmp_path):
         regions = {"nose": np.array([0, 2, 5]), "chin": np.array([1, 3])}
         path = tmp_path / "regions.csv"
-        write_regions(regions, path)
+        write_files([(path, regions_table(regions))])
         back = read_regions(path, n_vertices=6)
         assert set(back) == {"nose", "chin"}
         np.testing.assert_array_equal(back["nose"], [0, 2, 5])
         with pytest.raises(ValueError, match="outside"):
             read_regions(path, n_vertices=5)
 
+    @pytest.mark.parametrize(
+        "body, line, name",
+        [
+            ('0,"a\n1,b"\n', 2, "a\n1,b"),  # read as one name, it would be written as two rows
+            ('0,"a,b"\n', 2, "a,b"),
+            ('0,"a\rb"\n', 2, "a\rb"),
+            ('0,nose\n1,"""a"\n', 3, '"a'),  # written bare, the quote would open a quoted cell
+            ('0,nose\n1, "a\n', 3, '"a'),
+        ],
+        ids=["quoted-over-two-lines", "comma", "cr", "quote", "quote-after-space"],
+    )
+    def test_region_name_that_cannot_be_written_back_is_refused(self, tmp_path, body, line, name):
+        path = tmp_path / "regions.csv"
+        path.write_bytes(f"vertex_index,region_name\n{body}".encode("ascii"))
+        with pytest.raises(ValueError) as caught:
+            read_regions(path, 3)
+        rule = "has a comma, CR or LF, or a leading quote"
+        assert str(caught.value) == f"{path}: line {line}: region name {name!r} {rule}"
+
     def test_pairing_round_trip_and_involution_check(self, tmp_path):
         _, pairing = sphere_with_pairing()
         path = tmp_path / "pairing.csv"
-        write_pairing(pairing, path)
+        write_files([(path, pairing_table(pairing))])
         back = read_pairing(path, pairing.pair.size)
         np.testing.assert_array_equal(back.pair, pairing.pair)
         bad = tmp_path / "bad.csv"
@@ -641,7 +668,7 @@ class TestSidecarFiles:
     def test_labels_round_trip_and_duplicates(self, tmp_path):
         labels = {"b.obj": "B", "a.obj": "A"}
         path = tmp_path / "labels.csv"
-        write_labels(labels, path)
+        write_files([(path, labels_table(labels))])
         assert read_labels(path) == labels
         dup = tmp_path / "dup.csv"
         dup.write_text("a.obj,A\na.obj,B\n")
@@ -677,7 +704,7 @@ class TestSidecarFiles:
         "reader, text, line, message",
         [
             (read_labels, 'filename,label\na.obj,"A\nB"\nb.obj,x\nb.obj,y\n', 5, "duplicate filename 'b.obj'"),
-            (lambda path: read_regions(path, 3), 'vertex_index,region_name\n0,"a\nb"\n1,c\nx,d\n', 5,
+            (lambda path: read_regions(path, 3), 'vertex_index,region_name\n"0\n",a\n1,c\nx,d\n', 5,
              "vertex index 'x' is not an integer"),
             (lambda path: read_pairing(path, 3), 'index,mirror_index\n"0\n",0\n1,1\n2,9\n', 5,
              "vertex 9 outside [0, 3)"),
@@ -703,9 +730,9 @@ class TestSidecarFiles:
         "reader, text, message",
         [
             (lambda path: read_regions(path, 20), "1_0,b\n", "vertex index '1_0' is not an integer"),
-            (lambda path: read_pairing(path, 20), "0,1_0\n", "indices must be integers"),
-            (lambda path: read_weight_overrides(path, 20), "1,0_5\n", "expected integer index and numeric weight"),
-            (lambda path: read_weight_overrides(path, 20), "1_0,1\n", "expected integer index and numeric weight"),
+            (lambda path: read_pairing(path, 20), "0,1_0\n", "vertex index '1_0' is not an integer"),
+            (lambda path: read_weight_overrides(path, 20), "1,0_5\n", "weight '0_5' is not a number"),
+            (lambda path: read_weight_overrides(path, 20), "1_0,1\n", "vertex index '1_0' is not an integer"),
         ],
         ids=["regions", "pairing", "weight", "weight-index"],
     )
@@ -730,7 +757,7 @@ class TestCsvGoldenText:
             ("global", np.float64(-0.1), 1.0 / 3.0, ""),
             (2, -2.5, np.float64(1e-300), "true"),
         ]
-        write_csv(path, ("component", "statistic", "p_value", "significant"), rows)
+        write_files([(path, csv_table(("component", "statistic", "p_value", "significant"), rows))])
         assert path.read_text() == (
             "component,statistic,p_value,significant\n"
             "global,-0.10000000000000001,0.33333333333333331,\n"
@@ -740,24 +767,24 @@ class TestCsvGoldenText:
     def test_floats_round_trip_exactly(self, tmp_path):
         values = np.random.default_rng(3).standard_normal(50) * 10.0 ** np.arange(-25, 25)
         path = tmp_path / "values.csv"
-        write_csv(path, ("i", "value"), enumerate(values))
+        write_files([(path, csv_table(("i", "value"), enumerate(values)))])
         lines = path.read_text().splitlines()[1:]
         assert [float(line.split(",")[1]) for line in lines] == values.tolist()
         assert [int(line.split(",")[0]) for line in lines] == list(range(50))
 
     def test_sidecar_writers(self, tmp_path):
-        write_regions({"nose": np.array([5, 2]), "chin": [np.intp(1)]}, tmp_path / "regions.csv")
+        write_files([(tmp_path / "regions.csv", regions_table({"nose": np.array([5, 2]), "chin": [np.intp(1)]}))])
         assert (tmp_path / "regions.csv").read_text() == "vertex_index,region_name\n1,chin\n5,nose\n2,nose\n"
-        write_pairing(ss.BilateralPairing(np.array([2, 1, 0])), tmp_path / "pairing.csv")
+        write_files([(tmp_path / "pairing.csv", pairing_table(ss.BilateralPairing(np.array([2, 1, 0]))))])
         assert (tmp_path / "pairing.csv").read_text() == "index,mirror_index\n0,2\n1,1\n2,0\n"
-        write_labels({"b.obj": "B", "a.obj": "A"}, tmp_path / "labels.csv")
+        write_files([(tmp_path / "labels.csv", labels_table({"b.obj": "B", "a.obj": "A"}))])
         assert (tmp_path / "labels.csv").read_text() == "filename,label\na.obj,A\nb.obj,B\n"
 
 
 class TestMeshDirectory:
     def test_lexicographic_order(self, mesh, tmp_path):
         for name in ("b.obj", "a.obj", "c.obj"):
-            write_mesh(mesh, tmp_path / name)
+            write_files([(tmp_path / name, mesh)])
         names, meshes = load_mesh_directory(tmp_path)
         assert names == ["a.obj", "b.obj", "c.obj"]
         assert len(meshes) == 3
@@ -767,11 +794,11 @@ class TestMeshDirectory:
             load_mesh_directory(tmp_path)
 
     def test_mesh_that_does_not_match_the_first_is_named(self, mesh, tmp_path):
-        write_mesh(mesh, tmp_path / "a.obj")
-        write_mesh(ss.SurfaceMesh(mesh.vertices, mesh.triangles[:, ::-1]), tmp_path / "b.obj")
+        write_files([(tmp_path / "a.obj", mesh)])
+        write_files([(tmp_path / "b.obj", ss.SurfaceMesh(mesh.vertices, mesh.triangles[:, ::-1]))])
         with pytest.raises(ValueError, match="b.obj: triangle list differs from a.obj"):
             load_mesh_directory(tmp_path)
-        write_mesh(bumpy_mesh(np.random.default_rng(1), resolution=3), tmp_path / "b.obj")
+        write_files([(tmp_path / "b.obj", bumpy_mesh(np.random.default_rng(1), resolution=3))])
         with pytest.raises(ValueError, match=f"b.obj: vertex count 258 != {mesh.n_vertices} of a.obj"):
             load_mesh_directory(tmp_path)
 
@@ -791,7 +818,7 @@ class TestSplitOverCpus:
         rng = np.random.default_rng(11)
         for i in range(7):
             shape = mesh.with_vertices(mesh.vertices + rng.normal(0, 0.01, mesh.vertices.shape))
-            write_mesh(shape, tmp_path / f"s{i}.obj")
+            write_files([(tmp_path / f"s{i}.obj", shape)])
         return tmp_path
 
     def serial_error(self, path):
@@ -932,21 +959,12 @@ class TestWriteFiles:
 
     @staticmethod
     def alone(items, directory):
-        """The bytes and clamp counts of each item written by its single-file call."""
+        """The bytes of each item written by a one-item call at one CPU, and each PLY's clamp count."""
         directory.mkdir()
-        counts = []
-        for path, value, *rest in items:
-            path = directory / path.name
-            if rest:
-                counts.append(write_painted_mesh(value, *rest, path))
-            else:
-                counts.append(None)
-                if isinstance(value, ss.SurfaceMesh):
-                    write_mesh(value, path)
-                elif isinstance(value, dict):
-                    sio.write_json(value, path)
-                else:
-                    save_model(value, path)
+        with mock.patch("os.sched_getaffinity", return_value={0}):
+            for path, *value in items:
+                write_files([(directory / path.name, *value)])
+        counts = [rest[1].clamped(rest[0]) if rest else None for _, _, *rest in items]
         return [(directory / path.name).read_bytes() for path, *_ in items], counts
 
     def test_bytes_of_the_single_file_writers(self, items, cpus, tmp_path, monkeypatch):
@@ -1035,8 +1053,8 @@ def header_clamp_counts(items):
 
 
 def written_bytes(mesh, path):
-    """The bytes write_mesh writes for ``mesh``."""
-    write_mesh(mesh, path)
+    """The bytes a one-item write_files call writes for ``mesh``."""
+    write_files([(path, mesh)])
     return path.read_bytes()
 
 
@@ -1078,10 +1096,10 @@ class TestModelFileRoundTrip:
     def test_every_field_bitwise_and_bytes_stable(self, models, name, tmp_path):
         model = models[name]
         first, second = tmp_path / "first.json", tmp_path / "second.json"
-        save_model(model, first)
+        write_files([(first, model)])
         back = load_model(first)
         assert_same_bits(back, model)
-        save_model(back, second)
+        write_files([(second, back)])
         assert second.read_bytes() == first.read_bytes()
 
     def test_field_tables_name_every_dataclass_field(self):
@@ -1094,7 +1112,7 @@ class TestModelFileRoundTrip:
         # an older writer stored p, chi2_threshold, q95, explained, the total area and n_samples
         model = models[name]
         path = tmp_path / "model.json"
-        save_model(model, path)
+        write_files([(path, model)])
         doc = json.loads(path.read_text())
         fpca = doc if name in ("fpca", "truncated") else doc["fpca"]
         fpca.update(explained=[0.5] * len(fpca["eigenvalues"]), weights_total_area=1e3, n_samples=-5)

@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 import surfshape as ss  # noqa: E402
 import surfshape.io as sio  # noqa: E402
-from surfshape.io import load_mesh_directory, read_mesh, write_mesh  # noqa: E402
+from surfshape.io import load_mesh_directory, read_mesh, write_files  # noqa: E402
 from surfshape.mesh import check_correspondence  # noqa: E402
 from conftest import bumpy_mesh  # noqa: E402
 
@@ -112,7 +112,7 @@ ACCEPTED = (None, "slash", "record", "swap")  # the faults that still leave a re
 
 @st.composite
 def plain_obj(draw, fault):
-    """A file in the shape write_mesh emits, 9-digit coordinates and a triangle
+    """A file in the shape write_files writes, 9-digit coordinates and a triangle
     fan, with the given fault (None for none)."""
     n_vertices = draw(st.integers(3, 9))
     lines = [draw(good_vertex) for _ in range(n_vertices)]
@@ -178,7 +178,7 @@ def test_any_bytes_parse_or_name_the_file(data, scratch):
 @given(prefix=st.binary(max_size=40), cut=st.integers(0, 400))
 def test_damaged_writer_output_parses_or_names_the_file(prefix, cut, scratch):
     mesh = bumpy_mesh(np.random.default_rng(1), resolution=2)
-    write_mesh(mesh, scratch)
+    write_files([(scratch, mesh)])
     text = scratch.read_bytes()
     scratch.write_bytes(text[:cut] + prefix + text[cut:])
     try:
@@ -273,7 +273,7 @@ def later_file(draw, first: bytes):
 def test_shared_faces_give_what_read_mesh_gives(data, cohort_dir):
     for old in cohort_dir.glob("*.obj"):
         old.unlink()
-    write_mesh(data.draw(fan_obj()), cohort_dir / "a.obj")
+    write_files([(cohort_dir / "a.obj", data.draw(fan_obj()))])
     first = (cohort_dir / "a.obj").read_bytes()
     edit = data.draw(st.sampled_from(["none", "none", "no final newline", "interleaved"]))
     if edit == "no final newline":
@@ -303,7 +303,7 @@ def test_later_file_behind_the_first_face_block(fault, cohort_dir):
     later mesh shares the first mesh's triangle array."""
     for old in cohort_dir.glob("*.obj"):
         old.unlink()
-    write_mesh(bumpy_mesh(np.random.default_rng(3), resolution=2), cohort_dir / "a.obj")
+    write_files([(cohort_dir / "a.obj", bumpy_mesh(np.random.default_rng(3), resolution=2))])
     first = (cohort_dir / "a.obj").read_bytes()
     lines = first.split(b"\nf", 1)[0].split(b"\n")
     if fault == "first interleaved":
@@ -336,12 +336,12 @@ finite_vertex_lists = st.integers(3, 8).flatmap(
 
 @given(coords=finite_vertex_lists)
 def test_written_mesh_reads_back_at_nine_digits(coords, scratch):
-    """write_mesh then read_mesh gives each coordinate x as float("%.9g" % x),
+    """write_files then read_mesh gives each coordinate x as float("%.9g" % x),
     bit for bit, and a leading comment (which sends the file to the line scan)
     changes nothing."""
     vertices = np.array(coords).reshape(-1, 3)
     mesh = ss.SurfaceMesh(vertices, [[0, i, i + 1] for i in range(1, vertices.shape[0] - 1)])
-    write_mesh(mesh, scratch)
+    write_files([(scratch, mesh)])
     data = scratch.read_bytes()
     assert sio._parse_plain_obj(data) is not None
     back = read_mesh(scratch)

@@ -1,8 +1,8 @@
 """Property tests for the JSON writer.
 
-write_json lays out dicts and finite numeric arrays itself; its bytes must be
-exactly what ``json.dump(doc, sort_keys=True, indent=2)`` writes for the same
-document with arrays as lists and numpy scalars as Python numbers.
+write_files lays out a document's dicts and finite numeric arrays itself; its
+bytes must be exactly what ``json.dump(doc, sort_keys=True, indent=2)`` writes
+for the same document with arrays as lists and numpy scalars as Python numbers.
 """
 import json
 from io import StringIO
@@ -14,7 +14,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, strategies as st  # noqa: E402
 from hypothesis.extra import numpy as hnp  # noqa: E402
 
-from surfshape.io import write_json  # noqa: E402
+from surfshape.io import write_files  # noqa: E402
 
 
 @pytest.fixture(scope="module")
@@ -72,5 +72,5 @@ documents = st.recursive(
 @example(doc={"nonfinite": np.array([1.0, np.nan, -np.inf]), "scalar": np.float64(-0.0), "count": np.int64(7)})
 @example(doc={'quote"back\\slash\nnewlineé ': ["tab\t", "\x00"], "": {}})
 def test_write_json_is_json_dump(doc, scratch):
-    write_json(doc, scratch)
+    write_files([(scratch, doc)])
     assert scratch.read_text(encoding="ascii") == json_dump(doc)

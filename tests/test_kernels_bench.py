@@ -16,7 +16,7 @@ pytest.importorskip("pytest_benchmark")
 
 import surfshape as ss
 from surfshape.groupcompare import PERMUTATION_MODES
-from surfshape.io import load_mesh_directory, read_mesh, save_model, write_files, write_mesh
+from surfshape.io import load_mesh_directory, read_mesh, write_files
 
 BENCH_ROUNDS = 7
 
@@ -36,7 +36,7 @@ def cohort():
 def obj_directory(cohort, tmp_path_factory):
     directory = tmp_path_factory.mktemp("objs")
     for i, mesh in enumerate(cohort.meshes):
-        write_mesh(mesh, directory / f"shape_{i:02d}.obj")
+        write_files([(directory / f"shape_{i:02d}.obj", mesh)])
     return directory
 
 
@@ -109,7 +109,7 @@ def test_save_model(timed, cohort, tmp_path):
     """A control model of the ten shapes: mean, weights, eigenfunctions and triangles."""
     model = ss.fit_control_model(cohort)
     path = tmp_path / "control_model.json"
-    timed(save_model, model, path)
+    timed(write_files, [(path, model)])
     assert path.stat().st_size > 2**20
 
 

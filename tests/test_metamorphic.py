@@ -57,7 +57,7 @@ from surfshape.cli import main
 from surfshape.fpca import fit_fpca
 from surfshape.groupcompare import permutation_test
 from surfshape.individual import asymmetry_report, fit_control_model
-from surfshape.io import load_mesh_directory, read_pairing, read_regions, write_files, write_pairing, write_regions
+from surfshape.io import load_mesh_directory, pairing_table, read_pairing, read_regions, regions_table, write_files
 from surfshape.registration import tangent_coordinates, weighted_gpa
 
 
@@ -279,8 +279,8 @@ def test_the_cli_reads_renumbered_files_the_same(seed, tmp_path):
     )
     (moved / "meshes").mkdir(parents=True)
     write_files(zip((moved / "meshes" / name for name in names), sample.meshes))
-    write_pairing(pairing, moved / "pairing.csv")
-    write_regions(regions, moved / "regions.csv")
+    write_files([(moved / "pairing.csv", pairing_table(pairing))])
+    write_files([(moved / "regions.csv", regions_table(regions))])
     shutil.copy(original / "labels.csv", moved / "labels.csv")
     for name in names:
         before, after = ((root / "meshes" / name).read_text().splitlines() for root in (original, moved))

@@ -1,6 +1,6 @@
 """Property tests for the model reader.
 
-Any bytes, and the documents save_model writes with a field dropped, given
+Any bytes, and the model documents write_files writes with a field dropped, given
 another type or cut short, either load or raise a ValueError whose text starts
 with the file path. What loads is a model whose arrays agree with its vertex
 count.
@@ -14,7 +14,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, strategies as st  # noqa: E402
 
 import surfshape as ss  # noqa: E402
-from surfshape.io import load_model, save_model  # noqa: E402
+from surfshape.io import load_model, write_files  # noqa: E402
 
 
 @pytest.fixture(scope="module")
@@ -34,7 +34,7 @@ def documents(tmp_path_factory):
     directory = tmp_path_factory.mktemp("models")
     texts = {}
     for kind, model in (("fpca", fpca), ("control", control)):
-        save_model(model, directory / f"{kind}.json")
+        write_files([(directory / f"{kind}.json", model)])
         texts[kind] = (directory / f"{kind}.json").read_text()
     return texts
 
