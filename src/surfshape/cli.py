@@ -51,7 +51,7 @@ from .io import (
 )
 from .mesh import DIFFERENCE_MODES, NumericalFailure, ShapeSample, SurfaceMesh, check_correspondence
 from .mesh import shape_difference_field
-from .registration import MIN_TOL, SIZE_CONSTRAINTS, _tangent_over_stack, weighted_gpa
+from .registration import MIN_TOL, SIZE_CONSTRAINTS, GpaResult, _tangent_over_stack, weighted_gpa
 from .synth import SynthConfig, synth_cohort
 from .warp import apply_warp, check_tps_size, fit_tps
 
@@ -184,9 +184,12 @@ def write_manifest(out: Path, command: str, args: argparse.Namespace) -> None:
     write_files([(out / "manifest.json", doc)])
 
 
-def _load_cohort(args) -> tuple[list[str], ShapeSample]:
-    """Read --meshes, once a --labels file labels each listed name, in exactly
-    two groups, and the listing holds enough shapes for --p components."""
+def _registered_cohort(args) -> tuple[list[str], SurfaceMesh, tuple[str, ...] | None, GpaResult]:
+    """The names, the first mesh (the topology), the labels and the GPA of
+    --meshes; the cohort itself is released. A --labels file must label each
+    listed name, in exactly two groups, and the listing hold enough shapes for
+    --p components, before any mesh is read; --weight-overrides is read once
+    the meshes give the vertex count."""
     labels = None
     if getattr(args, "labels", None):
         table, names = read_labels(args.labels), mesh_names(args.meshes)
@@ -199,14 +202,11 @@ def _load_cohort(args) -> tuple[list[str], ShapeSample]:
         if len(names) < args.p + 2:  # compare, the one subcommand with --labels, fits --p components
             raise ValueError(f"{args.meshes}: --p {args.p} needs at least {args.p + 2} shapes, got {len(names)}")
     names, meshes = load_mesh_directory(args.meshes)
-    return names, ShapeSample(tuple(meshes), labels=labels)
-
-
-def _run_gpa(sample: ShapeSample, args):
+    sample = ShapeSample(tuple(meshes), labels=labels)
     overrides = None
     if getattr(args, "weight_overrides", None):
         overrides = read_weight_overrides(args.weight_overrides, sample.n_vertices)
-    return weighted_gpa(
+    gpa = weighted_gpa(
         sample,
         max_iter=args.max_iter,
         tol=args.tol,
@@ -214,6 +214,7 @@ def _run_gpa(sample: ShapeSample, args):
         allow_scaling=not args.rigid,
         weight_overrides=overrides,
     )
+    return names, sample.meshes[0], sample.labels, gpa
 
 
 def _painted(path: Path, mesh: SurfaceMesh, field: np.ndarray, diverging: bool = False) -> tuple:
@@ -228,9 +229,7 @@ def _painted(path: Path, mesh: SurfaceMesh, field: np.ndarray, diverging: bool =
 
 
 def cmd_register(args) -> tuple[str, list]:
-    names, sample = _load_cohort(args)
-    result = _run_gpa(sample, args)
-    topology = sample.meshes[0]
+    names, topology, _, result = _registered_cohort(args)
     header = ["filename", "scale", *(f"r{i}{j}" for i in range(3) for j in range(3)), "tx", "ty", "tz"]
     rows = ((name, t.scale, *t.rotation.ravel(), *t.translation) for name, t in zip(names, result.transforms))
     return f"registered {len(names)} shapes in {result.iterations} iterations (converged={result.converged})", [
@@ -242,10 +241,7 @@ def cmd_register(args) -> tuple[str, list]:
 
 
 def cmd_pca(args) -> tuple[str, list]:
-    names, sample = _load_cohort(args)
-    gpa = _run_gpa(sample, args)
-    topology = sample.meshes[0]
-    del sample  # release the cohort; the tangent rows are written over GPA's stack
+    names, topology, _, gpa = _registered_cohort(args)
     tangent = _tangent_over_stack(gpa)
     model = fit_fpca(tangent, gpa.mean_weights, k=args.components or args.variance or 0.80, mean_shape=gpa.mean)
     score_rows = scores_from_tangent(model, tangent)
@@ -280,10 +276,7 @@ def cmd_tour(args) -> tuple[str, list]:
 
 
 def cmd_compare(args) -> tuple[str, list]:
-    names, sample = _load_cohort(args)
-    gpa = _run_gpa(sample, args)
-    labels = sample.labels
-    del sample  # release the cohort; the tangent rows are written over GPA's stack
+    _, _, labels, gpa = _registered_cohort(args)
     report = permutation_test(
         _tangent_over_stack(gpa),
         labels,
@@ -321,10 +314,8 @@ def cmd_compare(args) -> tuple[str, list]:
 
 
 def cmd_split_affine(args) -> tuple[str, list]:
-    names, sample = _load_cohort(args)
-    gpa = _run_gpa(sample, args)
+    names, topology, _, gpa = _registered_cohort(args)
     affine, nonaffine, alphas = affine_nonaffine_split(gpa.aligned, gpa.mean)
-    topology = sample.meshes[0]
     items = [("mean.obj", topology.with_vertices(gpa.mean))]
     for sub, stack in (("affine", affine), ("nonaffine", nonaffine)):
         items += [(Path(sub, name), topology.with_vertices(verts)) for name, verts in zip(names, stack)]
@@ -358,15 +349,16 @@ def cmd_asymmetry(args) -> tuple[str, list]:
 
 
 def cmd_assess(args) -> tuple[str, list]:
+    if args.controls is None:  # a file of the wrong kind is refused before the cases are read
+        model = load_model(args.model)
+        if not isinstance(model, ControlModel):
+            raise ValueError(f"{args.model}: not a control model")
     pre = read_mesh(args.pre)
     post = read_mesh(args.post)
     if args.controls is not None:
         controls = load_mesh_directory(args.controls)[1]
         reference, what = controls[0], f"control cohort {args.controls}"
     else:
-        model = load_model(args.model)
-        if not isinstance(model, ControlModel):
-            raise ValueError(f"{args.model}: not a control model")
         reference, what = model.mean_mesh(), f"control model {args.model}"
     for path, mesh in ((args.pre, pre), (args.post, post)):
         check_correspondence(mesh, reference, what, str(path))

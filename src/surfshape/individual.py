@@ -326,15 +326,12 @@ def fit_control_model(
 
     control_asym = None
     if pairing is not None:
-        names = ["global", *regions]
-
-        def score_share(indices) -> list[np.ndarray]:
+        def score_share(indices) -> list[dict[str, float]]:
             # only the scores of each report are kept, not its per-vertex arrays
-            reports = (asymmetry_report(controls.meshes[i], pairing, regions) for i in indices)
-            return [np.array([report.scores[name] for name in names]) for report in reports]
+            return [asymmetry_report(controls.meshes[i], pairing, regions).scores for i in indices]
 
-        rows = np.array(_in_shares(controls.n_shapes, score_share, (len(names),)))
-        control_asym = {name: np.sort(rows[:, i]) for i, name in enumerate(names)}
+        scores = _in_shares(controls.n_shapes, score_share)
+        control_asym = {name: np.sort([row[name] for row in scores]) for name in ("global", *regions)}
 
     return ControlModel(
         fpca=model,

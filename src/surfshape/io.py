@@ -242,7 +242,7 @@ def write_files(items) -> None:
                 fh.write(text if isinstance(text, bytes) else text.encode("ascii"))
         return [None] * len(indices)
 
-    _in_shares(len(items), write_share, (), [_file_size(item) for item in items])
+    _in_shares(len(items), write_share, [_file_size(item) for item in items])
 
 
 def _file_text(item, faces: dict) -> str | bytes:
@@ -508,6 +508,15 @@ def _number(kind, text: str):
     return kind(text)
 
 
+def _name(path, lineno: int, what: str, text: str) -> str:
+    """The name in the cell ``text`` of line ``lineno``; one that :func:`csv_table`
+    would not write back as it reads, holding a comma, CR or LF, or starting
+    with a quote, is refused."""
+    if text.startswith('"') or any(c in text for c in ",\r\n"):
+        raise ValueError(f"{path}: line {lineno}: {what} {text!r} has a comma, CR or LF, or a leading quote")
+    return text
+
+
 def _vertex(path, lineno: int, text: str, n_vertices: int) -> int:
     """The vertex index in the cell ``text`` of line ``lineno``, an integer in [0, n_vertices)."""
     try:
@@ -576,8 +585,7 @@ def read_regions(path, n_vertices: int) -> dict[str, np.ndarray]:
     for lineno, (idx_text, name) in _read_csv_rows(path, "vertex_index"):
         if name == "global":
             raise ValueError(f"{path}: line {lineno}: region name 'global' is reserved for the whole-surface score")
-        if name.startswith('"') or any(c in name for c in ",\r\n"):
-            raise ValueError(f"{path}: line {lineno}: region name {name!r} has a comma, CR or LF, or a leading quote")
+        name = _name(path, lineno, "region name", name)
         regions.setdefault(name, []).append(_vertex(path, lineno, idx_text, n_vertices))
     return {name: np.unique(np.asarray(idx, dtype=np.intp)) for name, idx in regions.items()}
 
@@ -650,9 +658,12 @@ def read_weight_overrides(path, n_vertices: int) -> dict[int, float]:
 
 
 def read_labels(path) -> dict[str, str]:
-    """Read a filename,label CSV keyed by mesh filename (header optional)."""
+    """Read a filename,label CSV keyed by mesh filename (header optional).
+    A file name or label that would not read back once written is refused,
+    as :func:`_name` says."""
     labels: dict[str, str] = {}
     for lineno, (name, label) in _read_csv_rows(path, "filename"):
+        name, label = _name(path, lineno, "filename", name), _name(path, lineno, "label", label)
         if name in labels:
             raise ValueError(f"{path}: line {lineno}: duplicate filename {name!r}")
         labels[name] = label
@@ -676,13 +687,14 @@ def load_mesh_directory(directory) -> tuple[list[str], list[SurfaceMesh]]:
     """Load all .obj meshes in a directory, lexicographic filename order; every
     mesh must share the first one's vertex count and triangulation.
 
-    When the first file is plain (see :func:`read_mesh`), a later file made
-    of plain ``v`` lines and then exactly the first file's face block (with
-    a final newline) has only its vertex block parsed, and its mesh shares
-    the first mesh's triangle array: callers must not mutate ``triangles``.
-    These vertex blocks are parsed over the CPUs by :func:`_in_shares`. The
-    arrays and every error text are the ones :func:`read_mesh` and the
-    correspondence check give.
+    The first file is parsed here and every later one over the CPUs by
+    :func:`_in_shares`. When the first file is plain (see :func:`read_mesh`),
+    a later file made of plain ``v`` lines and then exactly the first file's
+    face block (with a final newline) has only its vertex block parsed, and
+    its mesh shares the first mesh's triangle array: callers must not mutate
+    ``triangles``. Any other file is parsed as :func:`read_mesh` parses it.
+    The arrays and every error text are the ones :func:`read_mesh` and the
+    correspondence check give, the first error of the files in order.
     """
     names = mesh_names(directory)
     paths = [Path(directory, name) for name in names]
@@ -690,26 +702,22 @@ def load_mesh_directory(directory) -> tuple[list[str], list[SurfaceMesh]]:
     first, plain = _mesh_from_obj(data, paths[0])
     faces = _plain_blocks(data)[1] if plain else None
 
-    def plain_vertices(indices) -> list[np.ndarray | None]:
+    def parse_share(indices) -> list[np.ndarray | SurfaceMesh]:
         """The vertex array of each later file of ``indices`` that takes the
-        fast path; None for any other, and for one that cannot be read."""
+        fast path, and the mesh of any other."""
         share = []
         for i in indices:
             path = paths[1 + i]
-            try:
-                data = path.read_bytes()
-            except OSError:
-                data = b""
-            v = _parse_plain_block(data[: len(data) - len(faces)], "v", float) if data.endswith(faces) else None
-            share.append(v if v is not None and v.shape == first.vertices.shape and np.isfinite(v).all() else None)
+            data = path.read_bytes()
+            v = None
+            if faces and data.endswith(faces):
+                v = _parse_plain_block(data[: -len(faces)], "v", float)
+            fast = v is not None and v.shape == first.vertices.shape and np.isfinite(v).all()
+            share.append(v if fast else _mesh_from_obj(data, path)[0])
         return share
 
-    later = len(paths) - 1
-    vertices = _in_shares(later, plain_vertices, first.vertices.shape) if faces else [None] * later
-    meshes = [first]
-    for path, v in zip(paths[1:], vertices):
-        # a file off the fast path is read in full, in order, so that a fault is named as read_mesh names it
-        meshes.append(first.with_vertices(v) if v is not None else _mesh_from_obj(path.read_bytes(), path)[0])
+    parsed = _in_shares(len(paths) - 1, parse_share)
+    meshes = [first, *(first.with_vertices(p) if isinstance(p, np.ndarray) else p for p in parsed)]
     for path, mesh in zip(paths, meshes):
         check_correspondence(mesh, first, names[0], str(path))
     return names, meshes

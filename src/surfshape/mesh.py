@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import copy
 import os
+import pickle
 from dataclasses import KW_ONLY, InitVar, dataclass, field
 from typing import Iterable, Mapping
 
@@ -335,10 +336,10 @@ def shape_difference_field(base: SurfaceMesh, other: SurfaceMesh, mode: str) -> 
     return distance * sign
 
 
-def _in_shares(n: int, task, shape: tuple = (), sizes=None) -> list:
-    """What ``task(indices)`` gives for each item of a list of indices into
-    ``range(n)`` (None, or a float array of ``shape``), run in one share per
-    CPU this process may run on, at most ``n``.
+def _in_shares(n: int, task, sizes=None) -> list:
+    """What ``task(indices)`` gives for a list of indices into ``range(n)``, a
+    list with one item per index, run in one share per CPU this process may
+    run on, at most ``n``.
 
     The items are dealt largest first by ``sizes`` (one each when None),
     each to the least-loaded share, the first of equals: equal sizes are
@@ -346,12 +347,13 @@ def _in_shares(n: int, task, shape: tuple = (), sizes=None) -> list:
     its items in index order.
 
     The first share runs here and each other one in a child made by
-    ``os.fork``, which sends its arrays through a pipe into arrays allocated
-    here. A child that fails exits non-zero having sent nothing, so its pipe
-    comes up short. Such a share, this process's own share if it raised, and
-    every share left when a fork fails are run again here once the others
-    are in, as one list in index order: every exception is thus the serial
-    code's first. With one CPU or one item, or without ``os.fork``, this is
+    ``os.fork``, which sends its list back through a pipe as one pickle (the
+    pickles come only from this process's own children). A child that fails
+    exits non-zero having sent nothing or part of it, so its stream does not
+    unpickle. Such a share, this process's own share if it raised, and every
+    share left when a fork fails are run again here once the others are in,
+    as one list in index order: every exception is thus the serial code's
+    first. With one CPU or one item, or without ``os.fork``, this is
     ``task(range(n))``.
     """
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "fork") and hasattr(os, "sched_getaffinity") else 1
@@ -388,11 +390,8 @@ def _in_shares(n: int, task, shape: tuple = (), sizes=None) -> list:
                 try:
                     os.close(read)
                     with open(write, "wb") as pipe:
-                        done = task(share)  # all of it before the first write, or the pipe stalls the child
-                        pipe.write(bytes(array is not None for array in done))
-                        for array in done:
-                            if array is not None:
-                                pipe.write(array)
+                        # all of it before the first write, or the pipe stalls the child
+                        pickle.dump(task(share), pipe, pickle.HIGHEST_PROTOCOL)
                     status = 0
                 finally:
                     os._exit(status)
@@ -405,11 +404,9 @@ def _in_shares(n: int, task, shape: tuple = (), sizes=None) -> list:
         else:
             results = _placed(results, shares[0], done)
         for share, _, pipe in children:
-            flags = pipe.read(len(share))
-            done = [np.empty(shape) if flag else None for flag in flags]
-            if len(flags) == len(share) and all(a is None or pipe.readinto(a) == a.nbytes for a in done):
-                results = _placed(results, share, done)
-            else:
+            try:
+                results = _placed(results, share, pickle.load(pipe))
+            except (EOFError, pickle.UnpicklingError):  # the child failed before its list was all sent
                 again += share
         again = sorted(again + [i for share in shares[1 + len(children) :] for i in share])
         return _placed(results, again, task(again)) if again else results

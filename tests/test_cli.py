@@ -392,6 +392,16 @@ class TestMismatchedMeshes:
         assert run("tour", "--model", control, "--topology", shape, "--out", tmp_path / "tour") == 2
         assert f"{control}: not a component model" in capsys.readouterr().err
 
+    def test_model_of_the_wrong_kind_is_refused_before_the_cases_are_read(self, cohort, tmp_path, capsys, monkeypatch):
+        pca = tmp_path / "pca"
+        assert run("pca", "--meshes", cohort / "meshes", "--components", "2", "--out", pca) == 0
+        capsys.readouterr()
+        monkeypatch.setattr("surfshape.cli.read_mesh", lambda *a: pytest.fail("a case was read"))
+        shape = cohort / "meshes" / "shape_000.obj"
+        assert self.assess(cohort, tmp_path, ("--model", pca / "model.json"), shape) == 2
+        assert f"{pca / 'model.json'}: not a control model" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 class TestWarpCommand:
     def test_warp_template(self, cohort, tmp_path):

@@ -21,7 +21,8 @@ from hypothesis import example, given, strategies as st  # noqa: E402
 
 import surfshape.io as sio  # noqa: E402
 from surfshape.io import (  # noqa: E402
-    csv_table, pairing_table, read_labels, read_pairing, read_regions, read_weight_overrides, regions_table, write_files,
+    csv_table, labels_table, pairing_table, read_labels, read_pairing, read_regions, read_weight_overrides,
+    regions_table, write_files,
 )
 from surfshape.mesh import BilateralPairing  # noqa: E402
 
@@ -186,7 +187,12 @@ def test_written_sidecar_takes_the_numpy_pass(written, scratch):
     assert (sio._plain_table(scratch, header, j, names) is not None) == (longest <= 64)
 
 
-TABLES = {"pairing": pairing_table, "regions": regions_table}
+# each reader whose result a table writes back, with that table
+WRITTEN_BACK = {
+    "labels": (read_labels, labels_table),
+    "pairing": (lambda path: read_pairing(path, N_VERTICES), pairing_table),
+    "regions": (lambda path: read_regions(path, N_VERTICES), regions_table),
+}
 
 # names read from quoted cells or after a space: a comma, a CR or LF inside, or a leading quote
 name_cell = st.sampled_from(['a', 'b c', 'a"b', '"a,b"', '"a\nb"', '"a\rb"', '"a\r\nb"', ' "a', '"""a"', '"', '%d'])
@@ -203,30 +209,42 @@ def region_text(draw):
     return (eol.join(lines) + draw(st.sampled_from([eol, ""]))).encode("utf-8")
 
 
-@pytest.mark.parametrize("kind", sorted(SIDECARS))
-@given(data=st.one_of(csv_text(), region_text(), st.binary(max_size=200)))
+@st.composite
+def labels_text(draw):
+    """Labels bytes with an optional header, rows of two cells that may be quoted, and any line ends."""
+    rows = draw(st.lists(st.tuples(name_cell, name_cell), max_size=5))
+    eol = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    lines = [draw(header), *(",".join(row) for row in rows)]
+    return (eol.join(lines) + draw(st.sampled_from([eol, ""]))).encode("utf-8")
+
+
+@pytest.mark.parametrize("kind", sorted(WRITTEN_BACK))
+@given(data=st.one_of(csv_text(), region_text(), labels_text(), st.binary(max_size=200)))
 @example(data=b'0,"a\n1,b"\n')  # read as one name, written as two rows
 @example(data=b'0,"""a"\n')  # a leading quote, which opens a quoted cell once written
 @example(data=b'0, "a\n')
 @example(data=b'0,"a,b"\n')  # written unquoted, a row of three cells
 @example(data=b'0,"a\rb"\n')
+@example(data=b'a.obj,"A\nB"\n')  # a label over two lines, written as two rows
+@example(data=b'"a,b.obj",A\n')  # a file name written as two cells
 def test_what_reads_writes_back(kind, data, scratch):
-    """Every file the reader accepts, written by its table and read again, gives the same pairing or region map."""
-    reader, _, _ = SIDECARS[kind]
+    """Every file a reader accepts, written by its table and read again, gives the same labels, pairing or regions."""
+    reader, table = WRITTEN_BACK[kind]
     scratch.write_bytes(data)
     try:
-        first = reader(scratch, N_VERTICES)
+        first = reader(scratch)
     except ValueError:
         return
-    scratch.write_bytes(TABLES[kind](first))
-    assert compared(reader(scratch, N_VERTICES)) == compared(first)
+    scratch.write_bytes(table(first))
+    assert compared(reader(scratch)) == compared(first)
 
 
 def compared(result):
-    """A pairing as its array's dtype and bytes; a region map as those of each region, by name."""
+    """A pairing as its array's dtype and bytes; a region map as those of each region, by name; labels by name."""
     if isinstance(result, BilateralPairing):
         return result.pair.dtype, result.pair.tobytes()
-    return sorted((name, idx.dtype, idx.tobytes()) for name, idx in result.items())
+    items = sorted(result.items())
+    return [(name, value) if isinstance(value, str) else (name, value.dtype, value.tobytes()) for name, value in items]
 
 
 # NUL would pad a name in a bytes array, and DEL lies just past printable ASCII

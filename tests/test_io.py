@@ -648,6 +648,23 @@ class TestSidecarFiles:
         rule = "has a comma, CR or LF, or a leading quote"
         assert str(caught.value) == f"{path}: line {line}: region name {name!r} {rule}"
 
+    @pytest.mark.parametrize(
+        "body, line, cell",
+        [
+            ('a.obj,"A\nB"\n', 2, "label 'A\\nB'"),
+            ('a.obj,A\n"b,c.obj",B\n', 3, "filename 'b,c.obj'"),
+            ('a.obj,A\nb.obj, """B"\n', 3, "label '\"\"\"B\"'"),
+            ('"a\rb.obj",A\n', 2, "filename 'a\\rb.obj'"),
+        ],
+        ids=["label-over-two-lines", "filename-comma", "label-quote-after-space", "filename-cr"],
+    )
+    def test_labels_cell_that_cannot_be_written_back_is_refused(self, tmp_path, body, line, cell):
+        path = tmp_path / "labels.csv"
+        path.write_bytes(f"filename,label\n{body}".encode("ascii"))
+        with pytest.raises(ValueError) as caught:
+            read_labels(path)
+        assert str(caught.value) == f"{path}: line {line}: {cell} has a comma, CR or LF, or a leading quote"
+
     def test_pairing_round_trip_and_involution_check(self, tmp_path):
         _, pairing = sphere_with_pairing()
         path = tmp_path / "pairing.csv"
@@ -703,14 +720,14 @@ class TestSidecarFiles:
     @pytest.mark.parametrize(
         "reader, text, line, message",
         [
-            (read_labels, 'filename,label\na.obj,"A\nB"\nb.obj,x\nb.obj,y\n', 5, "duplicate filename 'b.obj'"),
+            (read_labels, 'filename,label\na.obj,"A\n"\nb.obj,x\nb.obj,y\n', 5, "duplicate filename 'b.obj'"),
             (lambda path: read_regions(path, 3), 'vertex_index,region_name\n"0\n",a\n1,c\nx,d\n', 5,
              "vertex index 'x' is not an integer"),
             (lambda path: read_pairing(path, 3), 'index,mirror_index\n"0\n",0\n1,1\n2,9\n', 5,
              "vertex 9 outside [0, 3)"),
             (lambda path: read_weight_overrides(path, 3), 'vertex_index,weight\n"0\n",1\n1,1\n2,-1\n', 5,
              "weight must be non-negative"),
-            (read_labels, 'filename,label\na.obj,"A\nB"\n' + "b" * 200_000 + ".obj,B\n", 4,
+            (read_labels, 'filename,label\na.obj,"A\n"\n' + "b" * 200_000 + ".obj,B\n", 4,
              "field larger than field limit (131072)"),
             # a repeated vertex would put 0 and 5 both on the midline, or keep the last weight in silence
             (lambda path: read_pairing(path, 6), 'index,mirror_index\n0,5\n"1\n",1\n0,0\n', 5, "duplicate vertex 0"),

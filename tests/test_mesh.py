@@ -1,11 +1,14 @@
 import os
+import pickle
 from unittest import mock
 
 import numpy as np
 import pytest
 
 import surfshape as ss
+import surfshape.io as sio
 from conftest import assert_no_child_left, bumpy_mesh, flat_square_mesh, random_rotation, sphere_mesh
+from surfshape.io import load_mesh_directory, read_mesh, write_files
 from surfshape.mesh import _in_shares
 
 
@@ -334,9 +337,9 @@ class TestDealOverCpus:
     @staticmethod
     def here(n, sizes, cpus, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-        pids = _in_shares(n, lambda indices: [np.array(float(os.getpid())) for _ in indices], (), sizes)
+        pids = _in_shares(n, lambda indices: [os.getpid()] * len(indices), sizes)
         assert_no_child_left()
-        return [float(pid) == os.getpid() for pid in pids], len({float(pid) for pid in pids})
+        return [pid == os.getpid() for pid in pids], len(set(pids))
 
     def test_largest_item_dealt_first(self, monkeypatch):
         # the last item is the largest: it opens the first share, and the other
@@ -349,3 +352,61 @@ class TestDealOverCpus:
         for sizes in (None, [7] * 10):
             here, processes = self.here(10, sizes, cpus, monkeypatch)
             assert here == [i % cpus == 0 for i in range(10)] and processes == cpus
+
+
+class TestSharesSendTheirLists:
+    """A child sends back its share's list as one pickle, whatever its items
+    hold; a stream that does not unpickle has its share run again here."""
+
+    @pytest.fixture(params=[2, 3], autouse=True)
+    def cpus(self, request, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(request.param)))
+        yield request.param
+        assert_no_child_left()
+
+    def test_items_of_any_kind_come_back_equal(self, cpus):
+        mesh = single_triangle()
+
+        def item(i):
+            return ({"index": i}, mesh.with_vertices(mesh.vertices * i), None, np.full((i, 2), 0.5))[i % 4]
+
+        items, pids = zip(*_in_shares(9, lambda indices: [(item(i), os.getpid()) for i in indices]))
+        assert len(set(pids)) == cpus  # every child's list came back
+        assert [type(back) for back in items] == [dict, ss.SurfaceMesh, type(None), np.ndarray] * 2 + [dict]
+        # equal types, values and array bytes give equal pickles
+        assert [pickle.dumps(back) for back in items] == [pickle.dumps(item(i)) for i in range(9)]
+
+    def test_child_that_sends_half_its_list_has_its_share_run_here(self, monkeypatch):
+        def half_then_exit(obj, file, protocol):  # status 0, but the stream is cut
+            data = pickle.dumps(obj, protocol)
+            file.write(data[: len(data) // 2])
+            file.flush()
+            os._exit(0)
+
+        monkeypatch.setattr(pickle, "dump", half_then_exit)
+        items = _in_shares(7, lambda indices: [(i, os.getpid(), np.arange(i * 100.0)) for i in indices])
+        assert [(i, pid) for i, pid, _ in items] == [(i, os.getpid()) for i in range(7)]
+        assert all(array.tobytes() == np.arange(i * 100.0).tobytes() for i, _, array in items)
+
+    def test_later_files_off_the_fast_path_are_parsed_in_the_children(self, cpus, tmp_path, monkeypatch):
+        # CRLF files take the line-by-line scan; the first file and this
+        # process's own share (dealt round robin) are the only ones parsed here
+        rng = np.random.default_rng(5)
+        paths = [tmp_path / f"s{i}.obj" for i in range(7)]
+        write_files([(path, bumpy_mesh(rng)) for path in paths])
+        for path in paths[1:]:
+            path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+        parent, parse, here = os.getpid(), sio._mesh_from_obj, []
+
+        def parse_noting_here(data, path):
+            if os.getpid() == parent:
+                here.append(path.name)
+            return parse(data, path)
+
+        monkeypatch.setattr(sio, "_mesh_from_obj", parse_noting_here)
+        meshes = load_mesh_directory(tmp_path)[1]
+        assert here == ["s0.obj", *(path.name for i, path in enumerate(paths[1:]) if i % cpus == 0)]
+        for path, mesh in zip(paths, meshes):
+            expected = read_mesh(path)
+            assert mesh.vertices.tobytes() == expected.vertices.tobytes()
+            assert mesh.triangles.tobytes() == expected.triangles.tobytes()
