@@ -360,8 +360,7 @@ def cmd_assess(args) -> tuple[str, list]:
         reference, what = controls[0], f"control cohort {args.controls}"
     else:
         reference, what = model.mean_mesh(), f"control model {args.model}"
-    for path, mesh in ((args.pre, pre), (args.post, post)):
-        check_correspondence(mesh, reference, what, str(path))
+    pre, post = (check_correspondence(m, reference, what, str(p)) for p, m in ((args.pre, pre), (args.post, post)))
     pairing = read_pairing(args.pairing, pre.n_vertices)
     regions = read_regions(args.regions, pre.n_vertices) if args.regions else {}
     items = []
@@ -447,8 +446,7 @@ def cmd_simulate(args) -> tuple[str, list]:
 
 def cmd_diff(args) -> tuple[str, list]:
     base = read_mesh(args.base)
-    other = read_mesh(args.other)
-    check_correspondence(other, base, str(args.base), str(args.other))
+    other = check_correspondence(read_mesh(args.other), base, str(args.base), str(args.other))
     field = shape_difference_field(base, other, args.mode)
     span = float(np.abs(field).max()) or 1.0
     lo = args.lo if args.lo is not None else -span
@@ -507,13 +505,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--components", type=COUNT, default=None, help="tour dimensionality (default: all)")
     p.add_argument("--stops", type=COUNT, default=5)
     p.add_argument("--frames-per-leg", type=NATURAL, default=9)
-    p.add_argument("--seed", type=NATURAL, default=None)
+    p.add_argument("--seed", type=NATURAL, default=0)
 
     p = add("compare", cmd_compare, "two-group permutation comparison", cohort=True, required=("labels", "p"))
     p.add_argument("--labels", type=_path, default=None, help="filename,label CSV")
     p.add_argument("--p", type=COUNT, default=None, help="number of components")
     p.add_argument("--n-perm", type=COUNT, default=500)
-    p.add_argument("--seed", type=NATURAL, default=None)
+    p.add_argument("--seed", type=NATURAL, default=0)
     p.add_argument("--mode", choices=PERMUTATION_MODES, default="tangent_pca")
     p.add_argument("--bonferroni", type=FRACTION, default=None, help="override the 0.05/p threshold")
 
@@ -560,7 +558,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nuisance-translation", type=float, default=0.0)
     p.add_argument("--nuisance-log-scale", type=float, default=0.0)
     p.add_argument("--standardize", action="store_true", help="exactly standardize mode draws")
-    p.add_argument("--seed", type=NATURAL, default=None)
+    p.add_argument("--seed", type=NATURAL, default=0)
 
     p = add("diff", cmd_diff, "painted difference field between two corresponded meshes")
     p.add_argument("base", type=_path)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mesh import _BLOCK, AreaWeights, NumericalFailure
+from .mesh import _BLOCK, AreaWeights, NumericalFailure, check_memory
 from .registration import tangent_coordinates, vec_inverse
 
 
@@ -255,6 +255,10 @@ def grand_tour(
         raise ValueError("need at least one stop")
     if frames_per_leg < 0:
         raise ValueError("frames_per_leg must be non-negative")
+    # the frames and their stacked copy: 48 bytes per vertex of each frame
+    n_frames, j = (n_stops - 1) * (frames_per_leg + 1) + 1, model.mean.shape[0]
+    need = 48 * n_frames * j
+    check_memory(need, f"a tour of {n_frames:,} frames of {j:,} vertices needs about {need:,} bytes")
     if z_vectors is None:
         rng = np.random.default_rng(seed)
         z = rng.standard_normal((n_stops, p))

@@ -685,16 +685,16 @@ def mesh_names(directory) -> list[str]:
 
 def load_mesh_directory(directory) -> tuple[list[str], list[SurfaceMesh]]:
     """Load all .obj meshes in a directory, lexicographic filename order; every
-    mesh must share the first one's vertex count and triangulation.
+    mesh must share the first one's vertex count and triangulation, and holds
+    its triangle array: callers must not mutate ``triangles``.
 
     The first file is parsed here and every later one over the CPUs by
-    :func:`_in_shares`. When the first file is plain (see :func:`read_mesh`),
-    a later file made of plain ``v`` lines and then exactly the first file's
-    face block (with a final newline) has only its vertex block parsed, and
-    its mesh shares the first mesh's triangle array: callers must not mutate
-    ``triangles``. Any other file is parsed as :func:`read_mesh` parses it.
-    The arrays and every error text are the ones :func:`read_mesh` and the
-    correspondence check give, the first error of the files in order.
+    :func:`_in_shares`, whose shares send back vertex arrays. When the first
+    file is plain (see :func:`read_mesh`), a later file made of plain ``v``
+    lines and then exactly the first file's face block (with a final newline)
+    has only its vertex block parsed. Any other file is parsed as
+    :func:`read_mesh` parses it, then checked by :func:`check_correspondence`.
+    Arrays and error texts are theirs; the error is the first failing file's.
     """
     names = mesh_names(directory)
     paths = [Path(directory, name) for name in names]
@@ -702,9 +702,8 @@ def load_mesh_directory(directory) -> tuple[list[str], list[SurfaceMesh]]:
     first, plain = _mesh_from_obj(data, paths[0])
     faces = _plain_blocks(data)[1] if plain else None
 
-    def parse_share(indices) -> list[np.ndarray | SurfaceMesh]:
-        """The vertex array of each later file of ``indices`` that takes the
-        fast path, and the mesh of any other."""
+    def parse_share(indices) -> list[np.ndarray]:
+        """The vertex array of each later file of ``indices``."""
         share = []
         for i in indices:
             path = paths[1 + i]
@@ -712,12 +711,9 @@ def load_mesh_directory(directory) -> tuple[list[str], list[SurfaceMesh]]:
             v = None
             if faces and data.endswith(faces):
                 v = _parse_plain_block(data[: -len(faces)], "v", float)
-            fast = v is not None and v.shape == first.vertices.shape and np.isfinite(v).all()
-            share.append(v if fast else _mesh_from_obj(data, path)[0])
+            if v is None or v.shape != first.vertices.shape or not np.isfinite(v).all():
+                v = check_correspondence(_mesh_from_obj(data, path)[0], first, names[0], str(path)).vertices
+            share.append(v)
         return share
 
-    parsed = _in_shares(len(paths) - 1, parse_share)
-    meshes = [first, *(first.with_vertices(p) if isinstance(p, np.ndarray) else p for p in parsed)]
-    for path, mesh in zip(paths, meshes):
-        check_correspondence(mesh, first, names[0], str(path))
-    return names, meshes
+    return names, [first, *map(first.with_vertices, _in_shares(len(paths) - 1, parse_share))]

@@ -1,5 +1,5 @@
 """Triangle mesh geometry: area weights, normals, correspondence, difference fields,
-and the split of per-shape work over the CPUs.
+the memory limit, and the split of per-shape work over the CPUs.
 
 Meshes are corresponded: vertex j means the same surface location on every
 shape in a sample, and all shapes in a sample share one triangulation.
@@ -17,6 +17,9 @@ import numpy as np
 DIFFERENCE_MODES = ("x", "y", "z", "normal", "signed_euclidean")
 
 _BLOCK = 8_192  # triangles per block of triangle_areas; tangent columns per block in fpca
+# The bytes that a warp's dense system, a block of its kernel, a synthetic
+# cohort or a tour may hold at once: a larger one is refused or split.
+MEMORY_LIMIT = 2 * 1024**3
 
 
 class NumericalFailure(ValueError):
@@ -25,6 +28,13 @@ class NumericalFailure(ValueError):
     The inputs were well formed but the statistics cannot be computed from
     them; the command line maps this (and ``np.linalg.LinAlgError``) to exit 3.
     """
+
+
+def check_memory(estimate: int, what: str) -> None:
+    """Refuse, before anything is allocated, work that needs ``estimate`` bytes
+    above MEMORY_LIMIT; ``what`` says what needs how many."""
+    if estimate > MEMORY_LIMIT:
+        raise ValueError(f"{what}, above the limit of {MEMORY_LIMIT:,} bytes ({MEMORY_LIMIT / 2**30:g} GiB)")
 
 
 def _as_vertices(vertices) -> np.ndarray:
@@ -182,17 +192,17 @@ class BilateralPairing:
 @dataclass(frozen=True)
 class ShapeSample:
     """A cohort of corresponded shapes with optional group labels: every shape has
-    shape 0's vertex count and triangle list, and finite coordinates."""
+    shape 0's vertex count and triangle array, and finite coordinates."""
 
     meshes: tuple[SurfaceMesh, ...]
     labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        meshes = tuple(self.meshes)
+        meshes = list(self.meshes)
         if len(meshes) < 1:
             raise ValueError("a sample needs at least one shape")
         for i, mesh in enumerate(meshes):
-            check_correspondence(mesh, meshes[0], "shape 0", f"shape {i}")
+            meshes[i] = check_correspondence(mesh, meshes[0], "shape 0", f"shape {i}")
             if not np.isfinite(mesh.vertices).all():
                 j = int(np.flatnonzero(~np.isfinite(mesh.vertices).all(axis=1))[0])
                 raise ValueError(f"shape {i}: non-finite coordinate at vertex {j}")
@@ -201,7 +211,7 @@ class ShapeSample:
             if len(labels) != len(meshes):
                 raise ValueError(f"{len(labels)} labels for {len(meshes)} shapes")
             object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "meshes", meshes)
+        object.__setattr__(self, "meshes", tuple(meshes))
 
     @property
     def n_shapes(self) -> int:
@@ -303,14 +313,19 @@ def vertex_normals(mesh: SurfaceMesh) -> np.ndarray:
     return normals / lengths[:, None]
 
 
-def check_correspondence(mesh: SurfaceMesh, reference: SurfaceMesh, reference_name: str, label: str) -> None:
-    """Refuse ``mesh`` as ``label: reason`` unless it shares the vertex count and
-    the triangle list of ``reference`` (called ``reference_name`` in the reason).
-    A shared triangle array is not compared."""
+def check_correspondence(mesh: SurfaceMesh, reference: SurfaceMesh, reference_name: str, label: str) -> SurfaceMesh:
+    """``mesh`` on ``reference``'s triangle array: ``mesh`` itself when it holds
+    that array (not compared), else a copy with the same vertices and regions.
+    Refuse ``mesh`` as ``label: reason`` unless it has the vertex count and the
+    triangle list of ``reference`` (called ``reference_name`` in the reason)."""
     if mesh.n_vertices != reference.n_vertices:
         raise ValueError(f"{label}: vertex count {mesh.n_vertices} != {reference.n_vertices} of {reference_name}")
-    if mesh.triangles is not reference.triangles and not np.array_equal(mesh.triangles, reference.triangles):
-        raise ValueError(f"{label}: triangle list differs from {reference_name}")
+    if mesh.triangles is not reference.triangles:
+        if not np.array_equal(mesh.triangles, reference.triangles):
+            raise ValueError(f"{label}: triangle list differs from {reference_name}")
+        mesh = copy.copy(mesh)
+        object.__setattr__(mesh, "triangles", reference.triangles)
+    return mesh
 
 
 def shape_difference_field(base: SurfaceMesh, other: SurfaceMesh, mode: str) -> np.ndarray:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mesh import AreaWeights, BilateralPairing, ShapeSample, SurfaceMesh, vertex_areas, vertex_normals
+from .mesh import AreaWeights, BilateralPairing, ShapeSample, SurfaceMesh, check_memory, vertex_areas, vertex_normals
 from .registration import SimilarityTransform, vec_inverse
 
 _OCTAHEDRON_VERTICES = np.array(
@@ -86,6 +86,9 @@ class SynthConfig:
             raise ValueError(f"exponent must be positive, got {self.exponent}")
         if self.resolution < 2:
             raise ValueError("resolution must be at least 2 subdivisions")
+        # synth_cohort holds the shapes and their tangent rows at once: 48 bytes per vertex of each shape
+        need = 48 * self.n_total * (4 ** (self.resolution + 1) + 2)
+        check_memory(need, f"resolution {self.resolution} with {self.n_total:,} shapes needs about {need:,} bytes")
         if min(self.radii) <= 0 or min(self.noise_sd, self.nuisance_translation, self.nuisance_log_scale) < 0:
             raise ValueError("radii must be positive; noise_sd, nuisance_translation, nuisance_log_scale non-negative")
         lo, hi = _LENGTH_BOUNDS

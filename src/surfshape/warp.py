@@ -11,14 +11,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import NumericalFailure, SurfaceMesh
+from . import mesh
+from .mesh import NumericalFailure, SurfaceMesh, check_memory
 
 # A fit allocates the dense (J+4)^2 system, whose J x J block holds the
 # distances and then the kernel in place, and the solver's (J+4)^2 LU copy:
 # about 2 * 8 * (J+4)^2 bytes at once, plus the distances' 2 MB scratch.
-# check_tps_size estimates 4 * 8 * (J+4)^2, which leaves headroom: 2 GiB is
-# J = 8,188.
-TPS_MEMORY_LIMIT = 2 * 1024**3
+# check_tps_size estimates 4 * 8 * (J+4)^2, which leaves headroom: the limit
+# of mesh.MEMORY_LIMIT, 2 GiB, is J = 8,188.
 
 
 def radial_basis(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -63,13 +63,10 @@ class WarpField:
 
 def check_tps_size(n_points: int) -> None:
     """Refuse a warp with ``n_points`` control points whose dense system would
-    need more than ``TPS_MEMORY_LIMIT`` bytes, before anything is allocated."""
+    need more than ``mesh.MEMORY_LIMIT`` bytes, before anything is allocated."""
     estimate = 4 * 8 * (n_points + 4) ** 2
-    if estimate > TPS_MEMORY_LIMIT:
-        raise ValueError(
-            f"a warp with J = {n_points} control points needs about {estimate:,} bytes for its dense "
-            f"system, above the limit of {TPS_MEMORY_LIMIT:,} bytes ({TPS_MEMORY_LIMIT / 2**30:g} GiB)"
-        )
+    what = f"a warp with J = {n_points} control points needs about {estimate:,} bytes for its dense system"
+    check_memory(estimate, what)
 
 
 def fit_tps(source: np.ndarray, target: np.ndarray, ridge: float = 0.0) -> WarpField:
@@ -78,7 +75,7 @@ def fit_tps(source: np.ndarray, target: np.ndarray, ridge: float = 0.0) -> WarpF
     Solves the extended (J+4) x (J+4) system with the affine block Q = (1 X).
     ``ridge`` adds a diagonal term to the kernel block for ill-conditioned
     inputs, trading exact interpolation for stability (default 0: exact).
-    Raises ``ValueError`` above ``TPS_MEMORY_LIMIT`` (see :func:`check_tps_size`).
+    Raises ``ValueError`` above ``mesh.MEMORY_LIMIT`` (see :func:`check_tps_size`).
     """
     x = np.asarray(source, dtype=float)
     y = np.asarray(target, dtype=float)
@@ -124,15 +121,26 @@ def fit_tps(source: np.ndarray, target: np.ndarray, ridge: float = 0.0) -> WarpF
 
 
 def apply_warp(field: WarpField, points: np.ndarray) -> np.ndarray:
-    """Evaluate the warp rowwise: y(x) = sum_j phi(||x - x_j||) beta1_j + (1, x) beta2."""
+    """Evaluate the warp rowwise: y(x) = sum_j phi(||x - x_j||) beta1_j + (1, x) beta2.
+
+    The (M, J) kernel is built in blocks of rows of at most ``mesh.MEMORY_LIMIT``
+    bytes, in one buffer, beside the distances' scratch of at most 2 MB; a
+    kernel within the limit is one block.
+    """
     pts = np.asarray(points, dtype=float)
     squeeze = pts.ndim == 1
     pts = np.atleast_2d(pts)
     if pts.shape[1] != 3:
         raise ValueError("points must be (M, 3)")
-    kernel = _distances(pts, field.control_points)
-    radial_basis(kernel, out=kernel)
-    out = kernel @ field.beta1 + np.hstack([np.ones((pts.shape[0], 1)), pts]) @ field.beta2
+    j = field.control_points.shape[0]
+    step = max(1, mesh.MEMORY_LIMIT // (8 * j))
+    buffer, out = np.empty((min(step, len(pts)), j)), np.empty((len(pts), 3))
+    for start in range(0, len(pts), step):
+        rows, block = pts[start : start + step], out[start : start + step]
+        kernel = _distances(rows, field.control_points, out=buffer[: len(rows)])
+        radial_basis(kernel, out=kernel)
+        np.matmul(np.hstack([np.ones((len(rows), 1)), rows]), field.beta2, out=block)
+        block += kernel @ field.beta1
     return out[0] if squeeze else out
 
 

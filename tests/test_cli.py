@@ -418,10 +418,10 @@ class TestWarpCommand:
         assert doc["bending_energy"] >= 0
 
     def test_oversized_warp_refused_in_validation(self, cohort, tmp_path, capsys, monkeypatch):
-        import surfshape.warp
+        import surfshape.mesh
 
         # a limit just below what the 66-point source needs stands in for a huge mesh
-        monkeypatch.setattr(surfshape.warp, "TPS_MEMORY_LIMIT", 4 * 8 * 70**2 - 1)
+        monkeypatch.setattr(surfshape.mesh, "MEMORY_LIMIT", 4 * 8 * 70**2 - 1)
         source = cohort / "base.obj"
         capsys.readouterr()
         code = run(
@@ -444,6 +444,94 @@ class TestDiff:
         expected = ss.shape_difference_field(read_mesh(base), read_mesh(other), "normal")
         np.testing.assert_array_equal(values, expected)
         assert (out / "difference.ply").exists()
+
+
+class TestOneTriangulation:
+    """The meshes of a run share one triangle array: a case mesh takes its
+    reference's in the correspondence check."""
+
+    def test_assess_meshes_share_the_control_model_array(self, cohort, tmp_path, monkeypatch):
+        calls, meshes = [], cohort / "meshes"
+        monkeypatch.setattr("surfshape.cli.write_files", lambda items: calls.append(list(items)))
+        assert run(
+            "assess", "--controls", meshes, "--pre", meshes / "shape_000.obj", "--post", meshes / "shape_001.obj",
+            "--pairing", cohort / "pairing.csv", "--out", tmp_path / "out",
+        ) == 0
+        model = next(value for path, value, *_ in calls[0] if path.name == "control_model.json")
+        written = [value for path, value, *_ in calls[0] if path.suffix in (".obj", ".ply")]
+        assert len(written) == 8
+        assert all(mesh.triangles is model.triangles for mesh in written)
+
+    def test_diff_meshes_share_one_array(self, cohort, tmp_path, monkeypatch):
+        seen, field = [], ss.shape_difference_field
+
+        def noted(base, other, mode):
+            seen.append((base, other))
+            return field(base, other, mode)
+
+        monkeypatch.setattr("surfshape.cli.shape_difference_field", noted)
+        assert run("diff", cohort / "base.obj", cohort / "meshes" / "shape_000.obj", "--out", tmp_path / "out") == 0
+        [(base, other)] = seen
+        assert other.triangles is base.triangles
+
+
+class TestOversizedRecipes:
+    """A recipe whose arrays would pass mesh.MEMORY_LIMIT is refused before
+    anything is built: no sphere is subdivided and no draw is made."""
+
+    @pytest.fixture(autouse=True)
+    def nothing_built(self, cohort, component_model, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("an oversized recipe was started")
+
+        monkeypatch.setattr("surfshape.synth._subdivide_octasphere", fail)
+        monkeypatch.setattr(np.random, "default_rng", fail)
+
+    @pytest.mark.parametrize(
+        "command, options, message",
+        [
+            ("simulate", ("--resolution", "26"),
+             "resolution 26 with 20 shapes needs about 17,293,822,569,102,706,560 bytes"),
+            ("simulate", ("--n-shapes", "1000000"),
+             "resolution 2 with 1,000,000 shapes needs about 3,168,000,000 bytes"),
+            ("tour", ("--stops", "1000000000"),
+             "a tour of 9,999,999,991 frames of 66 vertices needs about 31,679,999,971,488 bytes"),
+        ],
+        ids=["resolution", "shapes", "stops"],
+    )
+    def test_refused_with_exit_2_and_no_out(self, cohort, component_model, tmp_path, capsys, command, options, message):
+        inputs = ("--model", component_model, "--topology", cohort / "base.obj") if command == "tour" else ()
+        out = tmp_path / "out"
+        assert run(command, *inputs, *options, "--out", out) == 2
+        limit = ", above the limit of 2,147,483,648 bytes (2 GiB)"
+        assert capsys.readouterr().err == f"error: validation: {message}{limit}\n"
+        assert not out.exists()
+
+    def test_benchmark_and_ci_recipes_pass(self):
+        # stats-65k: 60 shapes at J = 65,538; CI: 20 at J = 16,386
+        ss.SynthConfig(resolution=7, group_sizes=(30, 30), group_shift_component=1, group_shift_sd=3.0)
+        ss.SynthConfig(resolution=6, group_sizes=(10, 10))
+        ss.SynthConfig(resolution=7, n_shapes=682)  # 48 * 682 * 65,538 bytes is below 2 GiB
+        with pytest.raises(ValueError, match="^resolution 7 with 683 shapes needs about 2,148,597,792 bytes"):
+            ss.SynthConfig(resolution=7, n_shapes=683)
+
+
+class TestDefaultSeed:
+    """Without --seed, tour, compare and simulate draw from seed 0, which the
+    manifest records: two such runs give the same artifacts."""
+
+    @pytest.mark.parametrize("command", ["simulate", "tour", "compare"])
+    def test_runs_without_seed_are_identical(self, cohort, component_model, tmp_path, command):
+        options = {
+            "simulate": ("--resolution", "2", "--n-shapes", "3", "--noise-sd", "0.01", "--nuisance-rotation", "15"),
+            "tour": ("--model", component_model, "--topology", cohort / "base.obj", "--stops", "2"),
+            "compare": ("--meshes", cohort / "meshes", "--labels", cohort / "labels.csv", "--p", "2", "--n-perm", "19"),
+        }[command]
+        outs = [tmp_path / "a", tmp_path / "b"]
+        for out in outs:
+            assert run(command, *options, "--out", out) == 0
+        assert artifact_bytes(outs[0]) == artifact_bytes(outs[1])
+        assert [json.loads((out / "manifest.json").read_text())["seed"] for out in outs] == [0, 0]
 
 
 class TestConfigFile:

@@ -890,6 +890,30 @@ class TestSplitOverCpus:
         assert back.vertices.tobytes() == expected.vertices.tobytes()
         assert back.triangles.tobytes() == expected.triangles.tobytes()
 
+    def test_crlf_cohort_shares_the_first_triangle_array(self, cohort):
+        # every file takes the line-by-line scan, the first one too
+        paths = sorted(cohort.glob("*.obj"))
+        for path in paths:
+            path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+        meshes = load_mesh_directory(cohort)[1]
+        for path, back in zip(paths, meshes):
+            expected = read_mesh(path)
+            assert back.vertices.tobytes() == expected.vertices.tobytes()
+            assert back.triangles.tobytes() == expected.triangles.tobytes()
+            assert back.triangles is meshes[0].triangles
+        assert_no_child_left()
+
+    def test_first_failing_file_is_named_whether_it_fails_to_parse_or_to_correspond(self, cohort):
+        # s2.obj parses but lists its triangles in reverse; s3.obj does not parse
+        head, faces = (cohort / "s2.obj").read_text().split("\nf", 1)
+        reversed_faces = "".join(f"{line}\n" for line in reversed(("f" + faces).splitlines()))
+        (cohort / "s2.obj").write_text(head + "\n" + reversed_faces)
+        (cohort / "s3.obj").write_text("v 0 0 0\nf 1 2\n")
+        message = f"{cohort / 's2.obj'}: triangle list differs from s0.obj"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            load_mesh_directory(cohort)
+        assert_no_child_left()
+
     @pytest.mark.parametrize("fault", ["raises", "exits early", "no fork"])
     def test_share_that_fails_in_a_child_is_run_here(self, cohort, cpus, monkeypatch, fault):
         # s2.obj is in the only child's share at 2 CPUs and in the first of two at 3;

@@ -9,7 +9,7 @@ import surfshape as ss
 import surfshape.io as sio
 from conftest import assert_no_child_left, bumpy_mesh, flat_square_mesh, random_rotation, sphere_mesh
 from surfshape.io import load_mesh_directory, read_mesh, write_files
-from surfshape.mesh import _in_shares
+from surfshape.mesh import _in_shares, check_correspondence
 
 
 def single_triangle():
@@ -207,7 +207,21 @@ class TestSharedTriangleArray:
         mesh = sphere_mesh()
         copies = tuple(ss.SurfaceMesh(mesh.vertices + i, mesh.triangles.copy()) for i in range(3))
         assert copies[0].triangles is not copies[1].triangles
-        assert ss.ShapeSample(copies).n_shapes == 3
+        sample = ss.ShapeSample(copies)
+        assert sample.n_shapes == 3
+        assert all(m.triangles is copies[0].triangles for m in sample.meshes)
+        assert all(m.vertices is copy.vertices for m, copy in zip(sample.meshes, copies))
+
+    def test_check_returns_the_mesh_on_the_reference_array(self):
+        reference = sphere_mesh()
+        own = ss.SurfaceMesh(reference.vertices + 1, reference.triangles.copy(), {"cap": np.arange(5)})
+        adopted = check_correspondence(own, reference, "the reference", "own")
+        assert adopted.triangles is reference.triangles
+        assert adopted.vertices is own.vertices
+        assert adopted.regions is own.regions  # its own regions, not the reference's
+        assert own.triangles is not reference.triangles  # the argument is left as it was
+        shared = reference.with_vertices(reference.vertices + 2)
+        assert check_correspondence(shared, reference, "the reference", "shared") is shared
 
     def test_shared_array_is_never_compared(self):
         mesh = sphere_mesh()

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
@@ -186,12 +188,13 @@ class TestWarpTemplate:
 
 
 class TestSizeLimit:
-    """fit_tps refuses a system above TPS_MEMORY_LIMIT before building it."""
+    """fit_tps refuses a system above MEMORY_LIMIT before building it."""
 
     def test_limit_is_two_gib_at_j_8188(self):
-        from surfshape.warp import TPS_MEMORY_LIMIT, check_tps_size
+        from surfshape.mesh import MEMORY_LIMIT
+        from surfshape.warp import check_tps_size
 
-        assert TPS_MEMORY_LIMIT == 2 * 1024**3
+        assert MEMORY_LIMIT == 2 * 1024**3
         check_tps_size(8188)  # 4 * 8 * 8192^2 bytes is exactly the limit
         with pytest.raises(ValueError, match="J = 8189 control points needs about 2,148,007,968 bytes"):
             check_tps_size(8189)
@@ -202,6 +205,27 @@ class TestSizeLimit:
         x = random_points(3, n=8189)
         with pytest.raises(ValueError, match=r"above the limit of 2,147,483,648 bytes \(2 GiB\)"):
             ss.fit_tps(x, x)
+
+    def test_apply_warp_evaluates_the_kernel_in_blocks_within_the_limit(self, monkeypatch):
+        import surfshape.mesh
+
+        control = sphere_mesh(4).vertices  # J = 1,026
+        template = sphere_mesh(5).vertices  # M = 4,098: a 33.6 MB kernel, one block at the real limit
+        field = ss.fit_tps(control, control + 0.01 * np.random.default_rng(2).standard_normal(control.shape))
+        whole = ss.apply_warp(field, template)
+        limit = 8 * control.shape[0] * 500  # blocks of 500 rows, 9 of them
+        monkeypatch.setattr(surfshape.mesh, "MEMORY_LIMIT", limit)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            blocked = ss.apply_warp(field, template)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_allclose(blocked, whole, rtol=0, atol=1e-12)
+        # beside the kernel block and the (M, 3) result: the distances' scratch of at most
+        # 2**18 floats (255 rows here) and numpy's ufunc buffers (8,192 elements per operand)
+        assert peak < limit + template.nbytes + 8 * 2**18 + 2**18
 
 
 
