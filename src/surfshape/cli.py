@@ -3,12 +3,12 @@
 ``main`` is the only runner. It parses the options, each line of a --config
 file becoming option tokens before the command line's (a flag wins); each
 option's argparse type refuses a value of the wrong type, choice or range.
-``check_options`` refuses a missing or conflicting option, and an --out whose
-nearest existing path (itself or a parent) is not a directory, all before any
-input is read. The subcommand's handler then
-checks the rules that need other options or the data and does its work,
-writing nothing: it returns a summary line and the ``write_files`` items of
-its artifacts, paths relative to --out.
+``check_options`` refuses what every subcommand shares: a missing option, and
+an --out whose nearest existing path (itself or a parent) is not a directory.
+The subcommand's handler then first checks its own option combinations, still
+before any input is read, then the rules that need the data, and does its
+work, writing nothing: it returns a summary line and the ``write_files``
+items of its artifacts, paths relative to --out.
 Only then does the runner make --out and the items' directories, write them in
 one ``write_files`` call, then manifest.json (tool version, resolved options,
 seed), and print the line: a refused run makes no --out. Identical options and
@@ -32,6 +32,7 @@ import numpy as np
 from . import __version__
 from .fpca import FpcaModel, fit_fpca, grand_tour, scores_from_tangent
 from .groupcompare import COMPONENT_P_VALUE_CAVEAT, PERMUTATION_MODES, affine_nonaffine_split, permutation_test
+from .groupcompare import check_permutation_size
 from .individual import ControlModel, _checked_regions, asymmetry_report, fit_control_model, integrated_assessment
 from .io import (
     ColorMap,
@@ -126,8 +127,6 @@ NATURAL = _ranged(int, lambda v: v >= 0, "must be at least 0")
 FINITE = _ranged(float, np.isfinite, "must be finite")
 FRACTION = _ranged(float, lambda v: 0 < v < 1, "must lie in (0, 1)")
 TOL = _ranged(float, lambda v: np.isfinite(v) and v >= MIN_TOL, f"must be finite and at least {MIN_TOL:g}")
-# Options that exclude each other wherever a subcommand takes both.
-EXCLUSIVE_OPTIONS = (("components", "variance"), ("n_shapes", "group_sizes"))
 
 
 def _flag(name: str) -> str:
@@ -139,11 +138,15 @@ def _check_bounds(lo: float, hi: float) -> None:
         raise ValueError(f"--lo must be below --hi, got {lo:g} and {hi:g}")
 
 
+def _not_both(args, a: str, b: str) -> None:
+    if getattr(args, a) is not None and getattr(args, b) is not None:
+        raise ValueError(f"give either {_flag(a)} or {_flag(b)}, not both")
+
+
 def check_options(args: argparse.Namespace) -> None:
-    """Refuse an option whose value is '--', missing required options, an
-    --out that is not a directory, options given together that exclude each
-    other, then the subcommands' rules that tie options together without the
-    data, naming them (argparse checked each value)."""
+    """Refuse what every subcommand shares: an option whose value is '--',
+    missing required options and an --out that is not a directory (argparse
+    checked each value; each handler checks its own option combinations)."""
     for name, value in vars(args).items():
         if isinstance(value, list):  # argparse reads --name=-- as an empty list, skipping type and choices
             raise ValueError(f"{_flag(name)} needs a value, got '--'")
@@ -154,20 +157,6 @@ def check_options(args: argparse.Namespace) -> None:
     existing = next(path for path in (args.out, *args.out.parents) if path.exists())
     if not existing.is_dir():
         raise ValueError(f"--out {existing} exists and is not a directory")
-    for a, b in EXCLUSIVE_OPTIONS:
-        if getattr(args, a, None) is not None and getattr(args, b, None) is not None:
-            raise ValueError(f"give either {_flag(a)} or {_flag(b)}, not both")
-    if args.command == "assess":
-        if (args.controls is None) == (args.model is None):
-            raise ValueError("give exactly one of --controls or --model")
-        if args.model is not None and args.variance is not None:
-            raise ValueError("--variance applies only with --controls")
-    if args.command == "asymmetry" and args.per_region_registration and args.regions is None:
-        raise ValueError("--per-region-registration needs --regions")
-    if getattr(args, "lo", None) is not None and getattr(args, "hi", None) is not None:
-        _check_bounds(args.lo, args.hi)
-    if args.command == "simulate":
-        _synth_config(args)
 
 
 def write_manifest(out: Path, command: str, args: argparse.Namespace) -> None:
@@ -184,27 +173,14 @@ def write_manifest(out: Path, command: str, args: argparse.Namespace) -> None:
     write_files([(out / "manifest.json", doc)])
 
 
-def _registered_cohort(args) -> tuple[list[str], SurfaceMesh, tuple[str, ...] | None, GpaResult]:
-    """The names, the first mesh (the topology), the labels and the GPA of
-    --meshes; the cohort itself is released. A --labels file must label each
-    listed name, in exactly two groups, and the listing hold enough shapes for
-    --p components, before any mesh is read; --weight-overrides is read once
-    the meshes give the vertex count."""
-    labels = None
-    if getattr(args, "labels", None):
-        table, names = read_labels(args.labels), mesh_names(args.meshes)
-        missing = [n for n in names if n not in table]
-        if missing:
-            raise ValueError(f"{args.labels}: labels file misses entries for: {', '.join(missing)}")
-        labels = tuple(table[n] for n in names)
-        if len(set(labels)) != 2:
-            raise ValueError(f"{args.labels}: need exactly two groups, got {len(set(labels))}")
-        if len(names) < args.p + 2:  # compare, the one subcommand with --labels, fits --p components
-            raise ValueError(f"{args.meshes}: --p {args.p} needs at least {args.p + 2} shapes, got {len(names)}")
+def _registered_cohort(args) -> tuple[list[str], SurfaceMesh, GpaResult]:
+    """The names, the first mesh (the topology) and the GPA of --meshes; the
+    cohort itself is released. --weight-overrides is read once the meshes give
+    the vertex count."""
     names, meshes = load_mesh_directory(args.meshes)
-    sample = ShapeSample(tuple(meshes), labels=labels)
+    sample = ShapeSample(tuple(meshes))
     overrides = None
-    if getattr(args, "weight_overrides", None):
+    if args.weight_overrides:
         overrides = read_weight_overrides(args.weight_overrides, sample.n_vertices)
     gpa = weighted_gpa(
         sample,
@@ -214,7 +190,7 @@ def _registered_cohort(args) -> tuple[list[str], SurfaceMesh, tuple[str, ...] | 
         allow_scaling=not args.rigid,
         weight_overrides=overrides,
     )
-    return names, sample.meshes[0], sample.labels, gpa
+    return names, sample.meshes[0], gpa
 
 
 def _painted(path: Path, mesh: SurfaceMesh, field: np.ndarray, diverging: bool = False) -> tuple:
@@ -229,7 +205,7 @@ def _painted(path: Path, mesh: SurfaceMesh, field: np.ndarray, diverging: bool =
 
 
 def cmd_register(args) -> tuple[str, list]:
-    names, topology, _, result = _registered_cohort(args)
+    names, topology, result = _registered_cohort(args)
     header = ["filename", "scale", *(f"r{i}{j}" for i in range(3) for j in range(3)), "tx", "ty", "tz"]
     rows = ((name, t.scale, *t.rotation.ravel(), *t.translation) for name, t in zip(names, result.transforms))
     return f"registered {len(names)} shapes in {result.iterations} iterations (converged={result.converged})", [
@@ -241,7 +217,8 @@ def cmd_register(args) -> tuple[str, list]:
 
 
 def cmd_pca(args) -> tuple[str, list]:
-    names, topology, _, gpa = _registered_cohort(args)
+    _not_both(args, "components", "variance")
+    names, topology, gpa = _registered_cohort(args)
     tangent = _tangent_over_stack(gpa)
     model = fit_fpca(tangent, gpa.mean_weights, k=args.components or args.variance or 0.80, mean_shape=gpa.mean)
     score_rows = scores_from_tangent(model, tangent)
@@ -276,7 +253,23 @@ def cmd_tour(args) -> tuple[str, list]:
 
 
 def cmd_compare(args) -> tuple[str, list]:
-    _, _, labels, gpa = _registered_cohort(args)
+    # before any mesh is read: the labels must label each listed name, in exactly
+    # two groups, and the listing hold enough shapes for --p components and
+    # --n-perm permutations of them fit in memory
+    table, names = read_labels(args.labels), mesh_names(args.meshes)
+    missing = [n for n in names if n not in table]
+    if missing:
+        raise ValueError(f"{args.labels}: labels file misses entries for: {', '.join(missing)}")
+    labels = tuple(table[n] for n in names)
+    if len(set(labels)) != 2:
+        raise ValueError(f"{args.labels}: need exactly two groups, got {len(set(labels))}")
+    if len(names) < args.p + 2:
+        raise ValueError(f"{args.meshes}: --p {args.p} needs at least {args.p + 2} shapes, got {len(names)}")
+    try:
+        check_permutation_size(args.n_perm, len(names), args.p)
+    except ValueError as err:
+        raise ValueError(f"--n-perm {args.n_perm}: {err}") from None
+    _, _, gpa = _registered_cohort(args)
     report = permutation_test(
         _tangent_over_stack(gpa),
         labels,
@@ -314,7 +307,7 @@ def cmd_compare(args) -> tuple[str, list]:
 
 
 def cmd_split_affine(args) -> tuple[str, list]:
-    names, topology, _, gpa = _registered_cohort(args)
+    names, topology, gpa = _registered_cohort(args)
     affine, nonaffine, alphas = affine_nonaffine_split(gpa.aligned, gpa.mean)
     items = [("mean.obj", topology.with_vertices(gpa.mean))]
     for sub, stack in (("affine", affine), ("nonaffine", nonaffine)):
@@ -324,6 +317,8 @@ def cmd_split_affine(args) -> tuple[str, list]:
 
 
 def cmd_asymmetry(args) -> tuple[str, list]:
+    if args.per_region_registration and args.regions is None:
+        raise ValueError("--per-region-registration needs --regions")
     names, meshes = load_mesh_directory(args.meshes)
     pairing = read_pairing(args.pairing, meshes[0].n_vertices)
     regions = read_regions(args.regions, meshes[0].n_vertices) if args.regions else {}
@@ -349,6 +344,10 @@ def cmd_asymmetry(args) -> tuple[str, list]:
 
 
 def cmd_assess(args) -> tuple[str, list]:
+    if (args.controls is None) == (args.model is None):
+        raise ValueError("give exactly one of --controls or --model")
+    if args.model is not None and args.variance is not None:
+        raise ValueError("--variance applies only with --controls")
     if args.controls is None:  # a file of the wrong kind is refused before the cases are read
         model = load_model(args.model)
         if not isinstance(model, ControlModel):
@@ -397,6 +396,7 @@ def cmd_warp(args) -> tuple[str, list]:
 
 def _synth_config(args) -> SynthConfig:
     """The ``simulate`` options as a :class:`SynthConfig`, which refuses a bad recipe."""
+    _not_both(args, "n_shapes", "group_sizes")
     return SynthConfig(
         resolution=args.resolution,
         radii=args.radii,
@@ -445,6 +445,8 @@ def cmd_simulate(args) -> tuple[str, list]:
 
 
 def cmd_diff(args) -> tuple[str, list]:
+    if args.lo is not None and args.hi is not None:
+        _check_bounds(args.lo, args.hi)
     base = read_mesh(args.base)
     other = check_correspondence(read_mesh(args.other), base, str(args.base), str(args.other))
     field = shape_difference_field(base, other, args.mode)

@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .fpca import FpcaModel, _gram, _spectrum
-from .mesh import AreaWeights, NumericalFailure
+from .mesh import AreaWeights, NumericalFailure, check_memory
 from .registration import vec_inverse
 
 PERMUTATION_MODES = ("tangent_pca", "group_shape_space")
@@ -227,6 +227,16 @@ def _group_shape_space_stats(
     return np.sqrt((t * t).sum(axis=1) / p), t
 
 
+def check_permutation_size(n_perm: int, n: int, p: int) -> None:
+    """Refuse a test of ``n_perm`` permutations of ``n`` shapes on ``p``
+    components whose label masks (n bytes each) and permuted statistics (p + 1
+    floats each, held twice) would need more than ``mesh.MEMORY_LIMIT`` bytes,
+    before anything is allocated."""
+    estimate = n_perm * (n + 16 * (p + 1))
+    what = f"{n_perm:,} permutations of {n} shapes on {p} components need about {estimate:,} bytes"
+    check_memory(estimate, what)
+
+
 def permutation_test(
     tangent: np.ndarray,
     labels,
@@ -257,6 +267,8 @@ def permutation_test(
     of the first) applies to every permutation. A repeated or swapped split
     reads exactly the observed statistics. Each permutation draws the smaller
     group, so swapping the two labels changes no draw, statistic or p-value.
+    Raises ``ValueError`` above ``mesh.MEMORY_LIMIT`` (see
+    :func:`check_permutation_size`).
 
     ``threads`` is ignored. It will be removed by the benchmark change that drops
     it from ``perfbench/statsworker.py``.
@@ -274,6 +286,7 @@ def permutation_test(
         raise ValueError("p must be at least 1")
     if n < p + 2:
         raise ValueError("too few samples for p components")
+    check_permutation_size(n_perm, n, p)
 
     rng = np.random.default_rng(seed)
     na = int(mask_a.sum())

@@ -877,6 +877,11 @@ _probe.add_argument("--x")
 EMPTY_LIST = pytest.mark.skipif(_probe.parse_args(["--x=--"]).x != [], reason="this argparse reads --x=-- as '--'")
 
 
+# what the handlers read their inputs with: none may run before the options are checked
+INPUT_READERS = ("load_mesh_directory", "read_mesh", "load_model", "read_pairing", "read_regions",
+                 "read_weight_overrides")
+
+
 class TestOptionValues:
     """An option value the library would refuse is a validation error (exit 2)
     naming the option, refused before any work and before the manifest."""
@@ -1005,7 +1010,7 @@ class TestOptionValues:
         def unread(*args, **kwargs):
             raise AssertionError("an input was read before the options were checked")
 
-        for reader in ("load_mesh_directory", "read_mesh", "load_model"):
+        for reader in INPUT_READERS:
             monkeypatch.setattr(f"surfshape.cli.{reader}", unread)
         monkeypatch.chdir(tmp_path)
         absent = tmp_path / "absent"  # no input exists: none may be opened
@@ -1032,6 +1037,42 @@ class TestOptionValues:
         out = tmp_path / "out"
         assert run("compare", "--config", config, "--labels", tmp_path / "absent", "--p", "2", "--out", out) == 2
         assert f"error: validation: {config}: line 2: --n-perm must be at least 1, got 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, lines, options, message",
+        [
+            ("assess", "controls = {absent}", ("--model", "{absent}"), "give exactly one of --controls or --model"),
+            ("assess", "model = {absent}\nvariance = 0.5", (), "--variance applies only with --controls"),
+            ("asymmetry", "per-region-registration = true", (), "--per-region-registration needs --regions"),
+            ("diff", "lo = 5", ("--hi", "1"), "--lo must be below --hi, got 5 and 1"),
+            ("pca", "components = 2", ("--variance", "0.5"), "give either --components or --variance, not both"),
+            ("simulate", "n-shapes = 7\ngroup-sizes = 2,2", (), "give either --n-shapes or --group-sizes, not both"),
+        ],
+    )
+    def test_handler_rule_from_config_refused_before_any_input_is_read(
+        self, tmp_path, capsys, monkeypatch, command, lines, options, message
+    ):
+        def unread(*args, **kwargs):
+            raise AssertionError("an input was read before the options were checked")
+
+        for reader in INPUT_READERS:
+            monkeypatch.setattr(f"surfshape.cli.{reader}", unread)
+        absent = tmp_path / "absent"
+        config = tmp_path / "run.cfg"
+        config.write_text(lines.format(absent=absent) + "\n")
+        inputs = {
+            "pca": ("--meshes", absent),
+            "assess": ("--pre", absent, "--post", absent, "--pairing", absent),
+            "asymmetry": ("--meshes", absent, "--pairing", absent),
+            "simulate": (),
+            "diff": (absent, absent),
+        }[command]
+        out = tmp_path / "out"
+        argv = (command, *inputs, "--config", config, *(o.format(absent=absent) for o in options), "--out", out)
+        capsys.readouterr()
+        assert run(*argv) == 2
+        assert capsys.readouterr().err == f"error: validation: {message}\n"
         assert not out.exists()
 
 
@@ -1238,6 +1279,19 @@ class TestRefusedBeforeInput:
         meshes, out = cohort / "meshes", tmp_path / "out"
         assert run("compare", "--meshes", meshes, "--labels", cohort / "labels.csv", "--p", "15", "--out", out) == 2
         assert capsys.readouterr().err == f"error: validation: {meshes}: --p 15 needs at least 17 shapes, got 16\n"
+        assert not out.exists()
+
+    def test_n_perm_beyond_the_memory_limit(self, cohort, tmp_path, capsys, monkeypatch):
+        # 10^10 permutations of 16 shapes on 2 components: 10^10 x (16 + 16 x 3) bytes
+        self.no_reads(monkeypatch)
+        capsys.readouterr()
+        meshes, out = cohort / "meshes", tmp_path / "out"
+        argv = ("--meshes", meshes, "--labels", cohort / "labels.csv", "--p", "2", "--n-perm", "10000000000")
+        assert run("compare", *argv, "--out", out) == 2
+        assert capsys.readouterr().err == (
+            "error: validation: --n-perm 10000000000: 10,000,000,000 permutations of 16 shapes on 2 components"
+            " need about 640,000,000,000 bytes, above the limit of 2,147,483,648 bytes (2 GiB)\n"
+        )
         assert not out.exists()
 
 

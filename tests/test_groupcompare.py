@@ -167,6 +167,29 @@ class TestPermutationTest:
         with pytest.raises(ValueError, match="too few samples for p components"):
             ss.permutation_test(tangent, labels, p=29)
 
+    def test_budget_above_the_memory_limit_refused_before_the_first_draw(self, monkeypatch):
+        # 10^10 permutations of 30 shapes would need 300 GB of label masks alone
+        tangent, labels = null_tangent()
+        monkeypatch.setattr("numpy.random.default_rng", lambda *a: pytest.fail("a permutation was drawn"))
+        with pytest.raises(ValueError, match=r"10,000,000,000 permutations of 30 shapes on 2 components need about"):
+            ss.permutation_test(tangent, labels, p=2, n_perm=10**10)
+
+    @pytest.mark.parametrize("n, p", [(60, 3), (16, 2), (12, 1)])
+    def test_size_rule_at_the_limit(self, n, p):
+        from surfshape.groupcompare import check_permutation_size
+        from surfshape.mesh import MEMORY_LIMIT
+
+        largest = MEMORY_LIMIT // (n + 16 * (p + 1))  # masks of n bytes, p + 1 statistics held twice
+        check_permutation_size(largest, n, p)
+        with pytest.raises(ValueError, match=r"above the limit of 2,147,483,648 bytes \(2 GiB\)"):
+            check_permutation_size(largest + 1, n, p)
+
+    def test_size_rule_passes_the_benchmark_and_cli_budgets(self):
+        from surfshape.groupcompare import check_permutation_size
+
+        check_permutation_size(1000, 60, 3)  # stats-65k: 1,000 permutations of 60 shapes on 3 components
+        check_permutation_size(500, 60, 3)  # the --n-perm default on the compare workloads' cohort
+
     def test_quartiles_shape(self):
         tangent, labels = null_tangent(seed=23)
         report = ss.permutation_test(tangent, labels, p=3, n_perm=40, seed=6)
