@@ -3,11 +3,10 @@
 #
 #   bash .github/artifact-runs.sh OUT [PREFIX...]
 #
-# OUT is the directory to make; each command is run as PREFIX $SURFSHAPE ...
-# (say, taskset -c 0). SURFSHAPE is the command, split on spaces, and
-# defaults to surfshape. To run a checkout that is not installed, give
-#   SURFSHAPE="python -m surfshape.cli" PYTHONPATH=/absolute/path/to/checkout/src
-# with an absolute PYTHONPATH: the script runs from inside OUT.
+# OUT is the directory to make; each command is run as
+# PREFIX python -m surfshape.cli ... (PREFIX say, taskset -c 0). To run a
+# checkout that is not installed, give PYTHONPATH=/absolute/path/to/checkout/src,
+# an absolute path: the script runs from inside OUT.
 # Two calls that differ only in the machine's settings
 # must write the same artifacts: compare them with
 # diff -r -x manifest.json OUT1 OUT2. A CRLF copy of the cohort sends every
@@ -17,8 +16,7 @@
 set -eo pipefail
 out=$1
 shift
-read -ra surfshape <<< "${SURFSHAPE:-surfshape}"
-run=("$@" "${surfshape[@]}")
+run=("$@" python -m surfshape.cli)
 mkdir "$out" && cd "$out"
 "${run[@]}" simulate --resolution 6 --group-sizes 10,10 --asymmetry 0.02 --noise-sd 0.01 --seed 1 \
   --out sim

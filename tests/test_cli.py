@@ -1004,6 +1004,16 @@ class TestOptionValues:
             ("simulate", ("--seed", "-1"), "--seed must be at least 0, got -1"),
             ("tour", ("--seed", "-1"), "--seed must be at least 0, got -1"),
             ("compare", ("--p", "2", "--seed", "-1"), "--seed must be at least 0, got -1"),
+            # a handler's own rule, with one half or both read from --config (the value given is the file's text)
+            ("assess", ("--config", "controls = {absent}", "--model", "{absent}"),
+             "give exactly one of --controls or --model"),
+            ("assess", ("--config", "model = {absent}\nvariance = 0.5"), "--variance applies only with --controls"),
+            ("asymmetry", ("--config", "per-region-registration = true"), "--per-region-registration needs --regions"),
+            ("diff", ("--config", "lo = 5", "--hi", "1"), "--lo must be below --hi, got 5 and 1"),
+            ("pca", ("--config", "components = 2", "--variance", "0.5"),
+             "give either --components or --variance, not both"),
+            ("simulate", ("--config", "n-shapes = 7\ngroup-sizes = 2,2"),
+             "give either --n-shapes or --group-sizes, not both"),
         ],
     )
     def test_refused_before_any_input_is_read(self, tmp_path, capsys, monkeypatch, command, options, message):
@@ -1014,6 +1024,11 @@ class TestOptionValues:
             monkeypatch.setattr(f"surfshape.cli.{reader}", unread)
         monkeypatch.chdir(tmp_path)
         absent = tmp_path / "absent"  # no input exists: none may be opened
+        options = [option.format(absent=absent) for option in options]
+        if "--config" in options:
+            at = options.index("--config") + 1
+            (tmp_path / "run.cfg").write_text(options[at] + "\n")
+            options[at] = tmp_path / "run.cfg"
         inputs = {
             "compare": ("--meshes", absent, "--labels", absent),
             "pca": ("--meshes", absent),
@@ -1037,42 +1052,6 @@ class TestOptionValues:
         out = tmp_path / "out"
         assert run("compare", "--config", config, "--labels", tmp_path / "absent", "--p", "2", "--out", out) == 2
         assert f"error: validation: {config}: line 2: --n-perm must be at least 1, got 0" in capsys.readouterr().err
-        assert not out.exists()
-
-    @pytest.mark.parametrize(
-        "command, lines, options, message",
-        [
-            ("assess", "controls = {absent}", ("--model", "{absent}"), "give exactly one of --controls or --model"),
-            ("assess", "model = {absent}\nvariance = 0.5", (), "--variance applies only with --controls"),
-            ("asymmetry", "per-region-registration = true", (), "--per-region-registration needs --regions"),
-            ("diff", "lo = 5", ("--hi", "1"), "--lo must be below --hi, got 5 and 1"),
-            ("pca", "components = 2", ("--variance", "0.5"), "give either --components or --variance, not both"),
-            ("simulate", "n-shapes = 7\ngroup-sizes = 2,2", (), "give either --n-shapes or --group-sizes, not both"),
-        ],
-    )
-    def test_handler_rule_from_config_refused_before_any_input_is_read(
-        self, tmp_path, capsys, monkeypatch, command, lines, options, message
-    ):
-        def unread(*args, **kwargs):
-            raise AssertionError("an input was read before the options were checked")
-
-        for reader in INPUT_READERS:
-            monkeypatch.setattr(f"surfshape.cli.{reader}", unread)
-        absent = tmp_path / "absent"
-        config = tmp_path / "run.cfg"
-        config.write_text(lines.format(absent=absent) + "\n")
-        inputs = {
-            "pca": ("--meshes", absent),
-            "assess": ("--pre", absent, "--post", absent, "--pairing", absent),
-            "asymmetry": ("--meshes", absent, "--pairing", absent),
-            "simulate": (),
-            "diff": (absent, absent),
-        }[command]
-        out = tmp_path / "out"
-        argv = (command, *inputs, "--config", config, *(o.format(absent=absent) for o in options), "--out", out)
-        capsys.readouterr()
-        assert run(*argv) == 2
-        assert capsys.readouterr().err == f"error: validation: {message}\n"
         assert not out.exists()
 
 
