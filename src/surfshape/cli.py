@@ -125,6 +125,7 @@ def _path(text: str) -> Path:
 COUNT = _ranged(int, lambda v: v >= 1, "must be at least 1")
 NATURAL = _ranged(int, lambda v: v >= 0, "must be at least 0")
 FINITE = _ranged(float, np.isfinite, "must be finite")
+RIDGE = _ranged(float, lambda v: np.isfinite(v) and v >= 0, "must be finite and at least 0")
 FRACTION = _ranged(float, lambda v: 0 < v < 1, "must lie in (0, 1)")
 TOL = _ranged(float, lambda v: np.isfinite(v) and v >= MIN_TOL, f"must be finite and at least {MIN_TOL:g}")
 
@@ -541,7 +542,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--source", type=_path, default=None, help="model points to warp from")
     p.add_argument("--target", type=_path, default=None, help="model points to warp onto")
     p.add_argument("--template", type=_path, default=None, help="mesh carried along the warp")
-    p.add_argument("--ridge", type=FINITE, default=0.0)
+    p.add_argument("--ridge", type=RIDGE, default=0.0)
 
     p = add("simulate", cmd_simulate, "synthetic cohort with planted ground truth")
     p.add_argument("--resolution", type=int, default=SynthConfig.resolution)

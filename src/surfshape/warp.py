@@ -73,8 +73,8 @@ def fit_tps(source: np.ndarray, target: np.ndarray, ridge: float = 0.0) -> WarpF
     """Fit the warp carrying ``source`` points exactly onto ``target`` points.
 
     Solves the extended (J+4) x (J+4) system with the affine block Q = (1 X).
-    ``ridge`` adds a diagonal term to the kernel block for ill-conditioned
-    inputs, trading exact interpolation for stability (default 0: exact).
+    ``ridge`` (finite, at least 0) adds a diagonal term to the kernel block for
+    ill-conditioned inputs, trading exact interpolation for stability (default 0: exact).
     Raises ``ValueError`` above ``mesh.MEMORY_LIMIT`` (see :func:`check_tps_size`).
     """
     x = np.asarray(source, dtype=float)
@@ -84,8 +84,8 @@ def fit_tps(source: np.ndarray, target: np.ndarray, ridge: float = 0.0) -> WarpF
     j = x.shape[0]
     if j < 5:
         raise ValueError("need at least 5 control points")
-    if not np.isfinite(ridge):
-        raise ValueError(f"ridge must be finite, got {ridge!r}")
+    if not (np.isfinite(ridge) and ridge >= 0):
+        raise ValueError(f"ridge must be finite and at least 0, got {ridge!r}")
     check_tps_size(j)
     system = np.zeros((j + 4, j + 4))
     s = _distances(x, x, out=system[:j, :j])

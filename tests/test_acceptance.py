@@ -8,10 +8,6 @@ from contextlib import contextmanager
 
 import numpy as np
 import pytest
-from scipy import special
-from scipy.optimize import minimize
-from scipy.spatial.distance import cdist
-from scipy.spatial.transform import Rotation
 
 import surfshape as ss
 from surfshape.chi2 import chi_square_quantile
@@ -30,6 +26,8 @@ def criterion(number: int, name: str):
 
 
 def test_01_weighted_opa_exactness():
+    minimize = pytest.importorskip("scipy.optimize").minimize
+    Rotation = pytest.importorskip("scipy.spatial.transform").Rotation
     with criterion(1, "weighted OPA exactness"):
         start = time.perf_counter()
         rng = np.random.default_rng(101)
@@ -268,6 +266,7 @@ def test_08_asymmetry():
 
 
 def test_09_closest_control():
+    special = pytest.importorskip("scipy.special")
     with criterion(9, "closest-control shrinkage, exceedance, chi-square quantiles"):
         for p in range(1, 31):
             oracle = 2.0 * special.gammaincinv(p / 2.0, 0.95)
@@ -303,6 +302,7 @@ def test_09_closest_control():
 
 
 def test_10_thin_plate_spline():
+    cdist = pytest.importorskip("scipy.spatial.distance").cdist
     with criterion(10, "thin-plate-spline interpolation, affinity, oracle"):
         assert ss.radial_basis(1.0) == -1.0 / (8.0 * np.pi)
         rng = np.random.default_rng(110)

@@ -12,7 +12,9 @@ import pytest
 
 import surfshape as ss
 from surfshape.cli import main
-from surfshape.io import load_mesh_directory, read_mesh, read_pairing, write_files
+from surfshape.io import (
+    load_mesh_directory, load_model, pairing_table, read_mesh, read_pairing, read_regions, regions_table, write_files,
+)
 from conftest import assert_no_child_left
 
 
@@ -195,6 +197,21 @@ class TestAsymmetryCommand:
         )
         assert code == 2
         assert f"{regions}: line {lineno}: region name 'global' is reserved" in capsys.readouterr().err
+        assert not (tmp_path / "asym").exists()
+
+    def test_region_name_that_cannot_be_written_back_refused(self, cohort, tmp_path, capsys):
+        # a quoted cell over two lines reads as one name that regions_table would write as two rows
+        regions = tmp_path / "regions.csv"
+        regions.write_text((cohort / "regions.csv").read_text() + '5,"a\n6,b"\n')
+        lineno = len(regions.read_text().splitlines()) - 1
+        capsys.readouterr()
+        code = run(
+            "asymmetry", "--meshes", cohort / "meshes", "--pairing", cohort / "pairing.csv",
+            "--regions", regions, "--out", tmp_path / "asym",
+        )
+        assert code == 2
+        assert f"{regions}: line {lineno}: region name 'a\\n6,b' has a comma" in capsys.readouterr().err
+        assert not (tmp_path / "asym").exists()
 
 
     def test_per_region_registration_needs_three_vertices(self, cohort, tmp_path, capsys):
@@ -475,6 +492,26 @@ class TestOneTriangulation:
         assert other.triangles is base.triangles
 
 
+class TestWrittenBack:
+    """A file a command writes, read back and written again by its writer, keeps its bytes."""
+
+    def test_pairing_and_regions_of_simulate(self, cohort, tmp_path):
+        j = read_mesh(cohort / "base.obj").n_vertices
+        pairing, regions = tmp_path / "pairing.csv", tmp_path / "regions.csv"
+        write_files([(pairing, pairing_table(read_pairing(cohort / "pairing.csv", j))),
+                     (regions, regions_table(read_regions(cohort / "regions.csv", j)))])
+        assert pairing.read_bytes() == (cohort / "pairing.csv").read_bytes()
+        assert regions.read_bytes() == (cohort / "regions.csv").read_bytes()
+
+    def test_model_files_of_pca_and_assess(self, cohort, component_model, tmp_path):
+        out = tmp_path / "assess"
+        assert run("assess", *inputs("assess", cohort, component_model), "--regions", cohort / "regions.csv",
+                   "--out", out) == 0
+        for model in (component_model, out / "control_model.json"):
+            write_files([(tmp_path / "resaved.json", load_model(model))])
+            assert (tmp_path / "resaved.json").read_bytes() == model.read_bytes(), model
+
+
 class TestOversizedRecipes:
     """A recipe whose arrays would pass mesh.MEMORY_LIMIT is refused before
     anything is built: no sphere is subdivided and no draw is made."""
@@ -686,6 +723,7 @@ class TestTamperedModel:
         )
         assert code == 2
         assert f"error: validation: {model}: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_component_model_for_tour(self, cohort, tmp_path, capsys, models):
         model = self.tamper(
@@ -758,6 +796,17 @@ class TestExitCodes:
         argv = ("register", "--meshes", cohort / "meshes", "--weight-overrides", overrides, "--out", tmp_path / "o")
         assert run(*argv) == 2
         assert f"{overrides}: line 2: weight must be finite" in capsys.readouterr().err
+
+    def test_vertex_on_no_triangle_in_a_cohort_is_validation_error(self, cohort, tmp_path, capsys):
+        meshes = tmp_path / "meshes"
+        meshes.mkdir()
+        for path in sorted((cohort / "meshes").glob("*.obj")):
+            (meshes / path.name).write_bytes(path.read_bytes())
+        with open(meshes / "shape_003.obj", "a", encoding="ascii") as fh:
+            fh.write("v 0 0 0\n")
+        assert run("register", "--meshes", meshes, "--out", tmp_path / "o") == 2
+        assert f"{meshes / 'shape_003.obj'}: vertex 67 appears in no triangle" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_non_ascii_label_is_validation_error(self, cohort, tmp_path, capsys):
         labels = tmp_path / "labels.csv"
@@ -951,7 +1000,7 @@ class TestOptionValues:
             ("tour", ("--stops", "0"), "--stops must be at least 1, got 0"),
             ("register", ("--max-iter", "0"), "--max-iter must be at least 1, got 0"),
             ("register", ("--tol", "nan"), "--tol must be finite and at least 1e-15, got nan"),
-            ("warp", ("--ridge", "nan"), "--ridge must be finite, got nan"),
+            ("warp", ("--ridge", "nan"), "--ridge must be finite and at least 0, got nan"),
             ("assess", ("--controls", "absent", "--variance", "3.7"), "--variance must lie in (0, 1), got 3.7"),
             ("assess", (), "give exactly one of --controls or --model"),
             ("assess", ("--model", "absent", "--variance", "0.5"), "--variance applies only with --controls"),
@@ -1014,6 +1063,10 @@ class TestOptionValues:
              "give either --components or --variance, not both"),
             ("simulate", ("--config", "n-shapes = 7\ngroup-sizes = 2,2"),
              "give either --n-shapes or --group-sizes, not both"),
+            # a negative ridge lowers the kernel's diagonal: the fit bends more than the exact one, not less
+            ("warp", ("--ridge", "-1"), "--ridge must be finite and at least 0, got -1.0"),
+            # a value of the wrong type names the flag and the value
+            ("compare", ("--p", "2", "--n-perm", "x"), "--n-perm invalid int value: 'x'"),
         ],
     )
     def test_refused_before_any_input_is_read(self, tmp_path, capsys, monkeypatch, command, options, message):
@@ -1067,7 +1120,7 @@ REFUSED_VALUES = {
     "split-affine": (("--tol", "x", "1e-9"), ("--tol", "1e-16", "1e-9")),
     "asymmetry": (),
     "assess": (("--variance", "x", "0.5"), ("--variance", "0", "0.5")),
-    "warp": (("--ridge", "x", "0"), ("--ridge", "inf", "0")),
+    "warp": (("--ridge", "x", "0"), ("--ridge", "inf", "0"), ("--ridge", "-1", "0")),
     "simulate": (("--resolution", "x", "2"), ("--n-shapes", "0", "3"), ("--seed", "-1", "3")),
     "diff": (("--lo", "x", "-1"), ("--mode", "bogus", "normal"), ("--reference", "nan", "0")),
 }

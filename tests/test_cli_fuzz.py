@@ -37,7 +37,7 @@ COUNTS, FRACTIONS, FINITE = ("0", "-1"), ("0", "1", "nan"), ("inf", "-inf", "nan
 OUT_OF_RANGE = {
     **dict.fromkeys(("max-iter", "components", "stops", "p", "n-perm", "n-shapes"), COUNTS),
     **dict.fromkeys(("variance", "bonferroni"), FRACTIONS),
-    **dict.fromkeys(("ridge", "lo", "hi", "reference"), FINITE),
+    **dict.fromkeys(("lo", "hi", "reference"), FINITE), "ridge": FINITE + ("-1",),
     "tol": ("1e-16", "0", "nan", "inf"), "frames-per-leg": ("-1",), "seed": ("-1",),
 }
 KIND = {**dict.fromkeys(INTS, "int"), **dict.fromkeys(FLOATS, "float"), **dict.fromkeys(CHOICES, "choice"),

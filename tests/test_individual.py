@@ -5,7 +5,6 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy import special
 
 import surfshape as ss
 from conftest import assert_no_child_left, random_rotation, sphere_with_pairing
@@ -282,6 +281,7 @@ def control_sample(n=40, seed=0, spectrum=(0.05, 0.02, 0.01, 0.004, 0.002), nois
 
 class TestFitControlModel:
     def test_threshold_matches_incomplete_gamma_oracle(self):
+        special = pytest.importorskip("scipy.special")
         controls, _ = control_sample()
         model = ss.fit_control_model(controls, variance_threshold=0.80)
         oracle = 2.0 * special.gammaincinv(model.p / 2.0, 0.95)
@@ -495,6 +495,7 @@ class TestChi2ThresholdCheck:
 
     @pytest.mark.parametrize("p", range(1, 41))
     def test_true_quantile_accepted(self, p):
+        special = pytest.importorskip("scipy.special")
         model = control_model(p)
         assert model.p == p and model.chi2_threshold == chi_square_quantile(p, 0.95)
         assert model.chi2_threshold == pytest.approx(2.0 * special.gammaincinv(p / 2.0, 0.95), rel=1e-12, abs=0)

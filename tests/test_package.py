@@ -21,7 +21,9 @@ def test_cli_import_leaves_scipy_unloaded():
 
 
 # Any scipy import raises ImportError in this process, so every step below
-# must run on numpy and the standard library alone.
+# must run on numpy and the standard library alone. The probe runs with
+# -W error::RuntimeWarning: a divide or invalid-value warning in a normal run
+# is a failure.
 SCIPY_FREE_PROBE = """
 import sys
 sys.modules["scipy"] = None
@@ -46,6 +48,8 @@ assert main(["tour", "--model", str(out / "pca" / "model.json"), "--topology", s
              "--seed", "1", "--out", str(out / "tour")]) == 0
 assert main(["compare", "--meshes", str(sim / "meshes"), "--labels", str(sim / "labels.csv"), "--p", "2",
              "--n-perm", "20", "--seed", "1", "--out", str(out / "compare")]) == 0
+assert main(["compare", "--meshes", str(sim / "meshes"), "--labels", str(sim / "labels.csv"), "--p", "2",
+             "--n-perm", "20", "--seed", "1", "--mode", "group_shape_space", "--out", str(out / "compare-gss")]) == 0
 assert main(["split-affine", "--meshes", str(sim / "meshes"), "--out", str(out / "split-affine")]) == 0
 assert main(["asymmetry", "--meshes", str(sim / "meshes"), "--pairing", str(sim / "pairing.csv"),
              "--regions", str(sim / "regions.csv"), "--out", str(out / "asymmetry")]) == 0
@@ -54,7 +58,12 @@ assert main(["warp", "--source", str(sim / "base.obj"), "--target", str(sim / "m
 assert main(["assess", "--controls", str(sim / "meshes"), "--pre", str(sim / "meshes" / "shape_000.obj"),
              "--post", str(sim / "meshes" / "shape_001.obj"), "--pairing", str(sim / "pairing.csv"),
              "--regions", str(sim / "regions.csv"), "--out", str(out / "assess")]) == 0
+assert main(["assess", "--model", str(out / "assess" / "control_model.json"),
+             "--pre", str(sim / "meshes" / "shape_000.obj"), "--post", str(sim / "meshes" / "shape_001.obj"),
+             "--pairing", str(sim / "pairing.csv"), "--regions", str(sim / "regions.csv"),
+             "--out", str(out / "assess-model")]) == 0
 assert main(["diff", str(sim / "base.obj"), str(sim / "meshes" / "shape_000.obj"), "--out", str(out / "diff")]) == 0
+assert main(["simulate", "--resolution", "2", "--exponent", "0.6", "--out", str(out / "superellipsoid")]) == 0
 print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy" and sys.modules[m] is not None))
 """
 
@@ -63,11 +72,16 @@ def test_runtime_runs_with_scipy_blocked(tmp_path):
     src = str(Path(ss.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     result = subprocess.run(
-        [sys.executable, "-c", SCIPY_FREE_PROBE, str(tmp_path)], env=env, capture_output=True, text=True
+        [sys.executable, "-W", "error::RuntimeWarning", "-c", SCIPY_FREE_PROBE, str(tmp_path)],
+        env=env, capture_output=True, text=True,
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip().splitlines()[-1] == "[]"
-    for command in ("register", "pca", "tour", "compare", "split-affine", "asymmetry", "warp", "assess", "diff"):
-        assert (tmp_path / command / "manifest.json").is_file()
+    runs = ("register", "pca", "tour", "compare", "compare-gss", "split-affine", "asymmetry", "warp", "assess",
+            "assess-model", "diff", "superellipsoid")
+    for run in runs:
+        assert (tmp_path / run / "manifest.json").is_file()
     assert (tmp_path / "warp" / "warped.obj").is_file()
-    assert (tmp_path / "assess" / "assessment.json").is_file()
+    # the saved control model assesses the same
+    assessment = (tmp_path / "assess" / "assessment.json").read_bytes()
+    assert (tmp_path / "assess-model" / "assessment.json").read_bytes() == assessment

@@ -2,8 +2,6 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.optimize import minimize
-from scipy.spatial.transform import Rotation
 
 import surfshape as ss
 from conftest import bumpy_mesh, random_rotation, sphere_mesh
@@ -12,6 +10,8 @@ from surfshape.registration import _tangent_over_stack
 
 def weighted_objective(source, target, a, params):
     """The registration criterion evaluated at raw parameters (the oracle's view)."""
+    from scipy.spatial.transform import Rotation
+
     rotation = Rotation.from_rotvec(params[:3]).as_matrix()
     scale = np.exp(params[3])
     translation = params[4:]
@@ -21,6 +21,7 @@ def weighted_objective(source, target, a, params):
 
 def minimize_objective_oracle(source, target, weights, starts):
     """Generic nonlinear minimization of the weighted criterion over all 7 parameters."""
+    minimize = pytest.importorskip("scipy.optimize").minimize
     best = np.inf
     for start in starts:
         result = minimize(
@@ -48,6 +49,7 @@ def unweighted_procrustes_oracle(source, target, allow_scaling=True):
 
 
 def transform_params_as_start(fit):
+    Rotation = pytest.importorskip("scipy.spatial.transform").Rotation
     rotvec = Rotation.from_matrix(fit.transform.rotation).as_rotvec()
     return np.concatenate([rotvec, [np.log(fit.transform.scale)], fit.transform.translation])
 

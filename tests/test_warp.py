@@ -2,7 +2,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.spatial.distance import cdist
 
 import surfshape as ss
 from conftest import random_rotation, sphere_mesh
@@ -10,6 +9,7 @@ from conftest import random_rotation, sphere_mesh
 
 def closed_form_oracle(x, y):
     """Bending-energy-matrix route: Be = S^-1 - S^-1 Q (Q^T S^-1 Q)^-1 Q^T S^-1."""
+    cdist = pytest.importorskip("scipy.spatial.distance").cdist
     s = -cdist(x, x) / (8.0 * np.pi)
     q = np.hstack([np.ones((len(x), 1)), x])
     s_inv = np.linalg.inv(s)
@@ -96,6 +96,7 @@ class TestFitTps:
 
     def test_kernel_rescaling_gives_same_interpolant(self):
         # any positive multiple of the kernel yields the same warp
+        cdist = pytest.importorskip("scipy.spatial.distance").cdist
         x = random_points(15)
         y = random_points(16)
         queries = random_points(17, n=9)
@@ -232,7 +233,8 @@ class TestSizeLimit:
 def scipy_fit_tps(source, target, ridge=0.0):
     """The scipy-cdist fit that fit_tps replaced, kept as a bitwise oracle:
     (beta1, beta2), or the ValueError message it raises."""
-    from scipy.spatial.distance import pdist
+    distance = pytest.importorskip("scipy.spatial.distance")
+    cdist, pdist = distance.cdist, distance.pdist
 
     x, y = np.asarray(source, dtype=float), np.asarray(target, dtype=float)
     j = x.shape[0]
@@ -251,6 +253,7 @@ def scipy_fit_tps(source, target, ridge=0.0):
 
 
 def scipy_apply_warp(beta1, beta2, control_points, points):
+    cdist = pytest.importorskip("scipy.spatial.distance").cdist
     kernel = -cdist(points, control_points) / (8.0 * np.pi)
     return kernel @ beta1 + np.hstack([np.ones((points.shape[0], 1)), points]) @ beta2
 
@@ -265,7 +268,7 @@ class TestMatchesScipyCdist:
     the bits of the scipy cdist code they replaced."""
 
     @pytest.mark.parametrize("n, m, ridge", [(5, 3, 0.0), (20, 40, 0.0), (66, 258, 0.0), (300, 1100, 0.0),
-                                              (40, 50, 1e-3), (40, 50, -2.5), (300, 1100, 0.1)])
+                                              (40, 50, 1e-3), (40, 50, 2.5), (300, 1100, 0.1)])
     def test_fit_and_apply_are_bitwise(self, n, m, ridge):
         rng = np.random.default_rng(n + m)
         x = rng.standard_normal((n, 3))
@@ -318,4 +321,10 @@ class TestMatchesScipyCdist:
     @pytest.mark.parametrize("ridge", [np.nan, np.inf, -np.inf])
     def test_non_finite_ridge_is_refused(self, ridge):
         with pytest.raises(ValueError, match="ridge must be finite"):
+            ss.fit_tps(random_points(35), random_points(36), ridge=ridge)
+
+    @pytest.mark.parametrize("ridge", [-1e-3, -1.0, -5e-324])
+    def test_negative_ridge_is_refused(self, ridge):
+        # a negative ridge can give negative per-coordinate energies, or more bending than the exact fit
+        with pytest.raises(ValueError, match="ridge must be finite and at least 0"):
             ss.fit_tps(random_points(35), random_points(36), ridge=ridge)
