@@ -24,8 +24,6 @@ from .groupcompare import (
     affine_nonaffine_split,
     align_component_signs,
     combined_effect_shape,
-    component_t,
-    hotelling_t2,
     permutation_test,
 )
 from .individual import (
@@ -35,7 +33,6 @@ from .individual import (
     ControlModel,
     assess_individual,
     asymmetry_report,
-    asymmetry_score,
     empirical_percentile,
     fit_control_model,
     integrated_assessment,
@@ -63,7 +60,7 @@ from .registration import (
     weighted_opa,
 )
 from .synth import SynthConfig, SynthGroundTruth, planted_modes, synth_base_mesh, synth_cohort
-from .warp import WarpField, apply_warp, fit_tps, radial_basis, warp_template
+from .warp import WarpField, apply_warp, fit_tps, radial_basis
 
 __version__ = "0.1.0"
 
@@ -92,17 +89,14 @@ __all__ = [
     "apply_warp",
     "assess_individual",
     "asymmetry_report",
-    "asymmetry_score",
     "chi_square_quantile",
     "combined_effect_shape",
     "component_shape",
-    "component_t",
     "empirical_percentile",
     "fit_control_model",
     "fit_fpca",
     "fit_tps",
     "grand_tour",
-    "hotelling_t2",
     "integrated_assessment",
     "permutation_test",
     "planted_modes",
@@ -121,7 +115,6 @@ __all__ = [
     "vec_inverse",
     "vertex_areas",
     "vertex_normals",
-    "warp_template",
     "weighted_gpa",
     "weighted_opa",
 ]

@@ -270,6 +270,10 @@ def cmd_compare(args) -> tuple[str, list]:
         check_permutation_size(args.n_perm, len(names), args.p)
     except ValueError as err:
         raise ValueError(f"--n-perm {args.n_perm}: {err}") from None
+    alpha = 0.05 / args.p if args.bonferroni is None else args.bonferroni
+    if 1 / (1 + args.n_perm) >= alpha:
+        print(f"warning: no component can be flagged: the smallest p-value of {args.n_perm} permutations, "
+              f"1/{args.n_perm + 1}, is not below the Bonferroni alpha {alpha:g}", file=sys.stderr)
     _, _, gpa = _registered_cohort(args)
     report = permutation_test(
         _tangent_over_stack(gpa),

@@ -1,9 +1,10 @@
 """Two-group inference in component spaces.
 
-Global Hotelling T2 and per-component t statistics get their reference
-distributions from label permutations, either with components fixed by a
-label-blind PCA or re-derived from the pooled within-group covariance for
-every permutation (the group-shape-space variant).
+:func:`permutation_test` computes the global Hotelling T2 and per-component t
+statistics in closed form and gets their reference distributions from label
+permutations, either with components fixed by a label-blind PCA or re-derived
+from the pooled within-group covariance for every permutation (the
+group-shape-space variant).
 """
 from __future__ import annotations
 
@@ -66,50 +67,6 @@ class SubspaceEffect:
     plus_shape: np.ndarray
     minus_shape: np.ndarray
     multiplier: float
-
-
-def _split_groups(scores_a: np.ndarray, scores_b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    a = np.atleast_2d(np.asarray(scores_a, dtype=float))
-    b = np.atleast_2d(np.asarray(scores_b, dtype=float))
-    if a.shape[1] != b.shape[1]:
-        raise ValueError("score matrices disagree on the number of components")
-    return a, b
-
-
-def pooled_covariance(scores_a: np.ndarray, scores_b: np.ndarray) -> np.ndarray:
-    a, b = _split_groups(scores_a, scores_b)
-    na, nb = a.shape[0], b.shape[0]
-    if na + nb < a.shape[1] + 2:
-        raise ValueError("too few samples for the pooled covariance")
-    ca = a - a.mean(axis=0)
-    cb = b - b.mean(axis=0)
-    return (ca.T @ ca + cb.T @ cb) / (na + nb - 2)
-
-
-def hotelling_t2(scores_a: np.ndarray, scores_b: np.ndarray) -> float:
-    """Two-sample Hotelling T2 on component scores with the pooled covariance."""
-    a, b = _split_groups(scores_a, scores_b)
-    na, nb = a.shape[0], b.shape[0]
-    diff = a.mean(axis=0) - b.mean(axis=0)
-    cov = pooled_covariance(a, b)
-    cond = np.linalg.cond(cov)  # inf for an exactly singular matrix
-    if not np.isfinite(cond) or cond > 1e12:
-        raise NumericalFailure("pooled covariance singular; reduce p")
-    return float(diff @ np.linalg.solve(cov, diff) / (1.0 / na + 1.0 / nb))
-
-
-def component_t(scores_a: np.ndarray, scores_b: np.ndarray, component: int) -> float:
-    """Classical pooled two-sample t statistic on one component (1-based)."""
-    a, b = _split_groups(scores_a, scores_b)
-    if not 1 <= component <= a.shape[1]:
-        raise ValueError(f"component {component} outside 1..{a.shape[1]}")
-    xa = a[:, component - 1]
-    xb = b[:, component - 1]
-    na, nb = xa.size, xb.size
-    pooled_var = (((xa - xa.mean()) ** 2).sum() + ((xb - xb.mean()) ** 2).sum()) / (na + nb - 2)
-    if pooled_var <= 0:
-        raise NumericalFailure(f"component {component} has zero pooled variance")
-    return float((xa.mean() - xb.mean()) / np.sqrt(pooled_var * (1.0 / na + 1.0 / nb)))
 
 
 def _group_masks(labels) -> tuple[np.ndarray, tuple[str, str]]:
@@ -378,31 +335,21 @@ def combined_effect_shape(model: FpcaModel, significant, c: float = 2.0) -> Subs
     )
 
 
-def affine_nonaffine_split(
-    aligned: np.ndarray, mean: np.ndarray, weights: AreaWeights | None = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def affine_nonaffine_split(aligned: np.ndarray, mean: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Split aligned shapes into affine fits of the mean and non-affine residual shapes.
 
-    Regresses each shape on the mean, X_i = mean @ alpha_i + residual, and
-    returns (affine shapes, non-affine shapes, coefficients). The default is
-    the plain least-squares regression, whose residuals are column-orthogonal
-    to the mean; passing area ``weights`` switches to the area-weighted
-    regression (orthogonality then holds in the weighted inner product).
+    Regresses each shape on the mean by least squares, X_i = mean @ alpha_i +
+    residual, and returns (affine shapes, non-affine shapes, coefficients). The
+    residuals are column-orthogonal to the mean.
     """
     aligned = np.asarray(aligned, dtype=float)
     mean = np.asarray(mean, dtype=float)
     if aligned.ndim != 3 or aligned.shape[1:] != mean.shape:
         raise ValueError("aligned must be (n, J, 3) matching the mean")
-    if weights is None:
-        design = mean
-    else:
-        if weights.weights.shape[0] != mean.shape[0]:
-            raise ValueError("weights do not match the mean's vertex count")
-        design = weights.weights[:, None] * mean
-    gram = design.T @ mean
+    gram = mean.T @ mean
     if np.linalg.cond(gram) > 1e12:
         raise NumericalFailure("mean shape is planar-degenerate; affine regression is singular")
-    alphas = np.linalg.solve(gram, np.einsum("jk,njl->nkl", design, aligned))
+    alphas = np.linalg.solve(gram, np.einsum("jk,njl->nkl", mean, aligned))
     affine = np.einsum("jk,nkl->njl", mean, alphas)
     nonaffine = mean + (aligned - affine)
     return affine, nonaffine, alphas

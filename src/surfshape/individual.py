@@ -171,27 +171,6 @@ def _checked_regions(
     return {name: _region_indices(idx, n_vertices, name, size) for name, idx in regions.items()}
 
 
-def asymmetry_score(
-    mesh: SurfaceMesh,
-    pairing: BilateralPairing,
-    region: np.ndarray | None = None,
-    allow_scaling: bool = True,
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """Asymmetry of a surface: RMS distance to its matched mirror image (mm).
-
-    The mirror image is reflected, relabelled and Procrustes-matched onto the
-    original. The squared distances are averaged with area weights taken from
-    the surface halfway between the shape and its matched reflection, then
-    square-rooted so the score is on the coordinate scale. ``region``
-    restricts the average to a vertex subset (registration stays global).
-
-    Returns (score, matched reflection, per-vertex distance field).
-    """
-    report = asymmetry_report(mesh, pairing, None if region is None else {None: region}, allow_scaling)
-    score = report.global_score if region is None else report.region_scores[None]
-    return score, report.matched_reflection, report.per_vertex_distance
-
-
 def empirical_percentile(value: float, reference: np.ndarray) -> float:
     """Percentile of ``value`` in an empirical distribution, interpolating linearly
     between order statistics."""
@@ -210,9 +189,13 @@ def asymmetry_report(
     allow_scaling: bool = True,
     register_per_region: bool = False,
 ) -> AsymmetryReport:
-    """Global plus per-region asymmetry scores.
+    """Global plus per-region asymmetry scores: RMS distances (mm) to the
+    matched mirror image.
 
-    By default one global registration is shared by all regions;
+    The mirror image is reflected, relabelled and Procrustes-matched onto the
+    original. The squared distances are averaged with area weights taken from
+    the surface halfway between the shape and its matched reflection, then
+    square-rooted. By default one global registration is shared by all regions;
     ``register_per_region`` instead re-matches the mirror image using each
     region's own vertices and weights. The regions are checked by
     :func:`_checked_regions` before any matching.

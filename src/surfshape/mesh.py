@@ -10,7 +10,7 @@ import copy
 import os
 import pickle
 from dataclasses import KW_ONLY, InitVar, dataclass, field
-from typing import Iterable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -51,12 +51,12 @@ def _as_triangles(triangles) -> np.ndarray:
     return t
 
 
-def _region_indices(idx, n_vertices: int, name: str | None = None, min_size: int = 0) -> np.ndarray:
+def _region_indices(idx, n_vertices: int, name: str, min_size: int = 0) -> np.ndarray:
     """A region's distinct vertex indices as an increasing intp array. A boolean
     mask or a fractional array is refused, not cast to indices, and so is a
     region of fewer than ``min_size`` distinct vertices (3 for one registered
     on its own)."""
-    label = "region" if name is None else f"region {name!r}"
+    label = f"region {name!r}"
     idx = np.ravel(idx)
     if idx.size and not np.issubdtype(idx.dtype, np.integer):
         raise ValueError(f"{label} must hold integer vertex indices, got {idx.dtype} values")

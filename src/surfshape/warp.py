@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import mesh
-from .mesh import NumericalFailure, SurfaceMesh, check_memory
+from .mesh import NumericalFailure, check_memory
 
 # A fit allocates the dense (J+4)^2 system, whose J x J block holds the
 # distances and then the kernel in place, and the solver's (J+4)^2 LU copy:
@@ -143,9 +143,3 @@ def apply_warp(field: WarpField, points: np.ndarray) -> np.ndarray:
         block += kernel @ field.beta1
     return out[0] if squeeze else out
 
-
-def warp_template(template: SurfaceMesh, model_source: np.ndarray, model_target: np.ndarray) -> SurfaceMesh:
-    """Carry a (typically high-resolution) template along the warp that maps the
-    embedded model points ``model_source`` exactly onto ``model_target``."""
-    field = fit_tps(model_source, model_target)
-    return template.with_vertices(apply_warp(field, template.vertices))

@@ -247,21 +247,21 @@ def test_07_affine_nonaffine():
 def test_08_asymmetry():
     with criterion(8, "asymmetry score exactness and invariance"):
         mesh, pairing = ss.synth_base_mesh(ss.SynthConfig(resolution=2))
-        score, _, field = ss.asymmetry_score(mesh, pairing)
-        assert score == 0.0
-        assert np.all(field == 0.0)
+        report = ss.asymmetry_report(mesh, pairing)
+        assert report.global_score == 0.0
+        assert np.all(report.per_vertex_distance == 0.0)
 
         from test_individual import brute_force_asymmetry, perturbed_mesh
 
         rng = np.random.default_rng(108)
         for magnitude in (0.01, 0.05, 0.15):
             bumped, bumped_pairing = perturbed_mesh(magnitude)
-            got, _, _ = ss.asymmetry_score(bumped, bumped_pairing)
+            got = ss.asymmetry_report(bumped, bumped_pairing).global_score
             expected = brute_force_asymmetry(bumped, bumped_pairing)
             assert got == pytest.approx(expected, abs=1e-10)
             for _ in range(2):
                 moved = bumped.with_vertices(bumped.vertices @ random_rotation(rng) + rng.normal(size=3))
-                moved_score, _, _ = ss.asymmetry_score(moved, bumped_pairing)
+                moved_score = ss.asymmetry_report(moved, bumped_pairing).global_score
                 assert moved_score == pytest.approx(got, abs=1e-8)
 
 

@@ -161,6 +161,18 @@ class TestCompare:
         report = json.loads((out / "report.json").read_text())
         assert report["mode"] == "group_shape_space"
 
+    @pytest.mark.parametrize("n_perm, warned", [(99, True), (100, False)])
+    def test_warns_when_no_component_can_be_flagged(self, cohort, tmp_path, capsys, n_perm, warned):
+        # the smallest p-value is 1/(1 + n_perm); a component is flagged below the alpha
+        code = run(
+            "compare", "--meshes", cohort / "meshes", "--labels", cohort / "labels.csv",
+            "--p", "2", "--n-perm", n_perm, "--bonferroni", "0.01", "--seed", "1", "--out", tmp_path / "cmp",
+        )
+        assert code == 0
+        warning = ("warning: no component can be flagged: the smallest p-value of 99 permutations, 1/100, "
+                   "is not below the Bonferroni alpha 0.01\n")
+        assert capsys.readouterr().err == (warning if warned else "")
+
 
 class TestAsymmetryCommand:
     def test_symmetric_base_scores_zero_in_csv(self, cohort, tmp_path):

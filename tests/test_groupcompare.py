@@ -19,65 +19,81 @@ def null_tangent(seed=0, n=30, p=5, m=60):
     return tangent, labels
 
 
+def two_groups(a, b, p, **kwargs):
+    """The permutation test's observed statistics for rows ``a`` against rows ``b``."""
+    labels = ["A"] * len(a) + ["B"] * len(b)
+    return ss.permutation_test(np.vstack([a, b]), labels, p=p, n_perm=9, seed=0, **kwargs)
+
+
 class TestHotellingT2:
+    """The global statistic ``permutation_test`` reports is sqrt(T2 / p)."""
+
     def test_identical_means_give_zero(self):
         rng = np.random.default_rng(0)
         scores = rng.standard_normal((10, 3))
-        both = np.vstack([scores, scores])
-        assert ss.hotelling_t2(scores, scores) == pytest.approx(0.0, abs=1e-20)
+        assert 3 * two_groups(scores, scores, 3).global_stat ** 2 == pytest.approx(0.0, abs=1e-20)
 
     def test_p_equals_one_reduces_to_squared_t(self):
         rng = np.random.default_rng(1)
         xa = rng.normal(0.0, 1.0, 12)[:, None]
         xb = rng.normal(0.5, 1.3, 9)[:, None]
         t = two_sample_t_oracle(xa[:, 0], xb[:, 0])
-        assert ss.hotelling_t2(xa, xb) == pytest.approx(t**2, rel=1e-12)
+        assert two_groups(xa, xb, 1).global_stat ** 2 == pytest.approx(t**2, rel=1e-12)
 
     def test_scaling_invariance(self):
         rng = np.random.default_rng(2)
         a = rng.standard_normal((14, 4))
         b = rng.standard_normal((11, 4)) + 0.3
-        assert ss.hotelling_t2(10 * a, 10 * b) == pytest.approx(ss.hotelling_t2(a, b), rel=1e-10)
+        assert two_groups(10 * a, 10 * b, 4).global_stat == pytest.approx(two_groups(a, b, 4).global_stat, rel=1e-12)
 
     def test_singular_pooled_covariance_rejected(self):
         a = np.zeros((6, 3))
         a[:, 0] = np.arange(6.0)
         b = a + 1.0  # columns 1, 2 constant in both groups
-        with pytest.raises(ValueError, match="singular; reduce p"):
-            ss.hotelling_t2(a, b)
+        with pytest.raises(ss.NumericalFailure, match="singular; reduce p"):
+            two_groups(a, b, 2)
 
     def test_too_few_samples_rejected(self):
         rng = np.random.default_rng(3)
         with pytest.raises(ValueError, match="too few samples"):
-            ss.hotelling_t2(rng.normal(size=(2, 4)), rng.normal(size=(3, 4)))
+            two_groups(rng.normal(size=(2, 4)), rng.normal(size=(3, 4)), 4)
 
 
 class TestComponentT:
+    """The component statistics ``permutation_test`` reports are |t| on the
+    label-blind PCA scores."""
+
     def test_equal_means_zero(self):
         rng = np.random.default_rng(4)
         a = rng.standard_normal((8, 2))
-        b = a.copy()
-        assert ss.component_t(a, b, 1) == pytest.approx(0.0, abs=1e-14)
+        np.testing.assert_allclose(two_groups(a, a.copy(), 2).component_stats, 0.0, atol=1e-14)
 
     def test_matches_textbook_formula(self):
         rng = np.random.default_rng(5)
         a = rng.normal(size=(13, 3))
         b = rng.normal(0.4, 1.1, size=(10, 3))
+        both = np.vstack([a, b])
+        centred = both - both.mean(axis=0)
+        scores = centred @ np.linalg.svd(centred, full_matrices=False)[2].T
+        report = two_groups(a, b, 3)
         for component in (1, 2, 3):
-            expected = two_sample_t_oracle(a[:, component - 1], b[:, component - 1])
-            assert ss.component_t(a, b, component) == pytest.approx(expected, rel=1e-12)
+            expected = two_sample_t_oracle(scores[:13, component - 1], scores[13:, component - 1])
+            assert report.component_stats[component - 1] == pytest.approx(abs(expected), rel=1e-12)
 
-    def test_antisymmetric_under_group_swap(self):
+    def test_unchanged_when_the_labels_swap(self):
         rng = np.random.default_rng(6)
         a = rng.normal(size=(9, 2))
         b = rng.normal(size=(7, 2))
-        assert ss.component_t(a, b, 2) == pytest.approx(-ss.component_t(b, a, 2), rel=1e-12)
+        rows = np.vstack([a, b])
+        named = ss.permutation_test(rows, ["A"] * 9 + ["B"] * 7, p=2, n_perm=9, seed=0)
+        swapped = ss.permutation_test(rows, ["B"] * 9 + ["A"] * 7, p=2, n_perm=9, seed=0)
+        assert np.array_equal(named.component_stats, swapped.component_stats)
 
     def test_zero_variance_rejected(self):
         a = np.ones((5, 1))
-        b = np.ones((5, 1))
-        with pytest.raises(ValueError, match="zero pooled variance"):
-            ss.component_t(a, b, 1)
+        b = np.zeros((5, 1))
+        with pytest.raises(ss.NumericalFailure, match="zero pooled variance"):
+            two_groups(a, b, 1)
 
 
 class TestPermutationTest:
@@ -303,14 +319,3 @@ class TestAffineNonaffineSplit:
         flat = np.column_stack([np.arange(6.0), np.arange(6.0) ** 2, np.zeros(6)])
         with pytest.raises(ValueError, match="planar"):
             ss.affine_nonaffine_split(flat[None], flat)
-
-    def test_weighted_variant_orthogonal_under_area_metric(self):
-        config = ss.SynthConfig(resolution=2, n_shapes=6, noise_sd=0.02, seed=3)
-        sample, _ = ss.synth_cohort(config)
-        gpa = ss.weighted_gpa(sample)
-        affine, nonaffine, _ = ss.affine_nonaffine_split(gpa.aligned, gpa.mean, weights=gpa.mean_weights)
-        a = gpa.mean_weights.weights
-        for i in range(6):
-            residual = gpa.aligned[i] - affine[i]
-            np.testing.assert_allclose(gpa.mean.T @ (a[:, None] * residual), 0.0, atol=1e-10)
-        np.testing.assert_allclose(affine + nonaffine - gpa.mean, gpa.aligned, atol=1e-12)

@@ -87,37 +87,37 @@ class TestReflectRelabel:
 class TestAsymmetryScore:
     def test_symmetric_mesh_scores_exactly_zero(self):
         mesh, pairing = sphere_with_pairing()
-        score, matched, field = ss.asymmetry_score(mesh, pairing)
-        assert score == 0.0
-        np.testing.assert_array_equal(field, np.zeros(mesh.n_vertices))
-        np.testing.assert_array_equal(matched, mesh.vertices)
+        report = ss.asymmetry_report(mesh, pairing)
+        assert report.global_score == 0.0
+        np.testing.assert_array_equal(report.per_vertex_distance, np.zeros(mesh.n_vertices))
+        np.testing.assert_array_equal(report.matched_reflection, mesh.vertices)
 
     @pytest.mark.parametrize("magnitude", [0.02, 0.08, 0.2])
     def test_matches_brute_force_recomputation(self, magnitude):
         mesh, pairing = perturbed_mesh(magnitude)
-        score, _, _ = ss.asymmetry_score(mesh, pairing)
+        score = ss.asymmetry_report(mesh, pairing).global_score
         assert score == pytest.approx(brute_force_asymmetry(mesh, pairing), abs=1e-10)
 
     def test_region_restriction_matches_brute_force(self):
         mesh, pairing = perturbed_mesh(0.1)
         region = mesh.regions["upper"]
-        score, _, _ = ss.asymmetry_score(mesh, pairing, region=region)
+        score = ss.asymmetry_report(mesh, pairing, {"r": region}).region_scores["r"]
         assert score == pytest.approx(brute_force_asymmetry(mesh, pairing, region), abs=1e-10)
 
     def test_rigid_motion_invariance(self):
         mesh, pairing = perturbed_mesh(0.1)
-        base, _, _ = ss.asymmetry_score(mesh, pairing)
+        base = ss.asymmetry_report(mesh, pairing).global_score
         rng = np.random.default_rng(3)
         for _ in range(3):
             moved = mesh.with_vertices(mesh.vertices @ random_rotation(rng) + rng.normal(size=3))
-            score, _, _ = ss.asymmetry_score(moved, pairing)
+            score = ss.asymmetry_report(moved, pairing).global_score
             assert score == pytest.approx(base, abs=1e-8)
 
     def test_score_scales_with_the_object(self):
         # scores are in mm, so a globally rescaled subject scales its score
         mesh, pairing = perturbed_mesh(0.1)
-        base, _, _ = ss.asymmetry_score(mesh, pairing)
-        doubled, _, _ = ss.asymmetry_score(mesh.with_vertices(2.0 * mesh.vertices), pairing)
+        base = ss.asymmetry_report(mesh, pairing).global_score
+        doubled = ss.asymmetry_report(mesh.with_vertices(2.0 * mesh.vertices), pairing).global_score
         assert doubled == pytest.approx(2.0 * base, rel=1e-8)
 
     def test_planted_asymmetry_is_monotone(self):
@@ -126,23 +126,22 @@ class TestAsymmetryScore:
             config = ss.SynthConfig(resolution=2, eigen_spectrum=(), n_shapes=1,
                                     asymmetry_magnitude=magnitude, seed=1)
             sample, truth = ss.synth_cohort(config)
-            score, _, _ = ss.asymmetry_score(sample.meshes[0], truth.pairing)
-            scores.append(score)
+            scores.append(ss.asymmetry_report(sample.meshes[0], truth.pairing).global_score)
         assert scores[0] == 0.0
         assert all(a < b for a, b in zip(scores, scores[1:]))
 
     def test_empty_region_rejected(self):
         mesh, pairing = perturbed_mesh()
         with pytest.raises(ValueError, match="empty"):
-            ss.asymmetry_score(mesh, pairing, region=np.array([], dtype=int))
+            ss.asymmetry_report(mesh, pairing, {"r": np.array([], dtype=int)})
 
     @pytest.mark.parametrize("as_values", [lambda mask: mask, lambda mask: mask.astype(float)], ids=["bool", "float"])
     def test_mask_is_not_read_as_indices(self, as_values):
         # a boolean mask cast to intp would be the vertices 0 and 1
         mesh, pairing = perturbed_mesh(0.1)
         mask = np.isin(np.arange(mesh.n_vertices), mesh.regions["upper"])
-        with pytest.raises(ValueError, match="region must hold integer vertex indices"):
-            ss.asymmetry_score(mesh, pairing, region=as_values(mask))
+        with pytest.raises(ValueError, match="region 'r' must hold integer vertex indices"):
+            ss.asymmetry_report(mesh, pairing, {"r": as_values(mask)})
 
 
 def upper_lower(mesh):
@@ -209,8 +208,8 @@ class TestRegionRules:
 
     def test_duplicated_indices_count_once_in_a_single_score(self):
         mesh, pairing = perturbed_mesh(0.15)
-        score, _, _ = ss.asymmetry_score(mesh, pairing, region=[3, 3, 3, 5, 7, 11])
-        assert score == ss.asymmetry_score(mesh, pairing, region=[3, 5, 7, 11])[0]
+        score = ss.asymmetry_report(mesh, pairing, {"r": [3, 3, 3, 5, 7, 11]}).region_scores["r"]
+        assert score == ss.asymmetry_report(mesh, pairing, {"r": [3, 5, 7, 11]}).region_scores["r"]
 
     @pytest.mark.parametrize("register_per_region", [False, True])
     def test_empty_region_refused_by_name(self, unmatched, register_per_region):

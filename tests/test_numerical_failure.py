@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 import surfshape as ss
-from surfshape.groupcompare import component_t, hotelling_t2
 
 CORNERS = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]], float)
 PLANAR = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0], [2, 1, 0]], float)
@@ -17,9 +16,10 @@ LABELS = ["A"] * 3 + ["B"] * 3
 TWO_POINTS = np.repeat([[0.0, 0.0], [1.0, 2.0]], 3, axis=0)
 # rank 2, but the within-group scatter is rank 1 and lies along neither principal axis
 FLAT_WITHIN = np.array([[t, 0.0] for t in (-1, 0, 1)] + [[t + 1.0, 3.0] for t in (-1, 0, 1)])
-# the third column is the first up to 1e-14: the pooled covariance is numerically singular
+# the second column is the first up to 1e-14: numerically rank 2, not 3
 NEAR = np.column_stack([np.arange(6.0), np.arange(6.0) * (1 + 1e-14), [0, 1, 0, 1, 0, 1]])
-EXACT = np.array([[0.0, 1, 0], [1, 2, 0], [2, 0, 0]])  # a constant column: exactly singular
+# rank 3, but the third column is constant within each group: the pooled covariance is exactly singular
+EXACT = np.vstack([[[0.0, 1, 0], [1, 2, 0], [2, 0, 0]]] * 2) + np.repeat([0.0, 1.0], 3)[:, None]
 
 
 def _perm(data, p, mode="tangent_pca"):
@@ -35,14 +35,14 @@ SITES = {
     "opa-scale": (lambda: ss.weighted_opa(1e160 * CORNERS, CORNERS, UNIT), "non-positive scale"),
     "fpca-fraction": (lambda: ss.fit_fpca(np.tile(np.arange(15.0), (4, 1)), UNIT, k=0.8), "no variance in the sample"),
     "fpca-count": (lambda: ss.fit_fpca(np.tile(np.arange(15.0), (4, 1)), UNIT, k=2), "no variance in the sample"),
-    "hotelling-solve": (lambda: hotelling_t2(EXACT, EXACT + 1), "pooled covariance singular"),
-    "hotelling-condition": (lambda: hotelling_t2(NEAR[:3], NEAR[3:]), "pooled covariance singular"),
-    "component-t": (lambda: component_t(np.ones((3, 1)), np.zeros((3, 1)), 1), "has zero pooled variance"),
     "tangent-pca-variance": (_perm(TWO_POINTS, 1), "a component has zero pooled variance"),
     "tangent-pca-covariance": (_perm(FLAT_WITHIN, 2), "pooled covariance singular"),
     "group-shape-space-rank": (_perm(TWO_POINTS, 2, "group_shape_space"), "rank below p=2"),
     "group-shape-space-eigenvalue": (_perm(FLAT_WITHIN, 2, "group_shape_space"), "rank below p=2"),
     "tangent-pca-data-rank": (_perm(TWO_POINTS, 2), "data rank 1 is below p=2"),
+    "tangent-pca-near-duplicate-column": (_perm(NEAR, 3), "data rank 2 is below p=3"),
+    "group-shape-space-near-duplicate-column": (_perm(NEAR, 3, "group_shape_space"), "rank below p=3"),
+    "tangent-pca-constant-column": (_perm(EXACT, 3), "pooled covariance singular"),
     "affine-planar": (lambda: ss.affine_nonaffine_split(PLANAR[None] + 0.1, PLANAR), "planar-degenerate"),
     "tps-duplicate": (lambda: ss.fit_tps(np.vstack([CORNERS, CORNERS[:1]]), np.vstack([CORNERS, CORNERS[:1]])),
                       "duplicate source points"),

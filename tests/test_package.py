@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -85,3 +86,21 @@ def test_runtime_runs_with_scipy_blocked(tmp_path):
     # the saved control model assesses the same
     assessment = (tmp_path / "assess" / "assessment.json").read_bytes()
     assert (tmp_path / "assess-model" / "assessment.json").read_bytes() == assessment
+
+
+def test_no_module_imports_a_name_it_does_not_use():
+    unused = []
+    for path in sorted(Path(ss.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":  # it imports to re-export
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    imported[(alias.asname or alias.name).split(".")[0]] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{line}: {name}" for name, line in imported.items() if name not in used]
+    assert unused == []

@@ -57,11 +57,14 @@ CALLS = {
         "z_vectors must be (3, 2)",
     ),
     "variability map": (lambda m: ss.variability_map(np.zeros((2, J, 2))), "aligned must be (n, J, 3)"),
-    "score matrices": (
-        lambda m: ss.hotelling_t2(np.zeros((3, 2)), np.zeros((3, 1))),
-        "score matrices disagree on the number of components",
+    "permutation mode": (
+        lambda m: ss.permutation_test(np.zeros((6, 2)), ["a", "b"] * 3, p=1, mode="bootstrap"),
+        "mode must be one of ('tangent_pca', 'group_shape_space')",
     ),
-    "component": (lambda m: ss.component_t(np.zeros((3, 2)), np.ones((3, 2)), 3), "component 3 outside 1..2"),
+    "permutation n_perm": (
+        lambda m: ss.permutation_test(np.zeros((6, 2)), ["a", "b"] * 3, p=1, n_perm=0),
+        "n_perm must be at least 1",
+    ),
     "permutation tangent": (
         lambda m: ss.permutation_test(np.zeros(6), ["a", "b"] * 3, p=1),
         "tangent must be (n, 3J) or (n, p)",
@@ -78,10 +81,6 @@ CALLS = {
     "split aligned": (
         lambda m: ss.affine_nonaffine_split(np.zeros((2, 3, 3)), POINTS),
         "aligned must be (n, J, 3) matching the mean",
-    ),
-    "split weights": (
-        lambda m: ss.affine_nonaffine_split(np.stack([POINTS] * 2), POINTS, AreaWeights(np.ones(3))),
-        "weights do not match the mean's vertex count",
     ),
     "reflect shape": (
         lambda m: ss.reflect_relabel(POINTS[:3], ss.BilateralPairing(np.arange(J))),

@@ -33,8 +33,7 @@ class TestBaseMesh:
     )
     def test_every_base_shape_is_exactly_mirror_symmetric(self, config):
         mesh, pairing = ss.synth_base_mesh(config)
-        score, _, _ = ss.asymmetry_score(mesh, pairing)
-        assert score == 0.0
+        assert ss.asymmetry_report(mesh, pairing).global_score == 0.0
 
     def test_regions_partition_by_height(self):
         mesh, _ = ss.synth_base_mesh(ss.SynthConfig(resolution=2))
@@ -201,7 +200,7 @@ class TestSynthCohort:
             config = ss.SynthConfig(resolution=2, eigen_spectrum=(),
                                     n_shapes=1, asymmetry_magnitude=magnitude, seed=1)
             sample, truth = ss.synth_cohort(config)
-            score, _, _ = ss.asymmetry_score(sample.meshes[0], truth.pairing)
+            score = ss.asymmetry_report(sample.meshes[0], truth.pairing).global_score
             assert score > previous
             previous = score
 

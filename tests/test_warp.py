@@ -162,7 +162,7 @@ class TestWarpTemplate:
     def test_identity_model_leaves_template(self):
         template = sphere_mesh(3)
         model_points = random_points(30, n=12, scale=1.2)
-        warped = ss.warp_template(template, model_points, model_points)
+        warped = template.with_vertices(ss.apply_warp(ss.fit_tps(model_points, model_points), template.vertices))
         np.testing.assert_allclose(warped.vertices, template.vertices, atol=1e-9)
         np.testing.assert_array_equal(warped.triangles, template.triangles)
 
@@ -172,7 +172,8 @@ class TestWarpTemplate:
         model_points = random_points(32, n=15, scale=1.5)
         rotation = random_rotation(rng)
         shift = rng.normal(size=3)
-        warped = ss.warp_template(template, model_points, model_points @ rotation + shift)
+        field = ss.fit_tps(model_points, model_points @ rotation + shift)
+        warped = template.with_vertices(ss.apply_warp(field, template.vertices))
         np.testing.assert_allclose(warped.vertices, template.vertices @ rotation + shift, atol=1e-8)
 
     def test_model_points_land_on_target(self):
@@ -180,8 +181,8 @@ class TestWarpTemplate:
         template = sphere_mesh(3)
         model_source = template.vertices[rng.choice(template.n_vertices, 20, replace=False)]
         model_target = model_source + rng.normal(scale=0.1, size=model_source.shape)
-        warped = ss.warp_template(template, model_source, model_target)
         field = ss.fit_tps(model_source, model_target)
+        warped = template.with_vertices(ss.apply_warp(field, template.vertices))
         np.testing.assert_allclose(ss.apply_warp(field, model_source), model_target, atol=1e-8)
         assert set(warped.regions) == set(template.regions)
         for name in template.regions:
