@@ -285,7 +285,6 @@ def cmd_compare(args) -> tuple[str, list]:
         mode=args.mode,
         bonferroni_alpha=args.bonferroni,
     )
-    quartiles = report.permuted_quartiles()
     doc = {
         "groups": list(report.group_names),
         "mode": args.mode,
@@ -298,7 +297,7 @@ def cmd_compare(args) -> tuple[str, list]:
         "significant_components": list(report.significant),
         "n_perm": args.n_perm,
         "seed": args.seed,
-        "permuted_quartiles": {"global": quartiles["global"], "components": quartiles["components"]},
+        "permuted_quartiles": report.permuted_quartiles(),
         "note": COMPONENT_P_VALUE_CAVEAT,
     }
     rows = [("global", report.global_stat, report.global_p, "")]
@@ -333,13 +332,16 @@ def cmd_asymmetry(args) -> tuple[str, list]:
         raise ValueError(f"{args.regions}: {err}") from None
     rows, items = [], []
     for name, mesh in zip(names, meshes):
-        report = asymmetry_report(
-            mesh,
-            pairing,
-            regions,
-            allow_scaling=not args.rigid,
-            register_per_region=args.per_region_registration,
-        )
+        try:
+            report = asymmetry_report(
+                mesh,
+                pairing,
+                regions,
+                allow_scaling=not args.rigid,
+                register_per_region=args.per_region_registration,
+            )
+        except ValueError as err:  # the mesh named; a NumericalFailure stays one
+            raise type(err)(f"{Path(args.meshes, name)}: {err}") from None
         rows.append((name, "global", report.global_score))
         rows.extend((name, region, report.region_scores[region]) for region in sorted(report.region_scores))
         items.append(_painted(f"{Path(name).stem}_asymmetry.ply", mesh, report.per_vertex_distance))

@@ -75,8 +75,6 @@ def _group_masks(labels) -> tuple[np.ndarray, tuple[str, str]]:
     if names.size != 2:
         raise ValueError(f"need exactly two groups, got {names.size}")
     mask_a = labels == names[0]
-    if not mask_a.any() or mask_a.all():
-        raise ValueError("both groups must be nonempty")
     return mask_a, (str(names[0]), str(names[1]))
 
 
@@ -239,6 +237,8 @@ def permutation_test(
         raise ValueError("tangent must be (n, 3J) or (n, p)")
     n = tangent.shape[0]
     mask_a, group_names = _group_masks(labels)
+    if mask_a.size != n:
+        raise ValueError(f"{mask_a.size} labels for {n} shapes")
     if p < 1:
         raise ValueError("p must be at least 1")
     if n < p + 2:

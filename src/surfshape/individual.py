@@ -148,13 +148,12 @@ def _match_mirror(
     return matched, np.einsum("jk,jk->j", displacement, displacement), halfway
 
 
-def _region_rms(sq: np.ndarray, areas: np.ndarray, region: np.ndarray | None = None) -> float:
-    """Area-weighted RMS of per-vertex distances over checked ``region`` indices (all when None)."""
-    if region is not None:
-        sq, areas = sq[region], areas[region]
+def _region_rms(sq: np.ndarray, areas: np.ndarray, name: str = "global") -> float:
+    """Area-weighted RMS of a region's per-vertex squared distances; a region
+    of zero area is refused by its ``name``."""
     denom = areas.sum()
     if denom <= 0:
-        raise ValueError("region has zero surface area")
+        raise ValueError(f"region {name!r} has zero surface area")
     return float(np.sqrt(np.einsum("j,j->", areas, sq) / denom))
 
 
@@ -210,9 +209,9 @@ def asymmetry_report(
             region_w = np.zeros_like(areas.weights)
             region_w[idx] = areas.weights[idx]
             _, region_sq, region_halfway = _match_mirror(mesh, pairing, AreaWeights(region_w), allow_scaling)
-            region_scores[name] = _region_rms(region_sq, region_halfway, idx)
+            region_scores[name] = _region_rms(region_sq[idx], region_halfway[idx], name)
         else:
-            region_scores[name] = _region_rms(sq, halfway, idx)
+            region_scores[name] = _region_rms(sq[idx], halfway[idx], name)
     return AsymmetryReport(global_score, region_scores, matched, np.sqrt(sq))
 
 

@@ -228,9 +228,9 @@ def write_files(items) -> None:
     values each file holds (bytes count 1; a JSON float 3: repr costs about
     three times what ``%.9g`` does). A process formats a face block once per
     format and triangle array (identity, not equality). The bytes of every
-    file are those of a one-item call, and a file that fails is written
-    again here, in item order, so the error raised is that of a loop over
-    the items.
+    file are those of a one-item call. When any share fails, every file is
+    written again here, in item order, so the error raised is that of a
+    loop over the items.
     """
     items = [(path, _document(value), *rest) for path, value, *rest in items]
     faces: dict[tuple[str, int], str] = {}

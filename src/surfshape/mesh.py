@@ -365,11 +365,11 @@ def _in_shares(n: int, task, sizes=None) -> list:
     ``os.fork``, which sends its list back through a pipe as one pickle (the
     pickles come only from this process's own children). A child that fails
     exits non-zero having sent nothing or part of it, so its stream does not
-    unpickle. Such a share, this process's own share if it raised, and every
-    share left when a fork fails are run again here once the others are in,
-    as one list in index order: every exception is thus the serial code's
-    first. With one CPU or one item, or without ``os.fork``, this is
-    ``task(range(n))``.
+    unpickle. When a fork fails, this process's own share raises or a
+    child's stream does not unpickle, the children are reaped and the result
+    is ``task(range(n))``, run here: every exception is thus the serial
+    code's first. With one CPU or one item, or without ``os.fork``, this is
+    ``task(range(n))`` at once.
     """
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "fork") and hasattr(os, "sched_getaffinity") else 1
     count = min(n, cpus)
@@ -382,16 +382,16 @@ def _in_shares(n: int, task, sizes=None) -> list:
         shares[least].append(i)
         loads[least] += sizes[i]
     shares = [sorted(share) for share in shares]
-    results, again, children = [None] * n, [], []
+    children = []
     try:
         for share in shares[1:]:
             read, write = os.pipe()
             try:
                 pid = os.fork()
-            except OSError:  # no process to be had: this share and the rest run here
+            except OSError:  # no process to be had
                 os.close(read)
                 os.close(write)
-                break
+                raise
             if not pid:
                 # Python 3.12 warns about forking a process with (OpenBLAS)
                 # threads. The child takes no lock they hold: numpy's OpenBLAS
@@ -411,28 +411,18 @@ def _in_shares(n: int, task, sizes=None) -> list:
                 finally:
                     os._exit(status)
             os.close(write)
-            children.append((share, pid, open(read, "rb")))
-        try:
-            done = task(shares[0])
-        except Exception:  # raised again by the rerun below, after the items before it
-            again += shares[0]
-        else:
-            results = _placed(results, shares[0], done)
-        for share, _, pipe in children:
-            try:
-                results = _placed(results, share, pickle.load(pipe))
-            except (EOFError, pickle.UnpicklingError):  # the child failed before its list was all sent
-                again += share
-        again = sorted(again + [i for share in shares[1 + len(children) :] for i in share])
-        return _placed(results, again, task(again)) if again else results
+            children.append((pid, open(read, "rb")))
+        lists = [task(shares[0])] + [pickle.load(pipe) for _, pipe in children]
+    except Exception:  # a fork, this share or a child failed: all of it runs again below
+        lists = None
     finally:
-        for _, pid, pipe in children:  # closed first, so that a child blocked on its pipe ends
+        for pid, pipe in children:  # closed first, so that a child blocked on its pipe ends
             pipe.close()
             os.waitpid(pid, 0)
-
-
-def _placed(results: list, indices, done: list) -> list:
-    """``results`` with ``done[k]`` put at ``indices[k]``."""
-    for i, value in zip(indices, done):
-        results[i] = value
+    if lists is None:
+        return task(range(n))
+    results = [None] * n
+    for share, items in zip(shares, lists):
+        for i, item in zip(share, items):
+            results[i] = item
     return results

@@ -47,10 +47,6 @@ class SimilarityTransform:
     def apply(self, shape: np.ndarray) -> np.ndarray:
         return self.scale * np.asarray(shape, dtype=float) @ self.rotation + self.translation
 
-    def inverse(self) -> "SimilarityTransform":
-        inv_scale = 1.0 / self.scale
-        return SimilarityTransform(inv_scale, self.rotation.T, -inv_scale * self.translation @ self.rotation.T)
-
 
 class OpaFit(NamedTuple):
     transform: SimilarityTransform

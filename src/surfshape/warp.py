@@ -26,13 +26,11 @@ def radial_basis(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return np.divide(np.asarray(z, dtype=float), -8.0 * np.pi, out=out)
 
 
-def _distances(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Euclidean distances between the rows of ``a`` and ``b``, into ``out`` if
-    given. The squared x, y and z differences are added in that order and the
-    root is taken in place, which is scipy's cdist bit for bit. The rows go in
-    blocks through a scratch array of at most 2 MB."""
-    if out is None:
-        out = np.empty((a.shape[0], b.shape[0]))
+def _distances(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Euclidean distances between the rows of ``a`` and ``b``, into ``out``.
+    The squared x, y and z differences are added in that order and the root is
+    taken in place, which is scipy's cdist bit for bit. The rows go in blocks
+    through a scratch array of at most 2 MB."""
     step = max(1, 2**18 // max(b.shape[0], 1))
     scratch = np.empty((min(step, a.shape[0]), b.shape[0]))
     for start in range(0, a.shape[0], step):

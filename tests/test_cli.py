@@ -225,6 +225,21 @@ class TestAsymmetryCommand:
         assert f"{regions}: line {lineno}: region name 'a\\n6,b' has a comma" in capsys.readouterr().err
         assert not (tmp_path / "asym").exists()
 
+    def test_region_of_zero_area_refused_naming_the_region_and_the_mesh(self, tmp_path, capsys):
+        # a tetrahedron symmetric in x, whose midline vertex 2 lies only on the collinear triangle (0, 2, 1)
+        meshes, pairing, regions = tmp_path / "meshes", tmp_path / "pairing.csv", tmp_path / "regions.csv"
+        meshes.mkdir()
+        (meshes / "tetra.obj").write_text(
+            "v -1 0 0\nv 1 0 0\nv 0 0 0\nv 0 1 0\nv 0 0.3 1\nf 1 3 2\nf 1 2 4\nf 1 5 2\nf 1 4 5\nf 2 5 4\n"
+        )
+        pairing.write_text("index,mirror_index\n0,1\n1,0\n2,2\n3,3\n4,4\n")
+        regions.write_text("vertex_index,region_name\n2,r\n")
+        capsys.readouterr()
+        code = run("asymmetry", "--meshes", meshes, "--pairing", pairing, "--regions", regions, "--out", tmp_path / "asym")
+        assert code == 2
+        assert f"error: validation: {meshes / 'tetra.obj'}: region 'r' has zero surface area" in capsys.readouterr().err
+        assert not (tmp_path / "asym").exists()
+
 
     def test_per_region_registration_needs_three_vertices(self, cohort, tmp_path, capsys):
         # two vertices cannot fix a registration; the region is refused before any shape is scored

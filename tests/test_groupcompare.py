@@ -176,6 +176,13 @@ class TestPermutationTest:
         with pytest.raises(ValueError, match="two groups"):
             ss.permutation_test(tangent, np.array(["A"] * len(labels)), p=2)
 
+    @pytest.mark.parametrize("count", [7, 9])
+    def test_labels_for_another_number_of_shapes_refused(self, count):
+        tangent = np.random.default_rng(0).standard_normal((8, 12))
+        labels = np.array(["A", "B"] * 5)[:count]
+        with pytest.raises(ValueError, match=f"^{count} labels for 8 shapes$"):
+            ss.permutation_test(tangent, labels, p=1, n_perm=10)
+
     def test_component_count_validation(self):
         tangent, labels = null_tangent()  # 30 samples
         with pytest.raises(ValueError, match="p must be at least 1"):

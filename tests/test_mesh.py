@@ -370,7 +370,7 @@ class TestDealOverCpus:
 
 class TestSharesSendTheirLists:
     """A child sends back its share's list as one pickle, whatever its items
-    hold; a stream that does not unpickle has its share run again here."""
+    hold; a stream that does not unpickle has the whole task run here."""
 
     @pytest.fixture(params=[2, 3], autouse=True)
     def cpus(self, request, monkeypatch):
@@ -424,3 +424,54 @@ class TestSharesSendTheirLists:
             expected = read_mesh(path)
             assert mesh.vertices.tobytes() == expected.vertices.tobytes()
             assert mesh.triangles.tobytes() == expected.triangles.tobytes()
+
+
+class TestFailedShareRunsTheWholeTaskHere:
+    """When a fork fails, this process's own share raises or a child's stream
+    does not unpickle, the children are reaped and task(range(n)) runs here:
+    every item is computed in this process, or the serial first exception is
+    raised. At 3 CPUs the 7 items are dealt [0, 3, 6], [1, 4], [2, 5]."""
+
+    @pytest.fixture(params=["a child raises", "the own share raises", "the second fork fails"])
+    def fault(self, request, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        fork, forks = os.fork, []
+
+        def fork_but_the_second():
+            forks.append(None)
+            if len(forks) == 2:
+                raise BlockingIOError("fork: resource temporarily unavailable")
+            return fork()
+
+        if request.param == "the second fork fails":
+            monkeypatch.setattr(os, "fork", fork_but_the_second)
+        yield request.param
+        assert_no_child_left()
+
+    @staticmethod
+    def task(fault, failing=()):
+        """Each index with the process that computed it; ``fault`` strikes
+        once, and every index in ``failing`` raises wherever it runs."""
+        parent, runs_here = os.getpid(), []
+
+        def run(indices):
+            here = os.getpid() == parent
+            runs_here.append(here)
+            if fault == "a child raises" and not here and 1 in indices:
+                raise RuntimeError("a child's share")
+            if fault == "the own share raises" and runs_here == [True]:
+                raise RuntimeError("this process's share, once")
+            for i in indices:
+                if i in failing:
+                    raise ValueError(f"item {i}")
+            return [(i, os.getpid()) for i in indices]
+
+        return run
+
+    def test_every_item_is_computed_here(self, fault):
+        assert _in_shares(7, self.task(fault)) == [(i, os.getpid()) for i in range(7)]
+
+    def test_the_serial_first_exception_is_raised(self, fault):
+        # item 5 fails in the last share and item 3 in this process's own
+        with pytest.raises(ValueError, match="^item 3$"):
+            _in_shares(7, self.task(fault, failing={3, 5}))

@@ -357,13 +357,6 @@ class TestApplySimilarity:
         t = ss.SimilarityTransform(1.0, np.eye(3), np.array([1.0, 0, 0]))
         np.testing.assert_array_equal(t.apply(shape)[:, 0], np.ones(4))
 
-    def test_inverse_round_trip(self):
-        rng = np.random.default_rng(4)
-        shape = rng.normal(size=(9, 3))
-        t = ss.SimilarityTransform(1.7, random_rotation(rng), rng.normal(size=3))
-        back = t.inverse().apply(t.apply(shape))
-        np.testing.assert_allclose(back, shape, atol=1e-10)
-
 
 class TestWeightedGpa:
     def test_identical_shapes_collapse_immediately(self):
