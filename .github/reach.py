@@ -20,7 +20,7 @@ SOURCE = ROOT / "src" / "surfshape"
 
 # file:line of each raise that no test reaches, with the reason it stays
 NOT_RAISED = {
-    "chi2.py:64": "defensive: the Newton iteration has settled within its 100 steps on every df and prob tried",
+    "chi2.py:60": "defensive: the Newton iteration has settled within its 100 steps on every df tried",
     "synth.py:277": "defensive: 12 planted modes build at resolution 2, the smallest allowed",
 }
 

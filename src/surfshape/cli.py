@@ -54,7 +54,7 @@ from .mesh import DIFFERENCE_MODES, NumericalFailure, ShapeSample, SurfaceMesh, 
 from .mesh import shape_difference_field
 from .registration import MIN_TOL, SIZE_CONSTRAINTS, GpaResult, _tangent_over_stack, weighted_gpa
 from .synth import SynthConfig, synth_cohort
-from .warp import apply_warp, check_tps_size, fit_tps
+from .warp import apply_warp, fit_tps
 
 def parse_with_config(args: argparse.Namespace, argv: list[str]) -> argparse.Namespace:
     """Parse the subcommand of ``args`` again, with the lines of its --config file
@@ -174,12 +174,21 @@ def write_manifest(out: Path, command: str, args: argparse.Namespace) -> None:
     write_files([(out / "manifest.json", doc)])
 
 
-def _registered_cohort(args) -> tuple[list[str], SurfaceMesh, GpaResult]:
-    """The names, the first mesh (the topology) and the GPA of --meshes; the
-    cohort itself is released. --weight-overrides is read once the meshes give
-    the vertex count."""
-    names, meshes = load_mesh_directory(args.meshes)
-    sample = ShapeSample(tuple(meshes))
+def _listed(directory: Path, at_least: int = 2, rule: str = "generalized registration needs at least two shapes"):
+    """The mesh names of ``directory``, refused naming it when fewer than
+    ``at_least``: a cohort-size rule checked from the listing, before any mesh
+    is read. The command then reads the names it listed."""
+    names = mesh_names(directory)
+    if len(names) < at_least:
+        raise ValueError(f"{directory}: {rule}, got {len(names)}")
+    return names
+
+
+def _registered_cohort(args, names: list[str]) -> tuple[SurfaceMesh, GpaResult]:
+    """The first mesh (the topology) and the GPA of the listed ``names`` of
+    --meshes; the cohort itself is released. --weight-overrides is read once
+    the meshes give the vertex count."""
+    sample = ShapeSample(tuple(load_mesh_directory(args.meshes, names)))
     overrides = None
     if args.weight_overrides:
         overrides = read_weight_overrides(args.weight_overrides, sample.n_vertices)
@@ -191,7 +200,7 @@ def _registered_cohort(args) -> tuple[list[str], SurfaceMesh, GpaResult]:
         allow_scaling=not args.rigid,
         weight_overrides=overrides,
     )
-    return names, sample.meshes[0], gpa
+    return sample.meshes[0], gpa
 
 
 def _painted(path: Path, mesh: SurfaceMesh, field: np.ndarray, diverging: bool = False) -> tuple:
@@ -206,7 +215,8 @@ def _painted(path: Path, mesh: SurfaceMesh, field: np.ndarray, diverging: bool =
 
 
 def cmd_register(args) -> tuple[str, list]:
-    names, topology, result = _registered_cohort(args)
+    names = _listed(args.meshes)
+    topology, result = _registered_cohort(args, names)
     header = ["filename", "scale", *(f"r{i}{j}" for i in range(3) for j in range(3)), "tx", "ty", "tz"]
     rows = ((name, t.scale, *t.rotation.ravel(), *t.translation) for name, t in zip(names, result.transforms))
     return f"registered {len(names)} shapes in {result.iterations} iterations (converged={result.converged})", [
@@ -219,7 +229,8 @@ def cmd_register(args) -> tuple[str, list]:
 
 def cmd_pca(args) -> tuple[str, list]:
     _not_both(args, "components", "variance")
-    names, topology, gpa = _registered_cohort(args)
+    names = _listed(args.meshes)
+    topology, gpa = _registered_cohort(args, names)
     tangent = _tangent_over_stack(gpa)
     model = fit_fpca(tangent, gpa.mean_weights, k=args.components or args.variance or 0.80, mean_shape=gpa.mean)
     score_rows = scores_from_tangent(model, tangent)
@@ -274,7 +285,7 @@ def cmd_compare(args) -> tuple[str, list]:
     if 1 / (1 + args.n_perm) >= alpha:
         print(f"warning: no component can be flagged: the smallest p-value of {args.n_perm} permutations, "
               f"1/{args.n_perm + 1}, is not below the Bonferroni alpha {alpha:g}", file=sys.stderr)
-    _, _, gpa = _registered_cohort(args)
+    gpa = _registered_cohort(args, names)[1]
     report = permutation_test(
         _tangent_over_stack(gpa),
         labels,
@@ -311,7 +322,8 @@ def cmd_compare(args) -> tuple[str, list]:
 
 
 def cmd_split_affine(args) -> tuple[str, list]:
-    names, topology, gpa = _registered_cohort(args)
+    names = _listed(args.meshes)
+    topology, gpa = _registered_cohort(args, names)
     affine, nonaffine, alphas = affine_nonaffine_split(gpa.aligned, gpa.mean)
     items = [("mean.obj", topology.with_vertices(gpa.mean))]
     for sub, stack in (("affine", affine), ("nonaffine", nonaffine)):
@@ -323,7 +335,8 @@ def cmd_split_affine(args) -> tuple[str, list]:
 def cmd_asymmetry(args) -> tuple[str, list]:
     if args.per_region_registration and args.regions is None:
         raise ValueError("--per-region-registration needs --regions")
-    names, meshes = load_mesh_directory(args.meshes)
+    names = mesh_names(args.meshes)
+    meshes = load_mesh_directory(args.meshes, names)
     pairing = read_pairing(args.pairing, meshes[0].n_vertices)
     regions = read_regions(args.regions, meshes[0].n_vertices) if args.regions else {}
     try:  # the per-region rule, once and with the file named, before the first shape is scored
@@ -359,10 +372,12 @@ def cmd_assess(args) -> tuple[str, list]:
         model = load_model(args.model)
         if not isinstance(model, ControlModel):
             raise ValueError(f"{args.model}: not a control model")
+    else:  # so is a listing of too few controls
+        names = _listed(args.controls, 5, "need at least 5 control shapes")
     pre = read_mesh(args.pre)
     post = read_mesh(args.post)
     if args.controls is not None:
-        controls = load_mesh_directory(args.controls)[1]
+        controls = load_mesh_directory(args.controls, names)
         reference, what = controls[0], f"control cohort {args.controls}"
     else:
         reference, what = model.mean_mesh(), f"control model {args.model}"
@@ -387,11 +402,10 @@ def cmd_warp(args) -> tuple[str, list]:
     template = read_mesh(args.template)
     if source.n_vertices != target.n_vertices:
         raise ValueError(f"{args.target}: vertex count {target.n_vertices} != {source.n_vertices} of {args.source}")
-    try:
-        check_tps_size(source.n_vertices)
+    try:  # every refusal of the fit names the source; a NumericalFailure stays one
+        field = fit_tps(source.vertices, target.vertices, ridge=args.ridge)
     except ValueError as err:
-        raise ValueError(f"{args.source}: {err}") from None
-    field = fit_tps(source.vertices, target.vertices, ridge=args.ridge)
+        raise type(err)(f"{args.source}: {err}") from None
     warped = template.with_vertices(apply_warp(field, template.vertices))
     doc = {
         "bending_energy": field.bending_energy,

@@ -240,14 +240,12 @@ def grand_tour(
     n_stops: int,
     seed: int | None = None,
     frames_per_leg: int = 9,
-    z_vectors: np.ndarray | None = None,
 ) -> GrandTour:
     """Random tour of the first ``p`` components: normal stops joined by linear interpolation.
 
-    ``z_vectors`` overrides the random draws (test hook and replay); otherwise
-    ``n_stops`` p-vectors are drawn from a seeded generator. Interpolation is
-    linear in tangent space with ``frames_per_leg`` shapes strictly between
-    consecutive stops.
+    ``n_stops`` standard-normal p-vectors are drawn from a generator seeded with
+    ``seed``, so the seed replays a tour. Interpolation is linear in tangent
+    space with ``frames_per_leg`` shapes strictly between consecutive stops.
     """
     if not 1 <= p <= model.n_components:
         raise ValueError(f"p must be in 1..{model.n_components}")
@@ -259,14 +257,7 @@ def grand_tour(
     n_frames, j = (n_stops - 1) * (frames_per_leg + 1) + 1, model.mean.shape[0]
     need = 48 * n_frames * j
     check_memory(need, f"a tour of {n_frames:,} frames of {j:,} vertices needs about {need:,} bytes")
-    if z_vectors is None:
-        rng = np.random.default_rng(seed)
-        z = rng.standard_normal((n_stops, p))
-    else:
-        z = np.asarray(z_vectors, dtype=float)
-        if z.shape != (n_stops, p):
-            raise ValueError(f"z_vectors must be ({n_stops}, {p})")
-
+    z = np.random.default_rng(seed).standard_normal((n_stops, p))
     displacements = (z * np.sqrt(model.eigenvalues[:p])) @ model.eigenfunctions[:p]
     stops = [model.mean + vec_inverse(d) for d in displacements]
     frames: list[np.ndarray] = [stops[0]]

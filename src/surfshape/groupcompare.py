@@ -351,5 +351,6 @@ def affine_nonaffine_split(aligned: np.ndarray, mean: np.ndarray) -> tuple[np.nd
         raise NumericalFailure("mean shape is planar-degenerate; affine regression is singular")
     alphas = np.linalg.solve(gram, np.einsum("jk,njl->nkl", mean, aligned))
     affine = np.einsum("jk,nkl->njl", mean, alphas)
-    nonaffine = mean + (aligned - affine)
+    nonaffine = aligned - affine
+    nonaffine += mean  # in place, so no third stack; addition commutes, so the bits are mean + residual
     return affine, nonaffine, alphas

@@ -87,7 +87,7 @@ class ControlModel:
                                  "non-negative scores, one per control")
         self.mean_mesh()  # the triangles must index the mean's vertices
         object.__setattr__(self, "p", p)
-        object.__setattr__(self, "chi2_threshold", chi_square_quantile(p, 0.95))
+        object.__setattr__(self, "chi2_threshold", chi_square_quantile(p))
         object.__setattr__(self, "q95", float(np.percentile(self.control_r, 95.0)))
 
     def mean_mesh(self) -> SurfaceMesh:

@@ -114,9 +114,6 @@ def _mesh_from_obj(data: bytes, path) -> tuple[SurfaceMesh, bool]:
         raise ValueError(f"{path}: no vertices")
     if not t.shape[0]:
         raise ValueError(f"{path}: no faces")
-    finite = np.isfinite(v).all(axis=1)
-    if not finite.all():
-        raise ValueError(f"{path}: vertex {int(np.flatnonzero(~finite)[0]) + 1} has a non-finite coordinate")
     if t.max() >= v.shape[0]:
         raise ValueError(f"{path}: face references vertex {int(t.max()) + 1} but only {v.shape[0]} exist")
     try:
@@ -683,10 +680,11 @@ def mesh_names(directory) -> list[str]:
     return names
 
 
-def load_mesh_directory(directory) -> tuple[list[str], list[SurfaceMesh]]:
-    """Load all .obj meshes in a directory, lexicographic filename order; every
-    mesh must share the first one's vertex count and triangulation, and holds
-    its triangle array: callers must not mutate ``triangles``.
+def load_mesh_directory(directory, names: list[str]) -> list[SurfaceMesh]:
+    """Load the meshes ``names`` of ``directory`` (a :func:`mesh_names` listing)
+    in that order; every mesh must share the first one's vertex count and
+    triangulation, and holds its triangle array: callers must not mutate
+    ``triangles``.
 
     The first file is parsed here and every later one over the CPUs by
     :func:`_in_shares`, whose shares send back vertex arrays. When the first
@@ -696,7 +694,6 @@ def load_mesh_directory(directory) -> tuple[list[str], list[SurfaceMesh]]:
     :func:`read_mesh` parses it, then checked by :func:`check_correspondence`.
     Arrays and error texts are theirs; the error is the first failing file's.
     """
-    names = mesh_names(directory)
     paths = [Path(directory, name) for name in names]
     data = paths[0].read_bytes()
     first, plain = _mesh_from_obj(data, paths[0])
@@ -716,4 +713,4 @@ def load_mesh_directory(directory) -> tuple[list[str], list[SurfaceMesh]]:
             share.append(v)
         return share
 
-    return names, [first, *map(first.with_vertices, _in_shares(len(paths) - 1, parse_share))]
+    return [first, *map(first.with_vertices, _in_shares(len(paths) - 1, parse_share))]

@@ -37,10 +37,13 @@ def check_memory(estimate: int, what: str) -> None:
         raise ValueError(f"{what}, above the limit of {MEMORY_LIMIT:,} bytes ({MEMORY_LIMIT / 2**30:g} GiB)")
 
 
-def _as_vertices(vertices) -> np.ndarray:
+def _as_vertices(vertices, first_index: int = 0) -> np.ndarray:
     v = np.asarray(vertices, dtype=float)
     if v.ndim != 2 or v.shape[1] != 3:
         raise ValueError(f"vertices must be (J, 3), got {v.shape}")
+    if not np.isfinite(v).all():
+        j = int(np.flatnonzero(~np.isfinite(v).all(axis=1))[0])
+        raise ValueError(f"vertex {j + first_index} has a non-finite coordinate")
     return v
 
 
@@ -75,7 +78,8 @@ def _region_indices(idx, n_vertices: int, name: str, min_size: int = 0) -> np.nd
 class SurfaceMesh:
     """A triangulated surface: (J, 3) vertex coordinates in mm plus (T, 3) index triples.
 
-    Every vertex lies on at least one triangle, and no triangle repeats a vertex.
+    Every coordinate is finite, every vertex lies on at least one triangle, and
+    no triangle repeats a vertex.
     ``regions`` optionally names vertex subsets (region name -> increasing index
     array). They are metadata carried with the mesh and written by ``simulate``;
     scoring takes its regions as an argument, never from the mesh.
@@ -90,7 +94,7 @@ class SurfaceMesh:
     first_index: InitVar[int] = 0
 
     def __post_init__(self, first_index: int):
-        v = _as_vertices(self.vertices)
+        v = _as_vertices(self.vertices, first_index)
         t = _as_triangles(self.triangles)
         if v.shape[0] < 3:
             raise ValueError(f"mesh needs at least 3 vertices, got {v.shape[0]}")
@@ -124,8 +128,9 @@ class SurfaceMesh:
     def with_vertices(self, vertices) -> "SurfaceMesh":
         """Same topology and regions, new coordinates.
 
-        Only the new vertex array is checked; the triangles and regions were
-        validated when this mesh was built and are shared, not re-checked.
+        Only the new vertex array is checked (shape and finite coordinates); the
+        triangles and regions were validated when this mesh was built and are
+        shared, not re-checked.
         """
         v = _as_vertices(vertices)
         if v.shape[0] != self.n_vertices:
@@ -192,7 +197,7 @@ class BilateralPairing:
 @dataclass(frozen=True)
 class ShapeSample:
     """A cohort of corresponded shapes with optional group labels: every shape has
-    shape 0's vertex count and triangle array, and finite coordinates."""
+    shape 0's vertex count and triangle array."""
 
     meshes: tuple[SurfaceMesh, ...]
     labels: tuple[str, ...] | None = None
@@ -203,9 +208,6 @@ class ShapeSample:
             raise ValueError("a sample needs at least one shape")
         for i, mesh in enumerate(meshes):
             meshes[i] = check_correspondence(mesh, meshes[0], "shape 0", f"shape {i}")
-            if not np.isfinite(mesh.vertices).all():
-                j = int(np.flatnonzero(~np.isfinite(mesh.vertices).all(axis=1))[0])
-                raise ValueError(f"shape {i}: non-finite coordinate at vertex {j}")
         if self.labels is not None:
             labels = tuple(str(l) for l in self.labels)
             if len(labels) != len(meshes):

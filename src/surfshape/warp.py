@@ -126,9 +126,7 @@ def apply_warp(field: WarpField, points: np.ndarray) -> np.ndarray:
     kernel within the limit is one block.
     """
     pts = np.asarray(points, dtype=float)
-    squeeze = pts.ndim == 1
-    pts = np.atleast_2d(pts)
-    if pts.shape[1] != 3:
+    if pts.ndim != 2 or pts.shape[1] != 3:
         raise ValueError("points must be (M, 3)")
     j = field.control_points.shape[0]
     step = max(1, mesh.MEMORY_LIMIT // (8 * j))
@@ -139,5 +137,5 @@ def apply_warp(field: WarpField, points: np.ndarray) -> np.ndarray:
         radial_basis(kernel, out=kernel)
         np.matmul(np.hstack([np.ones((len(rows), 1)), rows]), field.beta2, out=block)
         block += kernel @ field.beta1
-    return out[0] if squeeze else out
+    return out
 

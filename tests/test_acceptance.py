@@ -270,7 +270,7 @@ def test_09_closest_control():
     with criterion(9, "closest-control shrinkage, exceedance, chi-square quantiles"):
         for p in range(1, 31):
             oracle = 2.0 * special.gammaincinv(p / 2.0, 0.95)
-            assert abs(chi_square_quantile(p, 0.95) - oracle) < 1e-8
+            assert abs(chi_square_quantile(p) - oracle) < 1e-8
 
         config = ss.SynthConfig(
             resolution=2,

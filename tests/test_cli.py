@@ -3,6 +3,7 @@ import contextlib
 import io
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -13,13 +14,18 @@ import pytest
 import surfshape as ss
 from surfshape.cli import main
 from surfshape.io import (
-    load_mesh_directory, load_model, pairing_table, read_mesh, read_pairing, read_regions, regions_table, write_files,
+    load_mesh_directory, load_model, mesh_names, pairing_table, read_mesh, read_pairing, read_regions, regions_table,
+    write_files,
 )
 from conftest import assert_no_child_left
 
 
 def run(*argv):
     return main([str(a) for a in argv])
+
+
+def read_cohort(directory):
+    return load_mesh_directory(directory, mesh_names(directory))
 
 
 @pytest.fixture(scope="module")
@@ -370,7 +376,7 @@ class TestMismatchedMeshes:
         )
 
     def test_case_against_model(self, cohort, tmp_path, finer, capsys):
-        meshes = load_mesh_directory(cohort / "meshes")[1]
+        meshes = read_cohort(cohort / "meshes")
         model_path = tmp_path / "control_model.json"
         write_files([(model_path, ss.fit_control_model(ss.ShapeSample(tuple(meshes[:6]))))])
         capsys.readouterr()
@@ -431,7 +437,7 @@ class TestMismatchedMeshes:
         assert self.assess(cohort, tmp_path, ("--model", pca / "model.json"), shape) == 2
         assert f"{pca / 'model.json'}: not a control model" in capsys.readouterr().err
         control = tmp_path / "control_model.json"
-        model = ss.fit_control_model(ss.ShapeSample(tuple(load_mesh_directory(cohort / "meshes")[1][:6])))
+        model = ss.fit_control_model(ss.ShapeSample(tuple(read_cohort(cohort / "meshes")[:6])))
         write_files([(control, model)])
         assert run("tour", "--model", control, "--topology", shape, "--out", tmp_path / "tour") == 2
         assert f"{control}: not a component model" in capsys.readouterr().err
@@ -474,6 +480,28 @@ class TestWarpCommand:
         )
         assert code == 2
         assert f"error: validation: {source}: a warp with J = 66 control points" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "vertices, triangles, code, message",
+        [
+            ([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)], [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)], 2,
+             "validation: {source}: need at least 5 control points"),
+            ([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, 1)], [(0, 1, 2), (0, 1, 3), (0, 2, 4)], 3,
+             "numerical: {source}: duplicate source points make the kernel matrix singular"),
+            ([(x, y, 0) for y in range(3) for x in range(3)],
+             [(a, a + 1, a + 4) for a in (0, 1, 3, 4)] + [(a, a + 4, a + 3) for a in (0, 1, 3, 4)], 3,
+             "numerical: {source}: source points are coplanar; the affine block is rank-deficient"),
+        ],
+        ids=["four-points", "duplicate-points", "coplanar-grid"],
+    )
+    def test_every_refusal_of_the_fit_names_the_source(self, tmp_path, capsys, vertices, triangles, code, message):
+        source = tmp_path / "source.obj"
+        write_files([(source, ss.SurfaceMesh(np.array(vertices, dtype=float), triangles))])
+        capsys.readouterr()
+        argv = ("--source", source, "--target", source, "--template", source)
+        assert run("warp", *argv, "--out", tmp_path / "o") == code
+        assert capsys.readouterr().err == f"error: {message.format(source=source)}\n"
+        assert not (tmp_path / "o").exists()
 
 
 class TestDiff:
@@ -697,7 +725,7 @@ class TestTamperedModel:
     @pytest.fixture(scope="class")
     def models(self, cohort, tmp_path_factory):
         root = tmp_path_factory.mktemp("models")
-        meshes = load_mesh_directory(cohort / "meshes")[1]
+        meshes = read_cohort(cohort / "meshes")
         write_files([(root / "control.json", ss.fit_control_model(ss.ShapeSample(tuple(meshes[:6]))))])
         assert run("pca", "--meshes", cohort / "meshes", "--components", "2", "--out", root / "pca") == 0
         return root
@@ -766,7 +794,7 @@ class TestTamperedModel:
     def scored_model(self, cohort, tmp_path_factory):
         """A control model of 8 controls whose asymmetry scores were kept."""
         path = tmp_path_factory.mktemp("scored") / "control.json"
-        meshes = load_mesh_directory(cohort / "meshes")[1]
+        meshes = read_cohort(cohort / "meshes")
         pairing = read_pairing(cohort / "pairing.csv", meshes[0].n_vertices)
         write_files([(path, ss.fit_control_model(ss.ShapeSample(tuple(meshes[:8])), pairing=pairing))])
         return path
@@ -795,11 +823,13 @@ class TestExitCodes:
     def test_missing_required_option(self, tmp_path):
         assert run("register", "--out", tmp_path / "o") == 2
 
-    def test_bad_mesh_file(self, tmp_path):
+    def test_bad_mesh_file(self, tmp_path, capsys):
         mesh_dir = tmp_path / "meshes"
         mesh_dir.mkdir()
-        (mesh_dir / "bad.obj").write_text("v 0 0\n")
+        for name in ("bad.obj", "other.obj"):  # two, so that GPA's listing rule passes
+            (mesh_dir / name).write_text("v 0 0\n")
         assert run("register", "--meshes", mesh_dir, "--out", tmp_path / "o") == 2
+        assert f"{mesh_dir / 'bad.obj'}: line 1:" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["diff", "assess"])
     def test_non_finite_coordinate_is_validation_error(self, cohort, tmp_path, capsys, command):
@@ -807,6 +837,8 @@ class TestExitCodes:
         bad.parent.mkdir()
         lines = (cohort / "meshes" / "shape_000.obj").read_text().splitlines(keepends=True)
         bad.write_text("".join(["v nan 0 0\n", *lines[1:]]))
+        for i in range(1, 5):  # with four more, the controls pass their listing rule
+            shutil.copy(cohort / "meshes" / f"shape_00{i}.obj", bad.parent)
         shape = cohort / "meshes" / "shape_001.obj"
         if command == "diff":
             argv = ("diff", bad, shape)
@@ -1252,7 +1284,7 @@ def refusal(case, cohort, tmp_path, monkeypatch):
     meshes, shape, other = cohort / "meshes", cohort / "meshes" / "shape_000.obj", cohort / "meshes" / "shape_001.obj"
     if case == "tour":
         model = tmp_path / "control_model.json"
-        write_files([(model, ss.fit_control_model(ss.ShapeSample(tuple(load_mesh_directory(meshes)[1][:6]))))])
+        write_files([(model, ss.fit_control_model(ss.ShapeSample(tuple(read_cohort(meshes)[:6]))))])
         return ("tour", "--model", model, "--topology", shape), 2, f"{model}: not a component model"
     if case == "compare":
         labels = tmp_path / "labels.csv"
@@ -1305,8 +1337,8 @@ class TestRefusalMakesNoOut:
 
 
 class TestRefusedBeforeInput:
-    """An --out that no run could make, and a --p the listed cohort cannot
-    support, are refused before any input is read."""
+    """An --out that no run could make, and a --p or a cohort size the listed
+    cohort cannot support, are refused before any input is read."""
 
     @staticmethod
     def no_reads(monkeypatch):
@@ -1338,6 +1370,51 @@ class TestRefusedBeforeInput:
         meshes, out = cohort / "meshes", tmp_path / "out"
         assert run("compare", "--meshes", meshes, "--labels", cohort / "labels.csv", "--p", "15", "--out", out) == 2
         assert capsys.readouterr().err == f"error: validation: {meshes}: --p 15 needs at least 17 shapes, got 16\n"
+        assert not out.exists()
+
+    @staticmethod
+    def first(cohort, tmp_path, n):
+        """A directory of the cohort's first ``n`` meshes."""
+        directory = tmp_path / f"first{n}"
+        directory.mkdir()
+        for path in sorted((cohort / "meshes").glob("*.obj"))[:n]:
+            shutil.copy(path, directory)
+        return directory
+
+    @pytest.mark.parametrize("command", ["register", "pca", "split-affine"])
+    def test_one_mesh_to_register(self, cohort, tmp_path, capsys, monkeypatch, command):
+        one, out = self.first(cohort, tmp_path, 1), tmp_path / "out"
+        self.no_reads(monkeypatch)
+        capsys.readouterr()
+        assert run(command, "--meshes", one, "--out", out) == 2
+        assert capsys.readouterr().err == (
+            f"error: validation: {one}: generalized registration needs at least two shapes, got 1\n"
+        )
+        assert not out.exists()
+
+    def test_four_controls(self, cohort, tmp_path, capsys, monkeypatch):
+        four, out, shape = self.first(cohort, tmp_path, 4), tmp_path / "out", cohort / "meshes" / "shape_004.obj"
+        self.no_reads(monkeypatch)
+        capsys.readouterr()
+        argv = ("--controls", four, "--pre", shape, "--post", shape, "--pairing", cohort / "pairing.csv")
+        assert run("assess", *argv, "--out", out) == 2
+        assert capsys.readouterr().err == f"error: validation: {four}: need at least 5 control shapes, got 4\n"
+        assert not out.exists()
+
+    def test_compare_reads_the_names_it_listed(self, cohort, tmp_path, capsys, monkeypatch):
+        # a file renamed after the listing is not read in its place under another name
+        meshes, out = self.first(cohort, tmp_path, 16), tmp_path / "out"
+        listed = mesh_names(meshes)
+
+        def list_then_rename(directory):
+            (meshes / "shape_003.obj").rename(meshes / "shape_zzz.obj")
+            return listed
+
+        monkeypatch.setattr("surfshape.cli.mesh_names", list_then_rename)
+        capsys.readouterr()
+        argv = ("--meshes", meshes, "--labels", cohort / "labels.csv", "--p", "2", "--n-perm", "9")
+        assert run("compare", *argv, "--out", out) == 2
+        assert str(meshes / "shape_003.obj") in capsys.readouterr().err
         assert not out.exists()
 
     def test_n_perm_beyond_the_memory_limit(self, cohort, tmp_path, capsys, monkeypatch):
@@ -1395,7 +1472,7 @@ class TestExitCodeByType:
             "--out", tmp_path / "out",
         )
         assert code == 2
-        assert "error: validation: need at least 5 control shapes" in capsys.readouterr().err
+        assert f"error: validation: {controls}: need at least 5 control shapes, got 4" in capsys.readouterr().err
 
     def test_one_group_labels_is_exit_2(self, cohort, tmp_path, capsys, monkeypatch):
         self.labels_refused(cohort, tmp_path, capsys, monkeypatch, groups=1)

@@ -496,7 +496,7 @@ class TestChi2ThresholdCheck:
     def test_true_quantile_accepted(self, p):
         special = pytest.importorskip("scipy.special")
         model = control_model(p)
-        assert model.p == p and model.chi2_threshold == chi_square_quantile(p, 0.95)
+        assert model.p == p and model.chi2_threshold == chi_square_quantile(p)
         assert model.chi2_threshold == pytest.approx(2.0 * special.gammaincinv(p / 2.0, 0.95), rel=1e-12, abs=0)
 
     @staticmethod
@@ -517,12 +517,12 @@ class TestChi2ThresholdCheck:
     @pytest.mark.parametrize("p", [1, 2, 5, 30])
     @pytest.mark.parametrize("factor", [0.92, 1.08, 0.0, np.nan])
     def test_wrong_threshold_refused(self, p, factor, tmp_path):
-        self.assert_threshold_not_taken(p, factor * chi_square_quantile(p, 0.95), tmp_path)
+        self.assert_threshold_not_taken(p, factor * chi_square_quantile(p), tmp_path)
 
     @pytest.mark.parametrize("p", [1, 2, 5, 30])
     @pytest.mark.parametrize("relative", [1e-9, -1e-9])
     def test_threshold_a_billionth_off_refused(self, p, relative, tmp_path):
-        self.assert_threshold_not_taken(p, chi_square_quantile(p, 0.95) * (1.0 + relative), tmp_path)
+        self.assert_threshold_not_taken(p, chi_square_quantile(p) * (1.0 + relative), tmp_path)
 
     def test_no_components_refused(self):
         with pytest.raises(ValueError, match="at least one component"):

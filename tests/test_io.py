@@ -19,6 +19,7 @@ from surfshape.io import (
     SEQUENTIAL_LOW,
     load_mesh_directory,
     load_model,
+    mesh_names,
     read_labels,
     read_mesh,
     read_pairing,
@@ -183,7 +184,7 @@ class TestObjErrors:
         # a later file of a cohort directory is named the same
         (tmp_path / "a.obj").write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\nv 1 1 0\nf 1 2 3\nf 1 3 4\n")
         with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {message}')}$"):
-            load_mesh_directory(tmp_path)
+            load_mesh_directory(tmp_path, mesh_names(tmp_path))
 
     @pytest.mark.parametrize(
         "text, message",
@@ -802,22 +803,23 @@ class TestMeshDirectory:
     def test_lexicographic_order(self, mesh, tmp_path):
         for name in ("b.obj", "a.obj", "c.obj"):
             write_files([(tmp_path / name, mesh)])
-        names, meshes = load_mesh_directory(tmp_path)
+        names = mesh_names(tmp_path)
+        meshes = load_mesh_directory(tmp_path, names)
         assert names == ["a.obj", "b.obj", "c.obj"]
         assert len(meshes) == 3
 
     def test_empty_directory(self, tmp_path):
         with pytest.raises(ValueError, match="no .obj meshes"):
-            load_mesh_directory(tmp_path)
+            mesh_names(tmp_path)
 
     def test_mesh_that_does_not_match_the_first_is_named(self, mesh, tmp_path):
         write_files([(tmp_path / "a.obj", mesh)])
         write_files([(tmp_path / "b.obj", ss.SurfaceMesh(mesh.vertices, mesh.triangles[:, ::-1]))])
         with pytest.raises(ValueError, match="b.obj: triangle list differs from a.obj"):
-            load_mesh_directory(tmp_path)
+            load_mesh_directory(tmp_path, mesh_names(tmp_path))
         write_files([(tmp_path / "b.obj", bumpy_mesh(np.random.default_rng(1), resolution=3))])
         with pytest.raises(ValueError, match=f"b.obj: vertex count 258 != {mesh.n_vertices} of a.obj"):
-            load_mesh_directory(tmp_path)
+            load_mesh_directory(tmp_path, mesh_names(tmp_path))
 
 
 class TestSplitOverCpus:
@@ -846,7 +848,8 @@ class TestSplitOverCpus:
     def test_forks_one_child_per_cpu_beyond_the_first(self, cohort, cpus, monkeypatch):
         forks, fork = [], os.fork
         monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
-        names, meshes = load_mesh_directory(cohort)
+        names = mesh_names(cohort)
+        meshes = load_mesh_directory(cohort, names)
         assert len(forks) == cpus - 1
         for name, back in zip(names, meshes):
             assert back.vertices.tobytes() == read_mesh(cohort / name).vertices.tobytes()
@@ -857,7 +860,7 @@ class TestSplitOverCpus:
         bad = cohort / "s6.obj"
         bad.write_text(bad.read_text().replace("v ", "v x", 1))
         with pytest.raises(ValueError, match="^" + re.escape(self.serial_error(bad)) + "$"):
-            load_mesh_directory(cohort)
+            load_mesh_directory(cohort, mesh_names(cohort))
         assert_no_child_left()
 
     # dealt round robin: at 3 CPUs the files 1 and 4 are read here, 2 and 5 in
@@ -869,23 +872,23 @@ class TestSplitOverCpus:
         (cohort / f"s{early}.obj").write_text("v nan 0 0\n" + text.split("\n", 1)[1])
         (cohort / f"s{late}.obj").write_text("v 0 0 0\nf 1 2\n")
         with pytest.raises(ValueError, match="^" + re.escape(self.serial_error(cohort / f"s{early}.obj")) + "$"):
-            load_mesh_directory(cohort)
+            load_mesh_directory(cohort, mesh_names(cohort))
 
     def test_unreadable_entry_after_a_malformed_file(self, cohort):
         (cohort / "s2.obj").write_text("v 0 0 0\nf 1 2\n")
         (cohort / "s5.obj").unlink()
         (cohort / "s5.obj").mkdir()  # read_bytes raises IsADirectoryError
         with pytest.raises(ValueError, match="s2.obj: line 2: non-triangular face"):
-            load_mesh_directory(cohort)
+            load_mesh_directory(cohort, mesh_names(cohort))
         (cohort / "s2.obj").unlink()
         with pytest.raises(IsADirectoryError):
-            load_mesh_directory(cohort)
+            load_mesh_directory(cohort, mesh_names(cohort))
         assert_no_child_left()
 
     def test_file_off_the_fast_path_gives_read_mesh_arrays(self, cohort):
         messy = cohort / "s5.obj"
         messy.write_bytes(b"# exported\r\n" + messy.read_bytes().replace(b"\n", b"\r\n"))
-        back = load_mesh_directory(cohort)[1][5]
+        back = load_mesh_directory(cohort, mesh_names(cohort))[5]
         expected = read_mesh(messy)
         assert back.vertices.tobytes() == expected.vertices.tobytes()
         assert back.triangles.tobytes() == expected.triangles.tobytes()
@@ -895,7 +898,7 @@ class TestSplitOverCpus:
         paths = sorted(cohort.glob("*.obj"))
         for path in paths:
             path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
-        meshes = load_mesh_directory(cohort)[1]
+        meshes = load_mesh_directory(cohort, mesh_names(cohort))
         for path, back in zip(paths, meshes):
             expected = read_mesh(path)
             assert back.vertices.tobytes() == expected.vertices.tobytes()
@@ -911,14 +914,14 @@ class TestSplitOverCpus:
         (cohort / "s3.obj").write_text("v 0 0 0\nf 1 2\n")
         message = f"{cohort / 's2.obj'}: triangle list differs from s0.obj"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            load_mesh_directory(cohort)
+            load_mesh_directory(cohort, mesh_names(cohort))
         assert_no_child_left()
 
     @pytest.mark.parametrize("fault", ["raises", "exits early", "no fork"])
     def test_share_that_fails_in_a_child_is_run_here(self, cohort, cpus, monkeypatch, fault):
         # s2.obj is in the only child's share at 2 CPUs and in the first of two at 3;
         # the last fork fails, the only one at 2 CPUs and the second at 3
-        serial = [m.vertices.tobytes() for m in load_mesh_directory(cohort)[1]]
+        serial = [m.vertices.tobytes() for m in load_mesh_directory(cohort, mesh_names(cohort))]
         parent, read_bytes, fork, forks = os.getpid(), Path.read_bytes, os.fork, []
 
         def read_here_only(path):
@@ -936,7 +939,7 @@ class TestSplitOverCpus:
 
         monkeypatch.setattr(Path, "read_bytes", read_here_only)
         monkeypatch.setattr(os, "fork", fork_but_the_last)
-        assert [m.vertices.tobytes() for m in load_mesh_directory(cohort)[1]] == serial
+        assert [m.vertices.tobytes() for m in load_mesh_directory(cohort, mesh_names(cohort))] == serial
         assert_no_child_left()
 
     def test_writer_share_that_fails_in_a_child_is_written_here(self, mesh, tmp_path, monkeypatch):

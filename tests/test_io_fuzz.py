@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 import surfshape as ss  # noqa: E402
 import surfshape.io as sio  # noqa: E402
-from surfshape.io import load_mesh_directory, read_mesh, write_files  # noqa: E402
+from surfshape.io import load_mesh_directory, mesh_names, read_mesh, write_files  # noqa: E402
 from surfshape.mesh import check_correspondence  # noqa: E402
 from conftest import bumpy_mesh  # noqa: E402
 
@@ -285,7 +285,7 @@ def test_shared_faces_give_what_read_mesh_gives(data, cohort_dir):
     kind, later = data.draw(later_file(first))
     (cohort_dir / "b.obj").write_bytes(later)
     try:
-        meshes = load_mesh_directory(cohort_dir)[1]
+        meshes = load_mesh_directory(cohort_dir, mesh_names(cohort_dir))
     except ValueError as err:
         assert str(err) == directory_by_read_mesh(cohort_dir)
         assert kind != "same"
@@ -321,7 +321,7 @@ def test_later_file_behind_the_first_face_block(fault, cohort_dir):
     expected = directory_by_read_mesh(cohort_dir)
     assert isinstance(expected, list) == (fault == "none")
     try:
-        meshes = load_mesh_directory(cohort_dir)[1]
+        meshes = load_mesh_directory(cohort_dir, mesh_names(cohort_dir))
     except ValueError as err:
         assert str(err) == expected
         return

@@ -16,7 +16,7 @@ pytest.importorskip("pytest_benchmark")
 
 import surfshape as ss
 from surfshape.groupcompare import PERMUTATION_MODES
-from surfshape.io import load_mesh_directory, read_mesh, write_files
+from surfshape.io import load_mesh_directory, mesh_names, read_mesh, write_files
 
 BENCH_ROUNDS = 7
 
@@ -69,8 +69,8 @@ def test_read_mesh(timed, obj_directory):
 
 def test_load_mesh_directory(timed, obj_directory):
     """Ten files that share one face block: the later nine parse only their vertices."""
-    names, meshes = timed(load_mesh_directory, obj_directory)
-    assert len(names) == 10 and all(mesh.triangles is meshes[0].triangles for mesh in meshes)
+    meshes = timed(load_mesh_directory, obj_directory, mesh_names(obj_directory))
+    assert len(meshes) == 10 and all(mesh.triangles is meshes[0].triangles for mesh in meshes)
 
 
 def test_triangle_areas(timed, cohort):

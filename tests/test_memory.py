@@ -120,6 +120,14 @@ def test_residual_lengths_hold_their_output_and_one_block(tangent, weights):
     assert peak_stacks(tangent, _residual_lengths, model, score_rows) <= 0.5
 
 
+def test_affine_split_holds_its_two_outputs():
+    # the affine and non-affine stacks, and no temporary stack beside them
+    rng = np.random.default_rng(12)
+    mean = rng.standard_normal((N_VERTICES, 3))
+    aligned = mean + rng.normal(scale=0.1, size=(N_SHAPES, N_VERTICES, 3))
+    assert peak_stacks(aligned, ss.affine_nonaffine_split, mean) <= 2.1
+
+
 def planted_cohort(n_shapes, **options):
     """A J = 16,386 cohort whose three planted modes carry most of the variance,
     so that the 0.80 rule keeps few components."""

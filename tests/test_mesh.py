@@ -8,7 +8,7 @@ import pytest
 import surfshape as ss
 import surfshape.io as sio
 from conftest import assert_no_child_left, bumpy_mesh, flat_square_mesh, random_rotation, sphere_mesh
-from surfshape.io import load_mesh_directory, read_mesh, write_files
+from surfshape.io import load_mesh_directory, mesh_names, read_mesh, write_files
 from surfshape.mesh import _in_shares, check_correspondence
 
 
@@ -170,11 +170,12 @@ class TestValidateCorrespondence:
         with pytest.raises(ValueError, match=f"^shape 1: vertex count {b.n_vertices} != {a.n_vertices} of shape 0$"):
             ss.ShapeSample((a, b))
 
-    def test_nan_coordinate_names_shape_and_vertex(self):
+    def test_nan_coordinate_refused_before_a_sample_is_built(self):
+        # the mesh type owns the rule, so no sample can hold a non-finite shape
         mesh = sphere_mesh()
         bad_vertices = mesh.vertices.copy()
         bad_vertices[5, 1] = np.nan
-        with pytest.raises(ValueError, match="^shape 1: non-finite coordinate at vertex 5$"):
+        with pytest.raises(ValueError, match="^vertex 5 has a non-finite coordinate$"):
             ss.ShapeSample((mesh, mesh.with_vertices(bad_vertices)))
 
     def test_triangle_mismatch_reported(self):
@@ -194,14 +195,14 @@ class TestSharedTriangleArray:
         extra = ss.SurfaceMesh(
             np.vstack([mesh.vertices, [[0.0, 0.0, 2.0]]]), np.vstack([mesh.triangles, [[0, 1, mesh.n_vertices]]])
         )
+        moved = mesh.with_vertices(mesh.vertices + 1)
+        assert moved.triangles is mesh.triangles
+        with pytest.raises(ValueError, match=f"^shape 1: vertex count {extra.n_vertices} != {mesh.n_vertices} of shape 0$"):
+            ss.ShapeSample((mesh, extra, moved))
         bad_vertices = mesh.vertices.copy()
         bad_vertices[3, 2] = np.nan
-        nan_mesh = mesh.with_vertices(bad_vertices)
-        assert nan_mesh.triangles is mesh.triangles
-        with pytest.raises(ValueError, match=f"^shape 1: vertex count {extra.n_vertices} != {mesh.n_vertices} of shape 0$"):
-            ss.ShapeSample((mesh, extra, nan_mesh))
-        with pytest.raises(ValueError, match="^shape 2: non-finite coordinate at vertex 3$"):
-            ss.ShapeSample((mesh, mesh, nan_mesh))
+        with pytest.raises(ValueError, match="^vertex 3 has a non-finite coordinate$"):
+            mesh.with_vertices(bad_vertices)
 
     def test_equal_but_distinct_arrays_pass(self):
         mesh = sphere_mesh()
@@ -291,6 +292,17 @@ class TestMeshValidation:
             ss.SurfaceMesh(np.eye(3)[:2], [[0, 1, 0]])
         with pytest.raises(ValueError, match="at least 1 triangle"):
             ss.SurfaceMesh(np.eye(3), np.zeros((0, 3), dtype=int))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("first_index", [0, 1])
+    def test_non_finite_vertex_refused_by_number(self, value, first_index):
+        # such a mesh used to be built, and vertex_areas then called it a zero-area surface
+        vertices = np.array([[0.0, 0, 0], [1, 0, 0], [value, 1, 0]])
+        with pytest.raises(ValueError, match=f"^vertex {2 + first_index} has a non-finite coordinate$"):
+            ss.SurfaceMesh(vertices, [[0, 1, 2]], first_index=first_index)
+        mesh = ss.SurfaceMesh(np.nan_to_num(vertices), [[0, 1, 2]])
+        with pytest.raises(ValueError, match="^vertex 2 has a non-finite coordinate$"):
+            mesh.with_vertices(vertices)
 
     def test_region_bounds_checked(self):
         with pytest.raises(ValueError, match="region 'nose'"):
@@ -418,7 +430,7 @@ class TestSharesSendTheirLists:
             return parse(data, path)
 
         monkeypatch.setattr(sio, "_mesh_from_obj", parse_noting_here)
-        meshes = load_mesh_directory(tmp_path)[1]
+        meshes = load_mesh_directory(tmp_path, mesh_names(tmp_path))
         assert here == ["s0.obj", *(path.name for i, path in enumerate(paths[1:]) if i % cpus == 0)]
         for path, mesh in zip(paths, meshes):
             expected = read_mesh(path)

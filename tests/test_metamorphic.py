@@ -57,7 +57,9 @@ from surfshape.cli import main
 from surfshape.fpca import fit_fpca
 from surfshape.groupcompare import permutation_test
 from surfshape.individual import asymmetry_report, fit_control_model
-from surfshape.io import load_mesh_directory, pairing_table, read_pairing, read_regions, regions_table, write_files
+from surfshape.io import (
+    load_mesh_directory, mesh_names, pairing_table, read_pairing, read_regions, regions_table, write_files,
+)
 from surfshape.registration import tangent_coordinates, weighted_gpa
 
 
@@ -271,7 +273,8 @@ def test_the_cli_reads_renumbered_files_the_same(seed, tmp_path):
                  "--shift-sd", "3", "--noise-sd", "0.01", "--nuisance-rotation", "15", "--nuisance-translation",
                  "0.5", "--nuisance-log-scale", "0.1", "--asymmetry", "0.02", "--seed", str(seed),
                  "--out", str(original)]) == 0
-    names, meshes = load_mesh_directory(original / "meshes")
+    names = mesh_names(original / "meshes")
+    meshes = load_mesh_directory(original / "meshes", names)
     j = meshes[0].n_vertices
     sample, pairing, regions, _ = renumbered(
         ss.ShapeSample(tuple(meshes)), read_pairing(original / "pairing.csv", j),

@@ -52,10 +52,6 @@ CALLS = {
     ),
     "scores": (lambda m: ss.scores(m, np.zeros((3, 3))), "shape (3, 3) does not match model mean (6, 3)"),
     "reconstruct": (lambda m: ss.reconstruct(m, np.zeros(3)), "expected 2 scores, got shape (3,)"),
-    "tour z vectors": (
-        lambda m: ss.grand_tour(m, p=2, n_stops=3, z_vectors=np.zeros((3, 1))),
-        "z_vectors must be (3, 2)",
-    ),
     "variability map": (lambda m: ss.variability_map(np.zeros((2, J, 2))), "aligned must be (n, J, 3)"),
     "permutation mode": (
         lambda m: ss.permutation_test(np.zeros((6, 2)), ["a", "b"] * 3, p=1, mode="bootstrap"),
@@ -95,6 +91,7 @@ CALLS = {
         "source and target must both be (J, 3); got (6, 3) and (3, 3)",
     ),
     "warp points": (lambda m: ss.apply_warp(ss.fit_tps(POINTS, POINTS), np.zeros((2, 2))), "points must be (M, 3)"),
+    "warp one point": (lambda m: ss.apply_warp(ss.fit_tps(POINTS, POINTS), np.zeros(3)), "points must be (M, 3)"),
 }
 
 

@@ -145,8 +145,8 @@ class TestApplyWarp:
         field = ss.fit_tps(random_points(24), random_points(25))
         queries = random_points(26, n=4)
         batch = ss.apply_warp(field, queries)
-        for i, point in enumerate(queries):
-            np.testing.assert_allclose(ss.apply_warp(field, point), batch[i], atol=1e-12)
+        for i in range(len(queries)):
+            np.testing.assert_allclose(ss.apply_warp(field, queries[i : i + 1]), batch[i : i + 1], atol=1e-12)
 
     def test_affine_field_equals_direct_affine_map(self):
         rng = np.random.default_rng(27)
