@@ -1,6 +1,6 @@
 import pytest
 
-from surfshape.chi2 import chi_square_quantile
+from surfshape.chi2 import _upper_tail, chi_square_quantile
 
 
 class TestChiSquareQuantile:
@@ -50,3 +50,19 @@ class TestClosedFormQuantile:
         import numpy as np
 
         assert chi_square_quantile(np.int64(9)) == chi_square_quantile(9)
+
+
+class TestUpperTail:
+    # the Newton step's tail and density, on both sides of the median and far
+    # into the upper tail; the grid the quantile was checked on before it was
+    # fixed at 0.95
+    @pytest.mark.parametrize("prob", [0.5, 0.6, 0.7, 0.8, 0.9, 0.99, 0.999999, 1 - 1e-12])
+    @pytest.mark.parametrize("df", [1, 2, 3, 8, 33, 200, 1000, 5001])
+    def test_matches_scipy(self, df, prob):
+        stats = pytest.importorskip("scipy.stats")
+        x = stats.chi2.ppf(prob, df)
+        upper, density = _upper_tail(df, x)
+        assert upper == pytest.approx(stats.chi2.sf(x, df), rel=1e-12)
+        # scipy's density at df 5,001 exponentiates a log near 2e4, so it
+        # carries about 2e4 ulps of its own
+        assert density == pytest.approx(stats.chi2.pdf(x, df), rel=1e-11)
